@@ -11,9 +11,9 @@ package main
 // pre-subsystem one-shot path, the zero-alloc batch-1 pipeline, the
 // batched server, the scatter-gather router in both placement modes
 // (replica-balanced and class-sharded) over in-process replicas, and
-// the same two placements over real replica servers crossing each
-// remote data plane (router-*-http: JSON, router-*-tcp: binary frames)
-// with a metered bytes-on-wire figure per row — and reports every row
+// the same two placements over real replica servers crossing the
+// binary frame plane (router-*-tcp) with a metered bytes-on-wire figure
+// per row — and reports every row
 // plus the router's per-replica breakdown from a single run. -proba
 // switches all rows to the probability path.
 
@@ -56,7 +56,7 @@ func runServeBench(args []string) {
 		proba    = fs.Bool("proba", false, "drive the probability path (/v1/proba semantics) instead of plain prediction")
 		replicas = fs.Int("replicas", 2, "router replica count for the -compare router rows (class mode: shard count S)")
 		perShard = fs.Int("replicas-per-shard", 1, "siblings per class shard for the in-process router-class row (R; >1 measures the replicated grid's failover-capable path)")
-		compare  = fs.Bool("compare", false, "also run one-shot, batch-1, router (both modes, plus remote JSON and binary wire rows), and a mixed-priority row, and report every row")
+		compare  = fs.Bool("compare", false, "also run one-shot, batch-1, router (both modes, in-process and over the binary wire), and a mixed-priority row, and report every row")
 		trace    = fs.Bool("trace", false, "print the per-stage breakdown of the slowest sampled request after each in-process row")
 
 		admission = fs.String("admission", "none", "admission policy on the in-process rows: none, token-bucket, or cost")
@@ -176,16 +176,14 @@ func runServeBench(args []string) {
 		return res, rs.Router().Stats(), slow, ok
 	}
 
-	// runRouterRemote drives the tier over real replica servers and a
-	// real wire — plane "json" joins their HTTP surface, "binary" their
-	// frame listener — and meters bytes on the wire per request, so the
-	// JSON-vs-binary encode/decode comparison is measured, not asserted.
-	runRouterRemote := func(placement, plane string) (serve.LoadResult, router.Stats, float64) {
+	// runRouterRemote drives the tier over real replica servers joined
+	// by their frame listeners and meters bytes on the wire per request.
+	runRouterRemote := func(placement string) (serve.LoadResult, router.Stats, float64) {
 		var servers []*newtonadmm.ModelServer
 		var joins []string
 		for i := 0; i < *replicas; i++ {
 			so := newtonadmm.ServeOptions{
-				Addr: "127.0.0.1:0", WireAddr: "127.0.0.1:0",
+				WireAddr: "127.0.0.1:0",
 				MaxBatch: *maxB, Linger: *linger, QueueDepth: *queue,
 			}
 			if placement == "class" {
@@ -196,11 +194,7 @@ func runServeBench(args []string) {
 				log.Fatal(err)
 			}
 			servers = append(servers, ms)
-			if plane == "binary" {
-				joins = append(joins, "tcp://"+ms.WireAddr())
-			} else {
-				joins = append(joins, "http://"+ms.Addr())
-			}
+			joins = append(joins, "tcp://"+ms.WireAddr())
 		}
 		defer func() {
 			for _, ms := range servers {
@@ -263,20 +257,15 @@ func runServeBench(args []string) {
 			sharded, shardedStats, shardedSlow, shardedOK = runRouter("class")
 			runtime.GC()
 		}
-		// The remote data planes: the same placements over real replica
-		// servers, once across JSON/HTTP and once across the binary
-		// frame plane, with bytes-on-wire metered.
-		routedHTTP, routedHTTPStats, routedHTTPBytes := runRouterRemote("replica", "json")
+		// The remote data plane: the same placements over real replica
+		// servers across the binary frame plane, bytes-on-wire metered.
+		routedTCP, routedTCPStats, routedTCPBytes := runRouterRemote("replica")
 		runtime.GC()
-		routedTCP, routedTCPStats, routedTCPBytes := runRouterRemote("replica", "binary")
-		runtime.GC()
-		var shardedHTTP, shardedTCP serve.LoadResult
-		var shardedHTTPStats, shardedTCPStats router.Stats
-		var shardedHTTPBytes, shardedTCPBytes float64
+		var shardedTCP serve.LoadResult
+		var shardedTCPStats router.Stats
+		var shardedTCPBytes float64
 		if haveSharded {
-			shardedHTTP, shardedHTTPStats, shardedHTTPBytes = runRouterRemote("class", "json")
-			runtime.GC()
-			shardedTCP, shardedTCPStats, shardedTCPBytes = runRouterRemote("class", "binary")
+			shardedTCP, shardedTCPStats, shardedTCPBytes = runRouterRemote("class")
 			runtime.GC()
 		}
 		// Baseline 2: batch-size-1 serving as it existed before the
@@ -317,19 +306,13 @@ func runServeBench(args []string) {
 		} else {
 			fmt.Printf("router-class     skipped: %d explicit classes < %d replicas\n", m.Classes-1, *replicas)
 		}
-		printLoadResult(fmt.Sprintf("router-replica-http%d", *replicas), routedHTTP)
-		printReplicaBreakdown(routedHTTPStats)
-		printWireBytes(routedHTTPBytes, "JSON bodies, headers excluded")
 		printLoadResult(fmt.Sprintf("router-replica-tcp%d ", *replicas), routedTCP)
 		printReplicaBreakdown(routedTCPStats)
-		printWireBytes(routedTCPBytes, "binary frames, exact")
+		printWireBytes(routedTCPBytes)
 		if haveSharded {
-			printLoadResult(fmt.Sprintf("router-class-http%d  ", *replicas), shardedHTTP)
-			printReplicaBreakdown(shardedHTTPStats)
-			printWireBytes(shardedHTTPBytes, "JSON bodies, headers excluded")
 			printLoadResult(fmt.Sprintf("router-class-tcp%d   ", *replicas), shardedTCP)
 			printReplicaBreakdown(shardedTCPStats)
-			printWireBytes(shardedTCPBytes, "binary frames, exact")
+			printWireBytes(shardedTCPBytes)
 		}
 		if oneShot.Throughput > 0 {
 			fmt.Printf("\nbatched vs one-shot per-request serving: %.2fx (%.0f -> %.0f req/s)\n",
@@ -350,16 +333,6 @@ func runServeBench(args []string) {
 				fmt.Printf("router (class x%d) vs single batched:     %.2fx (%.0f -> %.0f req/s)\n",
 					*replicas, sharded.Throughput/batched.Throughput, batched.Throughput, sharded.Throughput)
 			}
-		}
-		if routedHTTP.Throughput > 0 {
-			fmt.Printf("binary vs JSON wire (replica x%d):        %.2fx req/s, %.2fx bytes (%.0f -> %.0f B/req)\n",
-				*replicas, routedTCP.Throughput/routedHTTP.Throughput,
-				routedHTTPBytes/routedTCPBytes, routedHTTPBytes, routedTCPBytes)
-		}
-		if haveSharded && shardedHTTP.Throughput > 0 {
-			fmt.Printf("binary vs JSON wire (class x%d):          %.2fx req/s, %.2fx bytes (%.0f -> %.0f B/req)\n",
-				*replicas, shardedTCP.Throughput/shardedHTTP.Throughput,
-				shardedHTTPBytes/shardedTCPBytes, shardedHTTPBytes, shardedTCPBytes)
 		}
 		return
 	}
@@ -478,8 +451,8 @@ func printLoadResult(label string, r serve.LoadResult) {
 
 // printWireBytes reports the metered per-request bytes-on-wire of a
 // remote data-plane row.
-func printWireBytes(bytesPerReq float64, how string) {
-	fmt.Printf("    bytes on wire: %.0f B/req (%s)\n", bytesPerReq, how)
+func printWireBytes(bytesPerReq float64) {
+	fmt.Printf("    bytes on wire: %.0f B/req (binary frames, exact)\n", bytesPerReq)
 }
 
 // printReplicaBreakdown reports the router's per-replica view of the

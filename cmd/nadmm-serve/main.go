@@ -10,7 +10,6 @@
 //
 //	POST /v1/predict  {"instances":[[...dense...], {"indices":[...],"values":[...]}, ...]}
 //	POST /v1/proba    same body; adds class probabilities
-//	POST /v1/scores   raw partial logits (the class-shard data plane)
 //	GET  /healthz     readiness + model metadata (+ per-replica states on a router)
 //	GET  /metricz     latency quantiles, batch sizes, device counters
 //	POST /v1/reload   re-read the checkpoint and hot-swap it in (a router
@@ -39,15 +38,10 @@
 //	nadmm-serve -model model.gob -addr :8080 -replicas 2 -shard-mode class \
 //	    -replicas-per-shard 2 -zone zone-a,zone-b
 //
-//	# multi-process class-sharded fleet: two shard replicas + a router
-//	nadmm-serve -model model.gob -addr :8081 -shard-index 0 -shard-count 2 &
-//	nadmm-serve -model model.gob -addr :8082 -shard-index 1 -shard-count 2 &
-//	nadmm-serve -addr :8080 -shard-mode class -join http://127.0.0.1:8081,http://127.0.0.1:8082
-//
-//	# the same fleet on the binary data plane: replicas expose a frame
-//	# listener with -wire-addr, the router joins it via tcp:// URLs
-//	# (clients still speak JSON to the router; see DESIGN.md "Binary
-//	# data plane")
+//	# multi-process class-sharded fleet: two shard replicas + a router.
+//	# Replicas expose a binary frame listener with -wire-addr and the
+//	# router joins it via tcp:// addresses; JSON is spoken to clients
+//	# only (see DESIGN.md "Binary data plane")
 //	nadmm-serve -model model.gob -addr :8081 -wire-addr :9081 -shard-index 0 -shard-count 2 &
 //	nadmm-serve -model model.gob -addr :8082 -wire-addr :9082 -shard-index 1 -shard-count 2 &
 //	nadmm-serve -addr :8080 -shard-mode class -join tcp://127.0.0.1:9081,tcp://127.0.0.1:9082
@@ -83,8 +77,7 @@ func main() {
 		replicas  = flag.Int("replicas", 1, "serve through a router over this many in-process replicas (>1 enables the fleet; class mode: the shard count S)")
 		perShard  = flag.Int("replicas-per-shard", 1, "in-process siblings per class shard (R; >1 builds an R x S replicated grid with per-shard failover)")
 		shardMode = flag.String("shard-mode", "replica", "fleet placement: replica (whole-model copies) or class (class-sharded partial logits)")
-		join      = flag.String("join", "", "comma-separated replica base URLs to route over instead of in-process replicas (tcp:// = binary plane, http:// = JSON)")
-		wirePlane = flag.String("wire", "json", "data plane for scheme-less -join addresses: json or binary")
+		join      = flag.String("join", "", "comma-separated replica frame-listener addresses (tcp://host:port, the replicas' -wire-addr) to route over instead of in-process replicas")
 
 		shardIndex = flag.Int("shard-index", 0, "serve class shard N of -shard-count (replica side of a multi-process fleet)")
 		shardCount = flag.Int("shard-count", 0, "total class shards; > 0 makes this server a shard replica")
@@ -129,7 +122,7 @@ func main() {
 		}
 		runRouter(*model, newtonadmm.RouterOptions{
 			Addr: *addr, Replicas: *replicas, ReplicasPerShard: *perShard, Zones: zones,
-			Mode: *shardMode, Join: joins, Wire: *wirePlane,
+			Mode: *shardMode, Join: joins,
 			MaxBatch: *maxBatch, Linger: *linger, QueueDepth: *queue, Workers: *workers,
 			ModelPath: *model, SampleEvery: *sampleEvery, Debug: *debug,
 			Admission: *admission, AdmissionRate: *admRate, AdmissionBurst: *admBurst,
@@ -199,8 +192,8 @@ func main() {
 }
 
 // runRouter starts the scatter-gather serving tier: in-process replicas
-// built from the checkpoint, or remote replicas joined by URL (with the
-// data plane negotiated per URL scheme).
+// built from the checkpoint, or remote replicas joined by their frame
+// listeners' addresses.
 func runRouter(model string, opts newtonadmm.RouterOptions) {
 	var m *newtonadmm.Model
 	if len(opts.Join) == 0 {

@@ -155,19 +155,6 @@ func TestRouterAdmission429(t *testing.T) {
 	if got := rs.Router().AdmissionStats().Total(); got != uint64(rejected) {
 		t.Fatalf("router rejection counter = %d, callers saw %d", got, rejected)
 	}
-
-	// An invalid priority header is a 400, not a silent default.
-	req, _ := http.NewRequest("POST", base+"/v1/predict", strings.NewReader(`{"instances":[[0,0,0,0,0,0]]}`))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Nadmm-Priority", "urgent")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad priority header: status %d, want 400", resp.StatusCode)
-	}
 }
 
 // TestAutoscaleDownRacesSwap drives the lmu seam directly: fleet-wide

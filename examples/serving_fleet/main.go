@@ -73,8 +73,8 @@ func main() {
 	fmt.Printf("router: %s (class-sharded over the binary plane)\n\n", base)
 
 	// One mixed request: a dense row and a sparse row. The merged
-	// answer is bitwise identical to single-node scoring — the same
-	// property the JSON plane has, at a fraction of the wire cost.
+	// answer is bitwise identical to single-node scoring: the frames
+	// carry raw float64 bits.
 	rng := rand.New(rand.NewSource(7))
 	dense := make([]float64, ds.Features())
 	for j := range dense {

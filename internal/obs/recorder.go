@@ -54,8 +54,8 @@ func (r *Recorder) Start(at time.Time) *Trace {
 }
 
 // StartRemote begins a trace adopted from a propagated context: the ID
-// arrived over the wire (trace trailer or X-Nadmm-Trace header), so the
-// spans recorded here stitch to the originator's trace by ID.
+// arrived over the wire (the NAWP trace trailer), so the spans recorded
+// here stitch to the originator's trace by ID.
 func (r *Recorder) StartRemote(id uint64, at time.Time) *Trace {
 	return r.start(id, true, at)
 }

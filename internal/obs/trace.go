@@ -71,8 +71,7 @@ type Span struct {
 // concurrent AddSpan calls never collide.
 type Trace struct {
 	// ID is the 64-bit trace identity. It crosses process boundaries
-	// via the NAWP trace trailer and the X-Nadmm-Trace header, so one
-	// sampled request yields the same ID on the router and on every
+	// via the NAWP trace trailer, so one sampled request yields the same ID on the router and on every
 	// remote replica it touched.
 	ID uint64
 	// Remote marks a trace adopted from a propagated context (a

@@ -77,7 +77,7 @@ func metaFromModel(mm serve.ModelMeta) Meta {
 // Backend is the per-replica surface the router scatters to. All batch
 // outputs are in the batch's original row order. Implementations must be
 // safe for concurrent use; *LocalBackend wraps an in-process serving
-// stack, *HTTPBackend drives a replica process over the wire.
+// stack, *TCPBackend drives a replica process over the frame plane.
 type Backend interface {
 	// Meta probes the backend's current snapshot; it doubles as the
 	// health-check ping.
@@ -127,8 +127,8 @@ type Batch struct {
 
 	// Priority is the request's service class (DESIGN.md "Control
 	// plane"). The zero value is interactive, so untouched batches keep
-	// the legacy behavior; backends propagate it to replicas (priority
-	// header on the JSON plane, priority trailer on the binary plane).
+	// the legacy behavior; backends propagate it to replicas (the
+	// binary plane's priority trailer).
 	Priority control.Priority
 }
 
@@ -153,23 +153,6 @@ func (b *Batch) Rows() int { return len(b.sparse) }
 // In-process backends (the fleet simulator's virtual replicas) use it
 // to feed rows to real scoring paths without the wire format.
 func (b *Batch) DenseRows() [][]float64 { return b.dense }
-
-// instances rebuilds the wire-format instance list in arrival order
-// (dense rows as arrays, sparse rows as indices/values objects).
-func (b *Batch) instances() []any {
-	out := make([]any, 0, len(b.sparse))
-	d, s := 0, 0
-	for _, isSparse := range b.sparse {
-		if isSparse {
-			out = append(out, map[string]any{"indices": b.idx[s], "values": b.val[s]})
-			s++
-		} else {
-			out = append(out, b.dense[d])
-			d++
-		}
-	}
-	return out
-}
 
 // interleave writes per-kind score blocks back into arrival order:
 // denseOut and sparseOut are (rows-of-kind) x cols, out is rows x cols.

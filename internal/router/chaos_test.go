@@ -108,7 +108,7 @@ func chaosLocal(t testing.TB, w []float64, classes, features, i, n int, zone str
 }
 
 // chaosBackend reaches a chaosLocal replica over the named transport
-// (local, json, or binary), mirroring the internal shardBackend helper.
+// (local or binary), mirroring the internal shardBackend helper.
 func chaosBackend(t testing.TB, transport string, w []float64, classes, features, i, n int, zone string) router.Backend {
 	t.Helper()
 	lb := chaosLocal(t, w, classes, features, i, n, zone)
@@ -116,10 +116,6 @@ func chaosBackend(t testing.TB, transport string, w []float64, classes, features
 	case "local":
 		t.Cleanup(lb.Close)
 		return lb
-	case "json":
-		hs := httptest.NewServer(serve.NewServer(lb.Registry(), lb.Batcher(), nil).Handler())
-		t.Cleanup(func() { hs.Close(); lb.Close() })
-		return &router.HTTPBackend{Base: hs.URL}
 	case "binary":
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -189,7 +185,7 @@ func TestChaosKillEveryPositionBitwise(t *testing.T) {
 	b, dense := chaosBatch(rng, rows, features)
 	want := refProba(t, w, classes, features, dense)
 
-	for _, transport := range []string{"local", "json", "binary"} {
+	for _, transport := range []string{"local", "binary"} {
 		for s := 0; s < gridS; s++ {
 			for r := 0; r < gridR; r++ {
 				t.Run(fmt.Sprintf("%s/kill-g%d-m%d", transport, s, r), func(t *testing.T) {

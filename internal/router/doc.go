@@ -1,7 +1,7 @@
 // Package router is the distributed serving tier: a scatter-gather
 // router in front of N predictor replicas, each running its own
 // serve.Batcher/Registry/Predictor stack — in-process, or in separate
-// processes reached over a wire.
+// processes reached over the binary frame plane.
 //
 // It turns the single-node model server of internal/serve into a
 // serving fleet with two placement modes:
@@ -21,24 +21,21 @@
 //     and one gather per request batch, with the per-class work spread
 //     across the fleet.
 //
-// Remote replicas are reached over one of two data planes, negotiated
-// per replica by join-URL scheme (BackendForURL):
+// Remote replicas are reached over one data plane: TCPBackend speaks
+// the binary frame protocol of internal/wire against a replica's
+// serve.FrameServer (join address tcp://host:port, see BackendForURL) —
+// persistent pooled connections, pipelined requests matched by
+// correlation ID, raw IEEE-754 float64 payloads. DESIGN.md's "Binary
+// data plane" section is the normative protocol spec. JSON is spoken to
+// clients only: Server is the serve.Server HTTP surface scoring through
+// the router, so a fleet and a single replica answer a client alike.
 //
-//   - HTTPBackend (http://) speaks the kserve-style JSON surface of
-//     serve.Server — wire-debuggable, allocation-heavy.
-//   - TCPBackend (tcp://) speaks the binary frame protocol of
-//     internal/wire against serve.FrameServer — persistent pooled
-//     connections, pipelined requests matched by correlation ID, raw
-//     IEEE-754 float64 payloads. DESIGN.md's "Binary data plane"
-//     section is the normative protocol spec.
-//
-// Invariants the tier maintains on every plane:
+// Invariants the tier maintains in process and across the wire:
 //
 //   - Bitwise identity: class-sharded predictions and probabilities are
 //     bit-for-bit equal to a single Predictor holding the full model
-//     (TestClassShardedBitwiseIdentical, parameterized over local, JSON,
-//     and binary transports). JSON preserves float64 by exact
-//     round-tripping; the binary plane by carrying raw bits.
+//     (TestClassShardedBitwiseIdentical, parameterized over the local
+//     and binary transports; the wire carries raw float64 bits).
 //   - Version-consistent merges: partial tiles carry the snapshot
 //     version they were scored against; mixed versions trigger a
 //     bounded rescore then ErrVersionSkew, and coordinated reloads hold
@@ -47,10 +44,10 @@
 //   - Error taxonomy: backpressure (serve.ErrQueueFull) fails over and
 //     never evicts; only transport-level failures
 //     (ErrReplicaUnreachable) feed the health signal; request-shaped
-//     errors fail fast. The wire's error codes and the HTTP status
-//     mapping encode the same classes, so failover behavior cannot
-//     depend on the plane.
+//     errors fail fast. The wire's error codes carry exactly these
+//     classes, so a remote replica fails over like an in-process one.
 //
 // See DESIGN.md for the architecture diagrams and PERF.md for the
-// measured router matrix including the JSON-vs-binary wire comparison.
+// measured router matrix (including the JSON-vs-binary inner-hop
+// comparison that retired the JSON hop).
 package router

@@ -103,10 +103,9 @@ func newClassRouter(t testing.TB, w []float64, classes, features, n int) *Router
 // parameterized over every router↔replica transport: class-sharded
 // routing over 1..4 replicas returns bitwise-identical classes and
 // probabilities to a single Predictor holding the full model, for
-// mixed dense+CSR batches — in process (local), across the JSON/HTTP
-// plane (json), and across the binary frame plane (binary). The two
-// wire transports must preserve every float64 bit: encoding/json by
-// exact round-tripping, internal/wire by carrying raw IEEE-754 bits.
+// mixed dense+CSR batches — in process (local) and across the binary
+// frame plane (binary), which must preserve every float64 bit by
+// carrying raw IEEE-754 bits.
 func TestClassShardedBitwiseIdentical(t *testing.T) {
 	const classes, features, rows = 10, 33, 17
 	rng := rand.New(rand.NewSource(90))

@@ -1,13 +1,9 @@
 package router
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -17,51 +13,65 @@ import (
 	"newtonadmm/internal/serve"
 )
 
-// Server is the router's HTTP surface — wire-compatible with the
-// single-node serve.Server so clients and the load generator cannot
-// tell a fleet from one replica:
+// Server is the router's HTTP surface: the same serve.Server a single
+// replica exposes — so clients and the load generator cannot tell a
+// fleet from one replica — scoring through the router, with tier
+// readiness and per-replica states on /healthz, the router's counters
+// and per-replica breakdown on /metricz, /v1/reload as a coordinated
+// hot swap across all replicas, plus the one router-only endpoint:
 //
-//	POST /v1/predict    scatter-gather prediction
-//	POST /v1/proba      same plus class probabilities
-//	GET  /healthz       tier readiness + per-replica states
-//	GET  /metricz       router counters + per-replica breakdown
-//	POST /v1/reload     coordinated hot swap across all replicas
 //	POST /v1/replicas   admin: {"id":N,"action":"drain"|"undrain"}
 type Server struct {
-	rt    *Router
-	mux   *http.ServeMux
-	start time.Time
-
-	// latency is the sampled client-request end-to-end latency at the
-	// router tier (same sampling tick as trace capture).
-	latency *metrics.Histogram
-	obsReg  *obs.Registry
+	*serve.Server
+	rt *Router
 }
 
 // NewServer wires the router's HTTP surface.
 func NewServer(rt *Router) *Server {
-	s := &Server{rt: rt, mux: http.NewServeMux(), start: time.Now(), latency: metrics.NewHistogram()}
-	s.obsReg = obs.NewRegistry()
-	registerRouterMetrics(s.obsReg, s, rt)
-	s.mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) { s.handlePredict(w, r, false) })
-	s.mux.HandleFunc("/v1/proba", func(w http.ResponseWriter, r *http.Request) { s.handlePredict(w, r, true) })
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metricz", s.handleMetricz)
-	s.mux.Handle("/debug/tracez", obs.TracezHandler(rt.Recorder()))
-	s.mux.HandleFunc("/v1/reload", s.handleReload)
-	s.mux.HandleFunc("/v1/replicas", s.handleReplicas)
+	s := &Server{rt: rt}
+	s.Server = serve.NewTierServer(&routerTier{rt: rt, latency: metrics.NewHistogram()}, rt.Recorder(), rt.Reload)
+	// Tier unavailability (no replicas, shard down, version skew, replica
+	// unreachable) is transient like the single-node 503s.
+	s.MapStatus(http.StatusServiceUnavailable, ErrNoReplicas, ErrShardUnavailable, ErrVersionSkew, ErrReplicaUnreachable)
+	s.HandleFunc("/v1/replicas", s.handleReplicas)
 	return s
 }
 
-// EnableDebug mounts net/http/pprof under /debug/pprof/. Opt-in (the
-// -debug flag): profiling endpoints expose stack traces and must not be
-// on by default on a serving port.
-func (s *Server) EnableDebug() {
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+// routerTier is the scatter-gather serve.Tier: a request's instances
+// become one Batch scored by Router.Predict/Proba.
+type routerTier struct {
+	rt *Router
+	// latency is the sampled client-request end-to-end latency at the
+	// router tier (same sampling tick as trace capture).
+	latency *metrics.Histogram
+}
+
+func (t *routerTier) Shape() (classes int, version int64, ok bool) {
+	return t.rt.Classes(), t.rt.Version(), true
+}
+
+// Score starts the request's trace here, at the fleet's edge; trace
+// capture and the tier latency histogram (Finish) share its one
+// sampling tick.
+func (t *routerTier) Score(insts []serve.Instance, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error) {
+	b := Batch{Priority: pri}
+	for _, inst := range insts {
+		if inst.Sparse {
+			b.AddCSR(inst.Indices, inst.Values)
+		} else {
+			b.AddDense(inst.Dense)
+		}
+	}
+	b.Trace = t.rt.StartTrace(start)
+	if proba != nil {
+		return b.Trace, t.rt.Proba(&b, proba, preds)
+	}
+	return b.Trace, t.rt.Predict(&b, preds)
+}
+
+func (t *routerTier) Finish(tr *obs.Trace, start time.Time) {
+	t.latency.Observe(time.Since(start))
+	t.rt.FinishTrace(tr, time.Now())
 }
 
 // stateValue maps a replica routing state to its gauge encoding:
@@ -77,11 +87,12 @@ func stateValue(st State) float64 {
 	}
 }
 
-// registerRouterMetrics wires the router tier's canonical metric rows
-// (the name table in DESIGN.md "Observability") over the router's and
-// pool's live counters. Scrapes read atomics; nothing is locked against
-// the request path.
-func registerRouterMetrics(o *obs.Registry, s *Server, rt *Router) {
+// Metrics wires the router tier's canonical metric rows (the name table
+// in DESIGN.md "Observability") over the router's and pool's live
+// counters. Scrapes read atomics; nothing is locked against the request
+// path.
+func (t *routerTier) Metrics(o *obs.Registry) {
+	rt := t.rt
 	o.CounterFunc("nadmm_requests_total", "", "client requests routed (unit: requests; a replica's figure counts rows)",
 		func() uint64 { return uint64(rt.requests.Load()) })
 	o.CounterFunc("nadmm_requests_rejected_total", "", "scatter legs rejected by replica backpressure",
@@ -127,13 +138,9 @@ func registerRouterMetrics(o *obs.Registry, s *Server, rt *Router) {
 	// per-shard and per-replica families render through a scrape-time
 	// collector over the live snapshot instead of construction-time rows.
 	o.Collect(func(w io.Writer) { collectPoolMetrics(w, rt) })
-	o.Duration("nadmm_request_latency", "", "sampled end-to-end client-request latency at the router", s.latency)
+	o.Duration("nadmm_request_latency", "", "sampled end-to-end client-request latency at the router", t.latency)
 	o.Duration("nadmm_stage_scatter", "", "per-leg scatter round-trip (all replicas)", rt.StageScatter)
 	o.Duration("nadmm_stage_merge", "", "partial-tile merge time of class-sharded gathers", rt.StageMerge)
-	o.GaugeFunc("nadmm_uptime_seconds", "", "seconds since server start",
-		func() float64 { return time.Since(s.start).Seconds() })
-	o.GaugeFunc("nadmm_goroutines", "", "goroutines in this process",
-		func() float64 { return float64(runtime.NumGoroutine()) })
 }
 
 // collectPoolMetrics renders the per-shard and per-replica metric
@@ -203,164 +210,11 @@ func formatGauge(v float64) string {
 // the fleet bootstrap once the control loop exists; a fleet without one
 // simply has no nadmm_autoscale_* family.
 func (s *Server) RegisterAutoscaler(a *control.Autoscaler) {
-	s.obsReg.GaugeFunc("nadmm_autoscale_replicas", "", "replica count as of the last autoscaler evaluation",
+	s.Obs().GaugeFunc("nadmm_autoscale_replicas", "", "replica count as of the last autoscaler evaluation",
 		func() float64 { return float64(a.Replicas()) })
-	s.obsReg.CounterFunc("nadmm_autoscale_ups_total", "", "successful autoscaler scale-ups", a.Ups)
-	s.obsReg.CounterFunc("nadmm_autoscale_downs_total", "", "successful autoscaler scale-downs", a.Downs)
-	s.obsReg.CounterFunc("nadmm_autoscale_failures_total", "", "scaling actions refused or failed (drain guard, spawn error)", a.Failures)
-}
-
-// Handler returns the root http.Handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Router returns the underlying router (tests, stats).
-func (s *Server) Router() *Router { return s.rt }
-
-// Obs returns the router tier's metrics registry — the autoscaler's
-// snapshot source windows nadmm_request_latency out of it.
-func (s *Server) Obs() *obs.Registry { return s.obsReg }
-
-type errorResponse struct {
-	Error  string `json:"error"`
-	Reason string `json:"reason,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeRouteError renders err through statusFor; a 429 additionally
-// carries the machine-readable rejection reason in the body and, when
-// the admission policy computed a refill horizon, a Retry-After header
-// (whole seconds, rounded up, min 1) — the same envelope the replica
-// tier emits, so clients see one shape regardless of which seam
-// rejected them.
-func writeRouteError(w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	if status != http.StatusTooManyRequests {
-		writeError(w, status, "%v", err)
-		return
-	}
-	reason, retryAfter, ok := serve.RejectionOf(err)
-	if !ok {
-		reason = control.ReasonQueueFull
-	}
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), Reason: reason.String()})
-}
-
-// statusFor extends the single-node error mapping with the router's
-// taxonomy: backpressure is 429; tier unavailability (no replicas, shard
-// down, version skew, no model, shutdown, hot-swap shape change) is 503;
-// the rest are 400-class request problems.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, serve.ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrNoReplicas), errors.Is(err, ErrShardUnavailable), errors.Is(err, ErrVersionSkew),
-		errors.Is(err, ErrReplicaUnreachable),
-		errors.Is(err, serve.ErrNoModel), errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrModelShapeChanged):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-type predictRequest struct {
-	Instances []json.RawMessage `json:"instances"`
-}
-
-type predictResponse struct {
-	Predictions   []int       `json:"predictions"`
-	Probabilities [][]float64 `json:"probabilities,omitempty"`
-	ModelVersion  int64       `json:"model_version"`
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba bool) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	t0 := time.Now()
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Instances) == 0 {
-		writeError(w, http.StatusBadRequest, "no instances")
-		return
-	}
-	pri, perr := control.ParsePriority(r.Header.Get(serve.PriorityHeader))
-	if perr != nil {
-		writeError(w, http.StatusBadRequest, "%v", perr)
-		return
-	}
-	var b Batch
-	b.Priority = pri
-	for i, raw := range req.Instances {
-		inst, err := serve.ParseInstance(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "instance %d: %v", i, err)
-			return
-		}
-		if inst.Sparse {
-			b.AddCSR(inst.Indices, inst.Values)
-		} else {
-			b.AddDense(inst.Dense)
-		}
-	}
-	// Trace capture and the tier latency histogram share one sampling
-	// tick; unsampled requests take no clock reads beyond t0.
-	tr := s.rt.StartTrace(t0)
-	b.Trace = tr
-	finish := func() {
-		if tr != nil {
-			s.latency.Observe(time.Since(t0))
-			s.rt.FinishTrace(tr, time.Now())
-			tr = nil
-		}
-	}
-	classes := s.rt.Classes()
-	resp := predictResponse{
-		Predictions:  make([]int, b.Rows()),
-		ModelVersion: s.rt.Version(),
-	}
-	var err error
-	if proba {
-		flat := make([]float64, b.Rows()*classes)
-		if err = s.rt.Proba(&b, flat, resp.Predictions); err == nil {
-			resp.Probabilities = make([][]float64, b.Rows())
-			for i := range resp.Probabilities {
-				resp.Probabilities[i] = flat[i*classes : (i+1)*classes]
-			}
-		}
-	} else {
-		err = s.rt.Predict(&b, resp.Predictions)
-	}
-	if err != nil {
-		writeRouteError(w, err)
-		finish()
-		return
-	}
-	encStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	if tr != nil {
-		tr.AddSpan(obs.StageEncode, -1, 0, encStart, time.Since(encStart))
-	}
-	finish()
+	s.Obs().CounterFunc("nadmm_autoscale_ups_total", "", "successful autoscaler scale-ups", a.Ups)
+	s.Obs().CounterFunc("nadmm_autoscale_downs_total", "", "successful autoscaler scale-downs", a.Downs)
+	s.Obs().CounterFunc("nadmm_autoscale_failures_total", "", "scaling actions refused or failed (drain guard, spawn error)", a.Failures)
 }
 
 // replicaHealth is one replica's row in /healthz.
@@ -375,14 +229,14 @@ type replicaHealth struct {
 	ShardHi  int    `json:"shard_high,omitempty"`
 }
 
-// handleHealthz reports shard coverage, not mere liveness: "ok" when
+// Health reports shard coverage, not mere liveness: "ok" when
 // every group member everywhere is healthy, "degraded" (still 200 —
 // every shard retains at least one healthy member) when some member is
 // down or draining, "unserviceable" (503) when some group has zero
 // healthy members and class-sharded requests cannot be assembled. The
 // per-shard healthy counts pinpoint which range lost coverage.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	reps := s.rt.Pool().Replicas()
+func (t *routerTier) Health(uptime time.Duration) (int, any) {
+	reps := t.rt.Pool().Replicas()
 	rows := make([]replicaHealth, len(reps))
 	for i, rep := range reps {
 		m := rep.Meta()
@@ -390,45 +244,27 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			ID: rep.ID, Group: rep.GroupID, Zone: rep.Zone,
 			State: rep.State().String(), Version: m.Version, InFlight: rep.InFlight(),
 		}
-		if s.rt.Mode() == ModeClass {
+		if t.rt.Mode() == ModeClass {
 			rows[i].ShardLow, rows[i].ShardHi = m.ShardLow, m.ShardHigh
 		}
 	}
-	status, shards := s.rt.Pool().Coverage()
+	status, shards := t.rt.Pool().Coverage()
 	code := http.StatusOK
 	if status == "unserviceable" {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	return code, map[string]any{
 		"status": status,
-		"mode":   string(s.rt.Mode()),
+		"mode":   string(t.rt.Mode()),
 		"model": serve.ModelMeta{
-			Version:  s.rt.Version(),
-			Classes:  s.rt.Classes(),
-			Features: s.rt.Features(),
+			Version:  t.rt.Version(),
+			Classes:  t.rt.Classes(),
+			Features: t.rt.Features(),
 		},
 		"shards":         shards,
 		"replicas":       rows,
-		"uptime_seconds": time.Since(s.start).Seconds(),
-	})
-}
-
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.obsReg.WriteText(w)
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
+		"uptime_seconds": uptime.Seconds(),
 	}
-	version, err := s.rt.Reload()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reload failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "model_version": version})
 }
 
 // handleReplicas is the admin surface: GET lists replica stats plus
@@ -442,7 +278,7 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		coverage, shards := s.rt.Pool().Coverage()
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"replicas": s.rt.Pool().Stats(),
 			"coverage": coverage,
 			"shards":   shards,
@@ -457,13 +293,12 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 			req.Action = q.Get("action")
 			id, err := strconv.Atoi(q.Get("id"))
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "bad id: %v", err)
+				serve.WriteError(w, http.StatusBadRequest, "bad id: %v", err)
 				return
 			}
 			req.ID = id
 			req.Force, _ = strconv.ParseBool(q.Get("force"))
-		} else if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		} else if !serve.DecodeBody(w, r, &req) {
 			return
 		}
 		var err error
@@ -471,7 +306,7 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 		case "drain":
 			if !req.Force {
 				if err := s.rt.Pool().CanDrain(req.ID); err != nil {
-					writeError(w, http.StatusConflict, "%v", err)
+					serve.WriteError(w, http.StatusConflict, "%v", err)
 					return
 				}
 			}
@@ -479,15 +314,15 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 		case "undrain":
 			err = s.rt.Pool().Undrain(req.ID)
 		default:
-			writeError(w, http.StatusBadRequest, "unknown action %q (want drain or undrain)", req.Action)
+			serve.WriteError(w, http.StatusBadRequest, "unknown action %q (want drain or undrain)", req.Action)
 			return
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			serve.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"status": req.Action, "id": req.ID})
+		serve.WriteJSON(w, http.StatusOK, map[string]any{"status": req.Action, "id": req.ID})
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET or POST")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "use GET or POST")
 	}
 }

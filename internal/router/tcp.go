@@ -2,6 +2,7 @@ package router
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -21,11 +22,10 @@ import (
 // each multiplexing pipelined requests matched to responses by
 // correlation ID. Float64 payloads cross the wire as raw IEEE-754
 // bits, so partial scores merged from remote shards remain bitwise
-// identical to single-node scoring — the same guarantee as the JSON
-// plane, at a fraction of the encode/decode cost.
+// identical to single-node scoring.
 //
-// Error semantics mirror HTTPBackend's: backpressure surfaces as
-// serve.ErrQueueFull (failover without eviction), shape changes as
+// Error semantics: backpressure surfaces as serve.ErrQueueFull
+// (failover without eviction), shape changes as
 // serve.ErrModelShapeChanged, missing models as serve.ErrNoModel, and
 // every transport-level failure — dial, write, read, timeout, or a
 // connection dying mid-stream — as ErrReplicaUnreachable, the only
@@ -81,6 +81,14 @@ type TCPBackend struct {
 	bytesRecv atomic.Uint64
 
 	encoders sync.Pool // *wire.Encoder
+}
+
+// WireStats is implemented by backends that meter their data plane;
+// the serving bench reads it for the bytes-on-wire column.
+type WireStats interface {
+	// BytesOnWire returns cumulative request bytes sent and response
+	// bytes received.
+	BytesOnWire() (sent, recv uint64)
 }
 
 // BytesOnWire reports the cumulative request bytes written and response
@@ -379,8 +387,8 @@ func (t *TCPBackend) roundTrip(encode func(corr uint64, e *wire.Encoder)) (wire.
 }
 
 // errorForCode maps an error frame back to the router's taxonomy — the
-// inverse of the frame server's wireCodeFor, keeping the binary plane's
-// failover semantics identical to the JSON plane's status mapping. A
+// inverse of the frame server's wireCodeFor, so a remote replica's
+// failure drives failover exactly as an in-process one's does. A
 // queue-full frame carrying the admission detail trailer reconstructs
 // the replica's typed rejection (reason + retry-after hint); without
 // one it stays the plain sentinel, so legacy replicas fail over
@@ -490,7 +498,7 @@ func encodeBatch(e *wire.Encoder, op wire.Op, corr uint64, b *Batch, features, c
 }
 
 // Meta probes the replica over the wire; it doubles as the health
-// check, exactly like HTTPBackend's /healthz probe.
+// check.
 func (t *TCPBackend) Meta() (Meta, error) {
 	op, payload, release, err := t.roundTrip(func(corr uint64, e *wire.Encoder) {
 		e.Begin(wire.OpMeta, corr)
@@ -633,28 +641,21 @@ func (t *TCPBackend) Close() {
 	}
 }
 
-// BackendForURL builds the backend for one -join address, negotiating
-// the data plane by URL scheme: "tcp://host:port" joins the replica's
-// binary frame listener, "http://"/"https://" its JSON surface. A
-// scheme-less address uses defWire ("binary" selects tcp, "json" or
-// "" http; anything else is rejected so a typo'd -wire flag fails
-// loudly instead of silently selecting the wrong plane).
-func BackendForURL(base, defWire string) (Backend, error) {
-	switch defWire {
-	case "", "json", "binary":
-	default:
-		return nil, fmt.Errorf("router: unknown wire plane %q (want json or binary)", defWire)
-	}
+// ErrHTTPJoin rejects an http(s):// join address: replicas are reached
+// over the binary frame plane only, JSON stops at the client edge.
+var ErrHTTPJoin = errors.New("router: replicas are joined over the binary frame plane, not HTTP")
+
+// BackendForURL builds the backend for one -join address:
+// "tcp://host:port" or a bare "host:port" is the replica's frame
+// listener (its -wire-addr).
+func BackendForURL(base string) (Backend, error) {
+	addr, isTCP := strings.CutPrefix(base, "tcp://")
 	switch {
-	case strings.HasPrefix(base, "tcp://"):
-		return &TCPBackend{Addr: strings.TrimPrefix(base, "tcp://")}, nil
+	case isTCP || !strings.Contains(base, "://"):
+		return &TCPBackend{Addr: addr}, nil
 	case strings.HasPrefix(base, "http://"), strings.HasPrefix(base, "https://"):
-		return &HTTPBackend{Base: base}, nil
-	case strings.Contains(base, "://"):
-		return nil, fmt.Errorf("router: unknown join scheme in %q (want tcp://, http://, or https://)", base)
-	case defWire == "binary":
-		return &TCPBackend{Addr: base}, nil
+		return nil, fmt.Errorf("%w: start the replica behind %q with -wire-addr and join tcp://host:port of that listener", ErrHTTPJoin, base)
 	default:
-		return &HTTPBackend{Base: "http://" + base}, nil
+		return nil, fmt.Errorf("router: unknown join scheme in %q (want tcp://host:port)", base)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
-	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,7 +47,6 @@ func startFrameReplica(t testing.TB, w []float64, classes, features, i, n int) *
 // transport, all fronting the identical in-process serving stack:
 //
 //	local — the in-process LocalBackend (no wire)
-//	json  — HTTPBackend over a live httptest server (the JSON plane)
 //	binary — TCPBackend over a live frame listener (the binary plane)
 func shardBackend(t testing.TB, transport string, w []float64, classes, features, i, n int) Backend {
 	t.Helper()
@@ -56,11 +55,6 @@ func shardBackend(t testing.TB, transport string, w []float64, classes, features
 		lb := localReplica(t, w, classes, features, i, n)
 		t.Cleanup(lb.Close)
 		return lb
-	case "json":
-		lb := localReplica(t, w, classes, features, i, n)
-		hs := httptest.NewServer(serve.NewServer(lb.Registry(), lb.Batcher(), nil).Handler())
-		t.Cleanup(func() { hs.Close(); lb.Close() })
-		return &HTTPBackend{Base: hs.URL}
 	case "binary":
 		fr := startFrameReplica(t, w, classes, features, i, n)
 		t.Cleanup(fr.close)
@@ -74,7 +68,7 @@ func shardBackend(t testing.TB, transport string, w []float64, classes, features
 }
 
 // transports enumerates the data planes the identity tests cover.
-var transports = []string{"local", "json", "binary"}
+var transports = []string{"local", "binary"}
 
 // TestTCPBackendConcurrentPipelining hammers one single-connection
 // TCPBackend from many goroutines: every request multiplexes over the
@@ -296,38 +290,34 @@ func TestTCPBackendRejectsUnframeableBatch(t *testing.T) {
 	}
 }
 
-// TestBackendForURL covers the join-address negotiation matrix.
+// TestBackendForURL covers the join-address matrix: tcp:// and bare
+// host:port are the frame listener; http(s):// is refused with a typed
+// error that tells the operator what to start instead.
 func TestBackendForURL(t *testing.T) {
-	cases := []struct {
-		base, wire string
-		wantTCP    bool
-		wantErr    bool
-	}{
-		{"tcp://127.0.0.1:9081", "", true, false},
-		{"http://127.0.0.1:8081", "binary", false, false},
-		{"https://replica.example:8081", "", false, false},
-		{"127.0.0.1:9081", "binary", true, false},
-		{"127.0.0.1:8081", "json", false, false},
-		{"127.0.0.1:8081", "", false, false},
-		{"ftp://127.0.0.1:21", "", false, true},
-		{"127.0.0.1:9081", "tcp", false, true},          // typo'd -wire fails loudly
-		{"tcp://127.0.0.1:9081", "Binary", false, true}, // even with explicit schemes
-	}
-	for _, c := range cases {
-		b, err := BackendForURL(c.base, c.wire)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("%q: expected an error", c.base)
-			}
-			continue
-		}
+	for _, base := range []string{"tcp://127.0.0.1:9081", "127.0.0.1:9081"} {
+		b, err := BackendForURL(base)
 		if err != nil {
-			t.Errorf("%q: %v", c.base, err)
+			t.Errorf("%q: %v", base, err)
 			continue
 		}
-		if _, isTCP := b.(*TCPBackend); isTCP != c.wantTCP {
-			t.Errorf("%q wire=%q: TCP=%v, want %v", c.base, c.wire, isTCP, c.wantTCP)
+		if tb, ok := b.(*TCPBackend); !ok || tb.Addr != "127.0.0.1:9081" {
+			t.Errorf("%q: got %#v, want a TCPBackend on 127.0.0.1:9081", base, b)
 		}
+	}
+	for _, base := range []string{"http://127.0.0.1:8081", "https://replica.example:8081"} {
+		_, err := BackendForURL(base)
+		if !errors.Is(err, ErrHTTPJoin) {
+			t.Errorf("%q: got %v, want ErrHTTPJoin", base, err)
+			continue
+		}
+		for _, hint := range []string{"-wire-addr", "tcp://"} {
+			if !strings.Contains(err.Error(), hint) {
+				t.Errorf("%q: error %q does not name %s", base, err, hint)
+			}
+		}
+	}
+	if _, err := BackendForURL("ftp://127.0.0.1:21"); err == nil || errors.Is(err, ErrHTTPJoin) {
+		t.Errorf("ftp://: got %v, want an unknown-scheme error", err)
 	}
 }
 

@@ -21,9 +21,13 @@
 //     reference counting, so a new checkpoint hot-swaps in with zero
 //     downtime: in-flight batches finish on the old snapshot, whose
 //     device is released when the last reference drains.
-//   - Server exposes the kserve-style HTTP/JSON surface (/v1/predict,
-//     /v1/proba, /v1/scores, /healthz, /metricz, /v1/reload) on top of
-//     the batcher.
+//   - Server is the kserve-style HTTP/JSON surface (/v1/predict,
+//     /v1/proba, /healthz, /metricz, /debug/tracez, /v1/reload) — the
+//     only place JSON is spoken, and the same code on both tiers: it
+//     owns request decoding (bounded by wire.MaxPayload), the response
+//     and error envelopes and the error-to-status table, and scores
+//     through a Tier. NewServer plugs in the batcher; internal/router
+//     plugs in its scatter-gather Router.
 //   - FrameServer exposes the same serving stack on the binary frame
 //     data plane (internal/wire; DESIGN.md "Binary data plane" is the
 //     spec): a TCP listener whose connections carry pipelined
@@ -39,11 +43,11 @@
 //     and frame encode/decode allocate nothing once staging reached its
 //     high-water shape (pinned by AllocsPerRun tests here and in
 //     internal/wire).
-//   - Bitwise equivalence across surfaces: the HTTP plane, the frame
-//     plane, and direct Predictor calls produce bit-identical classes,
-//     probabilities, and partial-score tiles for the same snapshot —
-//     JSON by exact float64 round-tripping, frames by raw IEEE-754
-//     bits.
+//   - Bitwise equivalence across surfaces: the HTTP edge, the frame
+//     plane, and direct Predictor calls produce bit-identical classes
+//     and probabilities for the same snapshot, and the frame plane
+//     bit-identical partial-score tiles — JSON by exact float64
+//     round-tripping, frames by raw IEEE-754 bits.
 //   - Accepted work is never dropped: full queues reject synchronously
 //     (429 / CodeQueueFull), shutdown answers in-flight requests with
 //     ErrClosed, and hot swaps retire the old device only after its

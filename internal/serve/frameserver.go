@@ -27,10 +27,9 @@ import (
 //
 // Predict and proba requests submit their rows through the shared
 // micro-batcher (so frame-plane and HTTP-plane traffic coalesce into
-// the same kernel launches); partial-score requests bypass it exactly
-// like the HTTP /v1/scores handler — the router already coalesced the
-// client batch, so they score in at most two launches via the
-// registry's predictor.
+// the same kernel launches); partial-score requests bypass it — the
+// router already coalesced the client batch, so they score in at most
+// two launches (one dense, one CSR) via the registry's predictor.
 type FrameServer struct {
 	reg    *Registry
 	bat    *Batcher

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"math/rand"
-	"net/http"
 	"testing"
 	"time"
 
@@ -61,69 +59,6 @@ func TestScoresMatchPredict(t *testing.T) {
 
 	if err := p.ScoresDense(rows, make([]float64, 1)); err == nil {
 		t.Fatal("short score buffer accepted")
-	}
-}
-
-// TestServerScoresEndpoint exercises the /v1/scores data plane: mixed
-// dense+sparse instances come back as raw partial logits in request
-// order, bit-exact through the JSON round trip, with the snapshot
-// version.
-func TestServerScoresEndpoint(t *testing.T) {
-	const classes, features = 4, 6
-	ts, p, done := newTestServer(t, classes, features)
-	defer done()
-
-	rng := rand.New(rand.NewSource(52))
-	rows := randRows(rng, 6, features, 0.6)
-	idx, val := toCSRRows(rows)
-	m := classes - 1
-	want := make([]float64, len(rows)*m)
-	if err := p.ScoresDense(rows, want); err != nil {
-		t.Fatal(err)
-	}
-
-	instances := []any{}
-	for i, r := range rows {
-		if i%2 == 0 {
-			instances = append(instances, r)
-		} else {
-			instances = append(instances, map[string]any{"indices": idx[i], "values": val[i]})
-		}
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/scores", map[string]any{"instances": instances})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sr struct {
-		Scores       [][]float64 `json:"scores"`
-		Cols         int         `json:"cols"`
-		ModelVersion int64       `json:"model_version"`
-	}
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Cols != m || sr.ModelVersion != 1 {
-		t.Fatalf("cols %d version %d, want %d and 1", sr.Cols, sr.ModelVersion, m)
-	}
-	if len(sr.Scores) != len(rows) {
-		t.Fatalf("%d score rows for %d instances", len(sr.Scores), len(rows))
-	}
-	for i, row := range sr.Scores {
-		for c, v := range row {
-			if v != want[i*m+c] { // bitwise through JSON
-				t.Fatalf("scores[%d][%d]: got %v want %v", i, c, v, want[i*m+c])
-			}
-		}
-	}
-
-	// Malformed instance is a 400; empty body is a 400.
-	resp, _ = postJSON(t, ts.URL+"/v1/scores", map[string]any{"instances": []any{"nope"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad instance gave %d, want 400", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/scores", map[string]any{"instances": []any{}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty instances gave %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -14,25 +14,47 @@ import (
 	"newtonadmm/internal/control"
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/obs"
+	"newtonadmm/internal/wire"
 )
 
-// TraceHeader is the HTTP request header a router sets to propagate a
-// sampled request's trace ID (16 hex digits) to a JSON-plane replica —
-// the HTTP equivalent of the binary plane's trace trailer (DESIGN.md
-// "Observability"). The replica adopts the ID, records its local spans
-// under it, and publishes to its own recorder so the fleet's traces
-// stitch by ID.
-const TraceHeader = "X-Nadmm-Trace"
-
 // PriorityHeader is the HTTP request header carrying the request's
-// service class ("interactive", "batch", "background") — the JSON-plane
-// equivalent of the binary plane's priority trailer. Absent means
+// service class ("interactive", "batch", "background") — the client
+// edge's equivalent of the binary plane's priority trailer. Absent means
 // interactive, so pre-priority clients are unchanged; an unknown value
 // is a 400 (a typo'd class silently served as interactive would defeat
 // the starvation bound the classes exist for).
 const PriorityHeader = "X-Nadmm-Priority"
 
-// Server is the kserve-style HTTP surface over the batcher and registry:
+// Tier is what a serving tier plugs into the HTTP surface: how a parsed
+// request is scored, what /healthz says, and which rows /metricz
+// carries. The single-node tier scores through batcher tickets, the
+// scatter-gather router through Router.Predict/Proba; everything a
+// client can observe besides that is Server's, so the two tiers cannot
+// drift apart.
+type Tier interface {
+	// Shape reports the class count probability rows are sized to and
+	// the model version responses are stamped with; ok is false while
+	// no model is loaded (the request is answered 503).
+	Shape() (classes int, version int64, ok bool)
+	// Score scores insts in order under service class pri: predicted
+	// classes into preds and, when proba is non-nil, class
+	// probabilities into proba (len(insts) x classes, row-major). start
+	// is the request's arrival time. A tier that traces requests from
+	// this edge returns the request's sampled trace (nil when
+	// unsampled); the server adds the response-encode span to it and
+	// hands it to Finish once the response is written, whether Score
+	// failed or not.
+	Score(insts []Instance, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error)
+	// Finish publishes a non-nil trace returned by Score.
+	Finish(tr *obs.Trace, start time.Time)
+	// Health is the /healthz status code and JSON body.
+	Health(uptime time.Duration) (status int, body any)
+	// Metrics registers the tier's /metricz rows.
+	Metrics(o *obs.Registry)
+}
+
+// Server is the kserve-style HTTP surface of a serving tier — the one
+// place JSON is spoken (replicas are reached over internal/wire):
 //
 //	POST /v1/predict  {"instances":[[...], {"indices":[...],"values":[...]}, ...]}
 //	POST /v1/proba    same body, returns class probabilities as well
@@ -45,29 +67,62 @@ const PriorityHeader = "X-Nadmm-Priority"
 // are {"indices":[...],"values":[...]} objects with strictly increasing
 // zero-based indices. The two kinds may be mixed in one request.
 type Server struct {
-	reg    *Registry
-	bat    *Batcher
+	tier   Tier
 	reload func() (int64, error) // optional hot-reload hook
 	mux    *http.ServeMux
 	start  time.Time
 	obsReg *obs.Registry
+	status []statusRule
 }
 
-// NewServer wires the HTTP surface. reload may be nil, which disables
-// /v1/reload.
+// statusRule maps one error sentinel to the HTTP status it is answered
+// with.
+type statusRule struct {
+	err    error
+	status int
+}
+
+// NewServer wires the single-node HTTP surface over the batcher and
+// registry. reload may be nil, which disables /v1/reload.
 func NewServer(reg *Registry, bat *Batcher, reload func() (int64, error)) *Server {
-	s := &Server{reg: reg, bat: bat, reload: reload, mux: http.NewServeMux(), start: time.Now()}
-	s.obsReg = obs.NewRegistry()
-	registerServeMetrics(s.obsReg, reg, bat, s.start)
+	return NewTierServer(batcherTier{reg: reg, bat: bat}, bat.Recorder(), reload)
+}
+
+// NewTierServer wires the HTTP surface over t. rec backs /debug/tracez;
+// reload may be nil, which disables /v1/reload.
+func NewTierServer(t Tier, rec *obs.Recorder, reload func() (int64, error)) *Server {
+	s := &Server{tier: t, reload: reload, mux: http.NewServeMux(), start: time.Now(), obsReg: obs.NewRegistry()}
+	// Backpressure is 429; a missing model, shutdown, and a mid-request
+	// hot-swap shape change are 503 (transient — the request was valid
+	// when sent, a retry succeeds); anything unmapped is a 400-class
+	// request problem (bad shapes, bad indices).
+	s.MapStatus(http.StatusTooManyRequests, ErrQueueFull)
+	s.MapStatus(http.StatusServiceUnavailable, ErrNoModel, ErrClosed, ErrModelShapeChanged)
+	t.Metrics(s.obsReg)
+	s.obsReg.GaugeFunc("nadmm_uptime_seconds", "", "seconds since server start",
+		func() float64 { return time.Since(s.start).Seconds() })
+	s.obsReg.GaugeFunc("nadmm_goroutines", "", "goroutines in this process",
+		func() float64 { return float64(runtime.NumGoroutine()) })
 	s.mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) { s.handlePredict(w, r, false) })
 	s.mux.HandleFunc("/v1/proba", func(w http.ResponseWriter, r *http.Request) { s.handlePredict(w, r, true) })
-	s.mux.HandleFunc("/v1/scores", s.handleScores)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metricz", s.handleMetricz)
-	s.mux.Handle("/debug/tracez", obs.TracezHandler(bat.Recorder()))
+	s.mux.Handle("/debug/tracez", obs.TracezHandler(rec))
 	s.mux.HandleFunc("/v1/reload", s.handleReload)
 	return s
 }
+
+// MapStatus answers errors matching any of errs (errors.Is) with
+// status — how a tier adds its own sentinels to the error table. Call
+// it before the server handles requests.
+func (s *Server) MapStatus(status int, errs ...error) {
+	for _, err := range errs {
+		s.status = append(s.status, statusRule{err: err, status: status})
+	}
+}
+
+// HandleFunc mounts a tier-specific endpoint beside the shared surface.
+func (s *Server) HandleFunc(pattern string, h http.HandlerFunc) { s.mux.HandleFunc(pattern, h) }
 
 // EnableDebug mounts net/http/pprof under /debug/pprof/. Opt-in (the
 // -debug flag): profiling endpoints expose stack traces and must not be
@@ -80,11 +135,308 @@ func (s *Server) EnableDebug() {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// registerServeMetrics wires the serving tier's canonical metric rows
-// (the name table in DESIGN.md "Observability") over the batcher's and
-// registry's live counters. Scrapes read atomics; nothing is locked
-// against the request path.
-func registerServeMetrics(o *obs.Registry, reg *Registry, bat *Batcher, start time.Time) {
+// Handler returns the root http.Handler.
+func (s *Server) Handler() http.Handler { return s.mux }
+
+// Obs returns the metrics registry behind /metricz (the router's
+// autoscaler windows nadmm_request_latency out of it and adds its own
+// rows).
+func (s *Server) Obs() *obs.Registry { return s.obsReg }
+
+type predictRequest struct {
+	Instances []json.RawMessage `json:"instances"`
+}
+
+type predictResponse struct {
+	Predictions   []int       `json:"predictions"`
+	Probabilities [][]float64 `json:"probabilities,omitempty"`
+	ModelVersion  int64       `json:"model_version"`
+}
+
+type errorResponse struct {
+	Error string `json:"error"`
+	// Reason is the machine-readable admission rejection reason
+	// ("queue_full", "rate_limited", "cost_rejected"), set on 429s only.
+	Reason string `json:"reason,omitempty"`
+}
+
+// WriteJSON answers with status and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with status and the {"error": ...} envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// DecodeBody decodes r's JSON body into v, reading at most
+// wire.MaxPayload bytes — the bound the binary plane puts on a request —
+// so a client cannot make the server buffer without limit. On failure it
+// has answered (413 past the bound, else 400) and reports false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxPayload)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, status, "bad request body: %v", err)
+	return false
+}
+
+// writeScoreError answers a scoring error with its mapped status. A 429
+// additionally carries the machine-readable rejection reason in the
+// body and, when the admission policy computed a refill horizon, a
+// Retry-After header (whole seconds, rounded up — HTTP has no
+// sub-second form), so clients see one envelope whichever seam rejected
+// them.
+func (s *Server) writeScoreError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	for _, rule := range s.status {
+		if errors.Is(err, rule.err) {
+			status = rule.status
+			break
+		}
+	}
+	if status != http.StatusTooManyRequests {
+		WriteError(w, status, "%v", err)
+		return
+	}
+	reason, retryAfter, ok := RejectionOf(err)
+	if !ok {
+		reason = control.ReasonQueueFull
+	}
+	if retryAfter > 0 {
+		secs := int64((retryAfter + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	}
+	WriteJSON(w, status, errorResponse{Error: err.Error(), Reason: reason.String()})
+}
+
+func requirePost(w http.ResponseWriter, r *http.Request) bool {
+	if r.Method != http.MethodPost {
+		WriteError(w, http.StatusMethodNotAllowed, "use POST")
+		return false
+	}
+	return true
+}
+
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba bool) {
+	if !requirePost(w, r) {
+		return
+	}
+	start := time.Now()
+	var req predictRequest
+	if !DecodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Instances) == 0 {
+		WriteError(w, http.StatusBadRequest, "no instances")
+		return
+	}
+	classes, version, ok := s.tier.Shape()
+	if !ok {
+		WriteError(w, http.StatusServiceUnavailable, "no model loaded")
+		return
+	}
+	pri, err := control.ParsePriority(r.Header.Get(PriorityHeader))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%s: %v", PriorityHeader, err)
+		return
+	}
+	insts := make([]Instance, len(req.Instances))
+	for i, raw := range req.Instances {
+		if insts[i], err = ParseInstance(raw); err != nil {
+			WriteError(w, http.StatusBadRequest, "instance %d: %v", i, err)
+			return
+		}
+	}
+	resp := predictResponse{Predictions: make([]int, len(insts)), ModelVersion: version}
+	var flat []float64
+	if proba {
+		flat = make([]float64, len(insts)*classes)
+		resp.Probabilities = make([][]float64, len(insts))
+		for i := range resp.Probabilities {
+			resp.Probabilities[i] = flat[i*classes : (i+1)*classes]
+		}
+	}
+	tr, err := s.tier.Score(insts, pri, start, resp.Predictions, flat)
+	if err != nil {
+		s.writeScoreError(w, err)
+	} else {
+		encStart := time.Now()
+		WriteJSON(w, http.StatusOK, resp)
+		if tr != nil {
+			tr.AddSpan(obs.StageEncode, -1, 0, encStart, time.Since(encStart))
+		}
+	}
+	if tr != nil {
+		s.tier.Finish(tr, start)
+	}
+}
+
+type sparseInstance struct {
+	Indices []int     `json:"indices"`
+	Values  []float64 `json:"values"`
+}
+
+// Instance is one decoded wire instance: a dense feature row or a
+// sparse (indices, values) pair. Exactly one form is populated,
+// discriminated by Sparse (a sparse instance may legitimately have zero
+// nonzeros, so nil-ness of the slices cannot discriminate).
+type Instance struct {
+	Dense   []float64
+	Indices []int
+	Values  []float64
+	Sparse  bool
+}
+
+// ParseInstance decodes one request instance: a dense JSON array of
+// Features numbers, or a sparse {"indices":[...],"values":[...]} object
+// with strictly increasing zero-based indices. It is the only instance
+// decoder: both tiers parse through Server, and the repository benchmark
+// times this function as the JSON edge's parse cost.
+func ParseInstance(raw json.RawMessage) (Instance, error) {
+	switch firstByte(raw) {
+	case '[':
+		var row []float64
+		if err := json.Unmarshal(raw, &row); err != nil {
+			return Instance{}, fmt.Errorf("bad dense instance: %w", err)
+		}
+		return Instance{Dense: row}, nil
+	case '{':
+		// Strict decoding: a typo'd key must be a 400, not a silently
+		// all-zero row scored as the reference class.
+		var sp sparseInstance
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&sp); err != nil {
+			return Instance{}, fmt.Errorf("bad sparse instance: %w", err)
+		}
+		if sp.Indices == nil || sp.Values == nil {
+			return Instance{}, fmt.Errorf("sparse instance needs both \"indices\" and \"values\"")
+		}
+		return Instance{Indices: sp.Indices, Values: sp.Values, Sparse: true}, nil
+	default:
+		return Instance{}, fmt.Errorf("instance must be an array or an {indices, values} object")
+	}
+}
+
+func firstByte(raw json.RawMessage) byte {
+	for _, c := range raw {
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		}
+		return c
+	}
+	return 0
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	status, body := s.tier.Health(time.Since(s.start))
+	WriteJSON(w, status, body)
+}
+
+func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	s.obsReg.WriteText(w)
+}
+
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	if !requirePost(w, r) {
+		return
+	}
+	if s.reload == nil {
+		WriteError(w, http.StatusNotImplemented, "no reloader configured (start the server with a model path)")
+		return
+	}
+	version, err := s.reload()
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "reload failed: %v", err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "model_version": version})
+}
+
+// batcherTier is the single-node Tier: every instance becomes a batcher
+// ticket, so concurrent requests coalesce into shared kernel launches.
+type batcherTier struct {
+	reg *Registry
+	bat *Batcher
+}
+
+func (t batcherTier) Shape() (classes int, version int64, ok bool) {
+	meta, ok := t.reg.Meta()
+	return meta.Classes, meta.Version, ok
+}
+
+// Score submits every instance before waiting on any, so the instances
+// of one HTTP request coalesce into the same micro-batches. Requests are
+// not traced from this edge: the batcher samples its own stages.
+func (t batcherTier) Score(insts []Instance, pri control.Priority, _ time.Time, preds []int, proba []float64) (*obs.Trace, error) {
+	classes := len(proba) / len(insts)
+	tickets := make([]Ticket, 0, len(insts))
+	var submitErr, waitErr error
+	for i, inst := range insts {
+		var probaOut []float64
+		if proba != nil {
+			probaOut = proba[i*classes : (i+1)*classes]
+		}
+		var tk Ticket
+		var err error
+		if inst.Sparse {
+			tk, err = t.bat.SubmitCSRPri(inst.Indices, inst.Values, probaOut, pri, nil)
+		} else {
+			tk, err = t.bat.SubmitDensePri(inst.Dense, probaOut, pri, nil)
+		}
+		if err != nil {
+			submitErr = fmt.Errorf("instance %d: %w", i, err)
+			break
+		}
+		tickets = append(tickets, tk)
+	}
+	// Every accepted ticket is waited, even after a submit failure, so no
+	// admitted request is abandoned.
+	for i, tk := range tickets {
+		class, err := tk.Wait()
+		if err != nil && waitErr == nil {
+			waitErr = fmt.Errorf("instance %d: %w", i, err)
+		}
+		preds[i] = class
+	}
+	if submitErr != nil {
+		return nil, submitErr
+	}
+	return nil, waitErr
+}
+
+func (batcherTier) Finish(*obs.Trace, time.Time) {}
+
+func (t batcherTier) Health(uptime time.Duration) (int, any) {
+	meta, ok := t.reg.Meta()
+	if !ok {
+		return http.StatusServiceUnavailable, map[string]any{"status": "no model"}
+	}
+	return http.StatusOK, map[string]any{
+		"status":         "ok",
+		"model":          meta,
+		"uptime_seconds": uptime.Seconds(),
+	}
+}
+
+// Metrics wires the serving tier's canonical metric rows (the name
+// table in DESIGN.md "Observability") over the batcher's and registry's
+// live counters. Scrapes read atomics; nothing is locked against the
+// request path.
+func (t batcherTier) Metrics(o *obs.Registry) {
+	reg, bat := t.reg, t.bat
 	o.CounterFunc("nadmm_requests_total", "", "instances completed (unit: rows; the router's figure counts client requests)",
 		func() uint64 { return uint64(bat.Stats().Completed) })
 	o.CounterFunc("nadmm_requests_submitted_total", "", "instances accepted into the admission queue",
@@ -132,10 +484,6 @@ func registerServeMetrics(o *obs.Registry, reg *Registry, bat *Batcher, start ti
 	o.CounterFunc("nadmm_device_bytes_total", "", "bytes moved by the serving device",
 		deviceStat(func(ds device.Stats) uint64 { return uint64(ds.Bytes) }))
 	registerControlMetrics(o, bat)
-	o.GaugeFunc("nadmm_uptime_seconds", "", "seconds since server start",
-		func() float64 { return time.Since(start).Seconds() })
-	o.GaugeFunc("nadmm_goroutines", "", "goroutines in this process",
-		func() float64 { return float64(runtime.NumGoroutine()) })
 }
 
 // registerControlMetrics wires the admission/priority rows shared by
@@ -162,373 +510,4 @@ func registerControlMetrics(o *obs.Registry, bat *Batcher) {
 			}
 			return 0
 		})
-}
-
-// Handler returns the root http.Handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Batcher returns the server's batcher (for stats and tests).
-func (s *Server) Batcher() *Batcher { return s.bat }
-
-type sparseInstance struct {
-	Indices []int     `json:"indices"`
-	Values  []float64 `json:"values"`
-}
-
-type predictRequest struct {
-	Instances []json.RawMessage `json:"instances"`
-}
-
-type predictResponse struct {
-	Predictions   []int       `json:"predictions"`
-	Probabilities [][]float64 `json:"probabilities,omitempty"`
-	ModelVersion  int64       `json:"model_version"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-	// Reason is the machine-readable admission rejection reason
-	// ("queue_full", "rate_limited", "cost_rejected"), set on 429s only.
-	Reason string `json:"reason,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeServeError is writeError plus the admission-control envelope: a
-// 429 carries the machine-readable reason in the body and, when the
-// policy computed a refill horizon, a Retry-After header (whole
-// seconds, rounded up, min 1 — HTTP has no sub-second form).
-func writeServeError(w http.ResponseWriter, err error, format string, args ...any) {
-	status := statusFor(err)
-	if status != http.StatusTooManyRequests {
-		writeError(w, status, format, args...)
-		return
-	}
-	reason, retryAfter, ok := RejectionOf(err)
-	if !ok {
-		reason = control.ReasonQueueFull
-	}
-	if retryAfter > 0 {
-		secs := int64((retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	writeJSON(w, status, errorResponse{
-		Error:  fmt.Sprintf(format, args...),
-		Reason: reason.String(),
-	})
-}
-
-// statusFor maps serving errors to HTTP statuses: backpressure is 429;
-// missing model, shutdown, and mid-request hot-swap shape changes are
-// 503 (transient — the request was valid when sent, retry succeeds);
-// everything else is a 400-class request problem (bad shapes, bad
-// indices).
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrNoModel), errors.Is(err, ErrClosed), errors.Is(err, ErrModelShapeChanged):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba bool) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Instances) == 0 {
-		writeError(w, http.StatusBadRequest, "no instances")
-		return
-	}
-	meta, ok := s.reg.Meta()
-	if !ok {
-		writeError(w, http.StatusServiceUnavailable, "no model loaded")
-		return
-	}
-	pri, err := control.ParsePriority(r.Header.Get(PriorityHeader))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%s: %v", PriorityHeader, err)
-		return
-	}
-
-	resp := predictResponse{
-		Predictions:  make([]int, len(req.Instances)),
-		ModelVersion: meta.Version,
-	}
-	if proba {
-		resp.Probabilities = make([][]float64, len(req.Instances))
-		for i := range resp.Probabilities {
-			resp.Probabilities[i] = make([]float64, meta.Classes)
-		}
-	}
-
-	// A router-propagated trace (TraceHeader) is adopted under its wire
-	// ID and rides on the first instance only — one representative pass
-	// through the batcher's stages — then publishes to this replica's
-	// recorder so the fleet's traces stitch by ID.
-	var trace *obs.Trace
-	if idStr := r.Header.Get(TraceHeader); idStr != "" {
-		if id, err := strconv.ParseUint(idStr, 16, 64); err == nil && id != 0 {
-			trace = s.bat.Recorder().StartRemote(id, time.Now())
-		}
-	}
-	finishTrace := func() {
-		if trace != nil {
-			s.bat.Recorder().Finish(trace, time.Now())
-			trace = nil
-		}
-	}
-
-	// Submit every instance before waiting on any, so the instances of
-	// one HTTP request coalesce into the same micro-batches.
-	tickets := make([]Ticket, 0, len(req.Instances))
-	submitErr := error(nil)
-	rowTrace := trace
-	for i, raw := range req.Instances {
-		var probaOut []float64
-		if proba {
-			probaOut = resp.Probabilities[i]
-		}
-		t, err := s.submitInstance(raw, probaOut, pri, rowTrace)
-		rowTrace = nil
-		if err != nil {
-			submitErr = fmt.Errorf("instance %d: %w", i, err)
-			break
-		}
-		tickets = append(tickets, t)
-	}
-	var waitErr error
-	for i, t := range tickets {
-		class, err := t.Wait()
-		if err != nil && waitErr == nil {
-			waitErr = fmt.Errorf("instance %d: %w", i, err)
-		}
-		resp.Predictions[i] = class
-	}
-	if submitErr != nil {
-		writeServeError(w, submitErr, "%v", submitErr)
-		finishTrace()
-		return
-	}
-	if waitErr != nil {
-		writeServeError(w, waitErr, "%v", waitErr)
-		finishTrace()
-		return
-	}
-	encStart := time.Now()
-	writeJSON(w, http.StatusOK, resp)
-	if trace != nil {
-		trace.AddSpan(obs.StageEncode, -1, 0, encStart, time.Since(encStart))
-	}
-	finishTrace()
-}
-
-// Instance is one decoded wire instance: a dense feature row or a
-// sparse (indices, values) pair. Exactly one form is populated,
-// discriminated by Sparse (a sparse instance may legitimately have zero
-// nonzeros, so nil-ness of the slices cannot discriminate).
-type Instance struct {
-	Dense   []float64
-	Indices []int
-	Values  []float64
-	Sparse  bool
-}
-
-// ParseInstance decodes one request instance: a dense JSON array of
-// Features numbers, or a sparse {"indices":[...],"values":[...]} object
-// with strictly increasing zero-based indices. The scatter-gather router
-// shares this decoder so the router and single-node wire formats can
-// never drift apart.
-func ParseInstance(raw json.RawMessage) (Instance, error) {
-	switch firstByte(raw) {
-	case '[':
-		var row []float64
-		if err := json.Unmarshal(raw, &row); err != nil {
-			return Instance{}, fmt.Errorf("bad dense instance: %w", err)
-		}
-		return Instance{Dense: row}, nil
-	case '{':
-		// Strict decoding: a typo'd key must be a 400, not a silently
-		// all-zero row scored as the reference class.
-		var sp sparseInstance
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sp); err != nil {
-			return Instance{}, fmt.Errorf("bad sparse instance: %w", err)
-		}
-		if sp.Indices == nil || sp.Values == nil {
-			return Instance{}, fmt.Errorf("sparse instance needs both \"indices\" and \"values\"")
-		}
-		return Instance{Indices: sp.Indices, Values: sp.Values, Sparse: true}, nil
-	default:
-		return Instance{}, fmt.Errorf("instance must be an array or an {indices, values} object")
-	}
-}
-
-// submitInstance parses one instance and enqueues it under the
-// request's service class, attaching the propagated trace when non-nil.
-func (s *Server) submitInstance(raw json.RawMessage, probaOut []float64, pri control.Priority, trace *obs.Trace) (Ticket, error) {
-	inst, err := ParseInstance(raw)
-	if err != nil {
-		return Ticket{}, err
-	}
-	if inst.Sparse {
-		return s.bat.SubmitCSRPri(inst.Indices, inst.Values, probaOut, pri, trace)
-	}
-	return s.bat.SubmitDensePri(inst.Dense, probaOut, pri, trace)
-}
-
-// scoresResponse is the partial-logit wire format: raw explicit-class
-// scores per instance (no softmax), plus the snapshot version they were
-// computed against. Go's encoding/json round-trips finite float64 values
-// bit-exactly, so a router merging these partials reproduces single-node
-// output bitwise.
-type scoresResponse struct {
-	Scores       [][]float64 `json:"scores"`
-	Cols         int         `json:"cols"`
-	ModelVersion int64       `json:"model_version"`
-}
-
-// handleScores is the class-shard data plane: it scores every instance
-// against this replica's weight rows and returns the raw partial score
-// tile. It deliberately bypasses the micro-batcher — the router already
-// batches a whole request's instances into one call, so the instances
-// arrive pre-coalesced and are scored in at most two launches (one
-// dense, one CSR).
-func (s *Server) handleScores(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Instances) == 0 {
-		writeError(w, http.StatusBadRequest, "no instances")
-		return
-	}
-	// Partition into dense and sparse sub-batches, remembering each
-	// instance's slot so the response rows come back in request order.
-	var (
-		dense    [][]float64
-		idx      [][]int
-		val      [][]float64
-		denseAt  []int
-		sparseAt []int
-	)
-	for i, raw := range req.Instances {
-		inst, err := ParseInstance(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "instance %d: %v", i, err)
-			return
-		}
-		if inst.Sparse {
-			idx = append(idx, inst.Indices)
-			val = append(val, inst.Values)
-			sparseAt = append(sparseAt, i)
-		} else {
-			dense = append(dense, inst.Dense)
-			denseAt = append(denseAt, i)
-		}
-	}
-	p, meta, release, err := s.reg.AcquireCurrent()
-	if err != nil {
-		writeError(w, statusFor(err), "%v", err)
-		return
-	}
-	defer release()
-	m := p.Classes() - 1
-	resp := scoresResponse{
-		Scores:       make([][]float64, len(req.Instances)),
-		Cols:         m,
-		ModelVersion: meta.Version,
-	}
-	if len(dense) > 0 {
-		out := make([]float64, len(dense)*m)
-		if err := p.ScoresDense(dense, out); err != nil {
-			writeError(w, statusFor(err), "%v", err)
-			return
-		}
-		for k, i := range denseAt {
-			resp.Scores[i] = out[k*m : (k+1)*m]
-		}
-	}
-	if len(idx) > 0 {
-		out := make([]float64, len(idx)*m)
-		if err := p.ScoresCSR(idx, val, out); err != nil {
-			writeError(w, statusFor(err), "%v", err)
-			return
-		}
-		for k, i := range sparseAt {
-			resp.Scores[i] = out[k*m : (k+1)*m]
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func firstByte(raw json.RawMessage) byte {
-	for _, c := range raw {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		return c
-	}
-	return 0
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	meta, ok := s.reg.Meta()
-	if !ok {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no model"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"model":          meta,
-		"uptime_seconds": time.Since(s.start).Seconds(),
-	})
-}
-
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.obsReg.WriteText(w)
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.reload == nil {
-		writeError(w, http.StatusNotImplemented, "no reloader configured (start the server with a model path)")
-		return
-	}
-	version, err := s.reload()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "reload failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "model_version": version})
 }

@@ -140,72 +140,6 @@ func TestServerProba(t *testing.T) {
 	}
 }
 
-func TestServerBadRequests(t *testing.T) {
-	ts, _, done := newTestServer(t, 3, 5)
-	defer done()
-
-	resp, _ := postJSON(t, ts.URL+"/v1/predict", map[string]any{"instances": []any{}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty instances: status %d", resp.StatusCode)
-	}
-	resp, _ = postJSON(t, ts.URL+"/v1/predict", map[string]any{"instances": []any{"nope"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("string instance: status %d", resp.StatusCode)
-	}
-	// Typo'd sparse keys must be a 400, not an all-zeros prediction.
-	resp, body := postJSON(t, ts.URL+"/v1/predict",
-		map[string]any{"instances": []any{map[string]any{"idx": []int{1}, "vals": []float64{1}}}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("typo'd sparse keys: status %d: %s", resp.StatusCode, body)
-	}
-	// An empty object has neither indices nor values.
-	resp, body = postJSON(t, ts.URL+"/v1/predict", map[string]any{"instances": []any{map[string]any{}}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty sparse object: status %d: %s", resp.StatusCode, body)
-	}
-	// An explicit all-zero sparse row is still legal.
-	resp, body = postJSON(t, ts.URL+"/v1/predict",
-		map[string]any{"instances": []any{map[string]any{"indices": []int{}, "values": []float64{}}}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("explicit empty sparse row: status %d: %s", resp.StatusCode, body)
-	}
-	// Wrong feature width is a per-row validation error -> 400.
-	resp, body = postJSON(t, ts.URL+"/v1/predict", map[string]any{"instances": []any{[]float64{1, 2}}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("short row: status %d: %s", resp.StatusCode, body)
-	}
-	// GET on a POST endpoint.
-	r, err := http.Get(ts.URL + "/v1/predict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET predict: status %d", r.StatusCode)
-	}
-}
-
-func TestServerNoModel503(t *testing.T) {
-	reg := NewRegistry()
-	bat := NewBatcher(reg, BatcherConfig{})
-	defer bat.Close()
-	ts := httptest.NewServer(NewServer(reg, bat, nil).Handler())
-	defer ts.Close()
-
-	resp, _ := postJSON(t, ts.URL+"/v1/predict", map[string]any{"instances": []any{[]float64{1}}})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("predict without model: status %d", resp.StatusCode)
-	}
-	r, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("healthz without model: status %d", r.StatusCode)
-	}
-}
-
 func TestServerBackpressure429(t *testing.T) {
 	// Tiny queue + a slow scorer: a burst inside one HTTP request must
 	// hit ErrQueueFull and surface as 429.

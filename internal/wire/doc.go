@@ -23,19 +23,17 @@
 //
 //   - Bitwise float64 transport. Row values and score/probability
 //     tiles cross the wire as raw IEEE-754 bits, so the class-sharded
-//     merge stays bitwise identical to single-node scoring — the same
-//     guarantee encoding/json provides on the JSON plane, without the
-//     encode/decode cost.
+//     merge stays bitwise identical to single-node scoring.
 //   - Correlation IDs. Every response echoes its request's ID, so a
 //     client may pipeline many requests on one connection and match
 //     answers out of order (the router's TCPBackend multiplexes
 //     concurrent scatters over a small pool of persistent
 //     connections).
 //   - Version headers. Scores responses carry the model snapshot
-//     version they were computed against, giving the router the same
-//     ErrVersionSkew detection the JSON plane's model_version field
-//     provides; error frames carry the same error taxonomy the HTTP
-//     status mapping encodes (queue-full, no-model, shape-changed, ...).
+//     version they were computed against, which is what the router's
+//     ErrVersionSkew detection compares; error frames carry the error
+//     taxonomy failover keys on (queue-full, no-model, shape-changed,
+//     ...).
 //
 // The package depends only on the standard library: internal/serve
 // hosts the server side (FrameServer) and internal/router the client

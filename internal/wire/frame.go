@@ -91,9 +91,9 @@ const (
 	OpError Op = 0xFF
 )
 
-// ErrCode classifies an error frame, mirroring the HTTP status mapping
-// of the JSON plane so both data planes surface the same error taxonomy
-// to the router.
+// ErrCode classifies an error frame by what the router may do about it:
+// fail fast, fail over, or retry later. The status named beside each
+// code is what the client edge answers when the error reaches it.
 type ErrCode uint16
 
 const (
@@ -119,8 +119,8 @@ const (
 
 // ErrDetail refines an error frame's code with the admission-control
 // rejection reason, carried in the optional detail trailer of an
-// OpError payload (Encoder.ErrorDetail). The numbering mirrors the
-// JSON plane's machine-readable `reason` field.
+// OpError payload (Encoder.ErrorDetail). The values correspond to the
+// machine-readable `reason` field of a client-edge 429.
 type ErrDetail uint16
 
 const (

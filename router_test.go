@@ -216,10 +216,10 @@ func TestServeShardedReplicaEndToEnd(t *testing.T) {
 
 // TestServeShardedJoinMultiServer is the multi-process topology in one
 // test process: two shard replicas as full ModelServers on their own
-// ports, fronted by a router joined by URL — the partial-logit data
-// plane, /healthz shard discovery, and coordinated /v1/reload all cross
-// real HTTP, and the merged output stays bitwise identical to the
-// single-node model.
+// frame listeners, fronted by a router joined by tcp:// address — the
+// partial-logit data plane, shard discovery, and coordinated /v1/reload
+// all cross the real binary wire, and the merged output stays bitwise
+// identical to the single-node model.
 func TestServeShardedJoinMultiServer(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.gob")
@@ -231,14 +231,14 @@ func TestServeShardedJoinMultiServer(t *testing.T) {
 	var joins []string
 	for i := 0; i < 2; i++ {
 		shard, err := Serve(m, ServeOptions{
-			Addr: "127.0.0.1:0", MaxBatch: 8, Linger: 50 * time.Microsecond,
+			WireAddr: "127.0.0.1:0", MaxBatch: 8, Linger: 50 * time.Microsecond,
 			Workers: 1, ModelPath: path, ShardIndex: i, ShardCount: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer shard.Close()
-		joins = append(joins, "http://"+shard.Addr())
+		joins = append(joins, "tcp://"+shard.WireAddr())
 	}
 
 	rs, err := ServeSharded(nil, RouterOptions{
@@ -327,6 +327,10 @@ func TestServeShardedValidation(t *testing.T) {
 	}
 	if _, err := ServeSharded(m, RouterOptions{Replicas: 2, Mode: "bogus", HealthEvery: -1}); err == nil {
 		t.Fatal("accepted unknown mode")
+	}
+	// A replica's HTTP surface is not a join address any more.
+	if _, err := ServeSharded(nil, RouterOptions{Join: []string{"http://127.0.0.1:8081"}, HealthEvery: -1}); err == nil {
+		t.Fatal("accepted an http:// join address")
 	}
 	// Shard options on the single-node server are validated too.
 	if _, err := Serve(m, ServeOptions{ShardIndex: 5, ShardCount: 2, Workers: 1}); err == nil {

@@ -477,19 +477,12 @@ type RouterOptions struct {
 	// (model-parallel class-sharded replicas, partial-logit
 	// scatter-gather merged bitwise-identically to single-node scoring).
 	Mode string
-	// Join lists remote replica base URLs to front instead of building
-	// in-process replicas: each must be a running nadmm-serve — full
-	// models for replica mode, shard replicas (started with
-	// ShardIndex/ShardCount) tiling one model for class mode. The URL
-	// scheme negotiates the data plane per replica: "http://host:8081"
-	// joins the JSON surface, "tcp://host:9081" the binary frame
-	// listener (the replica's -wire-addr); a scheme-less host:port uses
-	// Wire.
+	// Join lists remote replicas to front instead of building in-process
+	// ones: each address — "tcp://host:9081" or a bare "host:9081" — is
+	// the binary frame listener (WireAddr, -wire-addr) of a running
+	// nadmm-serve: full models for replica mode, shard replicas (started
+	// with ShardIndex/ShardCount) tiling one model for class mode.
 	Join []string
-	// Wire selects the data plane for scheme-less Join addresses:
-	// "json" (the default) or "binary". Explicit tcp:// and http://
-	// schemes win over it.
-	Wire string
 	// MaxBatch, Linger, QueueDepth, Workers configure each in-process
 	// replica's micro-batcher and device exactly like ServeOptions.
 	MaxBatch   int
@@ -597,7 +590,7 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 	var backends []router.Backend
 	if len(opts.Join) > 0 {
 		for _, base := range opts.Join {
-			b, err := router.BackendForURL(base, opts.Wire)
+			b, err := router.BackendForURL(base)
 			if err != nil {
 				for _, b := range backends {
 					b.Close()
