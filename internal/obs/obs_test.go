@@ -200,7 +200,8 @@ func TestTracezHandler(t *testing.T) {
 	tr.AddSpan(StageExecute, -1, 0, at.Add(60*time.Microsecond), 40*time.Microsecond)
 	r.Finish(tr, at.Add(120*time.Microsecond))
 	tr2 := r.Start(at)
-	tr2.AddSpan(StageScatter, 1, 2, at, 10*time.Microsecond)
+	tr2.AddSpan(StageDecode, -1, 0, at, 4*time.Microsecond)
+	tr2.AddSpan(StageScatter, 1, 2, at.Add(4*time.Microsecond), 10*time.Microsecond)
 	r.Finish(tr2, at.Add(15*time.Microsecond))
 
 	rec := httptest.NewRecorder()
@@ -210,6 +211,7 @@ func TestTracezHandler(t *testing.T) {
 		"trace id=00000000000000ab origin=remote",
 		"queue",
 		"execute",
+		"decode",
 		"scatter leg=1 try=2",
 		"slowest since last scrape:",
 	} {

@@ -26,6 +26,10 @@ const (
 	StageMerge
 	// StageEncode is response encoding (JSON body or binary frame).
 	StageEncode
+	// StageDecode is the client edge's request decode: arrival to the
+	// end of the JSON scan, body read included. Appended last, so the
+	// values of the stages above are unchanged.
+	StageDecode
 )
 
 func (s Stage) String() string {
@@ -42,6 +46,8 @@ func (s Stage) String() string {
 		return "merge"
 	case StageEncode:
 		return "encode"
+	case StageDecode:
+		return "decode"
 	}
 	return "unknown"
 }
@@ -49,9 +55,9 @@ func (s Stage) String() string {
 // MaxSpans bounds the span array of one trace. A request through the
 // largest supported topology records one queue + linger + execute
 // triplet, one scatter span per shard group per sibling attempt, one
-// merge, and one encode; overflow increments Dropped instead of
-// allocating.
-const MaxSpans = 24
+// merge, one encode, and one decode; overflow increments Dropped instead
+// of allocating.
+const MaxSpans = 25
 
 // Span is one timed stage of a request, stored inline in the trace.
 // Start is the offset from the trace's Begin time, so a rendered

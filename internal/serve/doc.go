@@ -24,10 +24,13 @@
 //   - Server is the kserve-style HTTP/JSON surface (/v1/predict,
 //     /v1/proba, /healthz, /metricz, /debug/tracez, /v1/reload) — the
 //     only place JSON is spoken, and the same code on both tiers: it
-//     owns request decoding (bounded by wire.MaxPayload), the response
-//     and error envelopes and the error-to-status table, and scores
-//     through a Tier. NewServer plugs in the batcher; internal/router
-//     plugs in its scatter-gather Router.
+//     owns request decoding (scan.go: one validating pass over a body
+//     bounded by wire.MaxPayload, numbers written straight into pooled
+//     flat buffers the instances are views of; DESIGN.md "Request
+//     grammar" is the spec), the response and error envelopes and the
+//     error-to-status table, and scores through a Tier. NewServer plugs
+//     in the batcher; internal/router plugs in its scatter-gather
+//     Router.
 //   - FrameServer exposes the same serving stack on the binary frame
 //     data plane (internal/wire; DESIGN.md "Binary data plane" is the
 //     spec): a TCP listener whose connections carry pipelined
@@ -39,10 +42,12 @@
 //
 // Invariants:
 //
-//   - Zero-alloc steady state: predictor scoring, batcher round trips,
-//     and frame encode/decode allocate nothing once staging reached its
-//     high-water shape (pinned by AllocsPerRun tests here and in
-//     internal/wire).
+//   - Zero-alloc steady state: the request scan, predictor scoring,
+//     batcher round trips, and frame encode/decode allocate nothing once
+//     staging reached its high-water shape (pinned by AllocsPerRun tests
+//     here and in internal/wire).
+//   - A decoded row lives as long as its request's handler: a Tier must
+//     not read an Instance after Score returns.
 //   - Bitwise equivalence across surfaces: the HTTP edge, the frame
 //     plane, and direct Predictor calls produce bit-identical classes
 //     and probabilities for the same snapshot, and the frame plane

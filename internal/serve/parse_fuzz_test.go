@@ -2,8 +2,9 @@ package serve
 
 import "testing"
 
-// FuzzParseInstance feeds the JSON instance decoder — the first code to
-// touch bytes a client sent — arbitrary input. It must never panic, and
+// FuzzParseInstance feeds the exported one-instance entry of the request
+// scanner — the first code to touch bytes a client sent — arbitrary
+// input. It must never panic, and
 // whatever it accepts must be exactly one of the two forms the scorers
 // take: a dense row and nothing else, or a sparse row with both slices
 // present (possibly empty) and no dense part. The committed corpus under

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,12 +37,14 @@ type Tier interface {
 	Shape() (classes int, version int64, ok bool)
 	// Score scores insts in order under service class pri: predicted
 	// classes into preds and, when proba is non-nil, class
-	// probabilities into proba (len(insts) x classes, row-major). start
-	// is the request's arrival time. A tier that traces requests from
-	// this edge returns the request's sampled trace (nil when
-	// unsampled); the server adds the response-encode span to it and
-	// hands it to Finish once the response is written, whether Score
-	// failed or not.
+	// probabilities into proba (len(insts) x classes, row-major). The
+	// rows are views into pooled buffers that are recycled after the
+	// response: Score must not return while anything can still read
+	// them. start is the request's arrival time. A tier that traces
+	// requests from this edge returns the request's sampled trace (nil
+	// when unsampled); the server adds the request-decode and
+	// response-encode spans to it and hands it to Finish once the
+	// response is written, whether Score failed or not.
 	Score(insts []Instance, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error)
 	// Finish publishes a non-nil trace returned by Score.
 	Finish(tr *obs.Trace, start time.Time)
@@ -143,10 +144,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // rows).
 func (s *Server) Obs() *obs.Registry { return s.obsReg }
 
-type predictRequest struct {
-	Instances []json.RawMessage `json:"instances"`
-}
-
 type predictResponse struct {
 	Predictions   []int       `json:"predictions"`
 	Probabilities [][]float64 `json:"probabilities,omitempty"`
@@ -172,22 +169,27 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// DecodeBody decodes r's JSON body into v, reading at most
-// wire.MaxPayload bytes — the bound the binary plane puts on a request —
-// so a client cannot make the server buffer without limit. On failure it
-// has answered (413 past the bound, else 400) and reports false.
+// DecodeBody decodes the JSON body of an admin request into v, reading
+// at most wire.MaxPayload bytes. On failure it has answered (413 past
+// the bound, else 400) and reports false. Scoring requests do not come
+// through here: scan.go decodes them.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxPayload)).Decode(v)
-	if err == nil {
-		return true
+	if err != nil {
+		writeBodyError(w, err)
 	}
+	return err == nil
+}
+
+// writeBodyError answers a failed body read: 413 past wire.MaxPayload,
+// else 400.
+func writeBodyError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	WriteError(w, status, "bad request body: %v", err)
-	return false
 }
 
 // writeScoreError answers a scoring error with its mapped status. A 429
@@ -232,14 +234,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 		return
 	}
 	start := time.Now()
-	var req predictRequest
-	if !DecodeBody(w, r, &req) {
+	// The instances are views into st's buffers: st goes back to the pool
+	// when this handler returns, after Score and the response write.
+	st := stagingPool.Get().(*staging)
+	defer st.release()
+	if err := st.read(w, r); err != nil {
+		writeBodyError(w, err)
 		return
 	}
-	if len(req.Instances) == 0 {
-		WriteError(w, http.StatusBadRequest, "no instances")
+	insts, err := st.scan()
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	decode := time.Since(start)
 	classes, version, ok := s.tier.Shape()
 	if !ok {
 		WriteError(w, http.StatusServiceUnavailable, "no model loaded")
@@ -249,13 +257,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%s: %v", PriorityHeader, err)
 		return
-	}
-	insts := make([]Instance, len(req.Instances))
-	for i, raw := range req.Instances {
-		if insts[i], err = ParseInstance(raw); err != nil {
-			WriteError(w, http.StatusBadRequest, "instance %d: %v", i, err)
-			return
-		}
 	}
 	resp := predictResponse{Predictions: make([]int, len(insts)), ModelVersion: version}
 	var flat []float64
@@ -267,23 +268,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 		}
 	}
 	tr, err := s.tier.Score(insts, pri, start, resp.Predictions, flat)
+	tr.AddSpan(obs.StageDecode, -1, 0, start, decode)
 	if err != nil {
 		s.writeScoreError(w, err)
 	} else {
 		encStart := time.Now()
 		WriteJSON(w, http.StatusOK, resp)
-		if tr != nil {
-			tr.AddSpan(obs.StageEncode, -1, 0, encStart, time.Since(encStart))
-		}
+		tr.AddSpan(obs.StageEncode, -1, 0, encStart, time.Since(encStart))
 	}
 	if tr != nil {
 		s.tier.Finish(tr, start)
 	}
-}
-
-type sparseInstance struct {
-	Indices []int     `json:"indices"`
-	Values  []float64 `json:"values"`
 }
 
 // Instance is one decoded wire instance: a dense feature row or a
@@ -297,46 +292,23 @@ type Instance struct {
 	Sparse  bool
 }
 
-// ParseInstance decodes one request instance: a dense JSON array of
+// ParseInstance decodes one request instance — a dense JSON array of
 // Features numbers, or a sparse {"indices":[...],"values":[...]} object
-// with strictly increasing zero-based indices. It is the only instance
-// decoder: both tiers parse through Server, and the repository benchmark
-// times this function as the JSON edge's parse cost.
+// with strictly increasing zero-based indices — into slices of its own,
+// with the scanner that decodes whole request bodies. The repository
+// benchmark times this function as the JSON edge's parse cost.
 func ParseInstance(raw json.RawMessage) (Instance, error) {
-	switch firstByte(raw) {
-	case '[':
-		var row []float64
-		if err := json.Unmarshal(raw, &row); err != nil {
-			return Instance{}, fmt.Errorf("bad dense instance: %w", err)
-		}
-		return Instance{Dense: row}, nil
-	case '{':
-		// Strict decoding: a typo'd key must be a 400, not a silently
-		// all-zero row scored as the reference class.
-		var sp sparseInstance
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&sp); err != nil {
-			return Instance{}, fmt.Errorf("bad sparse instance: %w", err)
-		}
-		if sp.Indices == nil || sp.Values == nil {
-			return Instance{}, fmt.Errorf("sparse instance needs both \"indices\" and \"values\"")
-		}
-		return Instance{Indices: sp.Indices, Values: sp.Values, Sparse: true}, nil
-	default:
-		return Instance{}, fmt.Errorf("instance must be an array or an {indices, values} object")
+	st := newStaging()
+	s := scanner{b: raw}
+	s.ws()
+	s.instance(st)
+	if s.ws(); s.pos < len(raw) {
+		s.fail(s.pos, "trailing data after the instance")
 	}
-}
-
-func firstByte(raw json.RawMessage) byte {
-	for _, c := range raw {
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
-		}
-		return c
+	if s.err != nil {
+		return Instance{}, s.err
 	}
-	return 0
+	return st.instances()[0], nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
