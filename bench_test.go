@@ -3,10 +3,9 @@ package newtonadmm
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (one testing.B target per artifact, backed by the experiment harness in
 // internal/harness) plus micro-benchmarks of the numerical kernels the
-// solvers spend their time in and of the serving layer's hot path. The
-// macro benches use quick-mode sizes so `go test -bench=.` finishes in
-// minutes; `cmd/nadmm-bench` runs the full-scale versions recorded in
-// PERF.md.
+// solvers spend their time in. The macro benches use quick-mode sizes so
+// `go test -bench=.` finishes in minutes; `cmd/nadmm-bench` runs the
+// full-scale versions. Serving is measured by bench/ (bench/README.md).
 
 import (
 	"io"
@@ -215,114 +214,6 @@ func BenchmarkSparseMulTN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		csr.MulTN(dev, d, m, g)
-	}
-}
-
-// ---- serving-layer benchmarks (the online inference subsystem) ----
-
-// benchServeModel builds an MNIST-shaped model (reusing the serve_test
-// fixed-weight builder) plus a deterministic request-row set.
-func benchServeModel(b *testing.B) (*Model, [][]float64) {
-	b.Helper()
-	m := testModel(10, 784, 31)
-	rng := rand.New(rand.NewSource(32))
-	rows := make([][]float64, 64)
-	for i := range rows {
-		rows[i] = make([]float64, m.Features)
-		for j := range rows[i] {
-			rows[i][j] = rng.NormFloat64()
-		}
-	}
-	return m, rows
-}
-
-// BenchmarkServePredictorBatch64 measures one fused 64-row prediction
-// launch through the persistent zero-alloc predictor.
-func BenchmarkServePredictorBatch64(b *testing.B) {
-	m, rows := benchServeModel(b)
-	p, err := m.NewPredictor(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	out := make([]int, len(rows))
-	b.SetBytes(int64(8 * len(rows) * m.Features))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Predict(rows, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeBatcherRoundTrip measures one submit-to-answer trip
-// through the micro-batcher (queue, coalesce, launch, reply).
-func BenchmarkServeBatcherRoundTrip(b *testing.B) {
-	m, rows := benchServeModel(b)
-	srv, err := Serve(m, ServeOptions{MaxBatch: 64, Linger: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	bat := srv.Batcher()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bat.Predict(rows[i%len(rows)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeOneShotPredict measures the pre-subsystem serving path
-// for contrast: a fresh device, scorer, and staging on every request.
-func BenchmarkServeOneShotPredict(b *testing.B) {
-	m, rows := benchServeModel(b)
-	single := rows[:1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(single); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouterClassScatter measures one class-sharded scatter-gather
-// round trip: scatter to 2 shard replicas, partial-logit scoring, merge.
-func BenchmarkRouterClassScatter(b *testing.B) {
-	m, rows := benchServeModel(b)
-	rs, err := ServeSharded(m, RouterOptions{
-		Replicas: 2, Mode: "class", Workers: 1, MaxBatch: 64, Linger: -1, HealthEvery: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rs.Close()
-	target := rs.Target()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := target.Predict(rows[i%len(rows)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouterReplicaRoundTrip measures one request through the
-// replica-balanced router (pick, replica batcher, reply).
-func BenchmarkRouterReplicaRoundTrip(b *testing.B) {
-	m, rows := benchServeModel(b)
-	rs, err := ServeSharded(m, RouterOptions{
-		Replicas: 2, Mode: "replica", Workers: 1, MaxBatch: 64, Linger: -1, HealthEvery: -1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rs.Close()
-	target := rs.Target()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := target.Predict(rows[i%len(rows)]); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command nadmm-bench regenerates the paper's evaluation artifacts: every
 // table and figure (plus the ablations) as text tables and series. The
-// `serve` subcommand instead load-tests the online inference subsystem
-// (see serve.go), and the `sim` subcommand replays the deterministic
-// fleet simulator's named scenarios (see sim.go).
+// `sim` subcommand instead replays the deterministic fleet simulator's
+// named scenarios (see sim.go). Performance, training and serving alike,
+// is measured by bench/ (`bash bench/run.sh --workload <name>`).
 //
 // Examples:
 //
@@ -10,8 +10,6 @@
 //	nadmm-bench -run fig2 -scale 0.5
 //	nadmm-bench -all -quick
 //	nadmm-bench -run fig1 -network 1g
-//	nadmm-bench serve -preset mnist -mode closed -concurrency 64 -compare
-//	nadmm-bench serve -model model.gob -addr http://localhost:8080 -mode open -rate 5000
 //	nadmm-bench sim -list
 //	nadmm-bench sim -scenario zone-outage
 //	nadmm-bench sim -all -seed 7
@@ -33,8 +31,8 @@ func main() {
 	log.SetPrefix("nadmm-bench: ")
 
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServeBench(os.Args[2:])
-		return
+		log.Print("the serve subcommand is gone; serving is measured by `bash bench/run.sh --workload <name>` (see bench/README.md)")
+		os.Exit(2)
 	}
 	if len(os.Args) > 1 && os.Args[1] == "sim" {
 		runSimBench(os.Args[2:])

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"newtonadmm/internal/sim"
@@ -24,6 +25,10 @@ func runSimBench(args []string) {
 		seed     = fs.Int64("seed", 0, "override the scenario seed (0 keeps the scenario's own)")
 	)
 	fs.Parse(args)
+	if *seed < 0 {
+		log.Printf("sim -seed %d: a seed must be positive (0 keeps the scenario's own)", *seed)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, sc := range sim.Scenarios() {

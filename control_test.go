@@ -37,7 +37,6 @@ func TestControlSmoke(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var served atomic.Int64
-	target := rs.Target()
 	row := []float64{0.5, -1, 2, 0, 1, -0.5}
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -49,7 +48,7 @@ func TestControlSmoke(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := target.Predict(row); err == nil {
+				if _, err := scoreRow(rs, row, nil); err == nil {
 					served.Add(1)
 				}
 			}
@@ -197,7 +196,6 @@ func TestAutoscaleDownRacesSwap(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		target := rs.Target()
 		row := []float64{0.5, -1, 2, 0, 1, -0.5}
 		for {
 			select {
@@ -205,7 +203,7 @@ func TestAutoscaleDownRacesSwap(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := target.Predict(row); err != nil {
+			if _, err := scoreRow(rs, row, nil); err != nil {
 				t.Errorf("predict during swap/scale churn: %v", err)
 				return
 			}

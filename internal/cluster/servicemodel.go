@@ -7,7 +7,7 @@ import (
 
 // ServiceTimeModel is a calibrated affine model of a replica's batch
 // service time: scoring a batch of n rows costs Base + n*PerRow. The
-// affine shape is what the serving measurements in PERF.md show — a
+// affine shape is what the serving measurements kept in PERF.md show — a
 // fixed launch/bookkeeping overhead amortized over rows whose per-row
 // kernel cost is constant for a given model shape. The fleet simulator
 // uses it in place of wall-clock execution, the same way the training
@@ -20,16 +20,19 @@ type ServiceTimeModel struct {
 	PerRow time.Duration
 }
 
-// Calibrated presets, fit from the PERF.md serving matrix (single
-// hardware thread; see "Serving performance"):
+// Calibrated presets, fit from the tables in PERF.md "Historical serving
+// measurements (PR 1–4, retired harness)" (single hardware thread):
 //
 //   - MNISTServiceModel: the MNIST-shaped model (784 features, 10
-//     classes). BenchmarkServePredictorBatch64 measures 171 µs for a
-//     fused 64-row launch (~2.7 µs/row) and the batcher round trip adds
-//     ~3 µs of per-batch bookkeeping.
+//     classes). "Serving micro-benchmarks": 171 µs for a fused 64-row
+//     launch (~2.7 µs/row), and the batcher round trip adds ~3 µs of
+//     per-batch bookkeeping.
 //   - HIGGSServiceModel: the HIGGS-shaped model (28 features, binary).
-//     The batch-1 pipeline sustains 1.31 M req/s (~0.7 µs/row,
-//     near-zero fixed cost at this width).
+//     "In-process sustained load": the batch-1 pipeline sustains
+//     1.31 M req/s (~0.7 µs/row, near-zero fixed cost at this width).
+//
+// The serve.predictor_us and serve.batcher_rtt_us rungs of bench/ measure
+// the same two quantities today.
 var (
 	MNISTServiceModel = ServiceTimeModel{Name: "mnist-784f", Base: 3 * time.Microsecond, PerRow: 2700 * time.Nanosecond}
 	HIGGSServiceModel = ServiceTimeModel{Name: "higgs-28f", Base: 1 * time.Microsecond, PerRow: 700 * time.Nanosecond}
@@ -48,7 +51,7 @@ func (m ServiceTimeModel) String() string {
 }
 
 // ServicePoint is one calibration measurement: a batch of Rows took
-// Elapsed to score (a PERF.md table row or a bench run).
+// Elapsed to score (a PERF.md table row or a bench/ rung).
 type ServicePoint struct {
 	Rows    int
 	Elapsed time.Duration
@@ -56,7 +59,7 @@ type ServicePoint struct {
 
 // FitServiceTime least-squares-fits an affine service-time model to
 // measured (rows, elapsed) points — the calibration step that turns a
-// PERF.md latency matrix into a simulator replica model. At least two
+// measured latency table into a simulator replica model. At least two
 // points with distinct row counts are required; a fit with a negative
 // intercept or slope is clamped to zero rather than rejected (noisy
 // measurements near the origin are common).

@@ -56,7 +56,7 @@ func ParsePriority(s string) (Priority, error) {
 
 // Reason is the machine-readable cause of an admission rejection,
 // carried on both planes (a JSON field and a wire error detail code)
-// so clients and the load generator can tell backpressure kinds apart.
+// so clients can tell backpressure kinds apart.
 type Reason uint8
 
 const (
@@ -79,19 +79,6 @@ func (r Reason) String() string {
 		return reasonNames[r]
 	}
 	return fmt.Sprintf("reason(%d)", uint8(r))
-}
-
-// ParseReason is the inverse of Reason.String for the known rejection
-// reasons; anything unrecognized maps to ReasonQueueFull (the safe
-// legacy interpretation of a 429).
-func ParseReason(s string) Reason {
-	switch s {
-	case "rate_limited":
-		return ReasonRateLimited
-	case "cost_rejected":
-		return ReasonCostRejected
-	}
-	return ReasonQueueFull
 }
 
 // Decision is a policy's verdict on one request.

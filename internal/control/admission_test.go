@@ -29,18 +29,6 @@ func TestParsePriority(t *testing.T) {
 	}
 }
 
-func TestReasonRoundTrip(t *testing.T) {
-	for _, r := range []Reason{ReasonQueueFull, ReasonRateLimited, ReasonCostRejected} {
-		if got := ParseReason(r.String()); got != r {
-			t.Errorf("ParseReason(%q) = %v, want %v", r.String(), got, r)
-		}
-	}
-	// Unknown spellings (legacy bare 429s) degrade to queue_full.
-	if got := ParseReason("whatever"); got != ReasonQueueFull {
-		t.Errorf("ParseReason(unknown) = %v, want ReasonQueueFull", got)
-	}
-}
-
 func TestTokenBucketBurstAndRefill(t *testing.T) {
 	b := NewTokenBucket(1000, 3)
 	for i := 0; i < 3; i++ {

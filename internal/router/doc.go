@@ -47,7 +47,7 @@
 //     errors fail fast. The wire's error codes carry exactly these
 //     classes, so a remote replica fails over like an in-process one.
 //
-// See DESIGN.md for the architecture diagrams and PERF.md for the
-// measured router matrix (including the JSON-vs-binary inner-hop
-// comparison that retired the JSON hop).
+// See DESIGN.md for the architecture diagrams, bench/README.md for the
+// router rungs of the serving workloads, and PERF.md's historical
+// section for the JSON-vs-binary comparison that retired the JSON hop.
 package router

@@ -14,11 +14,11 @@ import (
 )
 
 // Server is the router's HTTP surface: the same serve.Server a single
-// replica exposes — so clients and the load generator cannot tell a
-// fleet from one replica — scoring through the router, with tier
-// readiness and per-replica states on /healthz, the router's counters
-// and per-replica breakdown on /metricz, /v1/reload as a coordinated
-// hot swap across all replicas, plus the one router-only endpoint:
+// replica exposes — so clients cannot tell a fleet from one replica —
+// scoring through the router, with tier readiness and per-replica
+// states on /healthz, the router's counters and per-replica breakdown
+// on /metricz, /v1/reload as a coordinated hot swap across all
+// replicas, plus the one router-only endpoint:
 //
 //	POST /v1/replicas   admin: {"id":N,"action":"drain"|"undrain"}
 type Server struct {

@@ -76,26 +76,9 @@ type TCPBackend struct {
 	dialFails int       // consecutive failed dials
 	nextDial  time.Time // earliest next dial attempt
 
-	corr      atomic.Uint64
-	bytesSent atomic.Uint64
-	bytesRecv atomic.Uint64
+	corr atomic.Uint64
 
 	encoders sync.Pool // *wire.Encoder
-}
-
-// WireStats is implemented by backends that meter their data plane;
-// the serving bench reads it for the bytes-on-wire column.
-type WireStats interface {
-	// BytesOnWire returns cumulative request bytes sent and response
-	// bytes received.
-	BytesOnWire() (sent, recv uint64)
-}
-
-// BytesOnWire reports the cumulative request bytes written and response
-// bytes read across all pooled connections (the bench's bytes-per-
-// request column divides these by the request count).
-func (t *TCPBackend) BytesOnWire() (sent, recv uint64) {
-	return t.bytesSent.Load(), t.bytesRecv.Load()
 }
 
 func (t *TCPBackend) timeout() time.Duration {
@@ -281,7 +264,6 @@ func (w *wireConn) readLoop() {
 			w.fail(fmt.Errorf("%w %s: mid-stream: %v", ErrReplicaUnreachable, w.owner.Addr, err))
 			return
 		}
-		w.owner.bytesRecv.Add(uint64(wire.HeaderSize + len(payload)))
 		w.pmu.Lock()
 		ch, ok := w.pending[h.Corr]
 		if ok {
@@ -322,7 +304,6 @@ func (w *wireConn) send(corr uint64, frame []byte, ch chan wireResp) error {
 		// ErrReplicaUnreachable class.
 		return fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, w.owner.Addr, err)
 	}
-	w.owner.bytesSent.Add(uint64(len(frame)))
 	return nil
 }
 

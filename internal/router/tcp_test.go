@@ -128,10 +128,6 @@ func TestTCPBackendConcurrentPipelining(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	sent, recv := tb.BytesOnWire()
-	if sent == 0 || recv == 0 {
-		t.Fatalf("bytes-on-wire counters: sent=%d recv=%d", sent, recv)
-	}
 }
 
 // TestTCPReplicaDeathFailover is the mid-stream death satellite: a

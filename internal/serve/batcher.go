@@ -33,8 +33,8 @@ var (
 // machine-readable reason and an optional Retry-After hint (a token
 // bucket's refill time). Its Is method matches ErrQueueFull, so every
 // pre-control-plane backpressure consumer (router failover, HTTP
-// status mapping, load-generator counters) keeps treating policy
-// rejections as the load signal they are.
+// status mapping) keeps treating policy rejections as the load signal
+// they are.
 type RejectionError struct {
 	Reason     control.Reason
 	RetryAfter time.Duration

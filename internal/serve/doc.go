@@ -37,8 +37,6 @@
 //     length-prefixed frames, sharing the Batcher and Registry with the
 //     HTTP surface so both planes coalesce into the same kernel
 //     launches and see the same hot swaps.
-//   - RunLoad is a deterministic closed/open-loop load generator
-//     reporting throughput and latency quantiles via metrics.Histogram.
 //
 // Invariants:
 //
@@ -58,6 +56,6 @@
 //     ErrClosed, and hot swaps retire the old device only after its
 //     last batch releases.
 //
-// See DESIGN.md for the end-to-end architecture and PERF.md for
-// measured serving throughput and latency.
+// See DESIGN.md for the end-to-end architecture and bench/README.md
+// for how serving throughput and latency are measured.
 package serve

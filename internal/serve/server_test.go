@@ -254,85 +254,3 @@ func TestServerReload(t *testing.T) {
 		t.Fatalf("nil reloader: status %d", resp.StatusCode)
 	}
 }
-
-func TestLoadGenClosedLoopInProcess(t *testing.T) {
-	const classes, features = 3, 8
-	p := makePredictor(t, classes, features, 45)
-	reg := NewRegistry()
-	reg.Swap(p, ModelMeta{})
-	bat := NewBatcher(reg, BatcherConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 256})
-	defer bat.Close()
-
-	rng := rand.New(rand.NewSource(46))
-	rows := randRows(rng, 64, features, 1)
-	res, err := RunLoad(bat, rows, LoadConfig{
-		Mode: "closed", Concurrency: 8,
-		Duration: 200 * time.Millisecond, Warmup: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Done == 0 || res.Throughput <= 0 {
-		t.Fatalf("no throughput measured: %+v", res)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors under load", res.Errors)
-	}
-	if res.Latency.P50 <= 0 || res.Latency.P99 < res.Latency.P50 {
-		t.Fatalf("implausible latency snapshot %+v", res.Latency)
-	}
-}
-
-func TestLoadGenOpenLoop(t *testing.T) {
-	const classes, features = 3, 8
-	p := makePredictor(t, classes, features, 47)
-	reg := NewRegistry()
-	reg.Swap(p, ModelMeta{})
-	bat := NewBatcher(reg, BatcherConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 256})
-	defer bat.Close()
-
-	rng := rand.New(rand.NewSource(48))
-	rows := randRows(rng, 16, features, 1)
-	res, err := RunLoad(bat, rows, LoadConfig{
-		Mode: "open", Rate: 2000, Concurrency: 32,
-		Duration: 200 * time.Millisecond, Warmup: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Done == 0 {
-		t.Fatalf("open loop completed nothing: %+v", res)
-	}
-	if _, err := RunLoad(bat, rows, LoadConfig{Mode: "open"}); err == nil {
-		t.Fatal("open loop without rate accepted")
-	}
-	if _, err := RunLoad(bat, rows, LoadConfig{Mode: "bogus"}); err == nil {
-		t.Fatal("bogus mode accepted")
-	}
-	if _, err := RunLoad(bat, nil, LoadConfig{}); err == nil {
-		t.Fatal("empty row set accepted")
-	}
-}
-
-func TestHTTPTargetAgainstServer(t *testing.T) {
-	const classes, features = 4, 6
-	ts, p, done := newTestServer(t, classes, features)
-	defer done()
-
-	rng := rand.New(rand.NewSource(49))
-	rows := randRows(rng, 4, features, 1)
-	want := make([]int, len(rows))
-	if err := p.PredictDense(rows, want); err != nil {
-		t.Fatal(err)
-	}
-	target := &HTTPTarget{Base: ts.URL}
-	for i, r := range rows {
-		got, err := target.Predict(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want[i] {
-			t.Fatalf("row %d: got %d want %d", i, got, want[i])
-		}
-	}
-}

@@ -4,9 +4,9 @@
 // internal/control's admission, weighted-round-robin, and autoscaler
 // policies, and the batcher's queue/linger semantics — with service
 // times supplied by calibrated models (cluster.ServiceTimeModel fit
-// from the PERF.md matrix, interconnect cost from cluster.NetworkModel
-// presets) instead of wall-clock execution. Replica failures and
-// recoveries reuse the faultinject seam.
+// from PERF.md "Historical serving measurements", interconnect cost
+// from cluster.NetworkModel presets) instead of wall-clock execution.
+// Replica failures and recoveries reuse the faultinject seam.
 //
 // Determinism is the contract: a scenario is a pure function of its
 // definition and seed. The event loop is single-threaded (a heap of

@@ -6,7 +6,7 @@ import (
 )
 
 // benchFrame builds a 16-row mixed batch with 784-feature dense rows —
-// the MNIST-shaped regime PERF.md's serving matrix measures.
+// the MNIST-shaped regime bench/'s serving workloads measure.
 func benchFrame(b *testing.B) (*Encoder, []byte, [][]float64, [][]int, [][]float64) {
 	rng := rand.New(rand.NewSource(1))
 	const rows, features = 16, 784

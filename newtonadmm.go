@@ -12,8 +12,8 @@
 // paper's datasets, an experiment harness that regenerates every table
 // and figure of the evaluation, and an online inference subsystem —
 // Predictor for in-process scoring and Serve for a micro-batching HTTP
-// model server (see DESIGN.md for the architecture and PERF.md for
-// measured numbers).
+// model server (see DESIGN.md for the architecture, PERF.md for the
+// kernel layer and bench/README.md for measured numbers).
 //
 // Quickstart:
 //

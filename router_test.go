@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"newtonadmm/internal/router"
 )
 
 // postInstances is a test helper for the kserve wire format.
@@ -40,6 +42,22 @@ func mixedInstances(rows [][]float64) []any {
 		}
 	}
 	return instances
+}
+
+// scoreRow submits one dense row to the in-process router the way the
+// HTTP tier does, as one router.Batch per request. A non-nil proba takes
+// the probability path and is filled with the class probabilities.
+func scoreRow(rs *RouterServer, row, proba []float64) (int, error) {
+	var b router.Batch
+	b.AddDense(row)
+	var cls [1]int
+	var err error
+	if proba != nil {
+		err = rs.Router().Proba(&b, proba, cls[:])
+	} else {
+		err = rs.Router().Predict(&b, cls[:])
+	}
+	return cls[0], err
 }
 
 type wireResponse struct {
@@ -469,10 +487,9 @@ func TestServeShardedGridFailover(t *testing.T) {
 	checkBitwise("after fleet swap")
 }
 
-// TestRouterTargetProba checks the in-process load-generation target's
-// probability path agrees with the model (used by nadmm-bench serve
-// -proba -compare).
-func TestRouterTargetProba(t *testing.T) {
+// TestRouterInProcessProbaBitwise pins in-process class-mode proba
+// bitwise to Model.PredictProba, without the HTTP edge in between.
+func TestRouterInProcessProbaBitwise(t *testing.T) {
 	m := testModel(4, 5, 28)
 	rs, err := ServeSharded(m, RouterOptions{
 		Replicas: 2, Mode: "class", Workers: 1, HealthEvery: -1,
@@ -489,13 +506,13 @@ func TestRouterTargetProba(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]float64, m.Classes)
-	cls, err := rs.Target().Proba(row, got)
+	cls, err := scoreRow(rs, row, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := range want[0] {
 		if got[c] != want[0][c] {
-			t.Fatalf("class %d: target %v, model %v", c, got[c], want[0][c])
+			t.Fatalf("class %d: router %v, model %v", c, got[c], want[0][c])
 		}
 	}
 	wantCls, err := m.Predict([][]float64{row})
@@ -503,9 +520,9 @@ func TestRouterTargetProba(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cls != wantCls[0] {
-		t.Fatalf("target class %d, model %d", cls, wantCls[0])
+		t.Fatalf("router class %d, model %d", cls, wantCls[0])
 	}
-	if _, err := rs.Target().Predict(row); err != nil {
-		t.Fatal(err)
+	if cls, err = scoreRow(rs, row, nil); err != nil || cls != wantCls[0] {
+		t.Fatalf("predict path: class %d err %v, model %d", cls, err, wantCls[0])
 	}
 }

@@ -4,8 +4,8 @@ package newtonadmm
 // loaded) Model can score sparse rows and class probabilities directly,
 // be wrapped in a reusable zero-allocation Predictor, or be served over
 // HTTP with dynamic micro-batching, backpressure, and hot checkpoint
-// reload — see DESIGN.md for the architecture and PERF.md for measured
-// throughput/latency.
+// reload — see DESIGN.md for the architecture and bench/README.md for
+// how throughput and latency are measured.
 
 import (
 	"fmt"
@@ -421,9 +421,6 @@ func (ms *ModelServer) WireAddr() string {
 	}
 	return ms.wln.Addr().String()
 }
-
-// Batcher exposes the micro-batcher, the in-process load-test target.
-func (ms *ModelServer) Batcher() *serve.Batcher { return ms.bat }
 
 func (ms *ModelServer) shutdown() {
 	if ms.stopW != nil {
@@ -904,43 +901,6 @@ func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
 	}
 	return swapShardInto(rs.locals[idx].Registry(), m, "", 0, 0, rs.opts.Workers, rs.localZones[idx])
 }
-
-// routerTarget adapts the router to the load generator's Target and
-// ProbaTarget interfaces (single-row requests, the same unit the HTTP
-// surface submits per instance). It applies the router's trace
-// sampling exactly like the HTTP surface, so in-process load tests
-// capture the same per-stage waterfalls a live fleet would.
-type routerTarget struct{ rt *router.Router }
-
-func (t routerTarget) Predict(row []float64) (int, error) {
-	var b router.Batch
-	b.AddDense(row)
-	b.Trace = t.rt.StartTrace(time.Now())
-	var out [1]int
-	err := t.rt.Predict(&b, out[:])
-	t.rt.FinishTrace(b.Trace, time.Now())
-	if err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
-func (t routerTarget) Proba(row []float64, out []float64) (int, error) {
-	var b router.Batch
-	b.AddDense(row)
-	b.Trace = t.rt.StartTrace(time.Now())
-	var cls [1]int
-	err := t.rt.Proba(&b, out, cls[:])
-	t.rt.FinishTrace(b.Trace, time.Now())
-	if err != nil {
-		return 0, err
-	}
-	return cls[0], nil
-}
-
-// Target returns an in-process load-generation target driving the
-// router (implements serve.Target and serve.ProbaTarget).
-func (rs *RouterServer) Target() serve.ProbaTarget { return routerTarget{rt: rs.rt} }
 
 // Close stops the listener, the router's health monitor, and every
 // in-process replica (batchers drain, devices release).
