@@ -56,13 +56,17 @@ func main() {
 		save     = flag.String("save", "", "write the trained model (gob) to this path")
 		quiet    = flag.Bool("quiet", false, "suppress the per-epoch trace")
 
-		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe checkpoints to this directory (newton-admm, giant)")
+		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe checkpoints to this directory")
 		ckptEvery   = flag.Int("checkpoint-every", 1, "snapshot period in epochs when -checkpoint-dir is set")
 		resume      = flag.Bool("resume", false, "resume from the latest good checkpoint in -checkpoint-dir")
 		maxRestarts = flag.Int("max-restarts", 0, "automatic restarts from the latest checkpoint on comm failure")
 		collTimeout = flag.Duration("collective-timeout", 0, "deadline for every blocking collective wait (0 = none)")
 	)
 	flag.Parse()
+	if *resume && *ckptDir == "" {
+		fmt.Fprintln(os.Stderr, "nadmm-train: -resume needs -checkpoint-dir")
+		os.Exit(2)
+	}
 
 	var (
 		ds  *newtonadmm.Dataset

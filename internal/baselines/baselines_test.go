@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"newtonadmm/internal/cluster"
+	"newtonadmm/internal/cluster/faultinject"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/linalg"
@@ -153,6 +155,29 @@ func TestSyncSGDConverges(t *testing.T) {
 	rel := (final.Objective - fStar) / math.Abs(fStar)
 	if rel > 0.2 {
 		t.Fatalf("SGD gap %v (F=%v, F*=%v)", rel, final.Objective, fStar)
+	}
+}
+
+// A failed baseline run keeps its history: the driver returns the partial
+// result (trace so far, failed-at epoch) beside the typed error.
+func TestSyncSGDCrashKeepsPartialTrace(t *testing.T) {
+	ds := testDataset(t)
+	ccfg := zeroNet
+	ccfg.CollectiveTimeout = 10 * time.Second
+	ccfg.WrapTransport = func(rank int, tr cluster.Transport) cluster.Transport {
+		if rank != 1 {
+			return tr
+		}
+		f := faultinject.Wrap(tr)
+		f.CrashAfterSend(40) // a few epochs in
+		return f
+	}
+	res, err := SolveSyncSGD(ccfg, ds, SGDOptions{Epochs: 20, Lambda: 1e-3, BatchSize: 64, Step: 0.5, Seed: 4})
+	if !cluster.IsCommError(err) {
+		t.Fatalf("crash not surfaced as a typed comm error: %v", err)
+	}
+	if res == nil || res.FailedEpoch <= 0 || len(res.Trace.Points) == 0 {
+		t.Fatalf("partial result lost: %+v", res)
 	}
 }
 

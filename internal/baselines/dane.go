@@ -4,11 +4,11 @@ import (
 	"math"
 	"math/rand"
 
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
-	"newtonadmm/internal/metrics"
 )
 
 // DANEOptions configures InexactDANE and (via AIDE) its accelerated
@@ -34,16 +34,28 @@ type DANEOptions struct {
 }
 
 func (o DANEOptions) withDefaults() DANEOptions {
-	if o.Epochs <= 0 {
-		o.Epochs = 10
-	}
 	if o.Eta == 0 {
 		o.Eta = 1
 	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 1
-	}
 	return o
+}
+
+func (o DANEOptions) run() dist.RunOptions {
+	return dist.RunOptions{
+		Epochs: o.Epochs, Lambda: o.Lambda,
+		EvalEvery: o.EvalEvery, EvalTestAccuracy: o.EvalTestAccuracy,
+	}
+}
+
+func (o DANEOptions) fingerprint(f *ckpt.Fingerprinter) {
+	f.Float(o.Eta)
+	f.Float(o.Mu)
+	f.Int(o.SVRG.Snapshots)
+	f.Int(o.SVRG.StepsPerSnapshot)
+	f.Float(o.SVRG.UpdateFreqFactor)
+	f.Int(o.SVRG.BatchSize)
+	f.Float(o.SVRG.Step)
+	f.Uint64(uint64(o.Seed))
 }
 
 // daneIteration performs one InexactDANE step from x (identical on all
@@ -96,42 +108,25 @@ func daneIteration(node *cluster.Node, local *dist.Local, x []float64, opts DANE
 // makes every epoch orders of magnitude more expensive than a Newton-ADMM
 // epoch, which is exactly the behaviour the paper's Figure 1 reports.
 func SolveInexactDANE(clusterCfg cluster.Config, ds *datasets.Dataset, opts DANEOptions) (*Result, error) {
+	return dist.Run(clusterCfg, ds, opts.run(), InexactDANE(opts))
+}
+
+// InexactDANE describes the solver to the epoch driver. Its recoverable
+// state is the iterate x: each epoch's SVRG samples come from epochRNG.
+func InexactDANE(opts DANEOptions) dist.Solver {
 	opts = opts.withDefaults()
-	res := &Result{X: make([]float64, ds.Dim())}
-	var trace *metrics.Trace
-
-	stats, err := cluster.Run(clusterCfg, func(node *cluster.Node) error {
-		local, err := dist.BuildLocal(node, ds, opts.Lambda, true)
-		if err != nil {
-			return err
-		}
-		rec := dist.NewRecorder("inexact-dane", ds, local, opts.EvalTestAccuracy)
-		rng := rand.New(rand.NewSource(opts.Seed + 7919*int64(node.Rank())))
-		x := make([]float64, ds.Dim())
-
-		rec.Observe(node, 0, x)
-		for k := 1; k <= opts.Epochs; k++ {
-			daneIteration(node, local, x, opts, rng, nil, 0)
-			if k%opts.EvalEvery == 0 || k == opts.Epochs {
-				rec.Observe(node, k, x)
-			}
-		}
-		if node.Rank() == 0 {
-			copy(res.X, x)
-			tr := rec.Trace
-			trace = &tr
-		}
-		return nil
-	})
-	res.Stats = stats
-	if err != nil {
-		return nil, err
+	return dist.Solver{
+		Name:          "inexact-dane",
+		DefaultEpochs: 10,
+		ShardL2:       true,
+		Fingerprint:   opts.fingerprint,
+		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
+			x := make([]float64, local.Problem.Dim())
+			return stepper{replicated{x}, func(k int) {
+				daneIteration(node, local, x, opts, epochRNG(opts.Seed, node.Rank(), k), nil, 0)
+			}}
+		},
 	}
-	if trace != nil {
-		res.Trace = *trace
-	}
-	finishResult(res)
-	return res, nil
 }
 
 // AIDEOptions configures the accelerated InexactDANE wrapper.
@@ -148,63 +143,49 @@ type AIDEOptions struct {
 // extrapolates v with the Nesterov coefficient derived from
 // q = lambda / (lambda + tau).
 func SolveAIDE(clusterCfg cluster.Config, ds *datasets.Dataset, opts AIDEOptions) (*Result, error) {
+	return dist.Run(clusterCfg, ds, opts.DANE.run(), AIDE(opts))
+}
+
+// AIDE describes the solver to the epoch driver. Its recoverable state is
+// [x ; v], the iterate and the extrapolated prox center.
+func AIDE(opts AIDEOptions) dist.Solver {
 	opts.DANE = opts.DANE.withDefaults()
 	if opts.Tau <= 0 {
 		opts.Tau = 1
 	}
-	res := &Result{X: make([]float64, ds.Dim())}
-	var trace *metrics.Trace
+	return dist.Solver{
+		Name:          "aide",
+		DefaultEpochs: 10,
+		ShardL2:       true,
+		Fingerprint: func(f *ckpt.Fingerprinter) {
+			opts.DANE.fingerprint(f)
+			f.Float(opts.Tau)
+		},
+		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
+			dim := local.Problem.Dim()
+			x := make([]float64, dim)
+			xPrev := make([]float64, dim)
+			v := make([]float64, dim)
+			extraC := make([]float64, dim)
+			q := local.Lambda / (local.Lambda + opts.Tau)
+			zeta := (1 - math.Sqrt(q)) / (1 + math.Sqrt(q))
 
-	q := opts.DANE.Lambda / (opts.DANE.Lambda + opts.Tau)
-	zeta := (1 - math.Sqrt(q)) / (1 + math.Sqrt(q))
+			// Per-rank share of the tau prox: sum over ranks must equal
+			// tau/2 ||x - v||^2.
+			tauShare := opts.Tau / float64(node.Size())
 
-	stats, err := cluster.Run(clusterCfg, func(node *cluster.Node) error {
-		local, err := dist.BuildLocal(node, ds, opts.DANE.Lambda, true)
-		if err != nil {
-			return err
-		}
-		rec := dist.NewRecorder("aide", ds, local, opts.DANE.EvalTestAccuracy)
-		rng := rand.New(rand.NewSource(opts.DANE.Seed + 104729*int64(node.Rank())))
-		dim := ds.Dim()
-		x := make([]float64, dim)
-		xPrev := make([]float64, dim)
-		v := make([]float64, dim)
-		extraC := make([]float64, dim)
-
-		// Per-rank share of the tau prox: sum over ranks must equal
-		// tau/2 ||x - v||^2.
-		tauShare := opts.Tau / float64(node.Size())
-
-		rec.Observe(node, 0, x)
-		for k := 1; k <= opts.DANE.Epochs; k++ {
-			// tau/2N ||x - v||^2 = tauShare/2 ||x||^2 - <tauShare v, x> + const
-			for j := 0; j < dim; j++ {
-				extraC[j] = -tauShare * v[j]
-			}
-			copy(xPrev, x)
-			daneIteration(node, local, x, opts.DANE, rng, extraC, tauShare)
-			// Nesterov extrapolation of the prox center.
-			for j := 0; j < dim; j++ {
-				v[j] = x[j] + zeta*(x[j]-xPrev[j])
-			}
-			if k%opts.DANE.EvalEvery == 0 || k == opts.DANE.Epochs {
-				rec.Observe(node, k, x)
-			}
-		}
-		if node.Rank() == 0 {
-			copy(res.X, x)
-			tr := rec.Trace
-			trace = &tr
-		}
-		return nil
-	})
-	res.Stats = stats
-	if err != nil {
-		return nil, err
+			return stepper{replicated{x, v}, func(k int) {
+				// tau/2N ||x - v||^2 = tauShare/2 ||x||^2 - <tauShare v, x> + const
+				for j := 0; j < dim; j++ {
+					extraC[j] = -tauShare * v[j]
+				}
+				copy(xPrev, x)
+				daneIteration(node, local, x, opts.DANE, epochRNG(opts.DANE.Seed, node.Rank(), k), extraC, tauShare)
+				// Nesterov extrapolation of the prox center.
+				for j := 0; j < dim; j++ {
+					v[j] = x[j] + zeta*(x[j]-xPrev[j])
+				}
+			}}
+		},
 	}
-	if trace != nil {
-		res.Trace = *trace
-	}
-	finishResult(res)
-	return res, nil
 }

@@ -3,12 +3,12 @@ package baselines
 import (
 	"math"
 
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 )
 
 // DiSCOOptions configures the DiSCO solver.
@@ -37,23 +37,14 @@ type DiSCOOptions struct {
 }
 
 func (o DiSCOOptions) withDefaults() DiSCOOptions {
-	if o.Epochs <= 0 {
-		o.Epochs = 50
-	}
 	if o.PCGIters <= 0 {
 		o.PCGIters = 20
 	}
 	if o.PCGTol <= 0 {
 		o.PCGTol = 1e-4
 	}
-	if o.Mu <= 0 {
-		o.Mu = o.Lambda
-	}
 	if o.LocalCGIters <= 0 {
 		o.LocalCGIters = 10
-	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 1
 	}
 	return o
 }
@@ -68,61 +59,54 @@ func (o DiSCOOptions) withDefaults() DiSCOOptions {
 // Newton step — is exactly the per-iteration cost the paper contrasts
 // with Newton-ADMM's single round.
 func SolveDiSCO(clusterCfg cluster.Config, ds *datasets.Dataset, opts DiSCOOptions) (*Result, error) {
+	return dist.Run(clusterCfg, ds, dist.RunOptions{
+		Epochs: opts.Epochs, Lambda: opts.Lambda,
+		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
+		TargetObjective: opts.TargetObjective,
+	}, DiSCO(opts))
+}
+
+// DiSCO describes the solver to the epoch driver; its recoverable state
+// is the iterate x (the PCG state is rebuilt every Newton step).
+func DiSCO(opts DiSCOOptions) dist.Solver {
 	opts = opts.withDefaults()
-	res := &Result{X: make([]float64, ds.Dim())}
-	var trace *metrics.Trace
-
-	stats, err := cluster.Run(clusterCfg, func(node *cluster.Node) error {
-		local, err := dist.BuildLocal(node, ds, opts.Lambda, true)
-		if err != nil {
-			return err
-		}
-		rec := dist.NewRecorder("disco", ds, local, opts.EvalTestAccuracy)
-		dim := ds.Dim()
-		x := make([]float64, dim)
-		g := make([]float64, dim)
-		p := make([]float64, dim)
-
-		rec.Observe(node, 0, x)
-		for k := 1; k <= opts.Epochs; k++ {
-			// Round 1: global gradient (and value, unused here).
-			local.GlobalGradient(node, x, g)
-
-			h := local.Problem.HessianAt(x)
-			solveDistributedPCG(node, local, h, g, p, opts)
-
-			// Damped Newton step: delta = sqrt(p^T H p) through one more
-			// allreduce, step 1/(1+delta).
-			hp := make([]float64, dim)
-			h.Apply(p, hp)
-			node.AllReduceSum(hp)
-			delta := math.Sqrt(math.Max(0, linalg.Dot(p, hp)))
-			step := 1 / (1 + delta)
-			linalg.Axpy(-step, p, x)
-
-			if k%opts.EvalEvery == 0 || k == opts.Epochs {
-				obj := rec.Observe(node, k, x)
-				if opts.TargetObjective != 0 && obj <= opts.TargetObjective {
-					break
-				}
+	return dist.Solver{
+		Name:          "disco",
+		DefaultEpochs: 50,
+		ShardL2:       true,
+		Fingerprint: func(f *ckpt.Fingerprinter) {
+			f.Int(opts.PCGIters)
+			f.Float(opts.PCGTol)
+			f.Float(opts.Mu)
+			f.Int(opts.LocalCGIters)
+		},
+		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
+			opts := opts
+			if opts.Mu <= 0 {
+				opts.Mu = local.Lambda
 			}
-		}
-		if node.Rank() == 0 {
-			copy(res.X, x)
-			tr := rec.Trace
-			trace = &tr
-		}
-		return nil
-	})
-	res.Stats = stats
-	if err != nil {
-		return nil, err
+			dim := local.Problem.Dim()
+			x := make([]float64, dim)
+			g := make([]float64, dim)
+			p := make([]float64, dim)
+			return stepper{replicated{x}, func(int) {
+				// Round 1: global gradient (and value, unused here).
+				local.GlobalGradient(node, x, g)
+
+				h := local.Problem.HessianAt(x)
+				solveDistributedPCG(node, h, g, p, opts)
+
+				// Damped Newton step: delta = sqrt(p^T H p) through one more
+				// allreduce, step 1/(1+delta).
+				hp := make([]float64, dim)
+				h.Apply(p, hp)
+				node.AllReduceSum(hp)
+				delta := math.Sqrt(math.Max(0, linalg.Dot(p, hp)))
+				step := 1 / (1 + delta)
+				linalg.Axpy(-step, p, x)
+			}}
+		},
 	}
-	if trace != nil {
-		res.Trace = *trace
-	}
-	finishResult(res)
-	return res, nil
 }
 
 // solveDistributedPCG solves (sum_i H_i) p = g with PCG. The PCG state
@@ -132,7 +116,7 @@ func SolveDiSCO(clusterCfg cluster.Config, ds *datasets.Dataset, opts DiSCOOptio
 // the master's preconditioned residual (only rank 0 holds the
 // preconditioner — its local Hessian plus mu*I, applied with a short
 // local CG). p is overwritten.
-func solveDistributedPCG(node *cluster.Node, local *dist.Local, h loss.HessianOperator, g, p []float64, opts DiSCOOptions) {
+func solveDistributedPCG(node *cluster.Node, h loss.HessianOperator, g, p []float64, opts DiSCOOptions) {
 	dim := len(g)
 	linalg.Zero(p)
 	r := linalg.Clone(g) // residual of H p = g at p = 0

@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
 	"newtonadmm/internal/cg"
@@ -13,7 +11,6 @@ import (
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/linesearch"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 )
 
 // GiantOptions configures the GIANT solver.
@@ -28,28 +25,19 @@ type GiantOptions struct {
 	// LineSearch sets the synchronized candidate set S = {1, 1/2, ...,
 	// 2^-(MaxIters-1)} every worker must evaluate in full (paper: 10).
 	LineSearch linesearch.Options
-	// EvalEvery records a trace point every this many epochs; <=0 is 1.
-	EvalEvery int
-	// EvalTestAccuracy also measures test accuracy at trace points.
+	// The remaining fields are the run control of dist.RunOptions, field
+	// for field; the semantics are documented there.
+	EvalEvery        int
 	EvalTestAccuracy bool
-	// TargetObjective stops the run at the first evaluation whose global
-	// objective reaches this value; zero disables early stopping.
-	TargetObjective float64
-	// CheckpointDir, CheckpointEvery, Resume, MaxRestarts and
-	// RestartBackoff mirror core.Options: crash-safe snapshots every
-	// CheckpointEvery epochs, bitwise resume from the latest good one,
-	// and bounded in-place restart on typed communication failures.
-	CheckpointDir   string
-	CheckpointEvery int
-	Resume          bool
-	MaxRestarts     int
-	RestartBackoff  time.Duration
+	TargetObjective  float64
+	CheckpointDir    string
+	CheckpointEvery  int
+	Resume           bool
+	MaxRestarts      int
+	RestartBackoff   time.Duration
 }
 
 func (o GiantOptions) withDefaults() GiantOptions {
-	if o.Epochs <= 0 {
-		o.Epochs = 100
-	}
 	if o.CG.MaxIters <= 0 {
 		o.CG.MaxIters = 10
 	}
@@ -59,37 +47,7 @@ func (o GiantOptions) withDefaults() GiantOptions {
 	if o.LineSearch.MaxIters <= 0 {
 		o.LineSearch.MaxIters = 10
 	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 1
-	}
-	if o.CheckpointDir != "" && o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
-	}
 	return o
-}
-
-// giantFingerprint binds checkpoints to the run's identity; like the
-// Newton-ADMM fingerprint it excludes Epochs (resume toward a larger
-// budget) and the transport (the math is transport-independent).
-func giantFingerprint(ranks int, ds *datasets.Dataset, opts GiantOptions) uint64 {
-	f := ckpt.NewFingerprinter()
-	f.String("giant")
-	f.Int(ranks)
-	f.String(ds.Name)
-	f.Int(ds.Dim())
-	f.Int(ds.Classes)
-	f.Int(ds.TrainSize())
-	f.Float(opts.Lambda)
-	f.Int(opts.CG.MaxIters)
-	f.Float(opts.CG.RelTol)
-	f.Float(opts.LineSearch.Beta)
-	f.Float(opts.LineSearch.Shrink)
-	f.Int(opts.LineSearch.MaxIters)
-	f.Float(opts.LineSearch.Initial)
-	f.Int(opts.EvalEvery)
-	f.Bool(opts.EvalTestAccuracy)
-	f.Float(opts.TargetObjective)
-	return f.Sum()
 }
 
 // SolveGIANT runs the Globally Improved Approximate Newton method: each
@@ -100,150 +58,66 @@ func giantFingerprint(ranks int, ds *datasets.Dataset, opts GiantOptions) uint64
 // candidate-set line search — three communication rounds per iteration
 // versus Newton-ADMM's one (paper §3).
 func SolveGIANT(clusterCfg cluster.Config, ds *datasets.Dataset, opts GiantOptions) (*Result, error) {
+	return dist.Run(clusterCfg, ds, dist.RunOptions{
+		Epochs: opts.Epochs, Lambda: opts.Lambda,
+		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
+		TargetObjective: opts.TargetObjective,
+		CheckpointDir:   opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
+		Resume: opts.Resume, MaxRestarts: opts.MaxRestarts, RestartBackoff: opts.RestartBackoff,
+	}, GIANT(opts))
+}
+
+// GIANT describes the solver to the epoch driver. Its full recoverable
+// state is the iterate x, identical on all ranks: CG and line-search
+// state is pure scratch.
+func GIANT(opts GiantOptions) dist.Solver {
 	opts = opts.withDefaults()
-	ranks := clusterCfg.Ranks
-	if ranks < 1 {
-		ranks = 1
+	return dist.Solver{
+		Name:          "giant",
+		DefaultEpochs: 100,
+		ShardL2:       true,
+		Fingerprint: func(f *ckpt.Fingerprinter) {
+			f.Int(opts.CG.MaxIters)
+			f.Float(opts.CG.RelTol)
+			f.Float(opts.LineSearch.Beta)
+			f.Float(opts.LineSearch.Shrink)
+			f.Int(opts.LineSearch.MaxIters)
+			f.Float(opts.LineSearch.Initial)
+		},
+		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
+			opts := opts
+			opts.CG.Work = &cg.Workspace{} // per-rank scratch, reused every epoch
+			dim := local.Problem.Dim()
+			x := make([]float64, dim)
+			g := make([]float64, dim)
+			p := make([]float64, dim)
+			scratch := make([]float64, dim)
+			scale := float64(local.N) / float64(local.Problem.N())
+			scaled := &loss.Scaled{Base: local.Problem, Factor: scale}
+			return stepper{replicated{x}, func(int) {
+				// Round 1: exact global gradient and objective value.
+				f0 := local.GlobalGradient(node, x, g)
+
+				// Local CG on the rescaled local Hessian (no communication).
+				h := scaled.HessianAt(x)
+				cg.NewtonDirection(h, g, p, opts.CG)
+
+				// Round 2: average the local directions.
+				node.AllReduceSum(p)
+				linalg.Scal(1/float64(node.Size()), p)
+
+				// Round 3: synchronized candidate-set line search. Every
+				// worker evaluates its local objective on the full set S
+				// (the redundant work the paper contrasts with Newton-ADMM's
+				// local early-terminating search).
+				localVal := linesearch.Objective(local.Problem.Value, x, p, scratch)
+				alphas, values := linesearch.EvalCandidates(localVal, opts.LineSearch)
+				node.AllReduceSum(values)
+				slope := linalg.Dot(p, g)
+				alpha, _ := linesearch.PickArmijo(alphas, values, f0, slope, opts.LineSearch.Beta)
+
+				linalg.Axpy(alpha, p, x)
+			}}
+		},
 	}
-	fp := giantFingerprint(ranks, ds, opts)
-	if opts.CheckpointDir != "" && !opts.Resume {
-		// A restart within this run must never load a snapshot left over
-		// from an older run in the same directory.
-		if err := ckpt.Clear(opts.CheckpointDir); err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{X: make([]float64, ds.Dim())}
-	failedEpochs := make([]int, ranks)
-	var trace *metrics.Trace
-
-	pol := cluster.RestartPolicy{MaxRestarts: opts.MaxRestarts, Backoff: opts.RestartBackoff}
-	stats, err := cluster.RunRestart(clusterCfg, pol, func(attempt int, node *cluster.Node) error {
-		local, err := dist.BuildLocal(node, ds, opts.Lambda, true)
-		if err != nil {
-			return err
-		}
-		rec := dist.NewRecorder("giant", ds, local, opts.EvalTestAccuracy)
-		opts := opts
-		opts.CG.Work = &cg.Workspace{} // per-rank scratch, reused every epoch
-		dim := ds.Dim()
-		x := make([]float64, dim)
-		g := make([]float64, dim)
-		p := make([]float64, dim)
-		scratch := make([]float64, dim)
-		scale := float64(local.N) / float64(local.Problem.N())
-		scaled := &loss.Scaled{Base: local.Problem, Factor: scale}
-
-		// Flush the partial trace even when this rank dies mid-run, with
-		// the epoch in flight recorded alongside it.
-		epochInFlight := 0
-		defer func() {
-			failedEpochs[node.Rank()] = epochInFlight
-			if node.Rank() == 0 {
-				tr := rec.Trace
-				trace = &tr
-			}
-		}()
-
-		// Resume: GIANT's full recoverable state is the iterate x, which
-		// is identical on all ranks (the per-rank checkpoint sections stay
-		// empty — CG and line-search state is pure scratch).
-		startK := 0
-		resume := opts.CheckpointDir != "" && (opts.Resume || attempt > 0)
-		if resume {
-			snap, err := ckpt.LoadLatest(opts.CheckpointDir, fp)
-			switch {
-			case errors.Is(err, ckpt.ErrNoCheckpoint):
-				// Nothing saved yet: fresh start.
-			case err != nil:
-				return err
-			default:
-				if len(snap.Shared) != dim {
-					return fmt.Errorf("baselines: checkpoint shape mismatch (shared %d, want %d)", len(snap.Shared), dim)
-				}
-				copy(x, snap.Shared)
-				startK = int(snap.Iter)
-				if node.Rank() == 0 {
-					rec.RestoreTrace(snap.Trace)
-				}
-			}
-		}
-
-		if startK == 0 {
-			rec.Observe(node, 0, x)
-		}
-		for k := startK + 1; k <= opts.Epochs; k++ {
-			epochInFlight = k
-			// Round 1: exact global gradient and objective value.
-			f0 := local.GlobalGradient(node, x, g)
-
-			// Local CG on the rescaled local Hessian (no communication).
-			h := scaled.HessianAt(x)
-			cg.NewtonDirection(h, g, p, opts.CG)
-
-			// Round 2: average the local directions.
-			node.AllReduceSum(p)
-			linalg.Scal(1/float64(node.Size()), p)
-
-			// Round 3: synchronized candidate-set line search. Every
-			// worker evaluates its local objective on the full set S
-			// (the redundant work the paper contrasts with Newton-ADMM's
-			// local early-terminating search).
-			localVal := linesearch.Objective(local.Problem.Value, x, p, scratch)
-			alphas, values := linesearch.EvalCandidates(localVal, opts.LineSearch)
-			node.AllReduceSum(values)
-			slope := linalg.Dot(p, g)
-			alpha, _ := linesearch.PickArmijo(alphas, values, f0, slope, opts.LineSearch.Beta)
-
-			linalg.Axpy(alpha, p, x)
-			if k%opts.EvalEvery == 0 || k == opts.Epochs {
-				obj := rec.Observe(node, k, x)
-				if opts.TargetObjective != 0 && obj <= opts.TargetObjective {
-					break // all ranks see the same allreduced objective
-				}
-			}
-
-			// Snapshot after the epoch's trace point; rank 0 writes after a
-			// barrier so no rank can observe a file ahead of its peers.
-			if opts.CheckpointDir != "" && (k%opts.CheckpointEvery == 0 || k == opts.Epochs) {
-				var saveErr error
-				node.Frozen(func() {
-					node.Barrier()
-					if node.Rank() != 0 {
-						return
-					}
-					saveErr = ckpt.Save(opts.CheckpointDir, &ckpt.Snapshot{
-						Fingerprint: fp,
-						Iter:        uint64(k),
-						Solver:      "giant",
-						Shared:      append([]float64(nil), x...),
-						Ranks:       make([][]float64, node.Size()),
-						Trace:       rec.CheckpointTrace(),
-					})
-				})
-				if saveErr != nil {
-					return saveErr
-				}
-			}
-		}
-		epochInFlight = 0 // clean finish
-		if node.Rank() == 0 {
-			copy(res.X, x)
-		}
-		return nil
-	})
-	res.Stats = stats
-	if trace != nil {
-		res.Trace = *trace
-	}
-	if err != nil {
-		for _, k := range failedEpochs {
-			if k > res.FailedEpoch {
-				res.FailedEpoch = k
-			}
-		}
-		return res, err
-	}
-	finishResult(res)
-	return res, nil
 }

@@ -1,13 +1,11 @@
 package baselines
 
 import (
-	"math/rand"
-
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
-	"newtonadmm/internal/metrics"
 )
 
 // SGDOptions configures synchronous distributed mini-batch SGD, the
@@ -34,17 +32,11 @@ type SGDOptions struct {
 }
 
 func (o SGDOptions) withDefaults() SGDOptions {
-	if o.Epochs <= 0 {
-		o.Epochs = 100
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 128
 	}
 	if o.Step <= 0 {
 		o.Step = 0.1
-	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 1
 	}
 	return o
 }
@@ -56,77 +48,63 @@ func (o SGDOptions) withDefaults() SGDOptions {
 // Newton-ADMM's single round, which is the communication gap the paper's
 // Figure 4 and the "amplified by slower interconnects" remark rest on.
 func SolveSyncSGD(clusterCfg cluster.Config, ds *datasets.Dataset, opts SGDOptions) (*Result, error) {
+	return dist.Run(clusterCfg, ds, dist.RunOptions{
+		Epochs: opts.Epochs, Lambda: opts.Lambda,
+		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
+	}, SyncSGD(opts))
+}
+
+// SyncSGD describes the solver to the epoch driver. Its recoverable state
+// is [x ; velocity]: each epoch's shuffle comes from epochRNG.
+func SyncSGD(opts SGDOptions) dist.Solver {
 	opts = opts.withDefaults()
-	res := &Result{X: make([]float64, ds.Dim())}
-	var trace *metrics.Trace
+	return dist.Solver{
+		Name:          "sync-sgd",
+		DefaultEpochs: 100,
+		ShardL2:       true,
+		Fingerprint: func(f *ckpt.Fingerprinter) {
+			f.Int(opts.BatchSize)
+			f.Float(opts.Step)
+			f.Float(opts.Momentum)
+			f.Uint64(uint64(opts.Seed))
+		},
+		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
+			dim := local.Problem.Dim()
+			x := make([]float64, dim)
+			g := make([]float64, dim)
+			vel := make([]float64, dim) // heavy-ball velocity
+			nLocal := local.Problem.N()
+			batch := min(opts.BatchSize, nLocal)
+			// Every rank must take the same number of steps per epoch
+			// (collectives are synchronous): agree on the max.
+			agree := []float64{float64((nLocal + batch - 1) / batch)}
+			node.AllReduceMax(agree)
+			stepsPerEpoch := int(agree[0])
+			idx := make([]int, 0, batch)
 
-	stats, err := cluster.Run(clusterCfg, func(node *cluster.Node) error {
-		local, err := dist.BuildLocal(node, ds, opts.Lambda, true)
-		if err != nil {
-			return err
-		}
-		rec := dist.NewRecorder("sync-sgd", ds, local, opts.EvalTestAccuracy)
-		rng := rand.New(rand.NewSource(opts.Seed + 31337*int64(node.Rank())))
-		dim := ds.Dim()
-		x := make([]float64, dim)
-		g := make([]float64, dim)
-		vel := make([]float64, dim) // heavy-ball velocity
-		nLocal := local.Problem.N()
-		batch := opts.BatchSize
-		if batch > nLocal {
-			batch = nLocal
-		}
-		stepsPerEpoch := (nLocal + batch - 1) / batch
-		// Every rank must take the same number of steps per epoch
-		// (collectives are synchronous): agree on the max.
-		agree := []float64{float64(stepsPerEpoch)}
-		node.AllReduceMax(agree)
-		stepsPerEpoch = int(agree[0])
-
-		perm := make([]int, nLocal) // reshuffled each epoch
-		idx := make([]int, 0, batch)
-
-		rec.Observe(node, 0, x)
-		for epoch := 1; epoch <= opts.Epochs; epoch++ {
-			copy(perm, rng.Perm(nLocal))
-			for s := 0; s < stepsPerEpoch; s++ {
-				lo := (s * batch) % nLocal
-				idx = idx[:0]
-				for b := 0; b < batch; b++ {
-					idx = append(idx, perm[(lo+b)%nLocal])
+			return stepper{replicated{x, vel}, func(epoch int) {
+				perm := epochRNG(opts.Seed, node.Rank(), epoch).Perm(nLocal) // reshuffled each epoch
+				for s := 0; s < stepsPerEpoch; s++ {
+					lo := (s * batch) % nLocal
+					idx = idx[:0]
+					for b := 0; b < batch; b++ {
+						idx = append(idx, perm[(lo+b)%nLocal])
+					}
+					sub := local.Problem.Subproblem(idx)
+					sub.L2 = 0
+					sub.Gradient(x, g)
+					// Scale the shard's mini-batch estimate to the full
+					// sum-form gradient, add the exact regularizer, and
+					// allreduce — one round per mini-batch.
+					linalg.Scal(float64(nLocal)/float64(len(idx)), g)
+					node.AllReduceSum(g)
+					linalg.Axpy(local.Lambda, x, g)
+					// Mean-form heavy-ball step for size-independent
+					// learning rates; Momentum = 0 is plain SGD.
+					linalg.Waxpby(opts.Momentum, vel, -opts.Step/float64(local.N), g, vel)
+					linalg.Add(x, vel)
 				}
-				sub := local.Problem.Subproblem(idx)
-				sub.L2 = 0
-				sub.Gradient(x, g)
-				// Scale the shard's mini-batch estimate to the full
-				// sum-form gradient, add the exact regularizer, and
-				// allreduce — one round per mini-batch.
-				linalg.Scal(float64(nLocal)/float64(len(idx)), g)
-				node.AllReduceSum(g)
-				linalg.Axpy(opts.Lambda, x, g)
-				// Mean-form heavy-ball step for size-independent
-				// learning rates; Momentum = 0 is plain SGD.
-				linalg.Waxpby(opts.Momentum, vel, -opts.Step/float64(local.N), g, vel)
-				linalg.Add(x, vel)
-			}
-			if epoch%opts.EvalEvery == 0 || epoch == opts.Epochs {
-				rec.Observe(node, epoch, x)
-			}
-		}
-		if node.Rank() == 0 {
-			copy(res.X, x)
-			tr := rec.Trace
-			trace = &tr
-		}
-		return nil
-	})
-	res.Stats = stats
-	if err != nil {
-		return nil, err
+			}}
+		},
 	}
-	if trace != nil {
-		res.Trace = *trace
-	}
-	finishResult(res)
-	return res, nil
 }

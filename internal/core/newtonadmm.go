@@ -7,9 +7,9 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"newtonadmm/internal/admm"
@@ -52,37 +52,16 @@ type Options struct {
 	// LineSearch configures the per-rank Armijo backtracking
 	// (paper: at most 10 iterations).
 	LineSearch linesearch.Options
-	// EvalEvery records a trace point every this many epochs;
-	// <=0 selects 1.
-	EvalEvery int
-	// EvalTestAccuracy also measures test accuracy at each trace point.
+	// The remaining fields are the run control of dist.RunOptions, field
+	// for field; the semantics are documented there.
+	EvalEvery        int
 	EvalTestAccuracy bool
-	// TargetObjective stops the run at the first evaluation whose global
-	// objective reaches this value (the paper's time-to-theta protocol);
-	// zero disables early stopping.
-	TargetObjective float64
-	// CheckpointDir, when set, enables crash-safe checkpointing: a
-	// versioned, CRC-checked snapshot of the full solver state is written
-	// atomically every CheckpointEvery epochs (see internal/ckpt). A
-	// fresh (non-Resume) run clears stale checkpoints from the directory
-	// first.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot period in epochs; <=0 selects 1
-	// when CheckpointDir is set.
-	CheckpointEvery int
-	// Resume loads the latest good checkpoint from CheckpointDir and
-	// continues from it; the resumed trajectory is bitwise-identical to
-	// an uninterrupted run. A checkpoint from a different
-	// solver/dataset/config is rejected (fingerprint mismatch); an empty
-	// directory falls back to a fresh start.
-	Resume bool
-	// MaxRestarts bounds in-place restart-from-latest-checkpoint when a
-	// run fails with a typed communication error (crashed or hung rank);
-	// 0 disables restarting.
-	MaxRestarts int
-	// RestartBackoff is the sleep before the first restart, doubling per
-	// attempt; <=0 selects the cluster default (100ms).
-	RestartBackoff time.Duration
+	TargetObjective  float64
+	CheckpointDir    string
+	CheckpointEvery  int
+	Resume           bool
+	MaxRestarts      int
+	RestartBackoff   time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -107,43 +86,7 @@ func (o Options) withDefaults() Options {
 	if o.LineSearch.MaxIters <= 0 {
 		o.LineSearch.MaxIters = 10
 	}
-	if o.EvalEvery <= 0 {
-		o.EvalEvery = 1
-	}
-	if o.CheckpointDir != "" && o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 1
-	}
 	return o
-}
-
-// fingerprint binds checkpoints to the run's identity: everything that
-// shapes the optimization trajectory (solver, data, cluster width, and
-// the mathematically relevant options). Epochs is deliberately excluded
-// so a run can resume toward a larger epoch budget, and the transport
-// choice is excluded because the math is transport-independent.
-func fingerprint(ranks int, ds *datasets.Dataset, opts Options) uint64 {
-	f := ckpt.NewFingerprinter()
-	f.String("newton-admm")
-	f.Int(ranks)
-	f.String(ds.Name)
-	f.Int(ds.Dim())
-	f.Int(ds.Classes)
-	f.Int(ds.TrainSize())
-	f.Float(opts.Lambda)
-	f.String(opts.Penalty)
-	f.Float(opts.Rho0)
-	f.Int(opts.LocalNewtonIters)
-	f.Int(opts.CG.MaxIters)
-	f.Float(opts.CG.RelTol)
-	f.Bool(opts.Jacobi)
-	f.Float(opts.LineSearch.Beta)
-	f.Float(opts.LineSearch.Shrink)
-	f.Int(opts.LineSearch.MaxIters)
-	f.Float(opts.LineSearch.Initial)
-	f.Int(opts.EvalEvery)
-	f.Bool(opts.EvalTestAccuracy)
-	f.Float(opts.TargetObjective)
-	return f.Sum()
 }
 
 // Result reports a Newton-ADMM run.
@@ -171,267 +114,177 @@ type Result struct {
 // failed-at epoch) together with the error, so callers can flush the
 // convergence history instead of discarding the run.
 func Solve(clusterCfg cluster.Config, ds *datasets.Dataset, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	ranks := maxInt(clusterCfg.Ranks, 1)
-	fp := fingerprint(ranks, ds, opts)
-	if opts.CheckpointDir != "" && !opts.Resume {
-		// A restart within this run must never load a snapshot left over
-		// from an older run in the same directory.
-		if err := ckpt.Clear(opts.CheckpointDir); err != nil {
-			return nil, err
-		}
+	res := &Result{FinalRhos: make([]float64, max(clusterCfg.Ranks, 1))}
+	run, err := dist.Run(clusterCfg, ds, dist.RunOptions{
+		Epochs: opts.Epochs, Lambda: opts.Lambda,
+		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
+		TargetObjective: opts.TargetObjective,
+		CheckpointDir:   opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
+		Resume: opts.Resume, MaxRestarts: opts.MaxRestarts, RestartBackoff: opts.RestartBackoff,
+	}, Solver(opts, res))
+	if run == nil {
+		return nil, err
 	}
-	res := &Result{Z: make([]float64, ds.Dim())}
-	finalRhos := make([]float64, ranks)
-	failedEpochs := make([]int, ranks)
-	var trace *metrics.Trace
-	var finalPrimal, finalDual float64
-
-	pol := cluster.RestartPolicy{MaxRestarts: opts.MaxRestarts, Backoff: opts.RestartBackoff}
-	stats, err := cluster.RunRestart(clusterCfg, pol, func(attempt int, node *cluster.Node) error {
-		local, err := dist.BuildLocal(node, ds, opts.Lambda, false)
-		if err != nil {
-			return err
-		}
-		// A restart attempt always resumes from the latest checkpoint this
-		// run has written; otherwise resume only when asked to.
-		resume := opts.CheckpointDir != "" && (opts.Resume || attempt > 0)
-		return runRank(node, local, ds, opts, fp, resume, &rankSinks{
-			z:      res.Z,
-			rhos:   finalRhos,
-			trace:  &trace,
-			primal: &finalPrimal,
-			dual:   &finalDual,
-			failed: failedEpochs,
-		})
-	})
-	res.Stats = stats
-	if trace != nil {
-		res.Trace = *trace
-	}
+	res.Z, res.Trace, res.Stats = run.X, run.Trace, run.Stats
+	res.TestAccuracy, res.FailedEpoch = run.TestAccuracy, run.FailedEpoch
 	if err != nil {
-		for _, k := range failedEpochs {
-			if k > res.FailedEpoch {
-				res.FailedEpoch = k
-			}
-		}
-		return res, err
+		res.FinalRhos = nil
 	}
-	res.PrimalResidual = finalPrimal
-	res.DualResidual = finalDual
-	res.FinalRhos = finalRhos
-	if p, ok := res.Trace.Final(); ok {
-		res.TestAccuracy = p.TestAccuracy
-	}
-	return res, nil
+	return res, err
 }
 
-
-// rankSinks collects outputs written by individual ranks (each rank
-// writes only its own slots; rank 0 writes the shared ones after the last
-// collective, so there are no races).
-type rankSinks struct {
-	z      []float64
-	rhos   []float64
-	trace  **metrics.Trace
-	primal *float64
-	dual   *float64
-	failed []int
+// Solver describes Newton-ADMM to the epoch driver. out, when non-nil,
+// receives the final residuals and per-rank penalties of a run that
+// finishes cleanly (its FinalRhos must hold one slot per rank).
+func Solver(opts Options, out *Result) dist.Solver {
+	opts = opts.withDefaults()
+	return dist.Solver{
+		Name:          "newton-admm",
+		DefaultEpochs: opts.Epochs,
+		Fingerprint: func(f *ckpt.Fingerprinter) {
+			f.String(opts.Penalty)
+			f.Float(opts.Rho0)
+			f.Int(opts.LocalNewtonIters)
+			f.Int(opts.CG.MaxIters)
+			f.Float(opts.CG.RelTol)
+			f.Bool(opts.Jacobi)
+			f.Float(opts.LineSearch.Beta)
+			f.Float(opts.LineSearch.Shrink)
+			f.Int(opts.LineSearch.MaxIters)
+			f.Float(opts.LineSearch.Initial)
+		},
+		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
+			dim := local.Problem.Dim()
+			s := &stepper{
+				node: node, local: local, out: out,
+				policy:  admm.NewPolicy(opts.Penalty, opts.Rho0),
+				z:       make([]float64, dim),
+				zPrev:   make([]float64, dim),
+				y:       make([]float64, dim),
+				yPrev:   make([]float64, dim),
+				x:       make([]float64, dim),
+				v:       make([]float64, dim),
+				payload: make([]float64, dim+1),
+				newton: newton.Options{
+					MaxIters:   opts.LocalNewtonIters,
+					GradTol:    1e-10,
+					CG:         opts.CG,
+					Jacobi:     opts.Jacobi,
+					LineSearch: opts.LineSearch,
+				},
+			}
+			// All epochs of this rank share one CG workspace (zero
+			// steady-state allocation in the inner solves).
+			s.newton.CG.Work = &cg.Workspace{}
+			return s
+		},
+	}
 }
 
-func runRank(node *cluster.Node, local *dist.Local, ds *datasets.Dataset, opts Options, fp uint64, resume bool, sinks *rankSinks) error {
-	dim := ds.Dim()
-	z := make([]float64, dim)     // consensus iterate, step 1 of Algorithm 2
-	zPrev := make([]float64, dim) // consensus before the current update
-	y := make([]float64, dim)     // multipliers, step 2
-	x := make([]float64, dim)     // local iterate
-	v := make([]float64, dim)     // subproblem anchor z + y/rho
-	policy := admm.NewPolicy(opts.Penalty, opts.Rho0)
-	rec := dist.NewRecorder("newton-admm", ds, local, opts.EvalTestAccuracy)
+// stepper is one rank's Newton-ADMM state. The recoverable part is the
+// shared section [z ; zPrev] and the private [x ; y ; penalty-policy
+// state]; the rest is scratch.
+type stepper struct {
+	node   *cluster.Node
+	local  *dist.Local
+	out    *Result
+	policy admm.PenaltyPolicy
+	newton newton.Options
 
-	// Flush whatever trace exists even when this rank dies mid-run (the
-	// deferred write happens before Run returns), so a failed run still
-	// surfaces its partial convergence history; the epoch in flight is
-	// recorded alongside it.
-	epochInFlight := 0
-	defer func() {
-		sinks.failed[node.Rank()] = epochInFlight
-		if node.Rank() == 0 {
-			tr := rec.Trace
-			*sinks.trace = &tr
-		}
-	}()
+	z, zPrev []float64 // consensus iterate (step 1 of Algorithm 2) and its predecessor
+	y, yPrev []float64 // multipliers, step 2
+	x        []float64 // local iterate
+	v        []float64 // subproblem anchor z + y/rho
+	payload  []float64 // [rho*x - y ; rho]
+}
 
-	yPrev := make([]float64, dim)
-	payload := make([]float64, dim+1) // [rho*x - y ; rho]
+func (s *stepper) Iterate() []float64 { return s.z }
 
-	newtonOpts := newton.Options{
-		MaxIters:   opts.LocalNewtonIters,
-		GradTol:    1e-10,
-		CG:         opts.CG,
-		Jacobi:     opts.Jacobi,
-		LineSearch: opts.LineSearch,
+func (s *stepper) State() (shared, rank []float64) {
+	return slices.Concat(s.z, s.zPrev), slices.Concat(s.x, s.y, s.policy.State())
+}
+
+func (s *stepper) Restore(shared, rank []float64) error {
+	dim := len(s.z)
+	if len(shared) != 2*dim || len(rank) < 2*dim {
+		return fmt.Errorf("core: checkpoint shape mismatch (shared %d, rank %d, dim %d)", len(shared), len(rank), dim)
 	}
-	// All epochs of this rank share one CG workspace (zero steady-state
-	// allocation in the inner solves).
-	newtonOpts.CG.Work = &cg.Workspace{}
-
-	// Resume: every rank loads the same latest good snapshot (rank 0 only
-	// writes new ones after a full collective round, so no rank can read a
-	// newer file than its peers). Shared state is [z ; zPrev]; each rank's
-	// private state is [x ; y ; penalty-policy state].
-	startK := 0
-	if resume {
-		snap, err := ckpt.LoadLatest(opts.CheckpointDir, fp)
-		switch {
-		case errors.Is(err, ckpt.ErrNoCheckpoint):
-			// Nothing saved yet: fresh start.
-		case err != nil:
-			return err
-		default:
-			if len(snap.Shared) != 2*dim || len(snap.Ranks) != node.Size() {
-				return fmt.Errorf("core: checkpoint shape mismatch (shared %d, ranks %d)", len(snap.Shared), len(snap.Ranks))
-			}
-			st := snap.Ranks[node.Rank()]
-			if len(st) < 2*dim {
-				return fmt.Errorf("core: checkpoint rank state too short (%d)", len(st))
-			}
-			copy(z, snap.Shared[:dim])
-			copy(zPrev, snap.Shared[dim:])
-			copy(x, st[:dim])
-			copy(y, st[dim:2*dim])
-			if !policy.SetState(st[2*dim:]) {
-				return fmt.Errorf("core: checkpoint penalty state does not match policy %q", policy.Name())
-			}
-			startK = int(snap.Iter)
-			if node.Rank() == 0 {
-				rec.RestoreTrace(snap.Trace)
-			}
-		}
-	}
-
-	if startK == 0 {
-		rec.Observe(node, 0, z)
-	}
-	for k := startK + 1; k <= opts.Epochs; k++ {
-		epochInFlight = k
-		rho := policy.Rho()
-
-		// Local x-update (eq. 6a): inexact Newton on the augmented
-		// subproblem, warm-started from the previous local iterate
-		// ("Perform Algorithm 1 with x_i^k, y_i^k, z^k").
-		admm.Anchor(v, z, y, rho)
-		aug := loss.NewAugmented(local.Problem, rho, v)
-		newton.Solve(aug, x, newtonOpts)
-
-		// The paper's single communication round: gather each rank's
-		// z-update contribution (rho_i x_i - y_i, rho_i) at the master...
-		for j := 0; j < dim; j++ {
-			payload[j] = rho*x[j] - y[j]
-		}
-		payload[dim] = rho
-		parts := node.Gather(0, payload)
-
-		// ...master evaluates eq. (7)...
-		copy(zPrev, z)
-		if node.Rank() == 0 {
-			linalg.Zero(z)
-			var rhoSum float64
-			for _, part := range parts {
-				linalg.Axpy(1, part[:dim], z)
-				rhoSum += part[dim]
-			}
-			scale := local.Lambda + rhoSum
-			if scale <= 0 {
-				return fmt.Errorf("core: nonpositive z normalizer %v", scale)
-			}
-			linalg.Scal(1/scale, z)
-		}
-
-		// ...and scatters the new consensus back.
-		node.Bcast(0, z)
-
-		// Local updates: multipliers (eq. 6c) and the spectral penalty
-		// (step 8 of Algorithm 2) need no further communication.
-		copy(yPrev, y)
-		admm.UpdateY(y, z, x, rho)
-		st := admm.IterState{
-			X1: x, Z0: zPrev, Z1: z, Y0: yPrev, Y1: y,
-			Primal: admm.PrimalResidual(x, z),
-			Dual:   admm.DualResidual(z, zPrev, rho),
-		}
-		policy.Update(k, st)
-
-		if k%opts.EvalEvery == 0 || k == opts.Epochs {
-			obj := rec.Observe(node, k, z)
-			if opts.TargetObjective != 0 && obj <= opts.TargetObjective {
-				break // all ranks see the same allreduced objective
-			}
-		}
-
-		// Snapshot after the epoch's trace point so a resume replays the
-		// uninterrupted run bitwise, trace included.
-		if opts.CheckpointDir != "" && (k%opts.CheckpointEvery == 0 || k == opts.Epochs) {
-			if err := writeCheckpoint(node, opts, fp, k, z, zPrev, x, y, policy, rec); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Final residuals: aggregate primal over ranks (frozen: diagnostics).
-	node.Frozen(func() {
-		rsq := []float64{admm.PrimalResidual(x, z)}
-		rsq[0] *= rsq[0]
-		node.AllReduceSum(rsq)
-		if node.Rank() == 0 {
-			*sinks.primal = math.Sqrt(rsq[0])
-			*sinks.dual = admm.DualResidual(z, zPrev, policy.Rho())
-		}
-	})
-
-	sinks.rhos[node.Rank()] = policy.Rho()
-	epochInFlight = 0 // clean finish; the deferred flush still writes the trace
-	if node.Rank() == 0 {
-		copy(sinks.z, z)
+	copy(s.z, shared[:dim])
+	copy(s.zPrev, shared[dim:])
+	copy(s.x, rank[:dim])
+	copy(s.y, rank[dim:2*dim])
+	if !s.policy.SetState(rank[2*dim:]) {
+		return fmt.Errorf("core: checkpoint penalty state does not match policy %q", s.policy.Name())
 	}
 	return nil
 }
 
-// writeCheckpoint gathers every rank's private state at rank 0 and saves
-// one snapshot atomically. It runs with the virtual clock frozen:
-// checkpointing is harness infrastructure, not part of the algorithm
-// being measured. The gather doubles as a barrier, so every rank has
-// finished epoch k before the file appears — a resuming rank can never
-// observe a snapshot ahead of its peers.
-func writeCheckpoint(node *cluster.Node, opts Options, fp uint64, k int, z, zPrev, x, y []float64, policy admm.PenaltyPolicy, rec *dist.Recorder) error {
-	var saveErr error
-	node.Frozen(func() {
-		state := make([]float64, 0, 2*len(x)+len(policy.State()))
-		state = append(state, x...)
-		state = append(state, y...)
-		state = append(state, policy.State()...)
-		parts := node.Gather(0, state)
-		if node.Rank() != 0 {
-			return
+// Step is one iteration of Algorithm 2.
+func (s *stepper) Step(k int) error {
+	node, dim := s.node, len(s.z)
+	x, y, z, zPrev := s.x, s.y, s.z, s.zPrev
+	rho := s.policy.Rho()
+
+	// Local x-update (eq. 6a): inexact Newton on the augmented
+	// subproblem, warm-started from the previous local iterate
+	// ("Perform Algorithm 1 with x_i^k, y_i^k, z^k").
+	admm.Anchor(s.v, z, y, rho)
+	aug := loss.NewAugmented(s.local.Problem, rho, s.v)
+	newton.Solve(aug, x, s.newton)
+
+	// The paper's single communication round: gather each rank's
+	// z-update contribution (rho_i x_i - y_i, rho_i) at the master...
+	for j := 0; j < dim; j++ {
+		s.payload[j] = rho*x[j] - y[j]
+	}
+	s.payload[dim] = rho
+	parts := node.Gather(0, s.payload)
+
+	// ...master evaluates eq. (7)...
+	copy(zPrev, z)
+	if node.Rank() == 0 {
+		linalg.Zero(z)
+		var rhoSum float64
+		for _, part := range parts {
+			linalg.Axpy(1, part[:dim], z)
+			rhoSum += part[dim]
 		}
-		shared := make([]float64, 0, 2*len(z))
-		shared = append(shared, z...)
-		shared = append(shared, zPrev...)
-		saveErr = ckpt.Save(opts.CheckpointDir, &ckpt.Snapshot{
-			Fingerprint: fp,
-			Iter:        uint64(k),
-			Solver:      "newton-admm",
-			Shared:      shared,
-			Ranks:       parts,
-			Trace:       rec.CheckpointTrace(),
-		})
+		scale := s.local.Lambda + rhoSum
+		if scale <= 0 {
+			return fmt.Errorf("core: nonpositive z normalizer %v", scale)
+		}
+		linalg.Scal(1/scale, z)
+	}
+
+	// ...and scatters the new consensus back.
+	node.Bcast(0, z)
+
+	// Local updates: multipliers (eq. 6c) and the spectral penalty
+	// (step 8 of Algorithm 2) need no further communication.
+	copy(s.yPrev, y)
+	admm.UpdateY(y, z, x, rho)
+	s.policy.Update(k, admm.IterState{
+		X1: x, Z0: zPrev, Z1: z, Y0: s.yPrev, Y1: y,
+		Primal: admm.PrimalResidual(x, z),
+		Dual:   admm.DualResidual(z, zPrev, rho),
 	})
-	return saveErr
+	return nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// Finish reports the final residuals (primal aggregated over ranks, with
+// the clock frozen: diagnostics) and this rank's penalty.
+func (s *stepper) Finish() {
+	if s.out == nil {
+		return
 	}
-	return b
+	s.node.Frozen(func() {
+		rsq := []float64{admm.PrimalResidual(s.x, s.z)}
+		rsq[0] *= rsq[0]
+		s.node.AllReduceSum(rsq)
+		if s.node.Rank() == 0 {
+			s.out.PrimalResidual = math.Sqrt(rsq[0])
+			s.out.DualResidual = admm.DualResidual(s.z, s.zPrev, s.policy.Rho())
+		}
+	})
+	s.out.FinalRhos[s.node.Rank()] = s.policy.Rho()
 }

@@ -1,7 +1,7 @@
-// Package dist holds the rank-local state shared by every distributed
-// solver in the reproduction: the shard-local softmax problem each rank
-// optimizes, the one-round global gradient/objective collective, and the
-// frozen-clock convergence recorder behind every trace in the evaluation.
+// Package dist holds what every distributed solver in the reproduction
+// shares: Run, the one outer epoch loop their Steppers run under, the
+// shard-local softmax problem each rank optimizes, the one-round global
+// gradient/objective collective, and the frozen-clock convergence recorder.
 //
 // Two regularization conventions coexist in the paper. The consensus
 // solver (Newton-ADMM) keeps g(z) = Lambda/2 ||z||^2 at the master's

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"newtonadmm/internal/baselines"
@@ -69,7 +70,7 @@ func runAblationPenalty(cfg RunConfig, w io.Writer) error {
 		}
 		final, _ := res.Trace.Final()
 		reached := "not reached"
-		if e, ok := res.Trace.EpochsToObjective(fStar + fig3Theta*abs(fStar)); ok {
+		if e, ok := res.Trace.EpochsToObjective(fStar + fig3Theta*math.Abs(fStar)); ok {
 			reached = fmt.Sprintf("%d", e)
 		}
 		tab.Add(policy, final.Objective, reached, res.PrimalResidual)
@@ -156,15 +157,8 @@ func runAblationInexact(cfg RunConfig, w io.Writer) error {
 			CG: cg.Options{MaxIters: iters, RelTol: 1e-12},
 		})
 		elapsed := time.Since(start)
-		gap := (res.Value - fStar) / abs(fStar)
+		gap := (res.Value - fStar) / math.Abs(fStar)
 		tab.Add(iters, res.Iters, elapsed, res.Value, gap)
 	}
 	return tab.Render(w)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -53,7 +53,7 @@ func runExtraDiSCO(cfg RunConfig, w io.Writer) error {
 		return fmt.Errorf("newton-admm: %w", err)
 	}
 	aFinal, _ := aRes.Trace.Final()
-	tab.Add("newton-admm", float64(aRes.Stats[0].Rounds)/float64(maxi(aFinal.Epoch, 1)),
+	tab.Add("newton-admm", float64(aRes.Stats[0].Rounds)/float64(max(aFinal.Epoch, 1)),
 		aRes.Trace.AvgEpochTime(), aFinal.Objective)
 
 	gRes, err := baselines.SolveGIANT(ccfg, ds, giantOptions(epochs, lambda, false))
@@ -61,7 +61,7 @@ func runExtraDiSCO(cfg RunConfig, w io.Writer) error {
 		return fmt.Errorf("giant: %w", err)
 	}
 	gFinal, _ := gRes.Trace.Final()
-	tab.Add("giant", float64(gRes.Stats[0].Rounds)/float64(maxi(gFinal.Epoch, 1)),
+	tab.Add("giant", float64(gRes.Stats[0].Rounds)/float64(max(gFinal.Epoch, 1)),
 		gRes.Trace.AvgEpochTime(), gFinal.Objective)
 
 	dRes, err := baselines.SolveDiSCO(ccfg, ds, baselines.DiSCOOptions{
@@ -71,17 +71,10 @@ func runExtraDiSCO(cfg RunConfig, w io.Writer) error {
 		return fmt.Errorf("disco: %w", err)
 	}
 	dFinal, _ := dRes.Trace.Final()
-	tab.Add("disco", float64(dRes.Stats[0].Rounds)/float64(maxi(dFinal.Epoch, 1)),
+	tab.Add("disco", float64(dRes.Stats[0].Rounds)/float64(max(dFinal.Epoch, 1)),
 		dRes.Trace.AvgEpochTime(), dFinal.Objective)
 
 	return tab.Render(w)
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // runExtraJacobi compares plain and Jacobi-preconditioned Newton-ADMM on

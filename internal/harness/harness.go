@@ -39,7 +39,7 @@ func (c RunConfig) withDefaults() RunConfig {
 		c.Scale = 1
 	}
 	if c.Quick {
-		c.Scale = minFloat(c.Scale, 0.05)
+		c.Scale = min(c.Scale, 0.05)
 	}
 	if c.Network == (cluster.NetworkModel{}) {
 		c.Network = cluster.InfiniBand100G
@@ -133,13 +133,6 @@ func oracleFStar(ds *datasets.Dataset, lambda float64) (float64, error) {
 	}
 	newton.Solve(prob, w, opts)
 	return prob.Value(w), nil
-}
-
-func minFloat(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func section(w io.Writer, format string, args ...interface{}) {

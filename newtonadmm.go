@@ -35,6 +35,7 @@ import (
 	"newtonadmm/internal/core"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/device"
+	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linesearch"
 	"newtonadmm/internal/loss"
 	"newtonadmm/internal/metrics"
@@ -192,20 +193,22 @@ type Options struct {
 	Seed int64
 	// EvalTestAccuracy measures test accuracy along the trace.
 	EvalTestAccuracy bool
-	// CheckpointDir enables crash-safe checkpointing for the newton-admm
-	// and giant solvers: an atomic, CRC-checked snapshot of the full
-	// solver state every CheckpointEvery epochs (see internal/ckpt).
-	// Other solvers reject the option.
+	// CheckpointDir enables crash-safe checkpointing: an atomic,
+	// CRC-checked snapshot of the full solver state every CheckpointEvery
+	// epochs (see internal/ckpt). Only the single-process "newton"
+	// reference rejects the option.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot period in epochs; <= 0 selects 1
 	// when CheckpointDir is set.
 	CheckpointEvery int
 	// Resume continues from the latest good checkpoint in CheckpointDir;
 	// the resumed run is bitwise-identical to an uninterrupted one. A
-	// checkpoint from a different solver/dataset/config is rejected.
+	// checkpoint from a different solver/dataset/config is rejected, and
+	// so is Resume without a CheckpointDir.
 	Resume bool
 	// MaxRestarts bounds automatic restart-from-latest-checkpoint when
-	// training fails with a communication error (crashed or hung rank).
+	// training fails with a communication error (crashed or hung rank);
+	// without a CheckpointDir a restart retries from epoch 0.
 	MaxRestarts int
 	// CollectiveTimeout bounds every blocking collective wait so a hung
 	// rank surfaces as a typed error instead of wedging the run; zero
@@ -281,7 +284,44 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Train fits a softmax classifier on ds with the selected solver.
+// solvers maps each distributed solver name to its stepper builder; the
+// run control never passes through here (Train hands it to dist.Run).
+var solvers = map[string]func(o Options) dist.Solver{
+	SolverNewtonADMM: func(o Options) dist.Solver {
+		return core.Solver(core.Options{
+			Penalty: o.PenaltyPolicy, CG: o.cg(), Jacobi: o.Jacobi,
+			LineSearch: linesearch.Options{MaxIters: 10},
+		}, nil)
+	},
+	SolverGIANT: func(o Options) dist.Solver {
+		return baselines.GIANT(baselines.GiantOptions{CG: o.cg(), LineSearch: linesearch.Options{MaxIters: 10}})
+	},
+	SolverInexactDANE: func(o Options) dist.Solver { return baselines.InexactDANE(o.dane()) },
+	SolverAIDE: func(o Options) dist.Solver {
+		return baselines.AIDE(baselines.AIDEOptions{DANE: o.dane(), Tau: o.Tau})
+	},
+	SolverDiSCO: func(o Options) dist.Solver {
+		return baselines.DiSCO(baselines.DiSCOOptions{PCGIters: o.CGIters, PCGTol: o.CGTol})
+	},
+	SolverSyncSGD: func(o Options) dist.Solver {
+		return baselines.SyncSGD(baselines.SGDOptions{
+			BatchSize: o.BatchSize, Step: o.StepSize, Momentum: o.Momentum, Seed: o.Seed,
+		})
+	},
+}
+
+func (o Options) cg() cg.Options { return cg.Options{MaxIters: o.CGIters, RelTol: o.CGTol} }
+
+func (o Options) dane() baselines.DANEOptions {
+	return baselines.DANEOptions{
+		Eta: 1, Mu: 0, Seed: o.Seed,
+		SVRG: baselines.SVRGOptions{Step: o.StepSize, BatchSize: o.BatchSize},
+	}
+}
+
+// Train fits a softmax classifier on ds with the selected solver. On a
+// failed distributed run it returns the partial Model (trace so far,
+// FailedEpoch) together with the error.
 func Train(ds *Dataset, opts Options) (*Model, error) {
 	if ds == nil || ds.inner == nil {
 		return nil, fmt.Errorf("newtonadmm: nil dataset")
@@ -291,112 +331,33 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	ccfg := cluster.Config{
-		Ranks: opts.Ranks, Network: net, UseTCP: opts.UseTCP,
-		CollectiveTimeout: opts.CollectiveTimeout,
+	if opts.Solver == SolverNewton {
+		if opts.CheckpointDir != "" {
+			return nil, fmt.Errorf("newtonadmm: solver %q does not support checkpointing", opts.Solver)
+		}
+		w, tr, acc, err := trainSingleNodeNewton(ds.inner, opts)
+		if err != nil {
+			return nil, err
+		}
+		return buildModel(ds, opts, w, tr, acc, 0), nil
 	}
-	cgOpts := cg.Options{MaxIters: opts.CGIters, RelTol: opts.CGTol}
-	if opts.CheckpointDir != "" && opts.Solver != SolverNewtonADMM && opts.Solver != SolverGIANT {
-		return nil, fmt.Errorf("newtonadmm: solver %q does not support checkpointing", opts.Solver)
-	}
-
-	var (
-		weights     []float64
-		trace       metrics.Trace
-		acc         = math.NaN()
-		failedEpoch int
-	)
-	switch opts.Solver {
-	case SolverNewtonADMM:
-		res, err := core.Solve(ccfg, ds.inner, core.Options{
-			Epochs: opts.Epochs, Lambda: opts.Lambda,
-			Penalty: opts.PenaltyPolicy, CG: cgOpts, Jacobi: opts.Jacobi,
-			LineSearch:       linesearch.Options{MaxIters: 10},
-			EvalTestAccuracy: opts.EvalTestAccuracy,
-			CheckpointDir:    opts.CheckpointDir,
-			CheckpointEvery:  opts.CheckpointEvery,
-			Resume:           opts.Resume,
-			MaxRestarts:      opts.MaxRestarts,
-		})
-		if err != nil {
-			if res != nil {
-				return buildModel(ds, opts, res.Z, res.Trace, acc, res.FailedEpoch), err
-			}
-			return nil, err
-		}
-		weights, trace, acc = res.Z, res.Trace, res.TestAccuracy
-	case SolverGIANT:
-		res, err := baselines.SolveGIANT(ccfg, ds.inner, baselines.GiantOptions{
-			Epochs: opts.Epochs, Lambda: opts.Lambda, CG: cgOpts,
-			LineSearch:       linesearch.Options{MaxIters: 10},
-			EvalTestAccuracy: opts.EvalTestAccuracy,
-			CheckpointDir:    opts.CheckpointDir,
-			CheckpointEvery:  opts.CheckpointEvery,
-			Resume:           opts.Resume,
-			MaxRestarts:      opts.MaxRestarts,
-		})
-		if err != nil {
-			if res != nil {
-				return buildModel(ds, opts, res.X, res.Trace, acc, res.FailedEpoch), err
-			}
-			return nil, err
-		}
-		weights, trace, acc = res.X, res.Trace, res.TestAccuracy
-	case SolverInexactDANE:
-		res, err := baselines.SolveInexactDANE(ccfg, ds.inner, baselines.DANEOptions{
-			Epochs: opts.Epochs, Lambda: opts.Lambda, Eta: 1, Mu: 0,
-			Seed: opts.Seed, EvalTestAccuracy: opts.EvalTestAccuracy,
-			SVRG: baselines.SVRGOptions{Step: opts.StepSize, BatchSize: opts.BatchSize},
-		})
-		if err != nil {
-			return nil, err
-		}
-		weights, trace, acc = res.X, res.Trace, res.TestAccuracy
-	case SolverAIDE:
-		res, err := baselines.SolveAIDE(ccfg, ds.inner, baselines.AIDEOptions{
-			DANE: baselines.DANEOptions{
-				Epochs: opts.Epochs, Lambda: opts.Lambda, Eta: 1, Mu: 0,
-				Seed: opts.Seed, EvalTestAccuracy: opts.EvalTestAccuracy,
-				SVRG: baselines.SVRGOptions{Step: opts.StepSize, BatchSize: opts.BatchSize},
-			},
-			Tau: opts.Tau,
-		})
-		if err != nil {
-			return nil, err
-		}
-		weights, trace, acc = res.X, res.Trace, res.TestAccuracy
-	case SolverDiSCO:
-		res, err := baselines.SolveDiSCO(ccfg, ds.inner, baselines.DiSCOOptions{
-			Epochs: opts.Epochs, Lambda: opts.Lambda,
-			PCGIters: opts.CGIters, PCGTol: opts.CGTol,
-			EvalTestAccuracy: opts.EvalTestAccuracy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		weights, trace, acc = res.X, res.Trace, res.TestAccuracy
-	case SolverSyncSGD:
-		res, err := baselines.SolveSyncSGD(ccfg, ds.inner, baselines.SGDOptions{
-			Epochs: opts.Epochs, Lambda: opts.Lambda,
-			BatchSize: opts.BatchSize, Step: opts.StepSize,
-			Momentum: opts.Momentum, Seed: opts.Seed,
-			EvalTestAccuracy: opts.EvalTestAccuracy,
-		})
-		if err != nil {
-			return nil, err
-		}
-		weights, trace, acc = res.X, res.Trace, res.TestAccuracy
-	case SolverNewton:
-		w, tr, a, err := trainSingleNodeNewton(ds.inner, opts, cgOpts)
-		if err != nil {
-			return nil, err
-		}
-		weights, trace, acc = w, tr, a
-	default:
+	build, ok := solvers[opts.Solver]
+	if !ok {
 		return nil, fmt.Errorf("newtonadmm: unknown solver %q", opts.Solver)
 	}
-
-	return buildModel(ds, opts, weights, trace, acc, failedEpoch), nil
+	res, err := dist.Run(cluster.Config{
+		Ranks: opts.Ranks, Network: net, UseTCP: opts.UseTCP,
+		CollectiveTimeout: opts.CollectiveTimeout,
+	}, ds.inner, dist.RunOptions{
+		Epochs: opts.Epochs, Lambda: opts.Lambda,
+		EvalTestAccuracy: opts.EvalTestAccuracy,
+		CheckpointDir:    opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
+		Resume: opts.Resume, MaxRestarts: opts.MaxRestarts,
+	}, build(opts))
+	if res == nil {
+		return nil, err
+	}
+	return buildModel(ds, opts, res.X, res.Trace, res.TestAccuracy, res.FailedEpoch), err
 }
 
 // buildModel assembles the public Model from a solver's outputs (also
@@ -425,7 +386,7 @@ func buildModel(ds *Dataset, opts Options, weights []float64, trace metrics.Trac
 
 // trainSingleNodeNewton runs the paper's Algorithm 1 on the whole dataset
 // in one process (the oracle used for the theta studies).
-func trainSingleNodeNewton(ds *datasets.Dataset, opts Options, cgOpts cg.Options) ([]float64, metrics.Trace, float64, error) {
+func trainSingleNodeNewton(ds *datasets.Dataset, opts Options) ([]float64, metrics.Trace, float64, error) {
 	dev := device.New("newton", 0)
 	defer dev.Close()
 	prob, err := loss.NewSoftmax(dev, ds.Xtrain, ds.Ytrain, ds.Classes, opts.Lambda)
@@ -439,7 +400,7 @@ func trainSingleNodeNewton(ds *datasets.Dataset, opts Options, cgOpts cg.Options
 	w := make([]float64, prob.Dim())
 	start := time.Now()
 	res := newton.Solve(prob, w, newton.Options{
-		MaxIters: epochs, GradTol: 1e-8, CG: cgOpts,
+		MaxIters: epochs, GradTol: 1e-8, CG: opts.cg(),
 		LineSearch: linesearch.Options{MaxIters: 10},
 	})
 	elapsed := time.Since(start)
@@ -447,7 +408,7 @@ func trainSingleNodeNewton(ds *datasets.Dataset, opts Options, cgOpts cg.Options
 	for i, st := range res.Trace {
 		tr.Append(metrics.Point{
 			Epoch: i + 1, Objective: st.NewValue,
-			Time:         elapsed * time.Duration(i+1) / time.Duration(maxIntPkg(len(res.Trace), 1)),
+			Time:         elapsed * time.Duration(i+1) / time.Duration(max(len(res.Trace), 1)),
 			TestAccuracy: math.NaN(), GradNorm: st.GradNorm,
 		})
 	}
@@ -518,11 +479,4 @@ func LoadModel(path string) (*Model, error) {
 		return nil, err
 	}
 	return &m, nil
-}
-
-func maxIntPkg(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
