@@ -64,13 +64,6 @@ type AutoscalerConfig struct {
 	// (resp. any scaling action) before the next one; <= 0 select 3s
 	// and 10s.
 	UpCooldown, DownCooldown time.Duration
-	// TickSource, when non-nil, replaces the wall ticker: Start
-	// evaluates one control tick per received time instead of every
-	// Tick. This is the synthetic-clock seam the fleet simulator and
-	// tests use; production leaves it nil. (The simulator's event loop
-	// calls Evaluate directly with virtual times; TickSource exists for
-	// callers that want Start's goroutine with an external clock.)
-	TickSource <-chan time.Time
 }
 
 func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
@@ -141,23 +134,20 @@ func NewAutoscaler(src SnapshotProvider, act Actuator, cfg AutoscalerConfig) *Au
 // Config returns the effective (defaulted) configuration.
 func (a *Autoscaler) Config() AutoscalerConfig { return a.cfg }
 
-// Start runs the loop until Stop, ticking from cfg.TickSource when set
-// and a wall ticker of period cfg.Tick otherwise.
+// Start runs the loop until Stop, evaluating once per cfg.Tick of wall
+// time. (The fleet simulator does not Start it: its event loop calls
+// Evaluate with virtual times.)
 func (a *Autoscaler) Start() {
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
-		ticks := a.cfg.TickSource
-		if ticks == nil {
-			tick := time.NewTicker(a.cfg.Tick)
-			defer tick.Stop()
-			ticks = tick.C
-		}
+		tick := time.NewTicker(a.cfg.Tick)
+		defer tick.Stop()
 		for {
 			select {
 			case <-a.stop:
 				return
-			case now := <-ticks:
+			case now := <-tick.C:
 				a.Evaluate(now)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"newtonadmm/internal/control"
 	"newtonadmm/internal/obs"
 	"newtonadmm/internal/serve"
+	"newtonadmm/internal/wire"
 )
 
 // Errors introduced by the routing tier. Backend and scoring errors
@@ -107,15 +108,12 @@ type Backend interface {
 	Close()
 }
 
-// Batch is one scatter unit: the instances of one client request, mixed
-// dense and sparse, in arrival order. Rows are partitioned into the two
-// kind-homogeneous sub-batches the predictors score (each one launch),
-// with the arrival order retained so outputs can be reassembled.
+// Batch is one scatter unit: the rows of one client request (a
+// wire.Batch, mixed dense and sparse in arrival order) plus exactly what
+// a batch frame carries beside them — the trace ID and the service
+// class.
 type Batch struct {
-	sparse []bool // per original row: which sub-batch it went to
-	dense  [][]float64
-	idx    [][]int
-	val    [][]float64
+	wire.Batch
 
 	// Trace, when non-nil, is the request's sampled observability trace
 	// (see internal/obs and DESIGN.md "Observability"). The router
@@ -130,42 +128,4 @@ type Batch struct {
 	// the legacy behavior; backends propagate it to replicas (the
 	// binary plane's priority trailer).
 	Priority control.Priority
-}
-
-// AddDense appends one dense row.
-func (b *Batch) AddDense(row []float64) {
-	b.sparse = append(b.sparse, false)
-	b.dense = append(b.dense, row)
-}
-
-// AddCSR appends one sparse row (strictly increasing indices).
-func (b *Batch) AddCSR(idx []int, val []float64) {
-	b.sparse = append(b.sparse, true)
-	b.idx = append(b.idx, idx)
-	b.val = append(b.val, val)
-}
-
-// Rows returns the number of rows in the batch.
-func (b *Batch) Rows() int { return len(b.sparse) }
-
-// DenseRows returns the dense sub-batch in dense arrival order. The
-// slice is shared, not copied — callers must treat it as read-only.
-// In-process backends (the fleet simulator's virtual replicas) use it
-// to feed rows to real scoring paths without the wire format.
-func (b *Batch) DenseRows() [][]float64 { return b.dense }
-
-// interleave writes per-kind score blocks back into arrival order:
-// denseOut and sparseOut are (rows-of-kind) x cols, out is rows x cols.
-func (b *Batch) interleave(denseOut, sparseOut []float64, cols int, out []float64) {
-	d, s := 0, 0
-	for i, isSparse := range b.sparse {
-		dst := out[i*cols : (i+1)*cols]
-		if isSparse {
-			copy(dst, sparseOut[s*cols:(s+1)*cols])
-			s++
-		} else {
-			copy(dst, denseOut[d*cols:(d+1)*cols])
-			d++
-		}
-	}
 }

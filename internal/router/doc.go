@@ -21,6 +21,12 @@
 //     and one gather per request batch, with the per-class work spread
 //     across the fleet.
 //
+// A Batch is one client request: a wire.Batch of rows plus the trace
+// and service class a batch frame carries. Backends score it without
+// converting it: LocalBackend hands it to serve.Batcher.ScoreBatch or
+// serve.Predictor.ScoresBatch, TCPBackend frames it with
+// wire.Encoder.Batch.
+//
 // Remote replicas are reached over one data plane: TCPBackend speaks
 // the binary frame protocol of internal/wire against a replica's
 // serve.FrameServer (join address tcp://host:port, see BackendForURL) —

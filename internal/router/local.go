@@ -1,19 +1,15 @@
 package router
 
-import (
-	"fmt"
-
-	"newtonadmm/internal/serve"
-)
+import "newtonadmm/internal/serve"
 
 // LocalBackend is an in-process replica: its own hot-swap Registry and
 // micro-batching Batcher over a Predictor with its own device, exactly
-// the single-node serving stack. Full-model requests go through the
-// batcher (so concurrent router requests coalesce into shared kernel
-// launches and a full queue surfaces as serve.ErrQueueFull for
+// the single-node serving stack. Full-model requests go through
+// Batcher.ScoreBatch (so concurrent router requests coalesce into shared
+// kernel launches and a full queue surfaces as serve.ErrQueueFull for
 // failover); partial-score requests bypass it — the router already
 // coalesced the whole client batch, so they score in at most two
-// launches via the registry's predictor.
+// launches via Predictor.ScoresBatch.
 type LocalBackend struct {
 	reg      *serve.Registry
 	bat      *serve.Batcher
@@ -41,104 +37,26 @@ func (l *LocalBackend) Meta() (Meta, error) {
 	return metaFromModel(mm), nil
 }
 
-// submitAll enqueues every batch row in arrival order and waits for all
-// tickets. probaOut non-nil selects the probability path with the given
-// class count. Every submitted ticket is always waited, even after a
-// submit failure, so no accepted request is abandoned; the first error
-// (submit or per-row) is returned. A sampled request's trace rides on
-// the first row only — one representative pass through the batcher's
-// queue/linger/execute stages — so a wide batch cannot overflow the
-// trace's fixed span array.
-func (l *LocalBackend) submitAll(b *Batch, out []int, probaOut []float64, classes int) error {
-	n := b.Rows()
-	tickets := make([]serve.Ticket, 0, n)
-	rowOf := make([]int, 0, n)
-	var submitErr error
-	d, s := 0, 0
-	trace := b.Trace
-	for i, isSparse := range b.sparse {
-		var po []float64
-		if probaOut != nil {
-			po = probaOut[i*classes : (i+1)*classes]
-		}
-		var t serve.Ticket
-		var err error
-		if isSparse {
-			t, err = l.bat.SubmitCSRPri(b.idx[s], b.val[s], po, b.Priority, trace)
-			s++
-		} else {
-			t, err = l.bat.SubmitDensePri(b.dense[d], po, b.Priority, trace)
-			d++
-		}
-		trace = nil
-		if err != nil {
-			submitErr = err
-			break
-		}
-		tickets = append(tickets, t)
-		rowOf = append(rowOf, i)
-	}
-	var waitErr error
-	for k, t := range tickets {
-		class, err := t.Wait()
-		if err != nil && waitErr == nil {
-			waitErr = err
-		}
-		if out != nil {
-			out[rowOf[k]] = class
-		}
-	}
-	if submitErr != nil {
-		return submitErr
-	}
-	return waitErr
-}
-
 // Predict scores the batch against the full model via the micro-batcher.
 func (l *LocalBackend) Predict(b *Batch, out []int) error {
-	return l.submitAll(b, out, nil, 0)
+	return l.bat.ScoreBatch(&b.Batch, b.Priority, b.Trace, out, nil)
 }
 
 // Proba scores the batch with class probabilities (out is rows x
 // classes in arrival order).
 func (l *LocalBackend) Proba(b *Batch, out []float64) error {
-	mm, ok := l.reg.Meta()
-	if !ok {
-		return serve.ErrNoModel
-	}
-	return l.submitAll(b, nil, out, mm.Classes)
+	return l.bat.ScoreBatch(&b.Batch, b.Priority, b.Trace, nil, out)
 }
 
 // PartialScores scores the raw explicit-class logits of this replica's
-// weight rows (rows x cols, arrival order). The per-call staging slices
-// are request-granular — the underlying kernel path stays on the
-// predictor's zero-allocation staging.
+// weight rows (rows x cols, arrival order).
 func (l *LocalBackend) PartialScores(b *Batch, cols int, out []float64) (int64, error) {
 	p, mm, release, err := l.reg.AcquireCurrent()
 	if err != nil {
 		return 0, err
 	}
 	defer release()
-	if got := p.Classes() - 1; got != cols {
-		return 0, fmt.Errorf("%w (shard now %d explicit classes, router planned %d)", serve.ErrModelShapeChanged, got, cols)
-	}
-	if len(b.idx) == 0 {
-		// Dense-only: score straight into the caller's buffer.
-		return mm.Version, p.ScoresDense(b.dense, out[:b.Rows()*cols])
-	}
-	if len(b.dense) == 0 {
-		return mm.Version, p.ScoresCSR(b.idx, b.val, out[:b.Rows()*cols])
-	}
-	denseOut := make([]float64, len(b.dense)*cols)
-	sparseOut := make([]float64, len(b.idx)*cols)
-	if err := p.ScoresDense(b.dense, denseOut); err != nil {
-		return 0, err
-	}
-	if err := p.ScoresCSR(b.idx, b.val, sparseOut); err != nil {
-		return 0, err
-	}
-	b.interleave(denseOut, sparseOut, cols, out)
-	return mm.Version, nil
+	return mm.Version, p.ScoresBatch(&b.Batch, cols, out)
 }
 
 // Reload hot-swaps the replica's checkpoint through the configured

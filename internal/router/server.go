@@ -11,6 +11,7 @@ import (
 	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/obs"
 	"newtonadmm/internal/serve"
+	"newtonadmm/internal/wire"
 )
 
 // Server is the router's HTTP surface: the same serve.Server a single
@@ -37,8 +38,8 @@ func NewServer(rt *Router) *Server {
 	return s
 }
 
-// routerTier is the scatter-gather serve.Tier: a request's instances
-// become one Batch scored by Router.Predict/Proba.
+// routerTier is the scatter-gather serve.Tier: a request's rows become
+// one Batch scored by Router.Predict/Proba.
 type routerTier struct {
 	rt *Router
 	// latency is the sampled client-request end-to-end latency at the
@@ -53,16 +54,8 @@ func (t *routerTier) Shape() (classes int, version int64, ok bool) {
 // Score starts the request's trace here, at the fleet's edge; trace
 // capture and the tier latency histogram (Finish) share its one
 // sampling tick.
-func (t *routerTier) Score(insts []serve.Instance, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error) {
-	b := Batch{Priority: pri}
-	for _, inst := range insts {
-		if inst.Sparse {
-			b.AddCSR(inst.Indices, inst.Values)
-		} else {
-			b.AddDense(inst.Dense)
-		}
-	}
-	b.Trace = t.rt.StartTrace(start)
+func (t *routerTier) Score(rows *wire.Batch, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error) {
+	b := Batch{Batch: *rows, Trace: t.rt.StartTrace(start), Priority: pri}
 	if proba != nil {
 		return b.Trace, t.rt.Proba(&b, proba, preds)
 	}

@@ -58,16 +58,6 @@ type TCPBackend struct {
 	RedialBase time.Duration
 	// RedialMax caps the redial backoff; <= 0 selects 5s.
 	RedialMax time.Duration
-	// Now is the clock the redial backoff window is measured on; nil
-	// selects time.Now. Injectable so a synthetic clock (the fleet
-	// simulator, tests) can open and step past backoff windows in
-	// virtual time instead of sleeping real wall time.
-	Now func() time.Time
-	// Jitter draws the backoff jitter in [0, n]; nil selects the global
-	// math/rand source (±25% around 7/8 of the nominal backoff).
-	// Injectable so a seeded source makes the backoff schedule
-	// replayable bit-for-bit.
-	Jitter func(n int64) int64
 
 	mu        sync.Mutex
 	pool      []*wireConn
@@ -102,20 +92,6 @@ func (t *TCPBackend) redialMax() time.Duration {
 	return 5 * time.Second
 }
 
-func (t *TCPBackend) now() time.Time {
-	if t.Now != nil {
-		return t.Now()
-	}
-	return time.Now()
-}
-
-func (t *TCPBackend) jitter(n int64) int64 {
-	if t.Jitter != nil {
-		return t.Jitter(n)
-	}
-	return rand.Int63n(n)
-}
-
 // noteDialFailed opens (or widens) the backoff window after a failed
 // dial: exponential in the consecutive-failure count, capped at
 // RedialMax, jittered ±25%. Caller must not hold t.mu.
@@ -130,8 +106,8 @@ func (t *TCPBackend) noteDialFailed() {
 	if d > t.redialMax() {
 		d = t.redialMax()
 	}
-	d = d*3/4 + time.Duration(t.jitter(int64(d)/2+1)) // ±25% jitter
-	t.nextDial = t.now().Add(d)
+	d = d*3/4 + time.Duration(rand.Int63n(int64(d)/2+1)) // ±25% jitter
+	t.nextDial = time.Now().Add(d)
 }
 
 // noteDialOK closes the backoff window. Caller must not hold t.mu.
@@ -189,7 +165,7 @@ func (t *TCPBackend) get() (*wireConn, error) {
 	slot := t.rr % n
 	t.rr++
 	wc := t.pool[slot]
-	wait := t.nextDial.Sub(t.now())
+	wait := time.Until(t.nextDial)
 	t.mu.Unlock()
 	if wc != nil && !wc.isDead() {
 		return wc, nil
@@ -427,16 +403,16 @@ func validateBatch(b *Batch) (features int, err error) {
 	if b.Rows() > wire.MaxRows {
 		return 0, fmt.Errorf("router: batch has %d rows, wire bound is %d", b.Rows(), wire.MaxRows)
 	}
-	if len(b.dense) > 0 {
-		features = len(b.dense[0])
+	if len(b.Dense) > 0 {
+		features = len(b.Dense[0])
 	}
-	for i, row := range b.dense {
+	for i, row := range b.Dense {
 		if len(row) != features {
 			return 0, fmt.Errorf("router: dense row %d has %d features, row 0 has %d", i, len(row), features)
 		}
 	}
-	payload := 12 + len(b.dense)*(1+8*features)
-	for _, idx := range b.idx {
+	payload := 12 + len(b.Dense)*(1+8*features)
+	for _, idx := range b.Idx {
 		payload += 1 + 4 + 12*len(idx)
 	}
 	if b.Priority != control.Interactive {
@@ -459,17 +435,7 @@ func validateBatch(b *Batch) (features int, err error) {
 // "Observability"), so replica-side spans stitch to the router's trace.
 func encodeBatch(e *wire.Encoder, op wire.Op, corr uint64, b *Batch, features, cols int) {
 	e.Begin(op, corr)
-	e.BatchHeader(b.Rows(), features, cols)
-	d, s := 0, 0
-	for _, isSparse := range b.sparse {
-		if isSparse {
-			e.SparseRow(b.idx[s], b.val[s])
-			s++
-		} else {
-			e.DenseRow(b.dense[d])
-			d++
-		}
-	}
+	e.Batch(&b.Batch, features, cols)
 	if b.Priority != control.Interactive {
 		e.PriorityTrailer(uint8(b.Priority))
 	}

@@ -10,6 +10,7 @@ import (
 	"newtonadmm/internal/control"
 	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/obs"
+	"newtonadmm/internal/wire"
 )
 
 // Errors returned by the batcher's admission path.
@@ -114,45 +115,6 @@ type BatcherConfig struct {
 	// round-robin scheduler; an all-zero value selects
 	// control.DefaultWeights (16/4/1).
 	PriorityWeights [control.NumPriorities]int
-	// LingerTimer, when non-nil, replaces the wall-clock linger timer:
-	// the batching loop arms it with Reset(MaxLinger) when a partial
-	// batch starts lingering and flushes when C delivers. This is the
-	// synthetic-clock seam for the fleet simulator and deterministic
-	// tests; production leaves it nil (a time.Timer).
-	LingerTimer LingerTimer
-}
-
-// LingerTimer is the batcher's flush-timer seam. Reset arms the timer
-// for one linger window, C delivers the expiry, and Stop disarms it
-// leaving C drained (no stale expiry may leak into the next window).
-// Implementations are used from the single batching goroutine only.
-type LingerTimer interface {
-	C() <-chan time.Time
-	Reset(d time.Duration)
-	Stop()
-}
-
-// wallLingerTimer is the production LingerTimer over a time.Timer,
-// carrying the stop-and-drain discipline a reused timer needs.
-type wallLingerTimer struct{ t *time.Timer }
-
-func newWallLingerTimer() *wallLingerTimer {
-	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
-	return &wallLingerTimer{t: t}
-}
-
-func (w *wallLingerTimer) C() <-chan time.Time  { return w.t.C }
-func (w *wallLingerTimer) Reset(d time.Duration) { w.t.Reset(d) }
-func (w *wallLingerTimer) Stop() {
-	if !w.t.Stop() {
-		select {
-		case <-w.t.C:
-		default:
-		}
-	}
 }
 
 // DefaultSampleEvery is the default latency/trace sampling stride.
@@ -263,7 +225,8 @@ type Batcher struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	pool sync.Pool // *request
+	pool    sync.Pool // *request
+	tickets sync.Pool // *[]Ticket: ScoreBatch's per-call scratch
 
 	submitted  atomic.Int64
 	rejected   atomic.Int64
@@ -320,6 +283,7 @@ func NewBatcher(source ScorerSource, cfg BatcherConfig) *Batcher {
 	b.lenFn = func(c control.Priority) int { return len(b.queues[c]) }
 	b.SetPolicy(b.cfg.Admission)
 	b.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
+	b.tickets.New = func() any { return new([]Ticket) }
 	b.wg.Add(1)
 	go b.loop()
 	return b
@@ -509,42 +473,27 @@ func (t Ticket) Wait() (int, error) {
 // batch partition); an explicit all-zero row is a zero-filled slice of
 // Features entries, or SubmitCSR with empty indices/values.
 func (b *Batcher) SubmitDense(row []float64, probaOut []float64) (Ticket, error) {
-	return b.SubmitDensePri(row, probaOut, control.Interactive, nil)
+	return b.submitRow(false, row, nil, nil, probaOut, control.Interactive, nil)
 }
 
 // SubmitCSR enqueues one sparse row (strictly increasing indices).
 func (b *Batcher) SubmitCSR(idx []int, val []float64, probaOut []float64) (Ticket, error) {
-	return b.SubmitCSRPri(idx, val, probaOut, control.Interactive, nil)
+	return b.submitRow(true, nil, idx, val, probaOut, control.Interactive, nil)
 }
 
-// SubmitDenseTraced is SubmitDense with a caller-owned trace attached:
-// the batcher records its queue/linger/execute spans into tr but does
-// NOT publish it — the caller keeps ownership and finishes the trace
-// after the ticket's Wait returns. This is how a propagated trace (a
-// frame with the trace trailer, or a routed in-process request) picks
-// up replica-side stages.
-func (b *Batcher) SubmitDenseTraced(row []float64, probaOut []float64, tr *obs.Trace) (Ticket, error) {
-	return b.SubmitDensePri(row, probaOut, control.Interactive, tr)
-}
-
-// SubmitCSRTraced is SubmitCSR with a caller-owned trace attached.
-func (b *Batcher) SubmitCSRTraced(idx []int, val []float64, probaOut []float64, tr *obs.Trace) (Ticket, error) {
-	return b.SubmitCSRPri(idx, val, probaOut, control.Interactive, tr)
-}
-
-// SubmitDensePri is the full-control submit: service class plus an
-// optional caller-owned trace (nil tr falls back to the batcher's own
-// sampling). An invalid class is clamped to Interactive — the wire and
-// HTTP layers validate before reaching here.
-func (b *Batcher) SubmitDensePri(row []float64, probaOut []float64, pri control.Priority, tr *obs.Trace) (Ticket, error) {
-	if row == nil {
+// submitRow enqueues one row, dense or (when sparse) idx/val, under
+// service class pri with an optional caller-owned trace (nil tr falls
+// back to the batcher's own sampling). An invalid class is clamped to
+// Interactive — the wire and HTTP layers validate before reaching here.
+func (b *Batcher) submitRow(sparse bool, dense []float64, idx []int, val []float64, probaOut []float64, pri control.Priority, tr *obs.Trace) (Ticket, error) {
+	if !sparse && dense == nil {
 		return Ticket{}, errors.New("serve: nil dense row")
 	}
 	if !pri.Valid() {
 		pri = control.Interactive
 	}
 	r := b.getReq()
-	r.dense = row
+	r.dense, r.idx, r.val = dense, idx, val
 	r.probaOut = probaOut
 	r.pri = pri
 	r.trace = tr
@@ -555,21 +504,60 @@ func (b *Batcher) SubmitDensePri(row []float64, probaOut []float64, pri control.
 	return Ticket{r: r, b: b}, nil
 }
 
-// SubmitCSRPri is SubmitDensePri for one sparse row.
-func (b *Batcher) SubmitCSRPri(idx []int, val []float64, probaOut []float64, pri control.Priority, tr *obs.Trace) (Ticket, error) {
-	if !pri.Valid() {
-		pri = control.Interactive
+// ScoreBatch scores every row of rows through the micro-batcher under
+// service class pri: predicted classes into preds when non-nil and, when
+// proba is non-nil, class probabilities into proba (rows x classes,
+// row-major). Every row is submitted before any is waited on, so one
+// request's rows coalesce into shared launches. A non-nil tr is a
+// caller-owned trace: it rides on the first row only — one
+// representative pass through the queue/linger/execute stages, so a wide
+// batch cannot overflow its span array — and the batcher does not
+// publish it. Every accepted row is waited for, even after a submit
+// failure, so no admitted row is abandoned; the first error (a submit
+// failure, else the first row that failed) is returned as "instance i:".
+func (b *Batcher) ScoreBatch(rows *wire.Batch, pri control.Priority, tr *obs.Trace, preds []int, proba []float64) error {
+	n := rows.Rows()
+	if n == 0 {
+		return nil
 	}
-	r := b.getReq()
-	r.idx, r.val = idx, val
-	r.probaOut = probaOut
-	r.pri = pri
-	r.trace = tr
-	if err := b.submit(r); err != nil {
-		b.putReq(r)
-		return Ticket{}, err
+	classes := len(proba) / n
+	tp := b.tickets.Get().(*[]Ticket)
+	tickets := (*tp)[:0]
+	var err error
+	d, s := 0, 0
+	for i, sparse := range rows.Kind {
+		var po []float64
+		if proba != nil {
+			po = proba[i*classes : (i+1)*classes]
+		}
+		var t Ticket
+		if sparse {
+			t, err = b.submitRow(true, nil, rows.Idx[s], rows.Val[s], po, pri, tr)
+			s++
+		} else {
+			t, err = b.submitRow(false, rows.Dense[d], nil, nil, po, pri, tr)
+			d++
+		}
+		if err != nil {
+			err = fmt.Errorf("instance %d: %w", i, err)
+			break
+		}
+		tr = nil
+		tickets = append(tickets, t)
 	}
-	return Ticket{r: r, b: b}, nil
+	for i, t := range tickets {
+		class, werr := t.Wait()
+		if werr != nil && err == nil {
+			err = fmt.Errorf("instance %d: %w", i, werr)
+		}
+		if preds != nil {
+			preds[i] = class
+		}
+		tickets[i] = Ticket{}
+	}
+	*tp = tickets[:0]
+	b.tickets.Put(tp)
+	return err
 }
 
 // Predict scores one dense row through the micro-batcher.
@@ -613,10 +601,10 @@ func (b *Batcher) ProbaCSR(idx []int, val []float64, out []float64) (int, error)
 // linger), score it, answer every request, repeat.
 func (b *Batcher) loop() {
 	defer b.wg.Done()
-	timer := b.cfg.LingerTimer
-	if timer == nil {
-		timer = newWallLingerTimer()
-	}
+	// One reused timer; since Go 1.23 Stop and Reset discard a stale
+	// expiry, so no drain is needed between linger windows.
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		// First request of the next batch: weighted pick when work is
 		// already pending, else block on all three class queues. The
@@ -670,7 +658,7 @@ func (b *Batcher) takeWeighted() (*request, bool) {
 // fill grows the current batch to MaxBatch: greedy weighted drain
 // first, then a linger window measured from the first request's arrival.
 // Returns true when shutdown was requested mid-fill.
-func (b *Batcher) fill(timer LingerTimer) bool {
+func (b *Batcher) fill(timer *time.Timer) bool {
 	for len(b.batch) < b.cfg.MaxBatch {
 		r, ok := b.takeWeighted()
 		if !ok {
@@ -696,7 +684,7 @@ func (b *Batcher) fill(timer LingerTimer) bool {
 			b.wrr.Spend(control.Batch)
 		case r = <-b.queues[control.Background]:
 			b.wrr.Spend(control.Background)
-		case <-timer.C():
+		case <-timer.C:
 			return false
 		case <-b.stop:
 			return true

@@ -2,11 +2,17 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"newtonadmm/internal/control"
+	"newtonadmm/internal/obs"
+	"newtonadmm/internal/wire"
 )
 
 // fakeScorer answers deterministically from the first feature value and
@@ -481,5 +487,136 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+var errPoison = errors.New("poisoned row")
+
+// poisonScorer is a fakeScorer that fails any batch holding a row whose
+// first value is negative, so the batcher's per-row retry must isolate
+// that row from its batchmates.
+type poisonScorer struct{ *fakeScorer }
+
+func (p poisonScorer) PredictDense(rows [][]float64, out []int) error {
+	for _, r := range rows {
+		if r[0] < 0 {
+			return errPoison
+		}
+	}
+	return p.fakeScorer.PredictDense(rows, out)
+}
+
+func (p poisonScorer) PredictCSR(idx [][]int, val [][]float64, out []int) error {
+	for _, v := range val {
+		if v[0] < 0 {
+			return errPoison
+		}
+	}
+	return p.fakeScorer.PredictCSR(idx, val, out)
+}
+
+// TestScoreBatchNoAbandon pins ScoreBatch's contract, which every
+// replica-side caller relies on: rows are submitted before any is
+// waited on; a submit failure stops submitting but every accepted row
+// is still answered; the error names the row it belongs to; and a
+// caller's trace is timed once, on the first row, and left unpublished.
+// The loop is held in the scorer by a blocker request, so the batch's
+// rows queue up behind it and the queue-full row is deterministic.
+func TestScoreBatchNoAbandon(t *testing.T) {
+	cases := []struct {
+		name     string
+		n, depth int  // rows in the batch; per-class QueueDepth
+		bad      int  // row the scorer rejects; -1 none
+		traced   bool // pass a caller-owned trace
+		wantInst int  // instance the error names; -1 no error
+		wantIs   error
+	}{
+		{name: "queue full at row 2 of 5", n: 5, depth: 2, bad: -1, wantInst: 2, wantIs: ErrQueueFull},
+		{name: "caller trace", n: 4, depth: 8, bad: -1, traced: true, wantInst: -1},
+		{name: "scorer rejects row 1", n: 4, depth: 8, bad: 1, wantInst: 1, wantIs: errPoison},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f := &fakeScorer{classes: 3, features: 2, gate: make(chan struct{}), entered: make(chan struct{}, 64)}
+			b := NewBatcher(fakeSource{s: poisonScorer{f}}, BatcherConfig{MaxBatch: 8, MaxLinger: -1, QueueDepth: c.depth, SampleEvery: -1})
+			defer b.Close()
+			blocker := make(chan error, 1)
+			go func() { _, err := b.Predict([]float64{0, 0}); blocker <- err }()
+			<-f.entered
+
+			// Dense and sparse rows alternate, so the bad row shares its
+			// sub-batch with a good one.
+			var rows wire.Batch
+			for i := 0; i < c.n; i++ {
+				v := float64(i + 1)
+				if i == c.bad {
+					v = -v
+				}
+				if i%2 == 0 {
+					rows.AddDense([]float64{v, 0})
+				} else {
+					rows.AddCSR([]int{0}, []float64{v})
+				}
+			}
+			var tr *obs.Trace
+			if c.traced {
+				tr = obs.NewRecorder(0).Start(time.Now())
+			}
+			preds := make([]int, c.n)
+			for i := range preds {
+				preds[i] = -1
+			}
+			done := make(chan error, 1)
+			go func() { done <- b.ScoreBatch(&rows, control.Interactive, tr, preds, nil) }()
+			accepted, rejected := min(c.n, c.depth), int64(0)
+			if c.n > c.depth {
+				rejected = 1
+			}
+			waitFor(t, func() bool {
+				st := b.Stats()
+				return st.Submitted == int64(1+accepted) && st.Rejected == rejected
+			})
+			close(f.gate)
+			err := <-done
+			if berr := <-blocker; berr != nil {
+				t.Fatalf("blocker: %v", berr)
+			}
+
+			if c.wantInst < 0 {
+				if err != nil {
+					t.Fatalf("ScoreBatch: %v", err)
+				}
+			} else if prefix := fmt.Sprintf("instance %d: ", c.wantInst); err == nil || !strings.HasPrefix(err.Error(), prefix) || !errors.Is(err, c.wantIs) {
+				t.Fatalf("ScoreBatch error %v, want %q prefix matching %v", err, prefix, c.wantIs)
+			}
+			for i, got := range preds {
+				if i == c.bad {
+					continue // answered with its error
+				}
+				want := -1 // never accepted: left untouched
+				if i < accepted {
+					want = f.classOf(float64(i + 1))
+				}
+				if got != want {
+					t.Errorf("row %d: pred %d, want %d", i, got, want)
+				}
+			}
+			if n := b.InFlight(); n != 0 {
+				t.Errorf("InFlight %d after ScoreBatch returned", n)
+			}
+			if c.traced {
+				count := map[obs.Stage]int{}
+				for _, s := range tr.Spans() {
+					count[s.Stage]++
+				}
+				want := map[obs.Stage]int{obs.StageQueue: 1, obs.StageLinger: 1, obs.StageExecute: 1}
+				if fmt.Sprint(count) != fmt.Sprint(want) {
+					t.Errorf("caller trace spans %v, want %v", count, want)
+				}
+				if n := b.Recorder().Finished(); n != 0 {
+					t.Errorf("batcher published %d traces, want 0 (the caller owns its trace)", n)
+				}
+			}
+		})
 	}
 }

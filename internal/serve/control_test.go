@@ -145,7 +145,7 @@ func TestBatcherPolicySwapUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				tk, err := b.SubmitDensePri(row, nil, pri, nil)
+				tk, err := b.submitRow(false, row, nil, nil, nil, pri, nil)
 				if err != nil {
 					if !errors.Is(err, ErrQueueFull) {
 						t.Errorf("unexpected submit error: %v", err)
@@ -215,7 +215,7 @@ func TestPriorityStarvationBound(t *testing.T) {
 					return
 				default:
 				}
-				tk, err := b.SubmitDensePri(row, nil, control.Background, nil)
+				tk, err := b.submitRow(false, row, nil, nil, nil, control.Background, nil)
 				if err != nil {
 					if !errors.Is(err, ErrQueueFull) {
 						t.Errorf("background: %v", err)

@@ -10,13 +10,17 @@
 //     rows are staged into grow-only buffers and scored by the fused
 //     MulNT / MulNTReduce launches through loss.PredictInto/ProbaInto,
 //     reusing the device scratch arena exactly like the training path.
+//     ScoresBatch is the class-shard plane's partial-tile path over a
+//     whole wire.Batch.
 //   - Batcher coalesces concurrent requests into micro-batches (up to
 //     MaxBatch rows or a MaxLinger window, whichever first) so per-row
 //     work is amortized over one kernel launch — the inference-side
 //     analogue of the paper's argument for batching per-sample work into
 //     GPU matrix kernels. Its admission queue is bounded: when the queue
-//     is full, Submit fails fast with ErrQueueFull (backpressure), it
-//     never drops an accepted request.
+//     is full, a submit fails fast with ErrQueueFull (backpressure), it
+//     never drops an accepted request. ScoreBatch is how every
+//     replica-side caller scores a request's rows: submit all, wait
+//     every accepted one, report the first error by instance.
 //   - Registry holds the current Predictor behind an atomic pointer with
 //     reference counting, so a new checkpoint hot-swaps in with zero
 //     downtime: in-flight batches finish on the old snapshot, whose
@@ -26,11 +30,11 @@
 //     only place JSON is spoken, and the same code on both tiers: it
 //     owns request decoding (scan.go: one validating pass over a body
 //     bounded by wire.MaxPayload, numbers written straight into pooled
-//     flat buffers the instances are views of; DESIGN.md "Request
-//     grammar" is the spec), the response and error envelopes and the
-//     error-to-status table, and scores through a Tier. NewServer plugs
-//     in the batcher; internal/router plugs in its scatter-gather
-//     Router.
+//     flat buffers whose views form the request's wire.Batch; DESIGN.md
+//     "Request grammar" is the spec), the response and error envelopes
+//     and the error-to-status table, and scores through a Tier.
+//     NewServer plugs in the batcher; internal/router plugs in its
+//     scatter-gather Router.
 //   - FrameServer exposes the same serving stack on the binary frame
 //     data plane (internal/wire; DESIGN.md "Binary data plane" is the
 //     spec): a TCP listener whose connections carry pipelined
@@ -45,7 +49,7 @@
 //     staging reached its high-water shape (pinned by AllocsPerRun tests
 //     here and in internal/wire).
 //   - A decoded row lives as long as its request's handler: a Tier must
-//     not read an Instance after Score returns.
+//     not read the batch's rows after Score returns.
 //   - Bitwise equivalence across surfaces: the HTTP edge, the frame
 //     plane, and direct Predictor calls produce bit-identical classes
 //     and probabilities for the same snapshot, and the frame plane

@@ -25,11 +25,11 @@ import (
 // connection; framing-level failures (bad magic, version, truncation)
 // cannot be resynchronized and close it.
 //
-// Predict and proba requests submit their rows through the shared
-// micro-batcher (so frame-plane and HTTP-plane traffic coalesce into
-// the same kernel launches); partial-score requests bypass it — the
+// Predict and proba requests score through the shared micro-batcher's
+// Batcher.ScoreBatch (so frame-plane and HTTP-plane traffic coalesce
+// into the same kernel launches); partial-score requests bypass it — the
 // router already coalesced the client batch, so they score in at most
-// two launches (one dense, one CSR) via the registry's predictor.
+// two launches (one dense, one CSR) via Predictor.ScoresBatch.
 type FrameServer struct {
 	reg    *Registry
 	bat    *Batcher
@@ -100,13 +100,8 @@ type connState struct {
 	batch wire.Batch
 
 	classes  []int     // predict output
-	tickets  []Ticket  // batcher round-trip
-	rowOf    []int     // ticket index -> arrival row
 	probaBuf []float64 // rows x classes staging
-
-	scoreBuf  []float64 // merged rows x cols tile, arrival order
-	denseOut  []float64 // dense sub-batch tile
-	sparseOut []float64 // sparse sub-batch tile
+	scoreBuf []float64 // rows x cols partial tile, arrival order
 }
 
 func (s *FrameServer) handleConn(c net.Conn) {
@@ -241,9 +236,8 @@ func (s *FrameServer) handleFrame(h wire.Header, payload []byte, st *connState) 
 	}
 }
 
-// handleBatch is the full-model data plane: decode, submit every row
-// through the shared batcher (before waiting on any, so one request's
-// rows coalesce), wait all, answer.
+// handleBatch is the full-model data plane: decode, score every row
+// through the shared batcher, answer.
 func (s *FrameServer) handleBatch(h wire.Header, payload []byte, st *connState, proba bool, pri control.Priority, tr *obs.Trace) {
 	finishTrace := func() {
 		if tr != nil {
@@ -254,15 +248,6 @@ func (s *FrameServer) handleBatch(h wire.Header, payload []byte, st *connState, 
 	fail := func(code wire.ErrCode, format string, args ...any) {
 		st.enc.Begin(wire.OpError, h.Corr)
 		st.enc.Error(code, fmt.Sprintf(format, args...))
-		finishTrace()
-	}
-	// failErr carries the admission detail trailer when the error is a
-	// rejection, so a router (or client) can distinguish queue_full from
-	// rate_limited and honor the retry-after hint.
-	failErr := func(err error, format string, args ...any) {
-		st.enc.Begin(wire.OpError, h.Corr)
-		detail, retryAfter := wireDetailFor(err)
-		st.enc.ErrorDetail(wireCodeFor(err), fmt.Sprintf(format, args...), detail, retryAfter)
 		finishTrace()
 	}
 	if err := st.batch.Decode(payload); err != nil {
@@ -282,61 +267,24 @@ func (s *FrameServer) handleBatch(h wire.Header, payload []byte, st *connState, 
 	classes := meta.Classes
 	if cap(st.classes) < rows {
 		st.classes = make([]int, rows)
-		st.rowOf = make([]int, rows)
 	}
 	st.classes = st.classes[:rows]
-	st.rowOf = st.rowOf[:0]
-	st.tickets = st.tickets[:0]
+	var probaOut []float64
 	if proba {
 		if cap(st.probaBuf) < rows*classes {
 			st.probaBuf = make([]float64, rows*classes)
 		}
 		st.probaBuf = st.probaBuf[:rows*classes]
+		probaOut = st.probaBuf
 	}
-
-	// The propagated trace rides on the first row only — one
-	// representative pass through the batcher's stages — so a wide
-	// client batch cannot overflow the trace's fixed span array.
-	var submitErr error
-	d, sp := 0, 0
-	rowTrace := tr
-	for i, isSparse := range st.batch.Kind {
-		var po []float64
-		if proba {
-			po = st.probaBuf[i*classes : (i+1)*classes]
-		}
-		var t Ticket
-		var err error
-		if isSparse {
-			t, err = s.bat.SubmitCSRPri(st.batch.Idx[sp], st.batch.Val[sp], po, pri, rowTrace)
-			sp++
-		} else {
-			t, err = s.bat.SubmitDensePri(st.batch.Dense[d], po, pri, rowTrace)
-			d++
-		}
-		rowTrace = nil
-		if err != nil {
-			submitErr = fmt.Errorf("instance %d: %w", i, err)
-			break
-		}
-		st.tickets = append(st.tickets, t)
-		st.rowOf = append(st.rowOf, i)
-	}
-	// Every accepted ticket is waited even after a submit failure, so no
-	// enqueued row is abandoned mid-batch.
-	var waitErr error
-	for k, t := range st.tickets {
-		class, err := t.Wait()
-		if err != nil && waitErr == nil {
-			waitErr = fmt.Errorf("instance %d: %w", st.rowOf[k], err)
-		}
-		st.classes[st.rowOf[k]] = class
-	}
-	if submitErr == nil {
-		submitErr = waitErr
-	}
-	if submitErr != nil {
-		failErr(submitErr, "%v", submitErr)
+	if err := s.bat.ScoreBatch(&st.batch, pri, tr, st.classes, probaOut); err != nil {
+		// The admission detail trailer rides along when the error is a
+		// rejection, so a router (or client) can distinguish queue_full
+		// from rate_limited and honor the retry-after hint.
+		st.enc.Begin(wire.OpError, h.Corr)
+		detail, retryAfter := wireDetailFor(err)
+		st.enc.ErrorDetail(wireCodeFor(err), err.Error(), detail, retryAfter)
+		finishTrace()
 		return
 	}
 	encStart := time.Now()
@@ -385,51 +333,17 @@ func (s *FrameServer) handleScoresFrame(h wire.Header, payload []byte, st *connS
 		return
 	}
 	defer release()
+	// Cols is the shard width the router planned against; ScoresBatch
+	// refuses a mismatch (a shape-changing reload behind the router's
+	// back) without writing a tile.
 	m := p.Classes() - 1
-	// Cols is the shard width the router planned against; a mismatch
-	// means a shape-changing reload behind the router's back, and a
-	// mismatched tile must never be written (same contract as the JSON
-	// plane's cols field).
-	if st.batch.Cols != 0 && st.batch.Cols != m {
-		fail(wire.CodeShapeChanged, "shard now %d explicit classes, request planned %d", m, st.batch.Cols)
-		return
-	}
-	nd, ns := len(st.batch.Dense), len(st.batch.Idx)
 	if cap(st.scoreBuf) < rows*m {
 		st.scoreBuf = make([]float64, rows*m)
 	}
 	st.scoreBuf = st.scoreBuf[:rows*m]
-	if nd > 0 {
-		if cap(st.denseOut) < nd*m {
-			st.denseOut = make([]float64, nd*m)
-		}
-		st.denseOut = st.denseOut[:nd*m]
-		if err := p.ScoresDense(st.batch.Dense, st.denseOut); err != nil {
-			fail(wireCodeFor(err), "%v", err)
-			return
-		}
-	}
-	if ns > 0 {
-		if cap(st.sparseOut) < ns*m {
-			st.sparseOut = make([]float64, ns*m)
-		}
-		st.sparseOut = st.sparseOut[:ns*m]
-		if err := p.ScoresCSR(st.batch.Idx, st.batch.Val, st.sparseOut); err != nil {
-			fail(wireCodeFor(err), "%v", err)
-			return
-		}
-	}
-	// Interleave the per-kind tiles back into arrival order.
-	d, sp := 0, 0
-	for i, isSparse := range st.batch.Kind {
-		dst := st.scoreBuf[i*m : (i+1)*m]
-		if isSparse {
-			copy(dst, st.sparseOut[sp*m:(sp+1)*m])
-			sp++
-		} else {
-			copy(dst, st.denseOut[d*m:(d+1)*m])
-			d++
-		}
+	if err := p.ScoresBatch(&st.batch, st.batch.Cols, st.scoreBuf); err != nil {
+		fail(wireCodeFor(err), "%v", err)
+		return
 	}
 	st.enc.Begin(wire.OpScoresResp, h.Corr)
 	st.enc.FloatsResp(meta.Version, rows, m, st.scoreBuf)

@@ -105,7 +105,11 @@ func TestFrameServerPredictProbaScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantScores := make([]float64, rows*(classes-1))
-	if err := ref.ScoresDense(dense, wantScores); err != nil {
+	var denseBatch wire.Batch
+	for _, row := range dense {
+		denseBatch.AddDense(row)
+	}
+	if err := ref.ScoresBatch(&denseBatch, classes-1, wantScores); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
 	"newtonadmm/internal/sparse"
+	"newtonadmm/internal/wire"
 )
 
 // Predictor scores feature rows against one immutable weight snapshot.
@@ -40,6 +41,9 @@ type Predictor struct {
 	// launches like any other CSR in the repo.
 	csr     sparse.CSR
 	csrFeat loss.Features // cached Sparse{&csr}
+
+	// ScoresBatch's per-kind tiles for mixed batches (grow-only).
+	denseTile, sparseTile []float64
 }
 
 // NewPredictor builds a predictor for a (Classes-1)*Features weight
@@ -227,46 +231,69 @@ func (p *Predictor) ProbaCSR(idx [][]int, val [][]float64, out []float64) error 
 	return nil
 }
 
-// ScoresDense writes the raw explicit-class score tile of each dense row
-// into out (row-major len(rows) x (Classes-1), no softmax transform).
-// This is the partial-logit surface of the class-sharded serving tier: a
-// shard replica's predictor holds only its slice of the weight rows (its
-// Classes is the slice width plus the implicit reference class) and the
-// router merges the partial columns before the argmax/probability
-// transform.
-func (p *Predictor) ScoresDense(rows [][]float64, out []float64) error {
-	if len(rows) == 0 {
-		return nil
-	}
+// ScoresBatch writes the raw explicit-class score tile of every row of
+// rows into out (rows x cols row-major, arrival order, no softmax
+// transform). This is the partial-logit surface of the class-sharded
+// serving tier: a shard replica's predictor holds only its slice of the
+// weight rows (its Classes is the slice width plus the implicit
+// reference class) and the router merges the partial columns before the
+// argmax/probability transform. cols is the width the caller planned;
+// when it no longer matches (a shape-changing reload behind the
+// caller's back) ScoresBatch fails with ErrModelShapeChanged and writes
+// nothing. cols == 0 means not planned and takes the predictor's width.
+// A single-kind batch is scored straight into out, a mixed one through
+// grow-only per-kind tiles interleaved back into arrival order.
+func (p *Predictor) ScoresBatch(rows *wire.Batch, cols int, out []float64) error {
 	m := p.classes - 1
-	if len(out) < len(rows)*m {
-		return fmt.Errorf("serve: score buffer has %d entries for %d rows x %d explicit classes", len(out), len(rows), m)
+	if cols != 0 && cols != m {
+		return fmt.Errorf("%w (shard now %d explicit classes, request planned %d)", ErrModelShapeChanged, m, cols)
+	}
+	n, nd := rows.Rows(), len(rows.Dense)
+	if len(out) < n*m {
+		return fmt.Errorf("serve: score buffer has %d entries for %d rows x %d explicit classes", len(out), n, m)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.stageDense(rows); err != nil {
-		return err
+	denseOut, sparseOut := out[:nd*m], out[:(n-nd)*m]
+	if nd > 0 && nd < n {
+		p.denseTile = grow(p.denseTile, nd*m)
+		p.sparseTile = grow(p.sparseTile, (n-nd)*m)
+		denseOut, sparseOut = p.denseTile, p.sparseTile
 	}
-	p.scorer.ScoresInto(p.denseFeat, p.weights, out[:len(rows)*m])
+	if nd > 0 {
+		if err := p.stageDense(rows.Dense); err != nil {
+			return err
+		}
+		p.scorer.ScoresInto(p.denseFeat, p.weights, denseOut)
+	}
+	if nd < n {
+		if err := p.stageCSR(rows.Idx, rows.Val); err != nil {
+			return err
+		}
+		p.scorer.ScoresInto(p.csrFeat, p.weights, sparseOut)
+	}
+	if nd == 0 || nd == n {
+		return nil
+	}
+	d, s := 0, 0
+	for i, sparse := range rows.Kind {
+		if sparse {
+			copy(out[i*m:(i+1)*m], sparseOut[s*m:(s+1)*m])
+			s++
+		} else {
+			copy(out[i*m:(i+1)*m], denseOut[d*m:(d+1)*m])
+			d++
+		}
+	}
 	return nil
 }
 
-// ScoresCSR is ScoresDense for sparse rows.
-func (p *Predictor) ScoresCSR(idx [][]int, val [][]float64, out []float64) error {
-	if len(idx) == 0 {
-		return nil
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	m := p.classes - 1
-	if len(out) < len(idx)*m {
-		return fmt.Errorf("serve: score buffer has %d entries for %d rows x %d explicit classes", len(out), len(idx), m)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.stageCSR(idx, val); err != nil {
-		return err
-	}
-	p.scorer.ScoresInto(p.csrFeat, p.weights, out[:len(idx)*m])
-	return nil
+	return buf[:n]
 }
 
 // ArgmaxProba returns the class of a probability vector with exactly the

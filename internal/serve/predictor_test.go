@@ -7,6 +7,7 @@ import (
 
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/linalg"
+	"newtonadmm/internal/wire"
 )
 
 var testDev = device.New("serve-test", 2)
@@ -238,6 +239,22 @@ func TestPredictorZeroAllocsSteadyState(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("ProbaCSR allocates %v per batch in steady state, want 0", allocs)
+	}
+	var mixed wire.Batch
+	for i, row := range rows {
+		if i%2 == 1 {
+			mixed.AddCSR(idx[i], val[i])
+		} else {
+			mixed.AddDense(row)
+		}
+	}
+	scores := make([]float64, len(rows)*(classes-1))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := p.ScoresBatch(&mixed, classes-1, scores); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("ScoresBatch on a mixed batch allocates %v per batch in steady state, want 0", allocs)
 	}
 }
 

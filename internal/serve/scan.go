@@ -28,15 +28,15 @@ const maxNesting = 10000
 
 // staging is one request's decode scratch: the body, every dense row
 // and sparse value in one flat []float64, every sparse index in one
-// flat []int. Instances are views into these, so a staging goes back to
-// the pool only when nothing can still read the rows: after Tier.Score
-// has returned and the response is written.
+// flat []int. The batch's rows are views into these, so a staging goes
+// back to the pool only when nothing can still read the rows: after
+// Tier.Score has returned and the response is written.
 type staging struct {
 	body  bytes.Buffer
 	vals  []float64
 	idx   []int
 	rows  []rowSpan
-	insts []Instance
+	batch wire.Batch
 }
 
 // rowSpan locates one instance in the flat buffers. The views are cut
@@ -53,9 +53,11 @@ func newStaging() *staging { return &staging{vals: []float64{}, idx: []int{}} }
 var stagingPool = sync.Pool{New: func() any { return newStaging() }}
 
 // release returns st to the pool unless it outgrew maxPooledBytes (a
-// rowSpan is 40 bytes, an Instance 80).
+// rowSpan is 40 bytes, a batch row 1 kind byte and up to two 24-byte
+// slice headers).
 func (st *staging) release() {
-	if st.body.Cap()+8*(cap(st.vals)+cap(st.idx))+40*cap(st.rows)+80*cap(st.insts) <= maxPooledBytes {
+	b := &st.batch
+	if st.body.Cap()+8*(cap(st.vals)+cap(st.idx))+40*cap(st.rows)+cap(b.Kind)+24*(cap(b.Dense)+cap(b.Idx)+cap(b.Val)) <= maxPooledBytes {
 		stagingPool.Put(st)
 	}
 }
@@ -72,10 +74,11 @@ func (st *staging) read(w http.ResponseWriter, r *http.Request) error {
 	return err
 }
 
-// scan decodes st.body, one {"instances":[...]} object, and returns the
-// instances as capacity-clamped views into st's flat buffers. An error
-// names the byte offset, under "instance N:" when inside an instance.
-func (st *staging) scan() ([]Instance, error) {
+// scan decodes st.body, one {"instances":[...]} object, and returns its
+// rows as a batch of capacity-clamped views into st's flat buffers. An
+// error names the byte offset, under "instance N:" when inside an
+// instance.
+func (st *staging) scan() (*wire.Batch, error) {
 	st.vals, st.idx, st.rows = st.vals[:0], st.idx[:0], st.rows[:0]
 	s := scanner{b: st.body.Bytes()}
 	if err := s.request(st); err != nil {
@@ -84,21 +87,20 @@ func (st *staging) scan() ([]Instance, error) {
 	if len(st.rows) == 0 {
 		return nil, errors.New("no instances")
 	}
-	return st.instances(), nil
+	return st.cut(), nil
 }
 
-func (st *staging) instances() []Instance {
-	st.insts = st.insts[:0]
+// cut builds st.batch from the row spans.
+func (st *staging) cut() *wire.Batch {
+	st.batch.Reset()
 	for _, r := range st.rows {
-		inst := Instance{Sparse: r.sparse}
 		if r.sparse {
-			inst.Indices, inst.Values = st.idx[r.i0:r.i1:r.i1], st.vals[r.v0:r.v1:r.v1]
+			st.batch.AddCSR(st.idx[r.i0:r.i1:r.i1], st.vals[r.v0:r.v1:r.v1])
 		} else {
-			inst.Dense = st.vals[r.v0:r.v1:r.v1]
+			st.batch.AddDense(st.vals[r.v0:r.v1:r.v1])
 		}
-		st.insts = append(st.insts, inst)
 	}
-	return st.insts
+	return &st.batch
 }
 
 // scanner is a cursor over one JSON text. Its error is sticky: the

@@ -15,11 +15,27 @@ import (
 	"time"
 )
 
-// scanBody runs the request scanner over body with a fresh staging.
+// scanBody runs the request scanner over body with a fresh staging and
+// lays its batch out as instances, the oracle's form.
 func scanBody(body []byte) ([]Instance, error) {
 	st := newStaging()
 	st.body.Write(body)
-	return st.scan()
+	b, err := st.scan()
+	if err != nil {
+		return nil, err
+	}
+	var insts []Instance
+	d, s := 0, 0
+	for _, sparse := range b.Kind {
+		if sparse {
+			insts = append(insts, Instance{Indices: b.Idx[s], Values: b.Val[s], Sparse: true})
+			s++
+		} else {
+			insts = append(insts, Instance{Dense: b.Dense[d]})
+			d++
+		}
+	}
+	return insts, nil
 }
 
 // sameInstance reports whether the scanner and the oracle decoded the
@@ -284,8 +300,12 @@ func TestScanZeroAlloc(t *testing.T) {
 	st := newStaging()
 	st.body.Write(benchBody(rng, 32, features, false))
 	scan := func() {
-		if insts, err := st.scan(); err != nil || len(insts) != 32 {
-			t.Fatalf("scan: %d instances, %v", len(insts), err)
+		rows, err := st.scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows.Rows() != 32 {
+			t.Fatalf("scan: %d rows, want 32", rows.Rows())
 		}
 	}
 	scan()

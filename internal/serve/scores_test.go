@@ -1,16 +1,19 @@
 package serve
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
 
 	"newtonadmm/internal/loss"
+	"newtonadmm/internal/wire"
 )
 
 // TestScoresMatchPredict pins the partial-logit surface to the predict
-// path: applying the merge kernels to ScoresDense/ScoresCSR output
-// reproduces PredictDense/PredictCSR and ProbaDense bitwise.
+// path: applying the merge kernels to ScoresBatch output reproduces
+// PredictDense and ProbaDense bitwise, whether the rows arrive dense,
+// sparse, or mixed.
 func TestScoresMatchPredict(t *testing.T) {
 	const classes, features = 5, 17
 	p := makePredictor(t, classes, features, 50)
@@ -19,8 +22,18 @@ func TestScoresMatchPredict(t *testing.T) {
 	idx, val := toCSRRows(rows)
 	m := classes - 1
 
+	var dense, sparse, mixed wire.Batch
+	for i, row := range rows {
+		dense.AddDense(row)
+		sparse.AddCSR(idx[i], val[i])
+		if i%3 == 1 {
+			mixed.AddCSR(idx[i], val[i])
+		} else {
+			mixed.AddDense(row)
+		}
+	}
 	scores := make([]float64, len(rows)*m)
-	if err := p.ScoresDense(rows, scores); err != nil {
+	if err := p.ScoresBatch(&dense, m, scores); err != nil {
 		t.Fatal(err)
 	}
 	gotPred := make([]int, len(rows))
@@ -47,18 +60,29 @@ func TestScoresMatchPredict(t *testing.T) {
 		}
 	}
 
-	csrScores := make([]float64, len(rows)*m)
-	if err := p.ScoresCSR(idx, val, csrScores); err != nil {
-		t.Fatal(err)
-	}
-	for i := range scores {
-		if csrScores[i] != scores[i] {
-			t.Fatalf("scores[%d]: CSR %v, dense %v", i, csrScores[i], scores[i])
+	for name, b := range map[string]*wire.Batch{"sparse": &sparse, "mixed": &mixed} {
+		got := make([]float64, len(rows)*m)
+		if err := p.ScoresBatch(b, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range scores {
+			if got[i] != scores[i] {
+				t.Fatalf("%s scores[%d]: %v, dense %v", name, i, got[i], scores[i])
+			}
 		}
 	}
 
-	if err := p.ScoresDense(rows, make([]float64, 1)); err == nil {
+	if err := p.ScoresBatch(&dense, m, make([]float64, 1)); err == nil {
 		t.Fatal("short score buffer accepted")
+	}
+	untouched := make([]float64, len(rows)*m)
+	if err := p.ScoresBatch(&mixed, m+1, untouched); !errors.Is(err, ErrModelShapeChanged) {
+		t.Fatalf("planned width %d against %d: err %v, want ErrModelShapeChanged", m+1, m, err)
+	}
+	for i, v := range untouched {
+		if v != 0 {
+			t.Fatalf("mismatched width wrote tile entry %d = %v", i, v)
+		}
 	}
 }
 

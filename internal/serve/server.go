@@ -26,7 +26,7 @@ const PriorityHeader = "X-Nadmm-Priority"
 
 // Tier is what a serving tier plugs into the HTTP surface: how a parsed
 // request is scored, what /healthz says, and which rows /metricz
-// carries. The single-node tier scores through batcher tickets, the
+// carries. The single-node tier scores through Batcher.ScoreBatch, the
 // scatter-gather router through Router.Predict/Proba; everything a
 // client can observe besides that is Server's, so the two tiers cannot
 // drift apart.
@@ -35,9 +35,9 @@ type Tier interface {
 	// the model version responses are stamped with; ok is false while
 	// no model is loaded (the request is answered 503).
 	Shape() (classes int, version int64, ok bool)
-	// Score scores insts in order under service class pri: predicted
+	// Score scores rows in order under service class pri: predicted
 	// classes into preds and, when proba is non-nil, class
-	// probabilities into proba (len(insts) x classes, row-major). The
+	// probabilities into proba (rows x classes, row-major). The
 	// rows are views into pooled buffers that are recycled after the
 	// response: Score must not return while anything can still read
 	// them. start is the request's arrival time. A tier that traces
@@ -45,7 +45,7 @@ type Tier interface {
 	// when unsampled); the server adds the request-decode and
 	// response-encode spans to it and hands it to Finish once the
 	// response is written, whether Score failed or not.
-	Score(insts []Instance, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error)
+	Score(rows *wire.Batch, pri control.Priority, start time.Time, preds []int, proba []float64) (*obs.Trace, error)
 	// Finish publishes a non-nil trace returned by Score.
 	Finish(tr *obs.Trace, start time.Time)
 	// Health is the /healthz status code and JSON body.
@@ -234,7 +234,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 		return
 	}
 	start := time.Now()
-	// The instances are views into st's buffers: st goes back to the pool
+	// The rows are views into st's buffers: st goes back to the pool
 	// when this handler returns, after Score and the response write.
 	st := stagingPool.Get().(*staging)
 	defer st.release()
@@ -242,7 +242,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 		writeBodyError(w, err)
 		return
 	}
-	insts, err := st.scan()
+	rows, err := st.scan()
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -258,16 +258,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 		WriteError(w, http.StatusBadRequest, "%s: %v", PriorityHeader, err)
 		return
 	}
-	resp := predictResponse{Predictions: make([]int, len(insts)), ModelVersion: version}
+	n := rows.Rows()
+	resp := predictResponse{Predictions: make([]int, n), ModelVersion: version}
 	var flat []float64
 	if proba {
-		flat = make([]float64, len(insts)*classes)
-		resp.Probabilities = make([][]float64, len(insts))
+		flat = make([]float64, n*classes)
+		resp.Probabilities = make([][]float64, n)
 		for i := range resp.Probabilities {
 			resp.Probabilities[i] = flat[i*classes : (i+1)*classes]
 		}
 	}
-	tr, err := s.tier.Score(insts, pri, start, resp.Predictions, flat)
+	tr, err := s.tier.Score(rows, pri, start, resp.Predictions, flat)
 	tr.AddSpan(obs.StageDecode, -1, 0, start, decode)
 	if err != nil {
 		s.writeScoreError(w, err)
@@ -281,10 +282,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, proba boo
 	}
 }
 
-// Instance is one decoded wire instance: a dense feature row or a
-// sparse (indices, values) pair. Exactly one form is populated,
-// discriminated by Sparse (a sparse instance may legitimately have zero
-// nonzeros, so nil-ness of the slices cannot discriminate).
+// Instance is one decoded request instance, ParseInstance's result: a
+// dense feature row or a sparse (indices, values) pair. Exactly one form
+// is populated, discriminated by Sparse (a sparse instance may
+// legitimately have zero nonzeros, so nil-ness of the slices cannot
+// discriminate). Whole requests decode to a wire.Batch instead.
 type Instance struct {
 	Dense   []float64
 	Indices []int
@@ -308,7 +310,11 @@ func ParseInstance(raw json.RawMessage) (Instance, error) {
 	if s.err != nil {
 		return Instance{}, s.err
 	}
-	return st.instances()[0], nil
+	b := st.cut()
+	if b.Kind[0] {
+		return Instance{Indices: b.Idx[0], Values: b.Val[0], Sparse: true}, nil
+	}
+	return Instance{Dense: b.Dense[0]}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -337,7 +343,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]any{"status": "reloaded", "model_version": version})
 }
 
-// batcherTier is the single-node Tier: every instance becomes a batcher
+// batcherTier is the single-node Tier: every row becomes a batcher
 // ticket, so concurrent requests coalesce into shared kernel launches.
 type batcherTier struct {
 	reg *Registry
@@ -349,44 +355,10 @@ func (t batcherTier) Shape() (classes int, version int64, ok bool) {
 	return meta.Classes, meta.Version, ok
 }
 
-// Score submits every instance before waiting on any, so the instances
-// of one HTTP request coalesce into the same micro-batches. Requests are
-// not traced from this edge: the batcher samples its own stages.
-func (t batcherTier) Score(insts []Instance, pri control.Priority, _ time.Time, preds []int, proba []float64) (*obs.Trace, error) {
-	classes := len(proba) / len(insts)
-	tickets := make([]Ticket, 0, len(insts))
-	var submitErr, waitErr error
-	for i, inst := range insts {
-		var probaOut []float64
-		if proba != nil {
-			probaOut = proba[i*classes : (i+1)*classes]
-		}
-		var tk Ticket
-		var err error
-		if inst.Sparse {
-			tk, err = t.bat.SubmitCSRPri(inst.Indices, inst.Values, probaOut, pri, nil)
-		} else {
-			tk, err = t.bat.SubmitDensePri(inst.Dense, probaOut, pri, nil)
-		}
-		if err != nil {
-			submitErr = fmt.Errorf("instance %d: %w", i, err)
-			break
-		}
-		tickets = append(tickets, tk)
-	}
-	// Every accepted ticket is waited, even after a submit failure, so no
-	// admitted request is abandoned.
-	for i, tk := range tickets {
-		class, err := tk.Wait()
-		if err != nil && waitErr == nil {
-			waitErr = fmt.Errorf("instance %d: %w", i, err)
-		}
-		preds[i] = class
-	}
-	if submitErr != nil {
-		return nil, submitErr
-	}
-	return nil, waitErr
+// Score is Batcher.ScoreBatch. Requests are not traced from this edge:
+// the batcher samples its own stages.
+func (t batcherTier) Score(rows *wire.Batch, pri control.Priority, _ time.Time, preds []int, proba []float64) (*obs.Trace, error) {
+	return nil, t.bat.ScoreBatch(rows, pri, nil, preds, proba)
 }
 
 func (batcherTier) Finish(*obs.Trace, time.Time) {}

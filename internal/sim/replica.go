@@ -56,8 +56,8 @@ type SimReplica struct {
 	cfg     replicaConfig
 	version int64
 
-	bat *serve.Batcher   // real serving path; nil for class shards
-	rep *router.Replica  // pool entry, set at registration
+	bat *serve.Batcher  // real serving path; nil for class shards
+	rep *router.Replica // pool entry, set at registration
 
 	wrr         *control.WRR
 	waiting     [control.NumPriorities][]*vjob
@@ -72,8 +72,8 @@ func newSimReplica(s *Sim, cfg replicaConfig) *SimReplica {
 	r := &SimReplica{s: s, cfg: cfg, version: 1, wrr: control.NewWRR(control.DefaultWeights)}
 	if cfg.totalClasses == 0 {
 		r.bat = serve.NewBatcher(fakeSource{scorer: &fakeScorer{classes: cfg.classes, features: cfg.features}}, serve.BatcherConfig{
-			MaxBatch:  cfg.maxBatch,
-			MaxLinger: -1, // wall lingering would not advance virtual time
+			MaxBatch:    cfg.maxBatch,
+			MaxLinger:   -1, // wall lingering would not advance virtual time
 			SampleEvery: -1,
 		})
 	}
@@ -111,19 +111,7 @@ func (r *SimReplica) Predict(b *router.Batch, out []int) error {
 	if err := r.enqueue(b); err != nil {
 		return err
 	}
-	rows := b.DenseRows()
-	for i, row := range rows {
-		t, err := r.bat.SubmitDensePri(row, nil, b.Priority, nil)
-		if err != nil {
-			return err
-		}
-		class, err := t.Wait()
-		if err != nil {
-			return err
-		}
-		out[i] = class
-	}
-	return nil
+	return r.bat.ScoreBatch(&b.Batch, b.Priority, nil, out, nil)
 }
 
 // Proba implements router.Backend.
@@ -134,17 +122,7 @@ func (r *SimReplica) Proba(b *router.Batch, out []float64) error {
 	if err := r.enqueue(b); err != nil {
 		return err
 	}
-	c := r.cfg.classes
-	for i, row := range b.DenseRows() {
-		t, err := r.bat.SubmitDensePri(row, out[i*c:(i+1)*c], b.Priority, nil)
-		if err != nil {
-			return err
-		}
-		if _, err := t.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.bat.ScoreBatch(&b.Batch, b.Priority, nil, nil, out)
 }
 
 // PartialScores implements router.Backend (class-sharded data plane):
@@ -161,7 +139,7 @@ func (r *SimReplica) PartialScores(b *router.Batch, cols int, out []float64) (in
 	if err := r.enqueue(b); err != nil {
 		return 0, err
 	}
-	for i, row := range b.DenseRows() {
+	for i, row := range b.Dense {
 		for c := 0; c < cols; c++ {
 			out[i*cols+c] = logitOf(row, r.cfg.shard.Low+c)
 		}

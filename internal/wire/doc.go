@@ -18,6 +18,9 @@
 //     buffer; Batch and the Decode* functions parse payloads into
 //     reusable staging, so steady-state decodes allocate nothing
 //     either (both pinned by AllocsPerRun tests).
+//   - Batch: the serving stack's one batch type, built by the JSON
+//     scanner and the router (AddDense/AddCSR views) as well as by
+//     Decode, and framed by Encoder.Batch.
 //
 // Invariants the rest of the serving stack relies on:
 //

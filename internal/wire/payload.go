@@ -101,6 +101,24 @@ func (e *Encoder) SparseRow(idx []int, val []float64) {
 	e.f64s(val)
 }
 
+// Batch writes a whole batch request payload: BatchHeader with b's row
+// count, then every row record in arrival order. features and cols are
+// the caller's, not b's header fields, so concurrent legs can frame one
+// batch with different planned widths.
+func (e *Encoder) Batch(b *Batch, features, cols int) {
+	e.BatchHeader(b.Rows(), features, cols)
+	d, s := 0, 0
+	for _, sparse := range b.Kind {
+		if sparse {
+			e.SparseRow(b.Idx[s], b.Val[s])
+			s++
+		} else {
+			e.DenseRow(b.Dense[d])
+			d++
+		}
+	}
+}
+
 // PredictResp writes an OpPredictResp payload: snapshot version, row
 // count, and one int32 class per row.
 func (e *Encoder) PredictResp(version int64, classes []int) {
@@ -239,14 +257,16 @@ func (r *reader) done() error {
 	return nil
 }
 
-// Batch is a decoded batch request staged in the per-kind form the
-// serving stack scores (dense rows for Predictor.ScoresDense /
-// Batcher.SubmitDense, index/value pairs for the CSR twins), with the
-// arrival order retained in Kind. All backing buffers are grow-only:
-// steady-state decodes allocate nothing.
+// Batch is the serving stack's one batch type: a request's rows, mixed
+// dense and sparse, held in the per-kind form the scorers take (dense
+// rows; index/value pairs) with the arrival order in Kind. The JSON
+// scanner, the router and the frame decoder all build one, and
+// serve.Batcher.ScoreBatch and serve.Predictor.ScoresBatch score one.
+// Rows are views: AddDense/AddCSR store the caller's slices, Decode cuts
+// them from grow-only buffers, so steady-state decodes allocate nothing.
 type Batch struct {
-	Features int    // dense feature width announced by the request
-	Cols     int    // OpScores: shard width the client planned (0 otherwise)
+	Features int    // Decode: dense feature width the request announced
+	Cols     int    // Decode: OpScores shard width the client planned (0 otherwise)
 	Kind     []bool // per arrival row: true = sparse
 	Dense    [][]float64
 	Idx      [][]int
@@ -257,14 +277,34 @@ type Batch struct {
 	valBuf   []float64
 }
 
-// Decode parses a batch request payload (the bytes after the frame
-// header of an OpPredict/OpProba/OpScores request), reusing the batch's
-// backing buffers. On error the batch contents are undefined.
-func (b *Batch) Decode(p []byte) error {
+// AddDense appends one dense row as a view; nothing is copied.
+func (b *Batch) AddDense(row []float64) {
+	b.Kind = append(b.Kind, false)
+	b.Dense = append(b.Dense, row)
+}
+
+// AddCSR appends one sparse row (strictly increasing indices) as a
+// view; nothing is copied.
+func (b *Batch) AddCSR(idx []int, val []float64) {
+	b.Kind = append(b.Kind, true)
+	b.Idx = append(b.Idx, idx)
+	b.Val = append(b.Val, val)
+}
+
+// Reset empties the batch, keeping every buffer's capacity.
+func (b *Batch) Reset() {
+	b.Features, b.Cols = 0, 0
 	b.Kind = b.Kind[:0]
 	b.Dense = b.Dense[:0]
 	b.Idx = b.Idx[:0]
 	b.Val = b.Val[:0]
+}
+
+// Decode parses a batch request payload (the bytes after the frame
+// header of an OpPredict/OpProba/OpScores request), reusing the batch's
+// backing buffers. On error the batch contents are undefined.
+func (b *Batch) Decode(p []byte) error {
+	b.Reset()
 
 	r := reader{p: p}
 	rows, err := r.u32()
@@ -351,8 +391,7 @@ func (b *Batch) Decode(p []byte) error {
 				return err
 			}
 			dOff += int(features)
-			b.Kind = append(b.Kind, false)
-			b.Dense = append(b.Dense, row)
+			b.AddDense(row)
 			continue
 		}
 		nnz32, _ := r.u32()
@@ -370,14 +409,12 @@ func (b *Batch) Decode(p []byte) error {
 			return err
 		}
 		sOff += nnz
-		b.Kind = append(b.Kind, true)
-		b.Idx = append(b.Idx, idx)
-		b.Val = append(b.Val, val)
+		b.AddCSR(idx, val)
 	}
 	return nil
 }
 
-// Rows returns the decoded batch's row count in arrival order.
+// Rows returns the batch's row count.
 func (b *Batch) Rows() int { return len(b.Kind) }
 
 // DecodePredictResp parses an OpPredictResp payload into out, returning
