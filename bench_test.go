@@ -1,14 +1,11 @@
 package newtonadmm
 
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (one testing.B target per artifact, backed by the experiment harness in
-// internal/harness) plus micro-benchmarks of the numerical kernels the
-// solvers spend their time in. The macro benches use quick-mode sizes so
-// `go test -bench=.` finishes in minutes; `cmd/nadmm-bench` runs the
-// full-scale versions. Serving is measured by bench/ (bench/README.md).
+// Micro-benchmarks of the numerical kernels the solvers spend their time
+// in. The paper's tables and figures are regenerated by cmd/nadmm-bench
+// and their claims asserted by internal/harness's tests; training and
+// serving end to end are measured by bench/ (bench/README.md).
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 
@@ -16,62 +13,10 @@ import (
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/device"
-	"newtonadmm/internal/harness"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
 	"newtonadmm/internal/sparse"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	e, ok := harness.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	cfg := harness.RunConfig{Quick: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(cfg, io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1Datasets regenerates Table 1 (dataset description).
-func BenchmarkTable1Datasets(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkFig1SecondOrderComparison regenerates Figure 1 (objective vs
-// time for Newton-ADMM, GIANT, InexactDANE, AIDE on MNIST).
-func BenchmarkFig1SecondOrderComparison(b *testing.B) { benchExperiment(b, "fig1") }
-
-// BenchmarkFig2EpochTimeScaling regenerates Figure 2 (average epoch time,
-// strong and weak scaling).
-func BenchmarkFig2EpochTimeScaling(b *testing.B) { benchExperiment(b, "fig2") }
-
-// BenchmarkFig3SpeedupScaling regenerates Figure 3 (GIANT/Newton-ADMM
-// speedup ratio to theta < 0.05).
-func BenchmarkFig3SpeedupScaling(b *testing.B) { benchExperiment(b, "fig3") }
-
-// BenchmarkFig4VersusSGD regenerates Figure 4 (Newton-ADMM vs synchronous
-// SGD, objective and accuracy vs time).
-func BenchmarkFig4VersusSGD(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFig5E18WeakScaling regenerates Figure 5 (E18 with 16 workers at
-// two regularization strengths).
-func BenchmarkFig5E18WeakScaling(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkAblationPenaltyPolicy compares SPS / residual balancing /
-// fixed-rho penalty policies (paper §2.2 claim).
-func BenchmarkAblationPenaltyPolicy(b *testing.B) { benchExperiment(b, "ablation-penalty") }
-
-// BenchmarkAblationNetwork re-times the solvers under InfiniBand / 10GbE /
-// 1GbE / WAN models (paper §3 claim).
-func BenchmarkAblationNetwork(b *testing.B) { benchExperiment(b, "ablation-network") }
-
-// BenchmarkAblationCGInexactness sweeps the CG budget of single-node
-// Newton (paper §2.1 claim).
-func BenchmarkAblationCGInexactness(b *testing.B) { benchExperiment(b, "ablation-inexact") }
-
-// ---- micro-benchmarks of the kernels the solvers live in ----
 
 func benchProblem(b *testing.B, n, p, classes int) (*loss.Softmax, []float64) {
 	b.Helper()

@@ -1,8 +1,10 @@
 // Command nadmm-bench regenerates the paper's evaluation artifacts: every
-// table and figure (plus the ablations) as text tables and series. The
-// `sim` subcommand instead replays the deterministic fleet simulator's
-// named scenarios (see sim.go). Performance, training and serving alike,
-// is measured by bench/ (`bash bench/run.sh --workload <name>`).
+// table and figure (plus the ablations) as text tables and series, each
+// followed by one line saying whether the experiment's claim holds at the
+// size run. -list prints every experiment with its claim. The `sim`
+// subcommand instead replays the deterministic fleet simulator's named
+// scenarios (see sim.go). Performance, training and serving alike, is
+// measured by bench/ (`bash bench/run.sh --workload <name>`).
 //
 // Examples:
 //
@@ -20,7 +22,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"newtonadmm"
 	"newtonadmm/internal/harness"
@@ -53,7 +54,12 @@ func main() {
 	if *list {
 		for _, e := range harness.Experiments() {
 			fmt.Printf("%-18s %s\n", e.ID, e.Title)
-			fmt.Printf("%-18s paper: %s\n\n", "", e.Paper)
+			fmt.Printf("%-18s paper: %s\n", "", e.Paper)
+			fmt.Printf("%-18s claim: %s\n", "", e.Claim.Text)
+			if e.Claim.Finding != "" {
+				fmt.Printf("%-18s finding: %s\n", "", e.Claim.Finding)
+			}
+			fmt.Println()
 		}
 		return
 	}
@@ -79,13 +85,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	for _, e := range targets {
-		fmt.Printf("### %s — %s\n", e.ID, e.Title)
-		fmt.Printf("### paper: %s\n\n", e.Paper)
-		start := time.Now()
-		if err := e.Run(cfg, os.Stdout); err != nil {
-			log.Fatalf("%s: %v", e.ID, err)
-		}
-		fmt.Printf("### %s completed in %v\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	if _, err := harness.Run(cfg, os.Stdout, targets); err != nil {
+		log.Fatal(err)
 	}
 }

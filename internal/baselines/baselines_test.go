@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"newtonadmm/internal/cg"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/cluster/faultinject"
 	"newtonadmm/internal/datasets"
@@ -91,17 +92,32 @@ func TestGIANTCommunicationRoundsPerEpoch(t *testing.T) {
 }
 
 func TestGIANTMonotoneObjective(t *testing.T) {
-	ds := testDataset(t)
-	res, err := SolveGIANT(zeroNet, ds, GiantOptions{Epochs: 15, Lambda: 1e-3})
+	// The second input is Figure 1's quick cell, where no candidate step of
+	// epoch 2 meets Armijo and every one of them raises the objective.
+	mnist, err := datasets.Generate(datasets.MNISTLike(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := math.Inf(1)
-	for _, p := range res.Trace.Points {
-		if p.Objective > prev+1e-9 {
-			t.Fatalf("objective increased at epoch %d: %v -> %v", p.Epoch, prev, p.Objective)
+	cases := []struct {
+		ds    *datasets.Dataset
+		ranks int
+		opts  GiantOptions
+	}{
+		{testDataset(t), 3, GiantOptions{Epochs: 15, Lambda: 1e-3}},
+		{mnist, 4, GiantOptions{Epochs: 3, Lambda: 1e-5, CG: cg.Options{MaxIters: 10, RelTol: 1e-4}}},
+	}
+	for _, c := range cases {
+		res, err := SolveGIANT(cluster.Config{Ranks: c.ranks, Network: cluster.ZeroCost, DeviceWorkers: 1}, c.ds, c.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		prev = p.Objective
+		prev := math.Inf(1)
+		for _, p := range res.Trace.Points {
+			if p.Objective > prev+1e-9 {
+				t.Fatalf("%s: objective increased at epoch %d: %v -> %v", c.ds.Name, p.Epoch, prev, p.Objective)
+			}
+			prev = p.Objective
+		}
 	}
 }
 

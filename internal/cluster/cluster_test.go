@@ -63,20 +63,6 @@ func TestGatherOrdersByRank(t *testing.T) {
 	})
 }
 
-func TestScatter(t *testing.T) {
-	runBoth(t, 3, func(n *Node) error {
-		var parts [][]float64
-		if n.Rank() == 0 {
-			parts = [][]float64{{0}, {1}, {2}}
-		}
-		mine := n.Scatter(0, parts)
-		if len(mine) != 1 || mine[0] != float64(n.Rank()) {
-			return fmt.Errorf("rank %d scatter got %v", n.Rank(), mine)
-		}
-		return nil
-	})
-}
-
 func TestAllReduceSum(t *testing.T) {
 	runBoth(t, 5, func(n *Node) error {
 		vec := []float64{1, float64(n.Rank())}
@@ -145,7 +131,7 @@ func TestSequentialCollectivesInterleave(t *testing.T) {
 			if s[0] != 3 {
 				return fmt.Errorf("iter %d: allreduce=%v", iter, s)
 			}
-			n.Barrier()
+			n.AllReduceSum(nil)
 		}
 		return nil
 	})
@@ -156,7 +142,7 @@ func TestSingleRankCollectivesNoop(t *testing.T) {
 		v := []float64{7}
 		n.AllReduceSum(v)
 		n.Bcast(0, v)
-		n.Barrier()
+		n.AllReduceSum(nil)
 		g := n.Gather(0, v)
 		if v[0] != 7 || g[0][0] != 7 {
 			return fmt.Errorf("single-rank collectives corrupted data")
@@ -194,14 +180,14 @@ func TestBodyPanicRecovered(t *testing.T) {
 
 func TestRankDeathUnblocksPeers(t *testing.T) {
 	// Rank 1 dies before its first collective; the others are blocked in
-	// a Barrier and must fail rather than hang.
+	// an allreduce and must fail rather than hang.
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(Config{Ranks: 3, Network: ZeroCost, DeviceWorkers: 1}, func(n *Node) error {
 			if n.Rank() == 1 {
 				return errors.New("early death")
 			}
-			n.Barrier()
+			n.AllReduceSum(nil)
 			return nil
 		})
 		done <- err
@@ -465,20 +451,20 @@ func TestOversizedFrameDropsConnection(t *testing.T) {
 }
 
 func TestVirtualClockAdvancesByModel(t *testing.T) {
-	// With a pure-latency network, k barriers on n ranks advance the
-	// clock by exactly k * BarrierCost(n) plus measured compute.
+	// With a pure-latency network, k empty allreduces on n ranks advance
+	// the clock by exactly k * AllReduceCost(n, 0) plus measured compute.
 	model := NetworkModel{Name: "lat-only", Latency: time.Millisecond, Bandwidth: math.Inf(1)}
 	const k, ranks = 5, 4
 	stats, err := Run(Config{Ranks: ranks, Network: model, DeviceWorkers: 1}, func(n *Node) error {
 		for i := 0; i < k; i++ {
-			n.Barrier()
+			n.AllReduceSum(nil)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantComm := time.Duration(k) * model.BarrierCost(ranks)
+	wantComm := time.Duration(k) * model.AllReduceCost(ranks, 0)
 	for _, s := range stats {
 		if s.CommTime != wantComm {
 			t.Fatalf("rank %d comm time %v, want %v", s.Rank, s.CommTime, wantComm)
@@ -494,23 +480,23 @@ func TestVirtualClockAdvancesByModel(t *testing.T) {
 
 func TestClocksAgreeAfterCollective(t *testing.T) {
 	stats, err := Run(Config{Ranks: 4, Network: InfiniBand100G, DeviceWorkers: 1}, func(n *Node) error {
-		// Unequal compute: rank r spins ~r*2ms, then one barrier.
+		// Unequal compute: rank r spins ~r*2ms, then one empty allreduce.
 		deadline := time.Now().Add(time.Duration(n.Rank()) * 2 * time.Millisecond)
 		for time.Now().Before(deadline) {
 		}
-		n.Barrier()
+		n.AllReduceSum(nil)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All clocks synchronized at the barrier; final clocks equal.
+	// All clocks synchronized at the collective; final clocks equal.
 	for _, s := range stats[1:] {
 		if s.Clock != stats[0].Clock {
 			t.Fatalf("clocks diverged: %v vs %v", s.Clock, stats[0].Clock)
 		}
 	}
-	// The barrier waits for the slowest rank (~6ms of compute).
+	// The collective waits for the slowest rank (~6ms of compute).
 	if stats[0].Clock < 5*time.Millisecond {
 		t.Fatalf("clock %v does not reflect the slowest rank", stats[0].Clock)
 	}

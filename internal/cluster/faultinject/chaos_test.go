@@ -31,7 +31,6 @@ type chaosPhase struct {
 }
 
 var chaosPhases = []chaosPhase{
-	{"barrier", func(n *cluster.Node) { n.Barrier() }},
 	{"bcast", func(n *cluster.Node) {
 		v := make([]float64, 4)
 		if n.Rank() == 0 {
@@ -40,13 +39,6 @@ var chaosPhases = []chaosPhase{
 		n.Bcast(0, v)
 	}},
 	{"gather", func(n *cluster.Node) { n.Gather(0, []float64{float64(n.Rank()), 1}) }},
-	{"scatter", func(n *cluster.Node) {
-		var parts [][]float64
-		if n.Rank() == 0 {
-			parts = [][]float64{{0}, {1}, {2}}
-		}
-		n.Scatter(0, parts)
-	}},
 	{"allreduce-sum", func(n *cluster.Node) { v := []float64{1}; n.AllReduceSum(v) }},
 	{"allreduce-max", func(n *cluster.Node) { v := []float64{float64(n.Rank())}; n.AllReduceMax(v) }},
 }

@@ -8,7 +8,7 @@ import (
 func TestFrozenRestoresAccounting(t *testing.T) {
 	model := NetworkModel{Name: "lat", Latency: time.Millisecond, Bandwidth: 1e12}
 	stats, err := Run(Config{Ranks: 3, Network: model, DeviceWorkers: 1}, func(n *Node) error {
-		n.Barrier()
+		n.AllReduceSum(nil) // sync point
 		before := n.Clock()
 		rounds, comm := n.Rounds(), n.CommTime()
 		n.Frozen(func() {
@@ -19,7 +19,7 @@ func TestFrozenRestoresAccounting(t *testing.T) {
 			}
 		})
 		// The clock may advance by the (sub-ms) compute between the
-		// barrier and Frozen, but none of the 5 frozen allreduces'
+		// sync point and Frozen, but none of the 5 frozen allreduces'
 		// modeled cost (5 * 2ms of latency alone) may leak.
 		if drift := n.Clock() - before; drift > time.Millisecond {
 			t.Errorf("clock leaked: %v -> %v", before, n.Clock())
@@ -28,9 +28,9 @@ func TestFrozenRestoresAccounting(t *testing.T) {
 			t.Errorf("rounds/comm leaked: %d/%v -> %d/%v", rounds, comm, n.Rounds(), n.CommTime())
 		}
 		// Work after Frozen must be accounted again.
-		n.Barrier()
+		n.AllReduceSum(nil)
 		if n.Rounds() != rounds+1 {
-			t.Errorf("post-Frozen barrier not counted")
+			t.Errorf("post-Frozen collective not counted")
 		}
 		return nil
 	})
@@ -38,7 +38,7 @@ func TestFrozenRestoresAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range stats {
-		// 2 barriers only.
+		// The 2 empty allreduces only.
 		if s.Rounds != 2 {
 			t.Fatalf("rank %d rounds=%d, want 2", s.Rank, s.Rounds)
 		}
@@ -96,25 +96,5 @@ func TestStatsPopulatedAfterRun(t *testing.T) {
 		if s.SentVecs == 0 && r != 0 {
 			t.Fatalf("rank %d sent nothing", r)
 		}
-	}
-}
-
-func TestScatterCostUsesPartSize(t *testing.T) {
-	// Scatter's modeled cost should reflect per-part bytes, not zero.
-	model := NetworkModel{Name: "bw", Latency: 0, Bandwidth: 1e6} // 1 MB/s
-	stats, err := Run(Config{Ranks: 2, Network: model, DeviceWorkers: 1}, func(n *Node) error {
-		parts := [][]float64{make([]float64, 1000), make([]float64, 1000)}
-		if n.Rank() != 0 {
-			parts = nil
-		}
-		n.Scatter(0, parts)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8000 bytes at 1 MB/s = 8 ms.
-	if stats[0].CommTime < 5*time.Millisecond {
-		t.Fatalf("scatter cost %v too small", stats[0].CommTime)
 	}
 }

@@ -64,11 +64,6 @@ func (m NetworkModel) AllReduceCost(n, bytes int) time.Duration {
 	return 2*time.Duration(hops(n))*m.Latency + 2*m.transfer(bytes)
 }
 
-// BarrierCost models an empty allreduce.
-func (m NetworkModel) BarrierCost(n int) time.Duration {
-	return m.AllReduceCost(n, 0)
-}
-
 func (m NetworkModel) String() string {
 	return fmt.Sprintf("%s (lat %v, bw %.1f Gbps)", m.Name, m.Latency, m.Bandwidth*8/1e9)
 }

@@ -168,13 +168,6 @@ func (n *Node) syncClocks(cost time.Duration) {
 	n.mark = time.Now() // next compute segment starts after the collective
 }
 
-// Barrier synchronizes all ranks and advances virtual time by an empty
-// allreduce.
-func (n *Node) Barrier() {
-	n.closeComputeSegment()
-	n.syncClocks(n.model.BarrierCost(n.size))
-}
-
 // Bcast distributes root's vec to every rank, overwriting vec elsewhere.
 // All ranks must pass equal-length buffers.
 func (n *Node) Bcast(root int, vec []float64) {
@@ -214,38 +207,6 @@ func (n *Node) Gather(root int, vec []float64) [][]float64 {
 	}
 	n.syncClocks(n.model.GatherCost(n.size, 8*len(vec)))
 	return out
-}
-
-// Scatter distributes parts[r] from root to each rank r, returning this
-// rank's part. Only root's parts argument is consulted.
-func (n *Node) Scatter(root int, parts [][]float64) []float64 {
-	n.closeComputeSegment()
-	var mine []float64
-	if n.rank == root {
-		if len(parts) != n.size {
-			n.check(fmt.Errorf("cluster: scatter needs %d parts, got %d", n.size, len(parts)))
-		}
-		for r := 0; r < n.size; r++ {
-			if r == root {
-				mine = append([]float64(nil), parts[r]...)
-			} else {
-				n.send(r, parts[r])
-			}
-		}
-	} else {
-		mine = n.recv(root)
-	}
-	var bytes int
-	if n.rank == root {
-		for _, p := range parts {
-			bytes += 8 * len(p)
-		}
-		bytes /= n.size
-	} else {
-		bytes = 8 * len(mine)
-	}
-	n.syncClocks(n.model.GatherCost(n.size, bytes))
-	return mine
 }
 
 // AllReduceSum replaces vec on every rank with the element-wise sum over

@@ -37,7 +37,7 @@ func (t *Table) Add(cells ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
-// WriteTo renders the table.
+// Render writes the table.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
@@ -73,19 +73,6 @@ func (t *Table) Render(w io.Writer) error {
 		writeRow(row)
 	}
 	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteCSV renders the table as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Headers, ","))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, ","))
-		b.WriteByte('\n')
-	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -132,4 +119,56 @@ func sampleTracePoints(tr *metrics.Trace, k int) *metrics.Trace {
 	}
 	out.Points = append(out.Points, tr.Points[n-1])
 	return out
+}
+
+// block renders one part of an experiment's output from its points.
+type block func(w io.Writer, e *Experiment, pts []*Point) error
+
+// tables renders the experiment's columns: one table per sweep title, in
+// order of first appearance, with a row per point or per run.
+func tables(w io.Writer, e *Experiment, pts []*Point) error {
+	var order []*Table
+	byTitle := map[string]*Table{}
+	for _, p := range pts {
+		t := byTitle[p.table]
+		if t == nil {
+			t = &Table{Title: p.table}
+			for _, c := range e.Columns {
+				t.Headers = append(t.Headers, c.Header)
+			}
+			byTitle[p.table] = t
+			order = append(order, t)
+		}
+		rows := p.Runs
+		if e.ByPoint {
+			rows = []*Result{nil}
+		}
+		for _, r := range rows {
+			cells := make([]any, len(e.Columns))
+			for i, c := range e.Columns {
+				cells[i] = c.Cell(p, r)
+			}
+			t.Add(cells...)
+		}
+	}
+	for _, t := range order {
+		if err := t.Render(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// series renders every run's trace, thinned to k points.
+func series(k int) block {
+	return func(w io.Writer, _ *Experiment, pts []*Point) error {
+		for _, p := range pts {
+			for _, r := range p.Runs {
+				if err := WriteTrace(w, sampleTracePoints(&r.Trace, k)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 }

@@ -92,9 +92,11 @@ func EvalCandidates(f func(alpha float64) float64, opts Options) (alphas, values
 }
 
 // PickArmijo selects the largest candidate step whose (globally summed)
-// objective value satisfies the Armijo condition; if none qualifies it
-// returns the step with the smallest objective value. This is the master
-// side of GIANT's synchronized line search.
+// objective value satisfies the Armijo condition. If none qualifies it
+// falls back to the candidate with the smallest value, but only when that
+// value is below f0; otherwise it returns alpha = 0 and value f0, so an
+// accepted step never increases the objective. This is the master side of
+// GIANT's synchronized line search.
 func PickArmijo(alphas, values []float64, f0, slope, beta float64) (alpha, value float64) {
 	if len(alphas) == 0 || len(alphas) != len(values) {
 		panic("linesearch: bad candidate arrays")
@@ -111,7 +113,10 @@ func PickArmijo(alphas, values []float64, f0, slope, beta float64) (alpha, value
 			bestIdx = i
 		}
 	}
-	return alphas[bestIdx], values[bestIdx]
+	if values[bestIdx] < f0 {
+		return alphas[bestIdx], values[bestIdx]
+	}
+	return 0, f0
 }
 
 // Objective evaluates prob at x + alpha*p reusing the provided scratch

@@ -88,12 +88,24 @@ func TestPickArmijoSelectsLargestSatisfying(t *testing.T) {
 	}
 }
 
+// With no candidate meeting Armijo, the lowest value is taken only when it
+// is below f0; otherwise the step is 0 and the objective stays at f0.
 func TestPickArmijoFallsBackToBestValue(t *testing.T) {
-	alphas := []float64{1, 0.5}
-	values := []float64{100, 99} // nothing satisfies Armijo for f0=0
-	a, v := PickArmijo(alphas, values, 0, -1, 0.5)
-	if a != 0.5 || v != 99 {
-		t.Fatalf("fallback picked (%v,%v), want (0.5,99)", a, v)
+	alphas := []float64{1, 0.5, 0.25}
+	cases := []struct {
+		f0, wantA, wantV float64
+		values           []float64
+	}{
+		// f0=100, slope=-100, beta=0.5: Armijo needs <= 50, 75, 87.5.
+		{100, 0.5, 99, []float64{120, 99, 99.5}},
+		{0, 0, 0, []float64{100, 99, 99.5}},
+		{99, 0, 99, []float64{100, 99, math.NaN()}},
+	}
+	for _, c := range cases {
+		a, v := PickArmijo(alphas, c.values, c.f0, -100, 0.5)
+		if a != c.wantA || v != c.wantV {
+			t.Errorf("f0=%v values=%v: picked (%v,%v), want (%v,%v)", c.f0, c.values, a, v, c.wantA, c.wantV)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package metrics holds the measurement vocabulary of the evaluation:
-// convergence traces over virtual time, time-to-threshold queries (the
-// paper's theta = (F(x_k) - F(x*))/F(x*) criterion behind Figure 3), and
-// speedup ratios.
+// convergence traces over virtual time and time- or epochs-to-objective
+// queries (internal/harness turns the paper's theta criterion into an
+// objective target).
 package metrics
 
 import (
@@ -87,31 +87,6 @@ func (t *Trace) AvgEpochTime() time.Duration {
 	return last.Time / time.Duration(epochs)
 }
 
-// RelativeTarget converts the paper's theta criterion into an absolute
-// objective target: F* (1 + theta) for positive F*, and the symmetric
-// form otherwise.
-func RelativeTarget(fStar, theta float64) float64 {
-	return fStar + theta*math.Abs(fStar)
-}
-
-// TimeToRelative returns the time to reach theta-relative suboptimality
-// (F - F*)/|F*| <= theta, the criterion of the paper's Figure 3.
-func (t *Trace) TimeToRelative(fStar, theta float64) (time.Duration, bool) {
-	return t.TimeToObjective(RelativeTarget(fStar, theta))
-}
-
-// SpeedupRatio returns how much faster `fast` reaches the theta target
-// than `slow` (the paper's Figure 3 ratio: slow time / fast time).
-// ok is false when either trace misses the target.
-func SpeedupRatio(slow, fast *Trace, fStar, theta float64) (float64, bool) {
-	ts, okS := slow.TimeToRelative(fStar, theta)
-	tf, okF := fast.TimeToRelative(fStar, theta)
-	if !okS || !okF || tf <= 0 {
-		return 0, false
-	}
-	return float64(ts) / float64(tf), true
-}
-
 // Accuracy returns the fraction of pred equal to want.
 func Accuracy(pred, want []int) float64 {
 	if len(pred) != len(want) {
@@ -127,20 +102,6 @@ func Accuracy(pred, want []int) float64 {
 		}
 	}
 	return float64(correct) / float64(len(pred))
-}
-
-// ConfusionMatrix returns counts[trueClass][predictedClass].
-func ConfusionMatrix(pred, want []int, classes int) [][]int {
-	m := make([][]int, classes)
-	for i := range m {
-		m[i] = make([]int, classes)
-	}
-	for i := range pred {
-		if want[i] >= 0 && want[i] < classes && pred[i] >= 0 && pred[i] < classes {
-			m[want[i]][pred[i]]++
-		}
-	}
-	return m
 }
 
 func (p Point) String() string {

@@ -73,38 +73,6 @@ func TestAvgEpochTime(t *testing.T) {
 	}
 }
 
-func TestRelativeTargetAndTimeToRelative(t *testing.T) {
-	// fStar=1, theta=0.1 -> target 1.1 reached at t=3s.
-	tr := sampleTrace()
-	if got := RelativeTarget(1, 0.1); math.Abs(got-1.1) > 1e-12 {
-		t.Fatalf("RelativeTarget=%v", got)
-	}
-	d, ok := tr.TimeToRelative(1, 0.1)
-	if !ok || d != 3*time.Second {
-		t.Fatalf("TimeToRelative=%v ok=%v", d, ok)
-	}
-	// Negative fStar handled via |fStar|.
-	if got := RelativeTarget(-2, 0.5); math.Abs(got-(-1)) > 1e-12 {
-		t.Fatalf("RelativeTarget(-2,0.5)=%v", got)
-	}
-}
-
-func TestSpeedupRatio(t *testing.T) {
-	slow := sampleTrace() // reaches 1.1 at 3s
-	fast := &Trace{Points: []Point{
-		{Epoch: 1, Time: time.Second, Objective: 1.05},
-	}}
-	r, ok := SpeedupRatio(slow, fast, 1, 0.1)
-	if !ok || math.Abs(r-3) > 1e-12 {
-		t.Fatalf("SpeedupRatio=%v ok=%v", r, ok)
-	}
-	// Missing target on one side.
-	never := &Trace{Points: []Point{{Epoch: 1, Time: time.Second, Objective: 100}}}
-	if _, ok := SpeedupRatio(never, fast, 1, 0.1); ok {
-		t.Fatal("speedup computed for unreachable target")
-	}
-}
-
 func TestAccuracy(t *testing.T) {
 	if got := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("Accuracy=%v", got)
@@ -121,13 +89,6 @@ func TestAccuracyMismatchPanics(t *testing.T) {
 		}
 	}()
 	Accuracy([]int{1}, []int{1, 2})
-}
-
-func TestConfusionMatrix(t *testing.T) {
-	m := ConfusionMatrix([]int{0, 1, 1}, []int{0, 0, 1}, 2)
-	if m[0][0] != 1 || m[0][1] != 1 || m[1][1] != 1 || m[1][0] != 0 {
-		t.Fatalf("confusion=%v", m)
-	}
 }
 
 func TestPointString(t *testing.T) {
