@@ -253,6 +253,21 @@ func TestSpectralPenaltyRespectsPeriod(t *testing.T) {
 	}
 }
 
+func TestSpectralPenaltyUpdateAllocationFree(t *testing.T) {
+	sp := NewSpectralPenalty(1)
+	rng := rand.New(rand.NewSource(74))
+	st := IterState{
+		X1: randVec(rng, 64), Z0: randVec(rng, 64), Z1: randVec(rng, 64),
+		Y0: randVec(rng, 64), Y1: randVec(rng, 64),
+	}
+	sp.Update(1, st) // takes the snapshot
+	for branch, k := range map[string]int{"off-period": 3, "adapting": 2} {
+		if allocs := testing.AllocsPerRun(10, func() { sp.Update(k, st) }); allocs != 0 {
+			t.Fatalf("%s update allocates %v per call, want 0", branch, allocs)
+		}
+	}
+}
+
 func TestNewPolicy(t *testing.T) {
 	if NewPolicy("fixed", 1).Name() != "fixed" {
 		t.Fatal("fixed policy")

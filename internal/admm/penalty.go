@@ -1,10 +1,6 @@
 package admm
 
-import (
-	"math"
-
-	"newtonadmm/internal/linalg"
-)
+import "math"
 
 // IterState carries one rank's view of an ADMM iteration's results, the
 // raw material for penalty adaptation.
@@ -170,41 +166,40 @@ func spectralStep(sd, mg float64) float64 {
 //   - at the stationary point of the z-subproblem (eq. 6b/7),
 //     grad g(z1) = -sum_i y1_i, so per node -y1 =: lam is its share and
 //     (dz, dLam) estimates the regularizer's curvature.
+//
+// One pass over the iterate forms the six inner products, each summed in
+// index order as linalg.Dot would, and overwrites the snapshot in place,
+// so an update allocates nothing once the snapshot exists.
 func (sp *SpectralPenalty) Update(k int, st IterState) float64 {
+	havePrev := sp.havePrev
+	if havePrev && sp.Tf > 1 && k%sp.Tf != 0 {
+		return sp.rho
+	}
 	dim := len(st.X1)
-	lamHat := make([]float64, dim)
-	lam := make([]float64, dim)
-	for j := 0; j < dim; j++ {
-		lamHat[j] = st.Y0[j] + sp.rho*(st.Z0[j]-st.X1[j])
-		lam[j] = -st.Y1[j]
+	x0, z0, lamHat0, lam0 := grow(sp.x0, dim), grow(sp.z0, dim), grow(sp.lamHat0, dim), grow(sp.lam0, dim)
+	// Inner products of the local objective's (dx, dlamHat) and of the
+	// regularizer's (dz, dlam); meaningless on the first call, which
+	// only takes the snapshot.
+	var dxDlh, dlhSq, dxSq, dzDl, dlSq, dzSq float64
+	for j := range dim {
+		lamHat := st.Y0[j] + sp.rho*(st.Z0[j]-st.X1[j])
+		lam := -st.Y1[j]
+		dx := st.X1[j] - x0[j]
+		dz := st.Z1[j] - z0[j]
+		dlh := lamHat - lamHat0[j]
+		dl := lam - lam0[j]
+		dxDlh += dx * dlh
+		dlhSq += dlh * dlh
+		dxSq += dx * dx
+		dzDl += dz * dl
+		dlSq += dl * dl
+		dzSq += dz * dz
+		x0[j], z0[j], lamHat0[j], lam0[j] = st.X1[j], st.Z1[j], lamHat, lam
 	}
-	if !sp.havePrev {
-		sp.snapshot(st.X1, st.Z1, lamHat, lam)
+	sp.x0, sp.z0, sp.lamHat0, sp.lam0, sp.havePrev = x0, z0, lamHat0, lam0, true
+	if !havePrev {
 		return sp.rho
 	}
-	if sp.Tf > 1 && k%sp.Tf != 0 {
-		return sp.rho
-	}
-
-	dx := make([]float64, dim)
-	dz := make([]float64, dim)
-	dlh := make([]float64, dim)
-	dl := make([]float64, dim)
-	for j := 0; j < dim; j++ {
-		dx[j] = st.X1[j] - sp.x0[j]
-		dz[j] = st.Z1[j] - sp.z0[j]
-		dlh[j] = lamHat[j] - sp.lamHat0[j]
-		dl[j] = lam[j] - sp.lam0[j]
-	}
-
-	// Curvature of the local objective f_i from (dx, dlamHat).
-	dxDlh := linalg.Dot(dx, dlh)
-	dlhSq := linalg.Dot(dlh, dlh)
-	dxSq := linalg.Dot(dx, dx)
-	// Curvature of the regularizer g from (dz, dlam).
-	dzDl := linalg.Dot(dz, dl)
-	dlSq := linalg.Dot(dl, dl)
-	dzSq := linalg.Dot(dz, dz)
 
 	var alphaOK, betaOK bool
 	var alpha, beta float64
@@ -239,9 +234,15 @@ func (sp *SpectralPenalty) Update(k int, st IterState) float64 {
 	proposal = math.Min(math.Max(proposal, lo), hi)
 	proposal = math.Min(math.Max(proposal, sp.MinRho), sp.MaxRho)
 	sp.rho = proposal
-
-	sp.snapshot(st.X1, st.Z1, lamHat, lam)
 	return sp.rho
+}
+
+// grow returns v resized to n, reusing its backing array when it fits.
+func grow(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
 }
 
 // State implements PenaltyPolicy: [rho, havePrev] when no BB snapshot

@@ -81,6 +81,7 @@ type Device struct {
 	partFlat []float64   // backing store for chunk accumulators
 	parts    [][]float64 // per-chunk views into partFlat
 	partials []float64   // per-chunk scalar partials for reductions
+	layout   []float64   // re-laid-out operand + result (ScratchLayout)
 
 	// Built-in kernels, reused across launches (parameter structs, not
 	// closures, so launching them never allocates).
@@ -228,6 +229,18 @@ func (d *Device) ScratchPartials(chunks int) []float64 {
 		d.partials = make([]float64, chunks)
 	}
 	return d.partials[:chunks]
+}
+
+// ScratchLayout returns two stale buffers of size float64s each from the
+// device arena, apart from ScratchParts: room for a kernel to copy an
+// operand into another layout and to accumulate its result in that
+// layout (the CSR products' feature-major W and G). Grow-only; valid
+// until the next ScratchLayout call.
+func (d *Device) ScratchLayout(size int) (operand, result []float64) {
+	if cap(d.layout) < 2*size {
+		d.layout = make([]float64, 2*size)
+	}
+	return d.layout[:size], d.layout[size : 2*size]
 }
 
 // Launch executes k over [0, n) split into contiguous chunks on the

@@ -7,6 +7,8 @@
 package newton
 
 import (
+	"math"
+
 	"newtonadmm/internal/cg"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/linesearch"
@@ -49,7 +51,11 @@ type IterStat struct {
 	NewValue float64 // objective after the step
 }
 
-// Result reports the terminal state of a Newton run.
+// Result reports the terminal state of a Newton run. A run stopped by
+// MaxIters does not evaluate the gradient at its last iterate, which
+// nothing would read (Newton-ADMM takes one capped step per epoch):
+// Value is then the line search's objective at x, GradNorm is NaN
+// ("not measured", as in metrics.Point) and Converged is false.
 type Result struct {
 	Iters     int
 	Value     float64
@@ -81,7 +87,7 @@ func Solve(prob loss.Problem, x []float64, opts Options) Result {
 
 	res := Result{}
 	val := prob.Gradient(x, g)
-	for k := 0; k < opts.MaxIters; k++ {
+	for k := 0; ; k++ {
 		gNorm := linalg.Nrm2(g)
 		res.Value = val
 		res.GradNorm = gNorm
@@ -115,10 +121,10 @@ func Solve(prob loss.Problem, x []float64, opts Options) Result {
 		}
 		linalg.Axpy(ls.Alpha, p, x)
 		res.Iters = k + 1
+		if res.Iters == opts.MaxIters {
+			res.Value, res.GradNorm = ls.Value, math.NaN()
+			return res
+		}
 		val = prob.Gradient(x, g)
 	}
-	res.Value = val
-	res.GradNorm = linalg.Nrm2(g)
-	res.Converged = res.GradNorm < opts.GradTol
-	return res
 }

@@ -124,16 +124,38 @@ func TestGradTolImmediateStop(t *testing.T) {
 	}
 }
 
+// countingProblem counts gradient evaluations.
+type countingProblem struct {
+	loss.Problem
+	grads int
+}
+
+func (c *countingProblem) Gradient(w, g []float64) float64 {
+	c.grads++
+	return c.Problem.Gradient(w, g)
+}
+
 func TestMaxItersRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	s := makeSoftmax(rng, 100, 8, 5, 1e-6)
 	x := make([]float64, s.Dim())
-	res := Solve(s, x, Options{MaxIters: 3, GradTol: 1e-16})
-	if res.Iters > 3 {
-		t.Fatalf("ran %d iterations, cap 3", res.Iters)
+	prob := &countingProblem{Problem: s}
+	res := Solve(prob, x, Options{MaxIters: 3, GradTol: 1e-16})
+	if res.Iters != 3 {
+		t.Fatalf("ran %d iterations, want the cap 3", res.Iters)
 	}
 	if len(res.Trace) > 3 {
 		t.Fatalf("trace has %d entries, cap 3", len(res.Trace))
+	}
+	// The gradient at the capped iterate would go unread: not evaluated.
+	if prob.grads != 3 {
+		t.Fatalf("%d gradient evaluations for 3 capped iterations, want 3", prob.grads)
+	}
+	if !math.IsNaN(res.GradNorm) || res.Converged {
+		t.Fatalf("capped run reports GradNorm %v, Converged %v; want NaN, false", res.GradNorm, res.Converged)
+	}
+	if f := s.Value(x); res.Value != f {
+		t.Fatalf("capped run reports Value %v, objective at x is %v", res.Value, f)
 	}
 }
 

@@ -8,12 +8,16 @@
 // output classes (each nonzero's value and column index are loaded once
 // and feed four outputs), chunk accumulators drawn from the device scratch
 // arena (zero steady-state allocation), and a fused MulNTReduce launch.
-// The unexported *ref methods keep the naive loops as the bitwise
-// reference for property tests.
+// A matrix with at least as many stored entries as columns runs them
+// feature-major: W is copied to p×m in the arena so each nonzero reads
+// its class weights as one contiguous run (PERF.md "CSR layout"). The
+// unexported *Ref methods keep the naive loops as the bitwise reference
+// for property tests; both layouts match them bit for bit.
 package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"newtonadmm/internal/device"
@@ -34,12 +38,9 @@ type CSR struct {
 	Col              []int
 	Val              []float64
 
-	// Persistent kernel parameter blocks, reused across launches so
+	// Persistent kernel parameter block, reused across launches so
 	// steady-state products allocate nothing.
-	kNT    csrMulNTKernel
-	kTN    csrMulTNKernel
-	kNTRed csrMulNTReduceKernel
-	kFused csrFusedGradKernel
+	k csrKernel
 }
 
 // Coord is a single (row, col, value) entry used to build CSR matrices.
@@ -274,16 +275,298 @@ func (m *CSR) mulTNRangeRef(d []float64, mRows int, g []float64, lo, hi int) {
 	}
 }
 
-// csrMulNTKernel is the persistent parameter block of the CSR MulNT launch.
-type csrMulNTKernel struct {
-	m *CSR
-	b []float64
-	r int
-	s []float64
+// featureMajor reports whether products on m run in the feature-major
+// layout: with at least as many stored entries as columns, copying W
+// (m×p) to p×m and G back costs less than the scattered reads it saves,
+// since each nonzero then touches its m class weights as one contiguous
+// run instead of m cache lines p floats apart. Few-row products, such as
+// single-row sparse scoring, stay class-major.
+func (m *CSR) featureMajor() bool { return m.NNZ() >= m.NumCols }
+
+// transposeTile is the column width of the layout copies: a tile of
+// transposeTile × mRows floats stays in L1 while it is scattered.
+const transposeTile = 64
+
+// toFeatureMajor copies the mRows × p row-major b into bt as p × mRows.
+func toFeatureMajor(b []float64, mRows, p int, bt []float64) {
+	for j0 := 0; j0 < p; j0 += transposeTile {
+		j1 := min(j0+transposeTile, p)
+		for c := 0; c < mRows; c++ {
+			for j, v := range b[c*p+j0 : c*p+j1] {
+				bt[(j0+j)*mRows+c] = v
+			}
+		}
+	}
 }
 
-func (k *csrMulNTKernel) Run(_, lo, hi int) {
-	k.m.mulNTRange(k.b, k.r, k.s, lo, hi)
+// toClassMajor copies the p × mRows gt into g as mRows × p row-major.
+func toClassMajor(gt []float64, mRows, p int, g []float64) {
+	for j0 := 0; j0 < p; j0 += transposeTile {
+		j1 := min(j0+transposeTile, p)
+		for c := 0; c < mRows; c++ {
+			gc := g[c*p+j0 : c*p+j1]
+			for j := range gc {
+				gc[j] = gt[(j0+j)*mRows+c]
+			}
+		}
+	}
+}
+
+// mulNTRangeFM is mulNTRange over the feature-major bt (p × mRows): a
+// pass over a row's nonzeros accumulates six classes (then three, then
+// one) from adjacent floats. Each accumulator still sums its products in
+// nonzero order from +0, so results are bitwise identical to
+// mulNTRangeRef. Each pass is its own function so that its accumulators
+// stay in registers.
+func (m *CSR) mulNTRangeFM(bt []float64, mRows int, s []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		si := s[i*mRows : (i+1)*mRows]
+		start, end := m.RowPtr[i], m.RowPtr[i+1]
+		cols, vals := m.Col[start:end], m.Val[start:end]
+		c := 0
+		for ; c+6 <= mRows; c += 6 {
+			si[c], si[c+1], si[c+2], si[c+3], si[c+4], si[c+5] = dot6FM(cols, vals, bt[c:], mRows)
+		}
+		for ; c+3 <= mRows; c += 3 {
+			si[c], si[c+1], si[c+2] = dot3FM(cols, vals, bt[c:], mRows)
+		}
+		for ; c < mRows; c++ {
+			si[c] = dot1FM(cols, vals, bt[c:], mRows)
+		}
+	}
+}
+
+// dot6FM returns Σ_k vals[k]·b[cols[k]·stride + q] for q = 0..5.
+func dot6FM(cols []int, vals, b []float64, stride int) (a0, a1, a2, a3, a4, a5 float64) {
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		v := vals[k]
+		w := b[j*stride : j*stride+6]
+		a0 += v * w[0]
+		a1 += v * w[1]
+		a2 += v * w[2]
+		a3 += v * w[3]
+		a4 += v * w[4]
+		a5 += v * w[5]
+	}
+	return
+}
+
+// dot3FM returns Σ_k vals[k]·b[cols[k]·stride + q] for q = 0..2.
+func dot3FM(cols []int, vals, b []float64, stride int) (a0, a1, a2 float64) {
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		v := vals[k]
+		w := b[j*stride : j*stride+3]
+		a0 += v * w[0]
+		a1 += v * w[1]
+		a2 += v * w[2]
+	}
+	return
+}
+
+// dot1FM returns Σ_k vals[k]·b[cols[k]·stride].
+func dot1FM(cols []int, vals, b []float64, stride int) (a float64) {
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		a += vals[k] * b[j*stride]
+	}
+	return
+}
+
+// mulTNRangeFM is mulTNRange into the feature-major gt (p × mRows): a
+// pass over a row's nonzeros holds six (then three, then one) class
+// weights in registers and updates that many adjacent accumulators per
+// nonzero. Every element still receives its contributions in (row,
+// nonzero) order, so results are bitwise identical to mulTNRangeRef.
+// That includes its zero-weight skip: a skipped 0·v is ±0, which leaves
+// a sum begun at +0 unchanged unless v is infinite or NaN, so only such
+// a row with a zero weight takes the reference's class-by-class skip.
+func (m *CSR) mulTNRangeFM(d []float64, mRows int, gt []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		di := d[i*mRows : (i+1)*mRows]
+		start, end := m.RowPtr[i], m.RowPtr[i+1]
+		cols, vals := m.Col[start:end], m.Val[start:end]
+		if slices.Contains(di, 0) && !allFinite(vals) {
+			axpySkipFM(cols, vals, gt, mRows, di)
+			continue
+		}
+		c := 0
+		for ; c+6 <= mRows; c += 6 {
+			w := di[c : c+6]
+			axpy6FM(cols, vals, gt[c:], mRows, w[0], w[1], w[2], w[3], w[4], w[5])
+		}
+		for ; c+3 <= mRows; c += 3 {
+			axpy3FM(cols, vals, gt[c:], mRows, di[c], di[c+1], di[c+2])
+		}
+		axpySkipFM(cols, vals, gt[c:], mRows, di[c:])
+	}
+}
+
+// allFinite reports whether no value is infinite or NaN.
+func allFinite(vals []float64) bool {
+	for _, v := range vals {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// axpy6FM adds w_q·vals[k] to g[cols[k]·stride + q] for q = 0..5.
+func axpy6FM(cols []int, vals, g []float64, stride int, w0, w1, w2, w3, w4, w5 float64) {
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		v := vals[k]
+		x := g[j*stride : j*stride+6]
+		x[0] += w0 * v
+		x[1] += w1 * v
+		x[2] += w2 * v
+		x[3] += w3 * v
+		x[4] += w4 * v
+		x[5] += w5 * v
+	}
+}
+
+// axpy3FM adds w_q·vals[k] to g[cols[k]·stride + q] for q = 0..2.
+func axpy3FM(cols []int, vals, g []float64, stride int, w0, w1, w2 float64) {
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		v := vals[k]
+		x := g[j*stride : j*stride+3]
+		x[0] += w0 * v
+		x[1] += w1 * v
+		x[2] += w2 * v
+	}
+}
+
+// axpySkipFM adds w[q]·vals[k] to g[cols[k]·stride + q] one class at a
+// time, skipping zero weights as mulTNRangeRef does (the last classes of
+// every row, and whole rows whose skips are observable).
+func axpySkipFM(cols []int, vals, g []float64, stride int, w []float64) {
+	vals = vals[:len(cols)]
+	for q, wq := range w {
+		if wq == 0 {
+			continue
+		}
+		gq := g[q:]
+		for k, j := range cols {
+			gq[j*stride] += wq * vals[k]
+		}
+	}
+}
+
+// csrKernel is the one persistent parameter block of the CSR launches.
+// Per row panel it runs up to three passes: scores S = A·Bᵀ when b is
+// set, fn over the fresh rows when fn is set, and G += Sᵀ·A when g is
+// set (s is then the D operand). Only the fused gradient, which has all
+// three, is panelled by device.GradPanel, so each panel's CSR rows are
+// still cache-resident for the accumulation sweep.
+type csrKernel struct {
+	m        *CSR
+	fm       bool      // b and g are feature-major (p × r)
+	b        []float64 // weights; nil skips the score pass
+	r        int
+	s        []float64
+	fn       func(lo, hi int) float64
+	partials []float64
+	g        []float64   // accumulator; nil skips the accumulation pass
+	parts    [][]float64 // chunk accumulators; nil on the single-chunk path
+}
+
+func (k *csrKernel) Run(chunk, lo, hi int) {
+	dst := k.g
+	if k.parts != nil {
+		dst = k.parts[chunk]
+		linalg.Zero(dst)
+	}
+	panel := hi - lo
+	if k.b != nil && k.g != nil {
+		panel = device.GradPanel
+	}
+	var sum float64
+	for plo := lo; plo < hi; plo += panel {
+		phi := min(plo+panel, hi)
+		switch {
+		case k.b == nil:
+		case k.fm:
+			k.m.mulNTRangeFM(k.b, k.r, k.s, plo, phi)
+		default:
+			k.m.mulNTRange(k.b, k.r, k.s, plo, phi)
+		}
+		if k.fn != nil {
+			sum += k.fn(plo, phi)
+		}
+		switch {
+		case k.g == nil:
+		case k.fm:
+			k.m.mulTNRangeFM(k.s, k.r, dst, plo, phi)
+		default:
+			k.m.mulTNRange(k.s, k.r, dst, plo, phi)
+		}
+	}
+	if k.partials != nil {
+		k.partials[chunk] = sum
+	}
+}
+
+// launch runs the CSR kernel over all rows and returns the chunk-ordered
+// sum of fn's partials; g (if any) is overwritten with the chunk parts
+// summed in chunk order. On the feature-major path b is first copied
+// into the device arena, and G is accumulated there and copied back
+// once. Copying a sum where the class-major path adds it to a zeroed g
+// keeps every bit: a sum that starts at +0 is never -0, so 0+x == x.
+func (m *CSR) launch(dev *device.Device, b []float64, r int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
+	if m.NumRows == 0 {
+		if g != nil {
+			linalg.Zero(g)
+		}
+		return 0
+	}
+	chunks := dev.ChunkCount(m.NumRows, 0)
+	k := &m.k
+	k.m, k.fm, k.b, k.r, k.s, k.fn, k.g = m, m.featureMajor(), b, r, s, fn, g
+	if k.fm {
+		bt, gt := dev.ScratchLayout(r * m.NumCols)
+		if b != nil {
+			toFeatureMajor(b, r, m.NumCols, bt)
+			k.b = bt
+		}
+		if g != nil {
+			k.g = gt
+		}
+	}
+	if fn != nil {
+		k.partials = dev.ScratchPartials(chunks)
+	}
+	if g != nil && chunks == 1 {
+		linalg.Zero(k.g)
+	}
+	if g != nil && chunks > 1 {
+		k.parts = dev.ScratchParts(chunks, len(g))
+	}
+	dev.Launch(m.NumRows, 0, k)
+	if g != nil {
+		acc := k.g
+		if k.parts != nil {
+			acc = k.parts[0]
+			for _, part := range k.parts[1:] {
+				linalg.Add(acc, part)
+			}
+		}
+		switch {
+		case k.fm:
+			toClassMajor(acc, r, m.NumCols, g)
+		case k.parts != nil:
+			copy(g, acc)
+		}
+	}
+	var total float64
+	for _, p := range k.partials {
+		total += p
+	}
+	*k = csrKernel{}
+	return total
 }
 
 // MulNT computes S = A * B^T on the device: A is this CSR (n x p), B is
@@ -295,27 +578,9 @@ func (m *CSR) MulNT(dev *device.Device, b []float64, mRows int, s []float64) {
 	if len(s) != m.NumRows*mRows {
 		panic("sparse: MulNT output dimension mismatch")
 	}
-	k := &m.kNT
-	k.m, k.b, k.r, k.s = m, b, mRows, s
-	dev.Launch(m.NumRows, 0, k)
-	k.b, k.s = nil, nil
+	m.launch(dev, b, mRows, s, nil, nil)
 	dev.AddFLOPs(2 * int64(m.NNZ()) * int64(mRows))
 	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(b)) + int64(len(s))))
-}
-
-// csrMulNTReduceKernel fuses the CSR score kernel with a row functor.
-type csrMulNTReduceKernel struct {
-	m        *CSR
-	b        []float64
-	r        int
-	s        []float64
-	fn       func(lo, hi int) float64
-	partials []float64
-}
-
-func (k *csrMulNTReduceKernel) Run(chunk, lo, hi int) {
-	k.m.mulNTRange(k.b, k.r, k.s, lo, hi)
-	k.partials[chunk] = k.fn(lo, hi)
 }
 
 // MulNTReduce computes S = A * B^T and applies fn over each row range of
@@ -329,57 +594,10 @@ func (m *CSR) MulNTReduce(dev *device.Device, b []float64, mRows int, s []float6
 	if len(s) != m.NumRows*mRows {
 		panic("sparse: MulNTReduce output dimension mismatch")
 	}
-	if m.NumRows == 0 {
-		return 0
-	}
-	chunks := dev.ChunkCount(m.NumRows, 0)
-	k := &m.kNTRed
-	k.m, k.b, k.r, k.s = m, b, mRows, s
-	k.fn = fn
-	k.partials = dev.ScratchPartials(chunks)
-	dev.Launch(m.NumRows, 0, k)
-	var total float64
-	for _, p := range k.partials {
-		total += p
-	}
-	k.b, k.s, k.fn, k.partials = nil, nil, nil, nil
+	total := m.launch(dev, b, mRows, s, fn, nil)
 	dev.AddFLOPs(2 * int64(m.NNZ()) * int64(mRows))
 	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(b)) + int64(len(s))))
 	return total
-}
-
-// csrFusedGradKernel runs the whole CSR gradient pipeline per chunk —
-// the sparse twin of the dense fusedGradKernel, panelled by
-// device.GradPanel so each panel's CSR rows are still cache-resident
-// for the scatter-accumulation sweep.
-type csrFusedGradKernel struct {
-	m        *CSR
-	b        []float64
-	r        int
-	s        []float64
-	fn       func(lo, hi int) float64
-	partials []float64
-	g        []float64
-	parts    [][]float64 // nil on the single-chunk fast path
-}
-
-func (k *csrFusedGradKernel) Run(chunk, lo, hi int) {
-	dst := k.g
-	if k.parts != nil {
-		dst = k.parts[chunk]
-		linalg.Zero(dst)
-	}
-	var sum float64
-	for plo := lo; plo < hi; plo += device.GradPanel {
-		phi := plo + device.GradPanel
-		if phi > hi {
-			phi = hi
-		}
-		k.m.mulNTRange(k.b, k.r, k.s, plo, phi)
-		sum += k.fn(plo, phi)
-		k.m.mulTNRange(k.s, k.r, dst, plo, phi)
-	}
-	k.partials[chunk] = sum
 }
 
 // FusedGradient runs S = A·Bᵀ, applies fn to each fresh row range of S
@@ -396,48 +614,10 @@ func (m *CSR) FusedGradient(dev *device.Device, b []float64, mRows int, s []floa
 	if len(g) != mRows*m.NumCols {
 		panic("sparse: FusedGradient output dimension mismatch")
 	}
-	linalg.Zero(g)
-	if m.NumRows == 0 {
-		return 0
-	}
-	chunks := dev.ChunkCount(m.NumRows, 0)
-	k := &m.kFused
-	k.m, k.b, k.r, k.s, k.fn, k.g = m, b, mRows, s, fn, g
-	k.partials = dev.ScratchPartials(chunks)
-	if chunks > 1 {
-		k.parts = dev.ScratchParts(chunks, len(g))
-	}
-	dev.Launch(m.NumRows, 0, k)
-	for _, part := range k.parts {
-		linalg.Add(g, part)
-	}
-	var total float64
-	for _, p := range k.partials {
-		total += p
-	}
-	k.b, k.s, k.fn, k.g, k.parts, k.partials = nil, nil, nil, nil, nil, nil
+	total := m.launch(dev, b, mRows, s, fn, g)
 	dev.AddFLOPs(4 * int64(m.NNZ()) * int64(mRows))
 	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(b)) + int64(len(s)) + int64(len(g))))
 	return total
-}
-
-// csrMulTNKernel is the persistent parameter block of the CSR MulTN
-// launch; with a single chunk it accumulates straight into g.
-type csrMulTNKernel struct {
-	m     *CSR
-	d     []float64
-	r     int
-	g     []float64
-	parts [][]float64 // nil on the single-chunk fast path
-}
-
-func (k *csrMulTNKernel) Run(chunk, lo, hi int) {
-	dst := k.g
-	if k.parts != nil {
-		dst = k.parts[chunk]
-		linalg.Zero(dst)
-	}
-	k.m.mulTNRange(k.d, k.r, dst, lo, hi)
 }
 
 // MulTN computes G = D^T * A on the device: D is n x m dense, A is this
@@ -451,19 +631,7 @@ func (m *CSR) MulTN(dev *device.Device, d []float64, mRows int, g []float64) {
 	if len(g) != mRows*m.NumCols {
 		panic("sparse: MulTN output dimension mismatch")
 	}
-	linalg.Zero(g)
-	k := &m.kTN
-	k.m, k.d, k.r, k.g = m, d, mRows, g
-	if m.NumRows > 0 {
-		if chunks := dev.ChunkCount(m.NumRows, 0); chunks > 1 {
-			k.parts = dev.ScratchParts(chunks, len(g))
-		}
-	}
-	dev.Launch(m.NumRows, 0, k)
-	for _, part := range k.parts {
-		linalg.Add(g, part)
-	}
-	k.d, k.g, k.parts = nil, nil, nil
+	m.launch(dev, nil, mRows, d, nil, g)
 	dev.AddFLOPs(2 * int64(m.NNZ()) * int64(mRows))
 	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(d)) + int64(len(g))))
 }
