@@ -193,7 +193,7 @@ func BenchmarkSparseFusedGradientShard(b *testing.B) {
 	b.SetBytes(int64(8 * (csr.NNZ() + len(w) + len(s) + len(g))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		csr.FusedGradient(dev, w, m, s, fn, g)
+		dev.FusedGradient(csr, w, m, s, fn, g)
 	}
 }
 

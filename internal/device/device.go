@@ -4,6 +4,9 @@
 // package substitutes a software accelerator with the same execution model:
 //
 //   - kernels are launched as bulk data-parallel operations over row ranges;
+//   - the four products of the loss (scores, scores fused with a row
+//     reduction, the fused gradient, and G = Dᵀ·A) are one launch over an
+//     Operand, dense or CSR, which supplies only its row-range kernels;
 //   - a persistent worker pool executes the launched kernel (no per-launch
 //     goroutine spawning, mirroring a GPU's persistent execution engine and
 //     keeping launch overhead at a few microseconds, the same order as a
@@ -31,8 +34,8 @@ import (
 )
 
 // Kernel is a launched device program: Run is invoked once per contiguous
-// chunk of the launch range. Long-lived kernel objects (the built-in
-// matrix kernels, the loss functors) are reused across launches so a
+// chunk of the launch range. Long-lived kernel objects (the product
+// kernel, the loss functors) are reused across launches so a
 // steady-state launch allocates nothing; the closure-based ParallelFor
 // helpers wrap ad-hoc functions for callers off the hot path.
 type Kernel interface {
@@ -83,12 +86,9 @@ type Device struct {
 	partials []float64   // per-chunk scalar partials for reductions
 	layout   []float64   // re-laid-out operand + result (ScratchLayout)
 
-	// Built-in kernels, reused across launches (parameter structs, not
-	// closures, so launching them never allocates).
-	mulNT    mulNTKernel
-	mulTN    mulTNKernel
-	mulNTRed mulNTReduceKernel
-	fusedGK  fusedGradKernel
+	// The product kernel, reused across launches (a parameter struct, not
+	// a closure, so launching it never allocates).
+	kernel productKernel
 }
 
 // Stats is a snapshot of a device's accounting counters.
@@ -140,9 +140,6 @@ func (d *Device) Closed() bool { return d.closed.Load() }
 // Name returns the device name.
 func (d *Device) Name() string { return d.name }
 
-// Workers returns the size of the worker pool.
-func (d *Device) Workers() int { return d.workers }
-
 // Stats returns a snapshot of the accounting counters.
 func (d *Device) Stats() Stats {
 	return Stats{
@@ -151,19 +148,6 @@ func (d *Device) Stats() Stats {
 		Bytes:    d.bytes.Load(),
 	}
 }
-
-// ResetStats zeroes the accounting counters.
-func (d *Device) ResetStats() {
-	d.launches.Store(0)
-	d.flops.Store(0)
-	d.bytes.Store(0)
-}
-
-// AddFLOPs lets kernels report arithmetic work.
-func (d *Device) AddFLOPs(n int64) { d.flops.Add(n) }
-
-// AddBytes lets kernels report memory traffic.
-func (d *Device) AddBytes(n int64) { d.bytes.Add(n) }
 
 func (d *Device) String() string {
 	s := d.Stats()
@@ -222,9 +206,9 @@ func (d *Device) ScratchParts(chunks, size int) [][]float64 {
 	return ps
 }
 
-// ScratchPartials returns a pooled []float64 of per-chunk scalar partials
-// (contents stale), valid until the next ScratchPartials call.
-func (d *Device) ScratchPartials(chunks int) []float64 {
+// scratchPartials returns a pooled []float64 of per-chunk scalar partials
+// (contents stale), valid until the next scratchPartials call.
+func (d *Device) scratchPartials(chunks int) []float64 {
 	if cap(d.partials) < chunks {
 		d.partials = make([]float64, chunks)
 	}
@@ -234,7 +218,7 @@ func (d *Device) ScratchPartials(chunks int) []float64 {
 // ScratchLayout returns two stale buffers of size float64s each from the
 // device arena, apart from ScratchParts: room for a kernel to copy an
 // operand into another layout and to accumulate its result in that
-// layout (the CSR products' feature-major W and G). Grow-only; valid
+// layout (a feature-major operand's W and G). Grow-only; valid
 // until the next ScratchLayout call.
 func (d *Device) ScratchLayout(size int) (operand, result []float64) {
 	if cap(d.layout) < 2*size {
@@ -294,70 +278,174 @@ func (d *Device) ParallelFor(n, grain int, fn func(lo, hi int)) {
 	d.Launch(n, grain, rangeFunc(fn))
 }
 
-// ParallelReduce launches a kernel over [0, n) where each chunk produces
-// a partial float64 via fn(lo, hi); the partials are summed in chunk
-// order, so the result is bitwise deterministic across runs (worker
-// scheduling cannot reorder the floating-point sum).
-func (d *Device) ParallelReduce(n, grain int, fn func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	partials := d.ScratchPartials(d.chunkCount(n, grain))
-	d.ParallelForChunks(n, grain, func(chunk, lo, hi int) {
-		partials[chunk] = fn(lo, hi)
-	})
-	var total float64
-	for _, p := range partials {
-		total += p
-	}
-	return total
+// Operand is a design matrix the products run over: *linalg.Matrix or
+// *sparse.CSR. It supplies the serial row-range kernels; the one product
+// launch below owns the shape checks, chunking, panels, arena
+// accumulators, chunk-order reduction, layout copies and counters.
+type Operand interface {
+	// Dims returns the number of rows n and columns p.
+	Dims() (rows, cols int)
+	// NNZ returns the number of stored entries (n·p when dense), which
+	// the FLOP and byte counters charge per class.
+	NNZ() int
+	// FeatureMajor reports whether the range kernels take W and G as
+	// p×m instead of m×p.
+	FeatureMajor() bool
+	// MulNTRange writes rows [lo,hi) of S = A·Wᵀ into the n×m s.
+	MulNTRange(w []float64, m int, s []float64, lo, hi int)
+	// MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A into g,
+	// where d is n×m.
+	MulTNRange(d []float64, m int, g []float64, lo, hi int)
 }
 
-// mulNTKernel is the persistent parameter block of the MulNT launch.
-type mulNTKernel struct {
-	a *linalg.Matrix
-	b []float64
-	m int
-	s []float64
-}
+// gradPanel is the row-panel width of the fused gradient launch: score,
+// functor, and accumulation sweeps interleave in panels of this many
+// rows so each panel of A is still cache-resident when the transposed
+// accumulation re-reads it (A is the only O(n·p) operand; without
+// panelling it streams from memory twice per gradient). 48 rows of even
+// MNIST-width features is ~300 KiB — L2-resident on anything modern.
+const gradPanel = 48
 
-func (k *mulNTKernel) Run(_, lo, hi int) {
-	linalg.MulNTRange(k.a, k.b, k.m, k.s, lo, hi)
-}
+// The passes of a product launch.
+const (
+	scorePass = 1 << iota // S = A·Bᵀ
+	accumPass             // G += Sᵀ·A, s being the D operand
+)
 
-// MulNT computes S = A * B^T on the device: A is n x p dense, B is m x p
-// row-major, S is n x m row-major (overwritten). This is the "scores"
-// kernel of the softmax loss.
-func (d *Device) MulNT(a *linalg.Matrix, b []float64, m int, s []float64) {
-	if len(s) != a.Rows*m {
-		panic("device: MulNT output dimension mismatch")
-	}
-	k := &d.mulNT
-	k.a, k.b, k.m, k.s = a, b, m, s
-	d.Launch(a.Rows, 0, k)
-	k.a, k.b, k.s = nil, nil, nil
-	d.AddFLOPs(2 * int64(a.Rows) * int64(a.Cols) * int64(m))
-	d.AddBytes(8 * (int64(a.Rows)*int64(a.Cols) + int64(len(b)) + int64(len(s))))
-}
-
-// mulNTReduceKernel fuses the score kernel with a row functor: each chunk
-// computes its tile of S and immediately reduces it while the tile is
-// still cache-hot, storing the partial at its chunk slot.
-type mulNTReduceKernel struct {
-	a        *linalg.Matrix
-	b        []float64
+// productKernel is the one persistent parameter block of the product
+// launches. Per row panel it runs up to three passes: scores, fn over
+// the fresh rows when fn is set, and accumulation. Only the fused
+// gradient, which has all three, is panelled by gradPanel.
+type productKernel struct {
+	a        Operand
+	passes   int
+	b        []float64 // weights, in a's layout
 	m        int
 	s        []float64
 	fn       func(lo, hi int) float64
 	partials []float64
+	g        []float64   // accumulator, in a's layout
+	parts    [][]float64 // chunk accumulators; nil on the single-chunk path
 }
 
-func (k *mulNTReduceKernel) Run(chunk, lo, hi int) {
-	linalg.MulNTRange(k.a, k.b, k.m, k.s, lo, hi)
-	k.partials[chunk] = k.fn(lo, hi)
+func (k *productKernel) Run(chunk, lo, hi int) {
+	dst := k.g
+	if k.parts != nil {
+		dst = k.parts[chunk]
+		linalg.Zero(dst)
+	}
+	panel := hi - lo
+	if k.passes == scorePass|accumPass {
+		panel = gradPanel
+	}
+	var sum float64
+	for plo := lo; plo < hi; plo += panel {
+		phi := min(plo+panel, hi)
+		if k.passes&scorePass != 0 {
+			k.a.MulNTRange(k.b, k.m, k.s, plo, phi)
+		}
+		if k.fn != nil {
+			sum += k.fn(plo, phi)
+		}
+		if k.passes&accumPass != 0 {
+			k.a.MulTNRange(k.s, k.m, dst, plo, phi)
+		}
+	}
+	if k.partials != nil {
+		k.partials[chunk] = sum
+	}
 }
 
-// MulNTReduce computes S = A * B^T and applies fn over each row range of
+// product runs the given passes of a over all its rows and returns the
+// chunk-ordered sum of fn's partials; g (accumPass) is overwritten with
+// the chunk parts summed in chunk order. Every operand is checked
+// against a's shape here, on the caller's goroutine, before anything
+// launches. A zero-row operand zeroes g, returns 0, and counts no
+// launch, FLOPs or bytes. When a is feature-major, b is first copied
+// into the arena, and G is accumulated there and copied back once.
+// Copying a sum where the class-major path adds it to a zeroed g keeps
+// every bit: a sum that starts at +0 is never -0, so 0+x == x.
+func (d *Device) product(op string, passes int, a Operand, b []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
+	rows, cols := a.Dims()
+	if passes&scorePass != 0 && len(b) != m*cols {
+		panic("device: " + op + " B dimension mismatch")
+	}
+	if len(s) != rows*m {
+		if passes == accumPass {
+			panic("device: " + op + " D dimension mismatch")
+		}
+		panic("device: " + op + " S dimension mismatch")
+	}
+	if passes&accumPass != 0 && len(g) != m*cols {
+		panic("device: " + op + " G dimension mismatch")
+	}
+	if rows == 0 {
+		linalg.Zero(g)
+		return 0
+	}
+	chunks := d.chunkCount(rows, 0)
+	fm := a.FeatureMajor()
+	k := &d.kernel
+	*k = productKernel{a: a, passes: passes, b: b, m: m, s: s, fn: fn, g: g}
+	if fm {
+		bt, gt := d.ScratchLayout(m * cols)
+		if passes&scorePass != 0 {
+			toFeatureMajor(b, m, cols, bt)
+			k.b = bt
+		}
+		if passes&accumPass != 0 {
+			k.g = gt
+		}
+	}
+	if fn != nil {
+		k.partials = d.scratchPartials(chunks)
+	}
+	if passes&accumPass != 0 {
+		if chunks == 1 {
+			linalg.Zero(k.g)
+		} else {
+			k.parts = d.ScratchParts(chunks, len(g))
+		}
+	}
+	d.Launch(rows, 0, k)
+	if passes&accumPass != 0 {
+		acc := k.g
+		if k.parts != nil {
+			acc = k.parts[0]
+			for _, part := range k.parts[1:] {
+				linalg.Add(acc, part)
+			}
+		}
+		switch {
+		case fm:
+			toClassMajor(acc, m, cols, g)
+		case k.parts != nil:
+			copy(g, acc)
+		}
+	}
+	var total float64
+	for _, p := range k.partials {
+		total += p
+	}
+	*k = productKernel{}
+	nnz := int64(a.NNZ())
+	flops := 2 * nnz * int64(m) // per pass
+	if passes == scorePass|accumPass {
+		flops *= 2
+	}
+	d.flops.Add(flops)
+	d.bytes.Add(8 * (nnz + int64(len(b)) + int64(len(s)) + int64(len(g))))
+	return total
+}
+
+// MulNT computes S = A·Bᵀ on the device: A is n×p, B is m×p row-major,
+// S is n×m row-major (overwritten). This is the "scores" kernel of the
+// softmax loss.
+func (d *Device) MulNT(a Operand, b []float64, m int, s []float64) {
+	d.product("MulNT", scorePass, a, b, m, s, nil, nil)
+}
+
+// MulNTReduce computes S = A·Bᵀ and applies fn over each row range of
 // the fresh output tile in the same launch, returning the chunk-ordered
 // sum of fn's partials. This is the fused score + log-sum-exp primitive:
 // the softmax loss uses it to evaluate objective, residuals, and
@@ -365,71 +453,8 @@ func (k *mulNTReduceKernel) Run(chunk, lo, hi int) {
 // a second full sweep of S. fn must only touch rows [lo, hi) of S and
 // must be safe to run concurrently on disjoint ranges. Passing a
 // long-lived fn keeps the call allocation-free.
-func (d *Device) MulNTReduce(a *linalg.Matrix, b []float64, m int, s []float64, fn func(lo, hi int) float64) float64 {
-	if len(s) != a.Rows*m {
-		panic("device: MulNTReduce output dimension mismatch")
-	}
-	if a.Rows == 0 {
-		return 0
-	}
-	chunks := d.chunkCount(a.Rows, 0)
-	k := &d.mulNTRed
-	k.a, k.b, k.m, k.s = a, b, m, s
-	k.fn = fn
-	k.partials = d.ScratchPartials(chunks)
-	d.Launch(a.Rows, 0, k)
-	var total float64
-	for _, p := range k.partials {
-		total += p
-	}
-	k.a, k.b, k.s, k.fn, k.partials = nil, nil, nil, nil, nil
-	d.AddFLOPs(2 * int64(a.Rows) * int64(a.Cols) * int64(m))
-	d.AddBytes(8 * (int64(a.Rows)*int64(a.Cols) + int64(len(b)) + int64(len(s))))
-	return total
-}
-
-// GradPanel is the row-panel width of the fused gradient kernels (dense
-// here and the CSR twin in internal/sparse): score, functor, and
-// accumulation sweeps interleave in panels of this many rows so each
-// panel of A is still cache-resident when the transposed accumulation
-// re-reads it (A is the only O(n·p) operand; without panelling it
-// streams from memory twice per gradient). 48 rows of even MNIST-width
-// features is ~300 KiB — L2-resident on anything modern.
-const GradPanel = 48
-
-// fusedGradKernel runs the whole gradient pipeline per chunk: for each
-// row panel it computes the score tile, applies the row functor (log-
-// sum-exp + residual, in place), and immediately accumulates the
-// panel's outer products into the chunk accumulator while the panel of
-// A is hot.
-type fusedGradKernel struct {
-	a        *linalg.Matrix
-	b        []float64
-	m        int
-	s        []float64
-	fn       func(lo, hi int) float64
-	partials []float64
-	g        []float64
-	parts    [][]float64 // nil on the single-chunk fast path
-}
-
-func (k *fusedGradKernel) Run(chunk, lo, hi int) {
-	dst := k.g
-	if k.parts != nil {
-		dst = k.parts[chunk]
-		linalg.Zero(dst)
-	}
-	var sum float64
-	for plo := lo; plo < hi; plo += GradPanel {
-		phi := plo + GradPanel
-		if phi > hi {
-			phi = hi
-		}
-		linalg.MulNTRange(k.a, k.b, k.m, k.s, plo, phi)
-		sum += k.fn(plo, phi)
-		linalg.MulTNRange(k.a, k.s, k.m, dst, plo, phi)
-	}
-	k.partials[chunk] = sum
+func (d *Device) MulNTReduce(a Operand, b []float64, m int, s []float64, fn func(lo, hi int) float64) float64 {
+	return d.product("MulNTReduce", scorePass, a, b, m, s, fn, nil)
 }
 
 // FusedGradient runs S = A·Bᵀ, applies fn to each fresh row range of S
@@ -442,82 +467,45 @@ func (k *fusedGradKernel) Run(chunk, lo, hi int) {
 // MulNT/fn/MulTN sequence (the panel split never reorders per-element
 // accumulation); the returned scalar regroups fn's partials by panel,
 // which is deterministic for a fixed worker count.
-func (d *Device) FusedGradient(a *linalg.Matrix, b []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
-	if len(s) != a.Rows*m {
-		panic("device: FusedGradient score dimension mismatch")
-	}
-	if len(g) != m*a.Cols {
-		panic("device: FusedGradient output dimension mismatch")
-	}
-	linalg.Zero(g)
-	if a.Rows == 0 {
-		return 0
-	}
-	chunks := d.chunkCount(a.Rows, 0)
-	k := &d.fusedGK
-	k.a, k.b, k.m, k.s, k.fn, k.g = a, b, m, s, fn, g
-	k.partials = d.ScratchPartials(chunks)
-	if chunks > 1 {
-		k.parts = d.ScratchParts(chunks, len(g))
-	}
-	d.Launch(a.Rows, 0, k)
-	for _, part := range k.parts {
-		linalg.Add(g, part)
-	}
-	var total float64
-	for _, p := range k.partials {
-		total += p
-	}
-	k.a, k.b, k.s, k.fn, k.g, k.parts, k.partials = nil, nil, nil, nil, nil, nil, nil
-	d.AddFLOPs(4 * int64(a.Rows) * int64(a.Cols) * int64(m))
-	d.AddBytes(8 * (int64(a.Rows)*int64(a.Cols) + int64(len(b)) + int64(len(s)) + int64(len(g))))
-	return total
+func (d *Device) FusedGradient(a Operand, b []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
+	return d.product("FusedGradient", scorePass|accumPass, a, b, m, s, fn, g)
 }
 
-// mulTNKernel is the persistent parameter block of the MulTN launch.
-// With a single chunk it accumulates straight into g; otherwise each
-// chunk zeroes and fills its arena accumulator in parallel.
-type mulTNKernel struct {
-	a     *linalg.Matrix
-	d     []float64
-	m     int
-	g     []float64
-	parts [][]float64 // nil on the single-chunk fast path
-}
-
-func (k *mulTNKernel) Run(chunk, lo, hi int) {
-	dst := k.g
-	if k.parts != nil {
-		dst = k.parts[chunk]
-		linalg.Zero(dst)
-	}
-	linalg.MulTNRange(k.a, k.d, k.m, dst, lo, hi)
-}
-
-// MulTN computes G = D^T * A on the device: D is n x m, A is n x p, G is
-// m x p (overwritten). Each chunk accumulates into a pooled arena buffer
-// and the partials are reduced in chunk order — the standard GPU strategy
+// MulTN computes G = Dᵀ·A on the device: D is n×m, A is n×p, G is m×p
+// (overwritten). Each chunk accumulates into a pooled arena buffer and
+// the partials are reduced in chunk order — the standard GPU strategy
 // for transposed gradient accumulation without atomics, kept bitwise
 // deterministic across runs. Steady-state calls perform zero heap
-// allocation (the arena replaces the per-call accumulator allocations of
-// the naive implementation).
-func (d *Device) MulTN(a *linalg.Matrix, dmat []float64, m int, g []float64) {
-	if len(g) != m*a.Cols {
-		panic("device: MulTN output dimension mismatch")
-	}
-	linalg.Zero(g)
-	k := &d.mulTN
-	k.a, k.d, k.m, k.g = a, dmat, m, g
-	if a.Rows > 0 {
-		if chunks := d.chunkCount(a.Rows, 0); chunks > 1 {
-			k.parts = d.ScratchParts(chunks, len(g))
+// allocation.
+func (d *Device) MulTN(a Operand, dmat []float64, m int, g []float64) {
+	d.product("MulTN", accumPass, a, nil, m, dmat, nil, g)
+}
+
+// transposeTile is the column width of the layout copies: a tile of
+// transposeTile × m floats stays in L1 while it is scattered.
+const transposeTile = 64
+
+// toFeatureMajor copies the m × p row-major b into bt as p × m.
+func toFeatureMajor(b []float64, m, p int, bt []float64) {
+	for j0 := 0; j0 < p; j0 += transposeTile {
+		j1 := min(j0+transposeTile, p)
+		for c := 0; c < m; c++ {
+			for j, v := range b[c*p+j0 : c*p+j1] {
+				bt[(j0+j)*m+c] = v
+			}
 		}
 	}
-	d.Launch(a.Rows, 0, k)
-	for _, part := range k.parts {
-		linalg.Add(g, part)
+}
+
+// toClassMajor copies the p × m gt into g as m × p row-major.
+func toClassMajor(gt []float64, m, p int, g []float64) {
+	for j0 := 0; j0 < p; j0 += transposeTile {
+		j1 := min(j0+transposeTile, p)
+		for c := 0; c < m; c++ {
+			gc := g[c*p+j0 : c*p+j1]
+			for j := range gc {
+				gc[j] = gt[(j0+j)*m+c]
+			}
+		}
 	}
-	k.a, k.d, k.g, k.parts = nil, nil, nil, nil
-	d.AddFLOPs(2 * int64(a.Rows) * int64(a.Cols) * int64(m))
-	d.AddBytes(8 * (int64(a.Rows)*int64(a.Cols) + int64(len(dmat)) + int64(len(g))))
 }

@@ -42,7 +42,7 @@ func TestBlockedMulNTBitwiseMatchesRef(t *testing.T) {
 		hi := lo + rng.Intn(n-lo) + 1
 		got := make([]float64, n*m)
 		want := make([]float64, n*m)
-		MulNTRange(a, b, m, got, lo, hi)
+		a.MulNTRange(b, m, got, lo, hi)
 		MulNTRangeRef(a, b, m, want, lo, hi)
 		for i := range want {
 			if got[i] != want[i] {
@@ -65,7 +65,7 @@ func TestBlockedMulTNBitwiseMatchesRef(t *testing.T) {
 		hi := lo + rng.Intn(n-lo) + 1
 		got := make([]float64, m*p)
 		want := make([]float64, m*p)
-		MulTNRange(a, d, m, got, lo, hi)
+		a.MulTNRange(d, m, got, lo, hi)
 		MulTNRangeRef(a, d, m, want, lo, hi)
 		for i := range want {
 			if got[i] != want[i] {
@@ -87,8 +87,8 @@ func TestBlockedMulTNRangePartitionBitwise(t *testing.T) {
 		d := randVecWithZeros(rng, n*m, 0.3)
 		got := make([]float64, m*p)
 		cut := rng.Intn(n + 1)
-		MulTNRange(a, d, m, got, 0, cut)
-		MulTNRange(a, d, m, got, cut, n)
+		a.MulTNRange(d, m, got, 0, cut)
+		a.MulTNRange(d, m, got, cut, n)
 		want := make([]float64, m*p)
 		MulTNRangeRef(a, d, m, want, 0, n)
 		for i := range want {

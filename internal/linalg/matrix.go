@@ -60,6 +60,16 @@ func (m *Matrix) RowSubset(idx []int) *Matrix {
 // bitwise identical to the *Ref kernels at any block width.
 const featureBlock = 256
 
+// Dims returns the number of rows and columns; with NNZ, FeatureMajor
+// and the two range kernels it makes a Matrix a device.Operand.
+func (a *Matrix) Dims() (rows, cols int) { return a.Rows, a.Cols }
+
+// NNZ returns the number of stored entries, every element.
+func (a *Matrix) NNZ() int { return a.Rows * a.Cols }
+
+// FeatureMajor reports false: the range kernels take B and G as m x cols.
+func (a *Matrix) FeatureMajor() bool { return false }
+
 // MulNTRange computes, for rows i in [lo,hi) of A, the block
 // S[i,:] = A[i,:] * B^T where B is m x cols(A) row-major and S is rows(A) x m.
 // It is the inner kernel parallelized by the device package.
@@ -74,7 +84,7 @@ const featureBlock = 256
 // blocked with an order-preserving split loop rather than a reordering
 // tile: accumulating j-tiles into separate partials would reassociate the
 // sum.
-func MulNTRange(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
+func (a *Matrix) MulNTRange(b []float64, m int, s []float64, lo, hi int) {
 	p := a.Cols
 	if len(b) != m*p {
 		panic("linalg: MulNTRange B dimension mismatch")
@@ -142,7 +152,7 @@ func MulNTRange(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
 // never become -0, making the zero-weight contributions the reference
 // kernel skips exact bitwise no-ops; only non-finite inputs, which the
 // loss layer never produces, would propagate differently).
-func MulTNRange(a *Matrix, d []float64, m int, g []float64, lo, hi int) {
+func (a *Matrix) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 	p := a.Cols
 	if len(g) != m*p {
 		panic("linalg: MulTNRange G dimension mismatch")

@@ -84,10 +84,10 @@ func TestMulRangePartition(t *testing.T) {
 	a := randMatrix(rng, n, p)
 	b := randVec(rng, m*p)
 	whole := make([]float64, n*m)
-	MulNTRange(a, b, m, whole, 0, n)
+	a.MulNTRange(b, m, whole, 0, n)
 	split := make([]float64, n*m)
-	MulNTRange(a, b, m, split, 0, 7)
-	MulNTRange(a, b, m, split, 7, n)
+	a.MulNTRange(b, m, split, 0, 7)
+	a.MulNTRange(b, m, split, 7, n)
 	for i := range whole {
 		if whole[i] != split[i] {
 			t.Fatalf("partitioned MulNTRange differs at %d", i)
@@ -96,11 +96,11 @@ func TestMulRangePartition(t *testing.T) {
 
 	d := randVec(rng, n*m)
 	gWhole := make([]float64, m*p)
-	MulTNRange(a, d, m, gWhole, 0, n)
+	a.MulTNRange(d, m, gWhole, 0, n)
 	g1 := make([]float64, m*p)
 	g2 := make([]float64, m*p)
-	MulTNRange(a, d, m, g1, 0, 7)
-	MulTNRange(a, d, m, g2, 7, n)
+	a.MulTNRange(d, m, g1, 0, 7)
+	a.MulTNRange(d, m, g2, 7, n)
 	for i := range gWhole {
 		if !almostEqual(gWhole[i], g1[i]+g2[i], 1e-12) {
 			t.Fatalf("partitioned MulTNRange differs at %d", i)

@@ -17,7 +17,7 @@ func (s *Softmax) HessianDiag(w, diag []float64) {
 	}
 	n, m, p := s.X.Rows(), s.C-1, s.X.Cols()
 	s.ensureScratch()
-	s.X.MulNTReduce(s.Dev, w, m, s.scores, s.probFn)
+	s.Dev.MulNTReduce(s.X.Operand(), w, m, s.scores, s.probFn)
 	probs := s.scores
 
 	for j := range diag {

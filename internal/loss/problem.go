@@ -44,27 +44,14 @@ type DiagHessian interface {
 }
 
 // Features abstracts the design matrix so dense and sparse data share the
-// same solver code. Implementations execute on the provided device.
+// same solver code: the device runs its products over Operand().
 type Features interface {
 	// Rows is the number of samples.
 	Rows() int
 	// Cols is the number of raw features p.
 	Cols() int
-	// MulNT computes S = X * W^T where W is m x p row-major; S is
-	// Rows() x m row-major and is overwritten.
-	MulNT(dev *device.Device, w []float64, m int, s []float64)
-	// MulNTReduce computes S = X * W^T and applies fn to each row range
-	// of the fresh tile in the same launch, returning the chunk-ordered
-	// sum of fn's partials (the fused score + log-sum-exp primitive).
-	MulNTReduce(dev *device.Device, w []float64, m int, s []float64, fn func(lo, hi int) float64) float64
-	// FusedGradient computes S = X * W^T, applies fn to each fresh row
-	// range of S (in place; the residual transform), and accumulates
-	// G = S^T * X, all in one launch that streams X once. Returns the
-	// sum of fn's partials; G is overwritten.
-	FusedGradient(dev *device.Device, w []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64
-	// MulTN computes G = D^T * X where D is Rows() x m row-major; G is
-	// m x p row-major and is overwritten.
-	MulTN(dev *device.Device, d []float64, m int, g []float64)
+	// Operand returns the design matrix the device's products run over.
+	Operand() device.Operand
 	// Subset returns the features restricted to the given rows (copied).
 	Subset(idx []int) Features
 }
@@ -78,25 +65,8 @@ func (d Dense) Rows() int { return d.M.Rows }
 // Cols returns the number of features.
 func (d Dense) Cols() int { return d.M.Cols }
 
-// MulNT computes S = X * W^T on the device.
-func (d Dense) MulNT(dev *device.Device, w []float64, m int, s []float64) {
-	dev.MulNT(d.M, w, m, s)
-}
-
-// MulNTReduce runs the fused score + row-functor launch on the device.
-func (d Dense) MulNTReduce(dev *device.Device, w []float64, m int, s []float64, fn func(lo, hi int) float64) float64 {
-	return dev.MulNTReduce(d.M, w, m, s, fn)
-}
-
-// FusedGradient runs the single-launch score+functor+accumulate pipeline.
-func (d Dense) FusedGradient(dev *device.Device, w []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
-	return dev.FusedGradient(d.M, w, m, s, fn, g)
-}
-
-// MulTN computes G = D^T * X on the device.
-func (d Dense) MulTN(dev *device.Device, dm []float64, m int, g []float64) {
-	dev.MulTN(d.M, dm, m, g)
-}
+// Operand returns the dense matrix.
+func (d Dense) Operand() device.Operand { return d.M }
 
 // Subset returns a copy of the selected rows.
 func (d Dense) Subset(idx []int) Features { return Dense{M: d.M.RowSubset(idx)} }
@@ -110,25 +80,8 @@ func (s Sparse) Rows() int { return s.M.NumRows }
 // Cols returns the number of features.
 func (s Sparse) Cols() int { return s.M.NumCols }
 
-// MulNT computes S = X * W^T on the device.
-func (s Sparse) MulNT(dev *device.Device, w []float64, m int, out []float64) {
-	s.M.MulNT(dev, w, m, out)
-}
-
-// MulNTReduce runs the fused score + row-functor launch on the device.
-func (s Sparse) MulNTReduce(dev *device.Device, w []float64, m int, out []float64, fn func(lo, hi int) float64) float64 {
-	return s.M.MulNTReduce(dev, w, m, out, fn)
-}
-
-// FusedGradient runs the single-launch score+functor+accumulate pipeline.
-func (s Sparse) FusedGradient(dev *device.Device, w []float64, m int, out []float64, fn func(lo, hi int) float64, g []float64) float64 {
-	return s.M.FusedGradient(dev, w, m, out, fn, g)
-}
-
-// MulTN computes G = D^T * X on the device.
-func (s Sparse) MulTN(dev *device.Device, dm []float64, m int, g []float64) {
-	s.M.MulTN(dev, dm, m, g)
-}
+// Operand returns the CSR matrix.
+func (s Sparse) Operand() device.Operand { return s.M }
 
 // Subset returns a copy of the selected rows.
 func (s Sparse) Subset(idx []int) Features { return Sparse{M: s.M.RowSubset(idx)} }

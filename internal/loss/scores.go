@@ -25,7 +25,7 @@ func (s *Softmax) ScoresInto(x Features, w []float64, out []float64) {
 	if rows == 0 {
 		return
 	}
-	x.MulNT(s.Dev, w, s.C-1, out)
+	s.Dev.MulNT(x.Operand(), w, s.C-1, out)
 }
 
 // PredictFromScores writes the argmax class of each row of a full

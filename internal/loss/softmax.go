@@ -171,7 +171,7 @@ func lseRow(scores []float64, prob []float64) float64 {
 // run as one fused launch.
 func (s *Softmax) Value(w []float64) float64 {
 	s.ensureScratch()
-	total := s.X.MulNTReduce(s.Dev, w, s.C-1, s.scores, s.valueFn)
+	total := s.Dev.MulNTReduce(s.X.Operand(), w, s.C-1, s.scores, s.valueFn)
 	nrm := linalg.Nrm2(w)
 	return total + 0.5*s.L2*nrm*nrm
 }
@@ -187,7 +187,7 @@ func (s *Softmax) Gradient(w, g []float64) float64 {
 		panic("loss: gradient buffer dimension mismatch")
 	}
 	s.ensureScratch()
-	total := s.X.FusedGradient(s.Dev, w, s.C-1, s.scores, s.gradFn, g)
+	total := s.Dev.FusedGradient(s.X.Operand(), w, s.C-1, s.scores, s.gradFn, g)
 	linalg.Axpy(s.L2, w, g)
 	nrm := linalg.Nrm2(w)
 	return total + 0.5*s.L2*nrm*nrm
@@ -244,7 +244,7 @@ func (s *Softmax) HessianAt(w []float64) HessianOperator {
 		}
 		s.hess = h
 	}
-	s.X.MulNTReduce(s.Dev, w, m, h.probs, h.probFn)
+	s.Dev.MulNTReduce(s.X.Operand(), w, m, h.probs, h.probFn)
 	return h
 }
 
@@ -258,7 +258,7 @@ func (h *softmaxHessian) Apply(v, hv []float64) {
 	if len(v) != s.Dim() || len(hv) != s.Dim() {
 		panic("loss: HessVec dimension mismatch")
 	}
-	s.X.FusedGradient(s.Dev, v, s.C-1, h.u, h.applyFn, hv)
+	s.Dev.FusedGradient(s.X.Operand(), v, s.C-1, h.u, h.applyFn, hv)
 	linalg.Axpy(s.L2, v, hv)
 }
 
@@ -307,7 +307,7 @@ func (s *Softmax) PredictInto(x Features, w []float64, out []int) {
 	m := s.C - 1
 	s.ensurePredict(rows)
 	scores := s.predScores[:rows*m]
-	x.MulNT(s.Dev, w, m, scores)
+	s.Dev.MulNT(x.Operand(), w, m, scores)
 	s.predTarget = out
 	s.Dev.ParallelFor(rows, 0, s.predFn)
 	s.predTarget = nil
@@ -365,7 +365,7 @@ func (s *Softmax) ProbaInto(x Features, w []float64, out []float64) {
 	}
 	scores := s.predScores[:rows*m]
 	s.probaTarget = out
-	x.MulNTReduce(s.Dev, w, m, scores, s.probaFn)
+	s.Dev.MulNTReduce(x.Operand(), w, m, scores, s.probaFn)
 	s.probaTarget = nil
 }
 

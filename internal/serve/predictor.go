@@ -37,8 +37,7 @@ type Predictor struct {
 	denseFeat loss.Features // cached Dense{&denseMat}: no per-call interface conversion
 
 	// CSR staging: a persistent CSR whose slices grow to the high-water
-	// batch shape; the CSR's kernel parameter blocks are reused across
-	// launches like any other CSR in the repo.
+	// batch shape; it holds no kernel state, the device's launch does.
 	csr     sparse.CSR
 	csrFeat loss.Features // cached Sparse{&csr}
 

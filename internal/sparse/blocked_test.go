@@ -10,8 +10,8 @@ import (
 )
 
 // Property tests for the blocked CSR kernels, in both layouts, against the
-// retained naive references (bitwise), plus allocation regression tests
-// for the arena paths.
+// retained naive references (bitwise), plus the device's product launch on
+// CSR operands. internal/device tests that launch over every operand kind.
 
 func randCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
 	return FromDense(randSparseDense(rng, rows, cols, density))
@@ -84,6 +84,36 @@ func TestCSRBlockedMulTNBitwiseMatchesRef(t *testing.T) {
 	}
 }
 
+// transposeTile is the column width of the layout copies.
+const transposeTile = 64
+
+// toFeatureMajor copies the mRows × p row-major b into bt as p × mRows,
+// as the device does before a feature-major launch.
+func toFeatureMajor(b []float64, mRows, p int, bt []float64) {
+	for j0 := 0; j0 < p; j0 += transposeTile {
+		j1 := min(j0+transposeTile, p)
+		for c := 0; c < mRows; c++ {
+			for j, v := range b[c*p+j0 : c*p+j1] {
+				bt[(j0+j)*mRows+c] = v
+			}
+		}
+	}
+}
+
+// toClassMajor copies the p × mRows gt into g as mRows × p row-major, as
+// the device does after a feature-major launch.
+func toClassMajor(gt []float64, mRows, p int, g []float64) {
+	for j0 := 0; j0 < p; j0 += transposeTile {
+		j1 := min(j0+transposeTile, p)
+		for c := 0; c < mRows; c++ {
+			gc := g[c*p+j0 : c*p+j1]
+			for j := range gc {
+				gc[j] = gt[(j0+j)*mRows+c]
+			}
+		}
+	}
+}
+
 // firstDiff returns the first index where got and want differ in bits, or
 // -1 (NaN compares by its bits too).
 func firstDiff(got, want []float64) int {
@@ -125,7 +155,7 @@ func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 		for trial := 0; trial < 60; trial++ {
 			n, p, m := 1+rng.Intn(80), 1+rng.Intn(60), 1+rng.Intn(13)
 			a := randCSR(rng, n, p, []float64{0.01, 0.05, 0.3}[trial%3])
-			layouts[a.featureMajor()]++
+			layouts[a.FeatureMajor()]++
 			b := randWeights(rng, m*p, 0.1)
 			d := randWeights(rng, n*m, []float64{0, 0.5, 0.95}[trial%3])
 			halve := func(s []float64) func(lo, hi int) float64 {
@@ -145,7 +175,7 @@ func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 				t.Fatalf("workers %d trial %d (n=%d p=%d m=%d nnz=%d): MulNT differs at %d", workers, trial, n, p, m, a.NNZ(), i)
 			}
 			clear(s)
-			a.MulNTReduce(dev, b, m, s, halve(s))
+			dev.MulNTReduce(a, b, m, s, halve(s))
 			halve(wantS)(0, n)
 			if i := firstDiff(s, wantS); i >= 0 {
 				t.Fatalf("workers %d trial %d: MulNTReduce differs at %d", workers, trial, i)
@@ -158,7 +188,7 @@ func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 			}
 
 			clear(s)
-			a.FusedGradient(dev, b, m, s, halve(s), g)
+			dev.FusedGradient(a, b, m, s, halve(s), g)
 			if i := firstDiff(s, wantS); i >= 0 {
 				t.Fatalf("workers %d trial %d: FusedGradient scores differ at %d", workers, trial, i)
 			}
@@ -173,6 +203,18 @@ func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 	}
 }
 
+// chunkOrderSum is the oracle for a fused reduction: fn over each of the
+// device's chunks, the partial results summed in chunk order.
+func chunkOrderSum(dev *device.Device, n int, fn func(lo, hi int) float64) float64 {
+	parts := make([]float64, dev.ChunkCount(n, 0))
+	dev.ParallelForChunks(n, 0, func(chunk, lo, hi int) { parts[chunk] = fn(lo, hi) })
+	var acc float64
+	for _, v := range parts {
+		acc += v
+	}
+	return acc
+}
+
 func TestCSRMulNTReduceMatchesSeparatePasses(t *testing.T) {
 	dev := device.New("csr-fused", 4)
 	defer dev.Close()
@@ -183,7 +225,7 @@ func TestCSRMulNTReduceMatchesSeparatePasses(t *testing.T) {
 		b := randWeights(rng, m*p, 0)
 		s1 := make([]float64, n*m)
 		a.MulNT(dev, b, m, s1)
-		want := dev.ParallelReduce(n, 0, func(lo, hi int) float64 {
+		want := chunkOrderSum(dev, n, func(lo, hi int) float64 {
 			var acc float64
 			for i := lo * m; i < hi*m; i++ {
 				acc += s1[i]
@@ -191,7 +233,7 @@ func TestCSRMulNTReduceMatchesSeparatePasses(t *testing.T) {
 			return acc
 		})
 		s2 := make([]float64, n*m)
-		got := a.MulNTReduce(dev, b, m, s2, func(lo, hi int) float64 {
+		got := dev.MulNTReduce(a, b, m, s2, func(lo, hi int) float64 {
 			var acc float64
 			for i := lo * m; i < hi*m; i++ {
 				acc += s2[i]
@@ -229,13 +271,16 @@ func TestCSRFusedGradientMatchesUnfusedPipeline(t *testing.T) {
 		}
 		s1 := make([]float64, n*m)
 		g1 := make([]float64, m*p)
-		a.MulNTReduce(dev, b, m, s1, mkFn(s1))
+		r1 := dev.MulNTReduce(a, b, m, s1, mkFn(s1))
 		a.MulTN(dev, s1, m, g1)
 
 		s2 := make([]float64, n*m)
 		g2 := make([]float64, m*p)
-		a.FusedGradient(dev, b, m, s2, mkFn(s2), g2)
+		r2 := dev.FusedGradient(a, b, m, s2, mkFn(s2), g2)
 
+		if r1 != r2 {
+			t.Fatalf("trial %d: fused CSR reduction %v != unfused %v", trial, r2, r1)
+		}
 		for i := range s1 {
 			if s1[i] != s2[i] {
 				t.Fatalf("trial %d: fused CSR scores differ at %d", trial, i)
@@ -287,21 +332,17 @@ func TestCSRProductsZeroAllocsSteadyState(t *testing.T) {
 		for name, f := range map[string]func(){
 			"MulNT":         func() { a.MulNT(dev, b, m, s) },
 			"MulTN":         func() { a.MulTN(dev, d, m, g) },
-			"MulNTReduce":   func() { a.MulNTReduce(dev, b, m, s, fn) },
-			"FusedGradient": func() { a.FusedGradient(dev, b, m, s, fn, g) },
+			"MulNTReduce":   func() { dev.MulNTReduce(a, b, m, s, fn) },
+			"FusedGradient": func() { dev.FusedGradient(a, b, m, s, fn, g) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 				t.Fatalf("CSR %s (feature-major %v) allocates %v per call in steady state, want 0",
-					name, a.featureMajor(), allocs)
+					name, a.FeatureMajor(), allocs)
 			}
 		}
 	}
 }
 
-// TestCSRFewRowProductStaysClassMajor checks that the layout is a property
-// of each call's operand: after a shard-sized product has filled the
-// device's layout scratch, a one-row product on the same device neither
-// writes that scratch nor differs from the reference.
 func TestCSRFewRowProductStaysClassMajor(t *testing.T) {
 	dev := device.New("csr-few-rows", 1)
 	defer dev.Close()
@@ -309,11 +350,11 @@ func TestCSRFewRowProductStaysClassMajor(t *testing.T) {
 	n, p, m := 200, 500, 7
 	shard := randCSR(rng, n, p, 0.05)
 	row := randCSR(rng, 1, p, 0.05)
-	if !shard.featureMajor() || row.featureMajor() {
+	if !shard.FeatureMajor() || row.FeatureMajor() {
 		t.Fatalf("layouts: shard %d entries, row %d entries, %d columns", shard.NNZ(), row.NNZ(), p)
 	}
 	b := randWeights(rng, m*p, 0)
-	shard.FusedGradient(dev, b, m, make([]float64, n*m), func(lo, hi int) float64 { return 0 }, make([]float64, m*p))
+	dev.FusedGradient(shard, b, m, make([]float64, n*m), func(lo, hi int) float64 { return 0 }, make([]float64, m*p))
 
 	bt, gt := dev.ScratchLayout(m * p)
 	for i := range bt {

@@ -4,15 +4,16 @@
 // Hessian) is infeasible; CSR plus Hessian-free products is the code path
 // that makes that experiment possible.
 //
-// The products mirror the dense kernel layer: register-blocked over four
-// output classes (each nonzero's value and column index are loaded once
-// and feed four outputs), chunk accumulators drawn from the device scratch
-// arena (zero steady-state allocation), and a fused MulNTReduce launch.
-// A matrix with at least as many stored entries as columns runs them
-// feature-major: W is copied to p×m in the arena so each nonzero reads
-// its class weights as one contiguous run (PERF.md "CSR layout"). The
-// unexported *Ref methods keep the naive loops as the bitwise reference
-// for property tests; both layouts match them bit for bit.
+// A CSR is a device.Operand: it supplies the serial row-range kernels and
+// the device's one product launch does the rest (chunking, arena
+// accumulators, reduction, counters), exactly as for dense data. The
+// class-major kernels are register-blocked over four output classes (each
+// nonzero's value and column index are loaded once and feed four
+// outputs). A matrix with at least as many stored entries as columns is
+// feature-major: the device copies W to p×m in its arena so each nonzero
+// reads its class weights as one contiguous run (PERF.md "CSR layout").
+// The unexported *Ref methods keep the naive loops as the bitwise
+// reference for property tests; both layouts match them bit for bit.
 package sparse
 
 import (
@@ -28,19 +29,14 @@ import (
 // Col[RowPtr[i]:RowPtr[i+1]] / Val[RowPtr[i]:RowPtr[i+1]], with column
 // indices strictly increasing within a row.
 //
-// Like the loss objectives that own them, a CSR matrix is a single-stream
-// structure for compute: its product methods reuse per-matrix kernel
-// state, so concurrent products on the same CSR are not allowed (reads
-// like At/ToDense are safe).
+// A CSR holds no kernel state: the persistent kernel and its scratch
+// belong to the device, so products on one CSR follow each device's
+// single-stream rule, and the matrix itself is only read.
 type CSR struct {
 	NumRows, NumCols int
 	RowPtr           []int
 	Col              []int
 	Val              []float64
-
-	// Persistent kernel parameter block, reused across launches so
-	// steady-state products allocate nothing.
-	k csrKernel
 }
 
 // Coord is a single (row, col, value) entry used to build CSR matrices.
@@ -103,6 +99,49 @@ func FromDense(a *linalg.Matrix) *CSR {
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
+
+// Dims returns the number of rows and columns.
+func (m *CSR) Dims() (rows, cols int) { return m.NumRows, m.NumCols }
+
+// FeatureMajor reports whether products on m run in the feature-major
+// layout: with at least as many stored entries as columns, copying W
+// (m×p) to p×m and G back costs less than the scattered reads it saves,
+// since each nonzero then touches its m class weights as one contiguous
+// run instead of m cache lines p floats apart. Few-row products, such as
+// single-row sparse scoring, stay class-major.
+func (m *CSR) FeatureMajor() bool { return m.NNZ() >= m.NumCols }
+
+// MulNTRange writes rows [lo,hi) of S = A·Bᵀ, with b in the layout
+// FeatureMajor names.
+func (m *CSR) MulNTRange(b []float64, mRows int, s []float64, lo, hi int) {
+	if m.FeatureMajor() {
+		m.mulNTRangeFM(b, mRows, s, lo, hi)
+	} else {
+		m.mulNTRange(b, mRows, s, lo, hi)
+	}
+}
+
+// MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A, with g in the
+// layout FeatureMajor names.
+func (m *CSR) MulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
+	if m.FeatureMajor() {
+		m.mulTNRangeFM(d, mRows, g, lo, hi)
+	} else {
+		m.mulTNRange(d, mRows, g, lo, hi)
+	}
+}
+
+// MulNT computes S = A·Bᵀ on dev: A is this CSR (n×p), B is m×p
+// row-major dense, S is n×m row-major (overwritten).
+func (m *CSR) MulNT(dev *device.Device, b []float64, mRows int, s []float64) {
+	dev.MulNT(m, b, mRows, s)
+}
+
+// MulTN computes G = Dᵀ·A on dev: D is n×m dense, A is this CSR (n×p),
+// G is m×p (overwritten).
+func (m *CSR) MulTN(dev *device.Device, d []float64, mRows int, g []float64) {
+	dev.MulTN(m, d, mRows, g)
+}
 
 // At returns element (i, j) with a binary search over row i.
 func (m *CSR) At(i, j int) float64 {
@@ -275,43 +314,6 @@ func (m *CSR) mulTNRangeRef(d []float64, mRows int, g []float64, lo, hi int) {
 	}
 }
 
-// featureMajor reports whether products on m run in the feature-major
-// layout: with at least as many stored entries as columns, copying W
-// (m×p) to p×m and G back costs less than the scattered reads it saves,
-// since each nonzero then touches its m class weights as one contiguous
-// run instead of m cache lines p floats apart. Few-row products, such as
-// single-row sparse scoring, stay class-major.
-func (m *CSR) featureMajor() bool { return m.NNZ() >= m.NumCols }
-
-// transposeTile is the column width of the layout copies: a tile of
-// transposeTile × mRows floats stays in L1 while it is scattered.
-const transposeTile = 64
-
-// toFeatureMajor copies the mRows × p row-major b into bt as p × mRows.
-func toFeatureMajor(b []float64, mRows, p int, bt []float64) {
-	for j0 := 0; j0 < p; j0 += transposeTile {
-		j1 := min(j0+transposeTile, p)
-		for c := 0; c < mRows; c++ {
-			for j, v := range b[c*p+j0 : c*p+j1] {
-				bt[(j0+j)*mRows+c] = v
-			}
-		}
-	}
-}
-
-// toClassMajor copies the p × mRows gt into g as mRows × p row-major.
-func toClassMajor(gt []float64, mRows, p int, g []float64) {
-	for j0 := 0; j0 < p; j0 += transposeTile {
-		j1 := min(j0+transposeTile, p)
-		for c := 0; c < mRows; c++ {
-			gc := g[c*p+j0 : c*p+j1]
-			for j := range gc {
-				gc[j] = gt[(j0+j)*mRows+c]
-			}
-		}
-	}
-}
-
 // mulNTRangeFM is mulNTRange over the feature-major bt (p × mRows): a
 // pass over a row's nonzeros accumulates six classes (then three, then
 // one) from adjacent floats. Each accumulator still sums its products in
@@ -454,184 +456,4 @@ func axpySkipFM(cols []int, vals, g []float64, stride int, w []float64) {
 			gq[j*stride] += wq * vals[k]
 		}
 	}
-}
-
-// csrKernel is the one persistent parameter block of the CSR launches.
-// Per row panel it runs up to three passes: scores S = A·Bᵀ when b is
-// set, fn over the fresh rows when fn is set, and G += Sᵀ·A when g is
-// set (s is then the D operand). Only the fused gradient, which has all
-// three, is panelled by device.GradPanel, so each panel's CSR rows are
-// still cache-resident for the accumulation sweep.
-type csrKernel struct {
-	m        *CSR
-	fm       bool      // b and g are feature-major (p × r)
-	b        []float64 // weights; nil skips the score pass
-	r        int
-	s        []float64
-	fn       func(lo, hi int) float64
-	partials []float64
-	g        []float64   // accumulator; nil skips the accumulation pass
-	parts    [][]float64 // chunk accumulators; nil on the single-chunk path
-}
-
-func (k *csrKernel) Run(chunk, lo, hi int) {
-	dst := k.g
-	if k.parts != nil {
-		dst = k.parts[chunk]
-		linalg.Zero(dst)
-	}
-	panel := hi - lo
-	if k.b != nil && k.g != nil {
-		panel = device.GradPanel
-	}
-	var sum float64
-	for plo := lo; plo < hi; plo += panel {
-		phi := min(plo+panel, hi)
-		switch {
-		case k.b == nil:
-		case k.fm:
-			k.m.mulNTRangeFM(k.b, k.r, k.s, plo, phi)
-		default:
-			k.m.mulNTRange(k.b, k.r, k.s, plo, phi)
-		}
-		if k.fn != nil {
-			sum += k.fn(plo, phi)
-		}
-		switch {
-		case k.g == nil:
-		case k.fm:
-			k.m.mulTNRangeFM(k.s, k.r, dst, plo, phi)
-		default:
-			k.m.mulTNRange(k.s, k.r, dst, plo, phi)
-		}
-	}
-	if k.partials != nil {
-		k.partials[chunk] = sum
-	}
-}
-
-// launch runs the CSR kernel over all rows and returns the chunk-ordered
-// sum of fn's partials; g (if any) is overwritten with the chunk parts
-// summed in chunk order. On the feature-major path b is first copied
-// into the device arena, and G is accumulated there and copied back
-// once. Copying a sum where the class-major path adds it to a zeroed g
-// keeps every bit: a sum that starts at +0 is never -0, so 0+x == x.
-func (m *CSR) launch(dev *device.Device, b []float64, r int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
-	if m.NumRows == 0 {
-		if g != nil {
-			linalg.Zero(g)
-		}
-		return 0
-	}
-	chunks := dev.ChunkCount(m.NumRows, 0)
-	k := &m.k
-	k.m, k.fm, k.b, k.r, k.s, k.fn, k.g = m, m.featureMajor(), b, r, s, fn, g
-	if k.fm {
-		bt, gt := dev.ScratchLayout(r * m.NumCols)
-		if b != nil {
-			toFeatureMajor(b, r, m.NumCols, bt)
-			k.b = bt
-		}
-		if g != nil {
-			k.g = gt
-		}
-	}
-	if fn != nil {
-		k.partials = dev.ScratchPartials(chunks)
-	}
-	if g != nil && chunks == 1 {
-		linalg.Zero(k.g)
-	}
-	if g != nil && chunks > 1 {
-		k.parts = dev.ScratchParts(chunks, len(g))
-	}
-	dev.Launch(m.NumRows, 0, k)
-	if g != nil {
-		acc := k.g
-		if k.parts != nil {
-			acc = k.parts[0]
-			for _, part := range k.parts[1:] {
-				linalg.Add(acc, part)
-			}
-		}
-		switch {
-		case k.fm:
-			toClassMajor(acc, r, m.NumCols, g)
-		case k.parts != nil:
-			copy(g, acc)
-		}
-	}
-	var total float64
-	for _, p := range k.partials {
-		total += p
-	}
-	*k = csrKernel{}
-	return total
-}
-
-// MulNT computes S = A * B^T on the device: A is this CSR (n x p), B is
-// m x p row-major dense, S is n x m row-major (overwritten).
-func (m *CSR) MulNT(dev *device.Device, b []float64, mRows int, s []float64) {
-	if len(b) != mRows*m.NumCols {
-		panic("sparse: MulNT B dimension mismatch")
-	}
-	if len(s) != m.NumRows*mRows {
-		panic("sparse: MulNT output dimension mismatch")
-	}
-	m.launch(dev, b, mRows, s, nil, nil)
-	dev.AddFLOPs(2 * int64(m.NNZ()) * int64(mRows))
-	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(b)) + int64(len(s))))
-}
-
-// MulNTReduce computes S = A * B^T and applies fn over each row range of
-// the fresh output tile in the same launch, returning the chunk-ordered
-// sum of partials — the CSR twin of device.MulNTReduce. fn must only
-// touch rows [lo, hi) of S and be safe on disjoint ranges concurrently.
-func (m *CSR) MulNTReduce(dev *device.Device, b []float64, mRows int, s []float64, fn func(lo, hi int) float64) float64 {
-	if len(b) != mRows*m.NumCols {
-		panic("sparse: MulNTReduce B dimension mismatch")
-	}
-	if len(s) != m.NumRows*mRows {
-		panic("sparse: MulNTReduce output dimension mismatch")
-	}
-	total := m.launch(dev, b, mRows, s, fn, nil)
-	dev.AddFLOPs(2 * int64(m.NNZ()) * int64(mRows))
-	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(b)) + int64(len(s))))
-	return total
-}
-
-// FusedGradient runs S = A·Bᵀ, applies fn to each fresh row range of S
-// (in place), and accumulates G = Sᵀ·A in one launch that streams the
-// CSR data once — the sparse twin of device.FusedGradient, with the same
-// bitwise guarantee for G and chunk/panel-deterministic partials.
-func (m *CSR) FusedGradient(dev *device.Device, b []float64, mRows int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
-	if len(b) != mRows*m.NumCols {
-		panic("sparse: FusedGradient B dimension mismatch")
-	}
-	if len(s) != m.NumRows*mRows {
-		panic("sparse: FusedGradient score dimension mismatch")
-	}
-	if len(g) != mRows*m.NumCols {
-		panic("sparse: FusedGradient output dimension mismatch")
-	}
-	total := m.launch(dev, b, mRows, s, fn, g)
-	dev.AddFLOPs(4 * int64(m.NNZ()) * int64(mRows))
-	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(b)) + int64(len(s)) + int64(len(g))))
-	return total
-}
-
-// MulTN computes G = D^T * A on the device: D is n x m dense, A is this
-// CSR (n x p), G is m x p (overwritten). Chunk-private arena accumulators
-// are reduced in chunk order, as in the dense device kernel, so results
-// are deterministic across runs; steady-state calls allocate nothing.
-func (m *CSR) MulTN(dev *device.Device, d []float64, mRows int, g []float64) {
-	if len(d) != m.NumRows*mRows {
-		panic("sparse: MulTN D dimension mismatch")
-	}
-	if len(g) != mRows*m.NumCols {
-		panic("sparse: MulTN output dimension mismatch")
-	}
-	m.launch(dev, nil, mRows, d, nil, g)
-	dev.AddFLOPs(2 * int64(m.NNZ()) * int64(mRows))
-	dev.AddBytes(8 * (int64(m.NNZ()) + int64(len(d)) + int64(len(g))))
 }
