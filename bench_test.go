@@ -92,20 +92,42 @@ func BenchmarkCGNewtonDirection(b *testing.B) {
 
 // BenchmarkDeviceMulNT measures the raw score-matrix kernel.
 func BenchmarkDeviceMulNT(b *testing.B) {
+	dev, a, w, s, _, m := benchDense(b)
+	b.SetBytes(int64(8 * (len(a.Data) + len(w) + len(s))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.MulNT(a, w, m, s)
+	}
+}
+
+// BenchmarkDeviceMulTN measures the dense gradient-accumulation kernel
+// G = Dᵀ·A at the same shape.
+func BenchmarkDeviceMulTN(b *testing.B) {
+	dev, a, _, _, d, m := benchDense(b)
+	g := make([]float64, m*a.Cols)
+	b.SetBytes(int64(8 * (len(a.Data) + len(d) + len(g))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.MulTN(a, d, m, g)
+	}
+}
+
+// benchDense builds a train-dense rank's shard shape: 4000 x 784, nine
+// explicit classes.
+func benchDense(b *testing.B) (*device.Device, *linalg.Matrix, []float64, []float64, []float64, int) {
+	b.Helper()
 	dev := device.New("bench", 0)
-	defer dev.Close()
+	b.Cleanup(dev.Close)
 	n, p, m := 4000, 784, 9
 	a := linalg.NewMatrix(n, p)
 	for i := range a.Data {
 		a.Data[i] = float64(i % 13)
 	}
-	w := make([]float64, m*p)
-	s := make([]float64, n*m)
-	b.SetBytes(int64(8 * (n*p + m*p + n*m)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.MulNT(a, w, m, s)
+	d := make([]float64, n*m)
+	for i := range d {
+		d[i] = float64(i%5) - 2
 	}
+	return dev, a, make([]float64, m*p), make([]float64, n*m), d, m
 }
 
 // benchCSR builds an E18-flavoured sparse operand set: many features,

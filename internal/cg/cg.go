@@ -91,9 +91,15 @@ func Solve(h loss.HessianOperator, b, x []float64, opts Options) Result {
 		return Result{Converged: true}
 	}
 
-	// r = b - H x
-	h.Apply(x, hp)
-	linalg.Waxpby(1, b, -1, hp, r)
+	// r = b - H x. From x = 0, as every NewtonDirection starts, H·x is
+	// +0 in every element for finite data, so r is b bit for bit and
+	// the product is skipped.
+	if isZero(x) {
+		linalg.Copy(r, b)
+	} else {
+		h.Apply(x, hp)
+		linalg.Waxpby(1, b, -1, hp, r)
+	}
 	linalg.Copy(p, r)
 	rsOld := linalg.Dot(r, r)
 
@@ -129,6 +135,16 @@ func Solve(h loss.HessianOperator, b, x []float64, opts Options) Result {
 	res.RelResidual = rNorm / bNorm
 	res.Converged = res.RelResidual <= opts.RelTol
 	return res
+}
+
+// isZero reports whether every element of x is ±0.
+func isZero(x []float64) bool {
+	for _, v := range x {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // NewtonDirection solves H p = -g for the Newton step p (overwritten,

@@ -118,6 +118,45 @@ func TestSolveRespectsIterationCap(t *testing.T) {
 	}
 }
 
+// countingOp counts Hessian-vector products.
+type countingOp struct {
+	denseOp
+	n int
+}
+
+func (c *countingOp) Apply(v, hv []float64) { c.n++; c.denseOp.Apply(v, hv) }
+
+// TestSolveFromZeroSpendsOneProductPerIteration: from x = 0 the initial
+// residual is b itself, with no product against zero; from any other x
+// it costs one product.
+func TestSolveFromZeroSpendsOneProductPerIteration(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	d := 50
+	a := randSPD(rng, d, 0.01)
+	b := randVec(rng, d)
+	op := &countingOp{denseOp: denseOp{a}}
+	x := make([]float64, d)
+	res := Solve(op, b, x, Options{MaxIters: 10, RelTol: 1e-14})
+	if res.Iters != 10 || op.n != 10 {
+		t.Fatalf("%d iterations spent %d products, want 10 and 10", res.Iters, op.n)
+	}
+	// The skipped product's arithmetic gives b back bit for bit.
+	hp := make([]float64, d)
+	op.Apply(make([]float64, d), hp)
+	r := make([]float64, d)
+	linalg.Waxpby(1, b, -1, hp, r)
+	for i := range r {
+		if math.Float64bits(r[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("b − H·0 differs from b at %d: %v vs %v", i, r[i], b[i])
+		}
+	}
+	op.n = 0
+	Solve(op, b, x, Options{MaxIters: 10, RelTol: 1e-14})
+	if op.n != 11 {
+		t.Fatalf("a solve from nonzero x spent %d products, want 11", op.n)
+	}
+}
+
 func TestSolveEarlyStoppingRelativeTolerance(t *testing.T) {
 	// With a loose tolerance the solver must stop early with the
 	// guaranteed relative residual (paper eq. 3b).

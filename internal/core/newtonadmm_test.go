@@ -256,6 +256,77 @@ func TestSparseSolveBitwisePin(t *testing.T) {
 	}
 }
 
+// TestDenseSolveBitwisePin pins Newton-ADMM's final consensus on a small
+// MNIST-like problem (784 features, 9 explicit classes, 203 rows a
+// rank), as TestSparseSolveBitwisePin does for CSR data. Its shape runs
+// the dense lanes' 8-class tiles, a masked one-class tail and row tails
+// (203 is not a multiple of four). It runs on the path CPUID picks and on
+// refFeatures, whose class-major operand runs the *Ref loops the
+// fallback matches bit for bit, so both paths must carry these bits.
+// The constants were recorded before the lanes existed.
+func TestDenseSolveBitwisePin(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hash constants are recorded on amd64")
+	}
+	cfg := datasets.MNISTLike(0.05)
+	cfg.Samples = 406
+	ds, err := datasets.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := ds.Xtrain
+	for _, path := range []struct {
+		name string
+		x    loss.Features
+	}{{"cpuid", dense}, {"reference", refFeatures{dense.(loss.Dense)}}} {
+		ds.Xtrain = path.x
+		for _, c := range []struct {
+			workers int
+			want    uint64
+		}{{1, 0x733d36041dfe1f45}, {2, 0x77c15a2af60d70a3}} {
+			res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: c.workers}, ds, Options{
+				Epochs: 3, Lambda: 1e-3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := ckpt.NewFingerprinter()
+			for _, v := range res.Z {
+				f.Float(v)
+			}
+			if got := f.Sum(); got != c.want {
+				t.Errorf("%s, %d workers: hash(Z) = %#x, want %#x", path.name, c.workers, got, c.want)
+			}
+		}
+	}
+}
+
+// refFeatures is dense data whose operand is class-major and runs the
+// reference loops, whatever the CPU.
+type refFeatures struct{ loss.Dense }
+
+func (r refFeatures) Operand() device.Operand { return refOperand{r.M} }
+
+func (r refFeatures) Subset(idx []int) loss.Features {
+	return refFeatures{r.Dense.Subset(idx).(loss.Dense)}
+}
+
+func (r refFeatures) Range(lo, hi int) loss.Features {
+	return refFeatures{r.Dense.Range(lo, hi).(loss.Dense)}
+}
+
+type refOperand struct{ *linalg.Matrix }
+
+func (refOperand) FeatureMajor() bool { return false }
+
+func (o refOperand) MulNTRange(w []float64, m int, s []float64, lo, hi int) {
+	linalg.MulNTRangeRef(o.Matrix, w, m, s, lo, hi)
+}
+
+func (o refOperand) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
+	linalg.MulTNRangeRef(o.Matrix, d, m, g, lo, hi)
+}
+
 func TestSolveEvalEveryThinsTrace(t *testing.T) {
 	ds := smallDataset(t)
 	res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: 1}, ds, Options{

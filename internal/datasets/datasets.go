@@ -234,10 +234,14 @@ func subsetInts(y []int, idx []int) []int {
 	return out
 }
 
-// Shard returns the row indices of rank r's contiguous shard when the
-// training set is split across `ranks` nodes (paper's strong scaling).
+// ShardRange returns the rows [lo, hi) of rank r's contiguous shard when
+// the training set is split across `ranks` nodes (paper's strong
+// scaling).
+func ShardRange(n, ranks, r int) (lo, hi int) {
+	return r * n / ranks, (r + 1) * n / ranks
+}
+
+// Shard returns the row indices of ShardRange(n, ranks, r).
 func Shard(n, ranks, r int) []int {
-	lo := r * n / ranks
-	hi := (r + 1) * n / ranks
-	return indexRange(lo, hi)
+	return indexRange(ShardRange(n, ranks, r))
 }

@@ -13,8 +13,9 @@ import (
 
 // Tests for the one product launch, the scratch arena, and the
 // zero-allocation guarantee of steady-state launches. Every product test
-// runs on each operand kind — dense, and CSR in each layout — on a one-
-// and a three-worker device, so one and several chunk parts.
+// runs on each operand kind — dense (feature-major where the CPU runs
+// linalg's lanes), and CSR in each layout — on a one- and a three-worker
+// device, so one and several chunk parts.
 
 // operandKinds build an operand from an n×p random matrix, which they
 // leave holding the operand's dense equal (dropped entries zeroed).
@@ -54,6 +55,8 @@ func eachOperand(t *testing.T, seed int64, f func(t *testing.T, dev *device.Devi
 				f(t, dev, func(n, p int) (device.Operand, *linalg.Matrix) {
 					a := linalg.NewMatrixFrom(n, p, randVec(rng, n*p))
 					op := kind.build(rng, a)
+					// Dense data is feature-major when linalg's lanes
+					// run: on an AVX2 CPU, from eight rows up.
 					if want := kind.name == "csr-feature-major"; kind.name != "dense" && op.FeatureMajor() != want {
 						t.Fatalf("%dx%d: FeatureMajor = %v", n, p, !want)
 					}

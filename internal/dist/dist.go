@@ -43,22 +43,21 @@ type Local struct {
 	buf []float64 // dim+1 scratch for the fused gradient+value allreduce
 }
 
-// BuildLocal constructs rank node.Rank()'s Local over its shard of ds.
+// BuildLocal constructs rank node.Rank()'s Local over its shard of ds,
+// a view of ds's rows (no copy).
 // With shardL2 the shard problem carries Lambda * n_i/n so that the shard
 // objectives sum to the global objective; without it the shard problem is
 // unregularized (the ADMM subproblem convention).
 func BuildLocal(node *cluster.Node, ds *datasets.Dataset, lambda float64, shardL2 bool) (*Local, error) {
 	n := ds.TrainSize()
-	idx := datasets.Shard(n, node.Size(), node.Rank())
-	y := make([]int, len(idx))
-	for k, i := range idx {
-		y[k] = ds.Ytrain[i]
-	}
+	lo, hi := datasets.ShardRange(n, node.Size(), node.Rank())
 	l2 := 0.0
 	if shardL2 && n > 0 {
-		l2 = lambda * float64(len(idx)) / float64(n)
+		l2 = lambda * float64(hi-lo) / float64(n)
 	}
-	prob, err := loss.NewSoftmax(node.Dev, ds.Xtrain.Subset(idx), y, ds.Classes, l2)
+	// Nothing writes a training set after generation, so the shard's
+	// rows and labels can share it.
+	prob, err := loss.NewSoftmax(node.Dev, ds.Xtrain.Range(lo, hi), ds.Ytrain[lo:hi:hi], ds.Classes, l2)
 	if err != nil {
 		return nil, err
 	}

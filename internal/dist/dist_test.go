@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -20,6 +21,27 @@ func testDataset(t *testing.T) *datasets.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// TestBuildLocalShardIsAView: each rank's features are its rows of the
+// training set itself, so a run holds one copy of the data.
+func TestBuildLocalShardIsAView(t *testing.T) {
+	ds := testDataset(t)
+	x := ds.Xtrain.(loss.Dense).M
+	_, err := cluster.Run(cluster.Config{Ranks: 2, DeviceWorkers: 1}, func(node *cluster.Node) error {
+		local, err := BuildLocal(node, ds, 0.9, true)
+		if err != nil {
+			return err
+		}
+		lo, _ := datasets.ShardRange(ds.TrainSize(), 2, node.Rank())
+		if shard := local.Problem.X.(loss.Dense).M; &shard.Data[0] != &x.Data[lo*x.Cols] {
+			return fmt.Errorf("rank %d: shard rows are a copy", node.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBuildLocalShardsPartitionData(t *testing.T) {

@@ -1,16 +1,18 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// The blocked kernels must be drop-in replacements for the retained
-// serial references: bitwise-identical output on every shape, including
-// feature dimensions that straddle the cache-block width, class counts
-// that exercise the 4-class remainder, row counts that exercise the
-// 4-row remainder, and inputs laced with exact zeros (the reference
-// MulTN skips zero weights; the blocked kernel must reproduce that
+// The range kernels must be drop-in replacements for the retained serial
+// references on both paths — the AVX2 lanes and the class-major
+// fallback: bitwise-identical output on every shape, including feature
+// dimensions that straddle the cache-block width, class counts that
+// exercise every 8-class tile and masked 1–4-lane tail, row counts that
+// exercise the 4-row remainder, and inputs laced with exact zeros (the
+// reference MulTN skips zero weights; the kernels must reproduce that
 // bitwise).
 
 func randVecWithZeros(rng *rand.Rand, n int, zeroFrac float64) []float64 {
@@ -23,78 +25,166 @@ func randVecWithZeros(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	return v
 }
 
-// propShapes exercises the blocking boundaries: p around featureBlock,
-// m around the class quad, n around the row quad.
-func propShapes(rng *rand.Rand) (n, p, m int) {
-	ps := []int{1, 2, 3, 5, featureBlock - 1, featureBlock, featureBlock + 1, 2*featureBlock + 7, 40}
-	ms := []int{1, 2, 3, 4, 5, 7, 8, 9, 11}
-	ns := []int{1, 2, 3, 4, 5, 7, 8, 23}
-	return ns[rng.Intn(len(ns))], ps[rng.Intn(len(ps))], ms[rng.Intn(len(ms))]
+// eachPath runs f on the class-major fallback and, where the CPU has
+// them, on the lanes, with the lanes test hook set accordingly.
+func eachPath(t *testing.T, f func(t *testing.T)) {
+	paths := []bool{false}
+	if lanesSupported {
+		paths = append(paths, true)
+	}
+	for _, on := range paths {
+		name := "fallback"
+		if on {
+			name = "lanes"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer func(was bool) { lanes = was }(lanes)
+			lanes = on
+			f(t)
+		})
+	}
+}
+
+// TestFeatureMajorRule: the lanes take a matrix from laneRows rows up.
+func TestFeatureMajorRule(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		for _, rows := range []int{0, 1, laneRows - 1, laneRows, 4000} {
+			if got, want := NewMatrix(rows, 3).FeatureMajor(), lanes && rows >= laneRows; got != want {
+				t.Errorf("%d rows: FeatureMajor = %v, want %v", rows, got, want)
+			}
+		}
+	})
+}
+
+// Kernel shapes straddling every tile edge: n around the row quad and
+// laneRows (subranges give every row tail), m over every mix of 8-class
+// tiles and 1–4-lane tails, p around featureBlock and at MNIST width.
+var (
+	propNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 23}
+	propMs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+	propPs = []int{1, 3, featureBlock - 1, featureBlock, featureBlock + 1, 784}
+)
+
+// eachShape runs f over every (n, p, m) of the prop tables.
+func eachShape(f func(n, p, m int)) {
+	for _, n := range propNs {
+		for _, p := range propPs {
+			for _, m := range propMs {
+				f(n, p, m)
+			}
+		}
+	}
+}
+
+// mulNTRange runs a.MulNTRange on class-major b, laying b out the way
+// FeatureMajor asks first, as the device does.
+func mulNTRange(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
+	if a.FeatureMajor() {
+		b = transpose(b, m, a.Cols)
+	}
+	a.MulNTRange(b, m, s, lo, hi)
+}
+
+// mulTNRange runs a.MulTNRange into class-major g, accumulating in the
+// layout FeatureMajor asks for and copying back, as the device does.
+func mulTNRange(a *Matrix, d []float64, m int, g []float64, lo, hi int) {
+	if !a.FeatureMajor() {
+		a.MulTNRange(d, m, g, lo, hi)
+		return
+	}
+	gt := transpose(g, m, a.Cols)
+	a.MulTNRange(d, m, gt, lo, hi)
+	copy(g, transpose(gt, a.Cols, m))
+}
+
+// transpose returns the rows × cols row-major x as cols × rows.
+func transpose(x []float64, rows, cols int) []float64 {
+	t := make([]float64, len(x))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			t[c*rows+r] = x[r*cols+c]
+		}
+	}
+	return t
+}
+
+// firstDiff returns the first index where got and want differ in bits,
+// or -1.
+func firstDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestBlockedMulNTBitwiseMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 200; trial++ {
-		n, p, m := propShapes(rng)
-		a := randMatrix(rng, n, p)
-		b := randVecWithZeros(rng, m*p, 0.1)
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo) + 1
-		got := make([]float64, n*m)
-		want := make([]float64, n*m)
-		a.MulNTRange(b, m, got, lo, hi)
-		MulNTRangeRef(a, b, m, want, lo, hi)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (n=%d p=%d m=%d rows [%d,%d)): blocked MulNT differs at %d: %v vs %v",
-					trial, n, p, m, lo, hi, i, got[i], want[i])
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(101))
+		eachShape(func(n, p, m int) {
+			a := randMatrix(rng, n, p)
+			b := randVecWithZeros(rng, m*p, 0.1)
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo) + 1
+			got := make([]float64, n*m)
+			want := make([]float64, n*m)
+			mulNTRange(a, b, m, got, lo, hi)
+			MulNTRangeRef(a, b, m, want, lo, hi)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("n=%d p=%d m=%d rows [%d,%d): MulNT differs at %d: %v vs %v",
+					n, p, m, lo, hi, i, got[i], want[i])
 			}
-		}
-	}
+		})
+	})
 }
 
 func TestBlockedMulTNBitwiseMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	for trial := 0; trial < 200; trial++ {
-		n, p, m := propShapes(rng)
-		a := randMatrix(rng, n, p)
-		// Heavily zero-laden weights: the reference kernel's w==0 skip
-		// must be bitwise-reproduced by the blocked kernel.
-		d := randVecWithZeros(rng, n*m, 0.4)
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo) + 1
-		got := make([]float64, m*p)
-		want := make([]float64, m*p)
-		a.MulTNRange(d, m, got, lo, hi)
-		MulTNRangeRef(a, d, m, want, lo, hi)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d (n=%d p=%d m=%d rows [%d,%d)): blocked MulTN differs at %d: %v vs %v",
-					trial, n, p, m, lo, hi, i, got[i], want[i])
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(102))
+		trial := 0
+		eachShape(func(n, p, m int) {
+			a := randMatrix(rng, n, p)
+			// Zero-laden weights, down to all-but-empty rows: the
+			// reference kernel's w==0 skip must be bitwise-reproduced.
+			d := randVecWithZeros(rng, n*m, []float64{0, 0.4, 0.9}[trial%3])
+			trial++
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo) + 1
+			got := make([]float64, m*p)
+			want := make([]float64, m*p)
+			mulTNRange(a, d, m, got, lo, hi)
+			MulTNRangeRef(a, d, m, want, lo, hi)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("n=%d p=%d m=%d rows [%d,%d): MulTN differs at %d: %v vs %v",
+					n, p, m, lo, hi, i, got[i], want[i])
 			}
-		}
-	}
+		})
+	})
 }
 
 func TestBlockedMulTNRangePartitionBitwise(t *testing.T) {
 	// Accumulating disjoint row ranges into one buffer must equal the
 	// full-range reference bitwise — the contract the device's
 	// single-chunk fast path relies on.
-	rng := rand.New(rand.NewSource(103))
-	for trial := 0; trial < 50; trial++ {
-		n, p, m := propShapes(rng)
-		a := randMatrix(rng, n, p)
-		d := randVecWithZeros(rng, n*m, 0.3)
-		got := make([]float64, m*p)
-		cut := rng.Intn(n + 1)
-		a.MulTNRange(d, m, got, 0, cut)
-		a.MulTNRange(d, m, got, cut, n)
-		want := make([]float64, m*p)
-		MulTNRangeRef(a, d, m, want, 0, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: partitioned MulTN differs at %d: %v vs %v", trial, i, got[i], want[i])
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(103))
+		eachShape(func(n, p, m int) {
+			a := randMatrix(rng, n, p)
+			d := randVecWithZeros(rng, n*m, 0.3)
+			cut := rng.Intn(n + 1)
+			got := make([]float64, m*p)
+			a.MulTNRange(d, m, got, 0, cut)
+			a.MulTNRange(d, m, got, cut, n)
+			if a.FeatureMajor() {
+				got = transpose(got, p, m)
 			}
-		}
-	}
+			want := make([]float64, m*p)
+			MulTNRangeRef(a, d, m, want, 0, n)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("n=%d p=%d m=%d cut %d: partitioned MulTN differs at %d: %v vs %v",
+					n, p, m, cut, i, got[i], want[i])
+			}
+		})
+	})
 }

@@ -52,6 +52,11 @@ func (m *Matrix) RowSubset(idx []int) *Matrix {
 	return s
 }
 
+// RowRange returns rows [lo, hi) of m as a view sharing m's data.
+func (m *Matrix) RowRange(lo, hi int) *Matrix {
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
+}
+
 // featureBlock is the cache-blocking width (in float64 elements) of the
 // feature dimension used by the blocked kernels: 256 elements = 2 KiB per
 // streamed row segment, so a 4-class register block touches ~10 KiB of
@@ -67,14 +72,17 @@ func (a *Matrix) Dims() (rows, cols int) { return a.Rows, a.Cols }
 // NNZ returns the number of stored entries, every element.
 func (a *Matrix) NNZ() int { return a.Rows * a.Cols }
 
-// FeatureMajor reports false: the range kernels take B and G as m x cols.
-func (a *Matrix) FeatureMajor() bool { return false }
+// FeatureMajor reports whether the range kernels take B and G as
+// cols x m, which they do exactly when the AVX2 lanes run (lanes.go) on
+// at least laneRows rows; otherwise they take them as m x cols.
+func (a *Matrix) FeatureMajor() bool { return lanes && a.Rows >= laneRows }
 
 // MulNTRange computes, for rows i in [lo,hi) of A, the block
 // S[i,:] = A[i,:] * B^T where B is m x cols(A) row-major and S is rows(A) x m.
-// It is the inner kernel parallelized by the device package.
+// It is the inner kernel parallelized by the device package. When
+// FeatureMajor, B is cols(A) x m and the AVX2 lanes run (lanes.go).
 //
-// The implementation is register-blocked over four output classes at a
+// Otherwise the implementation is register-blocked over four output classes at a
 // time: the row A[i,:] is streamed once per class quad instead of once per
 // class, and the four accumulators form independent floating-point
 // dependency chains (the serial kernel is latency-bound on a single add
@@ -88,6 +96,10 @@ func (a *Matrix) MulNTRange(b []float64, m int, s []float64, lo, hi int) {
 	p := a.Cols
 	if len(b) != m*p {
 		panic("linalg: MulNTRange B dimension mismatch")
+	}
+	if a.FeatureMajor() {
+		a.mulNTLanes(b, m, s, lo, hi)
+		return
 	}
 	for i := lo; i < hi; i++ {
 		ai := a.Row(i)
@@ -113,10 +125,10 @@ func (a *Matrix) MulNTRange(b []float64, m int, s []float64, lo, hi int) {
 				t2 := b2[jb:je][:len(av)]
 				t3 := b3[jb:je][:len(av)]
 				for j, v := range av {
-					acc0 += v * t0[j]
-					acc1 += v * t1[j]
-					acc2 += v * t2[j]
-					acc3 += v * t3[j]
+					acc0 += float64(v * t0[j])
+					acc1 += float64(v * t1[j])
+					acc2 += float64(v * t2[j])
+					acc3 += float64(v * t3[j])
 				}
 			}
 			si[c] = acc0
@@ -128,7 +140,7 @@ func (a *Matrix) MulNTRange(b []float64, m int, s []float64, lo, hi int) {
 			bc := b[c*p : c*p+p]
 			var acc float64
 			for j, v := range ai {
-				acc += v * bc[j]
+				acc += float64(v * bc[j])
 			}
 			si[c] = acc
 		}
@@ -138,8 +150,9 @@ func (a *Matrix) MulNTRange(b []float64, m int, s []float64, lo, hi int) {
 // MulTNRange accumulates, for rows i in [lo,hi) of A, the outer-product
 // contribution G += D[i,:]^T ⊗ A[i,:] where D is rows(A) x m and G is m x cols(A).
 // Callers parallelize over disjoint row ranges with private G buffers.
+// When FeatureMajor, G is cols(A) x m and the AVX2 lanes run (lanes.go).
 //
-// The kernel is cache-blocked over the feature dimension (the m x
+// Otherwise the kernel is cache-blocked over the feature dimension (the m x
 // featureBlock tile of G stays resident while all rows of the range
 // stream through it) and register-blocked 4x4: four sample rows and four
 // classes at a time, so every G element is loaded and stored once per
@@ -156,6 +169,10 @@ func (a *Matrix) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 	p := a.Cols
 	if len(g) != m*p {
 		panic("linalg: MulTNRange G dimension mismatch")
+	}
+	if a.FeatureMajor() {
+		a.mulTNLanes(d, m, g, lo, hi)
+		return
 	}
 	for jb := 0; jb < p; jb += featureBlock {
 		je := jb + featureBlock
@@ -185,28 +202,28 @@ func (a *Matrix) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 				for j, v0 := range a0 {
 					v1, v2, v3 := a1[j], a2[j], a3[j]
 					t0 := g0[j]
-					t0 += w00 * v0
-					t0 += w10 * v1
-					t0 += w20 * v2
-					t0 += w30 * v3
+					t0 += float64(w00 * v0)
+					t0 += float64(w10 * v1)
+					t0 += float64(w20 * v2)
+					t0 += float64(w30 * v3)
 					g0[j] = t0
 					t1 := g1[j]
-					t1 += w01 * v0
-					t1 += w11 * v1
-					t1 += w21 * v2
-					t1 += w31 * v3
+					t1 += float64(w01 * v0)
+					t1 += float64(w11 * v1)
+					t1 += float64(w21 * v2)
+					t1 += float64(w31 * v3)
 					g1[j] = t1
 					t2 := g2[j]
-					t2 += w02 * v0
-					t2 += w12 * v1
-					t2 += w22 * v2
-					t2 += w32 * v3
+					t2 += float64(w02 * v0)
+					t2 += float64(w12 * v1)
+					t2 += float64(w22 * v2)
+					t2 += float64(w32 * v3)
 					g2[j] = t2
 					t3 := g3[j]
-					t3 += w03 * v0
-					t3 += w13 * v1
-					t3 += w23 * v2
-					t3 += w33 * v3
+					t3 += float64(w03 * v0)
+					t3 += float64(w13 * v1)
+					t3 += float64(w23 * v2)
+					t3 += float64(w33 * v3)
 					g3[j] = t3
 				}
 			}
@@ -215,10 +232,10 @@ func (a *Matrix) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 				gc := g[c*p+jb : c*p+je][:len(a0)]
 				for j, v0 := range a0 {
 					t := gc[j]
-					t += w0 * v0
-					t += w1 * a1[j]
-					t += w2 * a2[j]
-					t += w3 * a3[j]
+					t += float64(w0 * v0)
+					t += float64(w1 * a1[j])
+					t += float64(w2 * a2[j])
+					t += float64(w3 * a3[j])
 					gc[j] = t
 				}
 			}
@@ -234,7 +251,7 @@ func (a *Matrix) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 				}
 				gc := g[c*p+jb : c*p+je][:len(ai)]
 				for j, v := range ai {
-					gc[j] += w * v
+					gc[j] += float64(w * v)
 				}
 			}
 		}
@@ -255,7 +272,7 @@ func MulNTRangeRef(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
 			bc := b[c*p : (c+1)*p]
 			var acc float64
 			for j, v := range ai {
-				acc += v * bc[j]
+				acc += float64(v * bc[j])
 			}
 			si[c] = acc
 		}
@@ -279,7 +296,7 @@ func MulTNRangeRef(a *Matrix, d []float64, m int, g []float64, lo, hi int) {
 			}
 			gc := g[c*p : (c+1)*p]
 			for j, v := range ai {
-				gc[j] += w * v
+				gc[j] += float64(w * v)
 			}
 		}
 	}

@@ -127,6 +127,18 @@ func TestRowSubset(t *testing.T) {
 	}
 }
 
+func TestRowRangeIsAView(t *testing.T) {
+	a := randMatrix(rand.New(rand.NewSource(7)), 10, 3)
+	v := a.RowRange(4, 7)
+	if v.Rows != 3 || v.Cols != 3 || v.At(2, 1) != a.At(6, 1) {
+		t.Fatalf("RowRange(4, 7) is %dx%d with (2,1) = %v, want 3x3 with %v", v.Rows, v.Cols, v.At(2, 1), a.At(6, 1))
+	}
+	v.Set(0, 0, 1234)
+	if a.At(4, 0) != 1234 {
+		t.Fatal("RowRange copied the parent's data")
+	}
+}
+
 func TestMatrixAccessors(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(1, 2, 5)

@@ -3,7 +3,10 @@
 // BLAS-3 style matrix products. All matrices are row-major float64.
 //
 // The package is deliberately dependency-free; the device package layers
-// parallel execution and accounting on top of these kernels.
+// parallel execution and accounting on top of these kernels. On an AVX2
+// CPU the dense range kernels run Go-assembly lanes (lanes.go), bit for
+// bit the same sums as the Go loops; every multiply-add here is written
+// float64(a*b) so no architecture may fuse it.
 package linalg
 
 import "math"
@@ -15,7 +18,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -29,7 +32,7 @@ func Axpy(alpha float64, x, y []float64) {
 		return
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v)
 	}
 }
 
@@ -39,7 +42,7 @@ func Waxpby(alpha float64, x []float64, beta float64, y, w []float64) {
 		panic("linalg: Waxpby length mismatch")
 	}
 	for i := range w {
-		w[i] = alpha*x[i] + beta*y[i]
+		w[i] = float64(alpha*x[i]) + float64(beta*y[i])
 	}
 }
 
@@ -77,11 +80,11 @@ func Nrm2(x []float64) float64 {
 		a := math.Abs(v)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	if scale == 0 {
@@ -145,7 +148,7 @@ func Dist2(x, y []float64) float64 {
 	var ssq float64
 	for i, v := range x {
 		d := v - y[i]
-		ssq += d * d
+		ssq += float64(d * d)
 	}
 	return math.Sqrt(ssq)
 }

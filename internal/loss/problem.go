@@ -54,6 +54,8 @@ type Features interface {
 	Operand() device.Operand
 	// Subset returns the features restricted to the given rows (copied).
 	Subset(idx []int) Features
+	// Range returns rows [lo, hi) as a view sharing the data (no copy).
+	Range(lo, hi int) Features
 }
 
 // Dense adapts a dense row-major matrix to the Features interface.
@@ -71,6 +73,9 @@ func (d Dense) Operand() device.Operand { return d.M }
 // Subset returns a copy of the selected rows.
 func (d Dense) Subset(idx []int) Features { return Dense{M: d.M.RowSubset(idx)} }
 
+// Range returns a view of rows [lo, hi).
+func (d Dense) Range(lo, hi int) Features { return Dense{M: d.M.RowRange(lo, hi)} }
+
 // Sparse adapts a CSR matrix to the Features interface.
 type Sparse struct{ M *sparse.CSR }
 
@@ -85,3 +90,6 @@ func (s Sparse) Operand() device.Operand { return s.M }
 
 // Subset returns a copy of the selected rows.
 func (s Sparse) Subset(idx []int) Features { return Sparse{M: s.M.RowSubset(idx)} }
+
+// Range returns a view of rows [lo, hi).
+func (s Sparse) Range(lo, hi int) Features { return Sparse{M: s.M.RowRange(lo, hi)} }

@@ -181,6 +181,17 @@ func (m *CSR) RowSubset(idx []int) *CSR {
 	return s
 }
 
+// RowRange returns rows [lo, hi) of m as a view: Col and Val are shared
+// with m, and only the rebased row pointers are new.
+func (m *CSR) RowRange(lo, hi int) *CSR {
+	off, end := m.RowPtr[lo], m.RowPtr[hi]
+	rowPtr := make([]int, hi-lo+1)
+	for k := range rowPtr {
+		rowPtr[k] = m.RowPtr[lo+k] - off
+	}
+	return &CSR{NumRows: hi - lo, NumCols: m.NumCols, RowPtr: rowPtr, Col: m.Col[off:end:end], Val: m.Val[off:end:end]}
+}
+
 // mulNTRange computes the blocked S = A * B^T tile for rows [lo,hi):
 // four classes at a time, so each stored (value, column) pair is loaded
 // once per quad instead of once per class, and the four accumulators form

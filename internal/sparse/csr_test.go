@@ -142,6 +142,21 @@ func TestRowSubset(t *testing.T) {
 	matricesEqual(t, sub.ToDense(), subDense, 0)
 }
 
+func TestRowRangeIsAView(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	dense := randSparseDense(rng, 12, 10, 0.3)
+	csr := FromDense(dense)
+	for lo := 0; lo <= csr.NumRows; lo++ {
+		for hi := lo; hi <= csr.NumRows; hi++ {
+			view := csr.RowRange(lo, hi)
+			matricesEqual(t, view.ToDense(), dense.RowRange(lo, hi), 0)
+			if view.NNZ() > 0 && &view.Val[0] != &csr.Val[csr.RowPtr[lo]] {
+				t.Fatalf("RowRange(%d, %d) copied its values", lo, hi)
+			}
+		}
+	}
+}
+
 func TestAtBinarySearch(t *testing.T) {
 	m, err := FromCoords(1, 100, []Coord{{0, 5, 1}, {0, 50, 2}, {0, 99, 3}})
 	if err != nil {
