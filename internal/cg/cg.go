@@ -157,8 +157,20 @@ func NewtonDirection(h loss.HessianOperator, g, p []float64, opts Options) Resul
 	linalg.Waxpby(-1, g, 0, g, b) // b = -g
 	linalg.Zero(p)
 	res := Solve(h, b, p, opts)
-	if linalg.Nrm2(p) == 0 {
+	if !anyNonzero(p) {
 		linalg.Copy(p, b) // fallback: steepest descent
 	}
 	return res
+}
+
+// anyNonzero reports whether some element of x is nonzero and not NaN:
+// exactly when Nrm2(x) != 0, but it stops at the first such element and
+// divides nothing.
+func anyNonzero(x []float64) bool {
+	for _, v := range x {
+		if v < 0 || v > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -243,3 +243,30 @@ func TestSolveWithQuadraticProblemHessian(t *testing.T) {
 		t.Fatalf("gradient at CG solution = %v", linalg.Nrm2(g))
 	}
 }
+
+// TestAnyNonzeroIsNrm2NonZero: NewtonDirection's fallback test agrees with
+// Nrm2(p) == 0, which it replaces, on every kind of element.
+func TestAnyNonzeroIsNrm2NonZero(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		x    []float64
+		want bool
+	}{
+		{"empty", nil, false},
+		{"all ±0", []float64{0, math.Copysign(0, -1), 0}, false},
+		{"NaN only", []float64{nan, 0, nan}, false},
+		{"NaN and finite", []float64{nan, 0, 2.5}, true},
+		{"+Inf", []float64{0, inf}, true},
+		{"-Inf", []float64{-inf, 0}, true},
+		{"subnormal", []float64{0, 5e-324}, true},
+		{"negative subnormal", []float64{-5e-324}, true},
+	} {
+		if got := anyNonzero(c.x); got != c.want {
+			t.Errorf("%s: anyNonzero = %v, want %v", c.name, got, c.want)
+		}
+		if nrm := linalg.Nrm2(c.x); (nrm != 0) != c.want {
+			t.Errorf("%s: Nrm2 = %v, but anyNonzero should be %v", c.name, nrm, c.want)
+		}
+	}
+}

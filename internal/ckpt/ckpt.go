@@ -265,6 +265,12 @@ func Decode(buf []byte) (*Snapshot, error) {
 	if s.Shared, err = r.f64s(); err != nil {
 		return nil, err
 	}
+	// Every rank section holds at least its 4-byte length, so a count
+	// the rest of the body cannot hold is corrupt; checking it first
+	// keeps a hostile count from sizing the allocation.
+	if int(rankCount) > (len(body)-r.off)/4 {
+		return nil, fmt.Errorf("%w: %d rank sections in %d remaining bytes", ErrCorrupt, rankCount, len(body)-r.off)
+	}
 	s.Ranks = make([][]float64, rankCount)
 	for i := range s.Ranks {
 		if s.Ranks[i], err = r.f64s(); err != nil {

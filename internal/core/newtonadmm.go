@@ -91,7 +91,8 @@ func (o Options) withDefaults() Options {
 
 // Result reports a Newton-ADMM run.
 type Result struct {
-	// Z is the final consensus weight vector.
+	// Z is the final consensus weight vector, class-major as a model
+	// holds it (the layout Softmax.Accuracy reads).
 	Z []float64
 	// Trace is the convergence history (recorded on rank 0).
 	Trace metrics.Trace

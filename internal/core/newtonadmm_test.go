@@ -216,11 +216,11 @@ func TestSolveMoreRanksStillConverges(t *testing.T) {
 }
 
 // TestSparseSolveBitwisePin pins Newton-ADMM's final consensus on a small
-// E18-like problem (CSR features, 20 classes, more stored entries than
-// columns on each rank) to the FNV-1a hash of its IEEE bits, with one and
-// with two device chunks per rank. A kernel change that moves any bit of
-// the trajectory fails here. The constants are amd64's: other
-// architectures may fuse the kernels' multiply-adds.
+// E18-like problem (CSR features, 20 classes) to the FNV-1a hash of its
+// IEEE bits, with one and with two device chunks per rank. A kernel
+// change that moves any bit of the trajectory fails here. The constants
+// are amd64's and were recorded when the solver's weights became
+// feature-major (whole-vector sums then add in p×m order).
 func TestSparseSolveBitwisePin(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash constants are recorded on amd64")
@@ -232,14 +232,10 @@ func TestSparseSolveBitwisePin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := ds.Xtrain.(loss.Sparse).M
-	if perRank := x.NNZ() / 2; perRank < x.NumCols {
-		t.Fatalf("%d entries per rank < %d columns: not the feature-major regime", perRank, x.NumCols)
-	}
 	for _, c := range []struct {
 		workers int
 		want    uint64
-	}{{1, 0x4f712d0b6160b89a}, {2, 0x5c01694084a98cb5}} {
+	}{{1, 0xb33c0b0611174652}, {2, 0xfc9047582dd17d46}} {
 		res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: c.workers}, ds, Options{
 			Epochs: 3, Lambda: 1e-3,
 		})
@@ -261,9 +257,10 @@ func TestSparseSolveBitwisePin(t *testing.T) {
 // rank), as TestSparseSolveBitwisePin does for CSR data. Its shape runs
 // the dense lanes' 8-class tiles, a masked one-class tail and row tails
 // (203 is not a multiple of four). It runs on the path CPUID picks and on
-// refFeatures, whose class-major operand runs the *Ref loops the
-// fallback matches bit for bit, so both paths must carry these bits.
-// The constants were recorded before the lanes existed.
+// refFeatures, whose operand runs the class-major *Ref loops that both
+// the lanes and the Go loops match bit for bit, so every path must carry
+// these bits. The constants were recorded when the solver's weights
+// became feature-major.
 func TestDenseSolveBitwisePin(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash constants are recorded on amd64")
@@ -283,7 +280,7 @@ func TestDenseSolveBitwisePin(t *testing.T) {
 		for _, c := range []struct {
 			workers int
 			want    uint64
-		}{{1, 0x733d36041dfe1f45}, {2, 0x77c15a2af60d70a3}} {
+		}{{1, 0x955b1f3fbe94f5ee}, {2, 0x4f8c6072df41f697}} {
 			res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: c.workers}, ds, Options{
 				Epochs: 3, Lambda: 1e-3,
 			})
@@ -301,8 +298,9 @@ func TestDenseSolveBitwisePin(t *testing.T) {
 	}
 }
 
-// refFeatures is dense data whose operand is class-major and runs the
-// reference loops, whatever the CPU.
+// refFeatures is dense data whose operand runs the class-major reference
+// loops, whatever the CPU, converting the feature-major W and G the
+// device passes.
 type refFeatures struct{ loss.Dense }
 
 func (r refFeatures) Operand() device.Operand { return refOperand{r.M} }
@@ -317,14 +315,16 @@ func (r refFeatures) Range(lo, hi int) loss.Features {
 
 type refOperand struct{ *linalg.Matrix }
 
-func (refOperand) FeatureMajor() bool { return false }
-
 func (o refOperand) MulNTRange(w []float64, m int, s []float64, lo, hi int) {
-	linalg.MulNTRangeRef(o.Matrix, w, m, s, lo, hi)
+	linalg.MulNTRangeRef(o.Matrix, loss.ToModel(nil, w, m), m, s, lo, hi)
 }
 
+// MulTNRange accumulates into g class-major and writes the sums back:
+// each element still receives its rows' products in the reference order.
 func (o refOperand) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
-	linalg.MulTNRangeRef(o.Matrix, d, m, g, lo, hi)
+	gc := loss.ToModel(nil, g, m)
+	linalg.MulTNRangeRef(o.Matrix, d, m, gc, lo, hi)
+	loss.FromModel(g, gc, m)
 }
 
 func TestSolveEvalEveryThinsTrace(t *testing.T) {

@@ -125,7 +125,7 @@ func TestGeneratedProblemIsLearnable(t *testing.T) {
 		prob.Gradient(w, g)
 		linalg.Axpy(-0.5/float64(prob.N()), g, w)
 	}
-	acc := prob.Accuracy(d.Xtest, d.Ytest, w)
+	acc := prob.Accuracy(d.Xtest, d.Ytest, loss.ToModel(nil, w, d.Classes-1))
 	if acc < 0.55 { // chance is 1/3
 		t.Fatalf("test accuracy %v barely above chance", acc)
 	}

@@ -84,7 +84,6 @@ type Device struct {
 	partFlat []float64   // backing store for chunk accumulators
 	parts    [][]float64 // per-chunk views into partFlat
 	partials []float64   // per-chunk scalar partials for reductions
-	layout   []float64   // re-laid-out operand + result (ScratchLayout)
 
 	// The product kernel, reused across launches (a parameter struct, not
 	// a closure, so launching it never allocates).
@@ -215,18 +214,6 @@ func (d *Device) scratchPartials(chunks int) []float64 {
 	return d.partials[:chunks]
 }
 
-// ScratchLayout returns two stale buffers of size float64s each from the
-// device arena, apart from ScratchParts: room for a kernel to copy an
-// operand into another layout and to accumulate its result in that
-// layout (a feature-major operand's W and G). Grow-only; valid
-// until the next ScratchLayout call.
-func (d *Device) ScratchLayout(size int) (operand, result []float64) {
-	if cap(d.layout) < 2*size {
-		d.layout = make([]float64, 2*size)
-	}
-	return d.layout[:size], d.layout[size : 2*size]
-}
-
 // Launch executes k over [0, n) split into contiguous chunks on the
 // worker pool and blocks until all chunks complete, like a synchronous
 // kernel launch. The chunk split depends only on (n, grain, workers), so
@@ -281,20 +268,19 @@ func (d *Device) ParallelFor(n, grain int, fn func(lo, hi int)) {
 // Operand is a design matrix the products run over: *linalg.Matrix or
 // *sparse.CSR. It supplies the serial row-range kernels; the one product
 // launch below owns the shape checks, chunking, panels, arena
-// accumulators, chunk-order reduction, layout copies and counters.
+// accumulators, chunk-order reduction and counters. W and G are
+// feature-major (p×m: w[j*m+c] is class c's weight on feature j), the
+// layout the solver keeps its parameters in.
 type Operand interface {
 	// Dims returns the number of rows n and columns p.
 	Dims() (rows, cols int)
 	// NNZ returns the number of stored entries (n·p when dense), which
 	// the FLOP and byte counters charge per class.
 	NNZ() int
-	// FeatureMajor reports whether the range kernels take W and G as
-	// p×m instead of m×p.
-	FeatureMajor() bool
 	// MulNTRange writes rows [lo,hi) of S = A·Wᵀ into the n×m s.
 	MulNTRange(w []float64, m int, s []float64, lo, hi int)
-	// MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A into g,
-	// where d is n×m.
+	// MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A into the
+	// p×m g, where d is n×m.
 	MulTNRange(d []float64, m int, g []float64, lo, hi int)
 }
 
@@ -308,7 +294,7 @@ const gradPanel = 48
 
 // The passes of a product launch.
 const (
-	scorePass = 1 << iota // S = A·Bᵀ
+	scorePass = 1 << iota // S = A·Wᵀ
 	accumPass             // G += Sᵀ·A, s being the D operand
 )
 
@@ -319,12 +305,12 @@ const (
 type productKernel struct {
 	a        Operand
 	passes   int
-	b        []float64 // weights, in a's layout
+	w        []float64 // weights, p×m
 	m        int
 	s        []float64
 	fn       func(lo, hi int) float64
 	partials []float64
-	g        []float64   // accumulator, in a's layout
+	g        []float64   // accumulator, p×m
 	parts    [][]float64 // chunk accumulators; nil on the single-chunk path
 }
 
@@ -342,7 +328,7 @@ func (k *productKernel) Run(chunk, lo, hi int) {
 	for plo := lo; plo < hi; plo += panel {
 		phi := min(plo+panel, hi)
 		if k.passes&scorePass != 0 {
-			k.a.MulNTRange(k.b, k.m, k.s, plo, phi)
+			k.a.MulNTRange(k.w, k.m, k.s, plo, phi)
 		}
 		if k.fn != nil {
 			sum += k.fn(plo, phi)
@@ -361,14 +347,11 @@ func (k *productKernel) Run(chunk, lo, hi int) {
 // the chunk parts summed in chunk order. Every operand is checked
 // against a's shape here, on the caller's goroutine, before anything
 // launches. A zero-row operand zeroes g, returns 0, and counts no
-// launch, FLOPs or bytes. When a is feature-major, b is first copied
-// into the arena, and G is accumulated there and copied back once.
-// Copying a sum where the class-major path adds it to a zeroed g keeps
-// every bit: a sum that starts at +0 is never -0, so 0+x == x.
-func (d *Device) product(op string, passes int, a Operand, b []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
+// launch, FLOPs or bytes.
+func (d *Device) product(op string, passes int, a Operand, w []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
 	rows, cols := a.Dims()
-	if passes&scorePass != 0 && len(b) != m*cols {
-		panic("device: " + op + " B dimension mismatch")
+	if passes&scorePass != 0 && len(w) != m*cols {
+		panic("device: " + op + " W dimension mismatch")
 	}
 	if len(s) != rows*m {
 		if passes == accumPass {
@@ -384,43 +367,23 @@ func (d *Device) product(op string, passes int, a Operand, b []float64, m int, s
 		return 0
 	}
 	chunks := d.chunkCount(rows, 0)
-	fm := a.FeatureMajor()
 	k := &d.kernel
-	*k = productKernel{a: a, passes: passes, b: b, m: m, s: s, fn: fn, g: g}
-	if fm {
-		bt, gt := d.ScratchLayout(m * cols)
-		if passes&scorePass != 0 {
-			toFeatureMajor(b, m, cols, bt)
-			k.b = bt
-		}
-		if passes&accumPass != 0 {
-			k.g = gt
-		}
-	}
+	*k = productKernel{a: a, passes: passes, w: w, m: m, s: s, fn: fn, g: g}
 	if fn != nil {
 		k.partials = d.scratchPartials(chunks)
 	}
 	if passes&accumPass != 0 {
 		if chunks == 1 {
-			linalg.Zero(k.g)
+			linalg.Zero(g)
 		} else {
 			k.parts = d.ScratchParts(chunks, len(g))
 		}
 	}
 	d.Launch(rows, 0, k)
-	if passes&accumPass != 0 {
-		acc := k.g
-		if k.parts != nil {
-			acc = k.parts[0]
-			for _, part := range k.parts[1:] {
-				linalg.Add(acc, part)
-			}
-		}
-		switch {
-		case fm:
-			toClassMajor(acc, m, cols, g)
-		case k.parts != nil:
-			copy(g, acc)
+	if k.parts != nil {
+		copy(g, k.parts[0])
+		for _, part := range k.parts[1:] {
+			linalg.Add(g, part)
 		}
 	}
 	var total float64
@@ -434,18 +397,18 @@ func (d *Device) product(op string, passes int, a Operand, b []float64, m int, s
 		flops *= 2
 	}
 	d.flops.Add(flops)
-	d.bytes.Add(8 * (nnz + int64(len(b)) + int64(len(s)) + int64(len(g))))
+	d.bytes.Add(8 * (nnz + int64(len(w)) + int64(len(s)) + int64(len(g))))
 	return total
 }
 
-// MulNT computes S = A·Bᵀ on the device: A is n×p, B is m×p row-major,
+// MulNT computes S = A·Wᵀ on the device: A is n×p, w holds W p×m,
 // S is n×m row-major (overwritten). This is the "scores" kernel of the
 // softmax loss.
-func (d *Device) MulNT(a Operand, b []float64, m int, s []float64) {
-	d.product("MulNT", scorePass, a, b, m, s, nil, nil)
+func (d *Device) MulNT(a Operand, w []float64, m int, s []float64) {
+	d.product("MulNT", scorePass, a, w, m, s, nil, nil)
 }
 
-// MulNTReduce computes S = A·Bᵀ and applies fn over each row range of
+// MulNTReduce computes S = A·Wᵀ and applies fn over each row range of
 // the fresh output tile in the same launch, returning the chunk-ordered
 // sum of fn's partials. This is the fused score + log-sum-exp primitive:
 // the softmax loss uses it to evaluate objective, residuals, and
@@ -453,11 +416,11 @@ func (d *Device) MulNT(a Operand, b []float64, m int, s []float64) {
 // a second full sweep of S. fn must only touch rows [lo, hi) of S and
 // must be safe to run concurrently on disjoint ranges. Passing a
 // long-lived fn keeps the call allocation-free.
-func (d *Device) MulNTReduce(a Operand, b []float64, m int, s []float64, fn func(lo, hi int) float64) float64 {
-	return d.product("MulNTReduce", scorePass, a, b, m, s, fn, nil)
+func (d *Device) MulNTReduce(a Operand, w []float64, m int, s []float64, fn func(lo, hi int) float64) float64 {
+	return d.product("MulNTReduce", scorePass, a, w, m, s, fn, nil)
 }
 
-// FusedGradient runs S = A·Bᵀ, applies fn to each fresh row range of S
+// FusedGradient runs S = A·Wᵀ, applies fn to each fresh row range of S
 // (which may rewrite its rows in place — the residual transform), and
 // accumulates G = Sᵀ·A, all in one launch that streams A once. It
 // returns the chunk-ordered sum of fn's partials; G is overwritten.
@@ -467,45 +430,16 @@ func (d *Device) MulNTReduce(a Operand, b []float64, m int, s []float64, fn func
 // MulNT/fn/MulTN sequence (the panel split never reorders per-element
 // accumulation); the returned scalar regroups fn's partials by panel,
 // which is deterministic for a fixed worker count.
-func (d *Device) FusedGradient(a Operand, b []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
-	return d.product("FusedGradient", scorePass|accumPass, a, b, m, s, fn, g)
+func (d *Device) FusedGradient(a Operand, w []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
+	return d.product("FusedGradient", scorePass|accumPass, a, w, m, s, fn, g)
 }
 
-// MulTN computes G = Dᵀ·A on the device: D is n×m, A is n×p, G is m×p
-// (overwritten). Each chunk accumulates into a pooled arena buffer and
+// MulTN computes G = Dᵀ·A on the device: D is n×m, A is n×p, g holds
+// G p×m (overwritten). Each chunk accumulates into a pooled arena buffer and
 // the partials are reduced in chunk order — the standard GPU strategy
 // for transposed gradient accumulation without atomics, kept bitwise
 // deterministic across runs. Steady-state calls perform zero heap
 // allocation.
 func (d *Device) MulTN(a Operand, dmat []float64, m int, g []float64) {
 	d.product("MulTN", accumPass, a, nil, m, dmat, nil, g)
-}
-
-// transposeTile is the column width of the layout copies: a tile of
-// transposeTile × m floats stays in L1 while it is scattered.
-const transposeTile = 64
-
-// toFeatureMajor copies the m × p row-major b into bt as p × m.
-func toFeatureMajor(b []float64, m, p int, bt []float64) {
-	for j0 := 0; j0 < p; j0 += transposeTile {
-		j1 := min(j0+transposeTile, p)
-		for c := 0; c < m; c++ {
-			for j, v := range b[c*p+j0 : c*p+j1] {
-				bt[(j0+j)*m+c] = v
-			}
-		}
-	}
-}
-
-// toClassMajor copies the p × m gt into g as m × p row-major.
-func toClassMajor(gt []float64, m, p int, g []float64) {
-	for j0 := 0; j0 < p; j0 += transposeTile {
-		j1 := min(j0+transposeTile, p)
-		for c := 0; c < m; c++ {
-			gc := g[c*p+j0 : c*p+j1]
-			for j := range gc {
-				gc[j] = gt[(j0+j)*m+c]
-			}
-		}
-	}
 }

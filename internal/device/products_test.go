@@ -13,12 +13,15 @@ import (
 
 // Tests for the one product launch, the scratch arena, and the
 // zero-allocation guarantee of steady-state launches. Every product test
-// runs on each operand kind — dense (feature-major where the CPU runs
-// linalg's lanes), and CSR in each layout — on a one- and a three-worker
-// device, so one and several chunk parts.
+// runs on each operand kind — dense (on the lanes where the CPU has
+// them), and CSR with fewer stored entries than columns and with at
+// least as many — on a one- and a three-worker device, so one and
+// several chunk parts, from one row up. The launches take W and G
+// feature-major; the serial references take them class-major.
 
 // operandKinds build an operand from an n×p random matrix, which they
-// leave holding the operand's dense equal (dropped entries zeroed).
+// leave holding the operand's dense equal (dropped entries zeroed). The
+// CSR kinds' names keep the layout each shape once ran in.
 var operandKinds = []struct {
 	name  string
 	build func(rng *rand.Rand, a *linalg.Matrix) device.Operand
@@ -54,13 +57,7 @@ func eachOperand(t *testing.T, seed int64, f func(t *testing.T, dev *device.Devi
 				defer dev.Close()
 				f(t, dev, func(n, p int) (device.Operand, *linalg.Matrix) {
 					a := linalg.NewMatrixFrom(n, p, randVec(rng, n*p))
-					op := kind.build(rng, a)
-					// Dense data is feature-major when linalg's lanes
-					// run: on an AVX2 CPU, from eight rows up.
-					if want := kind.name == "csr-feature-major"; kind.name != "dense" && op.FeatureMajor() != want {
-						t.Fatalf("%dx%d: FeatureMajor = %v", n, p, !want)
-					}
-					return op, a
+					return kind.build(rng, a), a
 				}, rng)
 			})
 		}
@@ -73,6 +70,15 @@ func randVec(rng *rand.Rand, n int) []float64 {
 		v[i] = rng.NormFloat64()
 	}
 	return v
+}
+
+// rowCount is trial+1 for the first five trials, so every row tail from
+// one row up runs, and then a random count up to max.
+func rowCount(rng *rand.Rand, trial, max int) int {
+	if trial < 5 {
+		return trial + 1
+	}
+	return 1 + rng.Intn(max)
 }
 
 // zeroSome zeroes a fraction of v, exercising the zero-weight skips.
@@ -96,6 +102,18 @@ func rowSum(s []float64, m int, scale float64) func(lo, hi int) float64 {
 		}
 		return acc
 	}
+}
+
+// transpose returns the rows × cols row-major x as cols × rows: class-major
+// weights feature-major, or back.
+func transpose(x []float64, rows, cols int) []float64 {
+	t := make([]float64, len(x))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			t[c*rows+r] = x[r*cols+c]
+		}
+	}
+	return t
 }
 
 // chunkSpans returns the row ranges of the device's launch over n rows.
@@ -132,11 +150,11 @@ func firstDiff(got, want []float64) int {
 func TestMulNTMatchesSerial(t *testing.T) {
 	eachOperand(t, 7, func(t *testing.T, dev *device.Device, build buildFunc, rng *rand.Rand) {
 		for trial := 0; trial < 10; trial++ {
-			n, p, m := 1+rng.Intn(200), 2+rng.Intn(30), 1+rng.Intn(9)
+			n, p, m := rowCount(rng, trial, 200), 2+rng.Intn(30), 1+rng.Intn(9)
 			a, dense := build(n, p)
 			b := zeroSome(rng, randVec(rng, m*p), 0.1)
 			got := make([]float64, n*m)
-			dev.MulNT(a, b, m, got)
+			dev.MulNT(a, transpose(b, m, p), m, got)
 			want := make([]float64, n*m)
 			linalg.MulNT(dense, b, m, want)
 			if i := firstDiff(got, want); i >= 0 {
@@ -151,11 +169,12 @@ func TestMulNTMatchesSerial(t *testing.T) {
 func TestMulTNMatchesSerial(t *testing.T) {
 	eachOperand(t, 8, func(t *testing.T, dev *device.Device, build buildFunc, rng *rand.Rand) {
 		for trial := 0; trial < 10; trial++ {
-			n, p, m := 1+rng.Intn(200), 2+rng.Intn(30), 1+rng.Intn(9)
+			n, p, m := rowCount(rng, trial, 200), 2+rng.Intn(30), 1+rng.Intn(9)
 			a, dense := build(n, p)
 			dm := zeroSome(rng, randVec(rng, n*m), []float64{0, 0.5, 0.95}[trial%3])
 			got := make([]float64, m*p)
 			dev.MulTN(a, dm, m, got)
+			got = transpose(got, p, m)
 			want := chunkedMulTNRef(dev, dense, dm, m)
 			if i := firstDiff(got, want); i >= 0 {
 				t.Fatalf("trial %d (n=%d p=%d m=%d): MulTN differs at %d: %v vs %v", trial, n, p, m, i, got[i], want[i])
@@ -167,7 +186,7 @@ func TestMulTNMatchesSerial(t *testing.T) {
 func TestMulNTReduceMatchesSeparatePasses(t *testing.T) {
 	eachOperand(t, 41, func(t *testing.T, dev *device.Device, build buildFunc, rng *rand.Rand) {
 		for trial := 0; trial < 20; trial++ {
-			n, p, m := 1+rng.Intn(200), 2+rng.Intn(30), 1+rng.Intn(9)
+			n, p, m := rowCount(rng, trial, 200), 2+rng.Intn(30), 1+rng.Intn(9)
 			a, _ := build(n, p)
 			b := randVec(rng, m*p)
 			s1 := make([]float64, n*m)
@@ -192,7 +211,7 @@ func TestMulNTReduceMatchesSeparatePasses(t *testing.T) {
 func TestFusedGradientMatchesUnfusedPipeline(t *testing.T) {
 	eachOperand(t, 45, func(t *testing.T, dev *device.Device, build buildFunc, rng *rand.Rand) {
 		for trial := 0; trial < 20; trial++ {
-			n, p, m := 1+rng.Intn(300), 2+rng.Intn(30), 1+rng.Intn(9)
+			n, p, m := rowCount(rng, trial, 300), 2+rng.Intn(30), 1+rng.Intn(9)
 			a, _ := build(n, p)
 			b := randVec(rng, m*p)
 			s1 := make([]float64, n*m)

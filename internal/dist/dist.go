@@ -100,6 +100,7 @@ type Recorder struct {
 	ds       *datasets.Dataset
 	evalTest bool
 	buf      []float64 // 1-element allreduce scratch
+	model    []float64 // the iterate class-major, for Accuracy
 }
 
 // NewRecorder builds a recorder for one solver run.
@@ -160,7 +161,8 @@ func (r *Recorder) Observe(node *cluster.Node, epoch int, x []float64) float64 {
 		if node.Rank() == 0 {
 			acc := math.NaN()
 			if r.evalTest && r.ds.Xtest != nil && r.ds.TestSize() > 0 {
-				acc = r.local.Problem.Accuracy(r.ds.Xtest, r.ds.Ytest, x)
+				r.model = loss.ToModel(r.model, x, r.ds.Classes-1)
+				acc = r.local.Problem.Accuracy(r.ds.Xtest, r.ds.Ytest, r.model)
 			}
 			r.Trace.Append(metrics.Point{
 				Epoch:        epoch,

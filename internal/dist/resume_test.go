@@ -251,28 +251,30 @@ func TestResumeTable(t *testing.T) {
 	}
 }
 
-// TestGoldenFingerprints pins checkpoint compatibility: the constants were
-// computed at the commit before the driver existed (2 ranks,
-// MNISTLike(0.03), lambda 1e-4, every other option at its default), so a
-// snapshot written by that commit's core.Solve / SolveGIANT still loads.
+// TestGoldenFingerprints pins checkpoint compatibility (2 ranks,
+// MNISTLike(0.03), lambda 1e-4, every other option at its default): a
+// snapshot written by a run with these options still loads. golden was
+// recorded when the weight layout joined the fingerprint; classMajor is
+// what the same runs carried while solver state was class-major, and a
+// snapshot carrying it must be refused rather than resumed transposed.
 func TestGoldenFingerprints(t *testing.T) {
 	ds := resumeDataset(t)
 	for _, g := range []struct {
-		name   string
-		golden uint64
-		solve  func(dir string) error
+		name               string
+		golden, classMajor uint64
+		solve              func(dir string, resume bool) error
 	}{
-		{"newton-admm", 0xf3e1d45d5b5fe5ca, func(dir string) error {
-			_, err := core.Solve(resumeCluster(), ds, core.Options{Epochs: 1, Lambda: 1e-4, Penalty: "spectral", CheckpointDir: dir})
+		{"newton-admm", 0x3d8b0b088a5c161f, 0xf3e1d45d5b5fe5ca, func(dir string, resume bool) error {
+			_, err := core.Solve(resumeCluster(), ds, core.Options{Epochs: 1, Lambda: 1e-4, Penalty: "spectral", CheckpointDir: dir, Resume: resume})
 			return err
 		}},
-		{"giant", 0x1f23f6515e2a569c, func(dir string) error {
-			_, err := baselines.SolveGIANT(resumeCluster(), ds, baselines.GiantOptions{Epochs: 1, Lambda: 1e-4, CheckpointDir: dir})
+		{"giant", 0x4ba978aee0fe62d1, 0x1f23f6515e2a569c, func(dir string, resume bool) error {
+			_, err := baselines.SolveGIANT(resumeCluster(), ds, baselines.GiantOptions{Epochs: 1, Lambda: 1e-4, CheckpointDir: dir, Resume: resume})
 			return err
 		}},
 	} {
 		dir := t.TempDir()
-		if err := g.solve(dir); err != nil {
+		if err := g.solve(dir, false); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := ckpt.LoadLatest(dir, g.golden)
@@ -281,6 +283,15 @@ func TestGoldenFingerprints(t *testing.T) {
 		}
 		if snap.Solver != g.name || snap.Iter != 1 || len(snap.Ranks) != resumeRanks {
 			t.Fatalf("%s: snapshot = solver %q iter %d ranks %d", g.name, snap.Solver, snap.Iter, len(snap.Ranks))
+		}
+
+		old := t.TempDir()
+		snap.Fingerprint = g.classMajor
+		if err := ckpt.Save(old, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.solve(old, true); !errors.Is(err, ckpt.ErrFingerprintMismatch) {
+			t.Fatalf("%s: resuming a class-major snapshot: err = %v, want ErrFingerprintMismatch", g.name, err)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
+	"newtonadmm/internal/loss"
 	"newtonadmm/internal/metrics"
 )
 
@@ -80,7 +81,7 @@ type RunOptions struct {
 
 // Result reports one distributed run.
 type Result struct {
-	X     []float64     // final iterate (identical on all ranks)
+	X     []float64     // final iterate (identical on all ranks), class-major as a model holds it
 	Trace metrics.Trace // convergence history recorded on rank 0
 	Stats []cluster.NodeStats
 	// TestAccuracy is the final test accuracy (NaN when not measured).
@@ -94,7 +95,9 @@ type Result struct {
 // shapes the optimization trajectory (solver, data, cluster width, and
 // the mathematically relevant options). Epochs is deliberately excluded
 // so a run can resume toward a larger epoch budget, and the transport
-// choice is excluded because the math is transport-independent. The field
+// choice is excluded because the math is transport-independent. The
+// solver state's weight layout is included, so a snapshot of state in
+// another layout is refused rather than resumed transposed. The field
 // order is the checkpoint-compatibility contract.
 func fingerprint(ranks int, ds *datasets.Dataset, opts RunOptions, s Solver) uint64 {
 	f := ckpt.NewFingerprinter()
@@ -109,6 +112,7 @@ func fingerprint(ranks int, ds *datasets.Dataset, opts RunOptions, s Solver) uin
 	f.Int(opts.EvalEvery)
 	f.Bool(opts.EvalTestAccuracy)
 	f.Float(opts.TargetObjective)
+	f.String(loss.Layout)
 	return f.Sum()
 }
 
@@ -204,7 +208,7 @@ func Run(cfg cluster.Config, ds *datasets.Dataset, opts RunOptions, s Solver) (*
 		}
 		inFlight[node.Rank()] = 0 // clean finish
 		if node.Rank() == 0 {
-			copy(res.X, st.Iterate())
+			loss.ToModel(res.X, st.Iterate(), ds.Classes-1)
 		}
 		return nil
 	})

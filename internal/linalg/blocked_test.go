@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// The range kernels must be drop-in replacements for the retained serial
-// references on both paths — the AVX2 lanes and the class-major
-// fallback: bitwise-identical output on every shape, including feature
-// dimensions that straddle the cache-block width, class counts that
-// exercise every 8-class tile and masked 1–4-lane tail, row counts that
-// exercise the 4-row remainder, and inputs laced with exact zeros (the
-// reference MulTN skips zero weights; the kernels must reproduce that
-// bitwise).
+// The range kernels take W and G feature-major; the retained serial
+// references take them class-major. On both paths — the AVX2 lanes and
+// the Go loops — the kernels must match the references bitwise once the
+// layouts are converted: on every shape from one row up, class counts
+// that exercise every 8-class tile and masked 1–4-lane tail, row counts
+// that exercise the 4-row remainder, and inputs laced with exact zeros
+// (the reference MulTN skips zero weights; the kernels must reproduce
+// that bitwise).
 
 func randVecWithZeros(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	v := make([]float64, n)
@@ -25,7 +25,7 @@ func randVecWithZeros(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	return v
 }
 
-// eachPath runs f on the class-major fallback and, where the CPU has
+// eachPath runs f on the Go loops ("fallback") and, where the CPU has
 // them, on the lanes, with the lanes test hook set accordingly.
 func eachPath(t *testing.T, f func(t *testing.T)) {
 	paths := []bool{false}
@@ -45,24 +45,13 @@ func eachPath(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// TestFeatureMajorRule: the lanes take a matrix from laneRows rows up.
-func TestFeatureMajorRule(t *testing.T) {
-	eachPath(t, func(t *testing.T) {
-		for _, rows := range []int{0, 1, laneRows - 1, laneRows, 4000} {
-			if got, want := NewMatrix(rows, 3).FeatureMajor(), lanes && rows >= laneRows; got != want {
-				t.Errorf("%d rows: FeatureMajor = %v, want %v", rows, got, want)
-			}
-		}
-	})
-}
-
-// Kernel shapes straddling every tile edge: n around the row quad and
-// laneRows (subranges give every row tail), m over every mix of 8-class
-// tiles and 1–4-lane tails, p around featureBlock and at MNIST width.
+// Kernel shapes straddling every tile edge: n from one row past the row
+// quads (subranges give every row tail), m over every mix of 8-class
+// tiles and 1–4-lane tails, p small, odd and at MNIST width.
 var (
 	propNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 23}
 	propMs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	propPs = []int{1, 3, featureBlock - 1, featureBlock, featureBlock + 1, 784}
+	propPs = []int{1, 3, 255, 256, 257, 784}
 )
 
 // eachShape runs f over every (n, p, m) of the prop tables.
@@ -76,22 +65,14 @@ func eachShape(f func(n, p, m int)) {
 	}
 }
 
-// mulNTRange runs a.MulNTRange on class-major b, laying b out the way
-// FeatureMajor asks first, as the device does.
+// mulNTRange runs a.MulNTRange on class-major b, laid out feature-major.
 func mulNTRange(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
-	if a.FeatureMajor() {
-		b = transpose(b, m, a.Cols)
-	}
-	a.MulNTRange(b, m, s, lo, hi)
+	a.MulNTRange(transpose(b, m, a.Cols), m, s, lo, hi)
 }
 
-// mulTNRange runs a.MulTNRange into class-major g, accumulating in the
-// layout FeatureMajor asks for and copying back, as the device does.
+// mulTNRange runs a.MulTNRange into class-major g, accumulating
+// feature-major and converting back.
 func mulTNRange(a *Matrix, d []float64, m int, g []float64, lo, hi int) {
-	if !a.FeatureMajor() {
-		a.MulTNRange(d, m, g, lo, hi)
-		return
-	}
 	gt := transpose(g, m, a.Cols)
 	a.MulTNRange(d, m, gt, lo, hi)
 	copy(g, transpose(gt, a.Cols, m))
@@ -176,9 +157,7 @@ func TestBlockedMulTNRangePartitionBitwise(t *testing.T) {
 			got := make([]float64, m*p)
 			a.MulTNRange(d, m, got, 0, cut)
 			a.MulTNRange(d, m, got, cut, n)
-			if a.FeatureMajor() {
-				got = transpose(got, p, m)
-			}
+			got = transpose(got, p, m)
 			want := make([]float64, m*p)
 			MulTNRangeRef(a, d, m, want, 0, n)
 			if i := firstDiff(got, want); i >= 0 {

@@ -2,7 +2,7 @@
 
 package linalg
 
-// lanesSupported is false off amd64: the class-major loops run.
+// lanesSupported is false off amd64: the Go loops run.
 const lanesSupported = false
 
 func scores8(a *float64, lda int, w *float64, ldw int, p int, s *float64, lds int) {

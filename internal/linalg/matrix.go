@@ -57,209 +57,74 @@ func (m *Matrix) RowRange(lo, hi int) *Matrix {
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
 }
 
-// featureBlock is the cache-blocking width (in float64 elements) of the
-// feature dimension used by the blocked kernels: 256 elements = 2 KiB per
-// streamed row segment, so a 4-class register block touches ~10 KiB of
-// hot data per tile and stays L1-resident. Blocking never reorders the
-// per-element accumulation (see the kernel comments), so results are
-// bitwise identical to the *Ref kernels at any block width.
-const featureBlock = 256
-
-// Dims returns the number of rows and columns; with NNZ, FeatureMajor
-// and the two range kernels it makes a Matrix a device.Operand.
+// Dims returns the number of rows and columns; with NNZ and the two
+// range kernels it makes a Matrix a device.Operand.
 func (a *Matrix) Dims() (rows, cols int) { return a.Rows, a.Cols }
 
 // NNZ returns the number of stored entries, every element.
 func (a *Matrix) NNZ() int { return a.Rows * a.Cols }
 
-// FeatureMajor reports whether the range kernels take B and G as
-// cols x m, which they do exactly when the AVX2 lanes run (lanes.go) on
-// at least laneRows rows; otherwise they take them as m x cols.
-func (a *Matrix) FeatureMajor() bool { return lanes && a.Rows >= laneRows }
-
 // MulNTRange computes, for rows i in [lo,hi) of A, the block
-// S[i,:] = A[i,:] * B^T where B is m x cols(A) row-major and S is rows(A) x m.
-// It is the inner kernel parallelized by the device package. When
-// FeatureMajor, B is cols(A) x m and the AVX2 lanes run (lanes.go).
-//
-// Otherwise the implementation is register-blocked over four output classes at a
-// time: the row A[i,:] is streamed once per class quad instead of once per
-// class, and the four accumulators form independent floating-point
-// dependency chains (the serial kernel is latency-bound on a single add
-// chain). Each accumulator still sums A[i,j]*B[c,j] in increasing-j order
-// with one accumulator per output element, so the result is bitwise
-// identical to MulNTRangeRef — which is also why the feature dimension is
-// blocked with an order-preserving split loop rather than a reordering
-// tile: accumulating j-tiles into separate partials would reassociate the
-// sum.
-func (a *Matrix) MulNTRange(b []float64, m int, s []float64, lo, hi int) {
+// S[i,:] = A[i,:] * Wᵀ where S is rows(A) x m and w holds W feature-major
+// (cols(A) x m: w[j*m+c] is class c's weight on feature j). It is the
+// inner kernel parallelized by the device package. On AVX2 the lanes run
+// (lanes.go); elsewhere a Go loop adds each feature's m weights into the
+// row's m scores. Either way every S element sums its products in
+// increasing-j order from +0, so the result is bitwise identical to
+// MulNTRangeRef on the class-major W.
+func (a *Matrix) MulNTRange(w []float64, m int, s []float64, lo, hi int) {
 	p := a.Cols
-	if len(b) != m*p {
-		panic("linalg: MulNTRange B dimension mismatch")
+	if len(w) != m*p {
+		panic("linalg: MulNTRange W dimension mismatch")
 	}
-	if a.FeatureMajor() {
-		a.mulNTLanes(b, m, s, lo, hi)
+	if lanes {
+		a.mulNTLanes(w, m, s, lo, hi)
 		return
 	}
 	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
 		si := s[i*m : (i+1)*m]
-		c := 0
-		for ; c+4 <= m; c += 4 {
-			b0 := b[c*p : c*p+p]
-			b1 := b[(c+1)*p : (c+1)*p+p]
-			b2 := b[(c+2)*p : (c+2)*p+p]
-			b3 := b[(c+3)*p : (c+3)*p+p]
-			var acc0, acc1, acc2, acc3 float64
-			for jb := 0; jb < p; jb += featureBlock {
-				je := jb + featureBlock
-				if je > p {
-					je = p
-				}
-				av := ai[jb:je]
-				// Reslicing to len(av) lets the compiler prove the
-				// indexed loads below are in bounds (no per-element
-				// bounds checks in the hot loop).
-				t0 := b0[jb:je][:len(av)]
-				t1 := b1[jb:je][:len(av)]
-				t2 := b2[jb:je][:len(av)]
-				t3 := b3[jb:je][:len(av)]
-				for j, v := range av {
-					acc0 += float64(v * t0[j])
-					acc1 += float64(v * t1[j])
-					acc2 += float64(v * t2[j])
-					acc3 += float64(v * t3[j])
-				}
+		clear(si)
+		for j, v := range a.Row(i) {
+			wj := w[j*m : (j+1)*m][:len(si)]
+			for c, x := range wj {
+				si[c] += float64(v * x)
 			}
-			si[c] = acc0
-			si[c+1] = acc1
-			si[c+2] = acc2
-			si[c+3] = acc3
-		}
-		for ; c < m; c++ {
-			bc := b[c*p : c*p+p]
-			var acc float64
-			for j, v := range ai {
-				acc += float64(v * bc[j])
-			}
-			si[c] = acc
 		}
 	}
 }
 
 // MulTNRange accumulates, for rows i in [lo,hi) of A, the outer-product
-// contribution G += D[i,:]^T ⊗ A[i,:] where D is rows(A) x m and G is m x cols(A).
-// Callers parallelize over disjoint row ranges with private G buffers.
-// When FeatureMajor, G is cols(A) x m and the AVX2 lanes run (lanes.go).
-//
-// Otherwise the kernel is cache-blocked over the feature dimension (the m x
-// featureBlock tile of G stays resident while all rows of the range
-// stream through it) and register-blocked 4x4: four sample rows and four
-// classes at a time, so every G element is loaded and stored once per
-// four row contributions instead of once each (the serial kernel is
-// bound by that read-modify-write stream) and every A load feeds four
-// classes. Blocking never changes the result: every G element still
-// receives its per-row contributions in increasing-i order with the same
-// multiply-add per contribution, so for finite inputs the output is
-// bitwise identical to MulTNRangeRef (G accumulators start at +0 and can
-// never become -0, making the zero-weight contributions the reference
-// kernel skips exact bitwise no-ops; only non-finite inputs, which the
-// loss layer never produces, would propagate differently).
+// contribution G += D[i,:]ᵀ ⊗ A[i,:] where D is rows(A) x m and g holds G
+// feature-major (cols(A) x m). Callers parallelize over disjoint row
+// ranges with private G buffers. On AVX2 the lanes take rows four at a
+// time (lanes.go); the rest run a Go loop. Every G element receives its
+// rows' products in increasing-i order, as MulTNRangeRef does; its
+// zero-weight skip is a bitwise no-op here for finite inputs (an
+// accumulator that starts at +0 never becomes -0, so adding a ±0 product
+// leaves it unchanged).
 func (a *Matrix) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 	p := a.Cols
 	if len(g) != m*p {
 		panic("linalg: MulTNRange G dimension mismatch")
 	}
-	if a.FeatureMajor() {
-		a.mulTNLanes(d, m, g, lo, hi)
-		return
+	i := lo
+	if lanes {
+		i = a.mulTNLanes(d, m, g, lo, hi)
 	}
-	for jb := 0; jb < p; jb += featureBlock {
-		je := jb + featureBlock
-		if je > p {
-			je = p
-		}
-		i := lo
-		for ; i+4 <= hi; i += 4 {
-			a0 := a.Row(i)[jb:je]
-			a1 := a.Row(i + 1)[jb:je][:len(a0)]
-			a2 := a.Row(i + 2)[jb:je][:len(a0)]
-			a3 := a.Row(i + 3)[jb:je][:len(a0)]
-			d0 := d[i*m : (i+1)*m]
-			d1 := d[(i+1)*m : (i+2)*m]
-			d2 := d[(i+2)*m : (i+3)*m]
-			d3 := d[(i+3)*m : (i+4)*m]
-			c := 0
-			for ; c+4 <= m; c += 4 {
-				w00, w10, w20, w30 := d0[c], d1[c], d2[c], d3[c]
-				w01, w11, w21, w31 := d0[c+1], d1[c+1], d2[c+1], d3[c+1]
-				w02, w12, w22, w32 := d0[c+2], d1[c+2], d2[c+2], d3[c+2]
-				w03, w13, w23, w33 := d0[c+3], d1[c+3], d2[c+3], d3[c+3]
-				g0 := g[c*p+jb : c*p+je][:len(a0)]
-				g1 := g[(c+1)*p+jb : (c+1)*p+je][:len(a0)]
-				g2 := g[(c+2)*p+jb : (c+2)*p+je][:len(a0)]
-				g3 := g[(c+3)*p+jb : (c+3)*p+je][:len(a0)]
-				for j, v0 := range a0 {
-					v1, v2, v3 := a1[j], a2[j], a3[j]
-					t0 := g0[j]
-					t0 += float64(w00 * v0)
-					t0 += float64(w10 * v1)
-					t0 += float64(w20 * v2)
-					t0 += float64(w30 * v3)
-					g0[j] = t0
-					t1 := g1[j]
-					t1 += float64(w01 * v0)
-					t1 += float64(w11 * v1)
-					t1 += float64(w21 * v2)
-					t1 += float64(w31 * v3)
-					g1[j] = t1
-					t2 := g2[j]
-					t2 += float64(w02 * v0)
-					t2 += float64(w12 * v1)
-					t2 += float64(w22 * v2)
-					t2 += float64(w32 * v3)
-					g2[j] = t2
-					t3 := g3[j]
-					t3 += float64(w03 * v0)
-					t3 += float64(w13 * v1)
-					t3 += float64(w23 * v2)
-					t3 += float64(w33 * v3)
-					g3[j] = t3
-				}
-			}
-			for ; c < m; c++ {
-				w0, w1, w2, w3 := d0[c], d1[c], d2[c], d3[c]
-				gc := g[c*p+jb : c*p+je][:len(a0)]
-				for j, v0 := range a0 {
-					t := gc[j]
-					t += float64(w0 * v0)
-					t += float64(w1 * a1[j])
-					t += float64(w2 * a2[j])
-					t += float64(w3 * a3[j])
-					gc[j] = t
-				}
-			}
-		}
-		// Remainder rows (< 4): the reference per-class loop.
-		for ; i < hi; i++ {
-			ai := a.Row(i)[jb:je]
-			di := d[i*m : (i+1)*m]
-			for c := 0; c < m; c++ {
-				w := di[c]
-				if w == 0 {
-					continue
-				}
-				gc := g[c*p+jb : c*p+je][:len(ai)]
-				for j, v := range ai {
-					gc[j] += float64(w * v)
-				}
+	for ; i < hi; i++ {
+		di := d[i*m : (i+1)*m]
+		for j, v := range a.Row(i) {
+			gj := g[j*m : (j+1)*m][:len(di)]
+			for c, x := range di {
+				gj[c] += float64(x * v)
 			}
 		}
 	}
 }
 
-// MulNTRangeRef is the unblocked serial reference for MulNTRange, kept
-// for property testing: the blocked kernel must match it bitwise.
+// MulNTRangeRef is the serial reference for MulNTRange, with B class-major
+// (m x cols(A)), kept for property testing: MulNTRange must match it
+// bitwise on the same weights laid out feature-major.
 func MulNTRangeRef(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
 	p := a.Cols
 	if len(b) != m*p {
@@ -279,8 +144,9 @@ func MulNTRangeRef(a *Matrix, b []float64, m int, s []float64, lo, hi int) {
 	}
 }
 
-// MulTNRangeRef is the unblocked serial reference for MulTNRange, kept
-// for property testing: the blocked kernel must match it bitwise.
+// MulTNRangeRef is the serial reference for MulTNRange, with G
+// class-major (m x cols(A)), kept for property testing: MulTNRange must
+// match it bitwise once its G is laid out class-major.
 func MulTNRangeRef(a *Matrix, d []float64, m int, g []float64, lo, hi int) {
 	p := a.Cols
 	if len(g) != m*p {

@@ -2,8 +2,9 @@ package loss
 
 import "newtonadmm/internal/linalg"
 
-// HessianDiag fills diag (length Dim()) with the diagonal of the softmax
-// Hessian at w:
+// HessianDiag fills diag (length Dim(), feature-major like w, so
+// diag[j*m+c] is element (c,j)) with the diagonal of the softmax Hessian
+// at w:
 //
 //	H[(c,j),(c,j)] = sum_i a_ij^2 * p_ic (1 - p_ic) + L2,
 //
@@ -15,7 +16,7 @@ func (s *Softmax) HessianDiag(w, diag []float64) {
 	if len(diag) != s.Dim() {
 		panic("loss: HessianDiag dimension mismatch")
 	}
-	n, m, p := s.X.Rows(), s.C-1, s.X.Cols()
+	n, m := s.X.Rows(), s.C-1
 	s.ensureScratch()
 	s.Dev.MulNTReduce(s.X.Operand(), w, m, s.scores, s.probFn)
 	probs := s.scores
@@ -25,10 +26,11 @@ func (s *Softmax) HessianDiag(w, diag []float64) {
 	}
 	switch x := s.X.(type) {
 	case Dense:
-		// Accumulate per class block: diag[c*p+j] += a_ij^2 * w_ic where
-		// w_ic = p_ic(1-p_ic). Parallelize over rows with arena-pooled
-		// chunk accumulators like the gradient kernel.
-		accumulateDiagDense(s, x, probs, diag, n, m, p)
+		// Accumulate diag[j*m+c] += a_ij^2 * w_ic where w_ic =
+		// p_ic(1-p_ic), each element over rows in increasing order.
+		// Parallelize over rows with arena-pooled chunk accumulators
+		// like the gradient kernel.
+		accumulateDiagDense(s, x, probs, diag, n, m)
 	case Sparse:
 		accumulateDiagSparse(s, x, probs, diag, n, m)
 	default:
@@ -38,7 +40,7 @@ func (s *Softmax) HessianDiag(w, diag []float64) {
 	}
 }
 
-func accumulateDiagDense(s *Softmax, x Dense, probs, diag []float64, n, m, p int) {
+func accumulateDiagDense(s *Softmax, x Dense, probs, diag []float64, n, m int) {
 	parts := s.Dev.ScratchParts(s.Dev.ChunkCount(n, 0), len(diag))
 	s.Dev.ParallelForChunks(n, 0, func(chunk, lo, hi int) {
 		part := parts[chunk]
@@ -51,9 +53,8 @@ func accumulateDiagDense(s *Softmax, x Dense, probs, diag []float64, n, m, p int
 				if w == 0 {
 					continue
 				}
-				block := part[c*p : (c+1)*p]
 				for j, v := range row {
-					block[j] += w * v * v
+					part[j*m+c] += float64(w * v * v)
 				}
 			}
 		}
@@ -62,7 +63,6 @@ func accumulateDiagDense(s *Softmax, x Dense, probs, diag []float64, n, m, p int
 }
 
 func accumulateDiagSparse(s *Softmax, x Sparse, probs, diag []float64, n, m int) {
-	p := x.M.NumCols
 	parts := s.Dev.ScratchParts(s.Dev.ChunkCount(n, 0), len(diag))
 	s.Dev.ParallelForChunks(n, 0, func(chunk, lo, hi int) {
 		part := parts[chunk]
@@ -75,10 +75,9 @@ func accumulateDiagSparse(s *Softmax, x Sparse, probs, diag []float64, n, m int)
 				if w == 0 {
 					continue
 				}
-				block := part[c*p : (c+1)*p]
 				for k := start; k < end; k++ {
 					v := x.M.Val[k]
-					block[x.M.Col[k]] += w * v * v
+					part[x.M.Col[k]*m+c] += float64(w * v * v)
 				}
 			}
 		}

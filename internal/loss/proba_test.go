@@ -21,11 +21,12 @@ func TestProbaIntoMatchesDirectSoftmax(t *testing.T) {
 	s.ProbaInto(s.X, w, out)
 
 	x := s.X.(Dense).M
+	wm := ToModel(nil, w, c-1)
 	for i := 0; i < n; i++ {
 		// Direct per-row computation.
 		scores := make([]float64, c) // last stays 0 (reference)
 		for cc := 0; cc < c-1; cc++ {
-			scores[cc] = linalg.Dot(x.Row(i), w[cc*p:(cc+1)*p])
+			scores[cc] = linalg.Dot(x.Row(i), wm[cc*p:(cc+1)*p])
 		}
 		var z float64
 		for _, v := range scores {

@@ -1,15 +1,16 @@
 package loss
 
 // Partial-logit scoring: the class-sharded serving tier splits the
-// (C-1) x p weight matrix's class rows across replicas, each scoring a
-// raw partial score tile S_r = X * W_r^T for its rows, and the router
-// reassembles the full score matrix column-range by column-range before
-// applying the same argmax / probability transforms as single-node
-// prediction. The split is exact because the MulNT kernels (dense and
-// CSR) compute every output class with its own accumulator in
-// increasing-j order — S[i,c] depends only on row i of X and row c of W,
-// never on how many classes share the launch — so merged shard scores
-// are bitwise identical to one full-width launch.
+// model's (C-1) x p class-major weight rows across replicas, each of
+// which lays its slice out feature-major once and scores a raw partial
+// score tile S_r = X * W_r^T for its rows, and the router reassembles the
+// full score matrix column-range by column-range before applying the
+// same argmax / probability transforms as single-node prediction. The
+// split is exact because the MulNT kernels (dense and CSR) compute every
+// output class with its own accumulator in increasing-j order — S[i,c]
+// depends only on row i of X and class c's weights, never on how many
+// classes share the launch — so merged shard scores are bitwise
+// identical to one full-width launch.
 
 // ScoresInto writes the raw explicit-class score tile S = X * W^T into
 // out, row-major x.Rows() x (C-1). No softmax transform is applied: this

@@ -6,8 +6,9 @@ import (
 )
 
 // TestScoresMergeMatchesPredictInto pins the class-sharding identity at
-// the loss layer: scoring each contiguous slice of the weight rows
-// separately and concatenating the partial score columns, then applying
+// the loss layer: scoring each contiguous slice of the class-major weight
+// rows separately (converted to the kernels' layout, as a shard's
+// predictor does) and concatenating the partial score columns, then applying
 // the merge kernels, is bitwise identical to single-launch PredictInto /
 // ProbaInto over the full weight matrix — for dense and CSR features and
 // for shard counts that exercise both the 4-wide and remainder kernel
@@ -24,6 +25,7 @@ func TestScoresMergeMatchesPredictInto(t *testing.T) {
 		s.PredictInto(s.X, w, wantPred)
 		wantProba := make([]float64, n*c)
 		s.ProbaInto(s.X, w, wantProba)
+		wm := ToModel(nil, w, m)
 
 		for shards := 1; shards <= 4; shards++ {
 			// Contiguous balanced split of the m explicit class rows.
@@ -43,7 +45,7 @@ func TestScoresMergeMatchesPredictInto(t *testing.T) {
 					t.Fatal(err)
 				}
 				part := make([]float64, n*width)
-				shard.ScoresInto(s.X, w[lo*p:hi*p], part)
+				shard.ScoresInto(s.X, FromModel(nil, wm[lo*p:hi*p], width), part)
 				for i := 0; i < n; i++ {
 					copy(merged[i*m+lo:i*m+hi], part[i*width:(i+1)*width])
 				}

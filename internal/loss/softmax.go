@@ -14,8 +14,10 @@ import (
 //	F(w) = sum_i [ log(1 + sum_{c<C-1} e^{<a_i, w_c>}) - <a_i, w_{y_i}> ] + L2/2 ||w||^2
 //
 // Classes are labeled 0..C-1; class C-1 is the zero-weight reference class,
-// so the parameter vector has length (C-1)*p laid out as C-1 contiguous
-// blocks of p. For C=2 this is exactly binary logistic regression.
+// so the parameter vector has length (C-1)*p. Every method but Accuracy
+// takes it feature-major, p×(C-1): w[j*(C-1)+c] is class c's weight on
+// feature j (layout.go). For C=2 this is exactly binary logistic
+// regression.
 //
 // All bulk work (scores, probabilities, gradient accumulation) runs as
 // device kernels, and the log-sum-exp stabilization of paper §6 guarantees
@@ -50,6 +52,7 @@ type Softmax struct {
 	predTarget []int
 	predFn     func(lo, hi int)
 	predOut    []int
+	predW      []float64 // Accuracy's weights in the solver's layout
 
 	// Probability scratch: ProbaInto expands the n x (C-1) score tile
 	// into n x C probabilities (reference class included) in one launch.
@@ -105,18 +108,19 @@ func (s *Softmax) ensureScratch() {
 	// The functors close over the problem, not over per-call state, so
 	// they are created exactly once per scratch shape.
 	s.valueFn = func(lo, hi int) float64 {
-		var part float64
+		var part compensated
 		for i := lo; i < hi; i++ {
 			row := s.scores[i*m : (i+1)*m]
-			part += lseRow(row, nil)
+			v := lseRow(row, nil)
 			if yi := s.Y[i]; yi < m {
-				part -= row[yi]
+				v -= row[yi]
 			}
+			part.add(v)
 		}
-		return part
+		return part.sum
 	}
 	s.gradFn = func(lo, hi int) float64 {
-		var part float64
+		var part compensated
 		for i := lo; i < hi; i++ {
 			row := s.scores[i*m : (i+1)*m]
 			yi := s.Y[i]
@@ -124,13 +128,14 @@ func (s *Softmax) ensureScratch() {
 			if yi < m {
 				sc = row[yi] // read the label score before the in-place overwrite
 			}
-			part += lseRow(row, row) // scores -> probabilities in place
+			v := lseRow(row, row) // scores -> probabilities in place
 			if yi < m {
-				part -= sc
+				v -= sc
 				row[yi] -= 1 // residual = prob - onehot
 			}
+			part.add(v)
 		}
-		return part
+		return part.sum
 	}
 	s.probFn = func(lo, hi int) float64 {
 		for i := lo; i < hi; i++ {
@@ -139,6 +144,19 @@ func (s *Softmax) ensureScratch() {
 		}
 		return 0
 	}
+}
+
+// compensated is a Kahan running sum. The objective adds one term per
+// row; plain summation's rounding grows with the row count and hides the
+// few-ulp decreases a line search must see near the optimum, while the
+// compensated sum stays within a few ulps of the exact one.
+type compensated struct{ sum, c float64 }
+
+func (k *compensated) add(v float64) {
+	y := v - k.c
+	t := k.sum + y
+	k.c = (t - k.sum) - y
+	k.sum = t
 }
 
 // lseRow computes the stabilized log-sum-exp of one score row:
@@ -173,7 +191,7 @@ func (s *Softmax) Value(w []float64) float64 {
 	s.ensureScratch()
 	total := s.Dev.MulNTReduce(s.X.Operand(), w, s.C-1, s.scores, s.valueFn)
 	nrm := linalg.Nrm2(w)
-	return total + 0.5*s.L2*nrm*nrm
+	return total + float64(0.5*s.L2*nrm*nrm)
 }
 
 // Gradient fills g with the gradient at w and returns the objective value.
@@ -190,7 +208,7 @@ func (s *Softmax) Gradient(w, g []float64) float64 {
 	total := s.Dev.FusedGradient(s.X.Operand(), w, s.C-1, s.scores, s.gradFn, g)
 	linalg.Axpy(s.L2, w, g)
 	nrm := linalg.Nrm2(w)
-	return total + 0.5*s.L2*nrm*nrm
+	return total + float64(0.5*s.L2*nrm*nrm)
 }
 
 // softmaxHessian caches the per-sample probabilities at a fixed w so each
@@ -234,7 +252,7 @@ func (s *Softmax) HessianAt(w []float64) HessianOperator {
 				u := h.u[i*m : (i+1)*m]
 				var pu float64
 				for c := 0; c < m; c++ {
-					pu += p[c] * u[c]
+					pu += float64(p[c] * u[c])
 				}
 				for c := 0; c < m; c++ {
 					u[c] = p[c] * (u[c] - pu)
@@ -369,7 +387,10 @@ func (s *Softmax) ProbaInto(x Features, w []float64, out []float64) {
 	s.probaTarget = nil
 }
 
-// Accuracy returns the fraction of rows of x classified as y under w.
+// Accuracy returns the fraction of rows of x classified as y under the
+// class-major weights w: the model's layout, which Model.Weights and
+// core's Result.Z hold. It converts them once per call into cached
+// scratch.
 func (s *Softmax) Accuracy(x Features, y []int, w []float64) float64 {
 	if x.Rows() == 0 {
 		return 0
@@ -377,8 +398,11 @@ func (s *Softmax) Accuracy(x Features, y []int, w []float64) float64 {
 	if cap(s.predOut) < x.Rows() {
 		s.predOut = make([]int, x.Rows())
 	}
+	if len(s.predW) != len(w) {
+		s.predW = make([]float64, len(w))
+	}
 	pred := s.predOut[:x.Rows()]
-	s.PredictInto(x, w, pred)
+	s.PredictInto(x, FromModel(s.predW, w, s.C-1), pred)
 	correct := 0
 	for i, p := range pred {
 		if p == y[i] {

@@ -30,17 +30,17 @@ func (a *Augmented) Dim() int { return a.Base.Dim() }
 // Value evaluates phi(x).
 func (a *Augmented) Value(w []float64) float64 {
 	d := linalg.Dist2(w, a.V)
-	return a.Base.Value(w) + 0.5*a.Rho*d*d
+	return a.Base.Value(w) + float64(0.5*a.Rho*d*d)
 }
 
 // Gradient fills g and returns phi(x).
 func (a *Augmented) Gradient(w, g []float64) float64 {
 	val := a.Base.Gradient(w, g)
 	for i := range g {
-		g[i] += a.Rho * (w[i] - a.V[i])
+		g[i] += float64(a.Rho * (w[i] - a.V[i]))
 	}
 	d := linalg.Dist2(w, a.V)
-	return val + 0.5*a.Rho*d*d
+	return val + float64(0.5*a.Rho*d*d)
 }
 
 type augmentedHessian struct {
@@ -143,13 +143,13 @@ func (q *Quadratic) Dim() int { return len(q.B) }
 func (q *Quadratic) Value(w []float64) float64 {
 	aw := make([]float64, len(w))
 	linalg.MulNT(q.A, w, 1, aw) // A is symmetric: A*w == (w^T A)^T
-	return 0.5*linalg.Dot(w, aw) - linalg.Dot(q.B, w)
+	return float64(0.5*linalg.Dot(w, aw)) - linalg.Dot(q.B, w)
 }
 
 // Gradient fills g = A w - b and returns the value.
 func (q *Quadratic) Gradient(w, g []float64) float64 {
 	linalg.MulNT(q.A, w, 1, g)
-	val := 0.5*linalg.Dot(w, g) - linalg.Dot(q.B, w)
+	val := float64(0.5*linalg.Dot(w, g)) - linalg.Dot(q.B, w)
 	linalg.Sub(g, q.B)
 	return val
 }

@@ -26,7 +26,7 @@ type Predictor struct {
 	ownsDev bool
 	scorer  *loss.Softmax
 
-	weights  []float64
+	weights  []float64 // feature-major, the layout the kernels take
 	classes  int
 	features int
 
@@ -59,8 +59,10 @@ func NewPredictor(weights []float64, classes, features, workers int) (*Predictor
 	return p, nil
 }
 
-// NewPredictorOn builds a predictor on an existing device. The caller
-// keeps ownership of the device; Close will not release it.
+// NewPredictorOn builds a predictor on an existing device. The weights
+// are class-major, as a model holds them; the predictor keeps its own
+// feature-major copy. The caller keeps ownership of the device; Close
+// will not release it.
 func NewPredictorOn(dev *device.Device, weights []float64, classes, features int) (*Predictor, error) {
 	if classes < 2 {
 		return nil, fmt.Errorf("serve: need at least 2 classes, got %d", classes)
@@ -78,7 +80,7 @@ func NewPredictorOn(dev *device.Device, weights []float64, classes, features int
 	p := &Predictor{
 		dev:      dev,
 		scorer:   scorer,
-		weights:  weights,
+		weights:  loss.FromModel(nil, weights, classes-1),
 		classes:  classes,
 		features: features,
 	}

@@ -7,6 +7,8 @@ import (
 
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/linalg"
+	"newtonadmm/internal/loss"
+	"newtonadmm/internal/sparse"
 	"newtonadmm/internal/wire"
 )
 
@@ -121,8 +123,63 @@ func TestPredictDenseMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range rows {
-		if want := referenceClass(p.weights, classes, r); out[i] != want {
+		if want := referenceClass(loss.ToModel(nil, p.weights, classes-1), classes, r); out[i] != want {
 			t.Fatalf("row %d: got class %d, want %d", i, out[i], want)
+		}
+	}
+}
+
+// TestPredictorScoresMatchLossOnSolverWeights pins the model boundary: a
+// predictor built from class-major weights scores bitwise as the loss
+// kernels do on the same weights in the solver's layout, dense and CSR,
+// at the serving shards' widths and feature count.
+func TestPredictorScoresMatchLossOnSolverWeights(t *testing.T) {
+	const features = 784
+	rng := rand.New(rand.NewSource(9))
+	for _, m := range []int{4, 5} {
+		w := make([]float64, m*features) // solver layout
+		for i := range w {
+			w[i] = rng.NormFloat64() / 16
+		}
+		p, err := NewPredictorOn(testDev, loss.ToModel(nil, w, m), m+1, features)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scorer, err := loss.NewScorer(testDev, m+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 3, 4, 32} {
+			rows := randRows(rng, n, features, 0.3)
+			x := linalg.NewMatrix(n, features)
+			for i, r := range rows {
+				copy(x.Row(i), r)
+			}
+			idx, val := toCSRRows(rows)
+			for _, kind := range []struct {
+				name string
+				x    loss.Features
+				add  func(b *wire.Batch, i int)
+			}{
+				{"dense", loss.Dense{M: x}, func(b *wire.Batch, i int) { b.AddDense(rows[i]) }},
+				{"csr", loss.Sparse{M: sparse.FromDense(x)}, func(b *wire.Batch, i int) { b.AddCSR(idx[i], val[i]) }},
+			} {
+				var b wire.Batch
+				for i := range rows {
+					kind.add(&b, i)
+				}
+				got := make([]float64, n*m)
+				if err := p.ScoresBatch(&b, m, got); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, n*m)
+				scorer.ScoresInto(kind.x, w, want)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("m=%d %s %d rows: score %d = %v, loss %v", m, kind.name, n, i, got[i], want[i])
+					}
+				}
+			}
 		}
 	}
 }

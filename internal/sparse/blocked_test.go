@@ -3,15 +3,15 @@ package sparse
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"newtonadmm/internal/device"
 )
 
-// Property tests for the blocked CSR kernels, in both layouts, against the
-// retained naive references (bitwise), plus the device's product launch on
-// CSR operands. internal/device tests that launch over every operand kind.
+// Property tests for the CSR kernels, which take W and G feature-major,
+// against the retained class-major naive references (bitwise, layouts
+// converted), plus the device's product launch on CSR operands.
+// internal/device tests that launch over every operand kind.
 
 func randCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
 	return FromDense(randSparseDense(rng, rows, cols, density))
@@ -27,29 +27,26 @@ func randWeights(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	return v
 }
 
-// m up to 13 covers every mix of the feature-major six-, three- and
-// one-class passes and of the class-major quads and tail.
+// m up to 13 covers every mix of the six-, three- and one-class passes;
+// n from 1 covers one-row products.
 func TestCSRBlockedMulNTBitwiseMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for trial := 0; trial < 120; trial++ {
 		n, p, m := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(13)
+		if trial < 13 {
+			n, m = 1, trial+1
+		}
 		a := randCSR(rng, n, p, 0.3)
 		b := randWeights(rng, m*p, 0.1)
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo) + 1
 		want := make([]float64, n*m)
 		a.mulNTRangeRef(b, m, want, lo, hi)
-		classMajor := make([]float64, n*m)
-		a.mulNTRange(b, m, classMajor, lo, hi)
-		bt := make([]float64, m*p)
-		toFeatureMajor(b, m, p, bt)
-		featureMajor := make([]float64, n*m)
-		a.mulNTRangeFM(bt, m, featureMajor, lo, hi)
-		for layout, got := range map[string][]float64{"class-major": classMajor, "feature-major": featureMajor} {
-			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("trial %d (n=%d p=%d m=%d): %s CSR MulNT differs at %d: %v vs %v",
-					trial, n, p, m, layout, i, got[i], want[i])
-			}
+		got := make([]float64, n*m)
+		a.MulNTRange(transpose(b, m, p), m, got, lo, hi)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("trial %d (n=%d p=%d m=%d): CSR MulNT differs at %d: %v vs %v",
+				trial, n, p, m, i, got[i], want[i])
 		}
 	}
 }
@@ -58,6 +55,9 @@ func TestCSRBlockedMulTNBitwiseMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for trial := 0; trial < 120; trial++ {
 		n, p, m := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(13)
+		if trial < 13 {
+			n, m = 1, trial+1
+		}
 		a := randCSR(rng, n, p, 0.3)
 		// Exercise the zero-weight skip, down to rows that are mostly zero;
 		// an infinite entry makes skipping observable (0·Inf is NaN).
@@ -69,49 +69,26 @@ func TestCSRBlockedMulTNBitwiseMatchesRef(t *testing.T) {
 		hi := lo + rng.Intn(n-lo) + 1
 		want := make([]float64, m*p)
 		a.mulTNRangeRef(d, m, want, lo, hi)
-		classMajor := make([]float64, m*p)
-		a.mulTNRange(d, m, classMajor, lo, hi)
 		gt := make([]float64, m*p)
-		a.mulTNRangeFM(d, m, gt, lo, hi)
-		featureMajor := make([]float64, m*p)
-		toClassMajor(gt, m, p, featureMajor)
-		for layout, got := range map[string][]float64{"class-major": classMajor, "feature-major": featureMajor} {
-			if i := firstDiff(got, want); i >= 0 {
-				t.Fatalf("trial %d (n=%d p=%d m=%d): %s CSR MulTN differs at %d: %v vs %v",
-					trial, n, p, m, layout, i, got[i], want[i])
-			}
+		a.MulTNRange(d, m, gt, lo, hi)
+		if got := transpose(gt, p, m); firstDiff(got, want) >= 0 {
+			i := firstDiff(got, want)
+			t.Fatalf("trial %d (n=%d p=%d m=%d): CSR MulTN differs at %d: %v vs %v",
+				trial, n, p, m, i, got[i], want[i])
 		}
 	}
 }
 
-// transposeTile is the column width of the layout copies.
-const transposeTile = 64
-
-// toFeatureMajor copies the mRows × p row-major b into bt as p × mRows,
-// as the device does before a feature-major launch.
-func toFeatureMajor(b []float64, mRows, p int, bt []float64) {
-	for j0 := 0; j0 < p; j0 += transposeTile {
-		j1 := min(j0+transposeTile, p)
-		for c := 0; c < mRows; c++ {
-			for j, v := range b[c*p+j0 : c*p+j1] {
-				bt[(j0+j)*mRows+c] = v
-			}
+// transpose returns the rows × cols row-major x as cols × rows: class-major
+// weights feature-major, or back.
+func transpose(x []float64, rows, cols int) []float64 {
+	t := make([]float64, len(x))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			t[c*rows+r] = x[r*cols+c]
 		}
 	}
-}
-
-// toClassMajor copies the p × mRows gt into g as mRows × p row-major, as
-// the device does after a feature-major launch.
-func toClassMajor(gt []float64, mRows, p int, g []float64) {
-	for j0 := 0; j0 < p; j0 += transposeTile {
-		j1 := min(j0+transposeTile, p)
-		for c := 0; c < mRows; c++ {
-			gc := g[c*p+j0 : c*p+j1]
-			for j := range gc {
-				gc[j] = gt[(j0+j)*mRows+c]
-			}
-		}
-	}
+	return t
 }
 
 // firstDiff returns the first index where got and want differ in bits, or
@@ -144,19 +121,20 @@ func chunkedMulTNRef(dev *device.Device, a *CSR, d []float64, m int) []float64 {
 }
 
 // TestCSRProductsBitwiseMatchChunkedRef runs the four public products on
-// shapes either side of NNZ == NumCols (so both layouts), on one- and
-// three-worker devices (so one and several chunk parts), against the
-// reference loops: S row by row, G through chunkedMulTNRef.
+// shapes either side of NNZ == NumCols, on one- and three-worker devices
+// (so one and several chunk parts), against the reference loops: S row
+// by row, G through chunkedMulTNRef, with the layouts converted.
 func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	for _, workers := range []int{1, 3} {
 		dev := device.New("csr-chunked", workers)
-		layouts := map[bool]int{}
+		sides := map[bool]int{}
 		for trial := 0; trial < 60; trial++ {
 			n, p, m := 1+rng.Intn(80), 1+rng.Intn(60), 1+rng.Intn(13)
 			a := randCSR(rng, n, p, []float64{0.01, 0.05, 0.3}[trial%3])
-			layouts[a.FeatureMajor()]++
+			sides[a.NNZ() >= p]++
 			b := randWeights(rng, m*p, 0.1)
+			bt := transpose(b, m, p)
 			d := randWeights(rng, n*m, []float64{0, 0.5, 0.95}[trial%3])
 			halve := func(s []float64) func(lo, hi int) float64 {
 				return func(lo, hi int) float64 {
@@ -170,12 +148,12 @@ func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 			wantS := make([]float64, n*m)
 			a.mulNTRangeRef(b, m, wantS, 0, n)
 			s := make([]float64, n*m)
-			a.MulNT(dev, b, m, s)
+			a.MulNT(dev, bt, m, s)
 			if i := firstDiff(s, wantS); i >= 0 {
 				t.Fatalf("workers %d trial %d (n=%d p=%d m=%d nnz=%d): MulNT differs at %d", workers, trial, n, p, m, a.NNZ(), i)
 			}
 			clear(s)
-			dev.MulNTReduce(a, b, m, s, halve(s))
+			dev.MulNTReduce(a, bt, m, s, halve(s))
 			halve(wantS)(0, n)
 			if i := firstDiff(s, wantS); i >= 0 {
 				t.Fatalf("workers %d trial %d: MulNTReduce differs at %d", workers, trial, i)
@@ -183,22 +161,22 @@ func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 
 			g := make([]float64, m*p)
 			a.MulTN(dev, d, m, g)
-			if i := firstDiff(g, chunkedMulTNRef(dev, a, d, m)); i >= 0 {
+			if i := firstDiff(transpose(g, p, m), chunkedMulTNRef(dev, a, d, m)); i >= 0 {
 				t.Fatalf("workers %d trial %d (n=%d p=%d m=%d nnz=%d): MulTN differs at %d", workers, trial, n, p, m, a.NNZ(), i)
 			}
 
 			clear(s)
-			dev.FusedGradient(a, b, m, s, halve(s), g)
+			dev.FusedGradient(a, bt, m, s, halve(s), g)
 			if i := firstDiff(s, wantS); i >= 0 {
 				t.Fatalf("workers %d trial %d: FusedGradient scores differ at %d", workers, trial, i)
 			}
-			if i := firstDiff(g, chunkedMulTNRef(dev, a, wantS, m)); i >= 0 {
+			if i := firstDiff(transpose(g, p, m), chunkedMulTNRef(dev, a, wantS, m)); i >= 0 {
 				t.Fatalf("workers %d trial %d: FusedGradient G differs at %d", workers, trial, i)
 			}
 		}
 		dev.Close()
-		if layouts[true] == 0 || layouts[false] == 0 {
-			t.Fatalf("workers %d: trials covered only one layout: %v", workers, layouts)
+		if sides[true] == 0 || sides[false] == 0 {
+			t.Fatalf("workers %d: trials covered only one side of NNZ == NumCols: %v", workers, sides)
 		}
 	}
 }
@@ -320,8 +298,8 @@ func TestCSRProductsZeroAllocsSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(205))
 	m := 6
 	for _, a := range []*CSR{
-		randCSR(rng, 400, 30, 0.3),   // feature-major
-		randCSR(rng, 40, 3000, 0.01), // class-major
+		randCSR(rng, 400, 30, 0.3),   // more entries than columns
+		randCSR(rng, 40, 3000, 0.01), // fewer
 	} {
 		n, p := a.NumRows, a.NumCols
 		b := randWeights(rng, m*p, 0)
@@ -336,47 +314,9 @@ func TestCSRProductsZeroAllocsSteadyState(t *testing.T) {
 			"FusedGradient": func() { dev.FusedGradient(a, b, m, s, fn, g) },
 		} {
 			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-				t.Fatalf("CSR %s (feature-major %v) allocates %v per call in steady state, want 0",
-					name, a.FeatureMajor(), allocs)
+				t.Fatalf("CSR %s (%d entries, %d columns) allocates %v per call in steady state, want 0",
+					name, a.NNZ(), p, allocs)
 			}
 		}
-	}
-}
-
-func TestCSRFewRowProductStaysClassMajor(t *testing.T) {
-	dev := device.New("csr-few-rows", 1)
-	defer dev.Close()
-	rng := rand.New(rand.NewSource(208))
-	n, p, m := 200, 500, 7
-	shard := randCSR(rng, n, p, 0.05)
-	row := randCSR(rng, 1, p, 0.05)
-	if !shard.FeatureMajor() || row.FeatureMajor() {
-		t.Fatalf("layouts: shard %d entries, row %d entries, %d columns", shard.NNZ(), row.NNZ(), p)
-	}
-	b := randWeights(rng, m*p, 0)
-	dev.FusedGradient(shard, b, m, make([]float64, n*m), func(lo, hi int) float64 { return 0 }, make([]float64, m*p))
-
-	bt, gt := dev.ScratchLayout(m * p)
-	for i := range bt {
-		bt[i], gt[i] = math.NaN(), math.NaN()
-	}
-	s := make([]float64, m)
-	row.MulNT(dev, b, m, s)
-	d := randWeights(rng, m, 0)
-	g := make([]float64, m*p)
-	row.MulTN(dev, d, m, g)
-
-	bt, gt = dev.ScratchLayout(m * p)
-	for i := range bt {
-		if !math.IsNaN(bt[i]) || !math.IsNaN(gt[i]) {
-			t.Fatalf("one-row product wrote the feature-major scratch at %d", i)
-		}
-	}
-	wantS := make([]float64, m)
-	row.mulNTRangeRef(b, m, wantS, 0, 1)
-	wantG := make([]float64, m*p)
-	row.mulTNRangeRef(d, m, wantG, 0, 1)
-	if !slices.Equal(s, wantS) || !slices.Equal(g, wantG) {
-		t.Fatal("one-row product differs from the reference")
 	}
 }

@@ -7,13 +7,10 @@
 // A CSR is a device.Operand: it supplies the serial row-range kernels and
 // the device's one product launch does the rest (chunking, arena
 // accumulators, reduction, counters), exactly as for dense data. The
-// class-major kernels are register-blocked over four output classes (each
-// nonzero's value and column index are loaded once and feed four
-// outputs). A matrix with at least as many stored entries as columns is
-// feature-major: the device copies W to p×m in its arena so each nonzero
-// reads its class weights as one contiguous run (PERF.md "CSR layout").
-// The unexported *Ref methods keep the naive loops as the bitwise
-// reference for property tests; both layouts match them bit for bit.
+// kernels take W and G feature-major (p×m, the solver's layout), so each
+// nonzero reads or updates its class weights as one contiguous run
+// (PERF.md "Weight layout"). The unexported *Ref methods keep the naive
+// class-major loops as the bitwise reference for property tests.
 package sparse
 
 import (
@@ -103,42 +100,68 @@ func (m *CSR) NNZ() int { return len(m.Val) }
 // Dims returns the number of rows and columns.
 func (m *CSR) Dims() (rows, cols int) { return m.NumRows, m.NumCols }
 
-// FeatureMajor reports whether products on m run in the feature-major
-// layout: with at least as many stored entries as columns, copying W
-// (m×p) to p×m and G back costs less than the scattered reads it saves,
-// since each nonzero then touches its m class weights as one contiguous
-// run instead of m cache lines p floats apart. Few-row products, such as
-// single-row sparse scoring, stay class-major.
-func (m *CSR) FeatureMajor() bool { return m.NNZ() >= m.NumCols }
-
-// MulNTRange writes rows [lo,hi) of S = A·Bᵀ, with b in the layout
-// FeatureMajor names.
-func (m *CSR) MulNTRange(b []float64, mRows int, s []float64, lo, hi int) {
-	if m.FeatureMajor() {
-		m.mulNTRangeFM(b, mRows, s, lo, hi)
-	} else {
-		m.mulNTRange(b, mRows, s, lo, hi)
+// MulNTRange writes rows [lo,hi) of S = A·Wᵀ into the n×mRows s, with
+// w feature-major (p×mRows): a pass over a row's nonzeros accumulates six
+// classes (then three, then one) from adjacent floats. Each accumulator
+// sums its products in nonzero order from +0, so results are bitwise
+// identical to mulNTRangeRef on the class-major W. Each pass is its own
+// function so that its accumulators stay in registers.
+func (m *CSR) MulNTRange(w []float64, mRows int, s []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		si := s[i*mRows : (i+1)*mRows]
+		start, end := m.RowPtr[i], m.RowPtr[i+1]
+		cols, vals := m.Col[start:end], m.Val[start:end]
+		c := 0
+		for ; c+6 <= mRows; c += 6 {
+			si[c], si[c+1], si[c+2], si[c+3], si[c+4], si[c+5] = dot6(cols, vals, w[c:], mRows)
+		}
+		for ; c+3 <= mRows; c += 3 {
+			si[c], si[c+1], si[c+2] = dot3(cols, vals, w[c:], mRows)
+		}
+		for ; c < mRows; c++ {
+			si[c] = dot1(cols, vals, w[c:], mRows)
+		}
 	}
 }
 
-// MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A, with g in the
-// layout FeatureMajor names.
+// MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A into the
+// feature-major g (p×mRows): a pass over a row's nonzeros holds six (then
+// three, then one) class weights in registers and updates that many
+// adjacent accumulators per nonzero. Every element receives its
+// contributions in (row, nonzero) order, so once g is laid out
+// class-major results are bitwise identical to mulTNRangeRef. That
+// includes its zero-weight skip: a skipped 0·v is ±0, which leaves a sum
+// begun at +0 unchanged unless v is infinite or NaN, so only such a row
+// with a zero weight takes the reference's class-by-class skip.
 func (m *CSR) MulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
-	if m.FeatureMajor() {
-		m.mulTNRangeFM(d, mRows, g, lo, hi)
-	} else {
-		m.mulTNRange(d, mRows, g, lo, hi)
+	for i := lo; i < hi; i++ {
+		di := d[i*mRows : (i+1)*mRows]
+		start, end := m.RowPtr[i], m.RowPtr[i+1]
+		cols, vals := m.Col[start:end], m.Val[start:end]
+		if slices.Contains(di, 0) && !allFinite(vals) {
+			axpySkip(cols, vals, g, mRows, di)
+			continue
+		}
+		c := 0
+		for ; c+6 <= mRows; c += 6 {
+			w := di[c : c+6]
+			axpy6(cols, vals, g[c:], mRows, w[0], w[1], w[2], w[3], w[4], w[5])
+		}
+		for ; c+3 <= mRows; c += 3 {
+			axpy3(cols, vals, g[c:], mRows, di[c], di[c+1], di[c+2])
+		}
+		axpySkip(cols, vals, g[c:], mRows, di[c:])
 	}
 }
 
-// MulNT computes S = A·Bᵀ on dev: A is this CSR (n×p), B is m×p
-// row-major dense, S is n×m row-major (overwritten).
-func (m *CSR) MulNT(dev *device.Device, b []float64, mRows int, s []float64) {
-	dev.MulNT(m, b, mRows, s)
+// MulNT computes S = A·Wᵀ on dev: A is this CSR (n×p), w holds W
+// feature-major (p×m), S is n×m row-major (overwritten).
+func (m *CSR) MulNT(dev *device.Device, w []float64, mRows int, s []float64) {
+	dev.MulNT(m, w, mRows, s)
 }
 
 // MulTN computes G = Dᵀ·A on dev: D is n×m dense, A is this CSR (n×p),
-// G is m×p (overwritten).
+// g holds G feature-major (p×m, overwritten).
 func (m *CSR) MulTN(dev *device.Device, d []float64, mRows int, g []float64) {
 	dev.MulTN(m, d, mRows, g)
 }
@@ -192,51 +215,8 @@ func (m *CSR) RowRange(lo, hi int) *CSR {
 	return &CSR{NumRows: hi - lo, NumCols: m.NumCols, RowPtr: rowPtr, Col: m.Col[off:end:end], Val: m.Val[off:end:end]}
 }
 
-// mulNTRange computes the blocked S = A * B^T tile for rows [lo,hi):
-// four classes at a time, so each stored (value, column) pair is loaded
-// once per quad instead of once per class, and the four accumulators form
-// independent dependency chains. Each accumulator sums in nonzero order
-// exactly like the reference, so results are bitwise identical to
-// mulNTRangeRef.
-func (m *CSR) mulNTRange(b []float64, mRows int, s []float64, lo, hi int) {
-	p := m.NumCols
-	rowPtr, col, val := m.RowPtr, m.Col, m.Val
-	for i := lo; i < hi; i++ {
-		si := s[i*mRows : (i+1)*mRows]
-		start, end := rowPtr[i], rowPtr[i+1]
-		cols := col[start:end]
-		vals := val[start:end]
-		c := 0
-		for ; c+4 <= mRows; c += 4 {
-			b0 := b[c*p : c*p+p]
-			b1 := b[(c+1)*p : (c+1)*p+p]
-			b2 := b[(c+2)*p : (c+2)*p+p]
-			b3 := b[(c+3)*p : (c+3)*p+p]
-			var acc0, acc1, acc2, acc3 float64
-			for k, j := range cols {
-				v := vals[k]
-				acc0 += v * b0[j]
-				acc1 += v * b1[j]
-				acc2 += v * b2[j]
-				acc3 += v * b3[j]
-			}
-			si[c] = acc0
-			si[c+1] = acc1
-			si[c+2] = acc2
-			si[c+3] = acc3
-		}
-		for ; c < mRows; c++ {
-			bc := b[c*p : c*p+p]
-			var acc float64
-			for k, j := range cols {
-				acc += vals[k] * bc[j]
-			}
-			si[c] = acc
-		}
-	}
-}
-
-// mulNTRangeRef is the naive reference for mulNTRange (property tests).
+// mulNTRangeRef is the naive reference for MulNTRange, with B
+// class-major (mRows×p), kept for property tests.
 func (m *CSR) mulNTRangeRef(b []float64, mRows int, s []float64, lo, hi int) {
 	p := m.NumCols
 	for i := lo; i < hi; i++ {
@@ -246,67 +226,15 @@ func (m *CSR) mulNTRangeRef(b []float64, mRows int, s []float64, lo, hi int) {
 			bc := b[c*p : (c+1)*p]
 			var acc float64
 			for k := start; k < end; k++ {
-				acc += m.Val[k] * bc[m.Col[k]]
+				acc += float64(m.Val[k] * bc[m.Col[k]])
 			}
 			si[c] = acc
 		}
 	}
 }
 
-// mulTNRange accumulates the blocked G += D^T * A contribution of rows
-// [lo,hi) into g. Four classes share each nonzero's scattered update, and
-// quads containing a zero weight fall back to the reference per-class
-// loop so the w==0 skip semantics match mulTNRangeRef bitwise (per
-// element, contributions arrive in the same (row, nonzero) order).
-func (m *CSR) mulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
-	p := m.NumCols
-	rowPtr, col, val := m.RowPtr, m.Col, m.Val
-	for i := lo; i < hi; i++ {
-		di := d[i*mRows : (i+1)*mRows]
-		start, end := rowPtr[i], rowPtr[i+1]
-		cols := col[start:end]
-		vals := val[start:end]
-		c := 0
-		for ; c+4 <= mRows; c += 4 {
-			w0, w1, w2, w3 := di[c], di[c+1], di[c+2], di[c+3]
-			if w0 == 0 || w1 == 0 || w2 == 0 || w3 == 0 {
-				csrQuadSkip(g, cols, vals, di, c, c+4, p)
-				continue
-			}
-			g0 := g[c*p : c*p+p]
-			g1 := g[(c+1)*p : (c+1)*p+p]
-			g2 := g[(c+2)*p : (c+2)*p+p]
-			g3 := g[(c+3)*p : (c+3)*p+p]
-			for k, j := range cols {
-				v := vals[k]
-				g0[j] += w0 * v
-				g1[j] += w1 * v
-				g2[j] += w2 * v
-				g3[j] += w3 * v
-			}
-		}
-		if c < mRows {
-			csrQuadSkip(g, cols, vals, di, c, mRows, p)
-		}
-	}
-}
-
-// csrQuadSkip is the per-class tail of the blocked CSR MulTN kernel: the
-// reference scatter loop with the zero-weight skip for classes [c0,c1).
-func csrQuadSkip(g []float64, cols []int, vals, di []float64, c0, c1, p int) {
-	for c := c0; c < c1; c++ {
-		w := di[c]
-		if w == 0 {
-			continue
-		}
-		gc := g[c*p : c*p+p]
-		for k, j := range cols {
-			gc[j] += w * vals[k]
-		}
-	}
-}
-
-// mulTNRangeRef is the naive reference for mulTNRange (property tests).
+// mulTNRangeRef is the naive reference for MulTNRange, with G
+// class-major (mRows×p), kept for property tests.
 func (m *CSR) mulTNRangeRef(d []float64, mRows int, g []float64, lo, hi int) {
 	p := m.NumCols
 	for i := lo; i < hi; i++ {
@@ -319,101 +247,48 @@ func (m *CSR) mulTNRangeRef(d []float64, mRows int, g []float64, lo, hi int) {
 			}
 			gc := g[c*p : (c+1)*p]
 			for k := start; k < end; k++ {
-				gc[m.Col[k]] += w * m.Val[k]
+				gc[m.Col[k]] += float64(w * m.Val[k])
 			}
 		}
 	}
 }
 
-// mulNTRangeFM is mulNTRange over the feature-major bt (p × mRows): a
-// pass over a row's nonzeros accumulates six classes (then three, then
-// one) from adjacent floats. Each accumulator still sums its products in
-// nonzero order from +0, so results are bitwise identical to
-// mulNTRangeRef. Each pass is its own function so that its accumulators
-// stay in registers.
-func (m *CSR) mulNTRangeFM(bt []float64, mRows int, s []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		si := s[i*mRows : (i+1)*mRows]
-		start, end := m.RowPtr[i], m.RowPtr[i+1]
-		cols, vals := m.Col[start:end], m.Val[start:end]
-		c := 0
-		for ; c+6 <= mRows; c += 6 {
-			si[c], si[c+1], si[c+2], si[c+3], si[c+4], si[c+5] = dot6FM(cols, vals, bt[c:], mRows)
-		}
-		for ; c+3 <= mRows; c += 3 {
-			si[c], si[c+1], si[c+2] = dot3FM(cols, vals, bt[c:], mRows)
-		}
-		for ; c < mRows; c++ {
-			si[c] = dot1FM(cols, vals, bt[c:], mRows)
-		}
-	}
-}
-
-// dot6FM returns Σ_k vals[k]·b[cols[k]·stride + q] for q = 0..5.
-func dot6FM(cols []int, vals, b []float64, stride int) (a0, a1, a2, a3, a4, a5 float64) {
+// dot6 returns Σ_k vals[k]·b[cols[k]·stride + q] for q = 0..5.
+func dot6(cols []int, vals, b []float64, stride int) (a0, a1, a2, a3, a4, a5 float64) {
 	vals = vals[:len(cols)]
 	for k, j := range cols {
 		v := vals[k]
 		w := b[j*stride : j*stride+6]
-		a0 += v * w[0]
-		a1 += v * w[1]
-		a2 += v * w[2]
-		a3 += v * w[3]
-		a4 += v * w[4]
-		a5 += v * w[5]
+		a0 += float64(v * w[0])
+		a1 += float64(v * w[1])
+		a2 += float64(v * w[2])
+		a3 += float64(v * w[3])
+		a4 += float64(v * w[4])
+		a5 += float64(v * w[5])
 	}
 	return
 }
 
-// dot3FM returns Σ_k vals[k]·b[cols[k]·stride + q] for q = 0..2.
-func dot3FM(cols []int, vals, b []float64, stride int) (a0, a1, a2 float64) {
+// dot3 returns Σ_k vals[k]·b[cols[k]·stride + q] for q = 0..2.
+func dot3(cols []int, vals, b []float64, stride int) (a0, a1, a2 float64) {
 	vals = vals[:len(cols)]
 	for k, j := range cols {
 		v := vals[k]
 		w := b[j*stride : j*stride+3]
-		a0 += v * w[0]
-		a1 += v * w[1]
-		a2 += v * w[2]
+		a0 += float64(v * w[0])
+		a1 += float64(v * w[1])
+		a2 += float64(v * w[2])
 	}
 	return
 }
 
-// dot1FM returns Σ_k vals[k]·b[cols[k]·stride].
-func dot1FM(cols []int, vals, b []float64, stride int) (a float64) {
+// dot1 returns Σ_k vals[k]·b[cols[k]·stride].
+func dot1(cols []int, vals, b []float64, stride int) (a float64) {
 	vals = vals[:len(cols)]
 	for k, j := range cols {
-		a += vals[k] * b[j*stride]
+		a += float64(vals[k] * b[j*stride])
 	}
 	return
-}
-
-// mulTNRangeFM is mulTNRange into the feature-major gt (p × mRows): a
-// pass over a row's nonzeros holds six (then three, then one) class
-// weights in registers and updates that many adjacent accumulators per
-// nonzero. Every element still receives its contributions in (row,
-// nonzero) order, so results are bitwise identical to mulTNRangeRef.
-// That includes its zero-weight skip: a skipped 0·v is ±0, which leaves
-// a sum begun at +0 unchanged unless v is infinite or NaN, so only such
-// a row with a zero weight takes the reference's class-by-class skip.
-func (m *CSR) mulTNRangeFM(d []float64, mRows int, gt []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		di := d[i*mRows : (i+1)*mRows]
-		start, end := m.RowPtr[i], m.RowPtr[i+1]
-		cols, vals := m.Col[start:end], m.Val[start:end]
-		if slices.Contains(di, 0) && !allFinite(vals) {
-			axpySkipFM(cols, vals, gt, mRows, di)
-			continue
-		}
-		c := 0
-		for ; c+6 <= mRows; c += 6 {
-			w := di[c : c+6]
-			axpy6FM(cols, vals, gt[c:], mRows, w[0], w[1], w[2], w[3], w[4], w[5])
-		}
-		for ; c+3 <= mRows; c += 3 {
-			axpy3FM(cols, vals, gt[c:], mRows, di[c], di[c+1], di[c+2])
-		}
-		axpySkipFM(cols, vals, gt[c:], mRows, di[c:])
-	}
 }
 
 // allFinite reports whether no value is infinite or NaN.
@@ -426,37 +301,37 @@ func allFinite(vals []float64) bool {
 	return true
 }
 
-// axpy6FM adds w_q·vals[k] to g[cols[k]·stride + q] for q = 0..5.
-func axpy6FM(cols []int, vals, g []float64, stride int, w0, w1, w2, w3, w4, w5 float64) {
+// axpy6 adds w_q·vals[k] to g[cols[k]·stride + q] for q = 0..5.
+func axpy6(cols []int, vals, g []float64, stride int, w0, w1, w2, w3, w4, w5 float64) {
 	vals = vals[:len(cols)]
 	for k, j := range cols {
 		v := vals[k]
 		x := g[j*stride : j*stride+6]
-		x[0] += w0 * v
-		x[1] += w1 * v
-		x[2] += w2 * v
-		x[3] += w3 * v
-		x[4] += w4 * v
-		x[5] += w5 * v
+		x[0] += float64(w0 * v)
+		x[1] += float64(w1 * v)
+		x[2] += float64(w2 * v)
+		x[3] += float64(w3 * v)
+		x[4] += float64(w4 * v)
+		x[5] += float64(w5 * v)
 	}
 }
 
-// axpy3FM adds w_q·vals[k] to g[cols[k]·stride + q] for q = 0..2.
-func axpy3FM(cols []int, vals, g []float64, stride int, w0, w1, w2 float64) {
+// axpy3 adds w_q·vals[k] to g[cols[k]·stride + q] for q = 0..2.
+func axpy3(cols []int, vals, g []float64, stride int, w0, w1, w2 float64) {
 	vals = vals[:len(cols)]
 	for k, j := range cols {
 		v := vals[k]
 		x := g[j*stride : j*stride+3]
-		x[0] += w0 * v
-		x[1] += w1 * v
-		x[2] += w2 * v
+		x[0] += float64(w0 * v)
+		x[1] += float64(w1 * v)
+		x[2] += float64(w2 * v)
 	}
 }
 
-// axpySkipFM adds w[q]·vals[k] to g[cols[k]·stride + q] one class at a
+// axpySkip adds w[q]·vals[k] to g[cols[k]·stride + q] one class at a
 // time, skipping zero weights as mulTNRangeRef does (the last classes of
 // every row, and whole rows whose skips are observable).
-func axpySkipFM(cols []int, vals, g []float64, stride int, w []float64) {
+func axpySkip(cols []int, vals, g []float64, stride int, w []float64) {
 	vals = vals[:len(cols)]
 	for q, wq := range w {
 		if wq == 0 {
@@ -464,7 +339,7 @@ func axpySkipFM(cols []int, vals, g []float64, stride int, w []float64) {
 		}
 		gq := g[q:]
 		for k, j := range cols {
-			gq[j*stride] += wq * vals[k]
+			gq[j*stride] += float64(wq * vals[k])
 		}
 	}
 }

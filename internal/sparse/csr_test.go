@@ -97,7 +97,7 @@ func TestMulNTMatchesDense(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		got := make([]float64, n*m)
-		csr.MulNT(dev, b, m, got)
+		csr.MulNT(dev, transpose(b, m, p), m, got)
 		want := make([]float64, n*m)
 		linalg.MulNT(dense, b, m, want)
 		for i := range want {
@@ -122,6 +122,7 @@ func TestMulTNMatchesDense(t *testing.T) {
 		}
 		got := make([]float64, m*p)
 		csr.MulTN(dev, d, m, got)
+		got = transpose(got, p, m)
 		want := make([]float64, m*p)
 		linalg.MulTN(dense, d, m, want)
 		for i := range want {

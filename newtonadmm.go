@@ -226,8 +226,9 @@ type TracePoint struct {
 
 // Model is a trained multiclass linear classifier.
 type Model struct {
-	// Weights holds (Classes-1) blocks of Features coefficients; the
-	// last class is the zero-weight reference.
+	// Weights holds (Classes-1) blocks of Features coefficients, one
+	// block per class (class-major); the last class is the zero-weight
+	// reference.
 	Weights  []float64
 	Classes  int
 	Features int
@@ -412,6 +413,7 @@ func trainSingleNodeNewton(ds *datasets.Dataset, opts Options) ([]float64, metri
 			TestAccuracy: math.NaN(), GradNorm: st.GradNorm,
 		})
 	}
+	w = loss.ToModel(nil, w, ds.Classes-1)
 	acc := math.NaN()
 	if opts.EvalTestAccuracy && ds.Xtest != nil {
 		acc = prob.Accuracy(ds.Xtest, ds.Ytest, w)

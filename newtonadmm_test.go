@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"newtonadmm/internal/device"
+	"newtonadmm/internal/loss"
 )
 
 func quickDataset(t *testing.T) *Dataset {
@@ -124,6 +127,47 @@ func TestModelPredictAndEvaluate(t *testing.T) {
 	}
 	if got, _ := m.Predict(nil); got != nil {
 		t.Fatal("empty predict should return nil")
+	}
+}
+
+// TestModelBoundaryConvertsLayout: a trained model's class-major Weights,
+// evaluated and served, classify exactly as the loss kernels do on the
+// same weights in the solver's feature-major layout.
+func TestModelBoundaryConvertsLayout(t *testing.T) {
+	ds := quickDataset(t)
+	m, err := Train(ds, Options{Epochs: 5, Lambda: 1e-3, Network: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := loss.FromModel(nil, m.Weights, m.Classes-1)
+	dev := device.New("boundary", 1)
+	defer dev.Close()
+	scorer, err := loss.NewScorer(dev, m.Classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := ds.inner.Xtest.(loss.Dense).M
+	want := make([]int, x.Rows)
+	scorer.PredictInto(loss.Dense{M: x}, z, want)
+	rows := make([][]float64, x.Rows)
+	correct := 0
+	for i := range rows {
+		rows[i] = x.Row(i)
+		if want[i] == ds.inner.Ytest[i] {
+			correct++
+		}
+	}
+	if _, test, err := m.Evaluate(ds); err != nil || test != float64(correct)/float64(x.Rows) {
+		t.Fatalf("Evaluate test accuracy %v (err %v), kernels on the solver layout %v", test, err, float64(correct)/float64(x.Rows))
+	}
+	got, err := m.Predict(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: served class %d, kernels %d", i, got[i], want[i])
+		}
 	}
 }
 
