@@ -35,7 +35,7 @@ func UpdateZ(z []float64, xs, ys [][]float64, rhos []float64, lambda float64) {
 		rho := rhos[i]
 		rhoSum += rho
 		for j := range z {
-			z[j] += rho*xs[i][j] - ys[i][j]
+			z[j] += float64(rho*xs[i][j]) - ys[i][j]
 		}
 	}
 	scale := lambda + rhoSum
@@ -52,7 +52,7 @@ func UpdateY(y, z, x []float64, rho float64) {
 		panic("admm: UpdateY dimension mismatch")
 	}
 	for j := range y {
-		y[j] += rho * (z[j] - x[j])
+		y[j] += float64(rho * (z[j] - x[j]))
 	}
 }
 
@@ -84,8 +84,8 @@ func GlobalResiduals(xs [][]float64, z, zPrev []float64, rhos []float64) (primal
 	var rsq, rhosq float64
 	for i := range xs {
 		d := linalg.Dist2(xs[i], z)
-		rsq += d * d
-		rhosq += rhos[i] * rhos[i]
+		rsq += float64(d * d)
+		rhosq += float64(rhos[i] * rhos[i])
 	}
 	return math.Sqrt(rsq), math.Sqrt(rhosq) * linalg.Dist2(z, zPrev)
 }

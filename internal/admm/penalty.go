@@ -154,7 +154,7 @@ func spectralStep(sd, mg float64) float64 {
 	if 2*mg > sd {
 		return mg
 	}
-	return sd - mg/2
+	return sd - float64(mg/2)
 }
 
 // Update implements PenaltyPolicy. The spectral quotients need the
@@ -182,18 +182,18 @@ func (sp *SpectralPenalty) Update(k int, st IterState) float64 {
 	// only takes the snapshot.
 	var dxDlh, dlhSq, dxSq, dzDl, dlSq, dzSq float64
 	for j := range dim {
-		lamHat := st.Y0[j] + sp.rho*(st.Z0[j]-st.X1[j])
+		lamHat := st.Y0[j] + float64(sp.rho*(st.Z0[j]-st.X1[j]))
 		lam := -st.Y1[j]
 		dx := st.X1[j] - x0[j]
 		dz := st.Z1[j] - z0[j]
 		dlh := lamHat - lamHat0[j]
 		dl := lam - lam0[j]
-		dxDlh += dx * dlh
-		dlhSq += dlh * dlh
-		dxSq += dx * dx
-		dzDl += dz * dl
-		dlSq += dl * dl
-		dzSq += dz * dz
+		dxDlh += float64(dx * dlh)
+		dlhSq += float64(dlh * dlh)
+		dxSq += float64(dx * dx)
+		dzDl += float64(dz * dl)
+		dlSq += float64(dl * dl)
+		dzSq += float64(dz * dz)
 		x0[j], z0[j], lamHat0[j], lam0[j] = st.X1[j], st.Z1[j], lamHat, lam
 	}
 	sp.x0, sp.z0, sp.lamHat0, sp.lam0, sp.havePrev = x0, z0, lamHat0, lam0, true

@@ -236,7 +236,7 @@ func (s *stepper) Step(k int) error {
 	// The paper's single communication round: gather each rank's
 	// z-update contribution (rho_i x_i - y_i, rho_i) at the master...
 	for j := 0; j < dim; j++ {
-		s.payload[j] = rho*x[j] - y[j]
+		s.payload[j] = float64(rho*x[j]) - y[j]
 	}
 	s.payload[dim] = rho
 	parts := node.Gather(0, s.payload)

@@ -109,10 +109,14 @@ func Generate(cfg Config) (*Dataset, error) {
 	// (features have E[x_j^2] = scales[j]^2 in both the dense and the
 	// sparse branch, so Var(<x, w_c>) = sum_j scales[j]^2 w_cj^2). Without
 	// this the decayed presets planted signal far below their label noise
-	// and test accuracy stayed at chance (see ROADMAP).
+	// and test accuracy stayed at chance (see ROADMAP). They are drawn
+	// class by class and stored feature-major (p×m), the layout of the
+	// product that scores the labels below.
 	wTrue := make([]float64, m*p)
-	for i := range wTrue {
-		wTrue[i] = cfg.Separation * rng.NormFloat64() / math.Sqrt(scaleEnergy)
+	for c := 0; c < m; c++ {
+		for j := 0; j < p; j++ {
+			wTrue[j*m+c] = cfg.Separation * rng.NormFloat64() / math.Sqrt(scaleEnergy)
+		}
 	}
 
 	total := cfg.Samples + cfg.TestSamples
@@ -146,17 +150,20 @@ func Generate(cfg Config) (*Dataset, error) {
 		x = loss.Dense{M: dense}
 	}
 
-	// Labels from the planted softmax at temperature Noise. Scores are
-	// computed serially here (generation is one-time work).
+	// Labels from the planted softmax at temperature Noise. One serial
+	// product scores every row: each score sums its products in feature
+	// order from +0, as linalg.Dot over the densified row would, since
+	// the zeros a CSR row skips would add only ±0 products.
+	scores := make([]float64, total*m)
+	x.Operand().MulNTRange(wTrue, m, scores, 0, total)
 	y := make([]int, total)
-	scoreBuf := make([]float64, m)
 	probBuf := make([]float64, m+1)
 	for i := 0; i < total; i++ {
-		row := featureRow(x, i)
-		for c := 0; c < m; c++ {
-			scoreBuf[c] = linalg.Dot(row, wTrue[c*p:(c+1)*p]) / cfg.Noise
+		si := scores[i*m : (i+1)*m]
+		for c := range si {
+			si[c] /= cfg.Noise
 		}
-		y[i] = sampleSoftmax(rng, scoreBuf, probBuf)
+		y[i] = sampleSoftmax(rng, si, probBuf)
 	}
 
 	train := indexRange(0, cfg.Samples)
@@ -172,22 +179,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		d.Ytest = subsetInts(y, test)
 	}
 	return d, nil
-}
-
-// featureRow materializes row i of any Features implementation.
-func featureRow(x loss.Features, i int) []float64 {
-	switch f := x.(type) {
-	case loss.Dense:
-		return f.M.Row(i)
-	case loss.Sparse:
-		row := make([]float64, f.M.NumCols)
-		for k := f.M.RowPtr[i]; k < f.M.RowPtr[i+1]; k++ {
-			row[f.M.Col[k]] = f.M.Val[k]
-		}
-		return row
-	default:
-		panic("datasets: unknown Features implementation")
-	}
 }
 
 // sampleSoftmax draws a class from the softmax over scores (with the

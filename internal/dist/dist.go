@@ -82,7 +82,7 @@ func (l *Local) GlobalGradient(node *cluster.Node, x, g []float64) float64 {
 	if !l.ShardedL2 {
 		linalg.Axpy(l.Lambda, x, g)
 		nrm := linalg.Nrm2(x)
-		total += 0.5 * l.Lambda * nrm * nrm
+		total += float64(0.5 * l.Lambda * nrm * nrm)
 	}
 	return total
 }
@@ -156,7 +156,7 @@ func (r *Recorder) Observe(node *cluster.Node, epoch int, x []float64) float64 {
 		obj = r.buf[0]
 		if !r.local.ShardedL2 {
 			nrm := linalg.Nrm2(x)
-			obj += 0.5 * r.local.Lambda * nrm * nrm
+			obj += float64(0.5 * r.local.Lambda * nrm * nrm)
 		}
 		if node.Rank() == 0 {
 			acc := math.NaN()

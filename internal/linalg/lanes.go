@@ -5,6 +5,10 @@ package linalg
 // package's tests flip it, to run the Go loops.
 var lanes = lanesSupported
 
+// LanesSupported reports whether this CPU runs AVX2 lanes: the one CPUID
+// answer, also read by internal/sparse for its CSR lanes.
+func LanesSupported() bool { return lanesSupported }
+
 // laneMask[k] enables the first k lanes of a four-lane tile.
 var laneMask = [5][4]int64{{}, {-1}, {-1, -1}, {-1, -1, -1}, {-1, -1, -1, -1}}
 

@@ -3,15 +3,42 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"newtonadmm/internal/device"
+	"newtonadmm/internal/linalg"
 )
 
 // Property tests for the CSR kernels, which take W and G feature-major,
 // against the retained class-major naive references (bitwise, layouts
-// converted), plus the device's product launch on CSR operands.
-// internal/device tests that launch over every operand kind.
+// converted), plus the device's product launch on CSR operands, on both
+// paths: the AVX2 lanes and the Go passes. internal/device tests that
+// launch over every operand kind.
+
+// eachPath runs f on the Go passes ("fallback") and, where the CPU has
+// them, on the lanes, with the lanes test hook set accordingly.
+func eachPath(t *testing.T, f func(t *testing.T)) {
+	paths := []bool{false}
+	if linalg.LanesSupported() {
+		paths = append(paths, true)
+	}
+	for _, on := range paths {
+		name := "fallback"
+		if on {
+			name = "lanes"
+		}
+		t.Run(name, func(t *testing.T) {
+			defer func(was bool) { lanes = was }(lanes)
+			lanes = on
+			f(t)
+		})
+	}
+}
+
+// maxM is the largest class count the property tests draw: two wide
+// lane passes and a narrow one, and every mix of the Go passes.
+const maxM = 41
 
 func randCSR(rng *rand.Rand, rows, cols int, density float64) *CSR {
 	return FromDense(randSparseDense(rng, rows, cols, density))
@@ -27,55 +54,135 @@ func randWeights(rng *rand.Rand, n int, zeroFrac float64) []float64 {
 	return v
 }
 
-// m up to 13 covers every mix of the six-, three- and one-class passes;
-// n from 1 covers one-row products.
+// m up to maxM covers every mix of the wide and narrow lane passes and
+// of the six-, three- and one-class Go passes; n from 1 covers one-row
+// products, and density 0.3 over p from 1 leaves rows with no nonzeros.
 func TestCSRBlockedMulNTBitwiseMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
-	for trial := 0; trial < 120; trial++ {
-		n, p, m := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(13)
-		if trial < 13 {
-			n, m = 1, trial+1
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(201))
+		for trial := 0; trial < 200; trial++ {
+			n, p, m := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(maxM)
+			if trial < maxM {
+				n, m = 1, trial+1
+			}
+			a := randCSR(rng, n, p, 0.3)
+			b := randWeights(rng, m*p, 0.1)
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo) + 1
+			checkMulNT(t, a, b, m, lo, hi)
 		}
-		a := randCSR(rng, n, p, 0.3)
-		b := randWeights(rng, m*p, 0.1)
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo) + 1
-		want := make([]float64, n*m)
-		a.mulNTRangeRef(b, m, want, lo, hi)
-		got := make([]float64, n*m)
-		a.MulNTRange(transpose(b, m, p), m, got, lo, hi)
-		if i := firstDiff(got, want); i >= 0 {
-			t.Fatalf("trial %d (n=%d p=%d m=%d): CSR MulNT differs at %d: %v vs %v",
-				trial, n, p, m, i, got[i], want[i])
-		}
-	}
+	})
 }
 
 func TestCSRBlockedMulTNBitwiseMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(202))
-	for trial := 0; trial < 120; trial++ {
-		n, p, m := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(13)
-		if trial < 13 {
-			n, m = 1, trial+1
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(202))
+		for trial := 0; trial < 200; trial++ {
+			n, p, m := 1+rng.Intn(30), 1+rng.Intn(40), 1+rng.Intn(maxM)
+			if trial < maxM {
+				n, m = 1, trial+1
+			}
+			a := randCSR(rng, n, p, 0.3)
+			// Exercise the zero-weight skip, down to rows that are mostly zero;
+			// an infinite entry makes skipping observable (0·Inf is NaN).
+			d := randWeights(rng, n*m, []float64{0, 0.4, 0.9}[trial%3])
+			if a.NNZ() > 0 && trial%4 == 0 {
+				a.Val[rng.Intn(a.NNZ())] = math.Inf(1)
+			}
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo) + 1
+			checkMulTN(t, a, d, m, lo, hi)
 		}
-		a := randCSR(rng, n, p, 0.3)
-		// Exercise the zero-weight skip, down to rows that are mostly zero;
-		// an infinite entry makes skipping observable (0·Inf is NaN).
-		d := randWeights(rng, n*m, []float64{0, 0.4, 0.9}[trial%3])
-		if a.NNZ() > 0 && trial%4 == 0 {
-			a.Val[rng.Intn(a.NNZ())] = math.Inf(1)
+	})
+}
+
+// TestCSRLanesEdgeRows pins the rows the random draws may miss, at the
+// class counts either side of one wide lane pass (m = 19 is E18's C − 1):
+// rows with no nonzeros, one-row ranges, −0 weights, and a zero weight
+// next to an infinite or NaN value, where only axpySkip matches the
+// reference's skip.
+func TestCSRLanesEdgeRows(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(208))
+		for _, m := range []int{1, 4, 5, 15, 16, 17, 19, 20, 21, 36, 40, 41} {
+			n, p := 6, 50
+			dense := randSparseDense(rng, n, p, 0.2)
+			clear(dense.Row(1)) // a row with no nonzeros
+			dense.Set(2, 7, math.Inf(-1))
+			dense.Set(4, 9, math.NaN())
+			a := FromDense(dense)
+			b := randWeights(rng, m*p, 0.2)
+			b[(m/2)*p+7] = math.Copysign(0, -1)
+			d := randWeights(rng, n*m, 0.2)
+			for i := range n {
+				d[i*m+rng.Intn(m)] = 0
+				d[i*m+rng.Intn(m)] = math.Copysign(0, -1)
+			}
+			d[5*m] = math.Inf(1) // an infinite weight
+			for lo := range n {
+				checkMulNT(t, a, b, m, lo, lo+1)
+				checkMulTN(t, a, d, m, lo, lo+1)
+			}
+			checkMulNT(t, a, b, m, 0, n)
+			checkMulTN(t, a, d, m, 0, n)
 		}
-		lo := rng.Intn(n)
-		hi := lo + rng.Intn(n-lo) + 1
-		want := make([]float64, m*p)
-		a.mulTNRangeRef(d, m, want, lo, hi)
-		gt := make([]float64, m*p)
-		a.MulTNRange(d, m, gt, lo, hi)
-		if got := transpose(gt, p, m); firstDiff(got, want) >= 0 {
-			i := firstDiff(got, want)
-			t.Fatalf("trial %d (n=%d p=%d m=%d): CSR MulTN differs at %d: %v vs %v",
-				trial, n, p, m, i, got[i], want[i])
+	})
+}
+
+// TestCSRColumnOutsideMatrixPanics: a column index outside [0, NumCols)
+// panics on either path (the lane kernels check each index) instead of
+// reading or writing outside W or G.
+func TestCSRColumnOutsideMatrixPanics(t *testing.T) {
+	eachPath(t, func(t *testing.T) {
+		for _, bad := range []int{3, -1} {
+			a := &CSR{NumRows: 1, NumCols: 3, RowPtr: []int{0, 2}, Col: []int{0, bad}, Val: []float64{1, 2}}
+			for _, m := range []int{2, 19} {
+				for name, f := range map[string]func(){
+					"MulNT": func() { a.MulNTRange(make([]float64, 3*m), m, make([]float64, m), 0, 1) },
+					"MulTN": func() { a.MulTNRange(slices.Repeat([]float64{1}, m), m, make([]float64, 3*m), 0, 1) },
+				} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("m=%d: %s with column %d of 3 did not panic", m, name, bad)
+							}
+						}()
+						f()
+					}()
+				}
+			}
 		}
+	})
+}
+
+// checkMulNT compares MulNTRange on rows [lo,hi) with mulNTRangeRef,
+// class-major b laid out feature-major.
+func checkMulNT(t *testing.T, a *CSR, b []float64, m, lo, hi int) {
+	t.Helper()
+	n, p := a.Dims()
+	want := make([]float64, n*m)
+	a.mulNTRangeRef(b, m, want, lo, hi)
+	got := make([]float64, n*m)
+	a.MulNTRange(transpose(b, m, p), m, got, lo, hi)
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("n=%d p=%d m=%d rows [%d,%d): CSR MulNT differs at %d: %v vs %v",
+			n, p, m, lo, hi, i, got[i], want[i])
+	}
+}
+
+// checkMulTN compares MulTNRange on rows [lo,hi) with mulTNRangeRef, the
+// feature-major G converted back.
+func checkMulTN(t *testing.T, a *CSR, d []float64, m, lo, hi int) {
+	t.Helper()
+	n, p := a.Dims()
+	want := make([]float64, m*p)
+	a.mulTNRangeRef(d, m, want, lo, hi)
+	gt := make([]float64, m*p)
+	a.MulTNRange(d, m, gt, lo, hi)
+	got := transpose(gt, p, m)
+	if i := firstDiff(got, want); i >= 0 {
+		t.Fatalf("n=%d p=%d m=%d rows [%d,%d): CSR MulTN differs at %d: %v vs %v",
+			n, p, m, lo, hi, i, got[i], want[i])
 	}
 }
 
@@ -125,12 +232,16 @@ func chunkedMulTNRef(dev *device.Device, a *CSR, d []float64, m int) []float64 {
 // (so one and several chunk parts), against the reference loops: S row
 // by row, G through chunkedMulTNRef, with the layouts converted.
 func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
+	eachPath(t, testCSRProductsBitwiseMatchChunkedRef)
+}
+
+func testCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
 	for _, workers := range []int{1, 3} {
 		dev := device.New("csr-chunked", workers)
 		sides := map[bool]int{}
 		for trial := 0; trial < 60; trial++ {
-			n, p, m := 1+rng.Intn(80), 1+rng.Intn(60), 1+rng.Intn(13)
+			n, p, m := 1+rng.Intn(80), 1+rng.Intn(60), 1+rng.Intn(maxM)
 			a := randCSR(rng, n, p, []float64{0.01, 0.05, 0.3}[trial%3])
 			sides[a.NNZ() >= p]++
 			b := randWeights(rng, m*p, 0.1)

@@ -101,16 +101,21 @@ func (m *CSR) NNZ() int { return len(m.Val) }
 func (m *CSR) Dims() (rows, cols int) { return m.NumRows, m.NumCols }
 
 // MulNTRange writes rows [lo,hi) of S = A·Wᵀ into the n×mRows s, with
-// w feature-major (p×mRows): a pass over a row's nonzeros accumulates six
-// classes (then three, then one) from adjacent floats. Each accumulator
-// sums its products in nonzero order from +0, so results are bitwise
-// identical to mulNTRangeRef on the class-major W. Each pass is its own
-// function so that its accumulators stay in registers.
+// w feature-major (p×mRows): a pass over a row's nonzeros accumulates
+// adjacent classes, up to 20 in AVX2 lanes (lanePasses) or else six
+// (then three, then one) in Go. Each accumulator sums its products in
+// nonzero order from +0, so results are bitwise identical to
+// mulNTRangeRef on the class-major W. Each Go pass is its own function
+// so that its accumulators stay in registers.
 func (m *CSR) MulNTRange(w []float64, mRows int, s []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		si := s[i*mRows : (i+1)*mRows]
 		start, end := m.RowPtr[i], m.RowPtr[i+1]
 		cols, vals := m.Col[start:end], m.Val[start:end]
+		if lanes && len(cols) > 0 {
+			lanePasses(csrDot, cols, vals, w, m.NumCols, si)
+			continue
+		}
 		c := 0
 		for ; c+6 <= mRows; c += 6 {
 			si[c], si[c+1], si[c+2], si[c+3], si[c+4], si[c+5] = dot6(cols, vals, w[c:], mRows)
@@ -125,14 +130,15 @@ func (m *CSR) MulNTRange(w []float64, mRows int, s []float64, lo, hi int) {
 }
 
 // MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A into the
-// feature-major g (p×mRows): a pass over a row's nonzeros holds six (then
-// three, then one) class weights in registers and updates that many
-// adjacent accumulators per nonzero. Every element receives its
-// contributions in (row, nonzero) order, so once g is laid out
-// class-major results are bitwise identical to mulTNRangeRef. That
-// includes its zero-weight skip: a skipped 0·v is ±0, which leaves a sum
-// begun at +0 unchanged unless v is infinite or NaN, so only such a row
-// with a zero weight takes the reference's class-by-class skip.
+// feature-major g (p×mRows): a pass over a row's nonzeros holds up to 20
+// class weights in AVX2 lanes (lanePasses), or else six (then three,
+// then one) in Go registers, and updates that many adjacent accumulators
+// per nonzero. Every element receives its contributions in (row,
+// nonzero) order, so once g is laid out class-major results are bitwise
+// identical to mulTNRangeRef. That includes its zero-weight skip: a
+// skipped 0·v is ±0, which leaves a sum begun at +0 unchanged unless v
+// is infinite or NaN, so only such a row with a zero weight takes the
+// reference's class-by-class skip, before the lanes or the Go passes.
 func (m *CSR) MulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		di := d[i*mRows : (i+1)*mRows]
@@ -140,6 +146,10 @@ func (m *CSR) MulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
 		cols, vals := m.Col[start:end], m.Val[start:end]
 		if slices.Contains(di, 0) && !allFinite(vals) {
 			axpySkip(cols, vals, g, mRows, di)
+			continue
+		}
+		if lanes && len(cols) > 0 {
+			lanePasses(csrAxpy, cols, vals, g, m.NumCols, di)
 			continue
 		}
 		c := 0
@@ -289,6 +299,33 @@ func dot1(cols []int, vals, b []float64, stride int) (a float64) {
 		a += float64(vals[k] * b[j*stride])
 	}
 	return
+}
+
+// lanes selects the AVX2 row kernels of lanes_amd64.s (PERF.md "Lanes").
+// It is linalg's CPUID answer; only this package's tests flip it, to run
+// the Go passes.
+var lanes = linalg.LanesSupported()
+
+// laneMask[k] enables the first k lanes of a four-lane vector.
+var laneMask = [5][4]int64{{}, {-1}, {-1, -1}, {-1, -1, -1}, {-1, -1, -1, -1}}
+
+// lanePasses runs one row's lane kernel (csrDot or csrAxpy) over the
+// p×len(row) x: 16 classes plus a 0–4-lane mask while 16 or more remain,
+// else 1–4, so a row is read once for 16–20 classes. cols is non-empty.
+func lanePasses(kern func(cols *int, vals *float64, nnz int, x, row *float64, ld, p, full int, mask *[4]int64) bool,
+	cols []int, vals, x []float64, p int, row []float64) {
+	m := len(row)
+	vals, x = vals[:len(cols)], x[:p*m]
+	for c := 0; c < m; {
+		full, k := 0, min(m-c, 4)
+		if m-c >= 16 {
+			full, k = 4, min(m-c-16, 4)
+		}
+		if !kern(&cols[0], &vals[0], len(cols), &x[c], &row[c], m, p, full, &laneMask[k]) {
+			panic(fmt.Sprintf("sparse: column index outside [0,%d)", p))
+		}
+		c += 4*full + k
+	}
 }
 
 // allFinite reports whether no value is infinite or NaN.
