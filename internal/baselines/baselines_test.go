@@ -8,9 +8,9 @@ import (
 
 	"newtonadmm/internal/cg"
 	"newtonadmm/internal/cluster"
-	"newtonadmm/internal/cluster/faultinject"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/device"
+	"newtonadmm/internal/faultinject"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
 	"newtonadmm/internal/newton"
@@ -184,8 +184,8 @@ func TestSyncSGDCrashKeepsPartialTrace(t *testing.T) {
 		if rank != 1 {
 			return tr
 		}
-		f := faultinject.Wrap(tr)
-		f.CrashAfterSend(40) // a few epochs in
+		f := faultinject.WrapTransport(tr)
+		f.CrashAfter(40) // a few epochs in
 		return f
 	}
 	res, err := SolveSyncSGD(ccfg, ds, SGDOptions{Epochs: 20, Lambda: 1e-3, BatchSize: 64, Step: 0.5, Seed: 4})

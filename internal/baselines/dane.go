@@ -74,10 +74,10 @@ func daneIteration(node *cluster.Node, local *dist.Local, x []float64, opts DANE
 	if extraA != 0 || extraC != nil {
 		// include the AIDE prox term's gradient in the global view
 		for j := 0; j < dim; j++ {
-			g[j] += extraA*x[j] + extraC[j]
+			g[j] += float64(extraA*x[j]) + extraC[j]
 		}
 		for j := 0; j < dim; j++ {
-			gLocal[j] += extraA*x[j] + extraC[j]
+			gLocal[j] += float64(extraA*x[j]) + extraC[j]
 		}
 	}
 	node.AllReduceSum(g)
@@ -90,7 +90,7 @@ func daneIteration(node *cluster.Node, local *dist.Local, x []float64, opts DANE
 	c := make([]float64, dim)
 	invN := 1 / float64(node.Size())
 	for j := 0; j < dim; j++ {
-		c[j] = -(gLocal[j] - opts.Eta*g[j]*invN)
+		c[j] = -(gLocal[j] - float64(opts.Eta*g[j]*invN))
 	}
 	if extraC != nil {
 		linalg.Add(c, extraC)
@@ -183,7 +183,7 @@ func AIDE(opts AIDEOptions) dist.Solver {
 				daneIteration(node, local, x, opts.DANE, epochRNG(opts.DANE.Seed, node.Rank(), k), extraC, tauShare)
 				// Nesterov extrapolation of the prox center.
 				for j := 0; j < dim; j++ {
-					v[j] = x[j] + zeta*(x[j]-xPrev[j])
+					v[j] = x[j] + float64(zeta*(x[j]-xPrev[j]))
 				}
 			}}
 		},

@@ -89,9 +89,9 @@ func SVRGSolve(f *loss.Softmax, c []float64, a, mu float64, x0, x []float64, opt
 			batch.Gradient(xSnap, gBSnap)
 			scale := float64(n) / float64(opts.BatchSize)
 			for j := 0; j < dim; j++ {
-				g := scale*(gB[j]-gBSnap[j]) + snapGrad[j] +
-					c[j] + a*x[j] + mu*(x[j]-x0[j])
-				x[j] -= step * g
+				g := float64(scale*(gB[j]-gBSnap[j])) + snapGrad[j] +
+					c[j] + float64(a*x[j]) + float64(mu*(x[j]-x0[j]))
+				x[j] -= float64(step * g)
 			}
 			if !linalg.AllFinite(x) {
 				// Divergence guard: step too large; fall back to the

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"newtonadmm/internal/wire"
 )
 
 // runBoth runs the same SPMD body on the inproc and TCP transports.
@@ -352,69 +354,119 @@ func TestTCPCloseDrainsGoroutinesAndUnblocksRecv(t *testing.T) {
 	t.Fatalf("goroutines leaked: before=%d after=%d", before, runtime.NumGoroutine())
 }
 
-func TestReadLoopRejectsSenderSwitch(t *testing.T) {
-	// Protocol regression: one connection, two claimed sender ranks. The
-	// read loop must drop the connection and poison the bound sender's
-	// queue so a Recv from it fails with ErrPeerLost instead of trusting
-	// forged frames.
-	group, err := NewTCPGroup(3, 0)
-	if err != nil {
-		t.Fatal(err)
+// peerFrame builds one training frame; mutate, when set, edits the
+// finished frame (its 20-byte header and payload) in place.
+func peerFrame(op wire.Op, corr uint64, vals []float64, mutate func(f []byte) []byte) []byte {
+	var e wire.Encoder
+	e.Begin(op, corr)
+	e.Vector(vals)
+	f := append([]byte(nil), e.Bytes()...)
+	if mutate != nil {
+		f = mutate(f)
 	}
-	defer func() {
-		for _, tr := range group {
-			tr.Close()
-		}
-	}()
-	ep := group[0].(*tcpEndpoint)
-	conn, err := net.Dial("tcp", ep.addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	return f
+}
+
+func TestHostileFramesDropConnection(t *testing.T) {
+	// Protocol regressions: a connection that breaks the training wire's
+	// rules is dropped, the rank it claimed is lost to its receivers
+	// (Recv fails with ErrPeerLost instead of trusting the stream), and
+	// the forged payload {13} never comes out as data. Rows marked bound
+	// first open with a hello from rank 1 and deliver one legitimate
+	// vector {42}.
+	forged := []float64{13}
+	cases := []struct {
+		name  string
+		bound bool
+		frame []byte
+	}{
+		{"sender-switch", true, peerFrame(wire.OpVector, 2, forged, nil)},
+		{"rank-out-of-range", true, peerFrame(wire.OpVector, 1<<40, forged, nil)},
+		{"bad-magic", true, peerFrame(wire.OpVector, 1, forged, func(f []byte) []byte { f[0] = 'X'; return f })},
+		{"unknown-flag-bit", true, peerFrame(wire.OpVector, 1, forged, func(f []byte) []byte { f[6] = 1 << 2; return f })},
+		{"trace-flag", true, peerFrame(wire.OpVector, 1, forged, func(f []byte) []byte { f[6] = byte(wire.FlagTrace); return f })},
+		{"serving-opcode", true, peerFrame(wire.OpPredict, 1, forged, nil)},
+		{"second-hello", true, peerFrame(wire.OpHello, 1, nil, nil)},
+		{"vector-before-hello", false, peerFrame(wire.OpVector, 1, forged, nil)},
+		{"ragged-payload", true, peerFrame(wire.OpVector, 1, forged, func(f []byte) []byte {
+			binary.LittleEndian.PutUint32(f[16:20], 12)
+			return append(f, 0, 0, 0, 0)
+		})},
+		{"oversized", true, peerFrame(wire.OpVector, 1, nil, func(f []byte) []byte {
+			binary.LittleEndian.PutUint32(f[16:20], wire.MaxPayload+1)
+			return f
+		})},
 	}
-	defer conn.Close()
-	frame := func(from uint32, vals []float64) []byte {
-		buf := make([]byte, 8+8*len(vals))
-		binary.LittleEndian.PutUint32(buf[0:4], from)
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(len(vals)))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(v))
-		}
-		return buf
-	}
-	// Bind the connection to rank 1, deliver one legitimate frame, then
-	// violate the protocol by claiming rank 2 on the same connection.
-	if _, err := conn.Write(frame(1, []float64{42})); err != nil {
-		t.Fatal(err)
-	}
-	got, err := group[0].Recv(1)
-	if err != nil || len(got) != 1 || got[0] != 42 {
-		t.Fatalf("legitimate frame lost: %v %v", got, err)
-	}
-	if _, err := conn.Write(frame(2, []float64{13})); err != nil {
-		t.Fatal(err)
-	}
-	// The violating connection is dropped and rank 1's queue closed: the
-	// next Recv(1) on this spoofed path must fail typed, and the forged
-	// frame must never surface as data from rank 2.
-	done := make(chan error, 1)
-	go func() {
-		_, err := group[0].Recv(1)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrPeerLost) {
-			t.Fatalf("recv after protocol violation: got %v, want ErrPeerLost", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("protocol violation did not poison the sender queue")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			group, err := NewTCPGroup(3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, tr := range group {
+					tr.Close()
+				}
+			}()
+			ep := group[0].(*tcpEndpoint)
+			conn, err := net.Dial("tcp", ep.addrs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var stream []byte
+			if c.bound {
+				stream = append(peerFrame(wire.OpHello, 1, nil, nil), peerFrame(wire.OpVector, 1, []float64{42}, nil)...)
+			}
+			if _, err := conn.Write(append(stream, c.frame...)); err != nil {
+				t.Fatal(err)
+			}
+			if c.bound {
+				if got, err := ep.Recv(1); err != nil || len(got) != 1 || got[0] != 42 {
+					t.Fatalf("legitimate frame lost: %v %v", got, err)
+				}
+			}
+
+			type result struct {
+				data []float64
+				err  error
+			}
+			done := make(chan result, 1)
+			go func() {
+				data, err := ep.Recv(1)
+				done <- result{data, err}
+			}()
+			select {
+			case r := <-done:
+				if r.data != nil {
+					t.Fatalf("forged payload came out as data: %v", r.data)
+				}
+				if !errors.Is(r.err, ErrPeerLost) {
+					t.Fatalf("recv after protocol violation: got %v, want ErrPeerLost", r.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("protocol violation did not poison the sender queue")
+			}
+			for r, q := range ep.queues {
+				if len(q) != 0 {
+					t.Fatalf("forged payload queued as data from rank %d", r)
+				}
+			}
+
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			_, err = conn.Read(make([]byte, 1))
+			if ne, ok := err.(net.Error); err == nil || (ok && ne.Timeout()) {
+				t.Fatalf("connection not dropped: read returned %v", err)
+			}
+		})
 	}
 }
 
-func TestOversizedFrameDropsConnection(t *testing.T) {
-	// A frame header claiming an absurd element count must drop the
-	// connection instead of attempting a giant allocation.
-	group, err := NewTCPGroup(2, 0)
+func TestSendOverFrameBoundFailsLocally(t *testing.T) {
+	// A vector over wire.MaxPayload is the caller's error: Send fails
+	// before writing, with a plain error naming the bound that RunRestart
+	// will not retry, and the peer's connection carries on untouched.
+	group, err := NewTCPGroupTimeout(2, 0, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,30 +475,21 @@ func TestOversizedFrameDropsConnection(t *testing.T) {
 			tr.Close()
 		}
 	}()
-	ep := group[0].(*tcpEndpoint)
-	conn, err := net.Dial("tcp", ep.addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	err = group[0].Send(1, make([]float64, wire.MaxPayload/8+1))
+	if err == nil {
+		t.Fatal("oversized send succeeded")
 	}
-	defer conn.Close()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], 1)
-	binary.LittleEndian.PutUint32(hdr[4:8], maxFrameVecs+1)
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
+	if IsCommError(err) {
+		t.Fatalf("oversized send reported as a comm error (would be retried): %v", err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := group[0].Recv(1)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrPeerLost) {
-			t.Fatalf("recv after oversized frame: got %v, want ErrPeerLost", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("oversized frame did not drop the connection")
+	if !errorsContains(err, fmt.Sprint(wire.MaxPayload)) {
+		t.Fatalf("error does not name the %d-byte bound: %v", wire.MaxPayload, err)
+	}
+	if err := group[0].Send(1, []float64{7}); err != nil {
+		t.Fatalf("send after the refused one: %v", err)
+	}
+	if got, err := group[1].Recv(0); err != nil || len(got) != 1 || got[0] != 7 {
+		t.Fatalf("receiver saw a broken stream: %v %v", got, err)
 	}
 }
 

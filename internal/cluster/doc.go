@@ -18,8 +18,9 @@
 //
 //   - Transport delivers []float64 payloads between ranks with pairwise
 //     (from, to) ordering — the only ordering the collectives rely on.
-//     The TCP transport frames payloads as [from u32][count u32][raw
-//     float64 bits], crossing real loopback sockets so wire effects are
+//     The TCP transport sends NAWP peer frames through internal/wire
+//     (hello, abort, vector; the correlation field carries the sending
+//     rank), crossing real loopback sockets so wire effects are
 //     exercised without a cluster.
 //   - Liveness over hangs: when a rank dies mid-protocol, its peers'
 //     blocked Recv calls fail (closed queues / poisoned pipes) instead
@@ -28,9 +29,9 @@
 //     a collective's result does not depend on message arrival timing.
 //
 // Relation to the serving tier: this package is the *training* data
-// plane (rank-addressed collectives between peers). The serving
-// fleet's router↔replica hop uses internal/wire instead — a
-// request/response frame protocol with correlation IDs and error
-// frames over the same kind of raw TCP socket; DESIGN.md's "Binary
-// data plane" section specifies it and contrasts the two.
+// plane (rank-addressed collectives between peers). It shares one frame
+// codec, internal/wire, with the serving fleet's router↔replica hop —
+// a request/response protocol with correlation IDs and error frames;
+// DESIGN.md's "Binary data plane" section specifies both, the
+// training side under "Peer frames".
 package cluster

@@ -34,7 +34,7 @@ type Config struct {
 	CollectiveTimeout time.Duration
 	// WrapTransport, when non-nil, wraps each rank's transport after
 	// construction — the deterministic fault-injection seam used by
-	// internal/cluster/faultinject. It must return a usable Transport.
+	// internal/faultinject. It must return a usable Transport.
 	WrapTransport func(rank int, t Transport) Transport
 }
 

@@ -1,38 +1,24 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
+
+	"newtonadmm/internal/wire"
 )
 
-// Frame-count sentinels. Regular data frames carry count <= maxFrameVecs;
-// the two top values are reserved control frames.
-const (
-	// helloCount binds a connection to its sending rank before any
-	// payload flows.
-	helloCount = 0xFFFFFFFF
-	// abortCount is the coordinated-abort broadcast: the sender's
-	// collective failed, so the receiver must poison its own queues and
-	// fail pending Recvs promptly instead of waiting for a deadline.
-	abortCount = 0xFFFFFFFE
-	// maxFrameVecs bounds a data frame's element count (1 GiB of
-	// float64s) so a corrupt header cannot drive a giant allocation.
-	maxFrameVecs = 1 << 27
-	// defaultDialTimeout bounds connection establishment when no
-	// collective timeout is configured, so a dead address fails fast
-	// instead of waiting out the kernel's connect timeout.
-	defaultDialTimeout = 10 * time.Second
-)
+// defaultDialTimeout bounds connection establishment when no collective
+// timeout is configured, so a dead address fails fast instead of waiting
+// out the kernel's connect timeout.
+const defaultDialTimeout = 10 * time.Second
 
 // tcpEndpoint is a Transport over real TCP sockets: each rank listens on
-// its own port, outbound connections are dialed eagerly (full mesh) with a
-// hello frame, and data frames carry
-// [from uint32][count uint32][count * float64 little-endian].
+// its own port, outbound connections are dialed eagerly (full mesh) and
+// open with a hello, and payloads travel as NAWP frames (internal/wire,
+// DESIGN.md "Binary data plane"): OpHello, OpAbort and OpVector, each
+// carrying the sender's rank in the correlation field.
 // Incoming frames are demultiplexed into per-sender queues so Recv(from)
 // preserves pairwise ordering. When a peer disconnects, its queue is
 // closed so blocked receivers fail instead of hanging — giving the SPMD
@@ -143,7 +129,16 @@ func (e *tcpEndpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		// A connection accepted while Close runs would miss Close's sweep
+		// of inbound and leave its read loop waiting on a live peer.
 		e.mu.Lock()
+		select {
+		case <-e.closed:
+			e.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		e.inbound = append(e.inbound, conn)
 		e.mu.Unlock()
 		e.wg.Add(1)
@@ -162,6 +157,12 @@ func (e *tcpEndpoint) abortLocal() {
 	e.abortOnce.Do(func() { close(e.aborted) })
 }
 
+// readLoop demultiplexes one inbound connection. Its first frame must
+// be a hello, whose correlation field names the sending rank; every later
+// frame must repeat that rank. Any violation — a framing error, flags, a
+// foreign opcode, another rank, a vector that is not whole float64s —
+// drops the connection, and the claimed sender's queue closes with it,
+// so its Recvs fail with ErrPeerLost instead of trusting the stream.
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
@@ -171,43 +172,32 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			e.closeQueue(sender)
 		}
 	}()
-	header := make([]byte, 8)
+	fr := wire.NewReader(conn)
 	for {
-		if _, err := io.ReadFull(conn, header); err != nil {
+		h, payload, err := fr.Next()
+		if err != nil || h.Flags != 0 || h.Corr >= uint64(e.size) || (sender >= 0 && int(h.Corr) != sender) {
 			return
 		}
-		from := int(binary.LittleEndian.Uint32(header[0:4]))
-		count := binary.LittleEndian.Uint32(header[4:8])
-		if from < 0 || from >= e.size {
-			return
-		}
-		if sender == -1 {
-			sender = from
-		} else if from != sender {
-			return // protocol violation: one sender per connection
-		}
-		switch count {
-		case helloCount:
-			continue
-		case abortCount:
+		first := sender < 0
+		sender = int(h.Corr)
+		switch {
+		case first && h.Op == wire.OpHello:
+		case first:
+			return // nothing may precede the hello
+		case h.Op == wire.OpAbort:
 			e.abortLocal()
-			continue
-		}
-		if count > maxFrameVecs {
-			return // protocol violation: absurd frame size
-		}
-		buf := make([]byte, 8*int(count))
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			return
-		}
-		data := make([]float64, count)
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		select {
-		case e.queues[from] <- data:
-		case <-e.closed:
-			return
+		case h.Op == wire.OpVector:
+			data, err := wire.DecodeVector(payload)
+			if err != nil {
+				return
+			}
+			select {
+			case e.queues[sender] <- data:
+			case <-e.closed:
+				return
+			}
+		default:
+			return // a serving opcode or a second hello
 		}
 	}
 }
@@ -233,26 +223,23 @@ func (e *tcpEndpoint) dial(to int) (net.Conn, error) {
 	return c, nil
 }
 
-// write sends buf on the shared conn under e.mu with a write deadline,
-// so a stalled peer whose TCP window is full cannot wedge the caller
-// while it holds the lock.
-func (e *tcpEndpoint) write(conn net.Conn, buf []byte) error {
+// write frames one peer message (op, this rank, data) and sends it on
+// the shared conn under e.mu with a write deadline, so a stalled peer
+// whose TCP window is full cannot wedge the caller while it holds the
+// lock. Each frame is a fresh buffer: one retained per endpoint kept
+// peak RSS higher on train-sparse-tcp for no time gain.
+func (e *tcpEndpoint) write(conn net.Conn, op wire.Op, data []float64) error {
+	var enc wire.Encoder
+	enc.Begin(op, uint64(e.rank))
+	enc.Vector(data)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.timeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(e.timeout))
 		defer conn.SetWriteDeadline(time.Time{})
 	}
-	_, err := conn.Write(buf)
+	_, err := conn.Write(enc.Bytes())
 	return err
-}
-
-// control builds the 8-byte frame for a sentinel count.
-func (e *tcpEndpoint) control(count uint32) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(e.rank))
-	binary.LittleEndian.PutUint32(buf[4:8], count)
-	return buf[:]
 }
 
 func (e *tcpEndpoint) hello(to int) error {
@@ -260,7 +247,7 @@ func (e *tcpEndpoint) hello(to int) error {
 	if err != nil {
 		return err
 	}
-	if err := e.write(conn, e.control(helloCount)); err != nil {
+	if err := e.write(conn, wire.OpHello, nil); err != nil {
 		return fmt.Errorf("cluster: rank %d hello to %d: %w (%v)", e.rank, to, ErrPeerLost, err)
 	}
 	return nil
@@ -270,7 +257,6 @@ func (e *tcpEndpoint) hello(to int) error {
 // the write deadline) and poisons the local endpoint, so every rank's
 // blocked Recv — here and remote — exits promptly with ErrAborted.
 func (e *tcpEndpoint) Abort() {
-	frame := e.control(abortCount)
 	for to := 0; to < e.size; to++ {
 		if to == e.rank {
 			continue
@@ -281,14 +267,20 @@ func (e *tcpEndpoint) Abort() {
 		if !ok {
 			continue
 		}
-		_ = e.write(conn, frame)
+		_ = e.write(conn, wire.OpAbort, nil)
 	}
 	e.abortLocal()
 }
 
+// Send frames data as one OpVector. A vector over the frame bound fails
+// here, before any byte is written: it is the caller's error, not a lost
+// peer, so RunRestart does not retry it and the receiver never sees it.
 func (e *tcpEndpoint) Send(to int, data []float64) error {
 	if to < 0 || to >= e.size {
 		return fmt.Errorf("cluster: send to invalid rank %d (size %d)", to, e.size)
+	}
+	if len(data) > wire.MaxPayload/8 {
+		return fmt.Errorf("cluster: rank %d send to %d: %d floats exceed the %d-byte frame bound (wire.MaxPayload)", e.rank, to, len(data), wire.MaxPayload)
 	}
 	select {
 	case <-e.closed:
@@ -299,13 +291,7 @@ func (e *tcpEndpoint) Send(to int, data []float64) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 8+8*len(data))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(e.rank))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(data)))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[8+8*i:], math.Float64bits(v))
-	}
-	if err := e.write(conn, buf); err != nil {
+	if err := e.write(conn, wire.OpVector, data); err != nil {
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
 			return fmt.Errorf("cluster: rank %d send to %d stalled after %v: %w", e.rank, to, e.timeout, ErrCollectiveTimeout)
 		}

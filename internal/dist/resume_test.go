@@ -11,10 +11,10 @@ import (
 	"newtonadmm/internal/baselines"
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
-	"newtonadmm/internal/cluster/faultinject"
 	"newtonadmm/internal/core"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
+	"newtonadmm/internal/faultinject"
 )
 
 // The acceptance pin, once for every distributed solver: train K epochs
@@ -130,8 +130,8 @@ func crashRankAfter(victim, sends int, onlyFirstAttempt bool) func(int, cluster.
 		if rank != victim || (onlyFirstAttempt && attempt > 0) {
 			return tr
 		}
-		f := faultinject.Wrap(tr)
-		f.CrashAfterSend(sends)
+		f := faultinject.WrapTransport(tr)
+		f.CrashAfter(sends)
 		return f
 	}
 }
@@ -145,12 +145,12 @@ func TestResumeTable(t *testing.T) {
 			// crash below lands at 5/12 of the checkpointed schedule (two
 			// more sends per epoch, the snapshot gather), i.e. in epoch 3
 			// of 6, after at least one snapshot.
-			var gate *faultinject.FaultTransport
+			var gate *faultinject.Transport
 			base, baseRhos, err := c.run(t, ds, resumeOpts(""), func(rank int, tr cluster.Transport) cluster.Transport {
 				if rank != 1 {
 					return tr
 				}
-				gate = faultinject.Wrap(tr)
+				gate = faultinject.WrapTransport(tr)
 				return gate
 			})
 			if err != nil {
@@ -159,7 +159,7 @@ func TestResumeTable(t *testing.T) {
 			if len(base.Trace.Points) != resumeEpochs+1 {
 				t.Fatalf("reference trace has %d points", len(base.Trace.Points))
 			}
-			crashAt := (int(gate.Sends()) + 2*resumeEpochs) * 5 / 12
+			crashAt := (int(gate.Calls()) + 2*resumeEpochs) * 5 / 12
 
 			t.Run("kill-resume", func(t *testing.T) {
 				dir := t.TempDir()

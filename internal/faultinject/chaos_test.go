@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"newtonadmm/internal/cluster"
-	"newtonadmm/internal/cluster/faultinject"
+	"newtonadmm/internal/faultinject"
 )
 
 // The chaos matrix: kill or wedge every rank at every collective phase,
@@ -55,12 +55,12 @@ func runChaos(t *testing.T, useTCP bool, ph chaosPhase, victim int, fault string
 			if rank != victim {
 				return tr
 			}
-			f := faultinject.Wrap(tr)
+			f := faultinject.WrapTransport(tr)
 			switch fault {
 			case "crash":
 				// Let a few sends through so the crash lands mid-phase,
 				// not during the first payload exchange.
-				f.CrashAfterSend(3)
+				f.CrashAfter(3)
 			case "hang":
 				// Black-hole one peer: the victim stays connected but a
 				// survivor's Recv starves — only the deadline can save it.
@@ -71,7 +71,7 @@ func runChaos(t *testing.T, useTCP bool, ph chaosPhase, victim int, fault string
 				if victim == 0 {
 					to = 1
 				}
-				f.DropSendsTo(to)
+				f.DropTo(to)
 			}
 			return f
 		},

@@ -61,7 +61,7 @@ func Backtrack(f func(alpha float64) float64, f0, slope float64, opts Options) R
 	for i := 0; i < opts.MaxIters; i++ {
 		val := f(alpha)
 		res.Evals++
-		if val <= f0+alpha*opts.Beta*slope {
+		if val <= f0+float64(alpha*opts.Beta*slope) {
 			res.Alpha = alpha
 			res.Value = val
 			res.Satisfied = true
@@ -106,7 +106,7 @@ func PickArmijo(alphas, values []float64, f0, slope, beta float64) (alpha, value
 	}
 	bestIdx := 0
 	for i := range alphas {
-		if values[i] <= f0+alphas[i]*beta*slope {
+		if values[i] <= f0+float64(alphas[i]*beta*slope) {
 			return alphas[i], values[i]
 		}
 		if values[i] < values[bestIdx] {

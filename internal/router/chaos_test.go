@@ -1,4 +1,4 @@
-// Chaos suite: deterministic fault injection (faultinject.FaultBackend
+// Chaos suite: deterministic fault injection (faultinject.Backend
 // at the Backend seam) against the R×S replicated-shard grid. The
 // invariants under test are the tentpole's acceptance criteria: with
 // R >= 2, killing any replica in any position — mid-scatter, mid-drain,
@@ -27,8 +27,8 @@ import (
 	"testing"
 	"time"
 
+	"newtonadmm/internal/faultinject"
 	"newtonadmm/internal/router"
-	"newtonadmm/internal/router/faultinject"
 	"newtonadmm/internal/serve"
 )
 
@@ -134,16 +134,16 @@ func chaosBackend(t testing.TB, transport string, w []float64, classes, features
 }
 
 // chaosGrid builds an R×S grid over the named transport with every
-// backend wrapped in a FaultBackend. faults[s][r] is shard group s's
+// backend wrapped in a faultinject.Backend. faults[s][r] is shard group s's
 // member r; members spread across zones zone-0..zone-(R-1). Backend
 // order is group-major, so replica ID s*R+r == faults[s][r].
-func chaosGrid(t testing.TB, transport string, w []float64, classes, features, gridR, gridS int, opts router.Options) (*router.Router, [][]*faultinject.FaultBackend) {
+func chaosGrid(t testing.TB, transport string, w []float64, classes, features, gridR, gridS int, opts router.Options) (*router.Router, [][]*faultinject.Backend) {
 	t.Helper()
-	faults := make([][]*faultinject.FaultBackend, gridS)
+	faults := make([][]*faultinject.Backend, gridS)
 	var backends []router.Backend
 	for s := 0; s < gridS; s++ {
 		for r := 0; r < gridR; r++ {
-			fb := faultinject.Wrap(chaosBackend(t, transport, w, classes, features, s, gridS, fmt.Sprintf("zone-%d", r)))
+			fb := faultinject.WrapBackend(chaosBackend(t, transport, w, classes, features, s, gridS, fmt.Sprintf("zone-%d", r)))
 			faults[s] = append(faults[s], fb)
 			backends = append(backends, fb)
 		}

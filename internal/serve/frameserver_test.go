@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,6 +224,31 @@ func TestFrameServerMetaReload(t *testing.T) {
 	_, p = fc.roundTrip(t)
 	if m, _ := wire.DecodeMetaResp(p); m.Version != 2 {
 		t.Fatalf("meta after reload reports v%d, want 2", m.Version)
+	}
+}
+
+// TestFrameServerRefusesPeerOpcodes: the training collectives' opcodes
+// are not requests; the frame server answers each with its
+// unknown-opcode error and keeps the connection.
+func TestFrameServerRefusesPeerOpcodes(t *testing.T) {
+	addr, _, _, shutdown := frameTestStack(t, 3, 4)
+	defer shutdown()
+	fc := dialFrames(t, addr)
+	defer fc.c.Close()
+	for _, op := range []wire.Op{wire.OpHello, wire.OpAbort, wire.OpVector} {
+		fc.enc.Begin(op, 1)
+		fc.enc.Vector([]float64{13})
+		h, p := fc.roundTrip(t)
+		if h.Op != wire.OpError || h.Corr != 1 {
+			t.Fatalf("opcode %#x answered %+v, want an error frame", op, h)
+		}
+		if code, msg, err := wire.DecodeError(p); err != nil || code != wire.CodeBadRequest || !strings.Contains(msg, "unknown opcode") {
+			t.Fatalf("opcode %#x: code %d msg %q err=%v, want the unknown-opcode error", op, code, msg, err)
+		}
+	}
+	fc.enc.Begin(wire.OpMeta, 2)
+	if h, _ := fc.roundTrip(t); h.Op != wire.OpMetaResp {
+		t.Fatalf("connection unusable after refused peer frames: %+v", h)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"newtonadmm/internal/control"
+	"newtonadmm/internal/faultinject"
 	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/router"
-	"newtonadmm/internal/router/faultinject"
 	"newtonadmm/internal/serve"
 )
 
@@ -21,13 +21,13 @@ const numReasons = 4
 // reqRecord tracks one client request across its scatter legs: the
 // request completes, in virtual time, when its last leg lands.
 type reqRecord struct {
-	start time.Duration
-	pri   control.Priority
-	legs  int           // legs enqueued on virtual replicas
-	done  int           // legs whose virtual service completed
-	end   time.Duration // latest leg completion (incl. wire cost)
-	closed bool         // the router call returned
-	ok     bool         // ... without error
+	start  time.Duration
+	pri    control.Priority
+	legs   int           // legs enqueued on virtual replicas
+	done   int           // legs whose virtual service completed
+	end    time.Duration // latest leg completion (incl. wire cost)
+	closed bool          // the router call returned
+	ok     bool          // ... without error
 }
 
 // Sim is one scenario execution: the virtual clock, the REAL router
@@ -38,8 +38,8 @@ type Sim struct {
 	sc    Scenario
 
 	rtr    *router.Router
-	reps   map[int]*SimReplica             // router replica ID -> virtual replica
-	faults map[int]*faultinject.FaultBackend
+	reps   map[int]*SimReplica // router replica ID -> virtual replica
+	faults map[int]*faultinject.Backend
 
 	cur       *reqRecord // request currently inside a router call
 	vInflight int64      // legs enqueued but not virtually completed
@@ -71,7 +71,7 @@ func Run(sc Scenario) (*ScenarioResult, error) {
 		clock:  NewClock(),
 		sc:     sc,
 		reps:   make(map[int]*SimReplica),
-		faults: make(map[int]*faultinject.FaultBackend),
+		faults: make(map[int]*faultinject.Backend),
 		latAll: metrics.NewHistogram(),
 		out:    make([]int, 1),
 	}
@@ -153,12 +153,12 @@ func (s *Sim) buildFleet() error {
 				cfg.shard = rng
 				cfg.shardIndex = si
 				cfg.shardCount = s.sc.Shards
-				backends = append(backends, faultinject.Wrap(newSimReplica(s, cfg)))
+				backends = append(backends, faultinject.WrapBackend(newSimReplica(s, cfg)))
 			}
 		}
 	default:
 		for i := 0; i < s.sc.Replicas; i++ {
-			backends = append(backends, faultinject.Wrap(newSimReplica(s, s.fullReplicaConfig(s.zoneOf(i)))))
+			backends = append(backends, faultinject.WrapBackend(newSimReplica(s, s.fullReplicaConfig(s.zoneOf(i)))))
 		}
 	}
 	s.zoneRR = len(backends)
@@ -182,7 +182,7 @@ func (s *Sim) buildFleet() error {
 // adoptReplica links a registered pool entry back to its virtual
 // replica so legs can adjust the entry's load gauge.
 func (s *Sim) adoptReplica(rep *router.Replica) {
-	fb := rep.Backend().(*faultinject.FaultBackend)
+	fb := rep.Backend().(*faultinject.Backend)
 	sr := fb.Inner().(*SimReplica)
 	sr.rep = rep
 	s.reps[rep.ID] = sr
@@ -375,7 +375,7 @@ func (s *Sim) noteCoverage() {
 func (s *Sim) spawnReplica() error {
 	sr := newSimReplica(s, s.fullReplicaConfig(s.zoneOf(s.zoneRR)))
 	s.zoneRR++
-	fb := faultinject.Wrap(sr)
+	fb := faultinject.WrapBackend(sr)
 	id, err := s.rtr.AddBackend(fb)
 	if err != nil {
 		sr.Close()
@@ -439,6 +439,6 @@ func (src *simSource) Snapshot() control.Snapshot {
 // router membership API.
 type simActuator struct{ s *Sim }
 
-func (a simActuator) Replicas() int  { return len(a.s.rtr.Pool().Replicas()) }
-func (a simActuator) ScaleUp() error { return a.s.spawnReplica() }
+func (a simActuator) Replicas() int    { return len(a.s.rtr.Pool().Replicas()) }
+func (a simActuator) ScaleUp() error   { return a.s.spawnReplica() }
 func (a simActuator) ScaleDown() error { return a.s.retireReplica() }

@@ -2,7 +2,11 @@
 // router↔replica data plane: a length-prefixed, little-endian framing
 // over a plain TCP stream that replaces the JSON/HTTP hop of the
 // scatter-gather tier for the request kinds that dominate its traffic
-// (predict, proba, partial scores, meta probe, reload).
+// (predict, proba, partial scores, meta probe, reload). The training
+// collectives' TCP transport (internal/cluster) speaks the same frames
+// through three peer opcodes — OpHello, OpAbort and OpVector, whose
+// correlation field carries the sending rank — so both remote hops
+// share one codec.
 //
 // DESIGN.md's "Binary data plane" section is the normative
 // specification — frame layout, field offsets, payload encodings, and

@@ -89,6 +89,14 @@ const (
 	// OpError is the error response to any request; its payload carries
 	// an ErrCode plus a human-readable message.
 	OpError Op = 0xFF
+
+	// Peer opcodes: the training collectives' rank-to-rank frames
+	// (internal/cluster). They have no responses. The correlation field
+	// carries the sending rank: OpHello binds a connection to it, and
+	// every later frame on that connection must repeat it.
+	OpHello  Op = 0x10 // empty payload: bind this connection to rank Corr
+	OpAbort  Op = 0x11 // empty payload: the sender's collective failed
+	OpVector Op = 0x12 // raw float64 bits, payload length a multiple of 8
 )
 
 // ErrCode classifies an error frame by what the router may do about it:

@@ -7,12 +7,14 @@ import (
 )
 
 // FuzzFrameDecode drives the full decode surface — header parse, batch
-// decode, and every response decoder — with arbitrary bytes. The
+// decode, every response decoder, and the training wire's vector
+// decoder — with arbitrary bytes. The
 // decoders must never panic, never allocate proportionally to a lying
 // length prefix, and must either round up a clean parse or return an
 // error; a committed seed corpus under testdata/fuzz pins the
-// interesting shapes (valid frames of each kind, truncations at field
-// boundaries, bad magic/version/flags, lying row counts).
+// interesting shapes (valid frames of each kind, peer hello/abort/vector
+// frames, truncations at field boundaries, bad magic/version/flags,
+// lying row counts, a ragged vector).
 func FuzzFrameDecode(f *testing.F) {
 	var e Encoder
 
@@ -94,5 +96,17 @@ func FuzzFrameDecode(f *testing.F) {
 		DecodeMetaResp(payload)
 		DecodeReloadResp(payload)
 		DecodeError(payload)
+		// The training wire's vector decoder accepts exactly the whole-
+		// float64 payloads, and what it accepts re-encodes bit for bit.
+		if v, err := DecodeVector(payload); err == nil {
+			var e Encoder
+			e.Begin(OpVector, h.Corr)
+			e.Vector(v)
+			if !bytes.Equal(e.Bytes()[HeaderSize:], payload) {
+				t.Fatal("vector payload does not round-trip bitwise")
+			}
+		} else if len(payload)%8 == 0 {
+			t.Fatalf("whole-float64 vector payload rejected: %v", err)
+		}
 	})
 }

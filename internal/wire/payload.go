@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -68,10 +69,15 @@ func (e *Encoder) u64(v uint64) {
 }
 
 func (e *Encoder) f64s(vs []float64) {
-	for _, v := range vs {
-		e.u64(math.Float64bits(v))
+	n := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*len(vs))[:n+8*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(e.buf[n+8*i:], math.Float64bits(v))
 	}
 }
+
+// Vector writes an OpVector payload: the values' raw IEEE-754 bits.
+func (e *Encoder) Vector(vals []float64) { e.f64s(vals) }
 
 // BatchHeader opens a batch request payload (OpPredict / OpProba /
 // OpScores): row count, dense feature width, and — for OpScores — the
@@ -538,6 +544,17 @@ func DecodeReloadResp(p []byte) (int64, error) {
 		return 0, err
 	}
 	return int64(v), nil
+}
+
+// DecodeVector parses an OpVector payload into a fresh slice, so the
+// caller may keep it past the Reader's next frame.
+func DecodeVector(p []byte) ([]float64, error) {
+	if len(p)%8 != 0 {
+		return nil, fmt.Errorf("%w: vector payload of %d bytes is not a multiple of 8", ErrBadFrame, len(p))
+	}
+	v := make([]float64, len(p)/8)
+	r := reader{p: p}
+	return v, r.f64s(v)
 }
 
 // DecodeError parses an OpError payload, ignoring the optional detail
