@@ -10,6 +10,7 @@ import (
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/device"
+	"newtonadmm/internal/dist"
 	"newtonadmm/internal/faultinject"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
@@ -124,10 +125,8 @@ func TestGIANTMonotoneObjective(t *testing.T) {
 func TestInexactDANEMakesProgress(t *testing.T) {
 	ds := testDataset(t)
 	lambda := 1e-3
-	res, err := SolveInexactDANE(zeroNet, ds, DANEOptions{
-		Epochs: 5, Lambda: lambda, Seed: 1,
-		SVRG: SVRGOptions{Step: 1, Snapshots: 2},
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 5, Lambda: lambda},
+		InexactDANE(DANEOptions{Seed: 1, SVRG: SVRGOptions{Step: 1, Snapshots: 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +139,10 @@ func TestInexactDANEMakesProgress(t *testing.T) {
 
 func TestAIDEMakesProgress(t *testing.T) {
 	ds := testDataset(t)
-	res, err := SolveAIDE(zeroNet, ds, AIDEOptions{
-		DANE: DANEOptions{
-			Epochs: 5, Lambda: 1e-3, Seed: 2,
-			SVRG: SVRGOptions{Step: 1, Snapshots: 2},
-		},
-		Tau: 0.1,
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 5, Lambda: 1e-3}, AIDE(AIDEOptions{
+		DANE: DANEOptions{Seed: 2, SVRG: SVRGOptions{Step: 1, Snapshots: 2}},
+		Tau:  0.1,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +157,8 @@ func TestSyncSGDConverges(t *testing.T) {
 	ds := testDataset(t)
 	lambda := 1e-3
 	fStar := optimum(t, ds, lambda)
-	res, err := SolveSyncSGD(zeroNet, ds, SGDOptions{
-		Epochs: 60, Lambda: lambda, BatchSize: 64, Step: 2, Seed: 3,
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 60, Lambda: lambda},
+		SyncSGD(SGDOptions{BatchSize: 64, Step: 2, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +183,7 @@ func TestSyncSGDCrashKeepsPartialTrace(t *testing.T) {
 		f.CrashAfter(40) // a few epochs in
 		return f
 	}
-	res, err := SolveSyncSGD(ccfg, ds, SGDOptions{Epochs: 20, Lambda: 1e-3, BatchSize: 64, Step: 0.5, Seed: 4})
+	res, err := dist.Run(ccfg, ds, dist.RunOptions{Epochs: 20, Lambda: 1e-3}, SyncSGD(SGDOptions{BatchSize: 64, Step: 0.5, Seed: 4}))
 	if !cluster.IsCommError(err) {
 		t.Fatalf("crash not surfaced as a typed comm error: %v", err)
 	}
@@ -203,9 +198,8 @@ func TestSyncSGDRoundsScaleWithBatches(t *testing.T) {
 	ds := testDataset(t)
 	epochs := 3
 	batch := 64
-	res, err := SolveSyncSGD(zeroNet, ds, SGDOptions{
-		Epochs: epochs, Lambda: 1e-3, BatchSize: batch, Step: 0.5, Seed: 4,
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: epochs, Lambda: 1e-3},
+		SyncSGD(SGDOptions{BatchSize: batch, Step: 0.5, Seed: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +217,7 @@ func TestSGDManyMoreRoundsThanGIANT(t *testing.T) {
 	// The communication-structure claim behind Figure 4, checked
 	// structurally: SGD needs far more collectives per epoch.
 	ds := testDataset(t)
-	sgd, err := SolveSyncSGD(zeroNet, ds, SGDOptions{Epochs: 5, Lambda: 1e-3, BatchSize: 16, Step: 0.5})
+	sgd, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 5, Lambda: 1e-3}, SyncSGD(SGDOptions{BatchSize: 16, Step: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +301,13 @@ func TestSVRGRestoresL2(t *testing.T) {
 
 func TestBaselinesDeterministicWithSeed(t *testing.T) {
 	ds := testDataset(t)
-	opts := SGDOptions{Epochs: 3, Lambda: 1e-3, BatchSize: 32, Step: 0.5, Seed: 11}
-	a, err := SolveSyncSGD(zeroNet, ds, opts)
+	run := dist.RunOptions{Epochs: 3, Lambda: 1e-3}
+	opts := SGDOptions{BatchSize: 32, Step: 0.5, Seed: 11}
+	a, err := dist.Run(zeroNet, ds, run, SyncSGD(opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveSyncSGD(zeroNet, ds, opts)
+	b, err := dist.Run(zeroNet, ds, run, SyncSGD(opts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
-	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
 )
@@ -14,11 +13,6 @@ import (
 // DANEOptions configures InexactDANE and (via AIDE) its accelerated
 // wrapper.
 type DANEOptions struct {
-	// Epochs is the number of outer DANE iterations; <=0 selects 10
-	// (the paper only runs 10 because each is so expensive).
-	Epochs int
-	// Lambda is the global L2 regularization strength.
-	Lambda float64
 	// Eta is DANE's gradient weight (paper uses 1.0).
 	Eta float64
 	// Mu is DANE's proximal coefficient (paper uses 0.0).
@@ -27,10 +21,6 @@ type DANEOptions struct {
 	SVRG SVRGOptions
 	// Seed makes the stochastic inner solver reproducible.
 	Seed int64
-	// EvalEvery records a trace point every this many epochs; <=0 is 1.
-	EvalEvery int
-	// EvalTestAccuracy also measures test accuracy at trace points.
-	EvalTestAccuracy bool
 }
 
 func (o DANEOptions) withDefaults() DANEOptions {
@@ -38,13 +28,6 @@ func (o DANEOptions) withDefaults() DANEOptions {
 		o.Eta = 1
 	}
 	return o
-}
-
-func (o DANEOptions) run() dist.RunOptions {
-	return dist.RunOptions{
-		Epochs: o.Epochs, Lambda: o.Lambda,
-		EvalEvery: o.EvalEvery, EvalTestAccuracy: o.EvalTestAccuracy,
-	}
 }
 
 func (o DANEOptions) fingerprint(f *ckpt.Fingerprinter) {
@@ -103,16 +86,12 @@ func daneIteration(node *cluster.Node, local *dist.Local, x []float64, opts DANE
 	linalg.Scal(invN, x)
 }
 
-// SolveInexactDANE runs the InexactDANE solver of Reddi et al.: DANE with
-// each node's subproblem solved approximately by SVRG. The SVRG sweep
-// makes every epoch orders of magnitude more expensive than a Newton-ADMM
-// epoch, which is exactly the behaviour the paper's Figure 1 reports.
-func SolveInexactDANE(clusterCfg cluster.Config, ds *datasets.Dataset, opts DANEOptions) (*Result, error) {
-	return dist.Run(clusterCfg, ds, opts.run(), InexactDANE(opts))
-}
-
-// InexactDANE describes the solver to the epoch driver. Its recoverable
-// state is the iterate x: each epoch's SVRG samples come from epochRNG.
+// InexactDANE is the InexactDANE solver of Reddi et al.: DANE with each
+// node's subproblem solved approximately by SVRG. The SVRG sweep makes
+// every epoch orders of magnitude more expensive than a Newton-ADMM
+// epoch, which is exactly the behaviour the paper's Figure 1 reports (and
+// why a run defaults to 10 epochs). Its recoverable state is the iterate
+// x: each epoch's SVRG samples come from epochRNG.
 func InexactDANE(opts DANEOptions) dist.Solver {
 	opts = opts.withDefaults()
 	return dist.Solver{
@@ -137,17 +116,12 @@ type AIDEOptions struct {
 	Tau float64
 }
 
-// SolveAIDE runs AIDE (Reddi et al.): catalyst-style acceleration around
+// AIDE is AIDE (Reddi et al.): catalyst-style acceleration around
 // InexactDANE. Each outer step solves the tau-augmented problem
 // F(x) + tau/2 ||x - v||^2 with one InexactDANE iteration and then
 // extrapolates v with the Nesterov coefficient derived from
-// q = lambda / (lambda + tau).
-func SolveAIDE(clusterCfg cluster.Config, ds *datasets.Dataset, opts AIDEOptions) (*Result, error) {
-	return dist.Run(clusterCfg, ds, opts.DANE.run(), AIDE(opts))
-}
-
-// AIDE describes the solver to the epoch driver. Its recoverable state is
-// [x ; v], the iterate and the extrapolated prox center.
+// q = lambda / (lambda + tau). Its recoverable state is [x ; v], the
+// iterate and the extrapolated prox center.
 func AIDE(opts AIDEOptions) dist.Solver {
 	opts.DANE = opts.DANE.withDefaults()
 	if opts.Tau <= 0 {

@@ -5,7 +5,6 @@ import (
 
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
-	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
@@ -13,10 +12,6 @@ import (
 
 // DiSCOOptions configures the DiSCO solver.
 type DiSCOOptions struct {
-	// Epochs is the number of outer damped-Newton iterations; <=0 is 50.
-	Epochs int
-	// Lambda is the global L2 regularization strength.
-	Lambda float64
 	// PCGIters caps the inner distributed PCG iterations; <=0 is 20.
 	PCGIters int
 	// PCGTol is the relative residual tolerance of the inner solve;
@@ -28,12 +23,6 @@ type DiSCOOptions struct {
 	// LocalCGIters caps the local CG iterations used to apply the
 	// preconditioner; <=0 is 10.
 	LocalCGIters int
-	// EvalEvery records a trace point every this many epochs; <=0 is 1.
-	EvalEvery int
-	// EvalTestAccuracy also measures test accuracy at trace points.
-	EvalTestAccuracy bool
-	// TargetObjective stops early at this objective; zero disables.
-	TargetObjective float64
 }
 
 func (o DiSCOOptions) withDefaults() DiSCOOptions {
@@ -49,25 +38,17 @@ func (o DiSCOOptions) withDefaults() DiSCOOptions {
 	return o
 }
 
-// SolveDiSCO runs DiSCO (Zhang & Lin, ICML 2015): a distributed inexact
-// damped Newton method for self-concordant losses. The Newton system on
+// DiSCO is DiSCO (Zhang & Lin, ICML 2015): a distributed inexact damped
+// Newton method for self-concordant losses. The Newton system on
 // the *global* Hessian is solved by preconditioned conjugate gradient in
 // which every iteration allreduces one global Hessian-vector product; the
 // preconditioner is the master's local Hessian plus mu*I, applied
 // approximately with a short local CG. The resulting communication
 // pattern — one allreduce per PCG iteration, so PCGIters+2 rounds per
 // Newton step — is exactly the per-iteration cost the paper contrasts
-// with Newton-ADMM's single round.
-func SolveDiSCO(clusterCfg cluster.Config, ds *datasets.Dataset, opts DiSCOOptions) (*Result, error) {
-	return dist.Run(clusterCfg, ds, dist.RunOptions{
-		Epochs: opts.Epochs, Lambda: opts.Lambda,
-		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
-		TargetObjective: opts.TargetObjective,
-	}, DiSCO(opts))
-}
-
-// DiSCO describes the solver to the epoch driver; its recoverable state
-// is the iterate x (the PCG state is rebuilt every Newton step).
+// with Newton-ADMM's single round. Its recoverable state is the iterate x
+// (the PCG state is rebuilt every Newton step); a run defaults to 50
+// epochs.
 func DiSCO(opts DiSCOOptions) dist.Solver {
 	opts = opts.withDefaults()
 	return dist.Solver{

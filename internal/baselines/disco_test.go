@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"newtonadmm/internal/cluster"
+	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
 )
 
@@ -12,9 +13,8 @@ func TestDiSCOConvergesNearOptimum(t *testing.T) {
 	ds := testDataset(t)
 	lambda := 1e-2 // self-concordant-friendly regularization
 	fStar := optimum(t, ds, lambda)
-	res, err := SolveDiSCO(zeroNet, ds, DiSCOOptions{
-		Epochs: 40, Lambda: lambda, PCGIters: 20, PCGTol: 1e-6,
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 40, Lambda: lambda},
+		DiSCO(DiSCOOptions{PCGIters: 20, PCGTol: 1e-6}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestDiSCOConvergesNearOptimum(t *testing.T) {
 
 func TestDiSCOMonotoneDecrease(t *testing.T) {
 	ds := testDataset(t)
-	res, err := SolveDiSCO(zeroNet, ds, DiSCOOptions{Epochs: 15, Lambda: 1e-2})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 15, Lambda: 1e-2}, DiSCO(DiSCOOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,8 @@ func TestDiSCOCommunicationHeavierThanADMM(t *testing.T) {
 	// 2 rounds per epoch. Structural check on the round counters.
 	ds := testDataset(t)
 	epochs := 5
-	res, err := SolveDiSCO(zeroNet, ds, DiSCOOptions{
-		Epochs: epochs, Lambda: 1e-2, PCGIters: 10, PCGTol: 1e-12,
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: epochs, Lambda: 1e-2},
+		DiSCO(DiSCOOptions{PCGIters: 10, PCGTol: 1e-12}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +59,14 @@ func TestDiSCOCommunicationHeavierThanADMM(t *testing.T) {
 
 func TestDiSCOTranportsAgree(t *testing.T) {
 	ds := testDataset(t)
-	opts := DiSCOOptions{Epochs: 4, Lambda: 1e-2}
-	a, err := SolveDiSCO(zeroNet, ds, opts)
+	run := dist.RunOptions{Epochs: 4, Lambda: 1e-2}
+	a, err := dist.Run(zeroNet, ds, run, DiSCO(DiSCOOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tcpCfg := zeroNet
 	tcpCfg.UseTCP = true
-	b, err := SolveDiSCO(tcpCfg, ds, opts)
+	b, err := dist.Run(tcpCfg, ds, run, DiSCO(DiSCOOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +77,8 @@ func TestDiSCOTranportsAgree(t *testing.T) {
 
 func TestDiSCOSingleRank(t *testing.T) {
 	ds := testDataset(t)
-	res, err := SolveDiSCO(cluster.Config{Ranks: 1, Network: cluster.ZeroCost, DeviceWorkers: 2},
-		ds, DiSCOOptions{Epochs: 20, Lambda: 1e-2})
+	res, err := dist.Run(cluster.Config{Ranks: 1, Network: cluster.ZeroCost, DeviceWorkers: 2},
+		ds, dist.RunOptions{Epochs: 20, Lambda: 1e-2}, DiSCO(DiSCOOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +93,8 @@ func TestSGDMomentumConverges(t *testing.T) {
 	ds := testDataset(t)
 	lambda := 1e-3
 	fStar := optimum(t, ds, lambda)
-	res, err := SolveSyncSGD(zeroNet, ds, SGDOptions{
-		Epochs: 50, Lambda: lambda, BatchSize: 64, Step: 1, Momentum: 0.9, Seed: 5,
-	})
+	res, err := dist.Run(zeroNet, ds, dist.RunOptions{Epochs: 50, Lambda: lambda},
+		SyncSGD(SGDOptions{BatchSize: 64, Step: 1, Momentum: 0.9, Seed: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +107,15 @@ func TestSGDMomentumConverges(t *testing.T) {
 
 func TestSGDMomentumZeroMatchesPlain(t *testing.T) {
 	ds := testDataset(t)
-	base := SGDOptions{Epochs: 3, Lambda: 1e-3, BatchSize: 32, Step: 0.5, Seed: 6}
-	a, err := SolveSyncSGD(zeroNet, ds, base)
+	run := dist.RunOptions{Epochs: 3, Lambda: 1e-3}
+	base := SGDOptions{BatchSize: 32, Step: 0.5, Seed: 6}
+	a, err := dist.Run(zeroNet, ds, run, SyncSGD(base))
 	if err != nil {
 		t.Fatal(err)
 	}
 	withZero := base
 	withZero.Momentum = 0
-	b, err := SolveSyncSGD(zeroNet, ds, withZero)
+	b, err := dist.Run(zeroNet, ds, run, SyncSGD(withZero))
 	if err != nil {
 		t.Fatal(err)
 	}

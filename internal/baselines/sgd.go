@@ -3,7 +3,6 @@ package baselines
 import (
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
-	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
 )
@@ -11,10 +10,6 @@ import (
 // SGDOptions configures synchronous distributed mini-batch SGD, the
 // first-order baseline of the paper's Figure 4.
 type SGDOptions struct {
-	// Epochs is the number of full passes over the data; <=0 selects 100.
-	Epochs int
-	// Lambda is the global L2 regularization strength.
-	Lambda float64
 	// BatchSize is the per-rank mini-batch size (paper: 128).
 	BatchSize int
 	// Step is the learning rate applied to the mean-form gradient
@@ -25,10 +20,6 @@ type SGDOptions struct {
 	Momentum float64
 	// Seed makes shuffling reproducible.
 	Seed int64
-	// EvalEvery records a trace point every this many epochs; <=0 is 1.
-	EvalEvery int
-	// EvalTestAccuracy also measures test accuracy at trace points.
-	EvalTestAccuracy bool
 }
 
 func (o SGDOptions) withDefaults() SGDOptions {
@@ -41,21 +32,15 @@ func (o SGDOptions) withDefaults() SGDOptions {
 	return o
 }
 
-// SolveSyncSGD runs synchronous data-parallel mini-batch SGD: every step,
+// SyncSGD is synchronous data-parallel mini-batch SGD: every step,
 // each rank computes a mini-batch gradient on its shard and the ranks
 // allreduce-average before updating identically — one communication round
 // per mini-batch, i.e. ~n_i/BatchSize rounds per epoch versus
 // Newton-ADMM's single round, which is the communication gap the paper's
 // Figure 4 and the "amplified by slower interconnects" remark rest on.
-func SolveSyncSGD(clusterCfg cluster.Config, ds *datasets.Dataset, opts SGDOptions) (*Result, error) {
-	return dist.Run(clusterCfg, ds, dist.RunOptions{
-		Epochs: opts.Epochs, Lambda: opts.Lambda,
-		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
-	}, SyncSGD(opts))
-}
-
-// SyncSGD describes the solver to the epoch driver. Its recoverable state
-// is [x ; velocity]: each epoch's shuffle comes from epochRNG.
+// An epoch is one full pass over the data (100 by default). Its
+// recoverable state is [x ; velocity]: each epoch's shuffle comes from
+// epochRNG.
 func SyncSGD(opts SGDOptions) dist.Solver {
 	opts = opts.withDefaults()
 	return dist.Solver{

@@ -462,6 +462,48 @@ func TestHostileFramesDropConnection(t *testing.T) {
 	}
 }
 
+func TestForgedClaimLosesRankWithoutPanic(t *testing.T) {
+	// A forged connection claims rank 1 and breaks the protocol while
+	// rank 1's genuine connection is live. Rank 1 is lost to rank 0, and
+	// the genuine connection's next frame must neither come out as data
+	// nor crash the process by sending on a queue the forged connection's
+	// read loop gave up.
+	group, err := NewTCPGroup(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, tr := range group {
+			tr.Close()
+		}
+	}()
+	ep := group[0].(*tcpEndpoint)
+	conn, err := net.Dial("tcp", ep.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	forged := append(peerFrame(wire.OpHello, 1, nil, nil), peerFrame(wire.OpPredict, 1, []float64{13}, nil)...)
+	if _, err := conn.Write(forged); err != nil {
+		t.Fatal(err)
+	}
+	// The read loop marks the rank lost before it drops the connection.
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("forged connection not dropped")
+	}
+	if err := group[1].Send(0, []float64{7}); err != nil {
+		t.Fatal(err)
+	}
+	// Give the genuine read loop time to take the frame.
+	time.Sleep(100 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if data, err := ep.Recv(1); data != nil || !errors.Is(err, ErrPeerLost) {
+			t.Fatalf("recv %d from the lost rank: got %v %v, want ErrPeerLost", i, data, err)
+		}
+	}
+}
+
 func TestSendOverFrameBoundFailsLocally(t *testing.T) {
 	// A vector over wire.MaxPayload is the caller's error: Send fails
 	// before writing, with a plain error naming the bound that RunRestart

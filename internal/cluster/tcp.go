@@ -20,8 +20,8 @@ const defaultDialTimeout = 10 * time.Second
 // DESIGN.md "Binary data plane"): OpHello, OpAbort and OpVector, each
 // carrying the sender's rank in the correlation field.
 // Incoming frames are demultiplexed into per-sender queues so Recv(from)
-// preserves pairwise ordering. When a peer disconnects, its queue is
-// closed so blocked receivers fail instead of hanging — giving the SPMD
+// preserves pairwise ordering. When a peer disconnects, it is marked
+// lost so blocked receivers fail instead of hanging — giving the SPMD
 // runtime liveness when a rank dies mid-protocol. A hung-but-connected
 // peer is covered by the receive deadline instead, and a coordinated
 // abort frame poisons the whole endpoint at once.
@@ -35,8 +35,11 @@ type tcpEndpoint struct {
 	conns   map[int]net.Conn // cached outbound connections
 	inbound []net.Conn       // accepted connections (closed on teardown)
 
+	// queues are never closed: any read loop claiming a rank may send
+	// on its queue, so loss is a separate signal, closed once.
 	queues    []chan []float64
-	queueOnce []sync.Once
+	lost      []chan struct{}
+	lostOnce  []sync.Once
 	closed    chan struct{}
 	closeOnce sync.Once
 	closeErr  error
@@ -79,16 +82,18 @@ func NewTCPGroupTimeout(n, basePort int, timeout time.Duration) ([]Transport, er
 		addrs[i] = l.Addr().String()
 		ep := &tcpEndpoint{
 			rank: i, size: n,
-			listener:  l,
-			timeout:   timeout,
-			conns:     make(map[int]net.Conn),
-			queues:    make([]chan []float64, n),
-			queueOnce: make([]sync.Once, n),
-			closed:    make(chan struct{}),
-			aborted:   make(chan struct{}),
+			listener: l,
+			timeout:  timeout,
+			conns:    make(map[int]net.Conn),
+			queues:   make([]chan []float64, n),
+			lost:     make([]chan struct{}, n),
+			lostOnce: make([]sync.Once, n),
+			closed:   make(chan struct{}),
+			aborted:  make(chan struct{}),
 		}
 		for j := 0; j < n; j++ {
 			ep.queues[j] = make(chan []float64, 8)
+			ep.lost[j] = make(chan struct{})
 		}
 		eps[i] = ep
 	}
@@ -146,9 +151,9 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// closeQueue marks the sender as disconnected exactly once.
-func (e *tcpEndpoint) closeQueue(sender int) {
-	e.queueOnce[sender].Do(func() { close(e.queues[sender]) })
+// markLost marks the sender as disconnected exactly once.
+func (e *tcpEndpoint) markLost(sender int) {
+	e.lostOnce[sender].Do(func() { close(e.lost[sender]) })
 }
 
 // abortLocal poisons this endpoint: pending and future Recvs fail with
@@ -161,15 +166,18 @@ func (e *tcpEndpoint) abortLocal() {
 // be a hello, whose correlation field names the sending rank; every later
 // frame must repeat that rank. Any violation — a framing error, flags, a
 // foreign opcode, another rank, a vector that is not whole float64s —
-// drops the connection, and the claimed sender's queue closes with it,
+// drops the connection, and the claimed sender is marked lost with it,
 // so its Recvs fail with ErrPeerLost instead of trusting the stream.
+// Once a rank is lost, no read loop queues more data from it — not even
+// its genuine connection, when a forged one claimed the rank and broke
+// the protocol.
 func (e *tcpEndpoint) readLoop(conn net.Conn) {
 	defer e.wg.Done()
 	defer conn.Close()
 	sender := -1
 	defer func() {
 		if sender >= 0 {
-			e.closeQueue(sender)
+			e.markLost(sender)
 		}
 	}()
 	fr := wire.NewReader(conn)
@@ -191,8 +199,15 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 			if err != nil {
 				return
 			}
+			select { // first: with room in the queue, one select may pick either
+			case <-e.lost[sender]:
+				return
+			default:
+			}
 			select {
 			case e.queues[sender] <- data:
+			case <-e.lost[sender]:
+				return
 			case <-e.closed:
 				return
 			}
@@ -304,12 +319,11 @@ func (e *tcpEndpoint) Recv(from int) ([]float64, error) {
 	if from < 0 || from >= e.size {
 		return nil, fmt.Errorf("cluster: recv from invalid rank %d (size %d)", from, e.size)
 	}
-	select { // fast path: data already queued wins over abort/deadline
-	case data, ok := <-e.queues[from]:
-		if !ok {
-			return nil, fmt.Errorf("cluster: rank %d lost connection from rank %d: %w", e.rank, from, ErrPeerLost)
-		}
+	select { // fast path: data already queued wins over loss/abort/deadline
+	case data := <-e.queues[from]:
 		return data, nil
+	case <-e.lost[from]:
+		return e.drainLost(from)
 	default:
 	}
 	tc, timer := timerC(e.timeout)
@@ -317,17 +331,27 @@ func (e *tcpEndpoint) Recv(from int) ([]float64, error) {
 		defer timer.Stop()
 	}
 	select {
-	case data, ok := <-e.queues[from]:
-		if !ok {
-			return nil, fmt.Errorf("cluster: rank %d lost connection from rank %d: %w", e.rank, from, ErrPeerLost)
-		}
+	case data := <-e.queues[from]:
 		return data, nil
+	case <-e.lost[from]:
+		return e.drainLost(from)
 	case <-e.aborted:
 		return nil, fmt.Errorf("cluster: rank %d recv from %d: %w", e.rank, from, ErrAborted)
 	case <-e.closed:
 		return nil, fmt.Errorf("cluster: rank %d transport closed: %w", e.rank, ErrPeerLost)
 	case <-tc:
 		return nil, fmt.Errorf("cluster: rank %d recv from %d exceeded %v: %w", e.rank, from, e.timeout, ErrCollectiveTimeout)
+	}
+}
+
+// drainLost delivers what a lost sender queued before it was lost, then
+// reports the loss.
+func (e *tcpEndpoint) drainLost(from int) ([]float64, error) {
+	select {
+	case data := <-e.queues[from]:
+		return data, nil
+	default:
+		return nil, fmt.Errorf("cluster: rank %d lost connection from rank %d: %w", e.rank, from, ErrPeerLost)
 	}
 }
 

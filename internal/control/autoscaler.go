@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/obs"
 )
 
@@ -232,10 +231,10 @@ func (a *Autoscaler) Replicas() int64 { return a.replicas.Load() }
 
 // RegistrySource is the production SnapshotProvider: windowed p99 from
 // the tier's request-latency histogram in the obs Registry (cumulative
-// histograms are windowed per tick via metrics.Delta), in-flight and
+// histograms are windowed per tick via obs.Delta), in-flight and
 // capacity from the provided closures.
 type RegistrySource struct {
-	delta    *metrics.Delta
+	delta    *obs.Delta
 	inFlight func() int64
 	capacity func() int64
 	replicas func() int
@@ -250,7 +249,7 @@ func NewRegistrySource(reg *obs.Registry, metric string, inFlight, capacity func
 		return nil, fmt.Errorf("control: no duration metric %q in registry", metric)
 	}
 	return &RegistrySource{
-		delta: metrics.NewDelta(h), inFlight: inFlight, capacity: capacity, replicas: replicas,
+		delta: obs.NewDelta(h), inFlight: inFlight, capacity: capacity, replicas: replicas,
 	}, nil
 }
 

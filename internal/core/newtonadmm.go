@@ -21,7 +21,6 @@ import (
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/linesearch"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/newton"
 )
 
@@ -95,7 +94,7 @@ type Result struct {
 	// holds it (the layout Softmax.Accuracy reads).
 	Z []float64
 	// Trace is the convergence history (recorded on rank 0).
-	Trace metrics.Trace
+	Trace dist.Trace
 	// Stats are the per-rank timing summaries.
 	Stats []cluster.NodeStats
 	// PrimalResidual and DualResidual are the final global residuals.

@@ -1,7 +1,11 @@
 // Package dist holds what every distributed solver in the reproduction
 // shares: Run, the one outer epoch loop their Steppers run under, the
 // shard-local softmax problem each rank optimizes, the one-round global
-// gradient/objective collective, and the frozen-clock convergence recorder.
+// gradient/objective collective, and the frozen-clock convergence recorder
+// with the Trace it fills — the evaluation's vocabulary of virtual-time
+// convergence histories and time- or epochs-to-objective queries
+// (internal/harness turns the paper's theta criterion into an objective
+// target).
 //
 // Two regularization conventions coexist in the paper. The consensus
 // solver (Newton-ADMM) keeps g(z) = Lambda/2 ||z||^2 at the master's
@@ -13,6 +17,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -21,7 +26,6 @@ import (
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 )
 
 // Local is one rank's share of a distributed training run.
@@ -87,6 +91,87 @@ func (l *Local) GlobalGradient(node *cluster.Node, x, g []float64) float64 {
 	return total
 }
 
+// Point is one epoch's measurement in a convergence trace.
+type Point struct {
+	Epoch int
+	// Time is the virtual wall time at the end of the epoch.
+	Time time.Duration
+	// Objective is the global training objective F.
+	Objective float64
+	// TestAccuracy is in [0,1]; NaN when not measured.
+	TestAccuracy float64
+	// GradNorm is ||grad F|| when measured; NaN otherwise.
+	GradNorm float64
+}
+
+// Trace is a solver's convergence history on one dataset.
+type Trace struct {
+	Solver  string
+	Dataset string
+	Points  []Point
+}
+
+// Append adds a point.
+func (t *Trace) Append(p Point) { t.Points = append(t.Points, p) }
+
+// Final returns the last point; ok is false for an empty trace.
+func (t *Trace) Final() (Point, bool) {
+	if len(t.Points) == 0 {
+		return Point{}, false
+	}
+	return t.Points[len(t.Points)-1], true
+}
+
+// BestObjective returns the smallest objective seen.
+func (t *Trace) BestObjective() float64 {
+	best := math.Inf(1)
+	for _, p := range t.Points {
+		if p.Objective < best {
+			best = p.Objective
+		}
+	}
+	return best
+}
+
+// TimeToObjective returns the virtual time of the first point whose
+// objective is <= target; ok is false if the trace never reaches it.
+func (t *Trace) TimeToObjective(target float64) (time.Duration, bool) {
+	for _, p := range t.Points {
+		if p.Objective <= target {
+			return p.Time, true
+		}
+	}
+	return 0, false
+}
+
+// EpochsToObjective returns the first epoch whose objective is <= target.
+func (t *Trace) EpochsToObjective(target float64) (int, bool) {
+	for _, p := range t.Points {
+		if p.Objective <= target {
+			return p.Epoch, true
+		}
+	}
+	return 0, false
+}
+
+// AvgEpochTime returns total time divided by the number of epochs — the
+// quantity plotted in the paper's Figure 2.
+func (t *Trace) AvgEpochTime() time.Duration {
+	if len(t.Points) == 0 {
+		return 0
+	}
+	last := t.Points[len(t.Points)-1]
+	epochs := last.Epoch
+	if epochs <= 0 {
+		epochs = len(t.Points)
+	}
+	return last.Time / time.Duration(epochs)
+}
+
+func (p Point) String() string {
+	return fmt.Sprintf("epoch %d t=%v F=%.6g acc=%.4f", p.Epoch, p.Time, p.Objective, p.TestAccuracy)
+}
+
 // Recorder accumulates a convergence trace with the virtual clock frozen,
 // so instrumentation (global objective, test accuracy) costs the measured
 // algorithm nothing — the harness convention used for every figure.
@@ -94,7 +179,7 @@ type Recorder struct {
 	// Trace is the history recorded so far. Points are appended on rank 0;
 	// other ranks keep an empty trace but still participate in the
 	// collective so the schedule stays aligned.
-	Trace metrics.Trace
+	Trace Trace
 
 	local    *Local
 	ds       *datasets.Dataset
@@ -106,7 +191,7 @@ type Recorder struct {
 // NewRecorder builds a recorder for one solver run.
 func NewRecorder(solver string, ds *datasets.Dataset, local *Local, evalTestAccuracy bool) *Recorder {
 	return &Recorder{
-		Trace:    metrics.Trace{Solver: solver, Dataset: ds.Name},
+		Trace:    Trace{Solver: solver, Dataset: ds.Name},
 		local:    local,
 		ds:       ds,
 		evalTest: evalTestAccuracy,
@@ -133,9 +218,9 @@ func (r *Recorder) CheckpointTrace() []ckpt.TracePoint {
 // RestoreTrace seeds the recorder from snapshot points (the inverse of
 // CheckpointTrace); called on rank 0 when resuming.
 func (r *Recorder) RestoreTrace(points []ckpt.TracePoint) {
-	r.Trace.Points = make([]metrics.Point, len(points))
+	r.Trace.Points = make([]Point, len(points))
 	for i, p := range points {
-		r.Trace.Points[i] = metrics.Point{
+		r.Trace.Points[i] = Point{
 			Epoch:        p.Epoch,
 			Time:         time.Duration(p.TimeNs),
 			Objective:    p.Objective,
@@ -164,7 +249,7 @@ func (r *Recorder) Observe(node *cluster.Node, epoch int, x []float64) float64 {
 				r.model = loss.ToModel(r.model, x, r.ds.Classes-1)
 				acc = r.local.Problem.Accuracy(r.ds.Xtest, r.ds.Ytest, r.model)
 			}
-			r.Trace.Append(metrics.Point{
+			r.Trace.Append(Point{
 				Epoch:        epoch,
 				Time:         node.Clock(),
 				Objective:    obj,

@@ -11,7 +11,6 @@ import (
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 )
 
 // Stepper is one rank's half of a distributed solver: four duties. Run
@@ -81,8 +80,8 @@ type RunOptions struct {
 
 // Result reports one distributed run.
 type Result struct {
-	X     []float64     // final iterate (identical on all ranks), class-major as a model holds it
-	Trace metrics.Trace // convergence history recorded on rank 0
+	X     []float64 // final iterate (identical on all ranks), class-major as a model holds it
+	Trace Trace     // convergence history recorded on rank 0
 	Stats []cluster.NodeStats
 	// TestAccuracy is the final test accuracy (NaN when not measured).
 	TestAccuracy float64

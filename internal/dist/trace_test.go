@@ -1,7 +1,6 @@
-package metrics
+package dist
 
 import (
-	"math"
 	"testing"
 	"time"
 )
@@ -71,24 +70,6 @@ func TestAvgEpochTime(t *testing.T) {
 	if empty.AvgEpochTime() != 0 {
 		t.Fatal("empty trace AvgEpochTime")
 	}
-}
-
-func TestAccuracy(t *testing.T) {
-	if got := Accuracy([]int{1, 2, 3}, []int{1, 0, 3}); math.Abs(got-2.0/3) > 1e-12 {
-		t.Fatalf("Accuracy=%v", got)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Fatal("empty accuracy should be 0")
-	}
-}
-
-func TestAccuracyMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Accuracy([]int{1}, []int{1, 2})
 }
 
 func TestPointString(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linesearch"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/newton"
 )
 
@@ -479,7 +478,7 @@ func storage(ds *datasets.Dataset) (string, int) {
 	return "dense", ds.TrainSize() * ds.NumFeatures()
 }
 
-func final(r *Result) metrics.Point { p, _ := r.Trace.Final(); return p }
+func final(r *Result) dist.Point { p, _ := r.Trace.Final(); return p }
 
 // label formats an arm's name or note with its winning variant's value.
 func label(format string, v float64) string {

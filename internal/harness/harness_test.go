@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"newtonadmm/internal/datasets"
-	"newtonadmm/internal/metrics"
+	"newtonadmm/internal/dist"
 )
 
 // ciConfig is the size every claim's recorded outcome is asserted at.
@@ -67,7 +67,7 @@ func TestExperimentClaims(t *testing.T) {
 	}
 }
 
-func assertMonotone(t *testing.T, tr *metrics.Trace) {
+func assertMonotone(t *testing.T, tr *dist.Trace) {
 	t.Helper()
 	for i := 1; i < len(tr.Points); i++ {
 		if prev, p := tr.Points[i-1].Objective, tr.Points[i].Objective; p > prev+1e-9 {
@@ -123,9 +123,9 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestSampleTracePoints(t *testing.T) {
-	tr := &metrics.Trace{}
+	tr := &dist.Trace{}
 	for i := 0; i < 100; i++ {
-		tr.Append(metrics.Point{Epoch: i})
+		tr.Append(dist.Point{Epoch: i})
 	}
 	thin := sampleTracePoints(tr, 10)
 	if len(thin.Points) != 10 {
@@ -135,7 +135,7 @@ func TestSampleTracePoints(t *testing.T) {
 		t.Fatal("endpoints not preserved")
 	}
 	// Short traces pass through.
-	short := &metrics.Trace{Points: tr.Points[:5]}
+	short := &dist.Trace{Points: tr.Points[:5]}
 	if got := sampleTracePoints(short, 10); len(got.Points) != 5 {
 		t.Fatal("short trace was modified")
 	}

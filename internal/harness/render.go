@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"newtonadmm/internal/metrics"
+	"newtonadmm/internal/dist"
 )
 
 // Table accumulates rows and renders them with aligned columns.
@@ -91,7 +91,7 @@ func formatDuration(d time.Duration) string {
 
 // WriteTrace renders a convergence trace as a (time, objective, accuracy)
 // series, the text equivalent of the paper's line plots.
-func WriteTrace(w io.Writer, tr *metrics.Trace) error {
+func WriteTrace(w io.Writer, tr *dist.Trace) error {
 	tab := NewTable(
 		fmt.Sprintf("series: %s on %s", tr.Solver, tr.Dataset),
 		"epoch", "time", "objective", "test-acc",
@@ -108,12 +108,12 @@ func WriteTrace(w io.Writer, tr *metrics.Trace) error {
 
 // sampleTracePoints thins a trace to at most k points for compact output,
 // always keeping the first and last.
-func sampleTracePoints(tr *metrics.Trace, k int) *metrics.Trace {
+func sampleTracePoints(tr *dist.Trace, k int) *dist.Trace {
 	n := len(tr.Points)
 	if n <= k || k < 2 {
 		return tr
 	}
-	out := &metrics.Trace{Solver: tr.Solver, Dataset: tr.Dataset}
+	out := &dist.Trace{Solver: tr.Solver, Dataset: tr.Dataset}
 	for i := 0; i < k-1; i++ {
 		out.Points = append(out.Points, tr.Points[i*(n-1)/(k-1)])
 	}

@@ -55,7 +55,7 @@ type IterStat struct {
 // MaxIters does not evaluate the gradient at its last iterate, which
 // nothing would read (Newton-ADMM takes one capped step per epoch):
 // Value is then the line search's objective at x, GradNorm is NaN
-// ("not measured", as in metrics.Point) and Converged is false.
+// ("not measured", as in dist.Point) and Converged is false.
 type Result struct {
 	Iters     int
 	Value     float64

@@ -1,6 +1,8 @@
-// Package obs is the fleet-wide observability layer: a unified metrics
-// Registry rendered as one Prometheus-style text exposition (the single
-// code path behind both tiers' /metricz), per-request Traces made of a
+// Package obs is the fleet-wide observability layer: the lock-free
+// log-bucketed latency Histogram (and its windowed Delta, the autoscaler's
+// signal), a unified metrics Registry rendered as one Prometheus-style
+// text exposition (the single code path behind both tiers' /metricz),
+// per-request Traces made of a
 // fixed-size span array (admission-queue wait, batch linger, batch
 // execute, per-leg scatter RTT with sibling-retry attempts, merge,
 // encode), and a lock-free ring-buffer Recorder behind /debug/tracez.

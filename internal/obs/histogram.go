@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"fmt"
@@ -71,6 +71,33 @@ func bucketLower(idx int) int64 {
 	return (1 << uint(octave)) | (sub << (uint(octave) - histSubBits))
 }
 
+// quantileWalk is the one rank → bucket → interpolation walk behind
+// Histogram.Quantile and Delta.Advance: for n observations whose bucket
+// i holds count(i), it finds the bucket holding rank q·(n-1) (q clamped
+// to [0,1]) and interpolates linearly inside it, up to the next
+// bucket's lower edge or top for the last bucket. ok is false when the
+// counts run out before the rank (a racing Observe, or a NaN q).
+func quantileWalk(n int64, q float64, top int64, count func(i int) int64) (v float64, ok bool) {
+	rank := min(max(q, 0), 1) * float64(n-1)
+	var seen float64
+	for i := 0; i < histBuckets; i++ {
+		c := float64(count(i))
+		if c <= 0 {
+			continue
+		}
+		if seen+c > rank {
+			lo, hi := bucketLower(i), top
+			if i+1 < histBuckets {
+				hi = bucketLower(i + 1)
+			}
+			frac := (rank - seen + 0.5) / c
+			return float64(lo) + frac*float64(hi-lo), true
+		}
+		seen += c
+	}
+	return 0, false
+}
+
 // Observe records one duration. Negative durations count as zero.
 func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)
@@ -127,48 +154,26 @@ func (h *Histogram) Max() time.Duration {
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of the recorded
-// distribution, with linear interpolation inside the winning bucket.
-// Concurrent Observe calls may skew an in-flight Quantile by the races'
-// worth of samples — acceptable for monitoring, which is its job.
+// distribution, with linear interpolation inside the winning bucket,
+// clamped to the observed [min, max]. Concurrent Observe calls may skew
+// an in-flight Quantile by the races' worth of samples — acceptable for
+// monitoring, which is its job.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
+	v, ok := quantileWalk(n, q, h.max.Load(), func(i int) int64 { return h.buckets[i].Load() })
+	if !ok {
+		return time.Duration(h.max.Load())
 	}
-	if q > 1 {
-		q = 1
+	if mx := h.max.Load(); v > float64(mx) {
+		v = float64(mx)
 	}
-	rank := q * float64(n-1)
-	var seen float64
-	for i := range h.buckets {
-		c := float64(h.buckets[i].Load())
-		if c == 0 {
-			continue
-		}
-		if seen+c > rank {
-			lo := bucketLower(i)
-			var hi int64
-			if i+1 < histBuckets {
-				hi = bucketLower(i + 1)
-			} else {
-				hi = h.max.Load()
-			}
-			frac := (rank - seen + 0.5) / c
-			v := float64(lo) + frac*float64(hi-lo)
-			if mx := h.max.Load(); v > float64(mx) {
-				v = float64(mx)
-			}
-			if mn := h.min.Load(); v < float64(mn) {
-				v = float64(mn)
-			}
-			return time.Duration(v)
-		}
-		seen += c
+	if mn := h.min.Load(); v < float64(mn) {
+		v = float64(mn)
 	}
-	return time.Duration(h.max.Load())
+	return time.Duration(v)
 }
 
 // Snapshot is a point-in-time summary of a histogram.
@@ -192,17 +197,60 @@ func (s Snapshot) String() string {
 		s.Count, s.Mean, s.Min, s.P50, s.P95, s.P99, s.Max)
 }
 
-// WriteMetrics renders the histogram in the flat `name_stat value` text
-// format of /metricz. Durations are reported in seconds.
-func (h *Histogram) WriteMetrics(w io.Writer, name string) {
+// WriteSummary renders h as the six summary rows of /metricz —
+// name_count and name_{mean,p50,p95,p99,max}_seconds, each with labels
+// (pre-rendered pairs, may be empty). Registry.Duration rows and the
+// router's per-replica leg latencies both render through it.
+func WriteSummary(w io.Writer, name, labels string, h *Histogram) {
 	s := h.Snapshot()
-	fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-	for _, q := range []struct {
+	fmt.Fprintf(w, "%s %d\n", withLabels(name+"_count", labels), s.Count)
+	for _, r := range [...]struct {
 		suffix string
 		v      time.Duration
-	}{
-		{"mean", s.Mean}, {"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}, {"max", s.Max},
-	} {
-		fmt.Fprintf(w, "%s_%s_seconds %.9f\n", name, q.suffix, q.v.Seconds())
+	}{{"mean", s.Mean}, {"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}, {"max", s.Max}} {
+		fmt.Fprintf(w, "%s %.9f\n", withLabels(name+"_"+r.suffix+"_seconds", labels), r.v.Seconds())
 	}
+}
+
+// Delta windows a cumulative Histogram: each Advance computes quantiles
+// over only the observations recorded since the previous Advance. A
+// control loop needs this — the cumulative p99 never recovers after a
+// load spike, which would wedge any scale-down decision keyed on it —
+// while the histogram itself stays the cheap lock-free cumulative type
+// the hot path records into.
+//
+// Delta is NOT safe for concurrent use; the control loop that owns it
+// calls Advance once per tick.
+type Delta struct {
+	h    *Histogram
+	prev []int64
+	cur  []int64
+}
+
+// NewDelta starts a window over h; the first Advance covers everything
+// observed since this call.
+func NewDelta(h *Histogram) *Delta {
+	d := &Delta{h: h, prev: make([]int64, histBuckets), cur: make([]int64, histBuckets)}
+	for i := range d.prev {
+		d.prev[i] = h.buckets[i].Load()
+	}
+	return d
+}
+
+// Advance closes the current window and returns its observation count
+// and q-quantile (zero when the window is empty). The last bucket's
+// upper edge is twice its lower edge: a window has no max of its own.
+// Concurrent Observe calls may land on either side of the boundary —
+// acceptable for a monitoring signal.
+func (d *Delta) Advance(q float64) (count int64, quantile time.Duration) {
+	for i := range d.cur {
+		d.cur[i] = d.h.buckets[i].Load()
+		count += d.cur[i] - d.prev[i]
+	}
+	if count > 0 {
+		v, _ := quantileWalk(count, q, 2*bucketLower(histBuckets-1), func(i int) int64 { return d.cur[i] - d.prev[i] })
+		quantile = time.Duration(v)
+	}
+	d.prev, d.cur = d.cur, d.prev
+	return count, quantile
 }

@@ -1,9 +1,8 @@
-package metrics
+package obs
 
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,23 +127,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestHistogramWriteMetrics(t *testing.T) {
-	h := NewHistogram()
-	h.Observe(time.Millisecond)
-	var b strings.Builder
-	h.WriteMetrics(&b, "request_latency")
-	out := b.String()
-	for _, want := range []string{
-		"request_latency_count 1",
-		"request_latency_p50_seconds 0.001",
-		"request_latency_p99_seconds",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // TestHistogramQuantileEmptyAndClampedQ pins the edge contract: every
 // quantile of an empty histogram is zero (not NaN, not a panic), and q
 // outside [0,1] clamps to the endpoints instead of extrapolating.
@@ -231,5 +213,108 @@ func TestHistogramConcurrentObserveSnapshot(t *testing.T) {
 	}
 	if s.P50 < s.Min || s.P50 > s.Max {
 		t.Fatalf("inconsistent final snapshot: %v", s)
+	}
+}
+
+// TestDeltaWindowsSinceNew pins the windowing contract: observations
+// recorded before NewDelta are excluded, each Advance covers exactly the
+// observations since the previous one, and a quiet window after a busy
+// one reads empty (the prev/cur swap must not resurrect old counts).
+func TestDeltaWindowsSinceNew(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 3; i++ {
+		h.Observe(time.Hour) // pre-window noise the delta must not see
+	}
+	d := NewDelta(h)
+	if n, q := d.Advance(0.99); n != 0 || q != 0 {
+		t.Errorf("first window = (%d, %v), want (0, 0): pre-NewDelta observations leaked in", n, q)
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(time.Millisecond)
+	}
+	n, q := d.Advance(0.5)
+	if n != 100 {
+		t.Errorf("window count = %d, want 100", n)
+	}
+	if q < 500*time.Microsecond || q > 2*time.Millisecond {
+		t.Errorf("window p50 = %v, want ~1ms (bucket resolution is ~3%%)", q)
+	}
+	if n, q := d.Advance(0.5); n != 0 || q != 0 {
+		t.Errorf("quiet window after busy one = (%d, %v), want (0, 0)", n, q)
+	}
+}
+
+// TestDeltaAllRejectedWindow is the control-plane edge the autoscaler
+// depends on: when every request in a tick was rejected at admission,
+// nothing reaches the latency histogram and the window is empty. Advance
+// must report (0, 0) — not a stale quantile from the last busy window —
+// or a rejected-everything fleet would look permanently slow.
+func TestDeltaAllRejectedWindow(t *testing.T) {
+	h := NewHistogram()
+	d := NewDelta(h)
+	for i := 0; i < 50; i++ {
+		h.Observe(10 * time.Millisecond)
+	}
+	if n, _ := d.Advance(0.99); n != 50 {
+		t.Fatalf("busy window count = %d, want 50", n)
+	}
+	for win := 0; win < 3; win++ {
+		if n, q := d.Advance(0.99); n != 0 || q != 0 {
+			t.Errorf("all-rejected window %d = (%d, %v), want (0, 0)", win, n, q)
+		}
+	}
+}
+
+// TestDeltaRecoversAfterSpike is Delta's reason to exist: after a load
+// spike, the cumulative histogram's p99 stays wedged at the spike value
+// forever, while the windowed p99 must drop back to the current traffic.
+func TestDeltaRecoversAfterSpike(t *testing.T) {
+	h := NewHistogram()
+	d := NewDelta(h)
+	for i := 0; i < 1000; i++ {
+		h.Observe(100 * time.Millisecond)
+	}
+	if _, q := d.Advance(0.99); q < 50*time.Millisecond {
+		t.Fatalf("spike window p99 = %v, want >= 50ms", q)
+	}
+	for i := 0; i < 1000; i++ {
+		h.Observe(time.Millisecond)
+	}
+	_, q := d.Advance(0.99)
+	if q < 500*time.Microsecond || q > 10*time.Millisecond {
+		t.Errorf("post-spike window p99 = %v, want ~1ms: the window did not recover", q)
+	}
+	if cum := h.Snapshot().P99; cum < 50*time.Millisecond {
+		t.Errorf("cumulative p99 = %v, want still >= 50ms (that wedge is why Delta exists)", cum)
+	}
+}
+
+// TestDeltaTopBucketAndClamp covers the wraparound edges: an observation
+// beyond the histogram's 2^40ns range clamps into the last bucket (whose
+// upper edge is synthesized as 2x its lower edge), and out-of-range
+// quantile arguments clamp to [0, 1] instead of running off the buckets.
+func TestDeltaTopBucketAndClamp(t *testing.T) {
+	h := NewHistogram()
+	d := NewDelta(h)
+	h.Observe(30 * time.Minute) // beyond the ~18min range: last bucket
+	n, q := d.Advance(0.99)
+	if n != 1 {
+		t.Fatalf("count = %d, want 1", n)
+	}
+	if q < time.Minute {
+		t.Errorf("top-bucket quantile = %v, want a finite value >= 1m", q)
+	}
+
+	for i := 0; i < 10; i++ {
+		h.Observe(time.Millisecond)
+	}
+	if n, q := d.Advance(-1); n != 10 || q <= 0 {
+		t.Errorf("Advance(-1) = (%d, %v), want q clamped to 0 and a positive quantile", n, q)
+	}
+	for i := 0; i < 10; i++ {
+		h.Observe(time.Millisecond)
+	}
+	if n, q := d.Advance(5); n != 10 || q < 500*time.Microsecond || q > 2*time.Millisecond {
+		t.Errorf("Advance(5) = (%d, %v), want q clamped to 1 and ~1ms", n, q)
 	}
 }

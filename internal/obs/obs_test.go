@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"newtonadmm/internal/metrics"
 )
 
 func TestRegistryExposition(t *testing.T) {
@@ -17,7 +15,7 @@ func TestRegistryExposition(t *testing.T) {
 	r.GaugeFunc("nadmm_model_version", "", "current model version", func() float64 { return 2 })
 	r.GaugeFunc("nadmm_replica_state", Label("replica", "0"), "replica state", func() float64 { return 1 })
 	r.GaugeFunc("nadmm_replica_state", Label("replica", "1"), "replica state", func() float64 { return 0 })
-	h := metrics.NewHistogram()
+	h := NewHistogram()
 	h.Observe(2 * time.Millisecond)
 	r.Duration("nadmm_request_latency", "", "sampled end-to-end latency", h)
 
@@ -41,6 +39,34 @@ func TestRegistryExposition(t *testing.T) {
 	// HELP/TYPE once per family even with several labeled rows.
 	if n := strings.Count(out, "# HELP nadmm_replica_state"); n != 1 {
 		t.Fatalf("HELP emitted %d times, want 1:\n%s", n, out)
+	}
+}
+
+// TestRegistryDurationSummary pins the six summary rows a Duration
+// renders, bare and labelled — the format the router's per-replica leg
+// latencies share through WriteSummary.
+func TestRegistryDurationSummary(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(time.Millisecond)
+	r := NewRegistry()
+	r.Duration("request_latency", "", "", h)
+	r.Duration("leg_latency", Label("replica", "3"), "", h)
+	var sb strings.Builder
+	r.WriteText(&sb)
+	want := "request_latency_count 1\n" +
+		"request_latency_mean_seconds 0.001000000\n" +
+		"request_latency_p50_seconds 0.001000000\n" +
+		"request_latency_p95_seconds 0.001000000\n" +
+		"request_latency_p99_seconds 0.001000000\n" +
+		"request_latency_max_seconds 0.001000000\n" +
+		`leg_latency_count{replica="3"} 1` + "\n" +
+		`leg_latency_mean_seconds{replica="3"} 0.001000000` + "\n" +
+		`leg_latency_p50_seconds{replica="3"} 0.001000000` + "\n" +
+		`leg_latency_p95_seconds{replica="3"} 0.001000000` + "\n" +
+		`leg_latency_p99_seconds{replica="3"} 0.001000000` + "\n" +
+		`leg_latency_max_seconds{replica="3"} 0.001000000` + "\n"
+	if got := sb.String(); got != want {
+		t.Fatalf("summary rows:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"newtonadmm/internal/metrics"
 )
 
 // Registry is the unified metrics surface: both tiers register their
@@ -42,7 +40,7 @@ type row struct {
 	kind   rowKind
 	cfn    func() uint64  // kindCounter
 	gfn    func() float64 // kindGauge
-	hist   *metrics.Histogram
+	hist   *Histogram
 	colfn  func(io.Writer) // kindCollect
 }
 
@@ -109,10 +107,9 @@ func (r *Registry) GaugeFunc(name, labels, help string, fn func() float64) {
 	r.add(row{name: name, labels: labels, help: help, kind: kindGauge, gfn: fn})
 }
 
-// Duration registers a latency histogram rendered as the summary rows
-// name_count and name_{mean,p50,p95,p99,max}_seconds — the same suffix
-// scheme as metrics.Histogram.WriteMetrics, with label support.
-func (r *Registry) Duration(name, labels, help string, h *metrics.Histogram) {
+// Duration registers a latency histogram rendered by WriteSummary as the
+// rows name_count and name_{mean,p50,p95,p99,max}_seconds.
+func (r *Registry) Duration(name, labels, help string, h *Histogram) {
 	r.add(row{name: name, labels: labels, help: help, kind: kindDuration, hist: h})
 }
 
@@ -129,7 +126,7 @@ func (r *Registry) Collect(fn func(io.Writer)) {
 // FindDuration returns the first histogram registered under name (any
 // labels); control loops use it to window a tier's latency signal
 // without holding a second reference path to the histogram.
-func (r *Registry) FindDuration(name string) (*metrics.Histogram, bool) {
+func (r *Registry) FindDuration(name string) (*Histogram, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i := range r.rows {
@@ -171,15 +168,9 @@ func (r *Registry) WriteText(w io.Writer) {
 		case kindCounter:
 			fmt.Fprintf(w, "%s %d\n", withLabels(rw.name, rw.labels), rw.cfn())
 		case kindGauge:
-			fmt.Fprintf(w, "%s %s\n", withLabels(rw.name, rw.labels), formatFloat(rw.gfn()))
+			fmt.Fprintf(w, "%s %s\n", withLabels(rw.name, rw.labels), FormatFloat(rw.gfn()))
 		case kindDuration:
-			s := rw.hist.Snapshot()
-			fmt.Fprintf(w, "%s %d\n", withLabels(rw.name+"_count", rw.labels), s.Count)
-			fmt.Fprintf(w, "%s %.9f\n", withLabels(rw.name+"_mean_seconds", rw.labels), s.Mean.Seconds())
-			fmt.Fprintf(w, "%s %.9f\n", withLabels(rw.name+"_p50_seconds", rw.labels), s.P50.Seconds())
-			fmt.Fprintf(w, "%s %.9f\n", withLabels(rw.name+"_p95_seconds", rw.labels), s.P95.Seconds())
-			fmt.Fprintf(w, "%s %.9f\n", withLabels(rw.name+"_p99_seconds", rw.labels), s.P99.Seconds())
-			fmt.Fprintf(w, "%s %.9f\n", withLabels(rw.name+"_max_seconds", rw.labels), s.Max.Seconds())
+			WriteSummary(w, rw.name, rw.labels, rw.hist)
 		}
 	}
 }
@@ -191,9 +182,10 @@ func withLabels(name, labels string) string {
 	return name + "{" + labels + "}"
 }
 
-// formatFloat renders integral gauges without a decimal tail so greps
-// like `nadmm_model_version 1` stay stable.
-func formatFloat(v float64) string {
+// FormatFloat renders integral gauges without a decimal tail so greps
+// like `nadmm_model_version 1` stay stable; collectors that write their
+// own gauge rows use it too.
+func FormatFloat(v float64) string {
 	if v == float64(int64(v)) {
 		return strconv.FormatInt(int64(v), 10)
 	}

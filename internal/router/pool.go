@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"newtonadmm/internal/metrics"
+	"newtonadmm/internal/obs"
 )
 
 // State is a replica's routing eligibility.
@@ -59,7 +59,7 @@ type Replica struct {
 
 	// Latency is the per-request backend round-trip observed by the
 	// router (scatter leg only; merge time is router-side).
-	Latency *metrics.Histogram
+	Latency *obs.Histogram
 }
 
 // State returns the replica's current routing state.
@@ -99,7 +99,7 @@ type ReplicaStats struct {
 	Done     int64
 	Errors   int64
 	Rejected int64
-	Latency  metrics.Snapshot
+	Latency  obs.Snapshot
 }
 
 // Stats snapshots the replica's counters.
@@ -169,7 +169,7 @@ func newPool(backends []Backend, metas []Meta) *Pool {
 		stop: make(chan struct{}),
 	}
 	for i, b := range backends {
-		r := &Replica{ID: i, GroupID: -1, Zone: metas[i].Zone, backend: b, Latency: metrics.NewHistogram()}
+		r := &Replica{ID: i, GroupID: -1, Zone: metas[i].Zone, backend: b, Latency: obs.NewHistogram()}
 		m := metas[i]
 		r.meta.Store(&m)
 		p.replicas = append(p.replicas, r)
@@ -222,7 +222,7 @@ func (p *Pool) byID(id int) *Replica {
 func (p *Pool) addReplica(b Backend, m Meta, groupID int) *Replica {
 	p.memMu.Lock()
 	defer p.memMu.Unlock()
-	r := &Replica{ID: p.nextID, GroupID: groupID, Zone: m.Zone, backend: b, Latency: metrics.NewHistogram()}
+	r := &Replica{ID: p.nextID, GroupID: groupID, Zone: m.Zone, backend: b, Latency: obs.NewHistogram()}
 	p.nextID++
 	mc := m
 	r.meta.Store(&mc)

@@ -9,7 +9,6 @@ import (
 
 	"newtonadmm/internal/control"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/obs"
 	"newtonadmm/internal/serve"
 )
@@ -132,8 +131,8 @@ type Router struct {
 	// StageMerge the router-side gather+merge of a class-mode request.
 	// rec records sampled traces; sampleTick drives StartTrace's 1-in-N
 	// admission.
-	StageScatter *metrics.Histogram
-	StageMerge   *metrics.Histogram
+	StageScatter *obs.Histogram
+	StageMerge   *obs.Histogram
 	rec          *obs.Recorder
 	sampleTick   atomic.Int64
 
@@ -171,8 +170,8 @@ func New(backends []Backend, opts Options) (*Router, error) {
 	r := &Router{
 		mode:         opts.Mode,
 		opts:         opts,
-		StageScatter: metrics.NewHistogram(),
-		StageMerge:   metrics.NewHistogram(),
+		StageScatter: obs.NewHistogram(),
+		StageMerge:   obs.NewHistogram(),
 		rec:          obs.NewRecorder(0),
 		legs:         make(chan *scatterJob),
 		legStop:      make(chan struct{}),

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"newtonadmm/internal/control"
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/obs"
 	"newtonadmm/internal/serve"
 	"newtonadmm/internal/wire"
@@ -30,7 +29,7 @@ type Server struct {
 // NewServer wires the router's HTTP surface.
 func NewServer(rt *Router) *Server {
 	s := &Server{rt: rt}
-	s.Server = serve.NewTierServer(&routerTier{rt: rt, latency: metrics.NewHistogram()}, rt.Recorder(), rt.Reload)
+	s.Server = serve.NewTierServer(&routerTier{rt: rt, latency: obs.NewHistogram()}, rt.Recorder(), rt.Reload)
 	// Tier unavailability (no replicas, shard down, version skew, replica
 	// unreachable) is transient like the single-node 503s.
 	s.MapStatus(http.StatusServiceUnavailable, ErrNoReplicas, ErrShardUnavailable, ErrVersionSkew, ErrReplicaUnreachable)
@@ -44,7 +43,7 @@ type routerTier struct {
 	rt *Router
 	// latency is the sampled client-request end-to-end latency at the
 	// router tier (same sampling tick as trace capture).
-	latency *metrics.Histogram
+	latency *obs.Histogram
 }
 
 func (t *routerTier) Shape() (classes int, version int64, ok bool) {
@@ -160,7 +159,7 @@ func collectPoolMetrics(w io.Writer, rt *Router) {
 	reps := rt.Pool().Replicas()
 	fmt.Fprint(w, "# HELP nadmm_replica_state routing state: 1 healthy, 0 draining, -1 down\n# TYPE nadmm_replica_state gauge\n")
 	for _, rep := range reps {
-		fmt.Fprintf(w, "nadmm_replica_state{replica=\"%d\"} %s\n", rep.ID, formatGauge(stateValue(rep.State())))
+		fmt.Fprintf(w, "nadmm_replica_state{replica=\"%d\"} %s\n", rep.ID, obs.FormatFloat(stateValue(rep.State())))
 	}
 	fmt.Fprint(w, "# TYPE nadmm_replica_done_total counter\n")
 	for _, rep := range reps {
@@ -179,24 +178,8 @@ func collectPoolMetrics(w io.Writer, rt *Router) {
 		fmt.Fprintf(w, "nadmm_replica_inflight{replica=\"%d\"} %d\n", rep.ID, rep.InFlight())
 	}
 	for _, rep := range reps {
-		hs := rep.Latency.Snapshot()
-		label := fmt.Sprintf("{replica=\"%d\"}", rep.ID)
-		fmt.Fprintf(w, "nadmm_leg_latency_count%s %d\n", label, hs.Count)
-		fmt.Fprintf(w, "nadmm_leg_latency_mean_seconds%s %.9f\n", label, hs.Mean.Seconds())
-		fmt.Fprintf(w, "nadmm_leg_latency_p50_seconds%s %.9f\n", label, hs.P50.Seconds())
-		fmt.Fprintf(w, "nadmm_leg_latency_p95_seconds%s %.9f\n", label, hs.P95.Seconds())
-		fmt.Fprintf(w, "nadmm_leg_latency_p99_seconds%s %.9f\n", label, hs.P99.Seconds())
-		fmt.Fprintf(w, "nadmm_leg_latency_max_seconds%s %.9f\n", label, hs.Max.Seconds())
+		obs.WriteSummary(w, "nadmm_leg_latency", obs.Label("replica", strconv.Itoa(rep.ID)), rep.Latency)
 	}
-}
-
-// formatGauge matches the registry's integral-gauge rendering so
-// collected rows grep the same as registered ones.
-func formatGauge(v float64) string {
-	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', 9, 64)
 }
 
 // RegisterAutoscaler adds the autoscaler's rows to /metricz. Called by

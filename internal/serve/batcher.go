@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"newtonadmm/internal/control"
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/obs"
 	"newtonadmm/internal/wire"
 )
@@ -239,11 +238,11 @@ type Batcher struct {
 	// Stage* histograms attribute the sampled requests' time per stage
 	// (queue wait, batch linger, kernel execute) — the same boundaries
 	// the trace spans record.
-	Latency      *metrics.Histogram
-	BatchSize    *metrics.Histogram
-	StageQueue   *metrics.Histogram
-	StageLinger  *metrics.Histogram
-	StageExecute *metrics.Histogram
+	Latency      *obs.Histogram
+	BatchSize    *obs.Histogram
+	StageQueue   *obs.Histogram
+	StageLinger  *obs.Histogram
+	StageExecute *obs.Histogram
 
 	// rec is the trace ring behind /debug/tracez for this replica.
 	rec *obs.Recorder
@@ -269,11 +268,11 @@ func NewBatcher(source ScorerSource, cfg BatcherConfig) *Batcher {
 		cfg:          cfg.withDefaults(),
 		source:       source,
 		stop:         make(chan struct{}),
-		Latency:      metrics.NewHistogram(),
-		BatchSize:    metrics.NewHistogram(),
-		StageQueue:   metrics.NewHistogram(),
-		StageLinger:  metrics.NewHistogram(),
-		StageExecute: metrics.NewHistogram(),
+		Latency:      obs.NewHistogram(),
+		BatchSize:    obs.NewHistogram(),
+		StageQueue:   obs.NewHistogram(),
+		StageLinger:  obs.NewHistogram(),
+		StageExecute: obs.NewHistogram(),
 		rec:          obs.NewRecorder(0),
 	}
 	for c := range b.queues {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"newtonadmm/internal/control"
-	"newtonadmm/internal/metrics"
+	"newtonadmm/internal/obs"
 )
 
 // CoverageTransition is one change of the pool's coverage status.
@@ -31,7 +31,7 @@ type ClassStats struct {
 	Rejected [numReasons]int64
 	// Latency summarizes the class's virtual request latencies
 	// (arrival to last leg landing, wire cost included).
-	Latency metrics.Snapshot
+	Latency obs.Snapshot
 }
 
 // RejectedTotal sums the class's rejections across reasons.

@@ -8,7 +8,7 @@ import (
 
 	"newtonadmm/internal/control"
 	"newtonadmm/internal/faultinject"
-	"newtonadmm/internal/metrics"
+	"newtonadmm/internal/obs"
 	"newtonadmm/internal/router"
 	"newtonadmm/internal/serve"
 )
@@ -48,8 +48,8 @@ type Sim struct {
 	rows [][]float64 // deterministic request row pool
 	out  []int       // reusable predict output
 
-	latAll    *metrics.Histogram // all classes, feeds the autoscaler window
-	lat       [control.NumPriorities]*metrics.Histogram
+	latAll    *obs.Histogram // all classes, feeds the autoscaler window
+	lat       [control.NumPriorities]*obs.Histogram
 	arrived   [control.NumPriorities]int64
 	completed [control.NumPriorities]int64
 	errored   [control.NumPriorities]int64
@@ -72,11 +72,11 @@ func Run(sc Scenario) (*ScenarioResult, error) {
 		sc:     sc,
 		reps:   make(map[int]*SimReplica),
 		faults: make(map[int]*faultinject.Backend),
-		latAll: metrics.NewHistogram(),
+		latAll: obs.NewHistogram(),
 		out:    make([]int, 1),
 	}
 	for c := range s.lat {
-		s.lat[c] = metrics.NewHistogram()
+		s.lat[c] = obs.NewHistogram()
 	}
 	s.genRows()
 	if err := s.buildFleet(); err != nil {
@@ -276,7 +276,7 @@ func (s *Sim) scheduleAutoscaler() {
 	if spec == nil {
 		return
 	}
-	src := &simSource{s: s, delta: metrics.NewDelta(s.latAll)}
+	src := &simSource{s: s, delta: obs.NewDelta(s.latAll)}
 	s.as = control.NewAutoscaler(src, simActuator{s: s}, control.AutoscalerConfig{
 		Min: spec.Min, Max: spec.Max,
 		TargetP99:       spec.TargetP99,
@@ -421,7 +421,7 @@ func (s *Sim) retireReplica() error {
 // the virtual leg gauge, capacity as replicas x max batch.
 type simSource struct {
 	s     *Sim
-	delta *metrics.Delta
+	delta *obs.Delta
 }
 
 func (src *simSource) Snapshot() control.Snapshot {

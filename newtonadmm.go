@@ -38,7 +38,6 @@ import (
 	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linesearch"
 	"newtonadmm/internal/loss"
-	"newtonadmm/internal/metrics"
 	"newtonadmm/internal/newton"
 )
 
@@ -363,7 +362,7 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 
 // buildModel assembles the public Model from a solver's outputs (also
 // used for the partial model returned alongside a training error).
-func buildModel(ds *Dataset, opts Options, weights []float64, trace metrics.Trace, acc float64, failedEpoch int) *Model {
+func buildModel(ds *Dataset, opts Options, weights []float64, trace dist.Trace, acc float64, failedEpoch int) *Model {
 	m := &Model{
 		Weights:      weights,
 		Classes:      ds.inner.Classes,
@@ -387,12 +386,12 @@ func buildModel(ds *Dataset, opts Options, weights []float64, trace metrics.Trac
 
 // trainSingleNodeNewton runs the paper's Algorithm 1 on the whole dataset
 // in one process (the oracle used for the theta studies).
-func trainSingleNodeNewton(ds *datasets.Dataset, opts Options) ([]float64, metrics.Trace, float64, error) {
+func trainSingleNodeNewton(ds *datasets.Dataset, opts Options) ([]float64, dist.Trace, float64, error) {
 	dev := device.New("newton", 0)
 	defer dev.Close()
 	prob, err := loss.NewSoftmax(dev, ds.Xtrain, ds.Ytrain, ds.Classes, opts.Lambda)
 	if err != nil {
-		return nil, metrics.Trace{}, 0, err
+		return nil, dist.Trace{}, 0, err
 	}
 	epochs := opts.Epochs
 	if epochs <= 0 {
@@ -405,9 +404,9 @@ func trainSingleNodeNewton(ds *datasets.Dataset, opts Options) ([]float64, metri
 		LineSearch: linesearch.Options{MaxIters: 10},
 	})
 	elapsed := time.Since(start)
-	tr := metrics.Trace{Solver: SolverNewton, Dataset: ds.Name}
+	tr := dist.Trace{Solver: SolverNewton, Dataset: ds.Name}
 	for i, st := range res.Trace {
-		tr.Append(metrics.Point{
+		tr.Append(dist.Point{
 			Epoch: i + 1, Objective: st.NewValue,
 			Time:         elapsed * time.Duration(i+1) / time.Duration(max(len(res.Trace), 1)),
 			TestAccuracy: math.NaN(), GradNorm: st.GradNorm,
