@@ -39,8 +39,8 @@ func main() {
 		scale    = flag.Float64("scale", 1.0, "preset size multiplier")
 		train    = flag.String("train", "", "LIBSVM training file (alternative to -preset)")
 		test     = flag.String("test", "", "LIBSVM test file")
-		solver   = flag.String("solver", "newton-admm", "newton-admm, giant, inexact-dane, aide, disco, sync-sgd, newton")
-		ranks    = flag.Int("ranks", 4, "simulated cluster size")
+		solver   = flag.String("solver", "newton-admm", "newton-admm, giant, inexact-dane, aide, disco, sync-sgd, newton (single-node reference)")
+		ranks    = flag.Int("ranks", 4, "simulated cluster size (newton always runs on 1)")
 		epochs   = flag.Int("epochs", 0, "iteration budget (0 = solver default)")
 		lambda   = flag.Float64("lambda", 1e-5, "L2 regularization strength")
 		network  = flag.String("network", "infiniband", "interconnect model: infiniband, 10g, 1g, wan, none")
@@ -56,7 +56,7 @@ func main() {
 		save     = flag.String("save", "", "write the trained model (gob) to this path")
 		quiet    = flag.Bool("quiet", false, "suppress the per-epoch trace")
 
-		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe checkpoints to this directory")
+		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe checkpoints to this directory, newest two kept (every solver, newton included)")
 		ckptEvery   = flag.Int("checkpoint-every", 1, "snapshot period in epochs when -checkpoint-dir is set")
 		resume      = flag.Bool("resume", false, "resume from the latest good checkpoint in -checkpoint-dir")
 		maxRestarts = flag.Int("max-restarts", 0, "automatic restarts from the latest checkpoint on comm failure")

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"newtonadmm/internal/linalg"
 )
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -113,13 +111,6 @@ func TestResiduals(t *testing.T) {
 	zPrev := []float64{0, 2}
 	if got := DualResidual(z, zPrev, 3); got != 6 {
 		t.Fatalf("dual=%v, want 6", got)
-	}
-	primal, dual := GlobalResiduals([][]float64{{1, 0}, {0, 1}}, z, zPrev, []float64{3, 4})
-	if math.Abs(primal-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("global primal=%v", primal)
-	}
-	if math.Abs(dual-5*2) > 1e-12 { // sqrt(9+16)*||z - zPrev||
-		t.Fatalf("global dual=%v", dual)
 	}
 }
 
@@ -280,14 +271,5 @@ func TestNewPolicy(t *testing.T) {
 	}
 	if NewPolicy("bogus", 1).Name() != "spectral" {
 		t.Fatal("default policy should be spectral")
-	}
-}
-
-func TestGlobalResidualsConsensusIsZero(t *testing.T) {
-	z := []float64{1, 2, 3}
-	xs := [][]float64{linalg.Clone(z), linalg.Clone(z)}
-	primal, dual := GlobalResiduals(xs, z, z, []float64{1, 1})
-	if primal != 0 || dual != 0 {
-		t.Fatalf("residuals at consensus: %v, %v", primal, dual)
 	}
 }

@@ -76,16 +76,3 @@ func PrimalResidual(x, z []float64) float64 {
 func DualResidual(z, zPrev []float64, rho float64) float64 {
 	return math.Abs(rho) * linalg.Dist2(z, zPrev)
 }
-
-// GlobalResiduals aggregates per-rank primal residuals and the dual
-// residual into the usual stopping quantities:
-// r = sqrt(sum_i ||x_i - z||^2), s = sqrt(sum_i rho_i^2) ||z - zPrev||.
-func GlobalResiduals(xs [][]float64, z, zPrev []float64, rhos []float64) (primal, dual float64) {
-	var rsq, rhosq float64
-	for i := range xs {
-		d := linalg.Dist2(xs[i], z)
-		rsq += float64(d * d)
-		rhosq += float64(rhos[i] * rhos[i])
-	}
-	return math.Sqrt(rsq), math.Sqrt(rhosq) * linalg.Dist2(z, zPrev)
-}

@@ -1,9 +1,11 @@
 // Package baselines implements the distributed optimizers the paper
 // compares Newton-ADMM against: GIANT (Wang et al.), InexactDANE and AIDE
-// (Reddi et al., with an SVRG inner solver), and synchronous mini-batch
-// SGD. Each follows the communication pattern the paper attributes to it —
-// GIANT's three collectives per iteration, DANE/AIDE's two, and SGD's one
-// per mini-batch — so the virtual-clock comparisons reproduce the paper's
+// (Reddi et al., with an SVRG inner solver), DiSCO (Zhang & Lin) and
+// synchronous mini-batch SGD, plus the single-node Newton reference
+// (Algorithm 1 on one rank). Each distributed solver follows the
+// communication pattern the paper attributes to it — GIANT's three
+// collectives per iteration, DANE/AIDE's two, and SGD's one per
+// mini-batch — so the virtual-clock comparisons reproduce the paper's
 // cost structure. Every solver here is a dist.Stepper; the epoch loop,
 // trace, stopping and checkpointing are dist.Run's.
 package baselines

@@ -253,7 +253,7 @@ func TestSVRGSolveReducesQuadraticObjective(t *testing.T) {
 	x := make([]float64, dim)
 	before := phi(x)
 	rng := rand.New(rand.NewSource(5))
-	SVRGSolve(prob, c, 0.1, 0, linalg.Clone(x), x, SVRGOptions{Step: 1, Snapshots: 2}, rng)
+	SVRGSolve(prob, c, 0.1, x, SVRGOptions{Step: 1, Snapshots: 2}, rng)
 	after := phi(x)
 	if after >= before {
 		t.Fatalf("SVRG did not reduce the subproblem: %v -> %v", before, after)
@@ -275,7 +275,7 @@ func TestSVRGDivergenceGuard(t *testing.T) {
 	x := make([]float64, dim)
 	rng := rand.New(rand.NewSource(6))
 	// Absurd step size: guard must keep the iterate finite.
-	SVRGSolve(prob, make([]float64, dim), 0, 0, make([]float64, dim), x,
+	SVRGSolve(prob, make([]float64, dim), 0, x,
 		SVRGOptions{Step: 1e12, Snapshots: 1}, rng)
 	if !linalg.AllFinite(x) {
 		t.Fatal("divergence guard failed")
@@ -292,7 +292,7 @@ func TestSVRGRestoresL2(t *testing.T) {
 	}
 	x := make([]float64, prob.Dim())
 	rng := rand.New(rand.NewSource(7))
-	SVRGSolve(prob, make([]float64, prob.Dim()), 0, 0, make([]float64, prob.Dim()), x,
+	SVRGSolve(prob, make([]float64, prob.Dim()), 0, x,
 		SVRGOptions{Step: 0.5, Snapshots: 1, StepsPerSnapshot: 5}, rng)
 	if prob.L2 != 0.25 {
 		t.Fatalf("SVRGSolve did not restore L2: %v", prob.L2)

@@ -13,10 +13,9 @@ import (
 // DANEOptions configures InexactDANE and (via AIDE) its accelerated
 // wrapper.
 type DANEOptions struct {
-	// Eta is DANE's gradient weight (paper uses 1.0).
+	// Eta is DANE's gradient weight (paper uses 1.0). DANE's proximal
+	// coefficient mu is the paper's 0.
 	Eta float64
-	// Mu is DANE's proximal coefficient (paper uses 0.0).
-	Mu float64
 	// SVRG configures the inexact subproblem solver.
 	SVRG SVRGOptions
 	// Seed makes the stochastic inner solver reproducible.
@@ -30,12 +29,15 @@ func (o DANEOptions) withDefaults() DANEOptions {
 	return o
 }
 
+// fingerprint feeds 0 where the proximal mu and SVRG's update-frequency
+// factor were once options: their unset value, so older checkpoints
+// still load.
 func (o DANEOptions) fingerprint(f *ckpt.Fingerprinter) {
 	f.Float(o.Eta)
-	f.Float(o.Mu)
+	f.Float(0) // mu
 	f.Int(o.SVRG.Snapshots)
 	f.Int(o.SVRG.StepsPerSnapshot)
-	f.Float(o.SVRG.UpdateFreqFactor)
+	f.Float(0) // update-frequency factor
 	f.Int(o.SVRG.BatchSize)
 	f.Float(o.SVRG.Step)
 	f.Uint64(uint64(o.Seed))
@@ -67,8 +69,8 @@ func daneIteration(node *cluster.Node, local *dist.Local, x []float64, opts DANE
 
 	// Local subproblem (Reddi et al., sum form):
 	//   min_x f_i(x) - <grad f_i(x0) - eta G / N, x> + mu/2 ||x - x0||^2
-	// encoded for SVRGSolve as phi(x) = f(x) + <c,x> + a/2||x||^2 +
-	// mu/2||x-x0||^2 with c = -(grad f_i(x0) - eta G / N) + extraC and the
+	// with mu = 0, encoded for SVRGSolve as phi(x) = f(x) + <c,x> +
+	// a/2||x||^2 with c = -(grad f_i(x0) - eta G / N) + extraC and the
 	// AIDE quadratic in a.
 	c := make([]float64, dim)
 	invN := 1 / float64(node.Size())
@@ -78,8 +80,7 @@ func daneIteration(node *cluster.Node, local *dist.Local, x []float64, opts DANE
 	if extraC != nil {
 		linalg.Add(c, extraC)
 	}
-	x0 := linalg.Clone(x)
-	SVRGSolve(local.Problem, c, extraA, opts.Mu, x0, x, opts.SVRG, rng)
+	SVRGSolve(local.Problem, c, extraA, x, opts.SVRG, rng)
 
 	// Round 2: average the local solutions.
 	node.AllReduceSum(x)

@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 
+	"newtonadmm/internal/cg"
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/dist"
@@ -17,9 +18,6 @@ type DiSCOOptions struct {
 	// PCGTol is the relative residual tolerance of the inner solve;
 	// <=0 is 1e-4.
 	PCGTol float64
-	// Mu is the preconditioner damping added to the local Hessian;
-	// <=0 selects Lambda.
-	Mu float64
 	// LocalCGIters caps the local CG iterations used to apply the
 	// preconditioner; <=0 is 10.
 	LocalCGIters int
@@ -42,8 +40,8 @@ func (o DiSCOOptions) withDefaults() DiSCOOptions {
 // Newton method for self-concordant losses. The Newton system on
 // the *global* Hessian is solved by preconditioned conjugate gradient in
 // which every iteration allreduces one global Hessian-vector product; the
-// preconditioner is the master's local Hessian plus mu*I, applied
-// approximately with a short local CG. The resulting communication
+// preconditioner is the master's local Hessian plus mu*I, mu = lambda,
+// applied approximately with a short local CG. The resulting communication
 // pattern — one allreduce per PCG iteration, so PCGIters+2 rounds per
 // Newton step — is exactly the per-iteration cost the paper contrasts
 // with Newton-ADMM's single round. Its recoverable state is the iterate x
@@ -58,14 +56,10 @@ func DiSCO(opts DiSCOOptions) dist.Solver {
 		Fingerprint: func(f *ckpt.Fingerprinter) {
 			f.Int(opts.PCGIters)
 			f.Float(opts.PCGTol)
-			f.Float(opts.Mu)
+			f.Float(0) // the damping mu, once an option, is lambda
 			f.Int(opts.LocalCGIters)
 		},
 		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
-			opts := opts
-			if opts.Mu <= 0 {
-				opts.Mu = local.Lambda
-			}
 			dim := local.Problem.Dim()
 			x := make([]float64, dim)
 			g := make([]float64, dim)
@@ -75,7 +69,7 @@ func DiSCO(opts DiSCOOptions) dist.Solver {
 				local.GlobalGradient(node, x, g)
 
 				h := local.Problem.HessianAt(x)
-				solveDistributedPCG(node, h, g, p, opts)
+				solveDistributedPCG(node, h, local.Lambda, g, p, opts)
 
 				// Damped Newton step: delta = sqrt(p^T H p) through one more
 				// allreduce, step 1/(1+delta).
@@ -97,7 +91,7 @@ func DiSCO(opts DiSCOOptions) dist.Solver {
 // the master's preconditioned residual (only rank 0 holds the
 // preconditioner — its local Hessian plus mu*I, applied with a short
 // local CG). p is overwritten.
-func solveDistributedPCG(node *cluster.Node, h loss.HessianOperator, g, p []float64, opts DiSCOOptions) {
+func solveDistributedPCG(node *cluster.Node, h loss.HessianOperator, mu float64, g, p []float64, opts DiSCOOptions) {
 	dim := len(g)
 	linalg.Zero(p)
 	r := linalg.Clone(g) // residual of H p = g at p = 0
@@ -106,12 +100,16 @@ func solveDistributedPCG(node *cluster.Node, h loss.HessianOperator, g, p []floa
 	hs := make([]float64, dim)
 
 	// Rank 0's preconditioner; other ranks only participate in the
-	// broadcast so the replicated state stays bitwise identical.
+	// broadcast so the replicated state stays bitwise identical. With
+	// mu > 0 the damped operator never trips CG's curvature guard, and
+	// the smallest tolerance stops CG only at a zero residual, so the
+	// application is LocalCGIters iterations of plain CG.
+	prec := &dampedOp{h: h, mu: mu}
+	local := cg.Options{MaxIters: opts.LocalCGIters, RelTol: math.SmallestNonzeroFloat64, Work: &cg.Workspace{}}
 	applyPrec := func(rhs, out []float64) {
 		if node.Rank() == 0 {
-			prec := &dampedOp{h: h, mu: opts.Mu}
 			linalg.Zero(out)
-			localCG(prec, rhs, out, opts.LocalCGIters)
+			cg.Solve(prec, nil, rhs, out, local)
 		}
 		node.Bcast(0, out)
 	}
@@ -157,27 +155,4 @@ type dampedOp struct {
 func (d *dampedOp) Apply(v, hv []float64) {
 	d.h.Apply(v, hv)
 	linalg.Axpy(d.mu, v, hv)
-}
-
-// localCG is a plain CG loop without communication, used to apply the
-// DiSCO preconditioner approximately.
-func localCG(op *dampedOp, b, x []float64, iters int) {
-	dim := len(b)
-	r := linalg.Clone(b)
-	p := linalg.Clone(b)
-	hp := make([]float64, dim)
-	rs := linalg.Dot(r, r)
-	for it := 0; it < iters && rs > 0; it++ {
-		op.Apply(p, hp)
-		curv := linalg.Dot(p, hp)
-		if curv <= 0 {
-			return
-		}
-		alpha := rs / curv
-		linalg.Axpy(alpha, p, x)
-		linalg.Axpy(-alpha, hp, r)
-		rsNew := linalg.Dot(r, r)
-		linalg.Waxpby(1, r, rsNew/rs, p, p)
-		rs = rsNew
-	}
 }

@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"time"
-
 	"newtonadmm/internal/cg"
 	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
@@ -25,16 +23,10 @@ type GiantOptions struct {
 	// LineSearch sets the synchronized candidate set S = {1, 1/2, ...,
 	// 2^-(MaxIters-1)} every worker must evaluate in full (paper: 10).
 	LineSearch linesearch.Options
-	// The remaining fields are the run control of dist.RunOptions, field
-	// for field; the semantics are documented there.
-	EvalEvery        int
-	EvalTestAccuracy bool
-	TargetObjective  float64
-	CheckpointDir    string
-	CheckpointEvery  int
-	Resume           bool
-	MaxRestarts      int
-	RestartBackoff   time.Duration
+	// TargetObjective stops the run at the first epoch whose global
+	// objective reaches it; 0 is off (dist.RunOptions has the run
+	// control SolveGIANT does not expose).
+	TargetObjective float64
 }
 
 func (o GiantOptions) withDefaults() GiantOptions {
@@ -59,11 +51,7 @@ func (o GiantOptions) withDefaults() GiantOptions {
 // versus Newton-ADMM's one (paper §3).
 func SolveGIANT(clusterCfg cluster.Config, ds *datasets.Dataset, opts GiantOptions) (*Result, error) {
 	return dist.Run(clusterCfg, ds, dist.RunOptions{
-		Epochs: opts.Epochs, Lambda: opts.Lambda,
-		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
-		TargetObjective: opts.TargetObjective,
-		CheckpointDir:   opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
-		Resume: opts.Resume, MaxRestarts: opts.MaxRestarts, RestartBackoff: opts.RestartBackoff,
+		Epochs: opts.Epochs, Lambda: opts.Lambda, TargetObjective: opts.TargetObjective,
 	}, GIANT(opts))
 }
 
@@ -79,10 +67,12 @@ func GIANT(opts GiantOptions) dist.Solver {
 		Fingerprint: func(f *ckpt.Fingerprinter) {
 			f.Int(opts.CG.MaxIters)
 			f.Float(opts.CG.RelTol)
-			f.Float(opts.LineSearch.Beta)
-			f.Float(opts.LineSearch.Shrink)
+			// The line search's Beta, Shrink and Initial, once options,
+			// are constants: their unset 0 keeps older checkpoints valid.
+			f.Float(0)
+			f.Float(0)
 			f.Int(opts.LineSearch.MaxIters)
-			f.Float(opts.LineSearch.Initial)
+			f.Float(0)
 		},
 		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
 			opts := opts
@@ -114,7 +104,7 @@ func GIANT(opts GiantOptions) dist.Solver {
 				alphas, values := linesearch.EvalCandidates(localVal, opts.LineSearch)
 				node.AllReduceSum(values)
 				slope := linalg.Dot(p, g)
-				alpha, _ := linesearch.PickArmijo(alphas, values, f0, slope, opts.LineSearch.Beta)
+				alpha, _ := linesearch.PickArmijo(alphas, values, f0, slope)
 
 				linalg.Axpy(alpha, p, x)
 			}}

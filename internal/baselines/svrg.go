@@ -14,10 +14,8 @@ type SVRGOptions struct {
 	// Snapshots is the number of outer (full-gradient) rounds; <=0 is 2.
 	Snapshots int
 	// StepsPerSnapshot is the number of stochastic steps between full
-	// gradients; <=0 selects UpdateFreqFactor * n / BatchSize.
+	// gradients; <=0 selects 2n / BatchSize (the paper's "2n").
 	StepsPerSnapshot int
-	// UpdateFreqFactor is the paper's "2n" factor; <=0 is 2.
-	UpdateFreqFactor float64
 	// BatchSize is the mini-batch size per stochastic step; <=0 is 16.
 	BatchSize int
 	// Step is the SVRG step size (the paper sweeps 1e-4..1e4).
@@ -28,9 +26,6 @@ func (o SVRGOptions) withDefaults(n int) SVRGOptions {
 	if o.Snapshots <= 0 {
 		o.Snapshots = 2
 	}
-	if o.UpdateFreqFactor <= 0 {
-		o.UpdateFreqFactor = 2
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 16
 	}
@@ -38,7 +33,7 @@ func (o SVRGOptions) withDefaults(n int) SVRGOptions {
 		o.BatchSize = n
 	}
 	if o.StepsPerSnapshot <= 0 {
-		o.StepsPerSnapshot = int(o.UpdateFreqFactor*float64(n))/o.BatchSize + 1
+		o.StepsPerSnapshot = 2*n/o.BatchSize + 1
 	}
 	if o.Step <= 0 {
 		o.Step = 1e-3
@@ -48,16 +43,16 @@ func (o SVRGOptions) withDefaults(n int) SVRGOptions {
 
 // SVRGSolve approximately minimizes the composite local subproblem
 //
-//	phi(x) = f(x) + <c, x> + (a/2)||x||^2 + (mu/2)||x - x0||^2
+//	phi(x) = f(x) + <c, x> + (a/2)||x||^2
 //
 // by SVRG, starting from x (updated in place). f is the rank's softmax
 // shard; the linear/quadratic terms encode the DANE or AIDE corrections.
 // The stochastic gradient uses mini-batch variance reduction:
 //
-//	g = (n/b) (gB(x) - gB(xSnap)) + grad f(xSnap) + c + a x + mu (x - x0)
+//	g = (n/b) (gB(x) - gB(xSnap)) + grad f(xSnap) + c + a x
 //
 // Steps are scaled by 1/n so Step is comparable across shard sizes.
-func SVRGSolve(f *loss.Softmax, c []float64, a, mu float64, x0, x []float64, opts SVRGOptions, rng *rand.Rand) {
+func SVRGSolve(f *loss.Softmax, c []float64, a float64, x []float64, opts SVRGOptions, rng *rand.Rand) {
 	n := f.N()
 	if n == 0 {
 		return
@@ -90,7 +85,7 @@ func SVRGSolve(f *loss.Softmax, c []float64, a, mu float64, x0, x []float64, opt
 			scale := float64(n) / float64(opts.BatchSize)
 			for j := 0; j < dim; j++ {
 				g := float64(scale*(gB[j]-gBSnap[j])) + snapGrad[j] +
-					c[j] + float64(a*x[j]) + float64(mu*(x[j]-x0[j]))
+					c[j] + float64(a*x[j])
 				x[j] -= float64(step * g)
 			}
 			if !linalg.AllFinite(x) {

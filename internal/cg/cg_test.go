@@ -49,7 +49,7 @@ func TestSolveRandomSPDSystems(t *testing.T) {
 		b := make([]float64, d)
 		linalg.MulNT(a, xTrue, 1, b)
 		x := make([]float64, d)
-		res := Solve(denseOp{a}, b, x, Options{MaxIters: 10 * d, RelTol: 1e-10})
+		res := Solve(denseOp{a}, nil, b, x, Options{MaxIters: 10 * d, RelTol: 1e-10})
 		if !res.Converged {
 			t.Fatalf("trial %d: CG did not converge: %+v", trial, res)
 		}
@@ -66,7 +66,7 @@ func TestSolveExactInAtMostDimIters(t *testing.T) {
 	a := randSPD(rng, d, 2.0)
 	b := randVec(rng, d)
 	x := make([]float64, d)
-	res := Solve(denseOp{a}, b, x, Options{MaxIters: d + 2, RelTol: 1e-8})
+	res := Solve(denseOp{a}, nil, b, x, Options{MaxIters: d + 2, RelTol: 1e-8})
 	if !res.Converged {
 		t.Fatalf("CG needed more than dim iterations: %+v", res)
 	}
@@ -80,7 +80,7 @@ func TestSolveIdentityOneIteration(t *testing.T) {
 	}
 	b := []float64{1, 2, 3, 4, 5}
 	x := make([]float64, d)
-	res := Solve(denseOp{a}, b, x, Options{MaxIters: 10, RelTol: 1e-12})
+	res := Solve(denseOp{a}, nil, b, x, Options{MaxIters: 10, RelTol: 1e-12})
 	if res.Iters > 1 {
 		t.Fatalf("identity system took %d iterations", res.Iters)
 	}
@@ -95,7 +95,7 @@ func TestSolveZeroRHS(t *testing.T) {
 	d := 4
 	a := randSPD(rand.New(rand.NewSource(42)), d, 1)
 	x := []float64{1, 2, 3, 4}
-	res := Solve(denseOp{a}, make([]float64, d), x, Options{})
+	res := Solve(denseOp{a}, nil, make([]float64, d), x, Options{})
 	if !res.Converged {
 		t.Fatal("zero RHS should converge immediately")
 	}
@@ -112,7 +112,7 @@ func TestSolveRespectsIterationCap(t *testing.T) {
 	a := randSPD(rng, d, 0.01) // badly conditioned
 	b := randVec(rng, d)
 	x := make([]float64, d)
-	res := Solve(denseOp{a}, b, x, Options{MaxIters: 3, RelTol: 1e-14})
+	res := Solve(denseOp{a}, nil, b, x, Options{MaxIters: 3, RelTol: 1e-14})
 	if res.Iters > 3 {
 		t.Fatalf("iteration cap violated: %d", res.Iters)
 	}
@@ -128,32 +128,41 @@ func (c *countingOp) Apply(v, hv []float64) { c.n++; c.denseOp.Apply(v, hv) }
 
 // TestSolveFromZeroSpendsOneProductPerIteration: from x = 0 the initial
 // residual is b itself, with no product against zero; from any other x
-// it costs one product.
+// it costs one product. Plain and Jacobi-preconditioned CG alike.
 func TestSolveFromZeroSpendsOneProductPerIteration(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	d := 50
 	a := randSPD(rng, d, 0.01)
 	b := randVec(rng, d)
-	op := &countingOp{denseOp: denseOp{a}}
-	x := make([]float64, d)
-	res := Solve(op, b, x, Options{MaxIters: 10, RelTol: 1e-14})
-	if res.Iters != 10 || op.n != 10 {
-		t.Fatalf("%d iterations spent %d products, want 10 and 10", res.Iters, op.n)
+	diag := make([]float64, d)
+	for j := range diag {
+		diag[j] = a.At(j, j)
+	}
+	for _, c := range []struct {
+		name string
+		diag []float64
+	}{{"plain", nil}, {"jacobi", diag}} {
+		op := &countingOp{denseOp: denseOp{a}}
+		x := make([]float64, d)
+		res := Solve(op, c.diag, b, x, Options{MaxIters: 10, RelTol: 1e-14})
+		if res.Iters != 10 || op.n != 10 {
+			t.Fatalf("%s: %d iterations spent %d products, want 10 and 10", c.name, res.Iters, op.n)
+		}
+		op.n = 0
+		Solve(op, c.diag, b, x, Options{MaxIters: 10, RelTol: 1e-14})
+		if op.n != 11 {
+			t.Fatalf("%s: a solve from nonzero x spent %d products, want 11", c.name, op.n)
+		}
 	}
 	// The skipped product's arithmetic gives b back bit for bit.
 	hp := make([]float64, d)
-	op.Apply(make([]float64, d), hp)
+	denseOp{a}.Apply(make([]float64, d), hp)
 	r := make([]float64, d)
 	linalg.Waxpby(1, b, -1, hp, r)
 	for i := range r {
 		if math.Float64bits(r[i]) != math.Float64bits(b[i]) {
 			t.Fatalf("b − H·0 differs from b at %d: %v vs %v", i, r[i], b[i])
 		}
-	}
-	op.n = 0
-	Solve(op, b, x, Options{MaxIters: 10, RelTol: 1e-14})
-	if op.n != 11 {
-		t.Fatalf("a solve from nonzero x spent %d products, want 11", op.n)
 	}
 }
 
@@ -166,7 +175,7 @@ func TestSolveEarlyStoppingRelativeTolerance(t *testing.T) {
 	b := randVec(rng, d)
 	x := make([]float64, d)
 	theta := 0.1
-	res := Solve(denseOp{a}, b, x, Options{MaxIters: 1000, RelTol: theta})
+	res := Solve(denseOp{a}, nil, b, x, Options{MaxIters: 1000, RelTol: theta})
 	if !res.Converged {
 		t.Fatalf("did not converge: %+v", res)
 	}
@@ -187,7 +196,7 @@ func TestNegativeCurvatureDetected(t *testing.T) {
 	a.Set(2, 2, 1)
 	b := []float64{0, 1, 0}
 	x := make([]float64, d)
-	res := Solve(denseOp{a}, b, x, Options{MaxIters: 10, RelTol: 1e-10})
+	res := Solve(denseOp{a}, nil, b, x, Options{MaxIters: 10, RelTol: 1e-10})
 	if !res.NegCurve {
 		t.Fatalf("negative curvature not flagged: %+v", res)
 	}
@@ -232,7 +241,7 @@ func TestSolveWithQuadraticProblemHessian(t *testing.T) {
 	q := &loss.Quadratic{A: a, B: randVec(rng, d)}
 	h := q.HessianAt(nil)
 	x := make([]float64, d)
-	res := Solve(h, q.B, x, Options{MaxIters: 100, RelTol: 1e-10})
+	res := Solve(h, nil, q.B, x, Options{MaxIters: 100, RelTol: 1e-10})
 	if !res.Converged {
 		t.Fatalf("CG on Quadratic Hessian failed: %+v", res)
 	}
@@ -269,4 +278,116 @@ func TestAnyNonzeroIsNrm2NonZero(t *testing.T) {
 			t.Errorf("%s: Nrm2 = %v, but anyNonzero should be %v", c.name, nrm, c.want)
 		}
 	}
+}
+
+func TestSolvePrecondCorrectness(t *testing.T) {
+	rng := rand.New(rand.NewSource(210))
+	for trial := 0; trial < 15; trial++ {
+		d := 2 + rng.Intn(25)
+		a := randSPD(rng, d, 1)
+		xTrue := randVec(rng, d)
+		b := make([]float64, d)
+		linalg.MulNT(a, xTrue, 1, b)
+		diag := make([]float64, d)
+		for j := 0; j < d; j++ {
+			diag[j] = a.At(j, j)
+		}
+		x := make([]float64, d)
+		res := Solve(denseOp{a}, diag, b, x, Options{MaxIters: 20 * d, RelTol: 1e-10})
+		if !res.Converged {
+			t.Fatalf("trial %d: PCG did not converge: %+v", trial, res)
+		}
+		if dist := linalg.Dist2(x, xTrue); dist > 1e-6*math.Max(1, linalg.Nrm2(xTrue)) {
+			t.Fatalf("trial %d: ||x-x*||=%v", trial, dist)
+		}
+	}
+}
+
+func TestPrecondHelpsOnScaledSystem(t *testing.T) {
+	// Badly scaled diagonal system: Jacobi preconditioning should solve
+	// it in one iteration while plain CG needs many.
+	d := 60
+	a := linalg.NewMatrix(d, d)
+	diag := make([]float64, d)
+	for j := 0; j < d; j++ {
+		v := math.Pow(10, float64(j%7)) // condition number 1e6
+		a.Set(j, j, v)
+		diag[j] = v
+	}
+	rng := rand.New(rand.NewSource(211))
+	b := randVec(rng, d)
+
+	xPlain := make([]float64, d)
+	plain := Solve(denseOp{a}, nil, b, xPlain, Options{MaxIters: d, RelTol: 1e-10})
+	xPrec := make([]float64, d)
+	prec := Solve(denseOp{a}, diag, b, xPrec, Options{MaxIters: d, RelTol: 1e-10})
+	if !prec.Converged {
+		t.Fatalf("PCG failed: %+v", prec)
+	}
+	if prec.Iters >= plain.Iters && plain.Converged {
+		t.Fatalf("Jacobi did not help: plain %d iters, precond %d", plain.Iters, prec.Iters)
+	}
+	if prec.Iters > 3 {
+		t.Fatalf("diagonal system should converge immediately with Jacobi, took %d", prec.Iters)
+	}
+}
+
+func TestSolvePrecondZeroRHS(t *testing.T) {
+	d := 4
+	a := randSPD(rand.New(rand.NewSource(212)), d, 1)
+	diag := []float64{1, 1, 1, 1}
+	x := []float64{1, 2, 3, 4}
+	res := Solve(denseOp{a}, diag, make([]float64, d), x, Options{})
+	if !res.Converged {
+		t.Fatal("zero RHS must converge")
+	}
+	for _, v := range x {
+		if v != 0 {
+			t.Fatal("zero RHS must produce zero solution")
+		}
+	}
+}
+
+func TestSolvePrecondDegenerateDiagonalClamped(t *testing.T) {
+	// Zero/negative diagonal entries must not produce NaNs.
+	d := 5
+	a := randSPD(rand.New(rand.NewSource(213)), d, 1)
+	diag := []float64{0, -1, 1e-300, 1, 1}
+	b := []float64{1, 1, 1, 1, 1}
+	x := make([]float64, d)
+	res := Solve(denseOp{a}, diag, b, x, Options{MaxIters: 100, RelTol: 1e-8})
+	if !linalg.AllFinite(x) {
+		t.Fatal("degenerate diagonal produced non-finite iterate")
+	}
+	if !res.Converged {
+		t.Fatalf("PCG with clamped diagonal failed: %+v", res)
+	}
+}
+
+func TestNewtonDirectionPrecondIsDescent(t *testing.T) {
+	rng := rand.New(rand.NewSource(214))
+	for trial := 0; trial < 15; trial++ {
+		d := 2 + rng.Intn(15)
+		a := randSPD(rng, d, 0.5)
+		diag := make([]float64, d)
+		for j := 0; j < d; j++ {
+			diag[j] = a.At(j, j)
+		}
+		g := randVec(rng, d)
+		p := make([]float64, d)
+		NewtonDirectionPrecond(denseOp{a}, diag, g, p, Options{MaxIters: 5, RelTol: 1e-2})
+		if linalg.Dot(p, g) >= 0 {
+			t.Fatalf("trial %d: not a descent direction", trial)
+		}
+	}
+}
+
+func TestSolvePrecondDimensionPanics(t *testing.T) {
+	a := randSPD(rand.New(rand.NewSource(215)), 3, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	Solve(denseOp{a}, make([]float64, 2), make([]float64, 3), make([]float64, 3), Options{})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"newtonadmm/internal/admm"
 	"newtonadmm/internal/cg"
@@ -51,16 +50,10 @@ type Options struct {
 	// LineSearch configures the per-rank Armijo backtracking
 	// (paper: at most 10 iterations).
 	LineSearch linesearch.Options
-	// The remaining fields are the run control of dist.RunOptions, field
-	// for field; the semantics are documented there.
-	EvalEvery        int
-	EvalTestAccuracy bool
-	TargetObjective  float64
-	CheckpointDir    string
-	CheckpointEvery  int
-	Resume           bool
-	MaxRestarts      int
-	RestartBackoff   time.Duration
+	// TargetObjective stops the run at the first epoch whose global
+	// objective reaches it; 0 is off (dist.RunOptions has the run
+	// control Solve does not expose).
+	TargetObjective float64
 }
 
 func (o Options) withDefaults() Options {
@@ -97,13 +90,11 @@ type Result struct {
 	Trace dist.Trace
 	// Stats are the per-rank timing summaries.
 	Stats []cluster.NodeStats
-	// PrimalResidual and DualResidual are the final global residuals.
+	// PrimalResidual and DualResidual are the final global residuals,
+	// sqrt(sum_i ||x_i - z||^2) and sqrt(sum_i rho_i^2) ||z - zPrev||.
 	PrimalResidual, DualResidual float64
 	// FinalRhos are the per-rank penalties at termination.
 	FinalRhos []float64
-	// TestAccuracy is the final test accuracy (NaN without a test set or
-	// when EvalTestAccuracy is off).
-	TestAccuracy float64
 	// FailedEpoch is the outer iteration in flight when a failed run went
 	// down (0 when the run succeeded or failed before the first epoch).
 	FailedEpoch int
@@ -116,17 +107,12 @@ type Result struct {
 func Solve(clusterCfg cluster.Config, ds *datasets.Dataset, opts Options) (*Result, error) {
 	res := &Result{FinalRhos: make([]float64, max(clusterCfg.Ranks, 1))}
 	run, err := dist.Run(clusterCfg, ds, dist.RunOptions{
-		Epochs: opts.Epochs, Lambda: opts.Lambda,
-		EvalEvery: opts.EvalEvery, EvalTestAccuracy: opts.EvalTestAccuracy,
-		TargetObjective: opts.TargetObjective,
-		CheckpointDir:   opts.CheckpointDir, CheckpointEvery: opts.CheckpointEvery,
-		Resume: opts.Resume, MaxRestarts: opts.MaxRestarts, RestartBackoff: opts.RestartBackoff,
+		Epochs: opts.Epochs, Lambda: opts.Lambda, TargetObjective: opts.TargetObjective,
 	}, Solver(opts, res))
 	if run == nil {
 		return nil, err
 	}
-	res.Z, res.Trace, res.Stats = run.X, run.Trace, run.Stats
-	res.TestAccuracy, res.FailedEpoch = run.TestAccuracy, run.FailedEpoch
+	res.Z, res.Trace, res.Stats, res.FailedEpoch = run.X, run.Trace, run.Stats, run.FailedEpoch
 	if err != nil {
 		res.FinalRhos = nil
 	}
@@ -148,10 +134,12 @@ func Solver(opts Options, out *Result) dist.Solver {
 			f.Int(opts.CG.MaxIters)
 			f.Float(opts.CG.RelTol)
 			f.Bool(opts.Jacobi)
-			f.Float(opts.LineSearch.Beta)
-			f.Float(opts.LineSearch.Shrink)
+			// The line search's Beta, Shrink and Initial, once options,
+			// are constants: their unset 0 keeps older checkpoints valid.
+			f.Float(0)
+			f.Float(0)
 			f.Int(opts.LineSearch.MaxIters)
-			f.Float(opts.LineSearch.Initial)
+			f.Float(0)
 		},
 		Build: func(node *cluster.Node, local *dist.Local) dist.Stepper {
 			dim := local.Problem.Dim()
@@ -271,20 +259,23 @@ func (s *stepper) Step(k int) error {
 	return nil
 }
 
-// Finish reports the final residuals (primal aggregated over ranks, with
-// the clock frozen: diagnostics) and this rank's penalty.
+// Finish reports the final global residuals and this rank's penalty. One
+// allreduce, with the clock frozen (diagnostics), sums the ranks'
+// ||x_i - z||^2 and rho_i^2: r = sqrt(sum_i ||x_i - z||^2) and
+// s = sqrt(sum_i rho_i^2) ||z - zPrev||.
 func (s *stepper) Finish() {
 	if s.out == nil {
 		return
 	}
+	rho := s.policy.Rho()
 	s.node.Frozen(func() {
-		rsq := []float64{admm.PrimalResidual(s.x, s.z)}
-		rsq[0] *= rsq[0]
-		s.node.AllReduceSum(rsq)
+		r := admm.PrimalResidual(s.x, s.z)
+		sq := []float64{float64(r * r), float64(rho * rho)}
+		s.node.AllReduceSum(sq)
 		if s.node.Rank() == 0 {
-			s.out.PrimalResidual = math.Sqrt(rsq[0])
-			s.out.DualResidual = admm.DualResidual(s.z, s.zPrev, s.policy.Rho())
+			s.out.PrimalResidual = math.Sqrt(sq[0])
+			s.out.DualResidual = math.Sqrt(sq[1]) * linalg.Dist2(s.z, s.zPrev)
 		}
 	})
-	s.out.FinalRhos[s.node.Rank()] = s.policy.Rho()
+	s.out.FinalRhos[s.node.Rank()] = rho
 }

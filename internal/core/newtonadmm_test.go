@@ -9,6 +9,7 @@ import (
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/device"
+	"newtonadmm/internal/dist"
 	"newtonadmm/internal/linalg"
 	"newtonadmm/internal/loss"
 	"newtonadmm/internal/newton"
@@ -49,7 +50,7 @@ func TestSolveReachesNearOptimum(t *testing.T) {
 	_, fStar := singleNodeOptimum(t, ds, lambda)
 
 	res, err := Solve(cluster.Config{Ranks: 4, Network: cluster.ZeroCost, DeviceWorkers: 1}, ds, Options{
-		Epochs: 60, Lambda: lambda, EvalTestAccuracy: true,
+		Epochs: 60, Lambda: lambda,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +122,9 @@ func TestSolveConsensusResidualShrinks(t *testing.T) {
 
 func TestSolveTestAccuracyAboveChance(t *testing.T) {
 	ds := smallDataset(t)
-	res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: 1}, ds, Options{
+	res, err := dist.Run(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: 1}, ds, dist.RunOptions{
 		Epochs: 40, Lambda: 1e-4, EvalTestAccuracy: true,
-	})
+	}, Solver(Options{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,16 +328,32 @@ func (o refOperand) MulTNRange(d []float64, m int, g []float64, lo, hi int) {
 	loss.FromModel(g, gc, m)
 }
 
-func TestSolveEvalEveryThinsTrace(t *testing.T) {
+// DualResidual is global: every rank's spectral penalty enters it, as
+// sqrt(sum_i rho_i^2) ||z - zPrev||. A run one epoch shorter ends at the
+// longer run's zPrev.
+func TestSolveDualResidualIsGlobal(t *testing.T) {
 	ds := smallDataset(t)
-	res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: 1}, ds, Options{
-		Epochs: 10, Lambda: 1e-3, EvalEvery: 5,
-	})
+	const k = 8
+	cfg := cluster.Config{Ranks: 4, Network: cluster.ZeroCost, DeviceWorkers: 1}
+	opts := Options{Epochs: k, Lambda: 1e-3, Penalty: "spectral"}
+	res, err := Solve(cfg, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// points at epochs 0, 5, 10
-	if len(res.Trace.Points) != 3 {
-		t.Fatalf("trace has %d points, want 3", len(res.Trace.Points))
+	opts.Epochs = k - 1
+	prev, err := Solve(cfg, ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rhoSq float64
+	for _, rho := range res.FinalRhos {
+		rhoSq += rho * rho
+	}
+	if res.FinalRhos[0] == res.FinalRhos[1] {
+		t.Fatalf("ranks share one penalty %v: the test cannot tell rank 0's residual from the global one", res.FinalRhos)
+	}
+	want := math.Sqrt(rhoSq) * linalg.Dist2(res.Z, prev.Z)
+	if math.Abs(res.DualResidual-want) > 1e-12*want {
+		t.Fatalf("DualResidual = %.17g, want sqrt(sum rho_i^2)·||z - zPrev|| = %.17g (rhos %v)", res.DualResidual, want, res.FinalRhos)
 	}
 }

@@ -3,7 +3,9 @@ package dist_test
 import (
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,6 +253,38 @@ func TestResumeTable(t *testing.T) {
 	}
 }
 
+// A run that snapshots every epoch leaves only the newest two files, and
+// the older one is there to fall back to: with the newest torn, a resume
+// replays the last epoch and ends bitwise where an uninterrupted run does.
+func TestCheckpointRetentionKeepsTwoAndResumes(t *testing.T) {
+	ds := resumeDataset(t)
+	c := solverCases[0] // newton-admm: shared and per-rank state
+	opts := dist.RunOptions{Epochs: 10, Lambda: 1e-4}
+	base, baseRhos, err := c.run(t, ds, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts.CheckpointDir, opts.CheckpointEvery = dir, 1
+	if _, _, err := c.run(t, ds, opts, nil); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.nack"))
+	want := []string{filepath.Join(dir, ckpt.FileName(9)), filepath.Join(dir, ckpt.FileName(10))}
+	if !slices.Equal(files, want) {
+		t.Fatalf("checkpoint files %v, want %v", files, want)
+	}
+	if err := os.WriteFile(want[1], []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = true
+	resumed, rhos, err := c.run(t, ds, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitwiseEqual(t, "resume past a torn newest snapshot", base, resumed, baseRhos, rhos)
+}
+
 // TestGoldenFingerprints pins checkpoint compatibility (2 ranks,
 // MNISTLike(0.03), lambda 1e-4, every other option at its default): a
 // snapshot written by a run with these options still loads. golden was
@@ -265,11 +299,13 @@ func TestGoldenFingerprints(t *testing.T) {
 		solve              func(dir string, resume bool) error
 	}{
 		{"newton-admm", 0x3d8b0b088a5c161f, 0xf3e1d45d5b5fe5ca, func(dir string, resume bool) error {
-			_, err := core.Solve(resumeCluster(), ds, core.Options{Epochs: 1, Lambda: 1e-4, Penalty: "spectral", CheckpointDir: dir, Resume: resume})
+			_, err := dist.Run(resumeCluster(), ds, dist.RunOptions{Epochs: 1, Lambda: 1e-4, CheckpointDir: dir, Resume: resume},
+				core.Solver(core.Options{Penalty: "spectral"}, nil))
 			return err
 		}},
 		{"giant", 0x4ba978aee0fe62d1, 0x1f23f6515e2a569c, func(dir string, resume bool) error {
-			_, err := baselines.SolveGIANT(resumeCluster(), ds, baselines.GiantOptions{Epochs: 1, Lambda: 1e-4, CheckpointDir: dir, Resume: resume})
+			_, err := dist.Run(resumeCluster(), ds, dist.RunOptions{Epochs: 1, Lambda: 1e-4, CheckpointDir: dir, Resume: resume},
+				baselines.GIANT(baselines.GiantOptions{}))
 			return err
 		}},
 	} {

@@ -61,7 +61,8 @@ type RunOptions struct {
 	TargetObjective float64
 	// CheckpointDir, when set, gets an atomic, CRC-checked snapshot of the
 	// full solver state (internal/ckpt) every CheckpointEvery epochs (<=0
-	// selects 1) and at the last one. A fresh (non-Resume) run clears it.
+	// selects 1) and at the last one; only the newest two are kept. A
+	// fresh (non-Resume) run clears it.
 	CheckpointDir   string
 	CheckpointEvery int
 	// Resume continues from the latest good checkpoint in CheckpointDir,
@@ -218,11 +219,17 @@ func Run(cfg cluster.Config, ds *datasets.Dataset, opts RunOptions, s Solver) (*
 	return res, err
 }
 
+// keepCheckpoints is how many snapshots a run leaves in its directory:
+// the newest, and one more for LoadLatest to fall back to should the
+// newest be corrupt.
+const keepCheckpoints = 2
+
 // save gathers every rank's private state at rank 0 and writes one
-// snapshot atomically, with the virtual clock frozen: checkpointing is
-// harness infrastructure, not the algorithm being measured. The gather
-// doubles as a barrier, so every rank has finished epoch k before the
-// file appears.
+// snapshot atomically, then prunes the directory to keepCheckpoints,
+// with the virtual clock frozen: checkpointing is harness
+// infrastructure, not the algorithm being measured. The gather doubles
+// as a barrier, so every rank has finished epoch k before the file
+// appears.
 func save(node *cluster.Node, st Stepper, rec *Recorder, dir string, fp uint64, k int) error {
 	var err error
 	node.Frozen(func() {
@@ -239,6 +246,9 @@ func save(node *cluster.Node, st Stepper, rec *Recorder, dir string, fp uint64, 
 			Ranks:       parts,
 			Trace:       rec.CheckpointTrace(),
 		})
+		if err == nil {
+			err = ckpt.Prune(dir, keepCheckpoints)
+		}
 	})
 	return err
 }

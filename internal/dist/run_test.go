@@ -115,7 +115,7 @@ func TestRunCheckpointCadenceIncludesFinalEpoch(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	want := []string{ckpt.FileName(3), ckpt.FileName(6), ckpt.FileName(7)}
+	want := []string{ckpt.FileName(6), ckpt.FileName(7)}
 	if !slices.Equal(names, want) {
 		t.Fatalf("checkpoint files %v, want %v", names, want)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"newtonadmm/internal/baselines"
 	"newtonadmm/internal/cg"
-	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/core"
 	"newtonadmm/internal/datasets"
@@ -423,34 +422,8 @@ func fig1SVRG(step float64, quick bool) baselines.SVRGOptions {
 // every step and Run.Iters counts the steps taken.
 func newtonCG(iters int) Arm {
 	return Arm{Name: strconv.Itoa(iters), Solver: func(_ float64, _ *Point, r *Result) dist.Solver {
-		return dist.Solver{
-			Name:        "newton",
-			ShardL2:     true,
-			Fingerprint: func(f *ckpt.Fingerprinter) { f.Int(iters) },
-			Build: func(_ *cluster.Node, local *dist.Local) dist.Stepper {
-				opts := newton.Options{MaxIters: 1, GradTol: 1e-6, CG: cg.Options{MaxIters: iters, RelTol: 1e-12, Work: &cg.Workspace{}}}
-				x := make([]float64, local.Problem.Dim())
-				return newtonStepper{x, func() { r.Iters += newton.Solve(local.Problem, x, opts).Iters }}
-			},
-		}
+		return baselines.Newton(newton.Options{GradTol: 1e-6, CG: cg.Options{MaxIters: iters, RelTol: 1e-12}}, &r.Iters)
 	}}
-}
-
-type newtonStepper struct {
-	x    []float64
-	step func()
-}
-
-func (s newtonStepper) Step(int) error                  { s.step(); return nil }
-func (s newtonStepper) Iterate() []float64              { return s.x }
-func (s newtonStepper) State() (shared, rank []float64) { return s.x, nil }
-
-func (s newtonStepper) Restore(shared, _ []float64) error {
-	if len(shared) != len(s.x) {
-		return fmt.Errorf("harness: checkpoint shape mismatch (shared %d, dim %d)", len(shared), len(s.x))
-	}
-	copy(s.x, shared)
-	return nil
 }
 
 func paperTable1(w io.Writer, _ *Experiment, _ []*Point) error {

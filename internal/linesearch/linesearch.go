@@ -8,31 +8,24 @@ package linesearch
 
 import "newtonadmm/internal/linalg"
 
+// The search's fixed constants: the first step tried is the full Newton
+// step, each backtrack halves it (as the paper does), and beta is the
+// Armijo sufficient-decrease constant.
+const (
+	beta    = 1e-4
+	shrink  = 0.5
+	initial = 1.0
+)
+
 // Options configures the backtracking search.
 type Options struct {
-	// Beta is the Armijo sufficient-decrease constant in (0,1); <=0 selects 1e-4.
-	Beta float64
-	// Shrink is the backtracking factor rho in (0,1); <=0 selects 0.5
-	// (the paper halves the step each iteration).
-	Shrink float64
 	// MaxIters caps backtracking iterations; <=0 selects 10 (paper setting).
 	MaxIters int
-	// Initial is the first step size tried; <=0 selects 1 (full Newton step).
-	Initial float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.Beta <= 0 {
-		o.Beta = 1e-4
-	}
-	if o.Shrink <= 0 || o.Shrink >= 1 {
-		o.Shrink = 0.5
-	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 10
-	}
-	if o.Initial <= 0 {
-		o.Initial = 1
 	}
 	return o
 }
@@ -45,10 +38,10 @@ type Result struct {
 	Satisfied bool    // Armijo condition held at Alpha
 }
 
-// Backtrack finds the largest alpha in {Initial * Shrink^i} satisfying the
+// Backtrack finds the largest alpha in {2^-i} satisfying the
 // Armijo condition of paper eq. (3c):
 //
-//	F(x + alpha p) <= F(x) + alpha * Beta * <p, g>
+//	F(x + alpha p) <= F(x) + alpha * beta * <p, g>
 //
 // f evaluates the objective at x + alpha*p; f0 is F(x) and slope is
 // <p, g(x)> (negative for a descent direction). If the budget runs out the
@@ -56,12 +49,12 @@ type Result struct {
 // which breaks out of the loop after imax iterations.
 func Backtrack(f func(alpha float64) float64, f0, slope float64, opts Options) Result {
 	opts = opts.withDefaults()
-	alpha := opts.Initial
+	alpha := initial
 	res := Result{}
 	for i := 0; i < opts.MaxIters; i++ {
 		val := f(alpha)
 		res.Evals++
-		if val <= f0+float64(alpha*opts.Beta*slope) {
+		if val <= f0+float64(alpha*beta*slope) {
 			res.Alpha = alpha
 			res.Value = val
 			res.Satisfied = true
@@ -69,24 +62,24 @@ func Backtrack(f func(alpha float64) float64, f0, slope float64, opts Options) R
 		}
 		res.Alpha = alpha
 		res.Value = val
-		alpha *= opts.Shrink
+		alpha *= shrink
 	}
 	return res
 }
 
 // EvalCandidates evaluates the objective at every step in the candidate
-// set {Initial * Shrink^i : i = 0..MaxIters-1}, as each GIANT worker must
+// set {2^-i : i = 0..MaxIters-1}, as each GIANT worker must
 // (the values are then summed across workers by the master). It returns
 // the candidate steps and the local objective values.
 func EvalCandidates(f func(alpha float64) float64, opts Options) (alphas, values []float64) {
 	opts = opts.withDefaults()
 	alphas = make([]float64, opts.MaxIters)
 	values = make([]float64, opts.MaxIters)
-	alpha := opts.Initial
+	alpha := initial
 	for i := 0; i < opts.MaxIters; i++ {
 		alphas[i] = alpha
 		values[i] = f(alpha)
-		alpha *= opts.Shrink
+		alpha *= shrink
 	}
 	return alphas, values
 }
@@ -97,12 +90,9 @@ func EvalCandidates(f func(alpha float64) float64, opts Options) (alphas, values
 // value is below f0; otherwise it returns alpha = 0 and value f0, so an
 // accepted step never increases the objective. This is the master side of
 // GIANT's synchronized line search.
-func PickArmijo(alphas, values []float64, f0, slope, beta float64) (alpha, value float64) {
+func PickArmijo(alphas, values []float64, f0, slope float64) (alpha, value float64) {
 	if len(alphas) == 0 || len(alphas) != len(values) {
 		panic("linesearch: bad candidate arrays")
-	}
-	if beta <= 0 {
-		beta = 1e-4
 	}
 	bestIdx := 0
 	for i := range alphas {

@@ -53,18 +53,6 @@ func TestBacktrackRespectsBudget(t *testing.T) {
 	}
 }
 
-func TestBacktrackCustomShrinkAndInitial(t *testing.T) {
-	var seen []float64
-	f := func(alpha float64) float64 { seen = append(seen, alpha); return 1e9 }
-	Backtrack(f, 0, -1, Options{MaxIters: 3, Shrink: 0.1, Initial: 2})
-	want := []float64{2, 0.2, 0.02}
-	for i := range want {
-		if math.Abs(seen[i]-want[i]) > 1e-12 {
-			t.Fatalf("steps %v, want %v", seen, want)
-		}
-	}
-}
-
 func TestEvalCandidatesGrid(t *testing.T) {
 	alphas, values := EvalCandidates(func(a float64) float64 { return 2 * a }, Options{MaxIters: 4})
 	wantA := []float64{1, 0.5, 0.25, 0.125}
@@ -79,10 +67,10 @@ func TestEvalCandidatesGrid(t *testing.T) {
 }
 
 func TestPickArmijoSelectsLargestSatisfying(t *testing.T) {
-	// f0=10, slope=-4, beta=0.5: threshold(a) = 10 - 2a.
+	// f0=10, slope=-2e4, beta=1e-4: threshold(a) = 10 - 2a.
 	alphas := []float64{1, 0.5, 0.25}
 	values := []float64{9.5, 8.9, 9.6} // a=1 needs <=8: no; a=0.5 needs <=9: yes
-	a, v := PickArmijo(alphas, values, 10, -4, 0.5)
+	a, v := PickArmijo(alphas, values, 10, -2e4)
 	if a != 0.5 || v != 8.9 {
 		t.Fatalf("picked (%v,%v), want (0.5,8.9)", a, v)
 	}
@@ -96,13 +84,13 @@ func TestPickArmijoFallsBackToBestValue(t *testing.T) {
 		f0, wantA, wantV float64
 		values           []float64
 	}{
-		// f0=100, slope=-100, beta=0.5: Armijo needs <= 50, 75, 87.5.
+		// f0=100, slope=-5e5, beta=1e-4: Armijo needs <= 50, 75, 87.5.
 		{100, 0.5, 99, []float64{120, 99, 99.5}},
 		{0, 0, 0, []float64{100, 99, 99.5}},
 		{99, 0, 99, []float64{100, 99, math.NaN()}},
 	}
 	for _, c := range cases {
-		a, v := PickArmijo(alphas, c.values, c.f0, -100, 0.5)
+		a, v := PickArmijo(alphas, c.values, c.f0, -5e5)
 		if a != c.wantA || v != c.wantV {
 			t.Errorf("f0=%v values=%v: picked (%v,%v), want (%v,%v)", c.f0, c.values, a, v, c.wantA, c.wantV)
 		}
@@ -115,7 +103,7 @@ func TestPickArmijoValidation(t *testing.T) {
 			t.Fatal("expected panic on mismatched arrays")
 		}
 	}()
-	PickArmijo([]float64{1}, []float64{1, 2}, 0, -1, 0.5)
+	PickArmijo([]float64{1}, []float64{1, 2}, 0, -1)
 }
 
 func TestObjectiveAdapter(t *testing.T) {

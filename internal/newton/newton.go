@@ -79,9 +79,9 @@ func Solve(prob loss.Problem, x []float64, opts Options) Result {
 		// outer iteration reuse the same vectors instead of allocating.
 		opts.CG.Work = &cg.Workspace{}
 	}
-	useJacobi := opts.Jacobi && loss.CanDiag(prob)
+	// A nil diag is plain CG; a Jacobi run refills it every iteration.
 	var diag []float64
-	if useJacobi {
+	if opts.Jacobi && loss.CanDiag(prob) {
 		diag = make([]float64, dim)
 	}
 
@@ -96,13 +96,10 @@ func Solve(prob loss.Problem, x []float64, opts Options) Result {
 			return res
 		}
 		h := prob.HessianAt(x)
-		var cgRes cg.Result
-		if useJacobi {
+		if diag != nil {
 			prob.(loss.DiagHessian).HessianDiag(x, diag)
-			cgRes = cg.NewtonDirectionPrecond(h, diag, g, p, opts.CG)
-		} else {
-			cgRes = cg.NewtonDirection(h, g, p, opts.CG)
 		}
+		cgRes := cg.NewtonDirectionPrecond(h, diag, g, p, opts.CG)
 		slope := linalg.Dot(p, g)
 		ls := linesearch.Backtrack(
 			linesearch.Objective(prob.Value, x, p, scratch),

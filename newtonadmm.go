@@ -158,7 +158,8 @@ const (
 type Options struct {
 	// Solver is one of the Solver* constants; "" selects Newton-ADMM.
 	Solver string
-	// Ranks is the simulated node count; <= 0 selects 4.
+	// Ranks is the simulated node count; <= 0 selects 4. The "newton"
+	// reference always runs on one.
 	Ranks int
 	// Epochs is the outer-iteration budget; <= 0 uses each solver's
 	// paper default.
@@ -194,8 +195,8 @@ type Options struct {
 	EvalTestAccuracy bool
 	// CheckpointDir enables crash-safe checkpointing: an atomic,
 	// CRC-checked snapshot of the full solver state every CheckpointEvery
-	// epochs (see internal/ckpt). Only the single-process "newton"
-	// reference rejects the option.
+	// epochs (see internal/ckpt), every solver alike; the directory keeps
+	// the newest two.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot period in epochs; <= 0 selects 1
 	// when CheckpointDir is set.
@@ -284,8 +285,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// solvers maps each distributed solver name to its stepper builder; the
-// run control never passes through here (Train hands it to dist.Run).
+// solvers maps each solver name to its stepper builder; the run control
+// never passes through here (Train hands it to dist.Run).
 var solvers = map[string]func(o Options) dist.Solver{
 	SolverNewtonADMM: func(o Options) dist.Solver {
 		return core.Solver(core.Options{
@@ -303,6 +304,11 @@ var solvers = map[string]func(o Options) dist.Solver{
 	SolverDiSCO: func(o Options) dist.Solver {
 		return baselines.DiSCO(baselines.DiSCOOptions{PCGIters: o.CGIters, PCGTol: o.CGTol})
 	},
+	SolverNewton: func(o Options) dist.Solver {
+		return baselines.Newton(newton.Options{
+			GradTol: 1e-8, CG: o.cg(), LineSearch: linesearch.Options{MaxIters: 10},
+		}, nil)
+	},
 	SolverSyncSGD: func(o Options) dist.Solver {
 		return baselines.SyncSGD(baselines.SGDOptions{
 			BatchSize: o.BatchSize, Step: o.StepSize, Momentum: o.Momentum, Seed: o.Seed,
@@ -314,7 +320,7 @@ func (o Options) cg() cg.Options { return cg.Options{MaxIters: o.CGIters, RelTol
 
 func (o Options) dane() baselines.DANEOptions {
 	return baselines.DANEOptions{
-		Eta: 1, Mu: 0, Seed: o.Seed,
+		Eta: 1, Seed: o.Seed,
 		SVRG: baselines.SVRGOptions{Step: o.StepSize, BatchSize: o.BatchSize},
 	}
 }
@@ -331,19 +337,12 @@ func Train(ds *Dataset, opts Options) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Solver == SolverNewton {
-		if opts.CheckpointDir != "" {
-			return nil, fmt.Errorf("newtonadmm: solver %q does not support checkpointing", opts.Solver)
-		}
-		w, tr, acc, err := trainSingleNodeNewton(ds.inner, opts)
-		if err != nil {
-			return nil, err
-		}
-		return buildModel(ds, opts, w, tr, acc, 0), nil
-	}
 	build, ok := solvers[opts.Solver]
 	if !ok {
 		return nil, fmt.Errorf("newtonadmm: unknown solver %q", opts.Solver)
+	}
+	if opts.Solver == SolverNewton {
+		opts.Ranks = 1 // the single-node reference
 	}
 	res, err := dist.Run(cluster.Config{
 		Ranks: opts.Ranks, Network: net, UseTCP: opts.UseTCP,
@@ -382,45 +381,6 @@ func buildModel(ds *Dataset, opts Options, weights []float64, trace dist.Trace, 
 		m.TotalTime = final.Time
 	}
 	return m
-}
-
-// trainSingleNodeNewton runs the paper's Algorithm 1 on the whole dataset
-// in one process (the oracle used for the theta studies).
-func trainSingleNodeNewton(ds *datasets.Dataset, opts Options) ([]float64, dist.Trace, float64, error) {
-	dev := device.New("newton", 0)
-	defer dev.Close()
-	prob, err := loss.NewSoftmax(dev, ds.Xtrain, ds.Ytrain, ds.Classes, opts.Lambda)
-	if err != nil {
-		return nil, dist.Trace{}, 0, err
-	}
-	epochs := opts.Epochs
-	if epochs <= 0 {
-		epochs = 100
-	}
-	w := make([]float64, prob.Dim())
-	start := time.Now()
-	res := newton.Solve(prob, w, newton.Options{
-		MaxIters: epochs, GradTol: 1e-8, CG: opts.cg(),
-		LineSearch: linesearch.Options{MaxIters: 10},
-	})
-	elapsed := time.Since(start)
-	tr := dist.Trace{Solver: SolverNewton, Dataset: ds.Name}
-	for i, st := range res.Trace {
-		tr.Append(dist.Point{
-			Epoch: i + 1, Objective: st.NewValue,
-			Time:         elapsed * time.Duration(i+1) / time.Duration(max(len(res.Trace), 1)),
-			TestAccuracy: math.NaN(), GradNorm: st.GradNorm,
-		})
-	}
-	w = loss.ToModel(nil, w, ds.Classes-1)
-	acc := math.NaN()
-	if opts.EvalTestAccuracy && ds.Xtest != nil {
-		acc = prob.Accuracy(ds.Xtest, ds.Ytest, w)
-		if len(tr.Points) > 0 {
-			tr.Points[len(tr.Points)-1].TestAccuracy = acc
-		}
-	}
-	return w, tr, acc, nil
 }
 
 // Predict classifies dense feature rows (one-shot; for repeated calls

@@ -72,6 +72,44 @@ func TestTrainAllSolvers(t *testing.T) {
 	}
 }
 
+// The single-node Newton reference runs under the same epoch driver as
+// the distributed solvers, so it checkpoints: 3 epochs, then a resume to
+// 6, ends bitwise where a straight 6-epoch run does, trace included.
+func TestTrainNewtonCheckpointResume(t *testing.T) {
+	ds := quickDataset(t)
+	opts := Options{Solver: SolverNewton, Epochs: 6, Lambda: 1e-3, Network: "none", CheckpointDir: t.TempDir()}
+	straight, err := Train(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.CheckpointDir, opts.Epochs = t.TempDir(), 3
+	if _, err := Train(ds, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.Epochs, opts.Resume = 6, true
+	resumed, err := Train(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed.Trace) != 7 || len(straight.Trace) != 7 {
+		t.Fatalf("trace lengths %d and %d, want 7 (epochs 0..6)", len(resumed.Trace), len(straight.Trace))
+	}
+	for i, p := range straight.Trace {
+		q := resumed.Trace[i]
+		if q.Epoch != p.Epoch || math.Float64bits(q.Objective) != math.Float64bits(p.Objective) {
+			t.Fatalf("trace[%d] = (%d, %.17g), want (%d, %.17g)", i, q.Epoch, q.Objective, p.Epoch, p.Objective)
+		}
+	}
+	for j, w := range straight.Weights {
+		if math.Float64bits(resumed.Weights[j]) != math.Float64bits(w) {
+			t.Fatalf("weight %d = %.17g, want %.17g", j, resumed.Weights[j], w)
+		}
+	}
+	if !(straight.Trace[6].Objective < straight.Trace[3].Objective) {
+		t.Fatalf("no progress after the resume point: %v -> %v", straight.Trace[3].Objective, straight.Trace[6].Objective)
+	}
+}
+
 func TestTrainDefaultSolverReachesGoodAccuracy(t *testing.T) {
 	ds := quickDataset(t)
 	m, err := Train(ds, Options{Epochs: 40, Lambda: 1e-4, Network: "none", EvalTestAccuracy: true})
