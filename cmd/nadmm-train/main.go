@@ -113,7 +113,7 @@ func main() {
 		printTrace(model.Trace)
 	}
 	fmt.Printf("solver=%s ranks=%d total=%v avg-epoch=%v\n",
-		model.Solver, *ranks, model.TotalTime, model.AvgEpochTime)
+		model.Solver, model.Ranks, model.TotalTime, model.AvgEpochTime)
 	if n := len(model.Trace); n > 0 {
 		fmt.Printf("final objective: %.17g\n", model.Trace[n-1].Objective)
 	}

@@ -348,24 +348,32 @@ func Save(dir string, s *Snapshot) error {
 	return nil
 }
 
-// listCheckpoints returns checkpoint file names in dir, ascending.
-func listCheckpoints(dir string) ([]string, error) {
+// listFiles walks dir once and returns its snapshot files
+// (ckpt-*.nack) in ascending iteration order and the temp files a Save
+// killed mid-write leaves behind (ckpt-*.tmp). A missing dir holds
+// neither.
+func listFiles(dir string) (snaps, temps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return nil, nil, nil
 		}
-		return nil, fmt.Errorf("ckpt: read dir: %w", err)
+		return nil, nil, fmt.Errorf("ckpt: read dir: %w", err)
 	}
-	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.Type().IsRegular() && strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".nack") {
-			names = append(names, name)
+		if !e.Type().IsRegular() || !strings.HasPrefix(name, "ckpt-") {
+			continue
+		}
+		switch {
+		case strings.HasSuffix(name, ".nack"):
+			snaps = append(snaps, name)
+		case strings.HasSuffix(name, ".tmp"):
+			temps = append(temps, name)
 		}
 	}
-	sort.Strings(names)
-	return names, nil
+	sort.Strings(snaps)
+	return snaps, temps, nil
 }
 
 // LoadLatest returns the newest structurally-valid snapshot in dir whose
@@ -376,7 +384,7 @@ func listCheckpoints(dir string) ([]string, error) {
 // silently falling back to an older matching file would resume a
 // different run's state).
 func LoadLatest(dir string, fingerprint uint64) (*Snapshot, error) {
-	names, err := listCheckpoints(dir)
+	names, _, err := listFiles(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -398,43 +406,37 @@ func LoadLatest(dir string, fingerprint uint64) (*Snapshot, error) {
 	return nil, ErrNoCheckpoint
 }
 
-// Prune removes all but the newest keep checkpoint files (keep <= 0
-// keeps everything). Corrupt files count like any other; Save+Prune
-// with keep >= 2 therefore always retains at least one good snapshot.
+// Prune removes the stale temp files of killed saves and all but the
+// newest keep snapshots (keep <= 0 keeps every snapshot). Corrupt
+// snapshots count like any other; Save+Prune with keep >= 2 therefore
+// always retains at least one good snapshot. The directory's writer
+// calls it after its own Save has renamed its temp file.
 func Prune(dir string, keep int) error {
-	if keep <= 0 {
-		return nil
-	}
-	names, err := listCheckpoints(dir)
+	snaps, temps, err := listFiles(dir)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < len(names)-keep; i++ {
-		if err := os.Remove(filepath.Join(dir, names[i])); err != nil {
-			return fmt.Errorf("ckpt: prune: %w", err)
-		}
+	if keep > 0 && len(snaps) > keep {
+		temps = append(temps, snaps[:len(snaps)-keep]...)
 	}
-	return nil
+	return remove(dir, temps, "prune")
 }
 
-// Clear removes every checkpoint file (and stale temp file) in dir. A
-// fresh (non-resume) run calls it so a restart within that run can never
+// Clear removes every snapshot and stale temp file in dir. A fresh
+// (non-resume) run calls it so a restart within that run can never
 // load a stale snapshot from an older run in the same directory.
 func Clear(dir string) error {
-	entries, err := os.ReadDir(dir)
+	snaps, temps, err := listFiles(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("ckpt: read dir: %w", err)
+		return err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		stale := strings.HasPrefix(name, "ckpt-") && (strings.HasSuffix(name, ".nack") || strings.HasSuffix(name, ".tmp"))
-		if e.Type().IsRegular() && stale {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return fmt.Errorf("ckpt: clear: %w", err)
-			}
+	return remove(dir, append(snaps, temps...), "clear")
+}
+
+func remove(dir string, names []string, op string) error {
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("ckpt: %s: %w", op, err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -261,12 +262,50 @@ func TestPruneKeepsNewest(t *testing.T) {
 	if err := Prune(dir, 2); err != nil {
 		t.Fatal(err)
 	}
-	names, err := listCheckpoints(dir)
+	names, _, err := listFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) != 2 || names[0] != FileName(4) || names[1] != FileName(5) {
 		t.Fatalf("prune kept %v", names)
+	}
+}
+
+// TestPruneRemovesStaleTmp: a run killed mid-save leaves a ckpt-*.tmp
+// that no later LoadLatest reads; the next Save+Prune removes it and
+// keeps the newest snapshots.
+func TestPruneRemovesStaleTmp(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-123.tmp"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "unrelated.tmp"), []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for iter := uint64(1); iter <= 3; iter++ {
+		s := sampleSnapshot()
+		s.Iter = iter
+		if err := Save(dir, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := Prune(dir, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{FileName(2), FileName(3), "unrelated.tmp"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after save+prune: %v, want %v", got, want)
+	}
+	if _, err := LoadLatest(dir, sampleSnapshot().Fingerprint); err != nil {
+		t.Fatalf("load after prune: %v", err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"newtonadmm/internal/obs"
 )
 
 // Priority is a request's service class. The zero value (Interactive)
@@ -232,9 +234,78 @@ func (t *TokenBucket) Admit(cost int64, pri Priority) Decision {
 	}
 }
 
+// Gate is the one admission seam of both serving tiers: the batcher
+// evaluates it on every submit, the router on every scatter. It holds
+// the installed policy behind an atomic pointer, so Set swaps it under
+// load (in-flight requests finish against the policy that admitted
+// them), and counts every rejection by reason. The zero value is an
+// open gate.
+type Gate struct {
+	policy atomic.Pointer[policyBox]
+	stats  RejectStats
+}
+
+// policyBox wraps the AdmissionPolicy interface value for atomic
+// storage (the two-word interface cannot be swapped atomically).
+type policyBox struct{ p AdmissionPolicy }
+
+// Set installs (or, with nil, removes) the policy.
+func (g *Gate) Set(p AdmissionPolicy) {
+	if p == nil {
+		g.policy.Store(nil)
+		return
+	}
+	g.policy.Store(&policyBox{p: p})
+}
+
+// Policy returns the installed policy, or nil when the gate is open.
+func (g *Gate) Policy() AdmissionPolicy {
+	if box := g.policy.Load(); box != nil {
+		return box.p
+	}
+	return nil
+}
+
+// Stats returns the gate's per-reason rejection counters; a seam that
+// rejects for its own reasons (the batcher's full queue) notes them
+// here too.
+func (g *Gate) Stats() *RejectStats { return &g.stats }
+
+// Admit evaluates the installed policy at cost for a request of class
+// pri and counts a rejection under its reason. An open gate admits.
+func (g *Gate) Admit(cost int64, pri Priority) Decision {
+	box := g.policy.Load()
+	if box == nil {
+		return Admitted
+	}
+	d := box.p.Admit(cost, pri)
+	if !d.Admit {
+		g.stats.Note(d.Reason)
+	}
+	return d
+}
+
+// Register adds the gate's /metricz rows to o:
+// nadmm_admission_rejected_total{reason} and nadmm_admission_active.
+// unit names what the tier counts (instances or client requests).
+func (g *Gate) Register(o *obs.Registry, unit string) {
+	for _, reason := range []Reason{ReasonQueueFull, ReasonRateLimited, ReasonCostRejected} {
+		o.CounterFunc("nadmm_admission_rejected_total", obs.Label("reason", reason.String()),
+			unit+" rejected by admission control, by machine-readable reason",
+			func() uint64 { return g.stats.Count(reason) })
+	}
+	o.GaugeFunc("nadmm_admission_active", "", "1 when an admission policy is installed",
+		func() float64 {
+			if g.Policy() != nil {
+				return 1
+			}
+			return 0
+		})
+}
+
 // RejectStats counts rejections by reason with one atomic per reason;
-// the evaluation sites (batcher, router) keep one per policy seam and
-// the registry renders them as nadmm_admission_rejected_total{reason}.
+// each Gate keeps one and renders it as
+// nadmm_admission_rejected_total{reason}.
 type RejectStats struct {
 	counts [numReasons]atomic.Uint64
 }

@@ -6,7 +6,9 @@
 // steer (DESIGN.md "Control plane"):
 //
 //   - Admission: a pluggable AdmissionPolicy evaluated at submit time
-//     in the batcher and at scatter time in the router. AlwaysAdmit is
+//     in the batcher and at scatter time in the router, both through
+//     one Gate type (atomic policy swap, per-reason RejectStats, the
+//     /metricz rows of either tier). AlwaysAdmit is
 //     the zero-cost default; TokenBucket rate-limits by request count;
 //     the cost-aware variant prices each batch at rows x features so a
 //     wide batch spends proportionally more budget. Every rejection

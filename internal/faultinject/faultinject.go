@@ -21,6 +21,7 @@ import (
 
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/router"
+	"newtonadmm/internal/serve"
 )
 
 // verdict is the gate's decision for one call.
@@ -267,9 +268,9 @@ func (b *Backend) gate() error {
 
 // Meta probes through the gate (a crashed replica fails its health
 // probes, so the monitor marks it down).
-func (b *Backend) Meta() (router.Meta, error) {
+func (b *Backend) Meta() (serve.ModelMeta, error) {
 	if err := b.gate(); err != nil {
-		return router.Meta{}, err
+		return serve.ModelMeta{}, err
 	}
 	return b.inner.Meta()
 }

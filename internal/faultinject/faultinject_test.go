@@ -7,6 +7,7 @@ import (
 
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/router"
+	"newtonadmm/internal/serve"
 )
 
 func TestCrashAfterSendExactCount(t *testing.T) {
@@ -260,8 +261,11 @@ type stubBackend struct {
 	closed bool
 }
 
-func (s *stubBackend) Meta() (router.Meta, error) { s.metas++; return router.Meta{Version: 7}, nil }
-func (s *stubBackend) Close()                     { s.closed = true }
+func (s *stubBackend) Meta() (serve.ModelMeta, error) {
+	s.metas++
+	return serve.ModelMeta{Version: 7}, nil
+}
+func (s *stubBackend) Close() { s.closed = true }
 
 func TestBackendFaultMapping(t *testing.T) {
 	inner := &stubBackend{}

@@ -31,58 +31,15 @@ var (
 	ErrReplicaUnreachable = errors.New("router: replica unreachable")
 )
 
-// Meta describes a backend's current model snapshot. For a full replica
-// ShardCount is 0 and the shard range is the whole explicit-class span
-// [0, Classes-1); for a class shard, Classes counts only the local slice
-// plus the implicit reference class and TotalClasses is the full model's
-// class count.
-type Meta struct {
-	Classes      int
-	Features     int
-	Version      int64
-	ShardIndex   int
-	ShardCount   int
-	ShardLow     int
-	ShardHigh    int
-	TotalClasses int
-	// Zone is the replica's placement zone/rack label ("" when the
-	// operator declared none); the planner uses it to validate that a
-	// replicated shard group spreads across failure domains.
-	Zone string
-}
-
-// IsShard reports whether the backend serves a class shard rather than
-// the full model.
-func (m Meta) IsShard() bool { return m.ShardCount > 0 }
-
-// metaFromModel maps the serving layer's wire metadata.
-func metaFromModel(mm serve.ModelMeta) Meta {
-	m := Meta{
-		Classes:      mm.Classes,
-		Features:     mm.Features,
-		Version:      mm.Version,
-		ShardIndex:   mm.ShardIndex,
-		ShardCount:   mm.ShardCount,
-		ShardLow:     mm.ShardLow,
-		ShardHigh:    mm.ShardHigh,
-		TotalClasses: mm.TotalClasses,
-		Zone:         mm.Zone,
-	}
-	if m.ShardCount == 0 {
-		m.ShardLow, m.ShardHigh = 0, mm.Classes-1
-		m.TotalClasses = mm.Classes
-	}
-	return m
-}
-
 // Backend is the per-replica surface the router scatters to. All batch
 // outputs are in the batch's original row order. Implementations must be
 // safe for concurrent use; *LocalBackend wraps an in-process serving
 // stack, *TCPBackend drives a replica process over the frame plane.
 type Backend interface {
-	// Meta probes the backend's current snapshot; it doubles as the
-	// health-check ping.
-	Meta() (Meta, error)
+	// Meta probes the backend's current snapshot, as the replica's
+	// registry records it (Normalized gives a full replica's class
+	// span); it doubles as the health-check ping.
+	Meta() (serve.ModelMeta, error)
 	// Predict scores the whole batch against the full model (replica-
 	// balanced data plane). A full admission queue surfaces as
 	// serve.ErrQueueFull so the router can fail over.

@@ -21,6 +21,16 @@
 //     and one gather per request batch, with the per-class work spread
 //     across the fleet.
 //
+// One record of each fact. The Pool is the membership: a replica's
+// stable ID, its Backend and its last probed metadata, which is the
+// replica's own serve.ModelMeta (zone included) as Backend.Meta
+// reports it — full replicas are read through ModelMeta.Normalized
+// wherever a class span matters. An in-process member is a
+// LocalBackend (the same stack the single-node server runs), so the
+// public façade finds its members, shards and zones in the pool rather
+// than in lists of its own. Admission at the scatter seam is one
+// control.Gate, the same type the replica batchers use.
+//
 // A Batch is one client request: a wire.Batch of rows plus the trace
 // and service class a batch frame carries. Backends score it without
 // converting it: LocalBackend hands it to serve.Batcher.ScoreBatch or

@@ -16,22 +16,22 @@ import (
 // production backends are covered by the correctness tests; these pin
 // the control plane deterministically).
 type fakeBackend struct {
-	meta      Meta
+	meta      serve.ModelMeta
 	metaErr   atomic.Pointer[error]
 	predictFn func(b *Batch, out []int) error
 	calls     atomic.Int64
 }
 
 func newFakeBackend(classes, features int) *fakeBackend {
-	return &fakeBackend{meta: Meta{
+	return &fakeBackend{meta: serve.ModelMeta{
 		Classes: classes, Features: features, Version: 1,
 		ShardHigh: classes - 1, TotalClasses: classes,
 	}}
 }
 
-func (f *fakeBackend) Meta() (Meta, error) {
+func (f *fakeBackend) Meta() (serve.ModelMeta, error) {
 	if ep := f.metaErr.Load(); ep != nil {
-		return Meta{}, *ep
+		return serve.ModelMeta{}, *ep
 	}
 	return f.meta, nil
 }

@@ -9,8 +9,8 @@ import (
 
 // gridMeta builds one member's meta for shard [lo,hi) of a model with
 // total classes.
-func gridMeta(lo, hi, total, features int, zone string) Meta {
-	return Meta{
+func gridMeta(lo, hi, total, features int, zone string) serve.ModelMeta {
+	return serve.ModelMeta{
 		Classes: hi - lo + 1, Features: features, Version: 1,
 		ShardCount: 2, ShardLow: lo, ShardHigh: hi, TotalClasses: total,
 		Zone: zone,
@@ -19,7 +19,7 @@ func gridMeta(lo, hi, total, features int, zone string) Meta {
 
 func TestPlanGroupsGrid(t *testing.T) {
 	// R=2 x S=2: members reporting the same range group together.
-	metas := []Meta{
+	metas := []serve.ModelMeta{
 		gridMeta(0, 2, 5, 8, ""), gridMeta(0, 2, 5, 8, ""),
 		gridMeta(2, 4, 5, 8, ""), gridMeta(2, 4, 5, 8, ""),
 	}
@@ -42,8 +42,8 @@ func TestPlanGroupsGrid(t *testing.T) {
 
 	// R full-model copies form a single S=1 group (the old planner
 	// rejected more than one full replica in class mode).
-	full := metaFromModel(serve.ModelMeta{Classes: 5, Features: 8, Version: 1})
-	plans, err = planGroupsFromMetas([]Meta{full, full})
+	full := serve.ModelMeta{Classes: 5, Features: 8, Version: 1}
+	plans, err = planGroupsFromMetas([]serve.ModelMeta{full, full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestPlanGroupsGrid(t *testing.T) {
 	}
 
 	// A replicated group does not excuse a coverage gap.
-	if _, err := planGroupsFromMetas([]Meta{gridMeta(0, 2, 5, 8, ""), gridMeta(0, 2, 5, 8, "")}); err == nil {
+	if _, err := planGroupsFromMetas([]serve.ModelMeta{gridMeta(0, 2, 5, 8, ""), gridMeta(0, 2, 5, 8, "")}); err == nil {
 		t.Fatal("uncovered range [2,4) accepted")
 	}
 }
 
 func TestZoneSpreadInvariant(t *testing.T) {
 	// Multi-zone fleet, group 0 concentrated in one zone: rejected.
-	metas := []Meta{
+	metas := []serve.ModelMeta{
 		gridMeta(0, 2, 5, 8, "a"), gridMeta(0, 2, 5, 8, "a"),
 		gridMeta(2, 4, 5, 8, "a"), gridMeta(2, 4, 5, 8, "b"),
 	}

@@ -29,12 +29,12 @@ func (l *LocalBackend) Registry() *serve.Registry { return l.reg }
 func (l *LocalBackend) Batcher() *serve.Batcher { return l.bat }
 
 // Meta reports the current snapshot's metadata.
-func (l *LocalBackend) Meta() (Meta, error) {
+func (l *LocalBackend) Meta() (serve.ModelMeta, error) {
 	mm, ok := l.reg.Meta()
 	if !ok {
-		return Meta{}, serve.ErrNoModel
+		return serve.ModelMeta{}, serve.ErrNoModel
 	}
-	return metaFromModel(mm), nil
+	return mm, nil
 }
 
 // Predict scores the batch against the full model via the micro-batcher.

@@ -3,6 +3,8 @@ package router
 import (
 	"fmt"
 	"sort"
+
+	"newtonadmm/internal/serve"
 )
 
 // ShardRange is one replica's slice of the explicit class rows: classes
@@ -57,14 +59,15 @@ type GroupPlan struct {
 // must span at least two zones (the zone-spread invariant: one zone
 // failure may not take a shard's coverage to zero). Groups are returned
 // ordered by range.
-func planGroupsFromMetas(metas []Meta) ([]GroupPlan, error) {
+func planGroupsFromMetas(metas []serve.ModelMeta) ([]GroupPlan, error) {
 	if len(metas) == 0 {
 		return nil, fmt.Errorf("router: class-sharded mode needs at least one replica")
 	}
-	total, features := metas[0].TotalClasses, metas[0].Features
+	total, features := metas[0].Normalized().TotalClasses, metas[0].Features
 	byRange := make(map[ShardRange]int)
 	var groups []GroupPlan
 	for i, m := range metas {
+		m = m.Normalized()
 		if m.TotalClasses != total || m.Features != features {
 			return nil, fmt.Errorf("router: replica %d shape (%d classes, %d features) != replica 0 (%d, %d)",
 				i, m.TotalClasses, m.Features, total, features)
@@ -107,7 +110,7 @@ func planGroupsFromMetas(metas []Meta) ([]GroupPlan, error) {
 // single zone is a construction-time error, not a warning — that
 // placement silently reintroduces the single-point-of-failure the R×S
 // grid exists to remove.
-func checkZoneSpread(metas []Meta, groups []GroupPlan) error {
+func checkZoneSpread(metas []serve.ModelMeta, groups []GroupPlan) error {
 	zones := make(map[string]bool)
 	for _, m := range metas {
 		if m.Zone != "" {

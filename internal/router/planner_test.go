@@ -3,6 +3,8 @@ package router
 import (
 	"math/rand"
 	"testing"
+
+	"newtonadmm/internal/serve"
 )
 
 // TestPlanShardsBalancedSplit pins PlanShards' split properties across
@@ -82,11 +84,11 @@ func TestPlanShardsErrors(t *testing.T) {
 // and R siblings on that same full span form one group — the class-mode
 // topology degenerating to replica-mode semantics.
 func TestPlanGroupsDegenerateGrids(t *testing.T) {
-	full := Meta{
+	full := serve.ModelMeta{
 		Classes: 5, Features: 8, Version: 1,
 		ShardCount: 1, ShardLow: 0, ShardHigh: 4, TotalClasses: 5,
 	}
-	plans, err := planGroupsFromMetas([]Meta{full})
+	plans, err := planGroupsFromMetas([]serve.ModelMeta{full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestPlanGroupsDegenerateGrids(t *testing.T) {
 		t.Errorf("single replica, single max-width shard: %+v, want one [0,4) group with one member", plans)
 	}
 
-	plans, err = planGroupsFromMetas([]Meta{full, full, full})
+	plans, err = planGroupsFromMetas([]serve.ModelMeta{full, full, full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestPlanGroupsDegenerateGrids(t *testing.T) {
 // induced placement may not.
 func TestPlanGroupsPermutedMetas(t *testing.T) {
 	// R=2 x S=3 over 7 classes (rows [0,2) [2,4) [4,6)), two zones.
-	base := []Meta{
+	base := []serve.ModelMeta{
 		gridMeta(0, 2, 7, 8, "zone-a"), gridMeta(0, 2, 7, 8, "zone-b"),
 		gridMeta(2, 4, 7, 8, "zone-a"), gridMeta(2, 4, 7, 8, "zone-b"),
 		gridMeta(4, 6, 7, 8, "zone-a"), gridMeta(4, 6, 7, 8, "zone-b"),
@@ -123,7 +125,7 @@ func TestPlanGroupsPermutedMetas(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
-		metas := make([]Meta, len(base))
+		metas := make([]serve.ModelMeta, len(base))
 		copy(metas, base)
 		rng.Shuffle(len(metas), func(i, j int) { metas[i], metas[j] = metas[j], metas[i] })
 

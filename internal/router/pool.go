@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"newtonadmm/internal/obs"
+	"newtonadmm/internal/serve"
 )
 
 // State is a replica's routing eligibility.
@@ -44,11 +45,9 @@ type Replica struct {
 	// GroupID is the shard group this replica belongs to (index into
 	// Pool.Groups); -1 until groups are assigned.
 	GroupID int
-	// Zone is the replica's placement zone/rack label ("" undeclared).
-	Zone    string
 	backend Backend
 
-	meta  atomic.Pointer[Meta] // refreshed by the health monitor
+	meta  atomic.Pointer[serve.ModelMeta] // refreshed by the health monitor
 	state atomic.Int32
 	fails atomic.Int32 // consecutive failed probes
 
@@ -65,8 +64,9 @@ type Replica struct {
 // State returns the replica's current routing state.
 func (r *Replica) State() State { return State(r.state.Load()) }
 
-// Meta returns the last known snapshot metadata.
-func (r *Replica) Meta() Meta { return *r.meta.Load() }
+// Meta returns the last known snapshot metadata, as the backend
+// reported it (its Zone is the replica's placement label).
+func (r *Replica) Meta() serve.ModelMeta { return *r.meta.Load() }
 
 // InFlight returns the number of router requests currently executing on
 // this replica.
@@ -104,12 +104,13 @@ type ReplicaStats struct {
 
 // Stats snapshots the replica's counters.
 func (r *Replica) Stats() ReplicaStats {
+	m := r.Meta()
 	return ReplicaStats{
 		ID:       r.ID,
 		Group:    r.GroupID,
-		Zone:     r.Zone,
+		Zone:     m.Zone,
 		State:    r.State().String(),
-		Version:  r.Meta().Version,
+		Version:  m.Version,
 		InFlight: r.inflight.Load(),
 		Done:     r.done.Load(),
 		Errors:   r.errs.Load(),
@@ -163,13 +164,13 @@ type Pool struct {
 }
 
 // newPool builds a pool over backends whose metas were already probed.
-func newPool(backends []Backend, metas []Meta) *Pool {
+func newPool(backends []Backend, metas []serve.ModelMeta) *Pool {
 	p := &Pool{
 		rng:  rand.New(rand.NewSource(1)), // tie-breaking only; no correctness impact
 		stop: make(chan struct{}),
 	}
 	for i, b := range backends {
-		r := &Replica{ID: i, GroupID: -1, Zone: metas[i].Zone, backend: b, Latency: obs.NewHistogram()}
+		r := &Replica{ID: i, GroupID: -1, backend: b, Latency: obs.NewHistogram()}
 		m := metas[i]
 		r.meta.Store(&m)
 		p.replicas = append(p.replicas, r)
@@ -219,10 +220,10 @@ func (p *Pool) byID(id int) *Replica {
 // given shard group and starts receiving traffic as soon as the new
 // membership publishes. The caller has already probed and validated the
 // meta.
-func (p *Pool) addReplica(b Backend, m Meta, groupID int) *Replica {
+func (p *Pool) addReplica(b Backend, m serve.ModelMeta, groupID int) *Replica {
 	p.memMu.Lock()
 	defer p.memMu.Unlock()
-	r := &Replica{ID: p.nextID, GroupID: groupID, Zone: m.Zone, backend: b, Latency: obs.NewHistogram()}
+	r := &Replica{ID: p.nextID, GroupID: groupID, backend: b, Latency: obs.NewHistogram()}
 	p.nextID++
 	mc := m
 	r.meta.Store(&mc)

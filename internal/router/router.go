@@ -116,13 +116,10 @@ type Router struct {
 	failovers atomic.Int64
 	skewRetry atomic.Int64
 
-	// Admission control (DESIGN.md "Control plane"): the policy is
+	// gate is the router's admission seam (DESIGN.md "Control plane"):
 	// evaluated once per client request at scatter time, pricing the
-	// whole batch (rows x features) before any replica is touched — the
-	// second evaluation point after the replica-side batcher's. Swap is
-	// atomic so the policy can change under load.
-	admission  atomic.Pointer[policyBox]
-	admitStats control.RejectStats
+	// whole batch (rows x features) before any replica is touched.
+	gate control.Gate
 
 	scratch sync.Pool // *[]float64 merge buffers
 
@@ -159,7 +156,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		return nil, errors.New("router: need at least one backend")
 	}
 	opts = opts.withDefaults()
-	metas := make([]Meta, len(backends))
+	metas := make([]serve.ModelMeta, len(backends))
 	for i, b := range backends {
 		m, err := b.Meta()
 		if err != nil {
@@ -201,7 +198,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 			return nil, err
 		}
 		r.plan = plan
-		r.classes, r.features = metas[0].TotalClasses, metas[0].Features
+		r.classes, r.features = metas[0].Normalized().TotalClasses, metas[0].Features
 	default:
 		return nil, fmt.Errorf("router: unknown mode %q (want %q or %q)", opts.Mode, ModeReplica, ModeClass)
 	}
@@ -213,46 +210,25 @@ func New(backends []Backend, opts Options) (*Router, error) {
 	return r, nil
 }
 
-// policyBox wraps an AdmissionPolicy for atomic.Pointer storage (the
-// interface value itself is two words and cannot be swapped atomically).
-type policyBox struct{ p control.AdmissionPolicy }
-
 // SetAdmission installs (or, with nil, removes) the router-side
 // admission policy. Safe under load: in-flight requests finish against
 // the policy they were admitted by.
-func (r *Router) SetAdmission(p control.AdmissionPolicy) {
-	if p == nil {
-		r.admission.Store(nil)
-		return
-	}
-	r.admission.Store(&policyBox{p: p})
-}
+func (r *Router) SetAdmission(p control.AdmissionPolicy) { r.gate.Set(p) }
 
 // Admission returns the installed policy, or nil.
-func (r *Router) Admission() control.AdmissionPolicy {
-	if box := r.admission.Load(); box != nil {
-		return box.p
-	}
-	return nil
-}
+func (r *Router) Admission() control.AdmissionPolicy { return r.gate.Policy() }
 
 // AdmissionStats exposes the router's per-reason rejection counters.
-func (r *Router) AdmissionStats() *control.RejectStats { return &r.admitStats }
+func (r *Router) AdmissionStats() *control.RejectStats { return r.gate.Stats() }
 
 // admit evaluates the installed policy against the batch, pricing it at
 // rows x features. A rejection is returned as a typed RejectionError
 // (429 with reason + retry-after on both serving planes).
 func (r *Router) admit(b *Batch) error {
-	box := r.admission.Load()
-	if box == nil || box.p == nil {
-		return nil
-	}
-	cost := int64(b.Rows()) * int64(r.features)
-	d := box.p.Admit(cost, b.Priority)
+	d := r.gate.Admit(int64(b.Rows())*int64(r.features), b.Priority)
 	if d.Admit {
 		return nil
 	}
-	r.admitStats.Note(d.Reason)
 	return &serve.RejectionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
 }
 
@@ -741,7 +717,7 @@ func (r *Router) Coordinate(fn func() error) error {
 // IDs are stable across removals and no longer usable as indices).
 func (r *Router) refreshMetasLocked() error {
 	reps, groups := r.pool.snapshot()
-	metas := make([]Meta, len(reps))
+	metas := make([]serve.ModelMeta, len(reps))
 	for i, rep := range reps {
 		m, err := rep.backend.Meta()
 		if err != nil {
@@ -762,14 +738,14 @@ func (r *Router) refreshMetasLocked() error {
 		// the range its group was planned for.
 		for i, rep := range reps {
 			g := groups[rep.GroupID]
-			m := metas[i]
+			m := metas[i].Normalized()
 			if (ShardRange{Low: m.ShardLow, High: m.ShardHigh}) != g.Range {
 				return fmt.Errorf("router: replica %d now serves shard [%d,%d), planned [%d,%d)",
 					rep.ID, m.ShardLow, m.ShardHigh, g.Range.Low, g.Range.High)
 			}
 		}
-		if metas[0].TotalClasses != r.classes {
-			return fmt.Errorf("router: model now has %d classes, router planned %d", metas[0].TotalClasses, r.classes)
+		if total := metas[0].Normalized().TotalClasses; total != r.classes {
+			return fmt.Errorf("router: model now has %d classes, router planned %d", total, r.classes)
 		}
 	case ModeReplica:
 		for i, m := range metas {

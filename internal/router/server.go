@@ -113,19 +113,7 @@ func (t *routerTier) Metrics(o *obs.Registry) {
 	})
 	o.GaugeFunc("nadmm_model_version", "", "model snapshot version the router plans against",
 		func() float64 { return float64(rt.Version()) })
-	for _, reason := range []control.Reason{control.ReasonQueueFull, control.ReasonRateLimited, control.ReasonCostRejected} {
-		reason := reason
-		o.CounterFunc("nadmm_admission_rejected_total", obs.Label("reason", reason.String()),
-			"client requests rejected at the router's admission seam, by machine-readable reason",
-			func() uint64 { return rt.AdmissionStats().Count(reason) })
-	}
-	o.GaugeFunc("nadmm_admission_active", "", "1 when an admission policy is installed at the router",
-		func() float64 {
-			if rt.Admission() != nil {
-				return 1
-			}
-			return 0
-		})
+	rt.gate.Register(o, "client requests")
 	// The pool's membership changes at runtime (autoscaling), so the
 	// per-shard and per-replica families render through a scrape-time
 	// collector over the live snapshot instead of construction-time rows.
@@ -215,9 +203,9 @@ func (t *routerTier) Health(uptime time.Duration) (int, any) {
 	reps := t.rt.Pool().Replicas()
 	rows := make([]replicaHealth, len(reps))
 	for i, rep := range reps {
-		m := rep.Meta()
+		m := rep.Meta().Normalized()
 		rows[i] = replicaHealth{
-			ID: rep.ID, Group: rep.GroupID, Zone: rep.Zone,
+			ID: rep.ID, Group: rep.GroupID, Zone: m.Zone,
 			State: rep.State().String(), Version: m.Version, InFlight: rep.InFlight(),
 		}
 		if t.rt.Mode() == ModeClass {

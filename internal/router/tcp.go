@@ -446,30 +446,30 @@ func encodeBatch(e *wire.Encoder, op wire.Op, corr uint64, b *Batch, features, c
 
 // Meta probes the replica over the wire; it doubles as the health
 // check.
-func (t *TCPBackend) Meta() (Meta, error) {
+func (t *TCPBackend) Meta() (serve.ModelMeta, error) {
 	op, payload, release, err := t.roundTrip(func(corr uint64, e *wire.Encoder) {
 		e.Begin(wire.OpMeta, corr)
 	})
 	if err != nil {
-		return Meta{}, err
+		return serve.ModelMeta{}, err
 	}
 	if err := t.expect(wire.OpMetaResp, op, payload, release); err != nil {
-		return Meta{}, err
+		return serve.ModelMeta{}, err
 	}
 	defer release()
 	wm, err := wire.DecodeMetaResp(payload)
 	if err != nil {
-		return Meta{}, fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
+		return serve.ModelMeta{}, fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
 	}
 	if wm.Classes < 2 || wm.Features <= 0 {
-		return Meta{}, fmt.Errorf("router: replica %s reported no model", t.Addr)
+		return serve.ModelMeta{}, fmt.Errorf("router: replica %s reported no model", t.Addr)
 	}
-	return metaFromModel(serve.ModelMeta{
+	return serve.ModelMeta{
 		Version: wm.Version, Classes: wm.Classes, Features: wm.Features,
 		ShardIndex: wm.ShardIndex, ShardCount: wm.ShardCount,
 		ShardLow: wm.ShardLow, ShardHigh: wm.ShardHigh, TotalClasses: wm.TotalClasses,
 		Zone: wm.Zone,
-	}), nil
+	}, nil
 }
 
 // Predict scores the batch over the wire (replica-balanced data plane).

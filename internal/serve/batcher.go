@@ -205,11 +205,9 @@ type Batcher struct {
 	queues [control.NumPriorities]chan *request
 	stop   chan struct{}
 
-	// policy is the admission policy evaluated on every submit, held in
-	// an atomic pointer so SetPolicy swaps it race-free under load. A
-	// nil pointer means open admission.
-	policy      atomic.Pointer[policyBox]
-	rejectStats control.RejectStats
+	// gate is the admission seam evaluated on every submit; its counters
+	// also take the queue's own queue_full rejections.
+	gate control.Gate
 
 	// wrr and lenFn are loop-goroutine state (lenFn is pre-bound so the
 	// hot dequeue path does not allocate a method-value closure).
@@ -258,10 +256,6 @@ type Batcher struct {
 	outProba []float64
 }
 
-// policyBox wraps the AdmissionPolicy interface value so it can live
-// in an atomic.Pointer (lock-free policy swap under concurrent load).
-type policyBox struct{ p control.AdmissionPolicy }
-
 // NewBatcher starts the batching loop over the given scorer source.
 func NewBatcher(source ScorerSource, cfg BatcherConfig) *Batcher {
 	b := &Batcher{
@@ -280,7 +274,7 @@ func NewBatcher(source ScorerSource, cfg BatcherConfig) *Batcher {
 	}
 	b.wrr = control.NewWRR(b.cfg.PriorityWeights)
 	b.lenFn = func(c control.Priority) int { return len(b.queues[c]) }
-	b.SetPolicy(b.cfg.Admission)
+	b.gate.Set(b.cfg.Admission)
 	b.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
 	b.tickets.New = func() any { return new([]Ticket) }
 	b.wg.Add(1)
@@ -291,25 +285,14 @@ func NewBatcher(source ScorerSource, cfg BatcherConfig) *Batcher {
 // SetPolicy installs or swaps the admission policy evaluated on every
 // submit; nil opens admission. Safe to call under concurrent load —
 // in-flight submits see either the old or the new policy.
-func (b *Batcher) SetPolicy(p control.AdmissionPolicy) {
-	if p == nil {
-		b.policy.Store(nil)
-		return
-	}
-	b.policy.Store(&policyBox{p: p})
-}
+func (b *Batcher) SetPolicy(p control.AdmissionPolicy) { b.gate.Set(p) }
 
 // Policy returns the installed admission policy (nil when open).
-func (b *Batcher) Policy() control.AdmissionPolicy {
-	if box := b.policy.Load(); box != nil {
-		return box.p
-	}
-	return nil
-}
+func (b *Batcher) Policy() control.AdmissionPolicy { return b.gate.Policy() }
 
 // AdmissionStats returns the per-reason rejection counters (shared
 // with the registry rows; read-only for callers).
-func (b *Batcher) AdmissionStats() *control.RejectStats { return &b.rejectStats }
+func (b *Batcher) AdmissionStats() *control.RejectStats { return b.gate.Stats() }
 
 // QueueLen returns the number of requests waiting in one priority
 // class's queue — the nadmm_priority_queue_depth gauge source.
@@ -413,14 +396,11 @@ func (b *Batcher) submit(r *request) error {
 	if b.closed {
 		return ErrClosed
 	}
-	if box := b.policy.Load(); box != nil {
-		if d := box.p.Admit(r.cost(), r.pri); !d.Admit {
-			// Policy rejection: evaluated before any stamp or queue
-			// slot, so nothing to unwind.
-			b.rejected.Add(1)
-			b.rejectStats.Note(d.Reason)
-			return &RejectionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
-		}
+	if d := b.gate.Admit(r.cost(), r.pri); !d.Admit {
+		// Policy rejection: evaluated before any stamp or queue slot,
+		// so nothing to unwind.
+		b.rejected.Add(1)
+		return &RejectionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
 	}
 	if r.trace != nil {
 		// A propagated trace (the replica leg of a routed request) is
@@ -445,7 +425,7 @@ func (b *Batcher) submit(r *request) error {
 	r.trace, r.ownTrace = nil, false
 	r.enq = time.Time{}
 	b.rejected.Add(1)
-	b.rejectStats.Note(control.ReasonQueueFull)
+	b.gate.Stats().Note(control.ReasonQueueFull)
 	return ErrQueueFull
 }
 

@@ -16,15 +16,20 @@
 //     MaxBatch rows or a MaxLinger window, whichever first) so per-row
 //     work is amortized over one kernel launch — the inference-side
 //     analogue of the paper's argument for batching per-sample work into
-//     GPU matrix kernels. Its admission queue is bounded: when the queue
-//     is full, a submit fails fast with ErrQueueFull (backpressure), it
-//     never drops an accepted request. ScoreBatch is how every
+//     GPU matrix kernels. Every submit passes the batcher's one
+//     control.Gate (the admission policy, if any, and the per-reason
+//     rejection counters), then a bounded queue: when the queue is full,
+//     a submit fails fast with ErrQueueFull (backpressure), it never
+//     drops an accepted request. ScoreBatch is how every
 //     replica-side caller scores a request's rows: submit all, wait
 //     every accepted one, report the first error by instance.
 //   - Registry holds the current Predictor behind an atomic pointer with
 //     reference counting, so a new checkpoint hot-swaps in with zero
 //     downtime: in-flight batches finish on the old snapshot, whose
-//     device is released when the last reference drains.
+//     device is released when the last reference drains. Its
+//     ModelMeta is the one metadata record of a snapshot: /healthz
+//     reports it, the frame plane's meta frame copies it, and routers
+//     plan on it (Normalized gives a full replica its class span).
 //   - Server is the kserve-style HTTP/JSON surface (/v1/predict,
 //     /v1/proba, /healthz, /metricz, /debug/tracez, /v1/reload) — the
 //     only place JSON is spoken, and the same code on both tiers: it

@@ -39,6 +39,19 @@ type ModelMeta struct {
 // model rather than a full replica.
 func (m ModelMeta) IsShard() bool { return m.ShardCount > 0 }
 
+// Normalized returns m with a full replica's shard fields filled in: the
+// whole explicit-class range [0, Classes-1) and TotalClasses = Classes.
+// A class shard's metadata comes back unchanged. Routers plan and check
+// fleets on normalized metadata, so R full copies tile the model like a
+// one-shard grid.
+func (m ModelMeta) Normalized() ModelMeta {
+	if !m.IsShard() {
+		m.ShardLow, m.ShardHigh = 0, m.Classes-1
+		m.TotalClasses = m.Classes
+	}
+	return m
+}
+
 // entry is one registered snapshot with its reference count. The count
 // starts at 1 (the registry's own reference); every Acquire adds one and
 // every release drops one; the predictor's device is closed when the

@@ -427,31 +427,10 @@ func (t batcherTier) Metrics(o *obs.Registry) {
 		deviceStat(func(ds device.Stats) uint64 { return uint64(ds.FLOPs) }))
 	o.CounterFunc("nadmm_device_bytes_total", "", "bytes moved by the serving device",
 		deviceStat(func(ds device.Stats) uint64 { return uint64(ds.Bytes) }))
-	registerControlMetrics(o, bat)
-}
-
-// registerControlMetrics wires the admission/priority rows shared by
-// both serving tiers (the router registers the same shape over its own
-// rejection stats).
-func registerControlMetrics(o *obs.Registry, bat *Batcher) {
-	stats := bat.AdmissionStats()
-	for _, reason := range []control.Reason{control.ReasonQueueFull, control.ReasonRateLimited, control.ReasonCostRejected} {
-		reason := reason
-		o.CounterFunc("nadmm_admission_rejected_total", `reason="`+reason.String()+`"`,
-			"instances rejected by admission control, by machine-readable reason",
-			func() uint64 { return stats.Count(reason) })
-	}
+	bat.gate.Register(o, "instances")
 	for c := control.Priority(0); c < control.NumPriorities; c++ {
-		c := c
 		o.GaugeFunc("nadmm_priority_queue_depth", `class="`+c.String()+`"`,
 			"requests waiting in the admission queue, by service class",
 			func() float64 { return float64(bat.QueueLen(c)) })
 	}
-	o.GaugeFunc("nadmm_admission_active", "", "1 when an admission policy beyond the queue bound is installed",
-		func() float64 {
-			if bat.Policy() != nil {
-				return 1
-			}
-			return 0
-		})
 }

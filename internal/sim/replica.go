@@ -81,11 +81,11 @@ func newSimReplica(s *Sim, cfg replicaConfig) *SimReplica {
 }
 
 // Meta implements router.Backend; it doubles as the health probe.
-func (r *SimReplica) Meta() (router.Meta, error) {
+func (r *SimReplica) Meta() (serve.ModelMeta, error) {
 	if r.closed {
-		return router.Meta{}, serve.ErrClosed
+		return serve.ModelMeta{}, serve.ErrClosed
 	}
-	m := router.Meta{Features: r.cfg.features, Version: r.version, Zone: r.cfg.zone}
+	m := serve.ModelMeta{Classes: r.cfg.classes, Features: r.cfg.features, Version: r.version, Zone: r.cfg.zone}
 	if r.cfg.totalClasses > 0 {
 		m.Classes = r.cfg.shard.Width() + 1
 		m.ShardIndex = r.cfg.shardIndex
@@ -93,10 +93,6 @@ func (r *SimReplica) Meta() (router.Meta, error) {
 		m.ShardLow = r.cfg.shard.Low
 		m.ShardHigh = r.cfg.shard.High
 		m.TotalClasses = r.cfg.totalClasses
-	} else {
-		m.Classes = r.cfg.classes
-		m.ShardLow, m.ShardHigh = 0, r.cfg.classes-1
-		m.TotalClasses = r.cfg.classes
 	}
 	return m, nil
 }

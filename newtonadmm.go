@@ -233,6 +233,9 @@ type Model struct {
 	Classes  int
 	Features int
 	Solver   string
+	// Ranks is the node count the training run used (the "newton"
+	// reference runs on one whatever Options.Ranks asked for).
+	Ranks int
 	// Trace is the recorded convergence history.
 	Trace []TracePoint
 	// TestAccuracy is the final test accuracy (NaN when not measured).
@@ -367,6 +370,7 @@ func buildModel(ds *Dataset, opts Options, weights []float64, trace dist.Trace, 
 		Classes:      ds.inner.Classes,
 		Features:     ds.inner.NumFeatures(),
 		Solver:       opts.Solver,
+		Ranks:        opts.Ranks,
 		TestAccuracy: acc,
 		AvgEpochTime: trace.AvgEpochTime(),
 		FailedEpoch:  failedEpoch,

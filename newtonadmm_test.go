@@ -72,6 +72,29 @@ func TestTrainAllSolvers(t *testing.T) {
 	}
 }
 
+// TestTrainReportsRanksUsed: Model.Ranks is the node count the run
+// used, not the one asked for — the defaulted count for Ranks 0, one
+// for the single-node Newton reference.
+func TestTrainReportsRanksUsed(t *testing.T) {
+	ds := quickDataset(t)
+	for _, c := range []struct {
+		solver     string
+		ranks, use int
+	}{
+		{SolverNewtonADMM, 2, 2},
+		{SolverNewtonADMM, 0, 4},
+		{SolverNewton, 4, 1},
+	} {
+		m, err := Train(ds, Options{Solver: c.solver, Ranks: c.ranks, Epochs: 1, Network: "none"})
+		if err != nil {
+			t.Fatalf("%s ranks %d: %v", c.solver, c.ranks, err)
+		}
+		if m.Ranks != c.use {
+			t.Errorf("%s asked for %d ranks: Model.Ranks = %d, want %d", c.solver, c.ranks, m.Ranks, c.use)
+		}
+	}
+}
+
 // The single-node Newton reference runs under the same epoch driver as
 // the distributed solvers, so it checkpoints: 3 epochs, then a resume to
 // 6, ends bitwise where a straight 6-epoch run does, trace included.

@@ -230,8 +230,7 @@ func buildAdmission(kind string, rate float64, burst int) (control.AdmissionPoli
 
 // ModelServer is a running (or embeddable) inference server.
 type ModelServer struct {
-	reg  *serve.Registry
-	bat  *serve.Batcher
+	lb   *router.LocalBackend
 	srv  *serve.Server
 	opts ServeOptions
 
@@ -239,7 +238,8 @@ type ModelServer struct {
 	hsrv  *http.Server
 	wln   net.Listener
 	fsrv  *serve.FrameServer
-	stopW chan struct{}
+	stopW chan struct{} // closing it stops the watch loop
+	watch sync.WaitGroup
 }
 
 // Serve builds the full serving stack for m — predictor, hot-swap
@@ -248,61 +248,79 @@ type ModelServer struct {
 // /v1/reload endpoint when ModelPath is set) replaces the model with
 // zero downtime.
 func Serve(m *Model, opts ServeOptions) (*ModelServer, error) {
-	ms := &ModelServer{
-		reg:  serve.NewRegistry(),
-		opts: opts,
-	}
-	if m != nil {
-		if _, err := ms.swapModel(m, opts.ModelPath); err != nil {
-			return nil, err
-		}
-	}
 	pol, err := buildAdmission(opts.Admission, opts.AdmissionRate, opts.AdmissionBurst)
 	if err != nil {
 		return nil, err
 	}
-	ms.bat = serve.NewBatcher(ms.reg, serve.BatcherConfig{
+	lb, err := newReplica(m, opts.ModelPath, opts.ShardIndex, opts.ShardCount, opts.Zone, opts.Workers, serve.BatcherConfig{
 		MaxBatch: opts.MaxBatch, MaxLinger: opts.Linger, QueueDepth: opts.QueueDepth,
 		SampleEvery: opts.SampleEvery, Admission: pol,
 	})
+	if err != nil {
+		return nil, err
+	}
+	ms := &ModelServer{lb: lb, opts: opts}
 	var reload func() (int64, error)
 	if opts.ModelPath != "" {
-		reload = func() (int64, error) { return ms.reloadFromPath() }
+		reload = lb.Reload
 	}
-	ms.srv = serve.NewServer(ms.reg, ms.bat, reload)
+	ms.srv = serve.NewServer(lb.Registry(), lb.Batcher(), reload)
 	if opts.Debug {
 		ms.srv.EnableDebug()
 	}
 
 	if opts.Addr != "" {
-		ln, err := net.Listen("tcp", opts.Addr)
-		if err != nil {
-			ms.shutdown()
-			return nil, fmt.Errorf("newtonadmm: %w", err)
+		if ms.ln, ms.hsrv, err = listenHTTP(opts.Addr, ms.srv.Handler()); err != nil {
+			ms.Close()
+			return nil, err
 		}
-		ms.ln = ln
-		ms.hsrv = &http.Server{Handler: ms.srv.Handler()}
-		go ms.hsrv.Serve(ln)
 	}
 	if opts.WireAddr != "" {
 		wln, err := net.Listen("tcp", opts.WireAddr)
 		if err != nil {
-			ms.shutdown()
+			ms.Close()
 			return nil, fmt.Errorf("newtonadmm: %w", err)
 		}
 		ms.wln = wln
-		ms.fsrv = serve.NewFrameServer(ms.reg, ms.bat, reload)
+		ms.fsrv = serve.NewFrameServer(lb.Registry(), lb.Batcher(), reload)
 		go ms.fsrv.Serve(wln)
 	}
 	if opts.Watch > 0 && opts.ModelPath != "" {
 		ms.stopW = make(chan struct{})
-		go ms.watch()
+		ms.watch.Add(1)
+		go ms.watchLoop(ms.stopW)
 	}
 	return ms, nil
 }
 
-func (ms *ModelServer) swapModel(m *Model, path string) (int64, error) {
-	return swapShardInto(ms.reg, m, path, ms.opts.ShardIndex, ms.opts.ShardCount, ms.opts.Workers, ms.opts.Zone)
+// newReplica builds one serving replica — the single-node server's
+// stack and every in-process router member alike: a hot-swap registry
+// holding m (or, when shardCount > 0, its class shard shardIndex), a
+// micro-batcher configured by cfg (its Admission may be nil), and, when
+// path is set, a reloader that re-reads path and re-slices the same
+// shard. A nil m leaves the registry empty until the first swap.
+func newReplica(m *Model, path string, shardIndex, shardCount int, zone string, workers int, cfg serve.BatcherConfig) (*router.LocalBackend, error) {
+	reg := serve.NewRegistry()
+	swap := func(next *Model) (int64, error) {
+		return swapShardInto(reg, next, path, shardIndex, shardCount, workers, zone)
+	}
+	if m != nil {
+		if _, err := swap(m); err != nil {
+			reg.Close()
+			return nil, err
+		}
+	}
+	var reload func() (int64, error)
+	if path != "" {
+		reload = func() (int64, error) {
+			next, err := LoadModel(path)
+			if err != nil {
+				return 0, err
+			}
+			return swap(next)
+		}
+	}
+	return router.NewLocalBackend(reg, serve.NewBatcher(reg, cfg), reload), nil
 }
 
 // swapShardInto builds a predictor for m — or, when shardCount > 0, its
@@ -347,16 +365,10 @@ func shardSlice(m *Model, i, n int) ([]float64, int, router.ShardRange, error) {
 	return w, rng.Width() + 1, rng, nil
 }
 
-func (ms *ModelServer) reloadFromPath() (int64, error) {
-	m, err := LoadModel(ms.opts.ModelPath)
-	if err != nil {
-		return 0, err
-	}
-	return ms.swapModel(m, ms.opts.ModelPath)
-}
-
-// watch polls ModelPath and hot-swaps when the checkpoint changes.
-func (ms *ModelServer) watch() {
+// watchLoop polls ModelPath and hot-swaps when the checkpoint changes,
+// until stop closes.
+func (ms *ModelServer) watchLoop(stop <-chan struct{}) {
+	defer ms.watch.Done()
 	var lastMod time.Time
 	var lastSize int64
 	if st, err := os.Stat(ms.opts.ModelPath); err == nil {
@@ -366,7 +378,7 @@ func (ms *ModelServer) watch() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-ms.stopW:
+		case <-stop:
 			return
 		case <-tick.C:
 			st, err := os.Stat(ms.opts.ModelPath)
@@ -376,7 +388,7 @@ func (ms *ModelServer) watch() {
 			if st.ModTime().Equal(lastMod) && st.Size() == lastSize {
 				continue
 			}
-			if v, err := ms.reloadFromPath(); err != nil {
+			if v, err := ms.lb.Reload(); err != nil {
 				// Keep retrying (a half-written checkpoint heals on the
 				// next tick), but tell the operator — a corrupt file
 				// would otherwise fail silently forever while healthz
@@ -396,7 +408,7 @@ func (ms *ModelServer) Swap(m *Model) (int64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("newtonadmm: nil model")
 	}
-	return ms.swapModel(m, "")
+	return swapShardInto(ms.lb.Registry(), m, "", ms.opts.ShardIndex, ms.opts.ShardCount, ms.opts.Workers, ms.opts.Zone)
 }
 
 // Handler returns the HTTP surface (/v1/predict, /v1/proba, /healthz,
@@ -422,10 +434,13 @@ func (ms *ModelServer) WireAddr() string {
 	return ms.wln.Addr().String()
 }
 
-func (ms *ModelServer) shutdown() {
+// Close stops the listener (if any), drains the batcher, and releases
+// the model's device.
+func (ms *ModelServer) Close() {
 	if ms.stopW != nil {
 		close(ms.stopW)
 		ms.stopW = nil
+		ms.watch.Wait() // no reload may land in the closed replica
 	}
 	if ms.hsrv != nil {
 		ms.hsrv.Close()
@@ -435,15 +450,8 @@ func (ms *ModelServer) shutdown() {
 		ms.fsrv.Close()
 		ms.fsrv = nil
 	}
-	if ms.bat != nil {
-		ms.bat.Close()
-	}
-	ms.reg.Close()
+	ms.lb.Close()
 }
-
-// Close stops the listener (if any), drains the batcher, and releases
-// the model's device.
-func (ms *ModelServer) Close() { ms.shutdown() }
 
 // RouterOptions configures the sharded serving tier: a scatter-gather
 // router over N predictor replicas.
@@ -531,25 +539,14 @@ type RouterServer struct {
 	srv  *router.Server
 	opts RouterOptions
 
-	// lmu guards the in-process membership below (locals and its
-	// parallel slices, model) against concurrent mutation by the
-	// autoscaler's actuator and fleet-wide Swap. Lock order: lmu before
-	// the router's internal swap lock (scale actions and Coordinate both
-	// take it next).
-	lmu    sync.Mutex
-	locals []*router.LocalBackend // nil entries for remote replicas
-	model  *Model
-
-	// Per-local grid placement, parallel to locals: which class shard
-	// each member serves (shards is S; 0 when unsharded), its zone
-	// label, and its stable pool replica ID (IDs are not indices once
-	// the autoscaler removes members). Swap re-slices by these, so an
-	// R x S grid hot-swaps every member onto its own shard rather than
-	// assuming one member per shard.
-	shards     int
-	localShard []int
-	localZones []string
-	localIDs   []int
+	// The membership is the router's pool: an in-process member is a
+	// replica whose backend is a *router.LocalBackend, and its registry
+	// reports the class shard and zone it serves. lmu serializes the
+	// autoscaler's scale actions against fleet-wide Swap and guards
+	// model. Lock order: lmu before the router's internal swap lock
+	// (scale actions and Coordinate both take it next).
+	lmu   sync.Mutex
+	model *Model
 
 	scaler *control.Autoscaler
 
@@ -582,60 +579,15 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 	if opts.ReplicasPerShard > 1 && mode != router.ModeClass {
 		return nil, fmt.Errorf("newtonadmm: ReplicasPerShard needs class mode (replica mode already replicates the whole model; raise Replicas)")
 	}
-	rs := &RouterServer{opts: opts, model: m}
-
-	var backends []router.Backend
-	if len(opts.Join) > 0 {
-		for _, base := range opts.Join {
-			b, err := router.BackendForURL(base)
-			if err != nil {
-				for _, b := range backends {
-					b.Close()
-				}
-				return nil, fmt.Errorf("newtonadmm: %w", err)
-			}
-			backends = append(backends, b)
-		}
-	} else {
-		if m == nil {
-			return nil, fmt.Errorf("newtonadmm: ServeSharded needs a model (or Join addresses)")
-		}
-		// Lay out the in-process grid group-major: S shard groups
-		// (opts.Replicas; one group of whole-model copies in replica
-		// mode) of R siblings each, so member s*R+r serves shard s from
-		// zone Zones[r % len(Zones)].
-		if mode == router.ModeClass {
-			rs.shards = opts.Replicas
-		}
-		for s := 0; s < opts.Replicas; s++ {
-			for r := 0; r < opts.ReplicasPerShard; r++ {
-				zone := ""
-				if len(opts.Zones) > 0 {
-					zone = opts.Zones[r%len(opts.Zones)]
-				}
-				shardIdx := s
-				if mode != router.ModeClass {
-					shardIdx = 0
-					if len(opts.Zones) > 0 {
-						zone = opts.Zones[s%len(opts.Zones)]
-					}
-				}
-				lb, err := rs.buildLocalReplica(m, shardIdx, rs.shards, zone)
-				if err != nil {
-					for _, b := range backends {
-						b.Close()
-					}
-					return nil, err
-				}
-				rs.locals = append(rs.locals, lb)
-				rs.localShard = append(rs.localShard, shardIdx)
-				rs.localZones = append(rs.localZones, zone)
-				rs.localIDs = append(rs.localIDs, len(backends))
-				backends = append(backends, lb)
-			}
-		}
+	pol, err := buildAdmission(opts.Admission, opts.AdmissionRate, opts.AdmissionBurst)
+	if err != nil {
+		return nil, err
 	}
-
+	rs := &RouterServer{opts: opts, model: m}
+	backends, err := rs.fleet(m, mode)
+	if err != nil {
+		return nil, err
+	}
 	rt, err := router.New(backends, router.Options{Mode: mode, HealthEvery: opts.HealthEvery, SampleEvery: opts.SampleEvery})
 	if err != nil {
 		for _, b := range backends {
@@ -643,65 +595,121 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 		}
 		return nil, fmt.Errorf("newtonadmm: %w", err)
 	}
+	rt.SetAdmission(pol)
 	rs.rt = rt
 	rs.srv = router.NewServer(rt)
 	if opts.Debug {
 		rs.srv.EnableDebug()
 	}
-	pol, err := buildAdmission(opts.Admission, opts.AdmissionRate, opts.AdmissionBurst)
-	if err != nil {
-		rs.Close()
-		return nil, err
-	}
-	rt.SetAdmission(pol)
 	if opts.AutoscaleMax > 0 {
 		if err := rs.startAutoscaler(); err != nil {
 			rs.Close()
 			return nil, err
 		}
 	}
-
 	if opts.Addr != "" {
-		ln, err := net.Listen("tcp", opts.Addr)
-		if err != nil {
+		if rs.ln, rs.hsrv, err = listenHTTP(opts.Addr, rs.srv.Handler()); err != nil {
 			rs.Close()
-			return nil, fmt.Errorf("newtonadmm: %w", err)
+			return nil, err
 		}
-		rs.ln = ln
-		rs.hsrv = &http.Server{Handler: rs.srv.Handler()}
-		go rs.hsrv.Serve(ln)
 	}
 	return rs, nil
 }
 
-// buildLocalReplica assembles one in-process replica: registry with the
-// (possibly shard-sliced) snapshot, micro-batcher, and a reloader that
-// re-reads ModelPath and re-slices the same shard.
-func (rs *RouterServer) buildLocalReplica(m *Model, shardIdx, shardCount int, zone string) (*router.LocalBackend, error) {
-	reg := serve.NewRegistry()
-	swap := func(nm *Model) (int64, error) {
-		return swapShardInto(reg, nm, rs.opts.ModelPath, shardIdx, shardCount, rs.opts.Workers, zone)
-	}
-	if _, err := swap(m); err != nil {
-		reg.Close()
-		return nil, err
-	}
-	bat := serve.NewBatcher(reg, serve.BatcherConfig{
-		MaxBatch: rs.opts.MaxBatch, MaxLinger: rs.opts.Linger, QueueDepth: rs.opts.QueueDepth,
-		SampleEvery: rs.opts.SampleEvery,
-	})
-	var reload func() (int64, error)
-	if rs.opts.ModelPath != "" {
-		path := rs.opts.ModelPath
-		reload = func() (int64, error) {
-			nm, err := LoadModel(path)
-			if err != nil {
-				return 0, err
+// fleet builds the tier's backends: one per Join address, or else the
+// in-process grid laid out group-major — S shard groups (Replicas; one
+// group of whole-model copies in replica mode) of R siblings each, so
+// member s*R+r serves shard s from zone Zones[r % len(Zones)]. On error
+// the backends built so far are closed.
+func (rs *RouterServer) fleet(m *Model, mode router.Mode) (backends []router.Backend, err error) {
+	defer func() {
+		if err != nil {
+			for _, b := range backends {
+				b.Close()
 			}
-			return swap(nm)
+		}
+	}()
+	opts := rs.opts
+	for _, base := range opts.Join {
+		b, err := router.BackendForURL(base)
+		if err != nil {
+			return backends, fmt.Errorf("newtonadmm: %w", err)
+		}
+		backends = append(backends, b)
+	}
+	if len(opts.Join) > 0 {
+		return backends, nil
+	}
+	if m == nil {
+		return nil, fmt.Errorf("newtonadmm: ServeSharded needs a model (or Join addresses)")
+	}
+	shardCount := 0
+	if mode == router.ModeClass {
+		shardCount = opts.Replicas
+	}
+	for s := 0; s < opts.Replicas; s++ {
+		for r := 0; r < opts.ReplicasPerShard; r++ {
+			zone := ""
+			if len(opts.Zones) > 0 {
+				zone = opts.Zones[r%len(opts.Zones)]
+			}
+			shardIdx := s
+			if mode != router.ModeClass {
+				shardIdx = 0
+				if len(opts.Zones) > 0 {
+					zone = opts.Zones[s%len(opts.Zones)]
+				}
+			}
+			lb, err := rs.newMember(m, shardIdx, shardCount, zone)
+			if err != nil {
+				return backends, err
+			}
+			backends = append(backends, lb)
 		}
 	}
-	return router.NewLocalBackend(reg, bat, reload), nil
+	return backends, nil
+}
+
+// listenHTTP serves h on addr in the background.
+func listenHTTP(addr string, h http.Handler) (net.Listener, *http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("newtonadmm: %w", err)
+	}
+	hs := &http.Server{Handler: h}
+	go hs.Serve(ln)
+	return ln, hs, nil
+}
+
+// newMember builds one in-process member serving class shard
+// shardIndex of shardCount (0: the whole model) from zone.
+func (rs *RouterServer) newMember(m *Model, shardIndex, shardCount int, zone string) (*router.LocalBackend, error) {
+	o := rs.opts
+	return newReplica(m, o.ModelPath, shardIndex, shardCount, zone, o.Workers, serve.BatcherConfig{
+		MaxBatch: o.MaxBatch, MaxLinger: o.Linger, QueueDepth: o.QueueDepth, SampleEvery: o.SampleEvery,
+	})
+}
+
+// members returns the pool's in-process members, oldest first.
+func (rs *RouterServer) members() []*router.Replica {
+	var out []*router.Replica
+	for _, rep := range rs.rt.Pool().Replicas() {
+		if _, ok := rep.Backend().(*router.LocalBackend); ok {
+			out = append(out, rep)
+		}
+	}
+	return out
+}
+
+// swapMember hot-swaps m into an in-process member, re-slicing the class
+// shard and keeping the zone its registry reports.
+func (rs *RouterServer) swapMember(rep *router.Replica, m *Model) (int64, error) {
+	reg := rep.Backend().(*router.LocalBackend).Registry()
+	mm, ok := reg.Meta()
+	if !ok {
+		return 0, serve.ErrNoModel
+	}
+	return swapShardInto(reg, m, "", mm.ShardIndex, mm.ShardCount, rs.opts.Workers, mm.Zone)
 }
 
 // startAutoscaler wires the control loop over the router tier's own
@@ -714,13 +722,11 @@ func (rs *RouterServer) startAutoscaler() error {
 	if rs.rt.Mode() != router.ModeReplica {
 		return fmt.Errorf("newtonadmm: autoscaling requires replica mode")
 	}
-	if len(rs.locals) == 0 {
+	members := rs.members()
+	if len(members) == 0 {
 		return fmt.Errorf("newtonadmm: autoscaling requires in-process replicas")
 	}
-	maxBatch := rs.opts.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 64 // the batcher's own default
-	}
+	maxBatch := members[0].Backend().(*router.LocalBackend).Batcher().Config().MaxBatch
 	src, err := control.NewRegistrySource(rs.srv.Obs(), "nadmm_request_latency",
 		func() int64 {
 			var n int64
@@ -737,7 +743,7 @@ func (rs *RouterServer) startAutoscaler() error {
 	}
 	min := rs.opts.AutoscaleMin
 	if min <= 0 {
-		min = len(rs.locals)
+		min = len(members)
 	}
 	rs.scaler = control.NewAutoscaler(src, fleetActuator{rs: rs}, control.AutoscalerConfig{
 		Min: min, Max: rs.opts.AutoscaleMax,
@@ -770,21 +776,16 @@ func (rs *RouterServer) scaleUp() error {
 	}
 	zone := ""
 	if len(rs.opts.Zones) > 0 {
-		zone = rs.opts.Zones[len(rs.locals)%len(rs.opts.Zones)]
+		zone = rs.opts.Zones[len(rs.members())%len(rs.opts.Zones)]
 	}
-	lb, err := rs.buildLocalReplica(rs.model, 0, 0, zone)
+	lb, err := rs.newMember(rs.model, 0, 0, zone)
 	if err != nil {
 		return err
 	}
-	id, err := rs.rt.AddBackend(lb)
-	if err != nil {
+	if _, err := rs.rt.AddBackend(lb); err != nil {
 		lb.Close()
 		return err
 	}
-	rs.locals = append(rs.locals, lb)
-	rs.localShard = append(rs.localShard, 0)
-	rs.localZones = append(rs.localZones, zone)
-	rs.localIDs = append(rs.localIDs, id)
 	return nil
 }
 
@@ -796,18 +797,11 @@ func (rs *RouterServer) scaleUp() error {
 func (rs *RouterServer) scaleDown() error {
 	rs.lmu.Lock()
 	defer rs.lmu.Unlock()
-	if len(rs.localIDs) <= 1 {
+	members := rs.members()
+	if len(members) <= 1 {
 		return fmt.Errorf("newtonadmm: no removable in-process replica")
 	}
-	i := len(rs.localIDs) - 1
-	if err := rs.rt.RemoveBackend(rs.localIDs[i], 30*time.Second); err != nil {
-		return err
-	}
-	rs.locals = rs.locals[:i]
-	rs.localShard = rs.localShard[:i]
-	rs.localZones = rs.localZones[:i]
-	rs.localIDs = rs.localIDs[:i]
-	return nil
+	return rs.rt.RemoveBackend(members[len(members)-1].ID, 30*time.Second)
 }
 
 // Autoscaler returns the running control loop (nil when autoscaling is
@@ -844,13 +838,14 @@ func (rs *RouterServer) Swap(m *Model) (int64, error) {
 	// the iteration and the swap into its registry.
 	rs.lmu.Lock()
 	defer rs.lmu.Unlock()
-	if len(rs.locals) == 0 {
+	members := rs.members()
+	if len(members) == 0 {
 		return 0, fmt.Errorf("newtonadmm: Swap needs in-process replicas (remote fleets reload via /v1/reload)")
 	}
 	var latest int64
 	err := rs.rt.Coordinate(func() error {
-		for i, lb := range rs.locals {
-			v, err := swapShardInto(lb.Registry(), m, "", rs.localShard[i], rs.shards, rs.opts.Workers, rs.localZones[i])
+		for _, rep := range members {
+			v, err := rs.swapMember(rep, m)
 			if err != nil {
 				return err
 			}
@@ -879,16 +874,15 @@ func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
 	}
 	rs.lmu.Lock()
 	defer rs.lmu.Unlock()
-	// id is the pool's stable replica ID; resolve it to the local index
-	// (they diverge once the autoscaler has removed a member).
-	idx := -1
-	for i, lid := range rs.localIDs {
-		if lid == id {
-			idx = i
-			break
+	// id is the pool's stable replica ID, not a position (they diverge
+	// once the autoscaler has removed a member).
+	var target *router.Replica
+	for _, rep := range rs.members() {
+		if rep.ID == id {
+			target = rep
 		}
 	}
-	if idx < 0 {
+	if target == nil {
 		return 0, fmt.Errorf("newtonadmm: no in-process replica %d", id)
 	}
 	// The router's buffers and merge plan are sized at construction; a
@@ -899,7 +893,7 @@ func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
 		return 0, fmt.Errorf("newtonadmm: replacement model shape (%d classes, %d features) != serving tier (%d, %d)",
 			m.Classes, m.Features, rs.rt.Classes(), rs.rt.Features())
 	}
-	return swapShardInto(rs.locals[idx].Registry(), m, "", 0, 0, rs.opts.Workers, rs.localZones[idx])
+	return rs.swapMember(target, m)
 }
 
 // Close stops the listener, the router's health monitor, and every

@@ -318,3 +318,119 @@ func TestModelSaveLoadServeRoundTrip(t *testing.T) {
 		t.Fatal("junk file loaded")
 	}
 }
+
+// TestServeWatchHotSwapsAndSurvivesCorruptFile pins the -watch loop: a
+// new checkpoint written over ModelPath deploys as the next version, a
+// corrupt (truncated) file is refused while the last good version keeps
+// serving, and a good file written afterwards deploys again.
+func TestServeWatchHotSwapsAndSurvivesCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.gob")
+	m1 := testModel(3, 6, 11)
+	if err := m1.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(m1, ServeOptions{
+		Addr: "127.0.0.1:0", Workers: 1, ModelPath: path, Watch: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+	row := []float64{0.5, -1, 2, 0, 1, -0.5}
+	body, _ := json.Marshal(map[string]any{"instances": []any{row}})
+
+	// state reads the served version and the row's probabilities.
+	state := func() (int64, []float64) {
+		hr, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h struct {
+			Model struct {
+				Version int64 `json:"version"`
+			} `json:"model"`
+		}
+		err = json.NewDecoder(hr.Body).Decode(&h)
+		hr.Body.Close()
+		if err != nil || hr.StatusCode != http.StatusOK {
+			t.Fatalf("healthz: status %d err %v", hr.StatusCode, err)
+		}
+		resp, err := http.Post(base+"/v1/proba", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr struct {
+			Probabilities [][]float64 `json:"probabilities"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(pr.Probabilities) != 1 {
+			t.Fatalf("proba: status %d err %v body %+v", resp.StatusCode, err, pr)
+		}
+		return h.Model.Version, pr.Probabilities[0]
+	}
+	matches := func(got []float64, m *Model) bool {
+		want, err := m.PredictProba([][]float64{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range want[0] {
+			if math.Abs(got[c]-want[0][c]) > 1e-12 {
+				return false
+			}
+		}
+		return true
+	}
+	// replace writes m beside path and renames it over, stamped with a
+	// distinct mtime, so the watcher sees either the old file or the
+	// whole new one.
+	replace := func(m *Model, stamp time.Duration) {
+		tmp := path + ".next"
+		if err := m.Save(tmp); err != nil {
+			t.Fatal(err)
+		}
+		at := time.Now().Add(stamp)
+		if err := os.Chtimes(tmp, at, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(version int64, m *Model) {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			v, proba := state()
+			if v == version && matches(proba, m) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("still at version %d (proba %v) waiting for version %d", v, proba, version)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	if v, proba := state(); v != 1 || !matches(proba, m1) {
+		t.Fatalf("start: version %d proba %v", v, proba)
+	}
+	m2 := testModel(3, 6, 12)
+	replace(m2, time.Second)
+	waitFor(2, m2)
+
+	// A truncated checkpoint never deploys: version 2 keeps serving
+	// through many watch ticks.
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	if v, proba := state(); v != 2 || !matches(proba, m2) {
+		t.Fatalf("after truncation: version %d proba %v, want version 2 still serving", v, proba)
+	}
+
+	m3 := testModel(3, 6, 13)
+	replace(m3, 2*time.Second)
+	waitFor(3, m3)
+}
