@@ -275,20 +275,12 @@ func (b *Backend) Meta() (serve.ModelMeta, error) {
 	return b.inner.Meta()
 }
 
-// Predict scores through the gate.
-func (b *Backend) Predict(batch *router.Batch, out []int) error {
+// Score scores through the gate.
+func (b *Backend) Score(batch *router.Batch, preds []int, proba []float64) error {
 	if err := b.gate(); err != nil {
 		return err
 	}
-	return b.inner.Predict(batch, out)
-}
-
-// Proba scores through the gate.
-func (b *Backend) Proba(batch *router.Batch, out []float64) error {
-	if err := b.gate(); err != nil {
-		return err
-	}
-	return b.inner.Proba(batch, out)
+	return b.inner.Score(batch, preds, proba)
 }
 
 // PartialScores scores through the gate; a tripped fault returns before

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -48,18 +47,12 @@ type row struct {
 func NewRegistry() *Registry { return &Registry{} }
 
 // Label renders one static label pair for the labels argument of the
-// register calls; join multiple with Labels.
+// register calls; join several with commas.
 func Label(k, v string) string { return k + `="` + v + `"` }
-
-// Labels joins pre-rendered label pairs.
-func Labels(pairs ...string) string { return strings.Join(pairs, ",") }
 
 // Counter is a monotonically increasing atomic counter owned by the
 // registry caller.
 type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }

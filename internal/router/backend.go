@@ -40,14 +40,13 @@ type Backend interface {
 	// registry records it (Normalized gives a full replica's class
 	// span); it doubles as the health-check ping.
 	Meta() (serve.ModelMeta, error)
-	// Predict scores the whole batch against the full model (replica-
-	// balanced data plane). A full admission queue surfaces as
-	// serve.ErrQueueFull so the router can fail over.
-	Predict(b *Batch, out []int) error
-	// Proba is Predict plus class probabilities: out is rows x classes
-	// row-major; classes are derived from the probability rows by the
-	// caller.
-	Proba(b *Batch, out []float64) error
+	// Score scores the whole batch against the full model (replica-
+	// balanced data plane): predicted classes into preds when non-nil,
+	// class probabilities into proba (rows x classes row-major, the
+	// class stride taken from its length) when non-nil. The router
+	// passes exactly one non-nil output. A full admission queue surfaces
+	// as serve.ErrQueueFull so the router can fail over.
+	Score(b *Batch, preds []int, proba []float64) error
 	// PartialScores scores the raw explicit-class logits of the
 	// backend's weight rows (class-sharded data plane): out is rows x
 	// cols row-major in batch order, where cols is the shard width the

@@ -180,10 +180,10 @@ var edgeCases = []edgeCase{
 		wantRouter: `{"error":"router: shard group 0: router: class shard unavailable: group [0,2) has no available member"}` + "\n"},
 	{name: "healthz", method: "GET", path: "/healthz", status: 200,
 		want:       `{"model":{"version":1,"classes":4,"features":3,"T":0},"status":"ok","T":0}` + "\n",
-		wantRouter: `{"mode":"class","model":{"version":1,"classes":4,"features":3,"T":0},"replicas":[{"id":0,"group":0,"state":"healthy","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":1,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"ok","T":0}` + "\n"},
+		wantRouter: `{"mode":"class","model":{"version":1,"classes":4,"features":3},"replicas":[{"id":0,"group":0,"state":"healthy","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":1,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"ok","T":0}` + "\n"},
 	{name: "healthz unavailable", method: "GET", path: "/healthz", unavailable: true, status: 503,
 		want:       `{"status":"no model"}` + "\n",
-		wantRouter: `{"mode":"class","model":{"version":1,"classes":4,"features":3,"T":0},"replicas":[{"id":0,"group":0,"state":"draining","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":0,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"unserviceable","T":0}` + "\n"},
+		wantRouter: `{"mode":"class","model":{"version":1,"classes":4,"features":3},"replicas":[{"id":0,"group":0,"state":"draining","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":0,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"unserviceable","T":0}` + "\n"},
 	{name: "GET reload", method: "GET", path: "/v1/reload", status: 405,
 		want: `{"error":"use POST"}` + "\n"},
 	// Last: the router's reload succeeds and bumps the model version.
@@ -193,7 +193,9 @@ var edgeCases = []edgeCase{
 }
 
 // wallClock matches the wall-clock-dependent fields of /healthz; the
-// goldens carry "T":0 in their place.
+// goldens carry "T":0 in their place. A replica's model object has a
+// loaded_at; the router's, a fleet summary never loaded itself, has
+// none.
 var wallClock = regexp.MustCompile(`"uptime_seconds":[0-9.e+-]+|"loaded_at":"[^"]*"`)
 
 // spaces is an endless reader of JSON whitespace.

@@ -31,6 +31,15 @@
 // than in lists of its own. Admission at the scatter seam is one
 // control.Gate, the same type the replica batchers use.
 //
+// One of each job in the router itself. Backend has one whole-model
+// call, Score, beside PartialScores for a shard's tile; the router
+// passes it exactly one output, classes or probabilities. One
+// member-attempt loop (tryMembers) serves a replica-mode request and
+// every class-mode scatter leg. One fleet check (checkFleet) validates
+// the members' metadata at New, after every Reload or Coordinate, and
+// in AddBackend, and one power-of-two-choices pick orders the members
+// to try.
+//
 // A Batch is one client request: a wire.Batch of rows plus the trace
 // and service class a batch frame carries. Backends score it without
 // converting it: LocalBackend hands it to serve.Batcher.ScoreBatch or

@@ -36,15 +36,17 @@ func (f *fakeBackend) Meta() (serve.ModelMeta, error) {
 	return f.meta, nil
 }
 
-func (f *fakeBackend) Predict(b *Batch, out []int) error {
+func (f *fakeBackend) Score(b *Batch, preds []int, proba []float64) error {
+	if proba != nil {
+		return nil
+	}
 	f.calls.Add(1)
 	if f.predictFn != nil {
-		return f.predictFn(b, out)
+		return f.predictFn(b, preds)
 	}
 	return nil
 }
 
-func (f *fakeBackend) Proba(b *Batch, out []float64) error { return nil }
 func (f *fakeBackend) PartialScores(b *Batch, cols int, out []float64) (int64, error) {
 	return f.meta.Version, nil
 }

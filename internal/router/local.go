@@ -37,15 +37,10 @@ func (l *LocalBackend) Meta() (serve.ModelMeta, error) {
 	return mm, nil
 }
 
-// Predict scores the batch against the full model via the micro-batcher.
-func (l *LocalBackend) Predict(b *Batch, out []int) error {
-	return l.bat.ScoreBatch(&b.Batch, b.Priority, b.Trace, out, nil)
-}
-
-// Proba scores the batch with class probabilities (out is rows x
-// classes in arrival order).
-func (l *LocalBackend) Proba(b *Batch, out []float64) error {
-	return l.bat.ScoreBatch(&b.Batch, b.Priority, b.Trace, nil, out)
+// Score scores the batch against the full model via the micro-batcher
+// (outputs in arrival order).
+func (l *LocalBackend) Score(b *Batch, preds []int, proba []float64) error {
+	return l.bat.ScoreBatch(&b.Batch, b.Priority, b.Trace, preds, proba)
 }
 
 // PartialScores scores the raw explicit-class logits of this replica's

@@ -2,6 +2,7 @@ package router
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,8 +145,58 @@ func TestAddBackendValidation(t *testing.T) {
 	if _, err := rt.AddBackend(localReplica(t, w2, classes, features+1, 0, 0)); err == nil {
 		t.Fatal("AddBackend accepted a replica with a different feature count")
 	}
+	w3 := randWeights(rng, classes+1, features)
+	if _, err := rt.AddBackend(localReplica(t, w3, classes+1, features, 0, 0)); err == nil {
+		t.Fatal("AddBackend accepted a replica with a different class count")
+	}
 	if n := len(rt.Pool().Replicas()); n != 1 {
 		t.Fatalf("rejected joins changed the fleet: %d replicas", n)
+	}
+}
+
+// TestClassModeFeatureWidthReloadRefused: class shards that all reload
+// to a model of another feature width still tile the classes, but the
+// router plans and prices admission at the old width, so the refresh
+// after Reload or Coordinate must refuse the fleet, as it does in
+// replica mode.
+func TestClassModeFeatureWidthReloadRefused(t *testing.T) {
+	const classes, features, wider = 6, 9, 12
+	rng := rand.New(rand.NewSource(106))
+	w := randWeights(rng, classes, features)
+	ww := randWeights(rng, classes, wider)
+	plan, err := PlanShards(classes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]Backend, len(plan))
+	for i, rg := range plan {
+		base := localReplica(t, w, classes, features, i, len(plan))
+		reg := base.Registry()
+		backends[i] = NewLocalBackend(reg, base.Batcher(), func() (int64, error) {
+			p, err := serve.NewPredictor(ww[rg.Low*wider:rg.High*wider], rg.Width()+1, wider, 1)
+			if err != nil {
+				return 0, err
+			}
+			return reg.Swap(p, serve.ModelMeta{
+				ShardIndex: i, ShardCount: len(plan),
+				ShardLow: rg.Low, ShardHigh: rg.High, TotalClasses: classes,
+			}), nil
+		})
+	}
+	rt, err := New(backends, Options{Mode: ModeClass, HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	if _, err := rt.Reload(); err == nil || !strings.Contains(err.Error(), "restart the router") {
+		t.Fatalf("Reload to %d features: err %v, want the restart-the-router refusal", wider, err)
+	}
+	if err := rt.Coordinate(func() error { return nil }); err == nil || !strings.Contains(err.Error(), "restart the router") {
+		t.Fatalf("Coordinate over %d-feature shards: err %v, want the restart-the-router refusal", wider, err)
+	}
+	if got := rt.Features(); got != features {
+		t.Fatalf("Features() = %d after the refused reload, want the planned %d", got, features)
 	}
 }
 

@@ -61,7 +61,7 @@ type GroupPlan struct {
 // ordered by range.
 func planGroupsFromMetas(metas []serve.ModelMeta) ([]GroupPlan, error) {
 	if len(metas) == 0 {
-		return nil, fmt.Errorf("router: class-sharded mode needs at least one replica")
+		return nil, fmt.Errorf("router: the fleet has no members")
 	}
 	total, features := metas[0].Normalized().TotalClasses, metas[0].Features
 	byRange := make(map[ShardRange]int)

@@ -302,55 +302,13 @@ func (p *Pool) Stats() []ReplicaStats {
 	return out
 }
 
-// pickFrom selects one of members by power-of-two-choices: two distinct
-// available members at random, the one with fewer requests in flight
-// wins. With one available member it returns it; with none it returns
-// nil.
-func (p *Pool) pickFrom(members []*Replica) *Replica {
-	avail := make([]*Replica, 0, len(members))
-	for _, r := range members {
-		if r.available() {
-			avail = append(avail, r)
-		}
-	}
-	switch len(avail) {
-	case 0:
-		return nil
-	case 1:
-		return avail[0]
-	}
-	p.mu.Lock()
-	i := p.rng.Intn(len(avail))
-	j := p.rng.Intn(len(avail) - 1)
-	p.mu.Unlock()
-	if j >= i {
-		j++
-	}
-	a, b := avail[i], avail[j]
-	if b.inflight.Load() < a.inflight.Load() {
-		return b
-	}
-	return a
-}
-
-// pick selects from the whole pool (replica-balanced mode).
-func (p *Pool) pick() *Replica { return p.pickFrom(p.Replicas()) }
-
-// failoverOrderFrom returns the available members to try, first choice
-// first: the power-of-two pick, then every other available member.
-func (p *Pool) failoverOrderFrom(members []*Replica) []*Replica {
-	order := p.failoverOrderInto(members, nil)
-	if len(order) == 0 {
-		return nil
-	}
-	return order
-}
-
-// failoverOrderInto is failoverOrderFrom writing into a caller-owned
-// buffer (grown as needed, reused across calls), so the scatter hot
-// path stays allocation-free at steady state. The power-of-two-choices
-// winner is swapped to the front; the rest of the available members
-// follow in pool order (modulo that swap).
+// failoverOrderInto writes the available members to try into buf
+// (grown as needed, reused across calls, so the scatter hot path stays
+// allocation-free at steady state), first choice first. The first
+// choice is the power-of-two-choices pick: two distinct available
+// members at random, the one with fewer requests in flight wins. It is
+// swapped to the front; the rest follow in pool order (modulo that
+// swap).
 func (p *Pool) failoverOrderInto(members []*Replica, buf []*Replica) []*Replica {
 	buf = buf[:0]
 	for _, r := range members {
@@ -374,11 +332,6 @@ func (p *Pool) failoverOrderInto(members []*Replica, buf []*Replica) []*Replica 
 	}
 	buf[0], buf[win] = buf[win], buf[0]
 	return buf
-}
-
-// failoverOrder is failoverOrderFrom over the whole pool.
-func (p *Pool) failoverOrder() []*Replica {
-	return p.failoverOrderFrom(p.Replicas())
 }
 
 // ShardCoverage is one group's serviceability summary for /healthz.

@@ -103,7 +103,6 @@ type Router struct {
 
 	classes  int // full model class count C
 	features int
-	plan     []GroupPlan // plan[g] is shard group g's range and membership
 
 	// swapMu orders coordinated hot swaps against in-flight class-mode
 	// scatters: Reload holds the write side while the fleet swaps, so a
@@ -164,6 +163,9 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		}
 		metas[i] = m
 	}
+	if opts.Mode != ModeReplica && opts.Mode != ModeClass {
+		return nil, fmt.Errorf("router: unknown mode %q (want %q or %q)", opts.Mode, ModeReplica, ModeClass)
+	}
 	r := &Router{
 		mode:         opts.Mode,
 		opts:         opts,
@@ -173,37 +175,13 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		legs:         make(chan *scatterJob),
 		legStop:      make(chan struct{}),
 	}
-	switch opts.Mode {
-	case ModeReplica:
-		for i, m := range metas {
-			if m.IsShard() {
-				return nil, fmt.Errorf("router: replica %d serves class shard [%d,%d), replica-balanced mode needs full models", i, m.ShardLow, m.ShardHigh)
-			}
-			if m.Classes != metas[0].Classes || m.Features != metas[0].Features {
-				return nil, fmt.Errorf("router: replica %d shape (%d classes, %d features) != replica 0 (%d, %d)",
-					i, m.Classes, m.Features, metas[0].Classes, metas[0].Features)
-			}
-		}
-		r.classes, r.features = metas[0].Classes, metas[0].Features
-		// One group holding every replica: coverage and drain guards
-		// work uniformly across modes.
-		all := make([]int, len(backends))
-		for i := range all {
-			all[i] = i
-		}
-		r.plan = []GroupPlan{{Range: ShardRange{Low: 0, High: r.classes - 1}, Members: all}}
-	case ModeClass:
-		plan, err := planGroupsFromMetas(metas)
-		if err != nil {
-			return nil, err
-		}
-		r.plan = plan
-		r.classes, r.features = metas[0].Normalized().TotalClasses, metas[0].Features
-	default:
-		return nil, fmt.Errorf("router: unknown mode %q (want %q or %q)", opts.Mode, ModeReplica, ModeClass)
+	plan, err := r.checkFleet(metas, nil)
+	if err != nil {
+		return nil, err
 	}
+	r.classes, r.features = metas[0].Normalized().TotalClasses, metas[0].Features
 	r.pool = newPool(backends, metas)
-	r.pool.setGroups(r.plan)
+	r.pool.setGroups(plan)
 	if opts.HealthEvery > 0 {
 		r.pool.startHealth(opts.HealthEvery, opts.FailAfter)
 	}
@@ -243,10 +221,6 @@ func (r *Router) Features() int { return r.features }
 
 // Pool returns the replica pool (drain/undrain, stats).
 func (r *Router) Pool() *Pool { return r.pool }
-
-// Plan returns the shard-group placement: one entry per group, in
-// range order. Replica mode has a single group holding every replica.
-func (r *Router) Plan() []GroupPlan { return r.plan }
 
 // Version returns the newest model version any replica reports.
 func (r *Router) Version() int64 {
@@ -307,99 +281,92 @@ func (r *Router) Close() {
 // Predict scores the batch and writes the predicted classes into
 // out[:b.Rows()].
 func (r *Router) Predict(b *Batch, out []int) error {
-	if b.Rows() == 0 {
-		return nil
-	}
 	if len(out) < b.Rows() {
 		return fmt.Errorf("router: output buffer has %d slots for %d rows", len(out), b.Rows())
 	}
-	if err := r.admit(b); err != nil {
-		return err
-	}
-	r.requests.Add(1)
-	if r.mode == ModeClass {
-		return r.classScore(b, out, nil)
-	}
-	return r.replicaCall(b, func(rep *Replica) error { return rep.backend.Predict(b, out) })
+	return r.score(b, out, nil)
 }
 
 // Proba scores the batch with class probabilities: out is rows x Classes
 // row-major (reference class last), and the predicted classes go into
 // classOut when non-nil.
 func (r *Router) Proba(b *Batch, out []float64, classOut []int) error {
+	n := b.Rows() * r.classes
+	if len(out) < n {
+		return fmt.Errorf("router: proba buffer has %d entries for %d rows x %d classes", len(out), b.Rows(), r.classes)
+	}
+	// Pass an exact-size view: backends derive the class stride from the
+	// buffer, and an oversized caller buffer must not skew it.
+	return r.score(b, classOut, out[:n])
+}
+
+// score admits a non-empty batch and routes it by mode: predicted
+// classes into preds and probabilities into proba, each when non-nil.
+func (r *Router) score(b *Batch, preds []int, proba []float64) error {
 	if b.Rows() == 0 {
 		return nil
-	}
-	if len(out) < b.Rows()*r.classes {
-		return fmt.Errorf("router: proba buffer has %d entries for %d rows x %d classes", len(out), b.Rows(), r.classes)
 	}
 	if err := r.admit(b); err != nil {
 		return err
 	}
 	r.requests.Add(1)
 	if r.mode == ModeClass {
-		return r.classScore(b, classOut, out)
+		return r.classScore(b, preds, proba)
 	}
-	// Pass an exact-size view: backends derive the class stride from the
-	// buffer, and an oversized caller buffer must not skew it.
-	probaView := out[:b.Rows()*r.classes]
-	err := r.replicaCall(b, func(rep *Replica) error { return rep.backend.Proba(b, probaView) })
-	if err != nil {
-		return err
-	}
-	if classOut != nil {
-		for i := 0; i < b.Rows(); i++ {
-			classOut[i] = serve.ArgmaxProba(out[i*r.classes : (i+1)*r.classes])
-		}
-	}
-	return nil
+	return r.replicaCall(b, preds, proba)
 }
 
-// replicaCall runs fn against one replica, failing over through the
-// remaining available replicas on backpressure (serve.ErrQueueFull) or
-// backend errors. Each replica is tried at most once; the last error is
-// returned when all fail. The batch rides along only for its trace:
-// each attempt records a scatter-leg span (Leg = replica ID, Try =
-// attempt) when the request is sampled.
-func (r *Router) replicaCall(b *Batch, fn func(*Replica) error) error {
-	bufp, _ := r.orderBufs.Get().(*[]*Replica)
-	if bufp == nil {
-		bufp = new([]*Replica)
-	}
-	order := r.pool.failoverOrderInto(r.pool.Replicas(), *bufp)
-	*bufp = order[:0]
-	defer r.orderBufs.Put(bufp)
-	if len(order) == 0 {
-		return ErrNoReplicas
-	}
-	var lastErr error
+// errNoMember reports that tryMembers reached no member: its order was
+// empty, or the last member it tried had just left service. Each mode
+// turns it into its own 503.
+var errNoMember = errors.New("router: no available member")
+
+// tryMembers is the one member-attempt loop of both data planes: it
+// calls call on the members of order in turn, first choice first, and
+// returns the version of the first success (that member's done count
+// bumped, its failure streak cleared). Every attempt holds the member's
+// in-flight count, counts a failover unless it is the first choice, and
+// records its round trip in the member's latency, the scatter stage and,
+// when the request is sampled, a scatter-leg span (Leg = leg, or the
+// member's ID when leg < 0; Try = attempt). Backpressure
+// (serve.ErrQueueFull) and availability errors move on to the next
+// member, transport errors also feed the health signal, and any other
+// error is request-shaped and returned at once. call must not retain
+// its argument, so the caller's closure stays on the stack.
+func (r *Router) tryMembers(b *Batch, order []*Replica, leg int, call func(Backend) (int64, error)) (int64, error) {
+	lastErr := errNoMember
 	for k, rep := range order {
 		rep.inflight.Add(1)
 		if !rep.available() {
 			// Lost a race with Drain: it saw our increment or we see its
-			// state change — either way the replica takes no new work.
+			// state change — either way the member takes no new work.
 			rep.inflight.Add(-1)
-			lastErr = ErrNoReplicas
+			lastErr = errNoMember
 			continue
 		}
 		if k > 0 {
 			r.failovers.Add(1)
 		}
+		id := leg
+		if id < 0 {
+			id = rep.ID
+		}
 		t0 := time.Now()
-		err := fn(rep)
+		v, err := call(rep.backend)
 		d := time.Since(t0)
 		rep.Latency.Observe(d)
 		r.StageScatter.Observe(d)
-		b.Trace.AddSpan(obs.StageScatter, rep.ID, k, t0, d)
+		b.Trace.AddSpan(obs.StageScatter, id, k, t0, d)
 		rep.inflight.Add(-1)
 		if err == nil {
 			rep.done.Add(1)
 			rep.fails.Store(0) // a served request is proof of life
-			return nil
+			return v, nil
 		}
 		switch {
 		case errors.Is(err, serve.ErrQueueFull):
-			// Backpressure is a load signal, not a failure signal.
+			// Backpressure is a load signal, not a failure signal: another
+			// member may have headroom.
 			rep.rejected.Add(1)
 		case errors.Is(err, ErrReplicaUnreachable):
 			// Only transport-level failures feed the health signal: a
@@ -408,20 +375,48 @@ func (r *Router) replicaCall(b *Batch, fn func(*Replica) error) error {
 			r.pool.noteRequestError(rep, r.opts.FailAfter)
 		case errors.Is(err, serve.ErrNoModel), errors.Is(err, serve.ErrClosed),
 			errors.Is(err, serve.ErrModelShapeChanged):
-			// Replica-availability problems: another replica may hold a
+			// Member-availability problems: another member may hold a
 			// usable snapshot, so keep failing over.
 			rep.errs.Add(1)
 		default:
-			// Request-shaped (400-class) errors are deterministic:
-			// every replica would reject the same batch, so re-scoring
-			// it around the fleet only multiplies the cost of a bad
-			// request.
+			// Request-shaped (400-class) errors are deterministic: every
+			// member would reject the same batch, so re-scoring it around
+			// the fleet only multiplies the cost of a bad request.
 			rep.errs.Add(1)
-			return err
+			return 0, err
 		}
 		lastErr = err
 	}
-	return lastErr
+	return 0, lastErr
+}
+
+// replicaCall scores the whole batch on one replica, failing over
+// through every other available replica (each tried at most once); the
+// last error is returned when all fail. The backend fills exactly one
+// output: proba when it is wanted, and the classes then derive from it.
+func (r *Router) replicaCall(b *Batch, preds []int, proba []float64) error {
+	bufp, _ := r.orderBufs.Get().(*[]*Replica)
+	if bufp == nil {
+		bufp = new([]*Replica)
+	}
+	order := r.pool.failoverOrderInto(r.pool.Replicas(), *bufp)
+	*bufp = order[:0]
+	defer r.orderBufs.Put(bufp)
+	want := preds
+	if proba != nil {
+		want = nil
+	}
+	_, err := r.tryMembers(b, order, -1, func(be Backend) (int64, error) { return 0, be.Score(b, want, proba) })
+	if err == errNoMember {
+		return ErrNoReplicas
+	}
+	if err != nil || proba == nil || preds == nil {
+		return err
+	}
+	for i := range b.Rows() {
+		preds[i] = serve.ArgmaxProba(proba[i*r.classes : (i+1)*r.classes])
+	}
+	return nil
 }
 
 // classScore is the class-sharded data plane: scatter the batch to every
@@ -450,10 +445,8 @@ func (r *Router) classScore(b *Batch, classOut []int, probaOut []float64) error 
 	mergeStart := time.Now()
 	if probaOut != nil {
 		loss.ProbaFromScores(scores, rows, r.classes, probaOut[:rows*r.classes])
-		if classOut != nil {
-			loss.PredictFromScores(scores, rows, r.classes, classOut[:rows])
-		}
-	} else {
+	}
+	if classOut != nil {
 		loss.PredictFromScores(scores, rows, r.classes, classOut[:rows])
 	}
 	d := time.Since(mergeStart)
@@ -583,80 +576,30 @@ func (r *Router) scatterOnce(b *Batch, scores []float64) error {
 // successful attempt writes the whole tile, so the buffer is safely
 // reused across attempts. Returns the snapshot version the tile was
 // scored against. Scratch (failover order, partial tile) lives on the
-// pooled job; every attempt records a scatter-leg span (Leg = group ID,
-// Try = attempt) when the request is sampled.
+// pooled job; spans record Leg = group ID.
 func (r *Router) scatterGroup(j *scatterJob) (int64, error) {
 	g, b, scores := j.g, j.b, j.scores
 	rows := b.Rows()
 	m := r.classes - 1
 	w := g.Range.Width()
 	j.order = r.pool.failoverOrderInto(g.members, j.order)
-	order := j.order
-	if len(order) == 0 {
-		return 0, fmt.Errorf("%w: group [%d,%d) has no available member", ErrShardUnavailable, g.Range.Low, g.Range.High)
-	}
-	attempts := r.opts.SiblingRetries + 1
-	if attempts > len(order) {
-		attempts = len(order)
-	}
+	attempts := min(r.opts.SiblingRetries+1, len(j.order))
 	if cap(j.part) < rows*w {
 		j.part = make([]float64, rows*w)
 	}
 	part := j.part[:rows*w]
-	var lastErr error
-	for k := 0; k < attempts; k++ {
-		rep := order[k]
-		rep.inflight.Add(1)
-		if !rep.available() {
-			// Lost a race with Drain: it saw our increment or we see its
-			// state change — either way the member takes no new work.
-			rep.inflight.Add(-1)
-			lastErr = fmt.Errorf("%w: replica %d is %s", ErrShardUnavailable, rep.ID, rep.State())
-			continue
-		}
-		if k > 0 {
-			r.failovers.Add(1)
-		}
-		t0 := time.Now()
-		v, err := rep.backend.PartialScores(b, w, part)
-		d := time.Since(t0)
-		rep.Latency.Observe(d)
-		r.StageScatter.Observe(d)
-		b.Trace.AddSpan(obs.StageScatter, g.ID, k, t0, d)
-		rep.inflight.Add(-1)
-		if err == nil {
-			rep.done.Add(1)
-			rep.fails.Store(0)
-			// Disjoint column ranges per group: concurrent writers never
-			// overlap.
-			for row := 0; row < rows; row++ {
-				copy(scores[row*m+g.Range.Low:row*m+g.Range.High], part[row*w:(row+1)*w])
-			}
-			return v, nil
-		}
-		switch {
-		case errors.Is(err, serve.ErrQueueFull):
-			// Backpressure is a load signal, not a failure signal: a
-			// sibling may have headroom.
-			rep.rejected.Add(1)
-		case errors.Is(err, ErrReplicaUnreachable):
-			// Only transport-level failures feed the health signal.
-			rep.errs.Add(1)
-			r.pool.noteRequestError(rep, r.opts.FailAfter)
-		case errors.Is(err, serve.ErrNoModel), errors.Is(err, serve.ErrClosed),
-			errors.Is(err, serve.ErrModelShapeChanged):
-			// Member-availability problems: a sibling may hold a usable
-			// snapshot.
-			rep.errs.Add(1)
-		default:
-			// Request-shaped (400-class) errors are deterministic: every
-			// sibling would reject the same batch.
-			rep.errs.Add(1)
-			return 0, err
-		}
-		lastErr = err
+	v, err := r.tryMembers(b, j.order[:attempts], g.ID, func(be Backend) (int64, error) { return be.PartialScores(b, w, part) })
+	if err == errNoMember {
+		return 0, fmt.Errorf("%w: group [%d,%d) has no available member", ErrShardUnavailable, g.Range.Low, g.Range.High)
 	}
-	return 0, lastErr
+	if err != nil {
+		return 0, err
+	}
+	// Disjoint column ranges per group: concurrent writers never overlap.
+	for row := 0; row < rows; row++ {
+		copy(scores[row*m+g.Range.Low:row*m+g.Range.High], part[row*w:(row+1)*w])
+	}
+	return v, nil
 }
 
 // Reload hot-swaps every replica's checkpoint, holding the swap lock so
@@ -689,12 +632,9 @@ func (r *Router) Reload() (int64, error) {
 		}
 	}
 	if err := r.refreshMetasLocked(); err != nil {
-		return 0, fmt.Errorf("router: reload deployed an incompatible model — restart the router to serve it: %w", err)
+		return 0, err
 	}
-	if firstErr != nil {
-		return latest, firstErr
-	}
-	return latest, nil
+	return latest, firstErr
 }
 
 // Coordinate runs fn while holding the swap lock, so no class-mode
@@ -711,14 +651,17 @@ func (r *Router) Coordinate(fn func() error) error {
 }
 
 // refreshMetasLocked re-probes every backend and checks the fleet still
-// matches the router's plan (same shard tiling and class count in class
-// mode, same shape in replica mode). Caller holds swapMu; the metas
-// slice is positional over the membership snapshot taken here (replica
-// IDs are stable across removals and no longer usable as indices).
+// keeps the router's plan; a fleet that does not holds the new model,
+// and the router must be restarted to serve it. Caller holds swapMu;
+// the metas slice is positional over the membership snapshot taken here
+// (replica IDs are stable across removals and no longer usable as
+// indices).
 func (r *Router) refreshMetasLocked() error {
 	reps, groups := r.pool.snapshot()
 	metas := make([]serve.ModelMeta, len(reps))
+	planned := make([]ShardRange, len(reps))
 	for i, rep := range reps {
+		planned[i] = groups[rep.GroupID].Range
 		m, err := rep.backend.Meta()
 		if err != nil {
 			// Unreachable replicas are the health monitor's problem, not
@@ -729,41 +672,54 @@ func (r *Router) refreshMetasLocked() error {
 		metas[i] = m
 		rep.meta.Store(&m)
 	}
-	switch r.mode {
-	case ModeClass:
-		if _, err := planGroupsFromMetas(metas); err != nil {
-			return err
-		}
-		// The grid must be unchanged: every replica still serves exactly
-		// the range its group was planned for.
-		for i, rep := range reps {
-			g := groups[rep.GroupID]
-			m := metas[i].Normalized()
-			if (ShardRange{Low: m.ShardLow, High: m.ShardHigh}) != g.Range {
-				return fmt.Errorf("router: replica %d now serves shard [%d,%d), planned [%d,%d)",
-					rep.ID, m.ShardLow, m.ShardHigh, g.Range.Low, g.Range.High)
-			}
-		}
-		if total := metas[0].Normalized().TotalClasses; total != r.classes {
-			return fmt.Errorf("router: model now has %d classes, router planned %d", total, r.classes)
-		}
-	case ModeReplica:
+	if _, err := r.checkFleet(metas, planned); err != nil {
+		return fmt.Errorf("router: the fleet now serves an incompatible model — restart the router to serve it: %w", err)
+	}
+	return nil
+}
+
+// checkFleet is the one fleet-shape check: New, every refresh and
+// AddBackend run it on the members' metadata, and its errors name a
+// member by its position in metas. It plans the members into shard
+// groups (planGroupsFromMetas: one model shape, ranges that tile the
+// explicit classes, zone spread). Replica mode also needs every member
+// to be a full model, so its plan is one group of every member. With
+// planned set, the fleet must keep the plan the router serves: member i
+// still serves planned[i], and the model keeps the router's class count
+// and feature width.
+func (r *Router) checkFleet(metas []serve.ModelMeta, planned []ShardRange) ([]GroupPlan, error) {
+	if r.mode == ModeReplica {
 		for i, m := range metas {
-			if m.Classes != r.classes || m.Features != r.features {
-				return fmt.Errorf("router: replica %d now serves (%d classes, %d features), router planned (%d, %d)",
-					reps[i].ID, m.Classes, m.Features, r.classes, r.features)
+			if m.IsShard() {
+				return nil, fmt.Errorf("router: replica %d serves class shard [%d,%d), replica-balanced mode needs full models", i, m.ShardLow, m.ShardHigh)
 			}
 		}
 	}
-	return nil
+	plan, err := planGroupsFromMetas(metas)
+	if err != nil || planned == nil {
+		return plan, err
+	}
+	for i, m := range metas {
+		m = m.Normalized()
+		if got := (ShardRange{Low: m.ShardLow, High: m.ShardHigh}); got != planned[i] {
+			return nil, fmt.Errorf("router: replica %d now serves shard [%d,%d), planned [%d,%d)",
+				i, got.Low, got.High, planned[i].Low, planned[i].High)
+		}
+	}
+	if m := metas[0].Normalized(); m.TotalClasses != r.classes || m.Features != r.features {
+		return nil, fmt.Errorf("router: model now has (%d classes, %d features), router planned (%d, %d)",
+			m.TotalClasses, m.Features, r.classes, r.features)
+	}
+	return plan, nil
 }
 
 // AddBackend grows the fleet with a freshly built replica (the
 // autoscaler's scale-up actuator). Replica-balanced mode only: class
 // mode's shard tiling is planned at construction and adding a member
 // would need a placement decision this API does not take. The backend
-// is probed and shape-validated before it joins; on success it starts
-// receiving traffic immediately. Returns the new replica's stable ID.
+// is probed and must be a full model of the fleet's shape before it
+// joins; on success it starts receiving traffic immediately. Returns
+// the new replica's stable ID.
 func (r *Router) AddBackend(b Backend) (int, error) {
 	if r.mode != ModeReplica {
 		return 0, fmt.Errorf("router: AddBackend requires %q mode (got %q)", ModeReplica, r.mode)
@@ -772,17 +728,13 @@ func (r *Router) AddBackend(b Backend) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("router: probing new replica: %w", err)
 	}
-	if m.IsShard() {
-		return 0, fmt.Errorf("router: new replica serves class shard [%d,%d), replica-balanced mode needs full models", m.ShardLow, m.ShardHigh)
-	}
-	if m.Classes != r.classes || m.Features != r.features {
-		return 0, fmt.Errorf("router: new replica shape (%d classes, %d features) != fleet (%d, %d)",
-			m.Classes, m.Features, r.classes, r.features)
-	}
 	// Serialize against Reload/Coordinate so a fleet-wide swap never
 	// interleaves with a membership change.
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
+	if _, err := r.checkFleet([]serve.ModelMeta{m}, []ShardRange{r.pool.Groups()[0].Range}); err != nil {
+		return 0, fmt.Errorf("router: new replica refused: %w", err)
+	}
 	rep := r.pool.addReplica(b, m, 0)
 	return rep.ID, nil
 }

@@ -464,50 +464,41 @@ func (t *TCPBackend) Meta() (serve.ModelMeta, error) {
 	if wm.Classes < 2 || wm.Features <= 0 {
 		return serve.ModelMeta{}, fmt.Errorf("router: replica %s reported no model", t.Addr)
 	}
-	return serve.ModelMeta{
-		Version: wm.Version, Classes: wm.Classes, Features: wm.Features,
-		ShardIndex: wm.ShardIndex, ShardCount: wm.ShardCount,
-		ShardLow: wm.ShardLow, ShardHigh: wm.ShardHigh, TotalClasses: wm.TotalClasses,
-		Zone: wm.Zone,
-	}, nil
+	return serve.MetaFromWire(wm), nil
 }
 
-// Predict scores the batch over the wire (replica-balanced data plane).
-func (t *TCPBackend) Predict(b *Batch, out []int) error {
-	op, payload, release, err := t.batchTrip(wire.OpPredict, b, 0)
+// Score scores the batch over the wire (replica-balanced data plane):
+// an OpProba round trip when proba is non-nil (proba is rows x classes),
+// else an OpPredict one into preds.
+func (t *TCPBackend) Score(b *Batch, preds []int, proba []float64) error {
+	op, want := wire.OpPredict, wire.OpPredictResp
+	if proba != nil {
+		op, want = wire.OpProba, wire.OpProbaResp
+	}
+	got, payload, release, err := t.batchTrip(op, b, 0)
 	if err != nil {
 		return err
 	}
-	if err := t.expect(wire.OpPredictResp, op, payload, release); err != nil {
-		return err
-	}
-	defer release()
-	_, n, err := wire.DecodePredictResp(payload, out)
-	if err != nil {
-		return fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
-	}
-	if n != b.Rows() {
-		return fmt.Errorf("router: replica returned %d predictions for %d instances", n, b.Rows())
-	}
-	return nil
-}
-
-// Proba scores the batch with probabilities; out is rows x classes.
-func (t *TCPBackend) Proba(b *Batch, out []float64) error {
-	op, payload, release, err := t.batchTrip(wire.OpProba, b, 0)
-	if err != nil {
-		return err
-	}
-	if err := t.expect(wire.OpProbaResp, op, payload, release); err != nil {
+	if err := t.expect(want, got, payload, release); err != nil {
 		return err
 	}
 	defer release()
 	rows := b.Rows()
+	if proba == nil {
+		_, n, err := wire.DecodePredictResp(payload, preds)
+		if err != nil {
+			return fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
+		}
+		if n != rows {
+			return fmt.Errorf("router: replica returned %d predictions for %d instances", n, rows)
+		}
+		return nil
+	}
 	if rows == 0 {
 		return nil
 	}
-	classes := len(out) / rows
-	_, nr, nc, err := wire.DecodeFloatsResp(payload, out)
+	classes := len(proba) / rows
+	_, nr, nc, err := wire.DecodeFloatsResp(payload, proba)
 	if err != nil {
 		return fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
 	}

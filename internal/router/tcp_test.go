@@ -112,7 +112,7 @@ func TestTCPBackendConcurrentPipelining(t *testing.T) {
 				i := (g + k) % nRows
 				var b Batch
 				b.AddDense(rows[i])
-				if err := tb.Predict(&b, out); err != nil {
+				if err := tb.Score(&b, out, nil); err != nil {
 					errs <- err
 					return
 				}
@@ -273,14 +273,14 @@ func TestTCPBackendRejectsUnframeableBatch(t *testing.T) {
 	for i := 0; i < wire.MaxRows+1; i++ {
 		flood.AddCSR(nil, nil)
 	}
-	err := tb.Predict(&flood, make([]int, flood.Rows()))
+	err := tb.Score(&flood, make([]int, flood.Rows()), nil)
 	if err == nil || errors.Is(err, ErrReplicaUnreachable) {
 		t.Fatalf("row flood: got %v, want a request-shaped error", err)
 	}
 
 	var fat Batch
 	fat.AddDense(make([]float64, wire.MaxPayload/8+2))
-	err = tb.Predict(&fat, make([]int, 1))
+	err = tb.Score(&fat, make([]int, 1), nil)
 	if err == nil || errors.Is(err, ErrReplicaUnreachable) {
 		t.Fatalf("oversized payload: got %v, want a request-shaped error", err)
 	}

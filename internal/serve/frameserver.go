@@ -209,12 +209,7 @@ func (s *FrameServer) handleFrame(h wire.Header, payload []byte, st *connState) 
 			return
 		}
 		st.enc.Begin(wire.OpMetaResp, h.Corr)
-		st.enc.MetaResp(wire.Meta{
-			Version: meta.Version, Classes: meta.Classes, Features: meta.Features,
-			ShardIndex: meta.ShardIndex, ShardCount: meta.ShardCount,
-			ShardLow: meta.ShardLow, ShardHigh: meta.ShardHigh, TotalClasses: meta.TotalClasses,
-			Zone: meta.Zone,
-		})
+		st.enc.MetaResp(meta.Wire())
 	case wire.OpReload:
 		if s.reload == nil {
 			fail(wire.CodeNotImplemented, "no reloader configured")

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"newtonadmm/internal/wire"
 )
 
 // ModelMeta describes a registered model snapshot for health and metrics
@@ -15,7 +17,7 @@ type ModelMeta struct {
 	Solver   string    `json:"solver,omitempty"`
 	Classes  int       `json:"classes"`
 	Features int       `json:"features"`
-	LoadedAt time.Time `json:"loaded_at"`
+	LoadedAt time.Time `json:"loaded_at,omitzero"`
 
 	// Class-shard metadata, set when this snapshot holds only a slice of
 	// a larger model's explicit class rows (ShardCount > 0): the snapshot
@@ -50,6 +52,26 @@ func (m ModelMeta) Normalized() ModelMeta {
 		m.TotalClasses = m.Classes
 	}
 	return m
+}
+
+// Wire returns the fields of m that an OpMeta reply carries.
+func (m ModelMeta) Wire() wire.Meta {
+	return wire.Meta{
+		Version: m.Version, Classes: m.Classes, Features: m.Features,
+		ShardIndex: m.ShardIndex, ShardCount: m.ShardCount,
+		ShardLow: m.ShardLow, ShardHigh: m.ShardHigh, TotalClasses: m.TotalClasses,
+		Zone: m.Zone,
+	}
+}
+
+// MetaFromWire is the inverse of ModelMeta.Wire.
+func MetaFromWire(w wire.Meta) ModelMeta {
+	return ModelMeta{
+		Version: w.Version, Classes: w.Classes, Features: w.Features,
+		ShardIndex: w.ShardIndex, ShardCount: w.ShardCount,
+		ShardLow: w.ShardLow, ShardHigh: w.ShardHigh, TotalClasses: w.TotalClasses,
+		Zone: w.Zone,
+	}
 }
 
 // entry is one registered snapshot with its reference count. The count

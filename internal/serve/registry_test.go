@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"newtonadmm/internal/device"
+	"newtonadmm/internal/wire"
 )
 
 // ownedPredictor builds a predictor that owns its device (so the
@@ -187,4 +190,36 @@ func TestDeviceClosedAccessor(t *testing.T) {
 		t.Fatal("closed device reports open")
 	}
 	d.Close() // idempotent
+}
+
+// TestModelMetaWireRoundTrip pins the one ModelMeta <-> wire.Meta
+// conversion pair: every field an OpMeta reply carries, zone included,
+// survives ModelMeta.Wire, the frame codec and MetaFromWire.
+func TestModelMetaWireRoundTrip(t *testing.T) {
+	m := ModelMeta{
+		Version: 7, Classes: 4, Features: 9,
+		ShardIndex: 1, ShardCount: 3, ShardLow: 3, ShardHigh: 6, TotalClasses: 10,
+		Zone: "rack-b",
+	}
+	wm := m.Wire()
+	v := reflect.ValueOf(wm)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("ModelMeta.Wire left wire.Meta.%s zero", v.Type().Field(i).Name)
+		}
+	}
+	var e wire.Encoder
+	e.Begin(wire.OpMetaResp, 1)
+	e.MetaResp(wm)
+	_, payload, err := wire.NewReader(bytes.NewReader(e.Bytes())).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := wire.DecodeMetaResp(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := MetaFromWire(decoded); got != m {
+		t.Fatalf("round trip: got %+v, want %+v", got, m)
+	}
 }

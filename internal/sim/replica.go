@@ -97,28 +97,17 @@ func (r *SimReplica) Meta() (serve.ModelMeta, error) {
 	return m, nil
 }
 
-// Predict implements router.Backend (full-replica data plane): admit
+// Score implements router.Backend (full-replica data plane): admit
 // into the virtual queue, then run the rows through the real batcher so
 // the production serve path executes too.
-func (r *SimReplica) Predict(b *router.Batch, out []int) error {
+func (r *SimReplica) Score(b *router.Batch, preds []int, proba []float64) error {
 	if r.closed {
 		return serve.ErrClosed
 	}
 	if err := r.enqueue(b); err != nil {
 		return err
 	}
-	return r.bat.ScoreBatch(&b.Batch, b.Priority, nil, out, nil)
-}
-
-// Proba implements router.Backend.
-func (r *SimReplica) Proba(b *router.Batch, out []float64) error {
-	if r.closed {
-		return serve.ErrClosed
-	}
-	if err := r.enqueue(b); err != nil {
-		return err
-	}
-	return r.bat.ScoreBatch(&b.Batch, b.Priority, nil, nil, out)
+	return r.bat.ScoreBatch(&b.Batch, b.Priority, nil, preds, proba)
 }
 
 // PartialScores implements router.Backend (class-sharded data plane):

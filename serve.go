@@ -365,14 +365,19 @@ func shardSlice(m *Model, i, n int) ([]float64, int, router.ShardRange, error) {
 	return w, rng.Width() + 1, rng, nil
 }
 
+// fileStamp identifies one version of a file on disk: its modification
+// time in Unix nanoseconds and its size.
+type fileStamp struct{ mod, size int64 }
+
+func stampOf(st os.FileInfo) fileStamp { return fileStamp{st.ModTime().UnixNano(), st.Size()} }
+
 // watchLoop polls ModelPath and hot-swaps when the checkpoint changes,
 // until stop closes.
 func (ms *ModelServer) watchLoop(stop <-chan struct{}) {
 	defer ms.watch.Done()
-	var lastMod time.Time
-	var lastSize int64
+	var last, failed fileStamp
 	if st, err := os.Stat(ms.opts.ModelPath); err == nil {
-		lastMod, lastSize = st.ModTime(), st.Size()
+		last = stampOf(st)
 	}
 	tick := time.NewTicker(ms.opts.Watch)
 	defer tick.Stop()
@@ -385,17 +390,22 @@ func (ms *ModelServer) watchLoop(stop <-chan struct{}) {
 			if err != nil {
 				continue
 			}
-			if st.ModTime().Equal(lastMod) && st.Size() == lastSize {
+			now := stampOf(st)
+			if now == last {
 				continue
 			}
 			if v, err := ms.lb.Reload(); err != nil {
 				// Keep retrying (a half-written checkpoint heals on the
-				// next tick), but tell the operator — a corrupt file
-				// would otherwise fail silently forever while healthz
-				// keeps reporting the old version.
-				log.Printf("newtonadmm: hot-swap watch: reloading %s failed: %v", ms.opts.ModelPath, err)
+				// next tick), but tell the operator once per file
+				// version — a corrupt file would otherwise fail silently
+				// while healthz keeps reporting the old version, or
+				// flood the log on every tick.
+				if now != failed {
+					failed = now
+					log.Printf("newtonadmm: hot-swap watch: reloading %s failed: %v", ms.opts.ModelPath, err)
+				}
 			} else {
-				lastMod, lastSize = st.ModTime(), st.Size()
+				last = now
 				log.Printf("newtonadmm: hot-swap watch: %s deployed as model version %d", ms.opts.ModelPath, v)
 			}
 		}

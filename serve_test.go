@@ -3,11 +3,14 @@ package newtonadmm
 import (
 	"bytes"
 	"encoding/json"
+	"log"
 	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -319,11 +322,35 @@ func TestModelSaveLoadServeRoundTrip(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a log sink safe for the logging goroutines of a
+// running server.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestServeWatchHotSwapsAndSurvivesCorruptFile pins the -watch loop: a
 // new checkpoint written over ModelPath deploys as the next version, a
 // corrupt (truncated) file is refused while the last good version keeps
-// serving, and a good file written afterwards deploys again.
+// serving — logged once, not on every tick of its retries — and a good
+// file written afterwards deploys again.
 func TestServeWatchHotSwapsAndSurvivesCorruptFile(t *testing.T) {
+	logs := new(lockedBuffer)
+	prevLog := log.Writer()
+	log.SetOutput(logs)
+	t.Cleanup(func() { log.SetOutput(prevLog) })
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.gob")
 	m1 := testModel(3, 6, 11)
@@ -433,4 +460,7 @@ func TestServeWatchHotSwapsAndSurvivesCorruptFile(t *testing.T) {
 	m3 := testModel(3, 6, 13)
 	replace(m3, 2*time.Second)
 	waitFor(3, m3)
+	if n := strings.Count(logs.String(), "reloading "+path+" failed"); n != 1 {
+		t.Fatalf("the truncated file logged %d reload failures over its retries, want 1:\n%s", n, logs)
+	}
 }
