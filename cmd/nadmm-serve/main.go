@@ -1,7 +1,7 @@
 // Command nadmm-serve is the online inference server: it loads a model
-// checkpoint written by nadmm-train -save (or Model.Save) and serves
+// file written by nadmm-train -save (or Model.Save) and serves
 // predictions over HTTP with dynamic micro-batching, bounded-queue
-// backpressure, and zero-downtime checkpoint hot-swap. It can also run
+// backpressure, and zero-downtime model hot-swap. It can also run
 // as one node of a serving fleet: a scatter-gather router over N
 // predictor replicas (in-process or separate processes), or a
 // class-shard replica serving a slice of the model behind such a router.
@@ -12,38 +12,38 @@
 //	POST /v1/proba    same body; adds class probabilities
 //	GET  /healthz     readiness + model metadata (+ per-replica states on a router)
 //	GET  /metricz     latency quantiles, batch sizes, device counters
-//	POST /v1/reload   re-read the checkpoint and hot-swap it in (a router
+//	POST /v1/reload   re-read the model file and hot-swap it in (a router
 //	                  coordinates the reload across all replicas)
 //
 // Examples:
 //
-//	nadmm-train -preset mnist -save model.gob
-//	nadmm-serve -model model.gob -addr :8080
+//	nadmm-train -preset mnist -save model.nack
+//	nadmm-serve -model model.nack -addr :8080
 //	curl -s localhost:8080/healthz
 //	curl -s -X POST localhost:8080/v1/predict -d '{"instances":[[0.1, 0.2, ...]]}'
 //
 //	# zero-downtime deploy: retrain into the same path, then either
 //	curl -s -X POST localhost:8080/v1/reload     # explicit
-//	nadmm-serve -model model.gob -watch 5s       # or polled
+//	nadmm-serve -model model.nack -watch 5s       # or polled
 //
 //	# in-process serving fleet: 4 whole-model replicas, least-loaded routing
-//	nadmm-serve -model model.gob -addr :8080 -replicas 4
+//	nadmm-serve -model model.nack -addr :8080 -replicas 4
 //
 //	# in-process class-sharded fleet: partial-logit scatter-gather
-//	nadmm-serve -model model.gob -addr :8080 -replicas 2 -shard-mode class
+//	nadmm-serve -model model.nack -addr :8080 -replicas 2 -shard-mode class
 //
 //	# replicated R x S grid: 2 class shards x 2 zone-spread siblings
 //	# each — any single replica death fails over to its shard sibling
 //	# and is never client-visible
-//	nadmm-serve -model model.gob -addr :8080 -replicas 2 -shard-mode class \
+//	nadmm-serve -model model.nack -addr :8080 -replicas 2 -shard-mode class \
 //	    -replicas-per-shard 2 -zone zone-a,zone-b
 //
 //	# multi-process class-sharded fleet: two shard replicas + a router.
 //	# Replicas expose a binary frame listener with -wire-addr and the
 //	# router joins it via tcp:// addresses; JSON is spoken to clients
 //	# only (see DESIGN.md "Binary data plane")
-//	nadmm-serve -model model.gob -addr :8081 -wire-addr :9081 -shard-index 0 -shard-count 2 &
-//	nadmm-serve -model model.gob -addr :8082 -wire-addr :9082 -shard-index 1 -shard-count 2 &
+//	nadmm-serve -model model.nack -addr :8081 -wire-addr :9081 -shard-index 0 -shard-count 2 &
+//	nadmm-serve -model model.nack -addr :8082 -wire-addr :9082 -shard-index 1 -shard-count 2 &
 //	nadmm-serve -addr :8080 -shard-mode class -join tcp://127.0.0.1:9081,tcp://127.0.0.1:9082
 package main
 
@@ -64,13 +64,13 @@ func main() {
 	log.SetPrefix("nadmm-serve: ")
 
 	var (
-		model    = flag.String("model", "", "model checkpoint (gob) to serve (required unless -join)")
+		model    = flag.String("model", "", "model file written by nadmm-train -save to serve (required unless -join)")
 		addr     = flag.String("addr", ":8080", "listen address")
 		maxBatch = flag.Int("max-batch", 64, "micro-batch size cap (rows per kernel launch)")
 		linger   = flag.Duration("linger", 200*time.Microsecond, "micro-batch flush window (negative disables)")
 		queue    = flag.Int("queue", 0, "admission queue depth (0 = 4*max-batch); full queue returns 429")
 		workers  = flag.Int("workers", 0, "device workers (0 = NumCPU)")
-		watch    = flag.Duration("watch", 0, "poll the checkpoint at this interval and hot-swap on change (0 disables)")
+		watch    = flag.Duration("watch", 0, "poll the model file at this interval and hot-swap on change (0 disables)")
 
 		wireAddr = flag.String("wire-addr", "", "also listen here with the binary frame data plane (join it with tcp:// from a router)")
 
@@ -169,7 +169,7 @@ func main() {
 		log.Printf("watching %s every %v for hot-swap", *model, *watch)
 	}
 
-	// SIGHUP hot-swaps the checkpoint; SIGINT/SIGTERM shut down.
+	// SIGHUP hot-swaps the model file; SIGINT/SIGTERM shut down.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	for s := range sig {
@@ -192,7 +192,7 @@ func main() {
 }
 
 // runRouter starts the scatter-gather serving tier: in-process replicas
-// built from the checkpoint, or remote replicas joined by their frame
+// built from the model file, or remote replicas joined by their frame
 // listeners' addresses.
 func runRouter(model string, opts newtonadmm.RouterOptions) {
 	var m *newtonadmm.Model

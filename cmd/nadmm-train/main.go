@@ -26,7 +26,7 @@ func printTrace(trace []newtonadmm.TracePoint) {
 		if !math.IsNaN(p.TestAccuracy) {
 			acc = fmt.Sprintf("%7.4f", p.TestAccuracy)
 		}
-		fmt.Printf("%5d  %11.4f  %13.6g  %s\n", p.Epoch, p.Seconds, p.Objective, acc)
+		fmt.Printf("%5d  %11.4f  %13.6g  %s\n", p.Epoch, p.Time.Seconds(), p.Objective, acc)
 	}
 }
 
@@ -53,7 +53,7 @@ func main() {
 		momentum = flag.Float64("momentum", 0, "heavy-ball momentum for sync-sgd")
 		tau      = flag.Float64("tau", 1, "AIDE catalyst weight")
 		seed     = flag.Int64("seed", 0, "random seed for stochastic solvers")
-		save     = flag.String("save", "", "write the trained model (gob) to this path")
+		save     = flag.String("save", "", "write the trained model file (a CRC-checked snapshot nadmm-serve -model reads) to this path; its directory must exist")
 		quiet    = flag.Bool("quiet", false, "suppress the per-epoch trace")
 
 		ckptDir     = flag.String("checkpoint-dir", "", "write crash-safe checkpoints to this directory, newest two kept (every solver, newton included)")

@@ -37,8 +37,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	ckpt := filepath.Join(dir, "model.gob")
-	if err := model.Save(ckpt); err != nil {
+	modelPath := filepath.Join(dir, "model.nack")
+	if err := model.Save(modelPath); err != nil {
 		log.Fatal(err)
 	}
 
@@ -49,7 +49,7 @@ func main() {
 	for i := 0; i < 2; i++ {
 		shard, err := newtonadmm.Serve(model, newtonadmm.ServeOptions{
 			Addr: "127.0.0.1:0", WireAddr: "127.0.0.1:0",
-			ModelPath: ckpt, ShardIndex: i, ShardCount: 2,
+			ModelPath: modelPath, ShardIndex: i, ShardCount: 2,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -100,14 +100,14 @@ func main() {
 	postJSON(base+"/v1/replicas", map[string]any{"id": 0, "action": "undrain"})
 	fmt.Printf("undrained shard 0 -> healthz: %s\n\n", getBody(base+"/healthz", http.StatusOK))
 
-	// Hot swap: retrain briefly, rewrite the checkpoint, and reload the
+	// Hot swap: retrain briefly, rewrite the model file, and reload the
 	// whole fleet in one coordinated call. The router holds its swap
 	// lock across the rollout, so no scatter merges mixed versions.
 	model2, err := newtonadmm.Train(ds, newtonadmm.Options{Epochs: 5, Network: "none", EvalTestAccuracy: false})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := model2.Save(ckpt); err != nil {
+	if err := model2.Save(modelPath); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("coordinated reload: %s\n", postJSON(base+"/v1/reload", nil))

@@ -64,16 +64,18 @@ func DiSCO(opts DiSCOOptions) dist.Solver {
 			x := make([]float64, dim)
 			g := make([]float64, dim)
 			p := make([]float64, dim)
+			hp := make([]float64, dim)
+			sc := &pcgScratch{r: make([]float64, dim), z: make([]float64, dim), s: make([]float64, dim),
+				hs: make([]float64, dim), prec: dampedOp{mu: local.Lambda}}
 			return stepper{replicated{x}, func(int) {
 				// Round 1: global gradient (and value, unused here).
 				local.GlobalGradient(node, x, g)
 
 				h := local.Problem.HessianAt(x)
-				solveDistributedPCG(node, h, local.Lambda, g, p, opts)
+				solveDistributedPCG(node, h, g, p, opts, sc)
 
 				// Damped Newton step: delta = sqrt(p^T H p) through one more
 				// allreduce, step 1/(1+delta).
-				hp := make([]float64, dim)
 				h.Apply(p, hp)
 				node.AllReduceSum(hp)
 				delta := math.Sqrt(math.Max(0, linalg.Dot(p, hp)))
@@ -84,6 +86,14 @@ func DiSCO(opts DiSCOOptions) dist.Solver {
 	}
 }
 
+// pcgScratch is solveDistributedPCG's vectors, preconditioner and local
+// CG workspace, built once per rank so a Newton step allocates nothing.
+type pcgScratch struct {
+	r, z, s, hs []float64
+	prec        dampedOp
+	work        cg.Workspace
+}
+
 // solveDistributedPCG solves (sum_i H_i) p = g with PCG. The PCG state
 // (p, r, s) is replicated on every rank and advanced identically; each
 // iteration costs two communication rounds, exactly DiSCO's pattern:
@@ -91,25 +101,22 @@ func DiSCO(opts DiSCOOptions) dist.Solver {
 // the master's preconditioned residual (only rank 0 holds the
 // preconditioner — its local Hessian plus mu*I, applied with a short
 // local CG). p is overwritten.
-func solveDistributedPCG(node *cluster.Node, h loss.HessianOperator, mu float64, g, p []float64, opts DiSCOOptions) {
-	dim := len(g)
+func solveDistributedPCG(node *cluster.Node, h loss.HessianOperator, g, p []float64, opts DiSCOOptions, sc *pcgScratch) {
 	linalg.Zero(p)
-	r := linalg.Clone(g) // residual of H p = g at p = 0
-	z := make([]float64, dim)
-	s := make([]float64, dim)
-	hs := make([]float64, dim)
+	r, z, s, hs := sc.r, sc.z, sc.s, sc.hs
+	copy(r, g) // residual of H p = g at p = 0
 
 	// Rank 0's preconditioner; other ranks only participate in the
 	// broadcast so the replicated state stays bitwise identical. With
 	// mu > 0 the damped operator never trips CG's curvature guard, and
 	// the smallest tolerance stops CG only at a zero residual, so the
 	// application is LocalCGIters iterations of plain CG.
-	prec := &dampedOp{h: h, mu: mu}
-	local := cg.Options{MaxIters: opts.LocalCGIters, RelTol: math.SmallestNonzeroFloat64, Work: &cg.Workspace{}}
+	sc.prec.h = h
+	local := cg.Options{MaxIters: opts.LocalCGIters, RelTol: math.SmallestNonzeroFloat64, Work: &sc.work}
 	applyPrec := func(rhs, out []float64) {
 		if node.Rank() == 0 {
 			linalg.Zero(out)
-			cg.Solve(prec, nil, rhs, out, local)
+			cg.Solve(&sc.prec, nil, rhs, out, local)
 		}
 		node.Bcast(0, out)
 	}

@@ -123,3 +123,25 @@ func TestSGDMomentumZeroMatchesPlain(t *testing.T) {
 		t.Fatalf("momentum=0 changed the trajectory: %v", d)
 	}
 }
+
+// TestDiSCOStepAllocatesNothing: DiSCO builds its PCG vectors, damped
+// operator and CG workspace once per rank, so a warmed Newton step on a
+// one-rank in-process node performs no heap allocation.
+func TestDiSCOStepAllocatesNothing(t *testing.T) {
+	ds := testDataset(t)
+	_, err := cluster.Run(cluster.Config{Ranks: 1, Network: cluster.ZeroCost, DeviceWorkers: 1}, func(node *cluster.Node) error {
+		local, err := dist.BuildLocal(node, ds, 1e-2, true)
+		if err != nil {
+			return err
+		}
+		st := DiSCO(DiSCOOptions{PCGIters: 5, PCGTol: 1e-12}).Build(node, local)
+		epoch := 1
+		if allocs := testing.AllocsPerRun(5, func() { st.Step(epoch); epoch++ }); allocs != 0 {
+			t.Errorf("warmed DiSCO step: %v allocs, want 0", allocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

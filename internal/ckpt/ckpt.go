@@ -23,7 +23,7 @@
 //	...           shared section:   count uint32, count × float64
 //	...           per-rank section (rank count times): count uint32, count × float64
 //	...           trace section: count uint32, then per point:
-//	              epoch uint32, timeNs float64, objective float64,
+//	              epoch uint32, time float64 (whole ns), objective float64,
 //	              testAccuracy float64, gradNorm float64  (36 bytes)
 //	tail    4     CRC-32C (Castagnoli) of everything before it
 package ckpt
@@ -39,6 +39,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Magic identifies a checkpoint file; Version is the current format.
@@ -60,14 +61,19 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// TracePoint is one convergence-trace sample, stored so a resumed run
-// can reconstruct the full uninterrupted trace bitwise.
+// TracePoint is one epoch of a convergence trace: what the training
+// Recorder appends, a checkpoint stores for a bitwise resume and a model
+// file carries.
 type TracePoint struct {
 	Epoch        int
-	TimeNs       float64 // virtual-clock time in nanoseconds
-	Objective    float64
-	TestAccuracy float64
-	GradNorm     float64
+	Time         time.Duration // virtual wall time at the epoch's end, stored as float64 bits
+	Objective    float64       // the global training objective F
+	TestAccuracy float64       // NaN when not measured
+	GradNorm     float64       // ||grad F||; NaN when not measured
+}
+
+func (p TracePoint) String() string {
+	return fmt.Sprintf("epoch %d t=%v F=%.6g acc=%.4f", p.Epoch, p.Time, p.Objective, p.TestAccuracy)
 }
 
 // Snapshot is the full recoverable state of a training run at an outer
@@ -173,7 +179,7 @@ func Encode(s *Snapshot) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Trace)))
 	for _, p := range s.Trace {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Epoch))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.TimeNs))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(float64(p.Time)))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Objective))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.TestAccuracy))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.GradNorm))
@@ -227,12 +233,12 @@ func Decode(buf []byte) (*Snapshot, error) {
 	if len(buf) < 36 {
 		return nil, fmt.Errorf("%w: %d bytes is below the minimum frame", ErrCorrupt, len(buf))
 	}
+	if string(buf[0:4]) != Magic {
+		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[0:4])
+	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
 	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
 		return nil, fmt.Errorf("%w: CRC mismatch (got %08x want %08x)", ErrCorrupt, got, want)
-	}
-	if string(buf[0:4]) != Magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[0:4])
 	}
 	r := &reader{buf: body, off: 4}
 	ver, err := r.u32()
@@ -291,9 +297,12 @@ func Decode(buf []byte) (*Snapshot, error) {
 		obj, _ := r.u64()
 		acc, _ := r.u64()
 		gn, _ := r.u64()
+		if t := math.Float64frombits(tn); !(t >= -1<<63 && t < 1<<63) || math.Float64bits(float64(time.Duration(t))) != tn {
+			return nil, fmt.Errorf("%w: trace point %d time %v ns is not a time.Duration", ErrCorrupt, i, t)
+		}
 		s.Trace[i] = TracePoint{
 			Epoch:        int(epoch),
-			TimeNs:       math.Float64frombits(tn),
+			Time:         time.Duration(math.Float64frombits(tn)),
 			Objective:    math.Float64frombits(obj),
 			TestAccuracy: math.Float64frombits(acc),
 			GradNorm:     math.Float64frombits(gn),
@@ -310,36 +319,41 @@ func Decode(buf []byte) (*Snapshot, error) {
 // relies on.
 func FileName(iter uint64) string { return fmt.Sprintf("ckpt-%08d.nack", iter) }
 
-// Save atomically writes the snapshot into dir as FileName(s.Iter):
-// encode to a temp file in the same directory, fsync it, rename over the
-// final name, then fsync the directory so the rename itself is durable.
-// A crash at any point leaves either no new file or a complete one.
+// Save writes the snapshot into dir, creating dir if needed, as
+// FileName(s.Iter) through WriteFile.
 func Save(dir string, s *Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("ckpt: mkdir: %w", err)
 	}
-	final := filepath.Join(dir, FileName(s.Iter))
-	tmp, err := os.CreateTemp(dir, "ckpt-*.tmp")
+	return WriteFile(filepath.Join(dir, FileName(s.Iter)), s)
+}
+
+// WriteFile atomically writes the encoded snapshot to path: a temp file
+// in path's directory (which must exist), fsync, rename over path, then
+// fsync the directory. A crash leaves the old file or the complete new
+// one; the temp name, path's base plus "-*.tmp", matches ckpt-*.tmp in a
+// checkpoint directory, so Prune removes what a killed write left.
+func WriteFile(path string, s *Snapshot) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+"-*.tmp")
 	if err != nil {
-		return fmt.Errorf("ckpt: tmp create: %w", err)
+		return fmt.Errorf("ckpt: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	if _, err := tmp.Write(Encode(s)); err != nil {
-		cleanup()
-		return fmt.Errorf("ckpt: tmp write: %w", err)
+	if err = tmp.Chmod(0o644); err == nil { // CreateTemp's 0600 would hide a model file from its server
+		_, err = tmp.Write(Encode(s))
 	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("ckpt: tmp fsync: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: tmp close: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("ckpt: rename: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("ckpt: %w", err)
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()

@@ -22,8 +22,8 @@ func sampleSnapshot() *Snapshot {
 			{-1, math.Inf(1)},
 		},
 		Trace: []TracePoint{
-			{Epoch: 1, TimeNs: 1e6, Objective: 0.69, TestAccuracy: 0.1, GradNorm: 3.2},
-			{Epoch: 2, TimeNs: 2e6, Objective: 0.42, TestAccuracy: 0.9, GradNorm: 0.01},
+			{Epoch: 1, Time: 1e6, Objective: 0.69, TestAccuracy: 0.1, GradNorm: 3.2},
+			{Epoch: 2, Time: 2e6, Objective: 0.42, TestAccuracy: 0.9, GradNorm: 0.01},
 		},
 	}
 }
@@ -365,5 +365,21 @@ func TestFingerprinterStable(t *testing.T) {
 	g2.String("bc")
 	if g1.Sum() == g2.Sum() {
 		t.Fatal("string boundaries not encoded")
+	}
+}
+
+// TestDecodeRejectsFractionalTraceTime: a trace time is a whole number
+// of nanoseconds, so a fraction, NaN or -0 (which a Duration cannot
+// hold, and which would re-encode to other bytes) is corrupt.
+func TestDecodeRejectsFractionalTraceTime(t *testing.T) {
+	good := Encode(sampleSnapshot())
+	timeOff := len(good) - 4 - 2*36 + 4 // trace[0].time
+	for _, v := range []float64{1.5, math.NaN(), math.Copysign(0, -1), math.Inf(1), 1 << 63} {
+		bad := append([]byte(nil), good[:len(good)-4]...)
+		binary.LittleEndian.PutUint64(bad[timeOff:], math.Float64bits(v))
+		bad = binary.LittleEndian.AppendUint32(bad, crcOf(bad))
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("trace time %v: err = %v, want ErrCorrupt", v, err)
+		}
 	}
 }

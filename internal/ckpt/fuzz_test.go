@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -27,15 +28,24 @@ func TestDecodeRejectsHostileRankCount(t *testing.T) {
 	}
 }
 
-// FuzzDecode: no input panics Decode, every failure is ErrCorrupt, and a
-// successful decode re-encodes to the same bytes. Each input is decoded
-// as given and with its CRC re-stamped, so mutations reach the parser
-// past the checksum.
+// FuzzDecode covers checkpoint and model files alike (a model file is a
+// one-rank snapshot): no input panics Decode, every failure is
+// ErrCorrupt, and a successful decode re-encodes to the same bytes. Each
+// input is decoded as given and with its CRC re-stamped, so mutations
+// reach the parser past the checksum.
 func FuzzDecode(f *testing.F) {
 	f.Add(Encode(sampleSnapshot()))
 	f.Add(Encode(&Snapshot{Solver: "newton-admm", Shared: []float64{1, 2}, Ranks: [][]float64{{}, {3}}}))
 	f.Add(Encode(&Snapshot{}))
 	f.Add(hostileRankCount())
+	// A model file as Model.Save writes it: the "nadmodel" tag, iter 0,
+	// class-major weights and one rank section of seven fields.
+	f.Add(Encode(&Snapshot{
+		Fingerprint: 0x6c65646f6d64616e, Solver: "newton-admm",
+		Shared: []float64{0.5, -1.25, 2, 0.125},
+		Ranks:  [][]float64{{3, 2, 4, 0.75, 3e9, 1e9, 0}},
+		Trace:  []TracePoint{{Epoch: 1, Time: 1e9, Objective: 0.5, TestAccuracy: 0.75, GradNorm: math.NaN()}},
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
 		if len(data) >= 4 {

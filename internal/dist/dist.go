@@ -17,7 +17,6 @@
 package dist
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -91,33 +90,20 @@ func (l *Local) GlobalGradient(node *cluster.Node, x, g []float64) float64 {
 	return total
 }
 
-// Point is one epoch's measurement in a convergence trace.
-type Point struct {
-	Epoch int
-	// Time is the virtual wall time at the end of the epoch.
-	Time time.Duration
-	// Objective is the global training objective F.
-	Objective float64
-	// TestAccuracy is in [0,1]; NaN when not measured.
-	TestAccuracy float64
-	// GradNorm is ||grad F|| when measured; NaN otherwise.
-	GradNorm float64
-}
-
 // Trace is a solver's convergence history on one dataset.
 type Trace struct {
 	Solver  string
 	Dataset string
-	Points  []Point
+	Points  []ckpt.TracePoint
 }
 
 // Append adds a point.
-func (t *Trace) Append(p Point) { t.Points = append(t.Points, p) }
+func (t *Trace) Append(p ckpt.TracePoint) { t.Points = append(t.Points, p) }
 
 // Final returns the last point; ok is false for an empty trace.
-func (t *Trace) Final() (Point, bool) {
+func (t *Trace) Final() (ckpt.TracePoint, bool) {
 	if len(t.Points) == 0 {
-		return Point{}, false
+		return ckpt.TracePoint{}, false
 	}
 	return t.Points[len(t.Points)-1], true
 }
@@ -168,10 +154,6 @@ func (t *Trace) AvgEpochTime() time.Duration {
 	return last.Time / time.Duration(epochs)
 }
 
-func (p Point) String() string {
-	return fmt.Sprintf("epoch %d t=%v F=%.6g acc=%.4f", p.Epoch, p.Time, p.Objective, p.TestAccuracy)
-}
-
 // Recorder accumulates a convergence trace with the virtual clock frozen,
 // so instrumentation (global objective, test accuracy) costs the measured
 // algorithm nothing — the harness convention used for every figure.
@@ -199,37 +181,6 @@ func NewRecorder(solver string, ds *datasets.Dataset, local *Local, evalTestAccu
 	}
 }
 
-// CheckpointTrace exports the recorded points in snapshot form, so a
-// resumed run reconstructs the uninterrupted trace bitwise.
-func (r *Recorder) CheckpointTrace() []ckpt.TracePoint {
-	out := make([]ckpt.TracePoint, len(r.Trace.Points))
-	for i, p := range r.Trace.Points {
-		out[i] = ckpt.TracePoint{
-			Epoch:        p.Epoch,
-			TimeNs:       float64(p.Time),
-			Objective:    p.Objective,
-			TestAccuracy: p.TestAccuracy,
-			GradNorm:     p.GradNorm,
-		}
-	}
-	return out
-}
-
-// RestoreTrace seeds the recorder from snapshot points (the inverse of
-// CheckpointTrace); called on rank 0 when resuming.
-func (r *Recorder) RestoreTrace(points []ckpt.TracePoint) {
-	r.Trace.Points = make([]Point, len(points))
-	for i, p := range points {
-		r.Trace.Points[i] = Point{
-			Epoch:        p.Epoch,
-			Time:         time.Duration(p.TimeNs),
-			Objective:    p.Objective,
-			TestAccuracy: p.TestAccuracy,
-			GradNorm:     p.GradNorm,
-		}
-	}
-}
-
 // Observe records one trace point at iterate x and returns the global
 // objective (identical on every rank — the early-stopping contract). It
 // is a collective: every rank must call it at the same point.
@@ -249,7 +200,7 @@ func (r *Recorder) Observe(node *cluster.Node, epoch int, x []float64) float64 {
 				r.model = loss.ToModel(r.model, x, r.ds.Classes-1)
 				acc = r.local.Problem.Accuracy(r.ds.Xtest, r.ds.Ytest, r.model)
 			}
-			r.Trace.Append(Point{
+			r.Trace.Append(ckpt.TracePoint{
 				Epoch:        epoch,
 				Time:         node.Clock(),
 				Objective:    obj,

@@ -176,7 +176,7 @@ func Run(cfg cluster.Config, ds *datasets.Dataset, opts RunOptions, s Solver) (*
 				}
 				start = int(snap.Iter)
 				if node.Rank() == 0 {
-					rec.RestoreTrace(snap.Trace)
+					rec.Trace.Points = snap.Trace
 				}
 			}
 		}
@@ -244,7 +244,7 @@ func save(node *cluster.Node, st Stepper, rec *Recorder, dir string, fp uint64, 
 			Solver:      rec.Trace.Solver,
 			Shared:      shared,
 			Ranks:       parts,
-			Trace:       rec.CheckpointTrace(),
+			Trace:       rec.Trace.Points,
 		})
 		if err == nil {
 			err = ckpt.Prune(dir, keepCheckpoints)

@@ -3,13 +3,15 @@ package dist
 import (
 	"testing"
 	"time"
+
+	"newtonadmm/internal/ckpt"
 )
 
 func sampleTrace() *Trace {
 	return &Trace{
 		Solver:  "s",
 		Dataset: "d",
-		Points: []Point{
+		Points: []ckpt.TracePoint{
 			{Epoch: 0, Time: 0, Objective: 10},
 			{Epoch: 1, Time: time.Second, Objective: 5},
 			{Epoch: 2, Time: 2 * time.Second, Objective: 2},
@@ -32,7 +34,7 @@ func TestFinal(t *testing.T) {
 
 func TestBestObjective(t *testing.T) {
 	tr := sampleTrace()
-	tr.Append(Point{Epoch: 4, Time: 4 * time.Second, Objective: 1.5}) // worse than best
+	tr.Append(ckpt.TracePoint{Epoch: 4, Time: 4 * time.Second, Objective: 1.5}) // worse than best
 	if got := tr.BestObjective(); got != 1.1 {
 		t.Fatalf("BestObjective=%v", got)
 	}
@@ -73,7 +75,7 @@ func TestAvgEpochTime(t *testing.T) {
 }
 
 func TestPointString(t *testing.T) {
-	p := Point{Epoch: 2, Time: time.Second, Objective: 1.5, TestAccuracy: 0.9}
+	p := ckpt.TracePoint{Epoch: 2, Time: time.Second, Objective: 1.5, TestAccuracy: 0.9}
 	if p.String() == "" {
 		t.Fatal("empty String")
 	}

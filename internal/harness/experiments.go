@@ -10,6 +10,7 @@ import (
 
 	"newtonadmm/internal/baselines"
 	"newtonadmm/internal/cg"
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/core"
 	"newtonadmm/internal/datasets"
@@ -451,7 +452,7 @@ func storage(ds *datasets.Dataset) (string, int) {
 	return "dense", ds.TrainSize() * ds.NumFeatures()
 }
 
-func final(r *Result) dist.Point { p, _ := r.Trace.Final(); return p }
+func final(r *Result) ckpt.TracePoint { p, _ := r.Trace.Final(); return p }
 
 // label formats an arm's name or note with its winning variant's value.
 func label(format string, v float64) string {

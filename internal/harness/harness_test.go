@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/datasets"
 	"newtonadmm/internal/dist"
 )
@@ -125,7 +126,7 @@ func TestTableRender(t *testing.T) {
 func TestSampleTracePoints(t *testing.T) {
 	tr := &dist.Trace{}
 	for i := 0; i < 100; i++ {
-		tr.Append(dist.Point{Epoch: i})
+		tr.Append(ckpt.TracePoint{Epoch: i})
 	}
 	thin := sampleTracePoints(tr, 10)
 	if len(thin.Points) != 10 {

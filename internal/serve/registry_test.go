@@ -43,16 +43,16 @@ func TestRegistryEmpty(t *testing.T) {
 func TestRegistrySwapVersionsAndMeta(t *testing.T) {
 	reg := NewRegistry()
 	p1 := ownedPredictor(t, 3, 4, 1)
-	v1 := reg.Swap(p1, ModelMeta{Path: "a.gob", Solver: "newton-admm"})
+	v1 := reg.Swap(p1, ModelMeta{Path: "a.nack", Solver: "newton-admm"})
 	if v1 != 1 {
 		t.Fatalf("first version %d", v1)
 	}
 	meta, ok := reg.Meta()
-	if !ok || meta.Version != 1 || meta.Path != "a.gob" || meta.Classes != 3 || meta.Features != 4 {
+	if !ok || meta.Version != 1 || meta.Path != "a.nack" || meta.Classes != 3 || meta.Features != 4 {
 		t.Fatalf("meta %+v", meta)
 	}
 	p2 := ownedPredictor(t, 3, 4, 2)
-	if v2 := reg.Swap(p2, ModelMeta{Path: "b.gob"}); v2 != 2 {
+	if v2 := reg.Swap(p2, ModelMeta{Path: "b.nack"}); v2 != 2 {
 		t.Fatalf("second version %d", v2)
 	}
 	// No acquirers were holding p1: its device must be closed by now.

@@ -20,7 +20,7 @@ func newTestServer(t *testing.T, classes, features int) (*httptest.Server, *Pred
 	t.Helper()
 	p := makePredictor(t, classes, features, 40)
 	reg := NewRegistry()
-	reg.Swap(p, ModelMeta{Path: "test.gob", Solver: "newton-admm"})
+	reg.Swap(p, ModelMeta{Path: "test.nack", Solver: "newton-admm"})
 	bat := NewBatcher(reg, BatcherConfig{MaxBatch: 8, MaxLinger: 100 * time.Microsecond, QueueDepth: 64})
 	srv := NewServer(reg, bat, nil)
 	ts := httptest.NewServer(srv.Handler())

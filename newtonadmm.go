@@ -23,7 +23,7 @@
 package newtonadmm
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -31,6 +31,7 @@ import (
 
 	"newtonadmm/internal/baselines"
 	"newtonadmm/internal/cg"
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/core"
 	"newtonadmm/internal/datasets"
@@ -216,13 +217,9 @@ type Options struct {
 	CollectiveTimeout time.Duration
 }
 
-// TracePoint is one epoch of convergence history.
-type TracePoint struct {
-	Epoch        int
-	Seconds      float64 // virtual time
-	Objective    float64
-	TestAccuracy float64 // NaN when not measured
-}
+// TracePoint is one epoch of convergence history: epoch, virtual Time,
+// Objective, TestAccuracy and GradNorm (NaN when not measured).
+type TracePoint = ckpt.TracePoint
 
 // Model is a trained multiclass linear classifier.
 type Model struct {
@@ -371,15 +368,10 @@ func buildModel(ds *Dataset, opts Options, weights []float64, trace dist.Trace, 
 		Features:     ds.inner.NumFeatures(),
 		Solver:       opts.Solver,
 		Ranks:        opts.Ranks,
+		Trace:        trace.Points,
 		TestAccuracy: acc,
 		AvgEpochTime: trace.AvgEpochTime(),
 		FailedEpoch:  failedEpoch,
-	}
-	for _, p := range trace.Points {
-		m.Trace = append(m.Trace, TracePoint{
-			Epoch: p.Epoch, Seconds: p.Time.Seconds(),
-			Objective: p.Objective, TestAccuracy: p.TestAccuracy,
-		})
 	}
 	if final, ok := trace.Final(); ok {
 		m.TotalTime = final.Time
@@ -422,26 +414,58 @@ func (m *Model) Evaluate(ds *Dataset) (train, test float64, err error) {
 	return train, test, nil
 }
 
-// Save writes the model with encoding/gob.
+// modelTag is the fingerprint of a model file; its bytes at offset 8
+// read "nadmodel".
+const modelTag uint64 = 0x6c65646f6d64616e
+
+// Save writes the model atomically as a one-rank checkpoint snapshot
+// (DESIGN.md "Model file"). The directory must exist.
 func (m *Model) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return gob.NewEncoder(f).Encode(m)
+	return ckpt.WriteFile(path, &ckpt.Snapshot{Fingerprint: modelTag, Solver: m.Solver, Shared: m.Weights, Trace: m.Trace,
+		Ranks: [][]float64{{float64(m.Classes), float64(m.Features), float64(m.Ranks), m.TestAccuracy,
+			float64(m.TotalTime), float64(m.AvgEpochTime), float64(m.FailedEpoch)}}})
 }
 
-// LoadModel reads a model written by Save.
+// LoadModel reads a model written by Save, refusing a corrupt file, a
+// training checkpoint and a shape that does not match its weights.
 func LoadModel(path string) (*Model, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var m Model
-	if err := gob.NewDecoder(f).Decode(&m); err != nil {
-		return nil, err
+	m, err := decodeModel(buf)
+	if err != nil {
+		return nil, fmt.Errorf("newtonadmm: %s is not a model file written by Model.Save: %w", path, err)
 	}
-	return &m, nil
+	return m, nil
+}
+
+func decodeModel(buf []byte) (*Model, error) {
+	s, err := ckpt.Decode(buf)
+	switch {
+	case err != nil:
+		return nil, err
+	case s.Fingerprint != modelTag:
+		return nil, fmt.Errorf("fingerprint %016x is not the model tag", s.Fingerprint)
+	case len(s.Ranks) != 1 || len(s.Ranks[0]) != 7:
+		return nil, errors.New("want one rank section of 7 fields")
+	}
+	r := s.Ranks[0]
+	var n [7]int
+	for i, v := range r {
+		if i == 3 { // TestAccuracy, the one field that is not a count
+			continue
+		}
+		if !(v >= 0 && v <= 1<<53 && v == math.Trunc(v)) {
+			return nil, fmt.Errorf("rank field %d is %v, not a count", i, v)
+		}
+		n[i] = int(v)
+	}
+	m := &Model{Weights: s.Shared, Classes: n[0], Features: n[1], Solver: s.Solver, Ranks: n[2], Trace: s.Trace,
+		TestAccuracy: r[3], TotalTime: time.Duration(n[4]), AvgEpochTime: time.Duration(n[5]), FailedEpoch: n[6]}
+	// Divided rather than multiplied: a hostile product can wrap to len.
+	if m.Classes < 2 || m.Features < 1 || len(m.Weights)%m.Features != 0 || len(m.Weights)/m.Features != m.Classes-1 {
+		return nil, fmt.Errorf("%d weights for %d classes and %d features", len(m.Weights), m.Classes, m.Features)
+	}
+	return m, nil
 }

@@ -1,11 +1,18 @@
 package newtonadmm
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"newtonadmm/internal/ckpt"
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/loss"
 )
@@ -232,30 +239,6 @@ func TestModelBoundaryConvertsLayout(t *testing.T) {
 	}
 }
 
-func TestModelSaveLoadRoundTrip(t *testing.T) {
-	ds := quickDataset(t)
-	m, err := Train(ds, Options{Epochs: 10, Lambda: 1e-3, Network: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.gob")
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Classes != m.Classes || m2.Features != m.Features || len(m2.Weights) != len(m.Weights) {
-		t.Fatal("model metadata lost")
-	}
-	for i := range m.Weights {
-		if m2.Weights[i] != m.Weights[i] {
-			t.Fatal("weights corrupted")
-		}
-	}
-}
-
 func TestLoadLIBSVMRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	train := filepath.Join(dir, "train.svm")
@@ -294,5 +277,219 @@ func TestTrainOverTCP(t *testing.T) {
 	}
 	if len(m.Trace) == 0 {
 		t.Fatal("no trace over TCP")
+	}
+}
+
+// gobModel is a model file as the encoding/gob format before the ckpt
+// snapshot wrote it: a two-class, two-feature model with one trace point.
+const gobModel = "" +
+	"ff987f030101054d6f64656c01ff8000010a01075765696768747301ff82000107436c61" +
+	"73736573010400010846656174757265730104000106536f6c766572010c00010552616e" +
+	"6b730104000105547261636501ff8600010c546573744163637572616379010800010954" +
+	"6f74616c54696d65010400010c41766745706f636854696d65010400010b4661696c6564" +
+	"45706f6368010400000017ff81020101095b5d666c6f6174363401ff82000108000026ff" +
+	"85020101175b5d6e6577746f6e61646d6d2e5472616365506f696e7401ff860001ff8400" +
+	"004dff830301010a5472616365506f696e7401ff84000104010545706f63680104000107" +
+	"5365636f6e647301080001094f626a656374697665010800010c54657374416363757261" +
+	"6379010800000045ff800102fee03ffef4bf01040104010b6e6577746f6e2d61646d6d01" +
+	"020101010201fee03f01f8333333333333e33f01fee83f0001fee83f01fc7735940001fc" +
+	"7735940000"
+
+// modelBits flattens every field of m but Solver, floats as their bits,
+// so two models compare equal bitwise with NaNs included.
+func modelBits(m *Model) []uint64 {
+	f := math.Float64bits
+	out := []uint64{uint64(m.Classes), uint64(m.Features), uint64(m.Ranks), f(m.TestAccuracy),
+		uint64(m.TotalTime), uint64(m.AvgEpochTime), uint64(m.FailedEpoch), uint64(len(m.Weights)), uint64(len(m.Trace))}
+	for _, w := range m.Weights {
+		out = append(out, f(w))
+	}
+	for _, p := range m.Trace {
+		out = append(out, uint64(p.Epoch), uint64(p.Time), f(p.Objective), f(p.TestAccuracy), f(p.GradNorm))
+	}
+	return out
+}
+
+// modelSnapshot is the snapshot Model.Save writes for m, for the hostile
+// cases to alter one field of.
+func modelSnapshot(m *Model) *ckpt.Snapshot {
+	return &ckpt.Snapshot{
+		Fingerprint: modelTag, Solver: m.Solver, Shared: slices.Clone(m.Weights),
+		Ranks: [][]float64{{float64(m.Classes), float64(m.Features), float64(m.Ranks), m.TestAccuracy,
+			float64(m.TotalTime), float64(m.AvgEpochTime), float64(m.FailedEpoch)}},
+		Trace: m.Trace,
+	}
+}
+
+// TestModelFileRoundTrip: a model written by Save comes back from
+// LoadModel equal in every field and predicting the same classes, and
+// every file that is not such a model — corrupt, a gob-era file, a
+// training checkpoint, misshapen — is refused with an error.
+func TestModelFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	ds := quickDataset(t)
+	trained, err := Train(ds, Options{Epochs: 10, Lambda: 1e-3, Network: "none", EvalTestAccuracy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trained.Trace) != 11 {
+		t.Fatalf("trained model has %d trace points, want 11", len(trained.Trace))
+	}
+	partial := *trained
+	partial.Trace, partial.FailedEpoch = trained.Trace[:4], 4
+	untested := testModel(4, 5, 9)
+	untested.TestAccuracy = math.NaN()
+
+	rows := [][]float64{{1, -2, 0.5, 3, -1, 0, 2, -0.5, 1, 0.25}}
+	for _, c := range []struct {
+		name string
+		m    *Model
+	}{{"trained", trained}, {"partial", &partial}, {"nan-accuracy", untested}} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, c.name+".nack")
+			if err := c.m.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadModel(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Solver != c.m.Solver || !slices.Equal(modelBits(got), modelBits(c.m)) {
+				t.Fatalf("round trip changed the model:\n got %+v\nwant %+v", got, c.m)
+			}
+			in := [][]float64{rows[0][:c.m.Features]}
+			a, errA := c.m.Predict(in)
+			b, errB := got.Predict(in)
+			if errA != nil || errB != nil || a[0] != b[0] {
+				t.Fatalf("prediction changed across save/load: %v (%v) vs %v (%v)", a, errA, b, errB)
+			}
+		})
+	}
+
+	if err := untested.Save(filepath.Join(dir, "missing-dir", "m.nack")); err == nil {
+		t.Fatal("Save created a missing directory")
+	}
+	good, err := os.ReadFile(filepath.Join(dir, "nan-accuracy.nack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reshaped := func(edit func(s *ckpt.Snapshot)) []byte {
+		s := modelSnapshot(untested)
+		edit(s)
+		return ckpt.Encode(s)
+	}
+	// A training checkpoint shaped like the model in all but its
+	// fingerprint and iteration.
+	run := modelSnapshot(untested)
+	run.Fingerprint, run.Iter = 0x1234, 3
+	if err := ckpt.Save(filepath.Join(dir, "run"), run); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint, err := os.ReadFile(filepath.Join(dir, "run", ckpt.FileName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gob, err := hex.DecodeString(gobModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := slices.Clone(good)
+	flipped[32+len(untested.Solver)+4] ^= 1 // the low byte of weight 0
+	for _, c := range []struct {
+		name    string
+		file    []byte // nil: no file at all
+		corrupt bool   // refused by ckpt.Decode
+	}{
+		{"flipped-weight-byte", flipped, true},
+		{"gob-model", gob, true},
+		{"truncated", good[:len(good)/2], true},
+		{"training-checkpoint", checkpoint, false},
+		{"two-rank-sections", reshaped(func(s *ckpt.Snapshot) { s.Ranks = append(s.Ranks, s.Ranks[0]) }), false},
+		{"short-rank-section", reshaped(func(s *ckpt.Snapshot) { s.Ranks[0] = s.Ranks[0][:6] }), false},
+		{"non-integral-count", reshaped(func(s *ckpt.Snapshot) { s.Ranks[0][1] = 5.5 }), false},
+		{"negative-count", reshaped(func(s *ckpt.Snapshot) { s.Ranks[0][6] = -1 }), false},
+		{"one-class", reshaped(func(s *ckpt.Snapshot) { s.Ranks[0][0], s.Shared = 1, nil }), false},
+		{"weights-length", reshaped(func(s *ckpt.Snapshot) { s.Shared = s.Shared[1:] }), false},
+		{"missing", nil, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, c.name+".nack")
+			if c.file != nil {
+				if err := os.WriteFile(path, c.file, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := LoadModel(path)
+			switch {
+			case err == nil:
+				t.Fatalf("loaded %+v", m)
+			case c.file == nil:
+				if !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("err = %v, want not-exist", err)
+				}
+			case !strings.Contains(err.Error(), "not a model file written by Model.Save"):
+				t.Fatalf("err = %v does not say it is not a model file", err)
+			case errors.Is(err, ckpt.ErrCorrupt) != c.corrupt:
+				t.Fatalf("err = %v: wraps ckpt.ErrCorrupt %v, want %v", err, !c.corrupt, c.corrupt)
+			case c.name == "gob-model" && !strings.Contains(err.Error(), "bad magic"):
+				t.Fatalf("gob-era file: err = %v, want it refused on its magic", err)
+			}
+		})
+	}
+}
+
+// TestModelFileLayoutOffsets pins the model file's rank section by hand
+// decoding, field by field at its offset (DESIGN.md "Model file"): the
+// ckpt header with the model tag, the class-major weights, the seven
+// rank fields and the trace.
+func TestModelFileLayoutOffsets(t *testing.T) {
+	m := testModel(3, 2, 5)
+	m.Ranks, m.TestAccuracy, m.TotalTime, m.AvgEpochTime, m.FailedEpoch = 4, 0.75, 3*time.Second, time.Second, 2
+	m.Trace = []TracePoint{{Epoch: 1, Time: time.Second, Objective: 0.5, TestAccuracy: 0.75, GradNorm: math.NaN()}}
+	path := filepath.Join(t.TempDir(), "m.nack")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u32 := func(off int) uint32 { return binary.LittleEndian.Uint32(buf[off:]) }
+	f64 := func(off int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])) }
+	if string(buf[0:4]) != "NACK" || u32(4) != 1 {
+		t.Fatalf("header %q version %d, want NACK 1", buf[0:4], u32(4))
+	}
+	if string(buf[8:16]) != "nadmodel" || binary.LittleEndian.Uint64(buf[16:]) != 0 {
+		t.Fatalf("offset 8: tag %q iter %d, want nadmodel 0", buf[8:16], binary.LittleEndian.Uint64(buf[16:]))
+	}
+	if u32(24) != 1 || int(u32(28)) != len(m.Solver) || string(buf[32:32+len(m.Solver)]) != m.Solver {
+		t.Fatalf("offset 24: %d ranks, solver %q", u32(24), buf[32:32+u32(28)])
+	}
+	off := 32 + len(m.Solver)
+	if u32(off) != 4 {
+		t.Fatalf("shared count %d, want (3-1)*2", u32(off))
+	}
+	off += 4
+	for i, w := range m.Weights { // class-major: class c, feature j at c*Features+j
+		if f64(off+8*i) != w {
+			t.Fatalf("shared[%d] = %v, want %v", i, f64(off+8*i), w)
+		}
+	}
+	off += 8 * len(m.Weights)
+	if u32(off) != 7 {
+		t.Fatalf("rank section count %d, want 7", u32(off))
+	}
+	off += 4
+	for i, want := range []float64{3, 2, 4, 0.75, 3e9, 1e9, 2} { // classes, features, ranks, accuracy, total ns, avg epoch ns, failed epoch
+		if got := f64(off + 8*i); got != want {
+			t.Fatalf("rank field %d = %v, want %v", i, got, want)
+		}
+	}
+	off += 7 * 8
+	if u32(off) != 1 || u32(off+4) != 1 || f64(off+8) != 1e9 || f64(off+16) != 0.5 {
+		t.Fatalf("trace: count %d epoch %d time %v objective %v", u32(off), u32(off+4), f64(off+8), f64(off+16))
+	}
+	if off += 4 + 36; off+4 != len(buf) {
+		t.Fatalf("layout drift: computed end %d, file length %d", off+4, len(buf))
 	}
 }

