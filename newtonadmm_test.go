@@ -321,11 +321,9 @@ func modelSnapshot(m *Model) *ckpt.Snapshot {
 	}
 }
 
-// TestModelFileRoundTrip: a model written by Save comes back from
-// LoadModel equal in every field and predicting the same classes, and
-// every file that is not such a model — corrupt, a gob-era file, a
-// training checkpoint, misshapen — is refused with an error.
-func TestModelFileRoundTrip(t *testing.T) {
+// TestModelSaveLoadRoundTrip: a model written by Save comes back from
+// LoadModel equal in every field and predicting the same classes.
+func TestModelSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	ds := quickDataset(t)
 	trained, err := Train(ds, Options{Epochs: 10, Lambda: 1e-3, Network: "none", EvalTestAccuracy: true})
@@ -369,7 +367,20 @@ func TestModelFileRoundTrip(t *testing.T) {
 	if err := untested.Save(filepath.Join(dir, "missing-dir", "m.nack")); err == nil {
 		t.Fatal("Save created a missing directory")
 	}
-	good, err := os.ReadFile(filepath.Join(dir, "nan-accuracy.nack"))
+}
+
+// TestModelSaveLoadServeRoundTrip guards the model file the serving layer
+// loads: every file that is not a model written by Save — corrupt, a
+// gob-era file, a training checkpoint, misshapen, missing — is refused
+// with an error.
+func TestModelSaveLoadServeRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	untested := testModel(4, 5, 9)
+	untested.TestAccuracy = math.NaN()
+	if err := untested.Save(filepath.Join(dir, "good.nack")); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, "good.nack"))
 	if err != nil {
 		t.Fatal(err)
 	}
