@@ -33,7 +33,7 @@ func runSimBench(args []string) {
 	if *list {
 		for _, sc := range sim.Scenarios() {
 			fmt.Printf("%-20s mode=%-7s duration=%-6v load streams=%d faults=%d\n",
-				sc.Name, modeName(string(sc.Mode)), sc.Duration, len(sc.Load), len(sc.Faults))
+				sc.Name, modeName(sc.Mode), sc.Duration, len(sc.Load), len(sc.Faults))
 		}
 		return
 	}

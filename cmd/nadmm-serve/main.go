@@ -2,8 +2,8 @@
 // file written by nadmm-train -save (or Model.Save) and serves
 // predictions over HTTP with dynamic micro-batching, bounded-queue
 // backpressure, and zero-downtime model hot-swap. It can also run
-// as one node of a serving fleet: a scatter-gather router over N
-// predictor replicas (in-process or separate processes), or a
+// as one node of a serving fleet: a scatter-gather router over an R x S
+// grid of predictor replicas (in-process or separate processes), or a
 // class-shard replica serving a slice of the model behind such a router.
 //
 // Endpoints (kserve-style):
@@ -26,7 +26,8 @@
 //	curl -s -X POST localhost:8080/v1/reload     # explicit
 //	nadmm-serve -model model.nack -watch 5s       # or polled
 //
-//	# in-process serving fleet: 4 whole-model replicas, least-loaded routing
+//	# in-process serving fleet: 4 whole-model replicas, one shard group,
+//	# least-loaded pick per request
 //	nadmm-serve -model model.nack -addr :8080 -replicas 4
 //
 //	# in-process class-sharded fleet: partial-logit scatter-gather
@@ -66,17 +67,17 @@ func main() {
 	var (
 		model    = flag.String("model", "", "model file written by nadmm-train -save to serve (required unless -join)")
 		addr     = flag.String("addr", ":8080", "listen address")
-		maxBatch = flag.Int("max-batch", 64, "micro-batch size cap (rows per kernel launch)")
-		linger   = flag.Duration("linger", 200*time.Microsecond, "micro-batch flush window (negative disables)")
-		queue    = flag.Int("queue", 0, "admission queue depth (0 = 4*max-batch); full queue returns 429")
+		maxBatch = flag.Int("max-batch", 64, "single node: micro-batch size cap (rows per kernel launch)")
+		linger   = flag.Duration("linger", 200*time.Microsecond, "single node: micro-batch flush window (negative disables)")
+		queue    = flag.Int("queue", 0, "single node: admission queue depth (0 = 4*max-batch); full queue returns 429")
 		workers  = flag.Int("workers", 0, "device workers (0 = NumCPU)")
 		watch    = flag.Duration("watch", 0, "poll the model file at this interval and hot-swap on change (0 disables)")
 
 		wireAddr = flag.String("wire-addr", "", "also listen here with the binary frame data plane (join it with tcp:// from a router)")
 
-		replicas  = flag.Int("replicas", 1, "serve through a router over this many in-process replicas (>1 enables the fleet; class mode: the shard count S)")
+		replicas  = flag.Int("replicas", 1, "serve through a router over this many in-process replicas (>1 enables the fleet; -shard-mode class: the shard count S)")
 		perShard  = flag.Int("replicas-per-shard", 1, "in-process siblings per class shard (R; >1 builds an R x S replicated grid with per-shard failover)")
-		shardMode = flag.String("shard-mode", "replica", "fleet placement: replica (whole-model copies) or class (class-sharded partial logits)")
+		shardMode = flag.String("shard-mode", "replica", "in-process fleet layout: replica (-replicas whole-model siblings in one group) or class (-replicas class shards of -replicas-per-shard siblings)")
 		join      = flag.String("join", "", "comma-separated replica frame-listener addresses (tcp://host:port, the replicas' -wire-addr) to route over instead of in-process replicas")
 
 		shardIndex = flag.Int("shard-index", 0, "serve class shard N of -shard-count (replica side of a multi-process fleet)")
@@ -91,7 +92,7 @@ func main() {
 		admBurst  = flag.Int("admission-burst", 0, "admission burst capacity (0 = max(rate,1))")
 
 		asMin      = flag.Int("autoscale-min", 0, "autoscaler floor (0 = the initial replica count); router with in-process replicas only")
-		asMax      = flag.Int("autoscale-max", 0, "autoscaler ceiling; > 0 enables the in-process autoscaler (replica mode only)")
+		asMax      = flag.Int("autoscale-max", 0, "autoscaler ceiling; > 0 enables the in-process autoscaler (a fleet of one shard group only)")
 		asP99      = flag.Duration("autoscale-target-p99", 0, "latency target driving scale-up (0 tracks utilization only)")
 		asTick     = flag.Duration("autoscale-tick", 0, "autoscaler evaluation period (0 = 1s)")
 		asCooldown = flag.Duration("autoscale-cooldown", 0, "override both scale cooldowns (0 keeps the 3s up / 10s down defaults)")
@@ -122,8 +123,7 @@ func main() {
 		}
 		runRouter(*model, newtonadmm.RouterOptions{
 			Addr: *addr, Replicas: *replicas, ReplicasPerShard: *perShard, Zones: zones,
-			Mode: *shardMode, Join: joins,
-			MaxBatch: *maxBatch, Linger: *linger, QueueDepth: *queue, Workers: *workers,
+			Mode: *shardMode, Join: joins, Workers: *workers,
 			ModelPath: *model, SampleEvery: *sampleEvery, Debug: *debug,
 			Admission: *admission, AdmissionRate: *admRate, AdmissionBurst: *admBurst,
 			AutoscaleMin: *asMin, AutoscaleMax: *asMax, AutoscaleTargetP99: *asP99,
@@ -212,15 +212,13 @@ func runRouter(model string, opts newtonadmm.RouterOptions) {
 		log.Fatal(err)
 	}
 	defer rs.Close()
-	switch {
-	case len(opts.Join) > 0:
-		log.Printf("routing (%s mode) on %s over %d remote replicas: %s",
-			opts.Mode, rs.Addr(), len(opts.Join), strings.Join(opts.Join, ", "))
-	case opts.ReplicasPerShard > 1:
-		log.Printf("routing (%s mode) on %s over a %dx%d in-process grid (%d shards x %d siblings)",
-			opts.Mode, rs.Addr(), opts.ReplicasPerShard, opts.Replicas, opts.Replicas, opts.ReplicasPerShard)
-	default:
-		log.Printf("routing (%s mode) on %s over %d in-process replicas", opts.Mode, rs.Addr(), opts.Replicas)
+	pool := rs.Router().Pool()
+	if len(opts.Join) > 0 {
+		log.Printf("routing on %s over %d remote replicas in %d shard groups: %s",
+			rs.Addr(), len(opts.Join), len(pool.Groups()), strings.Join(opts.Join, ", "))
+	} else {
+		log.Printf("routing (%s layout) on %s over %d in-process replicas in %d shard groups",
+			opts.Mode, rs.Addr(), len(pool.Replicas()), len(pool.Groups()))
 	}
 	if opts.Admission != "" && opts.Admission != "none" {
 		log.Printf("admission policy %s (rate %g, burst %d)", opts.Admission, opts.AdmissionRate, opts.AdmissionBurst)

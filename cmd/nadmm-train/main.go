@@ -14,6 +14,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"path/filepath"
 
 	"newtonadmm"
 )
@@ -66,6 +67,14 @@ func main() {
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "nadmm-train: -resume needs -checkpoint-dir")
 		os.Exit(2)
+	}
+	// A missing -save directory would only surface after the whole run.
+	if *save != "" {
+		dir := filepath.Dir(*save)
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			fmt.Fprintf(os.Stderr, "nadmm-train: -save directory %s does not exist\n", dir)
+			os.Exit(2)
+		}
 	}
 
 	var (

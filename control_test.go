@@ -18,8 +18,7 @@ import (
 func TestControlSmoke(t *testing.T) {
 	m := testModel(4, 6, 31)
 	rs, err := ServeSharded(m, RouterOptions{
-		Addr: "127.0.0.1:0", Replicas: 1, Mode: "replica", Workers: 1,
-		MaxBatch: 1, Linger: -1, QueueDepth: 64, HealthEvery: -1,
+		Addr: "127.0.0.1:0", Replicas: 1, Mode: "replica", Workers: 1, HealthEvery: -1,
 		AutoscaleMin: 1, AutoscaleMax: 3,
 		AutoscaleTick: 2 * time.Millisecond, AutoscaleCooldown: 10 * time.Millisecond,
 	})
@@ -32,8 +31,8 @@ func TestControlSmoke(t *testing.T) {
 		t.Fatal("AutoscaleMax > 0 did not start an autoscaler")
 	}
 
-	// Ramp: concurrent callers against MaxBatch=1 replicas keep
-	// utilization pinned above the 0.75 high-water mark.
+	// Ramp: concurrent callers against one-launch-at-a-time replicas
+	// keep utilization pinned above the 0.75 high-water mark.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var served atomic.Int64
@@ -113,8 +112,7 @@ func TestControlSmoke(t *testing.T) {
 func TestRouterAdmission429(t *testing.T) {
 	m := testModel(4, 6, 32)
 	rs, err := ServeSharded(m, RouterOptions{
-		Addr: "127.0.0.1:0", Replicas: 1, Mode: "replica", Workers: 1,
-		MaxBatch: 8, Linger: -1, HealthEvery: -1,
+		Addr: "127.0.0.1:0", Replicas: 1, Mode: "replica", Workers: 1, HealthEvery: -1,
 		Admission: "token-bucket", AdmissionRate: 0.001, AdmissionBurst: 2,
 	})
 	if err != nil {
@@ -163,8 +161,7 @@ func TestRouterAdmission429(t *testing.T) {
 func TestAutoscaleDownRacesSwap(t *testing.T) {
 	m := testModel(4, 6, 33)
 	rs, err := ServeSharded(m, RouterOptions{
-		Replicas: 2, Mode: "replica", Workers: 1,
-		MaxBatch: 8, Linger: -1, HealthEvery: -1,
+		Replicas: 2, Mode: "replica", Workers: 1, HealthEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

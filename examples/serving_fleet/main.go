@@ -92,7 +92,7 @@ func main() {
 	}
 	fmt.Printf("single-node reference for the dense row:  class %d\n\n", single[0])
 
-	// Drain shard replica 0 (admin surface): class mode has one copy of
+	// Drain shard replica 0 (admin surface): this fleet has one copy of
 	// each shard, so the tier honestly reports itself unavailable
 	// rather than serving partial logits — then undrain restores it.
 	postJSON(base+"/v1/replicas", map[string]any{"id": 0, "action": "drain"})

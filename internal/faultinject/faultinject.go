@@ -275,14 +275,6 @@ func (b *Backend) Meta() (serve.ModelMeta, error) {
 	return b.inner.Meta()
 }
 
-// Score scores through the gate.
-func (b *Backend) Score(batch *router.Batch, preds []int, proba []float64) error {
-	if err := b.gate(); err != nil {
-		return err
-	}
-	return b.inner.Score(batch, preds, proba)
-}
-
 // PartialScores scores through the gate; a tripped fault returns before
 // the tile is written, like a replica that died mid-scatter.
 func (b *Backend) PartialScores(batch *router.Batch, cols int, out []float64) (int64, error) {

@@ -13,11 +13,9 @@ import (
 // (serve.ErrQueueFull, serve.ErrNoModel, ...) pass through unchanged so
 // the HTTP layer's status mapping stays uniform.
 var (
-	// ErrNoReplicas means no replica is currently available to serve the
-	// request (all down or draining). Transient: maps to 503.
-	ErrNoReplicas = errors.New("router: no available replica")
-	// ErrShardUnavailable means a class shard's only replica is down or
-	// draining, so partial logits cannot be assembled. Transient: 503.
+	// ErrShardUnavailable means every member of a shard group is down
+	// or draining, so the group's partial logits cannot be assembled.
+	// Transient: 503.
 	ErrShardUnavailable = errors.New("router: class shard unavailable")
 	// ErrVersionSkew means the shards scored a request against different
 	// model versions mid-rollout and retries were exhausted. Transient:
@@ -31,29 +29,24 @@ var (
 	ErrReplicaUnreachable = errors.New("router: replica unreachable")
 )
 
-// Backend is the per-replica surface the router scatters to. All batch
-// outputs are in the batch's original row order. Implementations must be
-// safe for concurrent use; *LocalBackend wraps an in-process serving
-// stack, *TCPBackend drives a replica process over the frame plane.
+// Backend is the per-replica surface the router scatters to: one data
+// call, PartialScores, whose outputs are in the batch's original row
+// order. Implementations must be safe for concurrent use; *LocalBackend
+// wraps an in-process registry, *TCPBackend drives a replica process
+// over the frame plane.
 type Backend interface {
 	// Meta probes the backend's current snapshot, as the replica's
 	// registry records it (Normalized gives a full replica's class
 	// span); it doubles as the health-check ping.
 	Meta() (serve.ModelMeta, error)
-	// Score scores the whole batch against the full model (replica-
-	// balanced data plane): predicted classes into preds when non-nil,
-	// class probabilities into proba (rows x classes row-major, the
-	// class stride taken from its length) when non-nil. The router
-	// passes exactly one non-nil output. A full admission queue surfaces
-	// as serve.ErrQueueFull so the router can fail over.
-	Score(b *Batch, preds []int, proba []float64) error
 	// PartialScores scores the raw explicit-class logits of the
-	// backend's weight rows (class-sharded data plane): out is rows x
-	// cols row-major in batch order, where cols is the shard width the
-	// router planned for this replica. Implementations must fail with
-	// serve.ErrModelShapeChanged when their current snapshot's width
-	// differs (a shape-changing reload behind the router's back) —
-	// never write a mismatched tile. Returns the snapshot version the
+	// backend's weight rows: out is rows x cols row-major in batch
+	// order, where cols is the shard width the router planned for this
+	// replica (C-1 for a whole-model replica). Backpressure surfaces as
+	// serve.ErrQueueFull so the router can fail over. Implementations
+	// must fail with serve.ErrModelShapeChanged when their current
+	// snapshot's width differs (a shape-changing reload behind the
+	// router's back) — never write a mismatched tile. Returns the snapshot version the
 	// scores were computed against, so the router can detect
 	// mid-rollout skew.
 	PartialScores(b *Batch, cols int, out []float64) (int64, error)

@@ -103,8 +103,16 @@ func chaosLocal(t testing.TB, w []float64, classes, features, i, n int, zone str
 	if _, err := reload(); err != nil {
 		t.Fatal(err)
 	}
-	bat := serve.NewBatcher(reg, serve.BatcherConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 256})
-	return router.NewLocalBackend(reg, bat, reload)
+	return router.NewLocalBackend(reg, reload)
+}
+
+// chaosBatcher is the micro-batcher a single-node surface (HTTP or
+// frame server) puts in front of lb's registry; closed at cleanup,
+// before lb.
+func chaosBatcher(t testing.TB, lb *router.LocalBackend) *serve.Batcher {
+	bat := serve.NewBatcher(lb.Registry(), serve.BatcherConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 256})
+	t.Cleanup(bat.Close)
+	return bat
 }
 
 // chaosBackend reaches a chaosLocal replica over the named transport
@@ -121,9 +129,10 @@ func chaosBackend(t testing.TB, transport string, w []float64, classes, features
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := serve.NewFrameServer(lb.Registry(), lb.Batcher(), nil)
+		t.Cleanup(lb.Close)
+		fs := serve.NewFrameServer(lb.Registry(), chaosBatcher(t, lb), nil)
 		go fs.Serve(ln)
-		t.Cleanup(func() { fs.Close(); lb.Close() })
+		t.Cleanup(fs.Close)
 		tb := &router.TCPBackend{Addr: ln.Addr().String(), Timeout: 2 * time.Second}
 		t.Cleanup(tb.Close)
 		return tb
@@ -190,7 +199,7 @@ func TestChaosKillEveryPositionBitwise(t *testing.T) {
 			for r := 0; r < gridR; r++ {
 				t.Run(fmt.Sprintf("%s/kill-g%d-m%d", transport, s, r), func(t *testing.T) {
 					rt, faults := chaosGrid(t, transport, w, classes, features, gridR, gridS,
-						router.Options{Mode: router.ModeClass, HealthEvery: -1, FailAfter: 2})
+						router.Options{HealthEvery: -1, FailAfter: 2})
 					out := make([]float64, rows*classes)
 					check := func(k int) {
 						t.Helper()
@@ -229,7 +238,7 @@ func TestChaosKillUnderConcurrentLoad(t *testing.T) {
 	b, dense := chaosBatch(rng, rows, features)
 	want := refProba(t, w, classes, features, dense)
 	rt, faults := chaosGrid(t, "local", w, classes, features, gridR, gridS,
-		router.Options{Mode: router.ModeClass, HealthEvery: 2 * time.Millisecond, FailAfter: 2})
+		router.Options{HealthEvery: 2 * time.Millisecond, FailAfter: 2})
 
 	var stop atomic.Bool
 	var served atomic.Int64
@@ -290,7 +299,7 @@ func TestChaosTransientFaultsAbsorbed(t *testing.T) {
 	b, dense := chaosBatch(rng, rows, features)
 	want := refProba(t, w, classes, features, dense)
 	rt, faults := chaosGrid(t, "local", w, classes, features, gridR, gridS,
-		router.Options{Mode: router.ModeClass, HealthEvery: -1, FailAfter: 100})
+		router.Options{HealthEvery: -1, FailAfter: 100})
 
 	out := make([]float64, rows*classes)
 	check := func(stage string) {
@@ -330,7 +339,7 @@ func TestChaosDrainRacingSiblingDeath(t *testing.T) {
 	b, dense := chaosBatch(rng, rows, features)
 	want := refProba(t, w, classes, features, dense)
 	rt, faults := chaosGrid(t, "local", w, classes, features, gridR, gridS,
-		router.Options{Mode: router.ModeClass, HealthEvery: -1, FailAfter: 1})
+		router.Options{HealthEvery: -1, FailAfter: 1})
 	pool := rt.Pool()
 
 	// Background load for the drain to race against; after the sibling
@@ -426,7 +435,7 @@ func TestChaosKillDuringReload(t *testing.T) {
 	b, dense := chaosBatch(rng, rows, features)
 	want := refProba(t, w, classes, features, dense)
 	rt, faults := chaosGrid(t, "local", w, classes, features, gridR, gridS,
-		router.Options{Mode: router.ModeClass, HealthEvery: -1, FailAfter: 1})
+		router.Options{HealthEvery: -1, FailAfter: 1})
 
 	out := make([]float64, rows*classes)
 	if err := rt.Proba(b, out, nil); err != nil {
@@ -472,7 +481,7 @@ func TestChaosR1DegradesTo503NotHang(t *testing.T) {
 	w := chaosWeights(rng, classes, features)
 	b, _ := chaosBatch(rng, rows, features)
 	rt, faults := chaosGrid(t, "local", w, classes, features, 1, 2,
-		router.Options{Mode: router.ModeClass, HealthEvery: 2 * time.Millisecond, FailAfter: 1})
+		router.Options{HealthEvery: 2 * time.Millisecond, FailAfter: 1})
 	hs := httptest.NewServer(router.NewServer(rt).Handler())
 	defer hs.Close()
 
@@ -564,7 +573,7 @@ func TestChaosGroupDrainGuard(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	w := chaosWeights(rng, classes, features)
 	rt, faults := chaosGrid(t, "local", w, classes, features, 2, 2,
-		router.Options{Mode: router.ModeClass, HealthEvery: -1, FailAfter: 1})
+		router.Options{HealthEvery: -1, FailAfter: 1})
 	hs := httptest.NewServer(router.NewServer(rt).Handler())
 	defer hs.Close()
 

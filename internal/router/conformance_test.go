@@ -60,8 +60,9 @@ func edgeTiers(t *testing.T) []*edgeTier {
 	single := &edgeTier{name: "single", reject: new(rejectPolicy)}
 	lb := chaosLocal(t, w, edgeClasses, edgeFeatures, 0, 0, "")
 	t.Cleanup(lb.Close)
-	lb.Batcher().SetPolicy(single.reject)
-	loaded := httptest.NewServer(serve.NewServer(lb.Registry(), lb.Batcher(), nil).Handler())
+	bat := chaosBatcher(t, lb)
+	bat.SetPolicy(single.reject)
+	loaded := httptest.NewServer(serve.NewServer(lb.Registry(), bat, nil).Handler())
 	t.Cleanup(loaded.Close)
 	emptyReg := serve.NewRegistry()
 	emptyBat := serve.NewBatcher(emptyReg, serve.BatcherConfig{})
@@ -83,7 +84,7 @@ func edgeTiers(t *testing.T) []*edgeTier {
 		chaosLocal(t, w, edgeClasses, edgeFeatures, 0, 2, ""),
 		chaosLocal(t, w, edgeClasses, edgeFeatures, 1, 2, ""),
 	}
-	rt, err := router.New(backends, router.Options{Mode: router.ModeClass, HealthEvery: -1})
+	rt, err := router.New(backends, router.Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,10 +181,10 @@ var edgeCases = []edgeCase{
 		wantRouter: `{"error":"router: shard group 0: router: class shard unavailable: group [0,2) has no available member"}` + "\n"},
 	{name: "healthz", method: "GET", path: "/healthz", status: 200,
 		want:       `{"model":{"version":1,"classes":4,"features":3,"T":0},"status":"ok","T":0}` + "\n",
-		wantRouter: `{"mode":"class","model":{"version":1,"classes":4,"features":3},"replicas":[{"id":0,"group":0,"state":"healthy","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":1,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"ok","T":0}` + "\n"},
+		wantRouter: `{"model":{"version":1,"classes":4,"features":3},"replicas":[{"id":0,"group":0,"state":"healthy","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":1,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"ok","T":0}` + "\n"},
 	{name: "healthz unavailable", method: "GET", path: "/healthz", unavailable: true, status: 503,
 		want:       `{"status":"no model"}` + "\n",
-		wantRouter: `{"mode":"class","model":{"version":1,"classes":4,"features":3},"replicas":[{"id":0,"group":0,"state":"draining","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":0,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"unserviceable","T":0}` + "\n"},
+		wantRouter: `{"model":{"version":1,"classes":4,"features":3},"replicas":[{"id":0,"group":0,"state":"draining","version":1,"in_flight":0,"shard_high":2},{"id":1,"group":1,"state":"healthy","version":1,"in_flight":0,"shard_low":2,"shard_high":3}],"shards":[{"group":0,"low":0,"high":2,"healthy":0,"members":1},{"group":1,"low":2,"high":3,"healthy":1,"members":1}],"status":"unserviceable","T":0}` + "\n"},
 	{name: "GET reload", method: "GET", path: "/v1/reload", status: 405,
 		want: `{"error":"use POST"}` + "\n"},
 	// Last: the router's reload succeeds and bumps the model version.
@@ -265,7 +266,7 @@ func TestHTTPSurfaceConformance(t *testing.T) {
 // name); labels and values are stripped.
 var metricRows = map[string]string{
 	"single": "nadmm_admission_active nadmm_admission_rejected_total nadmm_batch_rows_mean nadmm_batch_size_max nadmm_batch_size_p50 nadmm_batches_total nadmm_device_bytes_total nadmm_device_flops_total nadmm_device_launches_total nadmm_goroutines nadmm_model_version nadmm_priority_queue_depth nadmm_request_latency_count nadmm_request_latency_max_seconds nadmm_request_latency_mean_seconds nadmm_request_latency_p50_seconds nadmm_request_latency_p95_seconds nadmm_request_latency_p99_seconds nadmm_requests_rejected_total nadmm_requests_submitted_total nadmm_requests_total nadmm_stage_execute_count nadmm_stage_execute_max_seconds nadmm_stage_execute_mean_seconds nadmm_stage_execute_p50_seconds nadmm_stage_execute_p95_seconds nadmm_stage_execute_p99_seconds nadmm_stage_linger_count nadmm_stage_linger_max_seconds nadmm_stage_linger_mean_seconds nadmm_stage_linger_p50_seconds nadmm_stage_linger_p95_seconds nadmm_stage_linger_p99_seconds nadmm_stage_queue_count nadmm_stage_queue_max_seconds nadmm_stage_queue_mean_seconds nadmm_stage_queue_p50_seconds nadmm_stage_queue_p95_seconds nadmm_stage_queue_p99_seconds nadmm_uptime_seconds",
-	"router": "nadmm_admission_active nadmm_admission_rejected_total nadmm_coverage nadmm_failovers_total nadmm_goroutines nadmm_leg_latency_count nadmm_leg_latency_max_seconds nadmm_leg_latency_mean_seconds nadmm_leg_latency_p50_seconds nadmm_leg_latency_p95_seconds nadmm_leg_latency_p99_seconds nadmm_model_version nadmm_replica_done_total nadmm_replica_errors_total nadmm_replica_inflight nadmm_replica_rejected_total nadmm_replica_state nadmm_request_latency_count nadmm_request_latency_max_seconds nadmm_request_latency_mean_seconds nadmm_request_latency_p50_seconds nadmm_request_latency_p95_seconds nadmm_request_latency_p99_seconds nadmm_requests_rejected_total nadmm_requests_total nadmm_router_mode nadmm_shard_healthy nadmm_shard_members nadmm_skew_retries_total nadmm_stage_merge_count nadmm_stage_merge_max_seconds nadmm_stage_merge_mean_seconds nadmm_stage_merge_p50_seconds nadmm_stage_merge_p95_seconds nadmm_stage_merge_p99_seconds nadmm_stage_scatter_count nadmm_stage_scatter_max_seconds nadmm_stage_scatter_mean_seconds nadmm_stage_scatter_p50_seconds nadmm_stage_scatter_p95_seconds nadmm_stage_scatter_p99_seconds nadmm_uptime_seconds",
+	"router": "nadmm_admission_active nadmm_admission_rejected_total nadmm_coverage nadmm_failovers_total nadmm_goroutines nadmm_leg_latency_count nadmm_leg_latency_max_seconds nadmm_leg_latency_mean_seconds nadmm_leg_latency_p50_seconds nadmm_leg_latency_p95_seconds nadmm_leg_latency_p99_seconds nadmm_model_version nadmm_replica_done_total nadmm_replica_errors_total nadmm_replica_inflight nadmm_replica_rejected_total nadmm_replica_state nadmm_request_latency_count nadmm_request_latency_max_seconds nadmm_request_latency_mean_seconds nadmm_request_latency_p50_seconds nadmm_request_latency_p95_seconds nadmm_request_latency_p99_seconds nadmm_requests_rejected_total nadmm_requests_total nadmm_shard_healthy nadmm_shard_members nadmm_skew_retries_total nadmm_stage_merge_count nadmm_stage_merge_max_seconds nadmm_stage_merge_mean_seconds nadmm_stage_merge_p50_seconds nadmm_stage_merge_p95_seconds nadmm_stage_merge_p99_seconds nadmm_stage_scatter_count nadmm_stage_scatter_max_seconds nadmm_stage_scatter_mean_seconds nadmm_stage_scatter_p50_seconds nadmm_stage_scatter_p95_seconds nadmm_stage_scatter_p99_seconds nadmm_uptime_seconds",
 }
 
 func TestMetriczRowNames(t *testing.T) {

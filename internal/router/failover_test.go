@@ -16,10 +16,10 @@ import (
 // production backends are covered by the correctness tests; these pin
 // the control plane deterministically).
 type fakeBackend struct {
-	meta      serve.ModelMeta
-	metaErr   atomic.Pointer[error]
-	predictFn func(b *Batch, out []int) error
-	calls     atomic.Int64
+	meta    serve.ModelMeta
+	metaErr atomic.Pointer[error]
+	scoreFn func(b *Batch) error
+	calls   atomic.Int64
 }
 
 func newFakeBackend(classes, features int) *fakeBackend {
@@ -36,18 +36,13 @@ func (f *fakeBackend) Meta() (serve.ModelMeta, error) {
 	return f.meta, nil
 }
 
-func (f *fakeBackend) Score(b *Batch, preds []int, proba []float64) error {
-	if proba != nil {
-		return nil
-	}
-	f.calls.Add(1)
-	if f.predictFn != nil {
-		return f.predictFn(b, preds)
-	}
-	return nil
-}
-
 func (f *fakeBackend) PartialScores(b *Batch, cols int, out []float64) (int64, error) {
+	f.calls.Add(1)
+	if f.scoreFn != nil {
+		if err := f.scoreFn(b); err != nil {
+			return 0, err
+		}
+	}
 	return f.meta.Version, nil
 }
 func (f *fakeBackend) Reload() (int64, error) { return f.meta.Version, nil }
@@ -65,9 +60,9 @@ func oneRowBatch(features int) *Batch {
 // caller sees serve.ErrQueueFull (HTTP 429), not a silent drop.
 func TestFailoverOnQueueFull(t *testing.T) {
 	full := newFakeBackend(4, 8)
-	full.predictFn = func(*Batch, []int) error { return serve.ErrQueueFull }
+	full.scoreFn = func(*Batch) error { return serve.ErrQueueFull }
 	ok := newFakeBackend(4, 8)
-	rt, err := New([]Backend{full, ok}, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New([]Backend{full, ok}, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +87,50 @@ func TestFailoverOnQueueFull(t *testing.T) {
 		t.Fatalf("saturated replica state %v, want healthy", got)
 	}
 
-	ok.predictFn = func(*Batch, []int) error { return serve.ErrQueueFull }
+	ok.scoreFn = func(*Batch) error { return serve.ErrQueueFull }
 	if err := rt.Predict(oneRowBatch(8), out); !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("all-saturated fleet returned %v, want ErrQueueFull", err)
+	}
+}
+
+// TestGroupTriesEverySibling checks a leg's failover breadth: a group of
+// four siblings whose only unsaturated member is the last in pool order
+// still answers every request, however many saturated siblings are
+// picked before it. Each sibling is tried at most once per request.
+func TestGroupTriesEverySibling(t *testing.T) {
+	var backends []Backend
+	var fakes []*fakeBackend
+	for i := 0; i < 4; i++ {
+		fb := newFakeBackend(4, 8)
+		if i < 3 {
+			fb.scoreFn = func(*Batch) error { return serve.ErrQueueFull }
+		}
+		backends = append(backends, fb)
+		fakes = append(fakes, fb)
+	}
+	rt, err := New(backends, Options{HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	const trials = 32
+	out := make([]int, 1)
+	for trial := 0; trial < trials; trial++ {
+		if err := rt.Predict(oneRowBatch(8), out); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+	if got := fakes[3].calls.Load(); got != trials {
+		t.Fatalf("unsaturated sibling served %d of %d", got, trials)
+	}
+	for i, fb := range fakes[:3] {
+		if got := fb.calls.Load(); got > trials {
+			t.Fatalf("saturated sibling %d tried %d times in %d requests", i, got, trials)
+		}
+	}
+	if fakes[0].calls.Load()+fakes[1].calls.Load()+fakes[2].calls.Load() != rt.Stats().Failovers {
+		t.Fatalf("failovers %d do not match the saturated attempts", rt.Stats().Failovers)
 	}
 }
 
@@ -103,11 +139,11 @@ func TestFailoverOnQueueFull(t *testing.T) {
 // over, and a healthy probe restores it.
 func TestTransportErrorsMarkReplicaDown(t *testing.T) {
 	bad := newFakeBackend(4, 8)
-	bad.predictFn = func(*Batch, []int) error {
+	bad.scoreFn = func(*Batch) error {
 		return fmt.Errorf("%w 127.0.0.1:9: connection refused", ErrReplicaUnreachable)
 	}
 	ok := newFakeBackend(4, 8)
-	rt, err := New([]Backend{bad, ok}, Options{Mode: ModeReplica, HealthEvery: -1, FailAfter: 3})
+	rt, err := New([]Backend{bad, ok}, Options{HealthEvery: -1, FailAfter: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +177,13 @@ func TestTransportErrorsMarkReplicaDown(t *testing.T) {
 func TestClientErrorsDoNotEvictReplica(t *testing.T) {
 	flaky := newFakeBackend(4, 8)
 	clientErr := true
-	flaky.predictFn = func(*Batch, []int) error {
+	flaky.scoreFn = func(*Batch) error {
 		if clientErr {
 			return fmt.Errorf("row 0 has 3 features, model expects 8")
 		}
 		return nil
 	}
-	rt, err := New([]Backend{flaky}, Options{Mode: ModeReplica, HealthEvery: -1, FailAfter: 2})
+	rt, err := New([]Backend{flaky}, Options{HealthEvery: -1, FailAfter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +203,13 @@ func TestClientErrorsDoNotEvictReplica(t *testing.T) {
 	// with FailAfter=2.
 	unreachable := fmt.Errorf("%w x: dial", ErrReplicaUnreachable)
 	clientErr = false
-	flaky.predictFn = func(*Batch, []int) error { return unreachable }
+	flaky.scoreFn = func(*Batch) error { return unreachable }
 	rt.Predict(oneRowBatch(8), out)
-	flaky.predictFn = nil
+	flaky.scoreFn = nil
 	if err := rt.Predict(oneRowBatch(8), out); err != nil {
 		t.Fatal(err)
 	}
-	flaky.predictFn = func(*Batch, []int) error { return unreachable }
+	flaky.scoreFn = func(*Batch) error { return unreachable }
 	rt.Predict(oneRowBatch(8), out)
 	if got := rt.Pool().Replicas()[0].State(); got != StateHealthy {
 		t.Fatalf("replica state %v after non-consecutive transport errors, want healthy", got)
@@ -186,7 +222,7 @@ func TestClientErrorsDoNotEvictReplica(t *testing.T) {
 func TestHealthMonitorRecovers(t *testing.T) {
 	fb := newFakeBackend(4, 8)
 	rt, err := New([]Backend{fb, newFakeBackend(4, 8)}, Options{
-		Mode: ModeReplica, HealthEvery: 2 * time.Millisecond, FailAfter: 2,
+		HealthEvery: 2 * time.Millisecond, FailAfter: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +260,7 @@ func TestDrainUnderLoad(t *testing.T) {
 		localReplica(t, w, classes, features, 0, 0),
 		localReplica(t, w, classes, features, 0, 0),
 	}
-	rt, err := New(backends, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New(backends, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +333,7 @@ func TestHotSwapReplicaUnderLoad(t *testing.T) {
 	w := randWeights(rng, classes, features)
 	lb0 := localReplica(t, w, classes, features, 0, 0)
 	lb1 := localReplica(t, w, classes, features, 0, 0)
-	rt, err := New([]Backend{lb0, lb1}, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New([]Backend{lb0, lb1}, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,10 +387,11 @@ func TestHotSwapReplicaUnderLoad(t *testing.T) {
 	}
 }
 
-// TestAllReplicasDown checks the no-replica path returns ErrNoReplicas.
+// TestAllReplicasDown checks a group with no available member returns
+// ErrShardUnavailable.
 func TestAllReplicasDown(t *testing.T) {
 	fb := newFakeBackend(4, 8)
-	rt, err := New([]Backend{fb}, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New([]Backend{fb}, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +399,8 @@ func TestAllReplicasDown(t *testing.T) {
 	if err := rt.Pool().Drain(0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Predict(oneRowBatch(8), make([]int, 1)); !errors.Is(err, ErrNoReplicas) {
-		t.Fatalf("got %v, want ErrNoReplicas", err)
+	if err := rt.Predict(oneRowBatch(8), make([]int, 1)); !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("got %v, want ErrShardUnavailable", err)
 	}
 }
 

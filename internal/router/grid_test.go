@@ -96,7 +96,7 @@ func TestCoverageAndDrainGuard(t *testing.T) {
 		gridFake(0, 2, 5, ""), gridFake(0, 2, 5, ""),
 		gridFake(2, 4, 5, ""), gridFake(2, 4, 5, ""),
 	}
-	rt, err := New(backends, Options{Mode: ModeClass, HealthEvery: -1})
+	rt, err := New(backends, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +143,18 @@ func TestCoverageAndDrainGuard(t *testing.T) {
 	}
 }
 
-// TestReplicaModeSingleGroup pins that replica mode forms one group of
-// the whole fleet, so coverage semantics are uniform across modes.
+// TestReplicaModeSingleGroup pins that whole-model replicas form one
+// group of the whole fleet, so coverage semantics are those of any
+// shard group.
 func TestReplicaModeSingleGroup(t *testing.T) {
-	rt, err := New([]Backend{newFakeBackend(4, 8), newFakeBackend(4, 8)}, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New([]Backend{newFakeBackend(4, 8), newFakeBackend(4, 8)}, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	groups := rt.Pool().Groups()
 	if len(groups) != 1 || len(groups[0].Members()) != 2 {
-		t.Fatalf("replica mode: %d groups, want 1 with 2 members", len(groups))
+		t.Fatalf("whole-model fleet: %d groups, want 1 with 2 members", len(groups))
 	}
 	rt.Pool().replicas[0].state.Store(int32(StateDown))
 	status, _ := rt.Pool().Coverage()

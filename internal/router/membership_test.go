@@ -11,8 +11,8 @@ import (
 	"newtonadmm/internal/serve"
 )
 
-// newReplicaFleet builds a replica-mode router over n identical local
-// replicas and returns it with the weight vector for growing the fleet
+// newReplicaFleet builds a router over n identical whole-model local
+// replicas (one shard group) and returns it with the weight vector for growing the fleet
 // later.
 func newReplicaFleet(t testing.TB, classes, features, n int, seed int64) (*Router, []float64, *rand.Rand) {
 	t.Helper()
@@ -22,7 +22,7 @@ func newReplicaFleet(t testing.TB, classes, features, n int, seed int64) (*Route
 	for i := 0; i < n; i++ {
 		backends[i] = localReplica(t, w, classes, features, 0, 0)
 	}
-	rt, err := New(backends, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New(backends, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMembershipUnderLoad(t *testing.T) {
 		t.Fatal("no predict succeeded during membership churn")
 	}
 	if failed.Load() != 0 {
-		// Replica mode with >= 1 available member must never fail a
+		// A group with >= 1 available member must never fail a
 		// scatter: drains wait out in-flight work and the coverage
 		// guard keeps a member available throughout.
 		t.Fatalf("%d predicts failed during churn (served %d)", failed.Load(), served.Load())
@@ -99,7 +99,7 @@ func TestMembershipUnderLoad(t *testing.T) {
 }
 
 // TestRemoveBackendCoverageGuard: the last available member of the
-// (single, in replica mode) group can never be removed — CanDrain
+// (single, in a whole-model fleet) group can never be removed — CanDrain
 // refuses before any drain starts, and the replica keeps serving.
 func TestRemoveBackendCoverageGuard(t *testing.T) {
 	const classes, features = 4, 12
@@ -121,8 +121,9 @@ func TestRemoveBackendCoverageGuard(t *testing.T) {
 	}
 }
 
-// TestAddBackendValidation: class mode refuses membership changes, and
-// replica mode refuses shards and shape mismatches.
+// TestAddBackendValidation: a member whose range matches no group is
+// refused — a whole model into a class grid, a class shard into a
+// whole-model fleet — and so are shape mismatches.
 func TestAddBackendValidation(t *testing.T) {
 	const classes, features = 6, 9
 	rng := rand.New(rand.NewSource(103))
@@ -131,7 +132,7 @@ func TestAddBackendValidation(t *testing.T) {
 	classRt := newClassRouter(t, w, classes, features, 2)
 	defer classRt.Close()
 	if _, err := classRt.AddBackend(localReplica(t, w, classes, features, 0, 0)); err == nil {
-		t.Fatal("AddBackend accepted a member in class-sharded mode")
+		t.Fatal("AddBackend accepted a whole-model member into a class grid")
 	}
 
 	rt, _, _ := newReplicaFleet(t, classes, features, 1, 104)
@@ -154,11 +155,71 @@ func TestAddBackendValidation(t *testing.T) {
 	}
 }
 
+// TestAddBackendJoinsMatchingGroup: a class shard added to a 2×2 grid
+// becomes a sibling of the group whose range it serves, takes that
+// group's legs once its siblings drain, and the merged answers stay
+// bitwise identical to single-node scoring.
+func TestAddBackendJoinsMatchingGroup(t *testing.T) {
+	const classes, features, rows = 7, 10, 5
+	rng := rand.New(rand.NewSource(107))
+	w := randWeights(rng, classes, features)
+	var backends []Backend
+	for s := 0; s < 2; s++ {
+		for r := 0; r < 2; r++ {
+			backends = append(backends, localReplica(t, w, classes, features, s, 2))
+		}
+	}
+	rt, err := New(backends, Options{HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	id, err := rt.AddBackend(localReplica(t, w, classes, features, 1, 2))
+	if err != nil {
+		t.Fatalf("AddBackend of a shard sibling: %v", err)
+	}
+	groups := rt.Pool().Groups()
+	if len(groups) != 2 || len(groups[0].Members()) != 2 || len(groups[1].Members()) != 3 {
+		t.Fatalf("after the join: %d groups, want [2 3] members", len(groups))
+	}
+	if m := groups[1].Members()[2]; m.ID != id || m.GroupID != 1 {
+		t.Fatalf("new member %d in group %d, want %d in group 1", m.ID, m.GroupID, id)
+	}
+	for _, m := range groups[1].Members()[:2] {
+		if err := rt.Pool().Drain(m.ID, time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b, dense := randBatch(rng, rows, features, 0.7)
+	single, err := serve.NewPredictorOn(testDev, w, classes, features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, rows*classes)
+	if err := single.ProbaDense(dense, want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, rows*classes)
+	if err := rt.Proba(b, got, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("proba[%d]: router %v, single-node %v", i, got[i], want[i])
+		}
+	}
+	if done := groups[1].Members()[2].Stats().Done; done != 1 {
+		t.Fatalf("the joined sibling served %d legs, want 1", done)
+	}
+}
+
 // TestClassModeFeatureWidthReloadRefused: class shards that all reload
 // to a model of another feature width still tile the classes, but the
 // router plans and prices admission at the old width, so the refresh
-// after Reload or Coordinate must refuse the fleet, as it does in
-// replica mode.
+// after Reload or Coordinate must refuse the fleet, as it does for
+// whole-model replicas.
 func TestClassModeFeatureWidthReloadRefused(t *testing.T) {
 	const classes, features, wider = 6, 9, 12
 	rng := rand.New(rand.NewSource(106))
@@ -172,7 +233,7 @@ func TestClassModeFeatureWidthReloadRefused(t *testing.T) {
 	for i, rg := range plan {
 		base := localReplica(t, w, classes, features, i, len(plan))
 		reg := base.Registry()
-		backends[i] = NewLocalBackend(reg, base.Batcher(), func() (int64, error) {
+		backends[i] = NewLocalBackend(reg, func() (int64, error) {
 			p, err := serve.NewPredictor(ww[rg.Low*wider:rg.High*wider], rg.Width()+1, wider, 1)
 			if err != nil {
 				return 0, err
@@ -183,7 +244,7 @@ func TestClassModeFeatureWidthReloadRefused(t *testing.T) {
 			}), nil
 		})
 	}
-	rt, err := New(backends, Options{Mode: ModeClass, HealthEvery: -1})
+	rt, err := New(backends, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +268,7 @@ func reloadableReplica(t testing.TB, w []float64, classes, features int) *LocalB
 	t.Helper()
 	base := localReplica(t, w, classes, features, 0, 0)
 	reg := base.Registry()
-	return NewLocalBackend(reg, base.Batcher(), func() (int64, error) {
+	return NewLocalBackend(reg, func() (int64, error) {
 		mm, ok := reg.Meta()
 		if !ok {
 			return 0, serve.ErrNoModel
@@ -228,7 +289,7 @@ func TestRemoveBackendRacesReload(t *testing.T) {
 		reloadableReplica(t, w, classes, features),
 		reloadableReplica(t, w, classes, features),
 	}
-	rt, err := New(backends, Options{Mode: ModeReplica, HealthEvery: -1})
+	rt, err := New(backends, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,19 +12,19 @@ import (
 // TestRouterPredictZeroAlloc pins the acceptance bound from DESIGN.md
 // "Observability": the scatter path — StartTrace, Predict, FinishTrace —
 // performs zero heap allocations per request at the default 1-in-8
-// sampling stride, in both routing modes. Published traces occupy ring
+// sampling stride, over one group of whole models and over a two-group
+// class grid. Published traces occupy ring
 // slots until displacement recycling begins, so the warm-up pushes
 // enough sampled requests through to fill the recorder ring first.
 func TestRouterPredictZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name     string
-		mode     Mode
 		backends func() []Backend
 	}{
-		{"replica", ModeReplica, func() []Backend {
+		{"replica", func() []Backend {
 			return []Backend{newFakeBackend(4, 8), newFakeBackend(4, 8)}
 		}},
-		{"class", ModeClass, func() []Backend {
+		{"class", func() []Backend {
 			return []Backend{gridFake(0, 2, 5, ""), gridFake(2, 4, 5, "")}
 		}},
 	}
@@ -33,7 +33,7 @@ func TestRouterPredictZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt, err := New(tc.backends(), Options{Mode: tc.mode, HealthEvery: -1})
+			rt, err := New(tc.backends(), Options{HealthEvery: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func hasStage(v obs.TraceView, stage obs.Stage) bool {
 // frame plane to a replica's FrameServer — and asserts the trace
 // stitches: the NAWP trace trailer carries the router's trace ID to the
 // replica, whose recorder publishes a Remote trace under the SAME ID
-// with queue/execute spans, and the replica's sequential span sum fits
+// with an execute span, and the replica's sequential span sum fits
 // inside the end-to-end latency the router measured.
 func TestStitchedTraceAcrossBinaryPlane(t *testing.T) {
 	const classes, features = 4, 8
@@ -101,7 +101,7 @@ func TestStitchedTraceAcrossBinaryPlane(t *testing.T) {
 	tb := &TCPBackend{Addr: fr.addr()}
 	defer tb.Close()
 
-	rt, err := New([]Backend{tb}, Options{Mode: ModeReplica, HealthEvery: -1, SampleEvery: 1})
+	rt, err := New([]Backend{tb}, Options{HealthEvery: -1, SampleEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestStitchedTraceAcrossBinaryPlane(t *testing.T) {
 	// written, but poll briefly anyway so scheduler jitter cannot flake
 	// the test.
 	var replicaView obs.TraceView
-	rec := fr.lb.Batcher().Recorder()
+	rec := fr.bat.Recorder()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if replicaView, ok = findTrace(rec, id); ok {
@@ -151,8 +151,8 @@ func TestStitchedTraceAcrossBinaryPlane(t *testing.T) {
 	if !replicaView.Remote {
 		t.Fatal("replica-side trace not marked Remote: stitching by ID would double-count it as an origin")
 	}
-	if !hasStage(replicaView, obs.StageQueue) || !hasStage(replicaView, obs.StageExecute) {
-		t.Fatalf("replica trace missing queue/execute spans: %+v", replicaView.Spans)
+	if !hasStage(replicaView, obs.StageExecute) {
+		t.Fatalf("replica trace missing its execute span: %+v", replicaView.Spans)
 	}
 
 	// The replica's stages are sequential slices of the router-observed

@@ -347,7 +347,7 @@ type ShardCoverage struct {
 // member of every group is available, "degraded" when every group still
 // has at least one available member but some member is down or
 // draining, "unserviceable" when some group has zero available members
-// (that shard's partial logits cannot be assembled and class-mode
+// (that shard's partial logits cannot be assembled and the router's
 // requests fail 503 until a member recovers).
 func (p *Pool) Coverage() (string, []ShardCoverage) {
 	_, groups := p.snapshot()

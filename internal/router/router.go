@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,22 +14,8 @@ import (
 	"newtonadmm/internal/serve"
 )
 
-// Mode is the placement strategy of the serving tier.
-type Mode string
-
-const (
-	// ModeReplica is data-parallel: whole-model replicas, one replica
-	// per request, least-loaded picking with failover.
-	ModeReplica Mode = "replica"
-	// ModeClass is model-parallel: class-sharded replicas, every request
-	// scattered to all shards and merged from partial logits.
-	ModeClass Mode = "class"
-)
-
 // Options tunes the router.
 type Options struct {
-	// Mode selects the placement strategy; "" selects ModeReplica.
-	Mode Mode
 	// HealthEvery is the health-probe interval; 0 selects 250ms,
 	// negative disables the monitor (data-plane errors still mark
 	// replicas down).
@@ -36,21 +23,15 @@ type Options struct {
 	// FailAfter is the consecutive probe/request failures that mark a
 	// replica down; <= 0 selects 3.
 	FailAfter int
-	// SkewRetries bounds how often a class-sharded request is rescored
-	// when a mid-rollout hot swap makes shard versions diverge; <= 0
-	// selects 2.
+	// SkewRetries bounds how often a request is rescored when a
+	// mid-rollout hot swap makes shard versions diverge; <= 0 selects 2.
 	SkewRetries int
-	// SiblingRetries bounds how many group siblings a class-sharded
-	// scatter leg fails over to when its picked member dies mid-request
-	// (transport or availability error); <= 0 selects 2. Request-shaped
-	// errors never retry.
-	SiblingRetries int
 	// SampleEvery is the observability sampling period shared by the
 	// latency histograms' request stamps and trace recording: StartTrace
 	// returns a live trace for one request in every SampleEvery. 0
 	// selects serve.DefaultSampleEvery (8); negative disables sampling.
 	SampleEvery int
-	// SerialScatter runs class-mode scatter legs sequentially in group
+	// SerialScatter runs scatter legs sequentially in group
 	// order on the caller's goroutine instead of fanning out to the leg
 	// workers. The legs then consume the pool's pick RNG in a fixed
 	// order, which is what makes a simulated fleet replay byte-identically
@@ -61,9 +42,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Mode == "" {
-		o.Mode = ModeReplica
-	}
 	if o.HealthEvery == 0 {
 		o.HealthEvery = 250 * time.Millisecond
 	}
@@ -72,9 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SkewRetries <= 0 {
 		o.SkewRetries = 2
-	}
-	if o.SiblingRetries <= 0 {
-		o.SiblingRetries = 2
 	}
 	if o.SampleEvery == 0 {
 		o.SampleEvery = serve.DefaultSampleEvery
@@ -87,7 +62,6 @@ func (o Options) withDefaults() Options {
 
 // Stats is the router-level counter snapshot.
 type Stats struct {
-	Mode      Mode
 	Requests  int64
 	Failovers int64
 	SkewRetry int64
@@ -97,15 +71,13 @@ type Stats struct {
 // Router scatters prediction requests over a replica pool and gathers
 // the results. Safe for concurrent use.
 type Router struct {
-	mode Mode
 	opts Options
 	pool *Pool
 
 	classes  int // full model class count C
 	features int
 
-	// swapMu orders coordinated hot swaps against in-flight class-mode
-	// scatters: Reload holds the write side while the fleet swaps, so a
+	// swapMu orders coordinated hot swaps against in-flight scatters: Reload holds the write side while the fleet swaps, so a
 	// scatter never straddles a multi-replica rollout (version checking
 	// on the partials is the belt to this suspender — replicas reached
 	// directly over HTTP can still swap out from under the router).
@@ -124,7 +96,7 @@ type Router struct {
 
 	// Observability (DESIGN.md "Observability"): StageScatter observes
 	// every scatter-leg round trip (all attempts, all groups),
-	// StageMerge the router-side gather+merge of a class-mode request.
+	// StageMerge the router-side gather+merge of a request.
 	// rec records sampled traces; sampleTick drives StartTrace's 1-in-N
 	// admission.
 	StageScatter *obs.Histogram
@@ -137,19 +109,17 @@ type Router struct {
 	// workers, grown on demand, so steady-state scatters spawn no
 	// goroutines and allocate nothing.
 	scatterStates sync.Pool // *scatterState
-	orderBufs     sync.Pool // *[]*Replica (replicaCall failover order)
 	legs          chan *scatterJob
 	legStop       chan struct{}
 	closeOnce     sync.Once
 }
 
 // New builds a router over the given backends. Every backend must be
-// reachable at construction: replica mode requires identically shaped
-// full models, class mode requires an R×S grid whose shard groups tile
-// the full model's explicit class rows exactly (backends reporting the
-// same shard range are siblings of one group; R full-model copies form
-// a single S=1 group). In a multi-zone fleet, every multi-member group
-// must spread across zones.
+// reachable at construction, and together they must form an R×S grid
+// whose shard groups tile the full model's explicit class rows exactly:
+// backends reporting the same shard range are siblings of one group,
+// and R whole-model copies form a single S=1 group. In a multi-zone
+// fleet, every multi-member group must spread across zones.
 func New(backends []Backend, opts Options) (*Router, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("router: need at least one backend")
@@ -163,11 +133,7 @@ func New(backends []Backend, opts Options) (*Router, error) {
 		}
 		metas[i] = m
 	}
-	if opts.Mode != ModeReplica && opts.Mode != ModeClass {
-		return nil, fmt.Errorf("router: unknown mode %q (want %q or %q)", opts.Mode, ModeReplica, ModeClass)
-	}
 	r := &Router{
-		mode:         opts.Mode,
 		opts:         opts,
 		StageScatter: obs.NewHistogram(),
 		StageMerge:   obs.NewHistogram(),
@@ -210,9 +176,6 @@ func (r *Router) admit(b *Batch) error {
 	return &serve.RejectionError{Reason: d.Reason, RetryAfter: d.RetryAfter}
 }
 
-// Mode returns the placement mode.
-func (r *Router) Mode() Mode { return r.mode }
-
 // Classes returns the full model's class count.
 func (r *Router) Classes() int { return r.classes }
 
@@ -236,7 +199,6 @@ func (r *Router) Version() int64 {
 // Stats snapshots router and per-replica counters.
 func (r *Router) Stats() Stats {
 	return Stats{
-		Mode:      r.mode,
 		Requests:  r.requests.Load(),
 		Failovers: r.failovers.Load(),
 		SkewRetry: r.skewRetry.Load(),
@@ -300,8 +262,8 @@ func (r *Router) Proba(b *Batch, out []float64, classOut []int) error {
 	return r.score(b, classOut, out[:n])
 }
 
-// score admits a non-empty batch and routes it by mode: predicted
-// classes into preds and probabilities into proba, each when non-nil.
+// score admits a non-empty batch and scores it: predicted classes into
+// preds and probabilities into proba, each when non-nil.
 func (r *Router) score(b *Batch, preds []int, proba []float64) error {
 	if b.Rows() == 0 {
 		return nil
@@ -310,25 +272,22 @@ func (r *Router) score(b *Batch, preds []int, proba []float64) error {
 		return err
 	}
 	r.requests.Add(1)
-	if r.mode == ModeClass {
-		return r.classScore(b, preds, proba)
-	}
-	return r.replicaCall(b, preds, proba)
+	return r.classScore(b, preds, proba)
 }
 
 // errNoMember reports that tryMembers reached no member: its order was
-// empty, or the last member it tried had just left service. Each mode
-// turns it into its own 503.
+// empty, or the last member it tried had just left service. The leg
+// turns it into ErrShardUnavailable.
 var errNoMember = errors.New("router: no available member")
 
-// tryMembers is the one member-attempt loop of both data planes: it
-// calls call on the members of order in turn, first choice first, and
-// returns the version of the first success (that member's done count
-// bumped, its failure streak cleared). Every attempt holds the member's
-// in-flight count, counts a failover unless it is the first choice, and
-// records its round trip in the member's latency, the scatter stage and,
-// when the request is sampled, a scatter-leg span (Leg = leg, or the
-// member's ID when leg < 0; Try = attempt). Backpressure
+// tryMembers is the one member-attempt loop: a scatter leg calls it on
+// its group's members, and it calls call on the members of order in
+// turn, first choice first, and returns the version of the first
+// success (that member's done count bumped, its failure streak
+// cleared). Every attempt holds the member's in-flight count, counts a
+// failover unless it is the first choice, and records its round trip in
+// the member's latency, the scatter stage and, when the request is
+// sampled, a scatter-leg span (Leg = leg, the group ID; Try = attempt). Backpressure
 // (serve.ErrQueueFull) and availability errors move on to the next
 // member, transport errors also feed the health signal, and any other
 // error is request-shaped and returned at once. call must not retain
@@ -347,16 +306,12 @@ func (r *Router) tryMembers(b *Batch, order []*Replica, leg int, call func(Backe
 		if k > 0 {
 			r.failovers.Add(1)
 		}
-		id := leg
-		if id < 0 {
-			id = rep.ID
-		}
 		t0 := time.Now()
 		v, err := call(rep.backend)
 		d := time.Since(t0)
 		rep.Latency.Observe(d)
 		r.StageScatter.Observe(d)
-		b.Trace.AddSpan(obs.StageScatter, id, k, t0, d)
+		b.Trace.AddSpan(obs.StageScatter, leg, k, t0, d)
 		rep.inflight.Add(-1)
 		if err == nil {
 			rep.done.Add(1)
@@ -390,38 +345,9 @@ func (r *Router) tryMembers(b *Batch, order []*Replica, leg int, call func(Backe
 	return 0, lastErr
 }
 
-// replicaCall scores the whole batch on one replica, failing over
-// through every other available replica (each tried at most once); the
-// last error is returned when all fail. The backend fills exactly one
-// output: proba when it is wanted, and the classes then derive from it.
-func (r *Router) replicaCall(b *Batch, preds []int, proba []float64) error {
-	bufp, _ := r.orderBufs.Get().(*[]*Replica)
-	if bufp == nil {
-		bufp = new([]*Replica)
-	}
-	order := r.pool.failoverOrderInto(r.pool.Replicas(), *bufp)
-	*bufp = order[:0]
-	defer r.orderBufs.Put(bufp)
-	want := preds
-	if proba != nil {
-		want = nil
-	}
-	_, err := r.tryMembers(b, order, -1, func(be Backend) (int64, error) { return 0, be.Score(b, want, proba) })
-	if err == errNoMember {
-		return ErrNoReplicas
-	}
-	if err != nil || proba == nil || preds == nil {
-		return err
-	}
-	for i := range b.Rows() {
-		preds[i] = serve.ArgmaxProba(proba[i*r.classes : (i+1)*r.classes])
-	}
-	return nil
-}
-
-// classScore is the class-sharded data plane: scatter the batch to every
-// shard, gather partial logits into the full score matrix, apply the
-// single-node merge kernels. Version skew from a concurrent hot swap
+// classScore is the router's one data plane: scatter the batch to every
+// shard group, gather partial logits into the full score matrix, apply
+// the single-node merge kernels. Version skew from a concurrent hot swap
 // triggers a bounded rescore.
 func (r *Router) classScore(b *Batch, classOut []int, probaOut []float64) error {
 	rows := b.Rows()
@@ -523,9 +449,9 @@ func (r *Router) legWorker(seed *scatterJob) {
 
 // scatterOnce fans the batch out to all shard groups once and merges
 // the partial columns into scores (rows x classes-1). Each group leg
-// picks a member and retries transport failures on siblings; a leg
-// fails only when its group exhausts the retry budget or has no
-// available member. All groups must answer with the same model version.
+// picks a member and fails over to its siblings; a leg fails only when
+// every available member of its group has failed or none is available.
+// All groups must answer with the same model version.
 func (r *Router) scatterOnce(b *Batch, scores []float64) error {
 	r.swapMu.RLock()
 	defer r.swapMu.RUnlock()
@@ -569,10 +495,11 @@ func (r *Router) scatterOnce(b *Batch, scores []float64) error {
 }
 
 // scatterGroup scores one shard group's partial tile. The member is
-// picked by power-of-two-choices least-loaded; transport and
-// availability failures retry on group siblings (bounded by
-// SiblingRetries), so a mid-scatter member death is absorbed inside the
-// group and never surfaces to the client while a sibling lives. The
+// picked by power-of-two-choices least-loaded; backpressure, transport
+// and availability failures retry on the group's other available
+// members, each tried at most once, so a mid-scatter member death is
+// absorbed inside the group and never surfaces to the client while a
+// sibling lives. The
 // successful attempt writes the whole tile, so the buffer is safely
 // reused across attempts. Returns the snapshot version the tile was
 // scored against. Scratch (failover order, partial tile) lives on the
@@ -583,12 +510,11 @@ func (r *Router) scatterGroup(j *scatterJob) (int64, error) {
 	m := r.classes - 1
 	w := g.Range.Width()
 	j.order = r.pool.failoverOrderInto(g.members, j.order)
-	attempts := min(r.opts.SiblingRetries+1, len(j.order))
 	if cap(j.part) < rows*w {
 		j.part = make([]float64, rows*w)
 	}
 	part := j.part[:rows*w]
-	v, err := r.tryMembers(b, j.order[:attempts], g.ID, func(be Backend) (int64, error) { return be.PartialScores(b, w, part) })
+	v, err := r.tryMembers(b, j.order, g.ID, func(be Backend) (int64, error) { return be.PartialScores(b, w, part) })
 	if err == errNoMember {
 		return 0, fmt.Errorf("%w: group [%d,%d) has no available member", ErrShardUnavailable, g.Range.Low, g.Range.High)
 	}
@@ -603,7 +529,7 @@ func (r *Router) scatterGroup(j *scatterJob) (int64, error) {
 }
 
 // Reload hot-swaps every replica's checkpoint, holding the swap lock so
-// no class-mode scatter straddles the rollout, then revalidates the
+// no scatter straddles the rollout, then revalidates the
 // fleet against the router's construction-time plan: a checkpoint with
 // a different shape would leave the plan stale (and, unvalidated, merge
 // partials at wrong offsets), so a shape-changing reload is reported as
@@ -637,8 +563,8 @@ func (r *Router) Reload() (int64, error) {
 	return latest, firstErr
 }
 
-// Coordinate runs fn while holding the swap lock, so no class-mode
-// scatter straddles whatever multi-replica mutation fn performs (the
+// Coordinate runs fn while holding the swap lock, so no scatter
+// straddles whatever multi-replica mutation fn performs (the
 // public API's fleet-wide Swap uses it), then refreshes and revalidates
 // the replica metadata like Reload.
 func (r *Router) Coordinate(fn func() error) error {
@@ -682,19 +608,10 @@ func (r *Router) refreshMetasLocked() error {
 // AddBackend run it on the members' metadata, and its errors name a
 // member by its position in metas. It plans the members into shard
 // groups (planGroupsFromMetas: one model shape, ranges that tile the
-// explicit classes, zone spread). Replica mode also needs every member
-// to be a full model, so its plan is one group of every member. With
-// planned set, the fleet must keep the plan the router serves: member i
-// still serves planned[i], and the model keeps the router's class count
-// and feature width.
+// explicit classes, zone spread). With planned set, the fleet must keep
+// the plan the router serves: member i still serves planned[i], and the
+// model keeps the router's class count and feature width.
 func (r *Router) checkFleet(metas []serve.ModelMeta, planned []ShardRange) ([]GroupPlan, error) {
-	if r.mode == ModeReplica {
-		for i, m := range metas {
-			if m.IsShard() {
-				return nil, fmt.Errorf("router: replica %d serves class shard [%d,%d), replica-balanced mode needs full models", i, m.ShardLow, m.ShardHigh)
-			}
-		}
-	}
 	plan, err := planGroupsFromMetas(metas)
 	if err != nil || planned == nil {
 		return plan, err
@@ -713,17 +630,13 @@ func (r *Router) checkFleet(metas []serve.ModelMeta, planned []ShardRange) ([]Gr
 	return plan, nil
 }
 
-// AddBackend grows the fleet with a freshly built replica (the
-// autoscaler's scale-up actuator). Replica-balanced mode only: class
-// mode's shard tiling is planned at construction and adding a member
-// would need a placement decision this API does not take. The backend
-// is probed and must be a full model of the fleet's shape before it
-// joins; on success it starts receiving traffic immediately. Returns
-// the new replica's stable ID.
+// AddBackend grows the fleet with a freshly built member (the
+// autoscaler's scale-up actuator): it joins, as a sibling, the shard
+// group whose planned range it serves. The backend is probed first; it
+// is refused when its range matches no group or the fleet with it
+// fails checkFleet. On success it starts receiving traffic immediately.
+// Returns the new member's stable ID.
 func (r *Router) AddBackend(b Backend) (int, error) {
-	if r.mode != ModeReplica {
-		return 0, fmt.Errorf("router: AddBackend requires %q mode (got %q)", ModeReplica, r.mode)
-	}
 	m, err := b.Meta()
 	if err != nil {
 		return 0, fmt.Errorf("router: probing new replica: %w", err)
@@ -732,11 +645,23 @@ func (r *Router) AddBackend(b Backend) (int, error) {
 	// interleaves with a membership change.
 	r.swapMu.Lock()
 	defer r.swapMu.Unlock()
-	if _, err := r.checkFleet([]serve.ModelMeta{m}, []ShardRange{r.pool.Groups()[0].Range}); err != nil {
+	reps, groups := r.pool.snapshot()
+	n := m.Normalized()
+	rng := ShardRange{Low: n.ShardLow, High: n.ShardHigh}
+	gi := slices.IndexFunc(groups, func(g *Group) bool { return g.Range == rng })
+	if gi < 0 {
+		return 0, fmt.Errorf("router: new replica refused: shard [%d,%d) matches no group of the fleet", rng.Low, rng.High)
+	}
+	var metas []serve.ModelMeta
+	var planned []ShardRange
+	for _, rep := range reps {
+		metas = append(metas, rep.Meta())
+		planned = append(planned, groups[rep.GroupID].Range)
+	}
+	if _, err := r.checkFleet(append(metas, m), append(planned, rng)); err != nil {
 		return 0, fmt.Errorf("router: new replica refused: %w", err)
 	}
-	rep := r.pool.addReplica(b, m, 0)
-	return rep.ID, nil
+	return r.pool.addReplica(b, m, groups[gi].ID).ID, nil
 }
 
 // RemoveBackend retires a replica without dropping accepted work: the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/serve"
@@ -81,8 +80,7 @@ func localReplica(t testing.TB, w []float64, classes, features, i, n int) *Local
 		t.Fatal(err)
 	}
 	reg.Swap(p, meta)
-	bat := serve.NewBatcher(reg, serve.BatcherConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 256})
-	return NewLocalBackend(reg, bat, nil)
+	return NewLocalBackend(reg, nil)
 }
 
 // newClassRouter builds a class-sharded router over n local shards.
@@ -92,7 +90,7 @@ func newClassRouter(t testing.TB, w []float64, classes, features, n int) *Router
 	for i := 0; i < n; i++ {
 		backends[i] = localReplica(t, w, classes, features, i, n)
 	}
-	rt, err := New(backends, Options{Mode: ModeClass, HealthEvery: -1})
+	rt, err := New(backends, Options{HealthEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestClassShardedBitwiseIdentical(t *testing.T) {
 				for i := 0; i < shards; i++ {
 					backends[i] = shardBackend(t, transport, w, classes, features, i, shards)
 				}
-				rt, err := New(backends, Options{Mode: ModeClass, HealthEvery: -1})
+				rt, err := New(backends, Options{HealthEvery: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,8 +168,11 @@ func TestClassShardedBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// TestReplicaModeMatchesSingle checks replica-balanced routing returns
-// the single-node answers regardless of which replica serves.
+// TestReplicaModeMatchesSingle checks a fleet of whole-model replicas —
+// one shard group of three siblings spanning every explicit class —
+// returns the single-node classes and bitwise-identical probabilities
+// regardless of which sibling serves, in process (local) and across the
+// binary frame plane (binary: OpScores at full width).
 func TestReplicaModeMatchesSingle(t *testing.T) {
 	const classes, features, rows = 4, 12, 11
 	rng := rand.New(rand.NewSource(91))
@@ -186,38 +187,54 @@ func TestReplicaModeMatchesSingle(t *testing.T) {
 	if err := single.PredictDense(dense, want); err != nil {
 		t.Fatal(err)
 	}
-
-	backends := []Backend{
-		localReplica(t, w, classes, features, 0, 0),
-		localReplica(t, w, classes, features, 0, 0),
-		localReplica(t, w, classes, features, 0, 0),
-	}
-	rt, err := New(backends, Options{Mode: ModeReplica, HealthEvery: -1})
-	if err != nil {
+	wantProba := make([]float64, rows*classes)
+	if err := single.ProbaDense(dense, wantProba); err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
 
-	for trial := 0; trial < 8; trial++ { // different picks, same answers
-		got := make([]int, rows)
-		if err := rt.Predict(b, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d row %d: %d vs %d", trial, i, got[i], want[i])
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			backends := []Backend{
+				shardBackend(t, transport, w, classes, features, 0, 0),
+				shardBackend(t, transport, w, classes, features, 0, 0),
+				shardBackend(t, transport, w, classes, features, 0, 0),
 			}
-		}
-	}
-	proba := make([]float64, rows*classes)
-	cls := make([]int, rows)
-	if err := rt.Proba(b, proba, cls); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if cls[i] != want[i] {
-			t.Fatalf("proba class row %d: %d vs %d", i, cls[i], want[i])
-		}
+			rt, err := New(backends, Options{HealthEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			if g := rt.Pool().Groups(); len(g) != 1 || len(g[0].Members()) != 3 {
+				t.Fatalf("%d groups, want one of 3 siblings", len(g))
+			}
+
+			for trial := 0; trial < 8; trial++ { // different picks, same answers
+				got := make([]int, rows)
+				if err := rt.Predict(b, got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("trial %d row %d: %d vs %d", trial, i, got[i], want[i])
+					}
+				}
+				proba := make([]float64, rows*classes)
+				cls := make([]int, rows)
+				if err := rt.Proba(b, proba, cls); err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantProba {
+					if proba[i] != wantProba[i] { // bitwise: float64 ==
+						t.Fatalf("trial %d proba[%d]: router %v, single-node %v", trial, i, proba[i], wantProba[i])
+					}
+				}
+				for i := range want {
+					if cls[i] != want[i] {
+						t.Fatalf("trial %d proba class row %d: %d vs %d", trial, i, cls[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -256,7 +273,7 @@ func TestClassModeRejectsBadTiling(t *testing.T) {
 	b1 := localReplica(t, w, classes, features, 0, 2)
 	defer b0.Close()
 	defer b1.Close()
-	if _, err := New([]Backend{b0, b1}, Options{Mode: ModeClass, HealthEvery: -1}); err == nil {
+	if _, err := New([]Backend{b0, b1}, Options{HealthEvery: -1}); err == nil {
 		t.Fatal("accepted overlapping shards")
 	}
 	// A full replica mixed into class mode with >1 replicas.
@@ -264,12 +281,12 @@ func TestClassModeRejectsBadTiling(t *testing.T) {
 	defer full.Close()
 	shard := localReplica(t, w, classes, features, 0, 2)
 	defer shard.Close()
-	if _, err := New([]Backend{full, shard}, Options{Mode: ModeClass, HealthEvery: -1}); err == nil {
+	if _, err := New([]Backend{full, shard}, Options{HealthEvery: -1}); err == nil {
 		t.Fatal("accepted full replica as class shard")
 	}
-	// Replica mode rejects shard replicas.
-	if _, err := New([]Backend{shard}, Options{Mode: ModeReplica, HealthEvery: -1}); err == nil {
-		t.Fatal("replica mode accepted a shard backend")
+	// A lone shard does not tile the model.
+	if _, err := New([]Backend{shard}, Options{HealthEvery: -1}); err == nil {
+		t.Fatal("accepted a lone shard backend")
 	}
 }
 
@@ -282,7 +299,7 @@ func TestClassModeVersionSkew(t *testing.T) {
 	w := randWeights(rng, classes, features)
 	b0 := localReplica(t, w, classes, features, 0, 2)
 	b1 := localReplica(t, w, classes, features, 1, 2)
-	rt, err := New([]Backend{b0, b1}, Options{Mode: ModeClass, HealthEvery: -1, SkewRetries: 1})
+	rt, err := New([]Backend{b0, b1}, Options{HealthEvery: -1, SkewRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +348,7 @@ func TestClassModeShapeChangeRejected(t *testing.T) {
 	w := randWeights(rng, classes, features)
 	b0 := localReplica(t, w, classes, features, 0, 2)
 	b1 := localReplica(t, w, classes, features, 1, 2)
-	rt, err := New([]Backend{b0, b1}, Options{Mode: ModeClass, HealthEvery: -1, SkewRetries: 1})
+	rt, err := New([]Backend{b0, b1}, Options{HealthEvery: -1, SkewRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

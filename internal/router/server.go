@@ -30,9 +30,9 @@ type Server struct {
 func NewServer(rt *Router) *Server {
 	s := &Server{rt: rt}
 	s.Server = serve.NewTierServer(&routerTier{rt: rt, latency: obs.NewHistogram()}, rt.Recorder(), rt.Reload)
-	// Tier unavailability (no replicas, shard down, version skew, replica
+	// Tier unavailability (shard down, version skew, replica
 	// unreachable) is transient like the single-node 503s.
-	s.MapStatus(http.StatusServiceUnavailable, ErrNoReplicas, ErrShardUnavailable, ErrVersionSkew, ErrReplicaUnreachable)
+	s.MapStatus(http.StatusServiceUnavailable, ErrShardUnavailable, ErrVersionSkew, ErrReplicaUnreachable)
 	s.HandleFunc("/v1/replicas", s.handleReplicas)
 	return s
 }
@@ -95,11 +95,9 @@ func (t *routerTier) Metrics(o *obs.Registry) {
 			}
 			return uint64(n)
 		})
-	o.GaugeFunc("nadmm_router_mode", obs.Label("mode", string(rt.Mode())), "routing mode in effect (always 1; the mode is the label)",
-		func() float64 { return 1 })
 	o.CounterFunc("nadmm_failovers_total", "", "scatter legs retried on a sibling after a replica failure",
 		func() uint64 { return uint64(rt.failovers.Load()) })
-	o.CounterFunc("nadmm_skew_retries_total", "", "class-sharded gathers retried for cross-shard version skew",
+	o.CounterFunc("nadmm_skew_retries_total", "", "gathers retried for cross-shard version skew",
 		func() uint64 { return uint64(rt.skewRetry.Load()) })
 	o.GaugeFunc("nadmm_coverage", "", "shard coverage: 1 ok, 0.5 degraded, 0 unserviceable", func() float64 {
 		switch cov, _ := rt.Pool().Coverage(); cov {
@@ -120,7 +118,7 @@ func (t *routerTier) Metrics(o *obs.Registry) {
 	o.Collect(func(w io.Writer) { collectPoolMetrics(w, rt) })
 	o.Duration("nadmm_request_latency", "", "sampled end-to-end client-request latency at the router", t.latency)
 	o.Duration("nadmm_stage_scatter", "", "per-leg scatter round-trip (all replicas)", rt.StageScatter)
-	o.Duration("nadmm_stage_merge", "", "partial-tile merge time of class-sharded gathers", rt.StageMerge)
+	o.Duration("nadmm_stage_merge", "", "partial-tile merge time of gathers", rt.StageMerge)
 }
 
 // collectPoolMetrics renders the per-shard and per-replica metric
@@ -197,7 +195,7 @@ type replicaHealth struct {
 // every group member everywhere is healthy, "degraded" (still 200 —
 // every shard retains at least one healthy member) when some member is
 // down or draining, "unserviceable" (503) when some group has zero
-// healthy members and class-sharded requests cannot be assembled. The
+// healthy members and requests cannot be assembled. The
 // per-shard healthy counts pinpoint which range lost coverage.
 func (t *routerTier) Health(uptime time.Duration) (int, any) {
 	reps := t.rt.Pool().Replicas()
@@ -207,9 +205,7 @@ func (t *routerTier) Health(uptime time.Duration) (int, any) {
 		rows[i] = replicaHealth{
 			ID: rep.ID, Group: rep.GroupID, Zone: m.Zone,
 			State: rep.State().String(), Version: m.Version, InFlight: rep.InFlight(),
-		}
-		if t.rt.Mode() == ModeClass {
-			rows[i].ShardLow, rows[i].ShardHi = m.ShardLow, m.ShardHigh
+			ShardLow: m.ShardLow, ShardHi: m.ShardHigh,
 		}
 	}
 	status, shards := t.rt.Pool().Coverage()
@@ -219,7 +215,6 @@ func (t *routerTier) Health(uptime time.Duration) (int, any) {
 	}
 	return code, map[string]any{
 		"status": status,
-		"mode":   string(t.rt.Mode()),
 		"model": serve.ModelMeta{
 			Version:  t.rt.Version(),
 			Classes:  t.rt.Classes(),

@@ -467,49 +467,8 @@ func (t *TCPBackend) Meta() (serve.ModelMeta, error) {
 	return serve.MetaFromWire(wm), nil
 }
 
-// Score scores the batch over the wire (replica-balanced data plane):
-// an OpProba round trip when proba is non-nil (proba is rows x classes),
-// else an OpPredict one into preds.
-func (t *TCPBackend) Score(b *Batch, preds []int, proba []float64) error {
-	op, want := wire.OpPredict, wire.OpPredictResp
-	if proba != nil {
-		op, want = wire.OpProba, wire.OpProbaResp
-	}
-	got, payload, release, err := t.batchTrip(op, b, 0)
-	if err != nil {
-		return err
-	}
-	if err := t.expect(want, got, payload, release); err != nil {
-		return err
-	}
-	defer release()
-	rows := b.Rows()
-	if proba == nil {
-		_, n, err := wire.DecodePredictResp(payload, preds)
-		if err != nil {
-			return fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
-		}
-		if n != rows {
-			return fmt.Errorf("router: replica returned %d predictions for %d instances", n, rows)
-		}
-		return nil
-	}
-	if rows == 0 {
-		return nil
-	}
-	classes := len(proba) / rows
-	_, nr, nc, err := wire.DecodeFloatsResp(payload, proba)
-	if err != nil {
-		return fmt.Errorf("%w %s: %v", ErrReplicaUnreachable, t.Addr, err)
-	}
-	if nr != rows || nc != classes {
-		return fmt.Errorf("router: replica returned a %dx%d probability tile, want %dx%d", nr, nc, rows, classes)
-	}
-	return nil
-}
-
-// PartialScores fetches the raw partial-logit tile (class-sharded data
-// plane). The request carries the planned width, so a replica whose
+// PartialScores fetches the raw partial-logit tile over an OpScores
+// round trip. The request carries the planned width, so a replica whose
 // shape changed answers CodeShapeChanged without writing a tile.
 func (t *TCPBackend) PartialScores(b *Batch, cols int, out []float64) (int64, error) {
 	op, payload, release, err := t.batchTrip(wire.OpScores, b, cols)

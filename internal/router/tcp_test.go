@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,16 +18,26 @@ import (
 // frameReplica wraps an in-process serving stack with a live binary
 // frame listener, the replica side of the TCP data plane.
 type frameReplica struct {
-	lb *LocalBackend
-	fs *serve.FrameServer
-	ln net.Listener
+	lb  *LocalBackend
+	bat *serve.Batcher // the frame server's OpPredict/OpProba path and trace recorder
+	fs  *serve.FrameServer
+	ln  net.Listener
 }
 
 func (fr *frameReplica) addr() string { return fr.ln.Addr().String() }
 
 func (fr *frameReplica) close() {
 	fr.fs.Close()
+	fr.bat.Close()
 	fr.lb.Close()
+}
+
+// serveFrames starts a frame server for lb on ln.
+func serveFrames(lb *LocalBackend, ln net.Listener) *frameReplica {
+	bat := serve.NewBatcher(lb.Registry(), serve.BatcherConfig{MaxBatch: 16, MaxLinger: 50 * time.Microsecond, QueueDepth: 256})
+	fs := serve.NewFrameServer(lb.Registry(), bat, nil)
+	go fs.Serve(ln)
+	return &frameReplica{lb: lb, bat: bat, fs: fs, ln: ln}
 }
 
 // startFrameReplica serves shard i of n (n == 0: the full model) over a
@@ -38,9 +49,7 @@ func startFrameReplica(t testing.TB, w []float64, classes, features, i, n int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := serve.NewFrameServer(lb.Registry(), lb.Batcher(), nil)
-	go fs.Serve(ln)
-	return &frameReplica{lb: lb, fs: fs, ln: ln}
+	return serveFrames(lb, ln)
 }
 
 // shardBackend builds one class-shard backend reached over the named
@@ -96,8 +105,13 @@ func TestTCPBackendConcurrentPipelining(t *testing.T) {
 			rows[i][j] = rng.NormFloat64()
 		}
 	}
-	want := make([]int, nRows)
-	if err := single.PredictDense(rows, want); err != nil {
+	const m = classes - 1
+	var all Batch
+	for _, row := range rows {
+		all.AddDense(row)
+	}
+	want := make([]float64, nRows*m)
+	if err := single.ScoresBatch(&all.Batch, m, want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,16 +121,16 @@ func TestTCPBackendConcurrentPipelining(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			out := make([]int, 1)
+			out := make([]float64, m)
 			for k := 0; k < 32; k++ {
 				i := (g + k) % nRows
 				var b Batch
 				b.AddDense(rows[i])
-				if err := tb.Score(&b, out, nil); err != nil {
+				if _, err := tb.PartialScores(&b, m, out); err != nil {
 					errs <- err
 					return
 				}
-				if out[0] != want[i] {
+				if !slices.Equal(out, want[i*m:(i+1)*m]) {
 					errs <- errors.New("wrong answer for multiplexed request")
 					return
 				}
@@ -145,7 +159,7 @@ func TestTCPReplicaDeathFailover(t *testing.T) {
 	defer fr1.close()
 	tb0 := &TCPBackend{Addr: fr0.addr(), Timeout: 2 * time.Second}
 	tb1 := &TCPBackend{Addr: fr1.addr(), Timeout: 2 * time.Second}
-	rt, err := New([]Backend{tb0, tb1}, Options{Mode: ModeReplica, HealthEvery: -1, FailAfter: 2})
+	rt, err := New([]Backend{tb0, tb1}, Options{HealthEvery: -1, FailAfter: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +229,7 @@ func TestTCPShardDeathIs503(t *testing.T) {
 	defer fr1.close()
 	tb0 := &TCPBackend{Addr: fr0.addr(), Timeout: 2 * time.Second}
 	tb1 := &TCPBackend{Addr: fr1.addr(), Timeout: 2 * time.Second}
-	rt, err := New([]Backend{tb0, tb1}, Options{Mode: ModeClass, HealthEvery: -1, SkewRetries: 1})
+	rt, err := New([]Backend{tb0, tb1}, Options{HealthEvery: -1, SkewRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,14 +287,14 @@ func TestTCPBackendRejectsUnframeableBatch(t *testing.T) {
 	for i := 0; i < wire.MaxRows+1; i++ {
 		flood.AddCSR(nil, nil)
 	}
-	err := tb.Score(&flood, make([]int, flood.Rows()), nil)
+	_, err := tb.PartialScores(&flood, 1, make([]float64, flood.Rows()))
 	if err == nil || errors.Is(err, ErrReplicaUnreachable) {
 		t.Fatalf("row flood: got %v, want a request-shaped error", err)
 	}
 
 	var fat Batch
 	fat.AddDense(make([]float64, wire.MaxPayload/8+2))
-	err = tb.Score(&fat, make([]int, 1), nil)
+	_, err = tb.PartialScores(&fat, 1, make([]float64, 1))
 	if err == nil || errors.Is(err, ErrReplicaUnreachable) {
 		t.Fatalf("oversized payload: got %v, want a request-shaped error", err)
 	}
@@ -361,9 +375,7 @@ func TestTCPRedialBackoff(t *testing.T) {
 			lb := localReplica(t, randWeights(rand.New(rand.NewSource(73)), 3, 4), 3, 4, 0, 0)
 			ln, err := net.Listen("tcp", addr)
 			if err == nil {
-				fs := serve.NewFrameServer(lb.Registry(), lb.Batcher(), nil)
-				go fs.Serve(ln)
-				return &frameReplica{lb: lb, fs: fs, ln: ln}
+				return serveFrames(lb, ln)
 			}
 			lb.Close()
 			if time.Now().After(deadline) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"time"
 
@@ -11,9 +10,10 @@ import (
 	"newtonadmm/internal/serve"
 )
 
-// replicaConfig shapes one virtual replica. totalClasses > 0 selects a
-// class shard (PartialScores plane); 0 selects a full replica (Predict
-// plane, backed by a real serve.Batcher).
+// replicaConfig shapes one virtual replica: it scores the partial
+// logits of shard's explicit class rows. totalClasses > 0 makes it a
+// class shard of a totalClasses model; 0 a whole-model replica, whose
+// shard spans all classes-1 explicit rows.
 type replicaConfig struct {
 	classes, features int
 	totalClasses      int
@@ -39,14 +39,11 @@ type vjob struct {
 }
 
 // SimReplica is a virtual replica: a router.Backend whose data plane
-// costs virtual time instead of wall time. Its queue mirrors the real
-// batcher's semantics — bounded per-class admission queues drained by
-// the REAL control.WRR scheduler, batch formation with a linger window
+// costs virtual time instead of wall time. Its queue models a
+// micro-batcher — bounded per-class admission queues drained by the
+// REAL control.WRR scheduler, batch formation with a linger window
 // measured from formation — and its service time comes from the
-// calibrated cluster.ServiceTimeModel. Full replicas additionally pass
-// every admitted request through a REAL serve.Batcher (linger disabled,
-// deterministic scorer), so the production submit/dequeue/score path
-// runs on every simulated request.
+// calibrated cluster.ServiceTimeModel.
 //
 // All methods run on the simulation goroutine (the router is built with
 // SerialScatter and its wall health monitor disabled), so the virtual
@@ -56,7 +53,6 @@ type SimReplica struct {
 	cfg     replicaConfig
 	version int64
 
-	bat *serve.Batcher  // real serving path; nil for class shards
 	rep *router.Replica // pool entry, set at registration
 
 	wrr         *control.WRR
@@ -69,15 +65,7 @@ type SimReplica struct {
 }
 
 func newSimReplica(s *Sim, cfg replicaConfig) *SimReplica {
-	r := &SimReplica{s: s, cfg: cfg, version: 1, wrr: control.NewWRR(control.DefaultWeights)}
-	if cfg.totalClasses == 0 {
-		r.bat = serve.NewBatcher(fakeSource{scorer: &fakeScorer{classes: cfg.classes, features: cfg.features}}, serve.BatcherConfig{
-			MaxBatch:    cfg.maxBatch,
-			MaxLinger:   -1, // wall lingering would not advance virtual time
-			SampleEvery: -1,
-		})
-	}
-	return r
+	return &SimReplica{s: s, cfg: cfg, version: 1, wrr: control.NewWRR(control.DefaultWeights)}
 }
 
 // Meta implements router.Backend; it doubles as the health probe.
@@ -97,23 +85,10 @@ func (r *SimReplica) Meta() (serve.ModelMeta, error) {
 	return m, nil
 }
 
-// Score implements router.Backend (full-replica data plane): admit
-// into the virtual queue, then run the rows through the real batcher so
-// the production serve path executes too.
-func (r *SimReplica) Score(b *router.Batch, preds []int, proba []float64) error {
-	if r.closed {
-		return serve.ErrClosed
-	}
-	if err := r.enqueue(b); err != nil {
-		return err
-	}
-	return r.bat.ScoreBatch(&b.Batch, b.Priority, nil, preds, proba)
-}
-
-// PartialScores implements router.Backend (class-sharded data plane):
-// the shard's explicit-class logits are a pure function of (row,
-// absolute class), so sibling replicas of the same range produce
-// bit-identical tiles and failover cannot change a prediction.
+// PartialScores implements router.Backend: the shard's explicit-class
+// logits are a pure function of (row, absolute class), so sibling
+// replicas of the same range produce bit-identical tiles and failover
+// cannot change a prediction.
 func (r *SimReplica) PartialScores(b *router.Batch, cols int, out []float64) (int64, error) {
 	if r.closed {
 		return 0, serve.ErrClosed
@@ -142,15 +117,7 @@ func (r *SimReplica) Reload() (int64, error) {
 }
 
 // Close implements router.Backend.
-func (r *SimReplica) Close() {
-	if r.closed {
-		return
-	}
-	r.closed = true
-	if r.bat != nil {
-		r.bat.Close()
-	}
-}
+func (r *SimReplica) Close() { r.closed = true }
 
 // idle reports whether the replica holds no virtual work — the
 // autoscaler only retires idle replicas (the pool's Drain spin is
@@ -167,8 +134,8 @@ func (r *SimReplica) idle() bool {
 	return true
 }
 
-// enqueue admits one request's rows into the virtual queue, mirroring
-// the real batcher: an idle replica starts forming a batch (lingering
+// enqueue admits one request's rows into the virtual queue, modeling a
+// micro-batcher: an idle replica starts forming a batch (lingering
 // up to the window for stragglers), a forming batch accepts joiners
 // until full, and a busy replica parks the job in its bounded per-class
 // queue — full queue is ErrQueueFull backpressure, exactly what the
@@ -291,27 +258,13 @@ func (r *SimReplica) takeWaiting() ([]*vjob, int) {
 // sized by the feature rows, response by the score tile.
 func (r *SimReplica) wireCost(rows int) time.Duration {
 	reqBytes := rows*r.cfg.features*8 + 64
-	respCols := 1
-	if r.cfg.totalClasses > 0 {
-		respCols = r.cfg.shard.Width()
-	}
-	respBytes := rows*respCols*8 + 64
+	respBytes := rows*r.cfg.shard.Width()*8 + 64
 	return r.cfg.net.BcastCost(2, reqBytes) + r.cfg.net.BcastCost(2, respBytes)
 }
 
-// fakeScorer is the deterministic stand-in model behind each full
-// replica's real batcher: logits are a pure function of (row, class),
-// so predictions depend only on the request and never on which replica
-// served it.
-type fakeScorer struct {
-	classes, features int
-}
-
-func (f *fakeScorer) Classes() int  { return f.classes }
-func (f *fakeScorer) Features() int { return f.features }
-
-// logitOf is the shared deterministic logit function (also used for
-// class-shard partial tiles).
+// logitOf is the deterministic stand-in model: a logit is a pure
+// function of (row, class), so predictions depend only on the request
+// and never on which replica served it.
 func logitOf(row []float64, class int) float64 {
 	s := 0.0
 	for i, v := range row {
@@ -319,48 +272,3 @@ func logitOf(row []float64, class int) float64 {
 	}
 	return math.Sin(s + 1.7*float64(class))
 }
-
-func (f *fakeScorer) PredictDense(rows [][]float64, out []int) error {
-	for i, row := range rows {
-		best, bestScore := f.classes-1, 0.0 // implicit reference class scores 0
-		for c := 0; c < f.classes-1; c++ {
-			if sc := logitOf(row, c); sc > bestScore {
-				best, bestScore = c, sc
-			}
-		}
-		out[i] = best
-	}
-	return nil
-}
-
-func (f *fakeScorer) ProbaDense(rows [][]float64, out []float64) error {
-	for i, row := range rows {
-		dst := out[i*f.classes : (i+1)*f.classes]
-		sum := 0.0
-		for c := range dst {
-			l := 0.0
-			if c < f.classes-1 {
-				l = logitOf(row, c)
-			}
-			dst[c] = math.Exp(l)
-			sum += dst[c]
-		}
-		for c := range dst {
-			dst[c] /= sum
-		}
-	}
-	return nil
-}
-
-func (f *fakeScorer) PredictCSR([][]int, [][]float64, []int) error {
-	return errors.New("sim: sparse rows not simulated")
-}
-
-func (f *fakeScorer) ProbaCSR([][]int, [][]float64, []float64) error {
-	return errors.New("sim: sparse rows not simulated")
-}
-
-// fakeSource hands out the scorer without device bookkeeping.
-type fakeSource struct{ scorer *fakeScorer }
-
-func (s fakeSource) Acquire() (serve.Scorer, func(), error) { return s.scorer, func() {}, nil }

@@ -75,7 +75,7 @@ func (s *Sim) result() *ScenarioResult {
 	res := &ScenarioResult{
 		Name:          s.sc.Name,
 		Seed:          s.sc.Seed,
-		Mode:          string(s.sc.Mode),
+		Mode:          s.sc.Mode,
 		Duration:      s.sc.Duration,
 		Failovers:     st.Failovers,
 		SkewRetries:   st.SkewRetry,

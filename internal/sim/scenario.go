@@ -6,7 +6,6 @@ import (
 
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/control"
-	"newtonadmm/internal/router"
 )
 
 // Fault actions.
@@ -62,11 +61,12 @@ type Scenario struct {
 	// terminates.
 	Duration time.Duration
 
-	// Mode selects the placement strategy ("" = replica). Replicas is
-	// the initial whole-model replica count in replica mode, and the
-	// per-shard sibling count R in class mode; Shards is the shard count
-	// S (class mode only). Zones assigns placement zones round-robin.
-	Mode     router.Mode
+	// Mode lays out the fleet ("" = "replica"). Either way every member
+	// is a sibling of a shard group: "replica" builds Replicas
+	// whole-model members, one S = 1 group; "class" builds Shards groups
+	// of Replicas siblings each. Zones assigns placement zones
+	// round-robin within each group.
+	Mode     string
 	Replicas int
 	Shards   int
 	Zones    []string
@@ -100,7 +100,7 @@ func (sc Scenario) withDefaults() Scenario {
 		sc.Duration = 2 * time.Second
 	}
 	if sc.Mode == "" {
-		sc.Mode = router.ModeReplica
+		sc.Mode = "replica"
 	}
 	if sc.Replicas <= 0 {
 		sc.Replicas = 1
@@ -136,7 +136,10 @@ func (sc Scenario) validate() error {
 	if len(sc.Load) == 0 {
 		return fmt.Errorf("sim: scenario %q has no load", sc.Name)
 	}
-	if sc.Mode == router.ModeClass && sc.Shards > sc.Classes-1 {
+	if sc.Mode != "replica" && sc.Mode != "class" {
+		return fmt.Errorf("sim: scenario %q has unknown mode %q (want replica or class)", sc.Name, sc.Mode)
+	}
+	if sc.Mode == "class" && sc.Shards > sc.Classes-1 {
 		return fmt.Errorf("sim: scenario %q wants %d shards for %d explicit class rows", sc.Name, sc.Shards, sc.Classes-1)
 	}
 	for _, ev := range sc.Faults {
@@ -165,7 +168,7 @@ func Scenarios() []Scenario {
 			// nothing errors, latency sits at linger + service + wire.
 			Name:     "steady-replica",
 			Duration: 2 * time.Second,
-			Mode:     router.ModeReplica,
+			Mode:     "replica",
 			Replicas: 3,
 			Classes:  10, Features: 784,
 			MaxBatch: 64, Linger: 200 * time.Microsecond, QueueDepth: 256,
@@ -181,7 +184,7 @@ func Scenarios() []Scenario {
 			// recovers between bursts, and nothing is lost silently.
 			Name:     "burst-backpressure",
 			Duration: 2500 * time.Millisecond,
-			Mode:     router.ModeReplica,
+			Mode:     "replica",
 			Replicas: 2,
 			Classes:  10, Features: 784,
 			MaxBatch: 16, Linger: 50 * time.Microsecond, QueueDepth: 8,
@@ -200,7 +203,7 @@ func Scenarios() []Scenario {
 			// drains it through the trough.
 			Name:     "diurnal-autoscale",
 			Duration: 16 * time.Second,
-			Mode:     router.ModeReplica,
+			Mode:     "replica",
 			Replicas: 2,
 			Classes:  10, Features: 784,
 			MaxBatch: 32, Linger: 100 * time.Microsecond, QueueDepth: 512,
@@ -225,7 +228,7 @@ func Scenarios() []Scenario {
 			// the virtual health probes restore the zone after revival.
 			Name:     "zone-outage",
 			Duration: 3 * time.Second,
-			Mode:     router.ModeClass,
+			Mode:     "class",
 			Replicas: 2, Shards: 2,
 			Zones:   []string{"zone-a", "zone-b"},
 			Classes: 10, Features: 784,
@@ -253,7 +256,7 @@ func Scenarios() []Scenario {
 			// admits without error.
 			Name:     "adversarial-mix",
 			Duration: 5 * time.Second,
-			Mode:     router.ModeReplica,
+			Mode:     "replica",
 			Replicas: 4,
 			Classes:  2, Features: 28,
 			MaxBatch: 64, Linger: 20 * time.Microsecond, QueueDepth: 256,

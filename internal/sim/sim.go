@@ -110,8 +110,7 @@ func (s *Sim) genRows() {
 	}
 }
 
-// zoneOf returns the placement zone for the i-th replica (of a group,
-// or of the whole fleet in replica mode).
+// zoneOf returns the placement zone for the i-th member of a group.
 func (s *Sim) zoneOf(i int) string {
 	if len(s.sc.Zones) == 0 {
 		return ""
@@ -124,6 +123,7 @@ func (s *Sim) fullReplicaConfig(zone string) replicaConfig {
 	return replicaConfig{
 		classes:    s.sc.Classes,
 		features:   s.sc.Features,
+		shard:      router.ShardRange{High: s.sc.Classes - 1},
 		zone:       zone,
 		maxBatch:   s.sc.MaxBatch,
 		linger:     s.sc.Linger,
@@ -140,7 +140,7 @@ func (s *Sim) fullReplicaConfig(zone string) replicaConfig {
 func (s *Sim) buildFleet() error {
 	var backends []router.Backend
 	switch s.sc.Mode {
-	case router.ModeClass:
+	case "class":
 		ranges, err := router.PlanShards(s.sc.Classes, s.sc.Shards)
 		if err != nil {
 			return err
@@ -163,7 +163,6 @@ func (s *Sim) buildFleet() error {
 	}
 	s.zoneRR = len(backends)
 	rtr, err := router.New(backends, router.Options{
-		Mode:          s.sc.Mode,
 		HealthEvery:   -1,
 		FailAfter:     s.sc.FailAfter,
 		SampleEvery:   -1,

@@ -7,7 +7,6 @@ import (
 
 	"newtonadmm/internal/cluster"
 	"newtonadmm/internal/control"
-	"newtonadmm/internal/router"
 )
 
 func TestClockRunsEventsInTimeThenInsertionOrder(t *testing.T) {
@@ -152,7 +151,7 @@ func TestClassModeLegsAndMerge(t *testing.T) {
 	res, err := Run(Scenario{
 		Name:     "class-legs",
 		Duration: 100 * time.Millisecond,
-		Mode:     router.ModeClass,
+		Mode:     "class",
 		Replicas: 1, Shards: 3,
 		Classes: 10, Features: 16,
 		MaxBatch: 16, Linger: -1, QueueDepth: 128,

@@ -91,8 +91,7 @@ func TestServeShardedClassBitwiseHTTP(t *testing.T) {
 	}
 
 	rs, err := ServeSharded(m, RouterOptions{
-		Addr: "127.0.0.1:0", Replicas: 3, Mode: "class", Workers: 1,
-		MaxBatch: 8, Linger: 50 * time.Microsecond, HealthEvery: -1,
+		Addr: "127.0.0.1:0", Replicas: 3, Mode: "class", Workers: 1, HealthEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,6 @@ func TestServeShardedClassBitwiseHTTP(t *testing.T) {
 	}
 	var health struct {
 		Status   string `json:"status"`
-		Mode     string `json:"mode"`
 		Replicas []struct {
 			State     string `json:"state"`
 			ShardLow  int    `json:"shard_low"`
@@ -137,7 +135,7 @@ func TestServeShardedClassBitwiseHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	hresp.Body.Close()
-	if health.Status != "ok" || health.Mode != "class" || len(health.Replicas) != 3 {
+	if health.Status != "ok" || len(health.Replicas) != 3 {
 		t.Fatalf("healthz: %+v", health)
 	}
 	covered := 0
@@ -162,7 +160,7 @@ func TestServeShardedReplicaEndToEnd(t *testing.T) {
 
 	rs, err := ServeSharded(m, RouterOptions{
 		Addr: "127.0.0.1:0", Replicas: 2, Mode: "replica", Workers: 1,
-		MaxBatch: 8, Linger: 50 * time.Microsecond, ModelPath: path, HealthEvery: -1,
+		ModelPath: path, HealthEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,103 +231,115 @@ func TestServeShardedReplicaEndToEnd(t *testing.T) {
 }
 
 // TestServeShardedJoinMultiServer is the multi-process topology in one
-// test process: two shard replicas as full ModelServers on their own
-// frame listeners, fronted by a router joined by tcp:// address — the
+// test process: replicas as full ModelServers on their own frame
+// listeners, fronted by a router joined by tcp:// address — the
 // partial-logit data plane, shard discovery, and coordinated /v1/reload
 // all cross the real binary wire, and the merged output stays bitwise
-// identical to the single-node model.
+// identical to the single-node model. The router reads the layout from
+// the members, so the same joins serve two class shards (two groups)
+// and two whole models (one group of siblings, OpScores at full width).
 func TestServeShardedJoinMultiServer(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.nack")
-	m := testModel(5, 8, 25)
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	var joins []string
-	for i := 0; i < 2; i++ {
-		shard, err := Serve(m, ServeOptions{
-			WireAddr: "127.0.0.1:0", MaxBatch: 8, Linger: 50 * time.Microsecond,
-			Workers: 1, ModelPath: path, ShardIndex: i, ShardCount: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer shard.Close()
-		joins = append(joins, "tcp://"+shard.WireAddr())
-	}
-
-	rs, err := ServeSharded(nil, RouterOptions{
-		Addr: "127.0.0.1:0", Mode: "class", Join: joins, HealthEvery: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	base := "http://" + rs.Addr()
-
-	rng := rand.New(rand.NewSource(26))
-	rows := make([][]float64, 6)
-	for i := range rows {
-		rows[i] = make([]float64, m.Features)
-		for j := range rows[i] {
-			rows[i][j] = rng.NormFloat64()
-		}
-	}
-	wantPred, err := m.Predict(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantProba, err := m.PredictProba(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp, body := postInstances(t, base+"/v1/proba", mixedInstances(rows))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var pr wireResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if pr.Predictions[i] != wantPred[i] {
-			t.Fatalf("row %d: joined router class %d, single-node %d", i, pr.Predictions[i], wantPred[i])
-		}
-		for c := range wantProba[i] {
-			if pr.Probabilities[i][c] != wantProba[i][c] {
-				t.Fatalf("row %d class %d: joined router %v, single-node %v (delta %v)",
-					i, c, pr.Probabilities[i][c], wantProba[i][c], pr.Probabilities[i][c]-wantProba[i][c])
+	for _, tc := range []struct {
+		name               string
+		shardCount, groups int
+	}{{"class", 2, 2}, {"replica", 0, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "model.nack")
+			m := testModel(5, 8, 25)
+			if err := m.Save(path); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
 
-	// Coordinated reload across both remote shard replicas.
-	rresp, err := http.Post(base+"/v1/reload", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rr struct {
-		ModelVersion int64 `json:"model_version"`
-	}
-	if err := json.NewDecoder(rresp.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	rresp.Body.Close()
-	if rresp.StatusCode != http.StatusOK || rr.ModelVersion != 2 {
-		t.Fatalf("reload: status %d version %d, want 200 v2", rresp.StatusCode, rr.ModelVersion)
-	}
-	resp, body = postInstances(t, base+"/v1/predict", []any{rows[0]})
-	var pr2 wireResponse
-	if err := json.Unmarshal(body, &pr2); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || pr2.Predictions[0] != wantPred[0] {
-		t.Fatalf("post-reload predict: status %d got %+v want %d (%s)", resp.StatusCode, pr2, wantPred[0], body)
-	}
-	if pr2.ModelVersion != 2 {
-		t.Fatalf("post-reload model_version %d, want 2", pr2.ModelVersion)
+			var joins []string
+			for i := 0; i < 2; i++ {
+				member, err := Serve(m, ServeOptions{
+					WireAddr: "127.0.0.1:0", MaxBatch: 8, Linger: 50 * time.Microsecond,
+					Workers: 1, ModelPath: path, ShardIndex: i % max(tc.shardCount, 1), ShardCount: tc.shardCount,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer member.Close()
+				joins = append(joins, "tcp://"+member.WireAddr())
+			}
+
+			rs, err := ServeSharded(nil, RouterOptions{Addr: "127.0.0.1:0", Join: joins, HealthEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			if g := rs.Router().Pool().Groups(); len(g) != tc.groups {
+				t.Fatalf("joined fleet planned as %d groups, want %d", len(g), tc.groups)
+			}
+			base := "http://" + rs.Addr()
+
+			rng := rand.New(rand.NewSource(26))
+			rows := make([][]float64, 6)
+			for i := range rows {
+				rows[i] = make([]float64, m.Features)
+				for j := range rows[i] {
+					rows[i][j] = rng.NormFloat64()
+				}
+			}
+			wantPred, err := m.Predict(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantProba, err := m.PredictProba(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for trial := 0; trial < 4; trial++ { // different picks, same bits
+				resp, body := postInstances(t, base+"/v1/proba", mixedInstances(rows))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d: %s", resp.StatusCode, body)
+				}
+				var pr wireResponse
+				if err := json.Unmarshal(body, &pr); err != nil {
+					t.Fatal(err)
+				}
+				for i := range rows {
+					if pr.Predictions[i] != wantPred[i] {
+						t.Fatalf("row %d: joined router class %d, single-node %d", i, pr.Predictions[i], wantPred[i])
+					}
+					for c := range wantProba[i] {
+						if pr.Probabilities[i][c] != wantProba[i][c] {
+							t.Fatalf("row %d class %d: joined router %v, single-node %v (delta %v)",
+								i, c, pr.Probabilities[i][c], wantProba[i][c], pr.Probabilities[i][c]-wantProba[i][c])
+						}
+					}
+				}
+			}
+
+			// Coordinated reload across both remote replicas.
+			rresp, err := http.Post(base+"/v1/reload", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rr struct {
+				ModelVersion int64 `json:"model_version"`
+			}
+			if err := json.NewDecoder(rresp.Body).Decode(&rr); err != nil {
+				t.Fatal(err)
+			}
+			rresp.Body.Close()
+			if rresp.StatusCode != http.StatusOK || rr.ModelVersion != 2 {
+				t.Fatalf("reload: status %d version %d, want 200 v2", rresp.StatusCode, rr.ModelVersion)
+			}
+			resp, body := postInstances(t, base+"/v1/predict", []any{rows[0]})
+			var pr2 wireResponse
+			if err := json.Unmarshal(body, &pr2); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || pr2.Predictions[0] != wantPred[0] {
+				t.Fatalf("post-reload predict: status %d got %+v want %d (%s)", resp.StatusCode, pr2, wantPred[0], body)
+			}
+			if pr2.ModelVersion != 2 {
+				t.Fatalf("post-reload model_version %d, want 2", pr2.ModelVersion)
+			}
+		})
 	}
 }
 
@@ -384,8 +394,7 @@ func TestServeShardedGridFailover(t *testing.T) {
 
 	rs, err := ServeSharded(m, RouterOptions{
 		Addr: "127.0.0.1:0", Replicas: 2, ReplicasPerShard: 2,
-		Zones: []string{"zone-a", "zone-b"}, Mode: "class", Workers: 1,
-		MaxBatch: 8, Linger: 50 * time.Microsecond, HealthEvery: -1,
+		Zones: []string{"zone-a", "zone-b"}, Mode: "class", Workers: 1, HealthEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +502,6 @@ func TestRouterInProcessProbaBitwise(t *testing.T) {
 	m := testModel(4, 5, 28)
 	rs, err := ServeSharded(m, RouterOptions{
 		Replicas: 2, Mode: "class", Workers: 1, HealthEvery: -1,
-		MaxBatch: 8, Linger: 50 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

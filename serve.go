@@ -161,9 +161,13 @@ type ServeOptions struct {
 	// WireAddr, when set, additionally listens there with the binary
 	// frame data plane (internal/wire; see DESIGN.md "Binary data
 	// plane"), sharing the same batcher and registry as the HTTP
-	// surface. A scatter-gather router joins it via a tcp:// URL.
+	// surface. A scatter-gather router joins it via a tcp:// URL; its
+	// scatter legs read the registry directly (OpScores), and the
+	// batcher serves the OpPredict/OpProba frames of direct clients.
 	WireAddr string
 	// MaxBatch is the micro-batcher's launch size cap; <= 0 selects 64.
+	// The batcher serves this server's own HTTP and frame clients; a
+	// router's scatter legs do not pass through it.
 	MaxBatch int
 	// Linger is the micro-batcher's flush window; 0 selects 200µs,
 	// negative disables lingering.
@@ -231,6 +235,7 @@ func buildAdmission(kind string, rate float64, burst int) (control.AdmissionPoli
 // ModelServer is a running (or embeddable) inference server.
 type ModelServer struct {
 	lb   *router.LocalBackend
+	bat  *serve.Batcher
 	srv  *serve.Server
 	opts ServeOptions
 
@@ -252,19 +257,19 @@ func Serve(m *Model, opts ServeOptions) (*ModelServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	lb, err := newReplica(m, opts.ModelPath, opts.ShardIndex, opts.ShardCount, opts.Zone, opts.Workers, serve.BatcherConfig{
-		MaxBatch: opts.MaxBatch, MaxLinger: opts.Linger, QueueDepth: opts.QueueDepth,
-		SampleEvery: opts.SampleEvery, Admission: pol,
-	})
+	lb, err := newReplica(m, opts.ModelPath, opts.ShardIndex, opts.ShardCount, opts.Zone, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	ms := &ModelServer{lb: lb, opts: opts}
+	ms := &ModelServer{lb: lb, opts: opts, bat: serve.NewBatcher(lb.Registry(), serve.BatcherConfig{
+		MaxBatch: opts.MaxBatch, MaxLinger: opts.Linger, QueueDepth: opts.QueueDepth,
+		SampleEvery: opts.SampleEvery, Admission: pol,
+	})}
 	var reload func() (int64, error)
 	if opts.ModelPath != "" {
 		reload = lb.Reload
 	}
-	ms.srv = serve.NewServer(lb.Registry(), lb.Batcher(), reload)
+	ms.srv = serve.NewServer(lb.Registry(), ms.bat, reload)
 	if opts.Debug {
 		ms.srv.EnableDebug()
 	}
@@ -282,7 +287,7 @@ func Serve(m *Model, opts ServeOptions) (*ModelServer, error) {
 			return nil, fmt.Errorf("newtonadmm: %w", err)
 		}
 		ms.wln = wln
-		ms.fsrv = serve.NewFrameServer(lb.Registry(), lb.Batcher(), reload)
+		ms.fsrv = serve.NewFrameServer(lb.Registry(), ms.bat, reload)
 		go ms.fsrv.Serve(wln)
 	}
 	if opts.Watch > 0 && opts.ModelPath != "" {
@@ -294,12 +299,12 @@ func Serve(m *Model, opts ServeOptions) (*ModelServer, error) {
 }
 
 // newReplica builds one serving replica — the single-node server's
-// stack and every in-process router member alike: a hot-swap registry
-// holding m (or, when shardCount > 0, its class shard shardIndex), a
-// micro-batcher configured by cfg (its Admission may be nil), and, when
-// path is set, a reloader that re-reads path and re-slices the same
-// shard. A nil m leaves the registry empty until the first swap.
-func newReplica(m *Model, path string, shardIndex, shardCount int, zone string, workers int, cfg serve.BatcherConfig) (*router.LocalBackend, error) {
+// registry and every in-process router member alike: a hot-swap
+// registry holding m (or, when shardCount > 0, its class shard
+// shardIndex) and, when path is set, a reloader that re-reads path and
+// re-slices the same shard. A nil m leaves the registry empty until the
+// first swap.
+func newReplica(m *Model, path string, shardIndex, shardCount int, zone string, workers int) (*router.LocalBackend, error) {
 	reg := serve.NewRegistry()
 	swap := func(next *Model) (int64, error) {
 		return swapShardInto(reg, next, path, shardIndex, shardCount, workers, zone)
@@ -320,7 +325,7 @@ func newReplica(m *Model, path string, shardIndex, shardCount int, zone string, 
 			return swap(next)
 		}
 	}
-	return router.NewLocalBackend(reg, serve.NewBatcher(reg, cfg), reload), nil
+	return router.NewLocalBackend(reg, reload), nil
 }
 
 // swapShardInto builds a predictor for m — or, when shardCount > 0, its
@@ -460,26 +465,27 @@ func (ms *ModelServer) Close() {
 		ms.fsrv.Close()
 		ms.fsrv = nil
 	}
+	ms.bat.Close()
 	ms.lb.Close()
 }
 
 // RouterOptions configures the sharded serving tier: a scatter-gather
-// router over N predictor replicas.
+// router over an R x S grid of predictor replicas, where every request
+// scatters to the S shard groups and each group's leg is scored by one
+// of its R siblings.
 type RouterOptions struct {
 	// Addr is the router's listen address; empty serves no listener.
 	Addr string
-	// Replicas is the in-process replica count; <= 0 selects 2. Ignored
-	// when Join is set. In class mode this is S, the shard count; with
-	// ReplicasPerShard > 1 the tier becomes an R x S grid of
-	// Replicas*ReplicasPerShard members.
+	// Replicas is the in-process member count of the Mode's layout; <= 0
+	// selects 2. Ignored when Join is set.
 	Replicas int
-	// ReplicasPerShard is R, the in-process member count per class-shard
-	// group; <= 0 selects 1. Every shard is served by R interchangeable
-	// siblings: a member death fails over within the group and is never
-	// client-visible while a sibling survives. Class mode only — replica
-	// mode already replicates the whole model (raise Replicas instead).
-	// Ignored when Join is set (remote grids replicate by joining several
-	// servers per shard range).
+	// ReplicasPerShard is R, the in-process member count per shard group
+	// in the "class" layout; <= 0 selects 1. Every shard is served by R
+	// interchangeable siblings: a member death fails over within the
+	// group and is never client-visible while a sibling survives. The
+	// "replica" layout takes R from Replicas instead. Ignored when Join
+	// is set (remote grids replicate by joining several servers per
+	// shard range).
 	ReplicasPerShard int
 	// Zones labels in-process members with failure domains: member r of
 	// each shard group gets Zones[r % len(Zones)], so R <= len(Zones)
@@ -487,23 +493,23 @@ type RouterOptions struct {
 	// members zoneless (placement checks opt out). Ignored when Join is
 	// set — remote replicas advertise their own -zone.
 	Zones []string
-	// Mode is "replica" (data-parallel whole-model replicas,
-	// least-loaded routing with failover; the default) or "class"
-	// (model-parallel class-sharded replicas, partial-logit
-	// scatter-gather merged bitwise-identically to single-node scoring).
+	// Mode lays out in-process members: "replica" (the default) builds
+	// Replicas whole-model members, one S = 1 group of R = Replicas
+	// siblings; "class" builds S = Replicas class shards of
+	// R = ReplicasPerShard siblings each. Both serve through the same
+	// partial-logit scatter-gather, merged bitwise-identically to
+	// single-node scoring. Ignored when Join is set: a joined fleet's
+	// layout is read from its members' shard ranges.
 	Mode string
 	// Join lists remote replicas to front instead of building in-process
 	// ones: each address — "tcp://host:9081" or a bare "host:9081" — is
 	// the binary frame listener (WireAddr, -wire-addr) of a running
-	// nadmm-serve: full models for replica mode, shard replicas (started
-	// with ShardIndex/ShardCount) tiling one model for class mode.
+	// nadmm-serve, serving the whole model or a class shard
+	// (ShardIndex/ShardCount); the members' ranges must tile one model.
 	Join []string
-	// MaxBatch, Linger, QueueDepth, Workers configure each in-process
-	// replica's micro-batcher and device exactly like ServeOptions.
-	MaxBatch   int
-	Linger     time.Duration
-	QueueDepth int
-	Workers    int
+	// Workers is each in-process member's device worker count; <= 0
+	// selects NumCPU.
+	Workers int
 	// ModelPath, when set, enables POST /v1/reload to hot-swap the
 	// model file at that path across the whole in-process fleet.
 	ModelPath string
@@ -511,9 +517,9 @@ type RouterOptions struct {
 	// negative disables the monitor.
 	HealthEvery time.Duration
 	// SampleEvery is the observability sampling period for the router
-	// tier and every in-process replica: every Nth request is
-	// latency-stamped and trace-captured (DESIGN.md "Observability").
-	// 0 selects the default (8); negative disables sampling entirely.
+	// tier: every Nth request is latency-stamped and trace-captured
+	// (DESIGN.md "Observability"). 0 selects the default (8); negative
+	// disables sampling entirely.
 	SampleEvery int
 	// Admission, AdmissionRate, AdmissionBurst install an admission
 	// policy at the router's scatter seam, evaluated per client batch at
@@ -525,11 +531,11 @@ type RouterOptions struct {
 	AdmissionBurst int
 	// AutoscaleMax > 0 enables the in-process autoscaler (DESIGN.md
 	// "Control plane"): a target-tracking loop that grows the fleet one
-	// replica at a time toward AutoscaleMax under sustained overload and
-	// drains it back toward AutoscaleMin when idle. Replica mode with
-	// in-process backends only — class mode's shard tiling and remote
-	// fleets are not autoscaled. AutoscaleMin <= 0 selects the initial
-	// replica count.
+	// whole-model sibling at a time toward AutoscaleMax under sustained
+	// overload and drains it back toward AutoscaleMin when idle. A fleet
+	// of one group with in-process members only — a multi-group grid
+	// and remote fleets are not autoscaled. AutoscaleMin <= 0 selects
+	// the initial replica count.
 	AutoscaleMin, AutoscaleMax int
 	// AutoscaleTargetP99 is the latency target driving scale-up; zero
 	// tracks utilization only.
@@ -564,17 +570,16 @@ type RouterServer struct {
 	hsrv *http.Server
 }
 
-// ServeSharded builds the distributed serving tier: N replicas (each its
-// own predictor, hot-swap registry, and micro-batcher — in-process, or
-// remote nadmm-serve processes via Join) behind a scatter-gather router
-// with health tracking, draining, failover, and coordinated hot swap,
-// exposed over the same HTTP surface as Serve. In class mode the
-// router's merged predictions and probabilities are bitwise identical to
-// a single-node Predictor over the full model, and ReplicasPerShard > 1
-// builds an R x S replicated-shard grid: each class shard is served by R
+// ServeSharded builds the distributed serving tier: an R x S grid of
+// replicas (each its own predictor and hot-swap registry — in-process,
+// or remote nadmm-serve processes via Join) behind a scatter-gather
+// router with health tracking, draining, failover, and coordinated hot
+// swap, exposed over the same HTTP surface as Serve. The router's merged
+// predictions and probabilities are bitwise identical to a single-node
+// Predictor over the full model; each shard group is served by R
 // interchangeable siblings, a mid-scatter member death retries on a
-// sibling, and no single replica failure is client-visible (see
-// DESIGN.md "Replicated-shard topology").
+// sibling, and no single replica failure is client-visible while a
+// sibling lives (see DESIGN.md "Replicated-shard topology").
 func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 	if opts.Replicas <= 0 {
 		opts.Replicas = 2
@@ -582,23 +587,25 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 	if opts.ReplicasPerShard <= 0 {
 		opts.ReplicasPerShard = 1
 	}
-	mode := router.Mode(opts.Mode)
-	if opts.Mode == "" {
-		mode = router.ModeReplica
-	}
-	if opts.ReplicasPerShard > 1 && mode != router.ModeClass {
-		return nil, fmt.Errorf("newtonadmm: ReplicasPerShard needs class mode (replica mode already replicates the whole model; raise Replicas)")
+	switch opts.Mode {
+	case "", "replica":
+		if opts.ReplicasPerShard > 1 {
+			return nil, fmt.Errorf("newtonadmm: ReplicasPerShard needs the class layout (the replica layout's siblings are Replicas)")
+		}
+	case "class":
+	default:
+		return nil, fmt.Errorf("newtonadmm: unknown router mode %q (want replica or class)", opts.Mode)
 	}
 	pol, err := buildAdmission(opts.Admission, opts.AdmissionRate, opts.AdmissionBurst)
 	if err != nil {
 		return nil, err
 	}
 	rs := &RouterServer{opts: opts, model: m}
-	backends, err := rs.fleet(m, mode)
+	backends, err := rs.fleet(m)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := router.New(backends, router.Options{Mode: mode, HealthEvery: opts.HealthEvery, SampleEvery: opts.SampleEvery})
+	rt, err := router.New(backends, router.Options{HealthEvery: opts.HealthEvery, SampleEvery: opts.SampleEvery})
 	if err != nil {
 		for _, b := range backends {
 			b.Close()
@@ -627,11 +634,11 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 }
 
 // fleet builds the tier's backends: one per Join address, or else the
-// in-process grid laid out group-major — S shard groups (Replicas; one
-// group of whole-model copies in replica mode) of R siblings each, so
-// member s*R+r serves shard s from zone Zones[r % len(Zones)]. On error
-// the backends built so far are closed.
-func (rs *RouterServer) fleet(m *Model, mode router.Mode) (backends []router.Backend, err error) {
+// in-process grid laid out group-major — S shard groups of R siblings
+// each (the "replica" layout: S = 1 of whole-model copies), so member
+// s*R+r serves shard s from zone Zones[r % len(Zones)]. On error the
+// backends built so far are closed.
+func (rs *RouterServer) fleet(m *Model) (backends []router.Backend, err error) {
 	defer func() {
 		if err != nil {
 			for _, b := range backends {
@@ -653,24 +660,17 @@ func (rs *RouterServer) fleet(m *Model, mode router.Mode) (backends []router.Bac
 	if m == nil {
 		return nil, fmt.Errorf("newtonadmm: ServeSharded needs a model (or Join addresses)")
 	}
-	shardCount := 0
-	if mode == router.ModeClass {
-		shardCount = opts.Replicas
+	shards, perShard, shardCount := 1, opts.Replicas, 0
+	if opts.Mode == "class" {
+		shards, perShard, shardCount = opts.Replicas, opts.ReplicasPerShard, opts.Replicas
 	}
-	for s := 0; s < opts.Replicas; s++ {
-		for r := 0; r < opts.ReplicasPerShard; r++ {
+	for s := 0; s < shards; s++ {
+		for r := 0; r < perShard; r++ {
 			zone := ""
 			if len(opts.Zones) > 0 {
 				zone = opts.Zones[r%len(opts.Zones)]
 			}
-			shardIdx := s
-			if mode != router.ModeClass {
-				shardIdx = 0
-				if len(opts.Zones) > 0 {
-					zone = opts.Zones[s%len(opts.Zones)]
-				}
-			}
-			lb, err := rs.newMember(m, shardIdx, shardCount, zone)
+			lb, err := rs.newMember(m, s, shardCount, zone)
 			if err != nil {
 				return backends, err
 			}
@@ -694,10 +694,7 @@ func listenHTTP(addr string, h http.Handler) (net.Listener, *http.Server, error)
 // newMember builds one in-process member serving class shard
 // shardIndex of shardCount (0: the whole model) from zone.
 func (rs *RouterServer) newMember(m *Model, shardIndex, shardCount int, zone string) (*router.LocalBackend, error) {
-	o := rs.opts
-	return newReplica(m, o.ModelPath, shardIndex, shardCount, zone, o.Workers, serve.BatcherConfig{
-		MaxBatch: o.MaxBatch, MaxLinger: o.Linger, QueueDepth: o.QueueDepth, SampleEvery: o.SampleEvery,
-	})
+	return newReplica(m, rs.opts.ModelPath, shardIndex, shardCount, zone, rs.opts.Workers)
 }
 
 // members returns the pool's in-process members, oldest first.
@@ -724,19 +721,19 @@ func (rs *RouterServer) swapMember(rep *router.Replica, m *Model) (int64, error)
 
 // startAutoscaler wires the control loop over the router tier's own
 // signals: windowed p99 from the nadmm_request_latency histogram,
-// utilization from aggregate in-flight over replicas x max-batch.
-// Replica mode with in-process backends only — class mode's shard
-// tiling is planned at construction, and remote fleets scale
+// utilization from aggregate in-flight over the member count (a
+// member's predictor runs one launch at a time). A fleet of one group
+// with in-process members only — a multi-group grid would need a
+// placement decision per scale step, and remote fleets scale
 // out-of-process.
 func (rs *RouterServer) startAutoscaler() error {
-	if rs.rt.Mode() != router.ModeReplica {
-		return fmt.Errorf("newtonadmm: autoscaling requires replica mode")
+	if len(rs.rt.Pool().Groups()) != 1 {
+		return fmt.Errorf("newtonadmm: autoscaling requires a fleet of one shard group")
 	}
 	members := rs.members()
 	if len(members) == 0 {
 		return fmt.Errorf("newtonadmm: autoscaling requires in-process replicas")
 	}
-	maxBatch := members[0].Backend().(*router.LocalBackend).Batcher().Config().MaxBatch
 	src, err := control.NewRegistrySource(rs.srv.Obs(), "nadmm_request_latency",
 		func() int64 {
 			var n int64
@@ -745,7 +742,7 @@ func (rs *RouterServer) startAutoscaler() error {
 			}
 			return n
 		},
-		func() int64 { return int64(len(rs.rt.Pool().Replicas()) * maxBatch) },
+		func() int64 { return int64(len(rs.rt.Pool().Replicas())) },
 		func() int { return len(rs.rt.Pool().Replicas()) },
 	)
 	if err != nil {
@@ -775,9 +772,10 @@ func (f fleetActuator) ScaleUp() error   { return f.rs.scaleUp() }
 func (f fleetActuator) ScaleDown() error { return f.rs.scaleDown() }
 
 // scaleUp spawns one whole-model in-process replica and joins it to
-// the pool; it starts receiving traffic as soon as the new membership
-// publishes. The replica is built from the fleet's current model
-// (Swap keeps it current), in the next zone of the configured cycle.
+// the fleet's one group; it starts receiving traffic as soon as the new
+// membership publishes. The replica is built from the fleet's current
+// model (Swap keeps it current), in the next zone of the configured
+// cycle.
 func (rs *RouterServer) scaleUp() error {
 	rs.lmu.Lock()
 	defer rs.lmu.Unlock()
@@ -833,12 +831,12 @@ func (rs *RouterServer) Addr() string {
 }
 
 // Swap hot-swaps a new model across the whole in-process fleet with
-// zero downtime (class mode re-slices the shards). The swap runs under
-// the router's coordination lock, so no class-mode scatter straddles
-// the rollout and merged logits stay version-consistent; the router's
-// replica metadata is refreshed and revalidated against its plan (a
-// model whose shape no longer fits the plan is rejected). Returns the
-// newest version deployed.
+// zero downtime (class shards are re-sliced). The swap runs under the
+// router's coordination lock, so no scatter straddles the rollout and
+// merged logits stay version-consistent; the router's replica metadata
+// is refreshed and revalidated against its plan (a model whose shape no
+// longer fits the plan is rejected). Returns the newest version
+// deployed.
 func (rs *RouterServer) Swap(m *Model) (int64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("newtonadmm: nil model")
@@ -873,11 +871,12 @@ func (rs *RouterServer) Swap(m *Model) (int64, error) {
 }
 
 // SwapReplica hot-swaps a single replica's model while the rest of the
-// fleet keeps serving (replica-balanced rollouts; class mode must swap
-// the whole fleet via Swap or Reload so shard versions stay aligned).
+// fleet keeps serving: a rollout over a fleet of one group, where every
+// leg is scored by one member. A multi-group grid must swap the whole
+// fleet via Swap or Reload so shard versions stay aligned.
 func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
-	if rs.rt.Mode() != router.ModeReplica {
-		return 0, fmt.Errorf("newtonadmm: SwapReplica needs replica mode (use Swap in class mode)")
+	if len(rs.rt.Pool().Groups()) != 1 {
+		return 0, fmt.Errorf("newtonadmm: SwapReplica needs a fleet of one shard group (use Swap for a class-sharded grid)")
 	}
 	if m == nil {
 		return 0, fmt.Errorf("newtonadmm: nil model")
@@ -907,7 +906,7 @@ func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
 }
 
 // Close stops the listener, the router's health monitor, and every
-// in-process replica (batchers drain, devices release).
+// in-process replica (devices release).
 func (rs *RouterServer) Close() {
 	// The control loop goes first so no scale action races teardown.
 	if rs.scaler != nil {

@@ -32,8 +32,7 @@ func TestServeStagingPoolRace(t *testing.T) {
 	}
 	defer single.Close()
 	fleet, err := ServeSharded(m, RouterOptions{
-		Replicas: 2, Mode: "class", Workers: 1, MaxBatch: 16, Linger: 50 * time.Microsecond,
-		QueueDepth: clients * rows, HealthEvery: -1, SampleEvery: 1,
+		Replicas: 2, Mode: "class", Workers: 1, HealthEvery: -1, SampleEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
