@@ -115,6 +115,15 @@ func main() {
 			// a port nothing listens on.
 			log.Fatal("-wire-addr applies to replica servers, not the router (join replicas' frame listeners with tcp:// instead)")
 		}
+		// Router members run no micro-batcher, so the batcher's flags
+		// would bound nothing here; refuse them rather than ignore them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "max-batch", "linger", "queue":
+				log.Printf("-%s applies to a single server only: router members run no micro-batcher", f.Name)
+				os.Exit(2)
+			}
+		})
 		var zones []string
 		for _, z := range strings.Split(*zone, ",") {
 			if z = strings.TrimSpace(z); z != "" {

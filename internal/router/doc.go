@@ -61,8 +61,10 @@
 //     bounded rescore then ErrVersionSkew, and coordinated reloads hold
 //     the swap lock so router-originated scatters never straddle a
 //     rollout.
-//   - Error taxonomy: backpressure (serve.ErrQueueFull) fails over and
-//     never evicts; only transport-level failures
+//   - Error taxonomy: backpressure (serve.ErrQueueFull, or a member
+//     already holding memberQueueBound requests) fails over and never
+//     evicts, and a group whose every sibling pushed back answers it
+//     (HTTP 429); only transport-level failures
 //     (ErrReplicaUnreachable) feed the health signal; request-shaped
 //     errors fail fast. The wire's error codes carry exactly these
 //     classes, so a remote replica fails over like an in-process one.

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +93,78 @@ func TestFailoverOnQueueFull(t *testing.T) {
 	ok.scoreFn = func(*Batch) error { return serve.ErrQueueFull }
 	if err := rt.Predict(oneRowBatch(8), out); !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("all-saturated fleet returned %v, want ErrQueueFull", err)
+	}
+}
+
+// TestMemberQueueBoundRejects saturates a one-group fleet of two
+// blocked members. While each holds memberQueueBound requests, the next
+// request is refused at once with serve.ErrQueueFull, HTTP 429 on the
+// router's surface, instead of queueing; every held request still
+// completes once the members unblock.
+func TestMemberQueueBoundRejects(t *testing.T) {
+	release := make(chan struct{})
+	var backends []Backend
+	for range 2 {
+		fb := newFakeBackend(4, 8)
+		fb.scoreFn = func(*Batch) error { <-release; return nil }
+		backends = append(backends, fb)
+	}
+	rt, err := New(backends, Options{HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	hs := httptest.NewServer(NewServer(rt).Handler())
+	defer hs.Close()
+
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
+	held := 2 * memberQueueBound
+	errs := make(chan error, held)
+	for range held {
+		go func() { errs <- rt.Predict(oneRowBatch(8), make([]int, 1)) }()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, rep := range rt.Pool().Replicas() {
+		for rep.InFlight() < memberQueueBound {
+			if time.Now().After(deadline) {
+				t.Fatalf("member %d holds %d requests, want %d", rep.ID, rep.InFlight(), memberQueueBound)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	extra := make(chan error, 1)
+	go func() { extra <- rt.Predict(oneRowBatch(8), make([]int, 1)) }()
+	select {
+	case err := <-extra:
+		if !errors.Is(err, serve.ErrQueueFull) {
+			t.Fatalf("saturated fleet returned %v, want ErrQueueFull", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a request past the bound queued instead of being refused")
+	}
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(hs.URL+"/v1/predict", "application/json", strings.NewReader(`{"instances":[[0,0,0,0,0,0,0,0]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated fleet answered HTTP %d, want 429", resp.StatusCode)
+	}
+
+	unblock()
+	for range held {
+		if err := <-errs; err != nil {
+			t.Fatalf("held request failed: %v", err)
+		}
+	}
+	for _, rep := range rt.Pool().Replicas() {
+		if rep.Stats().Rejected < 2 {
+			t.Fatalf("member %d counted %d rejections, want >= 2", rep.ID, rep.Stats().Rejected)
+		}
 	}
 }
 

@@ -1,12 +1,15 @@
 package router
 
 import (
+	"bufio"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
 	"newtonadmm/internal/obs"
 	"newtonadmm/internal/serve"
+	"newtonadmm/internal/wire"
 )
 
 // TestRouterPredictZeroAlloc pins the acceptance bound from DESIGN.md
@@ -85,62 +88,100 @@ func hasStage(v obs.TraceView, stage obs.Stage) bool {
 	return false
 }
 
-// TestStitchedTraceAcrossBinaryPlane runs one sampled request through a
-// real two-process-shaped fleet — a router scattering over the binary
-// frame plane to a replica's FrameServer — and asserts the trace
-// stitches: the NAWP trace trailer carries the router's trace ID to the
-// replica, whose recorder publishes a Remote trace under the SAME ID
-// with an execute span, and the replica's sequential span sum fits
-// inside the end-to-end latency the router measured.
+// TestStitchedTraceAcrossBinaryPlane asserts that a sampled request's
+// trace stitches across the binary frame plane: the NAWP trace trailer
+// carries the origin's trace ID to the replica, whose recorder publishes
+// a Remote trace under the SAME ID, and the replica's sequential span
+// sum fits inside the end-to-end latency the origin measured. Two rows:
+// a router scattering OpScores to a replica's FrameServer (an execute
+// span; OpScores runs on the predictor directly), and an OpProba frame
+// sent straight to the FrameServer, the single-node binary surface,
+// whose batcher adds the queue span.
 func TestStitchedTraceAcrossBinaryPlane(t *testing.T) {
 	const classes, features = 4, 8
 	rng := rand.New(rand.NewSource(99))
 	w := randWeights(rng, classes, features)
 	fr := startFrameReplica(t, w, classes, features, 0, 0)
 	defer fr.close()
-	tb := &TCPBackend{Addr: fr.addr()}
-	defer tb.Close()
 
-	rt, err := New([]Backend{tb}, Options{HealthEvery: -1, SampleEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	t.Run("router-scores", func(t *testing.T) {
+		tb := &TCPBackend{Addr: fr.addr()}
+		defer tb.Close()
+		rt, err := New([]Backend{tb}, Options{HealthEvery: -1, SampleEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
 
-	b := oneRowBatch(features)
-	out := make([]int, 1)
-	t0 := time.Now()
-	tr := rt.StartTrace(t0)
-	if tr == nil {
-		t.Fatal("SampleEvery=1 must sample every request")
-	}
-	id := tr.ID // save before FinishTrace: the trace may be recycled after publish
-	b.Trace = tr
-	if err := rt.Predict(b, out); err != nil {
-		t.Fatal(err)
-	}
-	rt.FinishTrace(tr, time.Now())
-	e2e := time.Since(t0)
+		b := oneRowBatch(features)
+		out := make([]int, 1)
+		t0 := time.Now()
+		tr := rt.StartTrace(t0)
+		if tr == nil {
+			t.Fatal("SampleEvery=1 must sample every request")
+		}
+		id := tr.ID // save before FinishTrace: the trace may be recycled after publish
+		b.Trace = tr
+		if err := rt.Predict(b, out); err != nil {
+			t.Fatal(err)
+		}
+		rt.FinishTrace(tr, time.Now())
+		e2e := time.Since(t0)
 
-	routerView, ok := findTrace(rt.Recorder(), id)
-	if !ok {
-		t.Fatalf("router trace %016x not published", id)
-	}
-	if routerView.Remote {
-		t.Fatal("router-originated trace marked Remote")
-	}
-	if !hasStage(routerView, obs.StageScatter) {
-		t.Fatalf("router trace has no scatter-leg span: %+v", routerView.Spans)
-	}
+		routerView, ok := findTrace(rt.Recorder(), id)
+		if !ok {
+			t.Fatalf("router trace %016x not published", id)
+		}
+		if routerView.Remote {
+			t.Fatal("router-originated trace marked Remote")
+		}
+		if !hasStage(routerView, obs.StageScatter) {
+			t.Fatalf("router trace has no scatter-leg span: %+v", routerView.Spans)
+		}
+		checkReplicaTrace(t, fr.bat.Recorder(), id, e2e, obs.StageExecute)
+	})
 
+	t.Run("frame-proba", func(t *testing.T) {
+		c, err := net.Dial("tcp", fr.addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		const id = 0x5eed_0001_0002_0003
+		var enc wire.Encoder
+		enc.Begin(wire.OpProba, 7)
+		enc.BatchHeader(1, features, 0)
+		enc.DenseRow(oneRowBatch(features).Dense[0])
+		enc.TraceTrailer(id, true)
+		t0 := time.Now()
+		if _, err := c.Write(enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := wire.NewReader(bufio.NewReader(c)).Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2e := time.Since(t0)
+		if h.Op != wire.OpProbaResp || h.Corr != 7 {
+			t.Fatalf("response op %#x corr %d, want %#x corr 7", h.Op, h.Corr, wire.OpProbaResp)
+		}
+		checkReplicaTrace(t, fr.bat.Recorder(), id, e2e, obs.StageQueue, obs.StageExecute)
+	})
+}
+
+// checkReplicaTrace waits for the replica's recorder to publish trace
+// id and asserts it is Remote, holds a span of every wanted stage,
+// dropped none, and its span sum fits inside e2e.
+func checkReplicaTrace(t *testing.T, rec *obs.Recorder, id uint64, e2e time.Duration, want ...obs.Stage) {
+	t.Helper()
 	// The replica publishes its trace before the response frame is
 	// written, but poll briefly anyway so scheduler jitter cannot flake
 	// the test.
-	var replicaView obs.TraceView
-	rec := fr.bat.Recorder()
+	var v obs.TraceView
+	var ok bool
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if replicaView, ok = findTrace(rec, id); ok {
+		if v, ok = findTrace(rec, id); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -148,23 +189,24 @@ func TestStitchedTraceAcrossBinaryPlane(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !replicaView.Remote {
+	if !v.Remote {
 		t.Fatal("replica-side trace not marked Remote: stitching by ID would double-count it as an origin")
 	}
-	if !hasStage(replicaView, obs.StageExecute) {
-		t.Fatalf("replica trace missing its execute span: %+v", replicaView.Spans)
+	for _, stage := range want {
+		if !hasStage(v, stage) {
+			t.Fatalf("replica trace missing its %v span: %+v", stage, v.Spans)
+		}
 	}
-
-	// The replica's stages are sequential slices of the router-observed
+	// The replica's stages are sequential slices of the origin-observed
 	// round trip, so their sum must fit inside the e2e latency.
 	var sum time.Duration
-	for _, s := range replicaView.Spans {
+	for _, s := range v.Spans {
 		sum += s.Dur
 	}
 	if sum > e2e {
 		t.Fatalf("replica span sum %v exceeds end-to-end latency %v", sum, e2e)
 	}
-	if replicaView.Dropped != 0 {
-		t.Fatalf("replica trace dropped %d spans", replicaView.Dropped)
+	if v.Dropped != 0 {
+		t.Fatalf("replica trace dropped %d spans", v.Dropped)
 	}
 }

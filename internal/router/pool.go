@@ -51,7 +51,8 @@ type Replica struct {
 	state atomic.Int32
 	fails atomic.Int32 // consecutive failed probes
 
-	inflight atomic.Int64
+	inflight atomic.Int64 // router calls on the backend right now
+	backlog  atomic.Int64 // simulator-held virtual work (AdjustLoad); 0 in production
 	done     atomic.Int64
 	errs     atomic.Int64
 	rejected atomic.Int64
@@ -69,20 +70,21 @@ func (r *Replica) State() State { return State(r.state.Load()) }
 func (r *Replica) Meta() serve.ModelMeta { return *r.meta.Load() }
 
 // InFlight returns the number of router requests currently executing on
-// this replica.
-func (r *Replica) InFlight() int64 { return r.inflight.Load() }
+// this replica, plus any simulator backlog (AdjustLoad).
+func (r *Replica) InFlight() int64 { return r.inflight.Load() + r.backlog.Load() }
 
 // Backend returns the replica's backend (tests hot-swap through it).
 func (r *Replica) Backend() Backend { return r.backend }
 
-// AdjustLoad shifts the replica's in-flight gauge by d. This is the
-// fleet simulator's seam: virtual work that completes at a later
-// virtual time still has to be visible to the power-of-two-choices
-// pick, so the simulator adds the backlog here when a simulated
-// replica accepts a job and subtracts it at the job's virtual
-// completion event. Production code never calls it — the router
-// maintains the gauge itself around each backend call.
-func (r *Replica) AdjustLoad(d int64) { r.inflight.Add(d) }
+// AdjustLoad shifts the replica's simulator backlog by d, which
+// InFlight (and so the power-of-two-choices pick and Drain) counts.
+// This is the fleet simulator's seam: virtual work that completes at a
+// later virtual time still has to be visible to the pick, so the
+// simulator adds the backlog here when a simulated replica accepts a
+// job and subtracts it at the job's virtual completion event. The
+// router's per-member bound ignores it, since a simulated replica
+// bounds its own virtual queue. Production code never calls it.
+func (r *Replica) AdjustLoad(d int64) { r.backlog.Add(d) }
 
 // available reports whether new traffic may be routed here.
 func (r *Replica) available() bool { return r.State() == StateHealthy }
@@ -111,7 +113,7 @@ func (r *Replica) Stats() ReplicaStats {
 		Zone:     m.Zone,
 		State:    r.State().String(),
 		Version:  m.Version,
-		InFlight: r.inflight.Load(),
+		InFlight: r.InFlight(),
 		Done:     r.done.Load(),
 		Errors:   r.errs.Load(),
 		Rejected: r.rejected.Load(),
@@ -327,7 +329,7 @@ func (p *Pool) failoverOrderInto(members []*Replica, buf []*Replica) []*Replica 
 		j++
 	}
 	win := i
-	if buf[j].inflight.Load() < buf[i].inflight.Load() {
+	if buf[j].InFlight() < buf[i].InFlight() {
 		win = j
 	}
 	buf[0], buf[win] = buf[win], buf[0]
@@ -409,9 +411,9 @@ func (p *Pool) Drain(id int, timeout time.Duration) error {
 	}
 	r.state.Store(int32(StateDraining))
 	deadline := time.Now().Add(timeout)
-	for r.inflight.Load() > 0 {
+	for r.InFlight() > 0 {
 		if timeout > 0 && time.Now().After(deadline) {
-			return fmt.Errorf("router: replica %d still has %d in flight after %v", id, r.inflight.Load(), timeout)
+			return fmt.Errorf("router: replica %d still has %d in flight after %v", id, r.InFlight(), timeout)
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -280,6 +280,15 @@ func (r *Router) score(b *Batch, preds []int, proba []float64) error {
 // turns it into ErrShardUnavailable.
 var errNoMember = errors.New("router: no available member")
 
+// memberQueueBound is the most requests the router keeps in flight on
+// one member (its own calls; a simulator's backlog is not counted).
+// Members run no batcher and a member's predictor runs one launch at a
+// time, so requests past it would queue without limit; the bound turns
+// that overload into serve.ErrQueueFull (HTTP 429) once every sibling
+// of a group is at it. It equals a batcher's default per-class queue
+// depth (4 × MaxBatch 64).
+const memberQueueBound = 256
+
 // tryMembers is the one member-attempt loop: a scatter leg calls it on
 // its group's members, and it calls call on the members of order in
 // turn, first choice first, and returns the version of the first
@@ -287,7 +296,9 @@ var errNoMember = errors.New("router: no available member")
 // cleared). Every attempt holds the member's in-flight count, counts a
 // failover unless it is the first choice, and records its round trip in
 // the member's latency, the scatter stage and, when the request is
-// sampled, a scatter-leg span (Leg = leg, the group ID; Try = attempt). Backpressure
+// sampled, a scatter-leg span (Leg = leg, the group ID; Try = attempt).
+// A member already holding memberQueueBound requests is skipped as
+// backpressure without an attempt. Backpressure
 // (serve.ErrQueueFull) and availability errors move on to the next
 // member, transport errors also feed the health signal, and any other
 // error is request-shaped and returned at once. call must not retain
@@ -295,12 +306,18 @@ var errNoMember = errors.New("router: no available member")
 func (r *Router) tryMembers(b *Batch, order []*Replica, leg int, call func(Backend) (int64, error)) (int64, error) {
 	lastErr := errNoMember
 	for k, rep := range order {
-		rep.inflight.Add(1)
+		n := rep.inflight.Add(1)
 		if !rep.available() {
 			// Lost a race with Drain: it saw our increment or we see its
 			// state change — either way the member takes no new work.
 			rep.inflight.Add(-1)
 			lastErr = errNoMember
+			continue
+		}
+		if n > memberQueueBound {
+			rep.inflight.Add(-1)
+			rep.rejected.Add(1)
+			lastErr = serve.ErrQueueFull
 			continue
 		}
 		if k > 0 {

@@ -303,9 +303,6 @@ func (b *Batcher) QueueLen(pri control.Priority) int {
 	return len(b.queues[pri])
 }
 
-// Config returns the effective (defaulted) configuration.
-func (b *Batcher) Config() BatcherConfig { return b.cfg }
-
 // Recorder returns the trace ring this batcher publishes sampled
 // traces into (the /debug/tracez source for the replica).
 func (b *Batcher) Recorder() *obs.Recorder { return b.rec }
