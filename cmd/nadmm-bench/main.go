@@ -1,10 +1,9 @@
 // Command nadmm-bench regenerates the paper's evaluation artifacts: every
 // table and figure (plus the ablations) as text tables and series, each
 // followed by one line saying whether the experiment's claim holds at the
-// size run. -list prints every experiment with its claim. The `sim`
-// subcommand instead replays the deterministic fleet simulator's named
-// scenarios (see sim.go). Performance, training and serving alike, is
-// measured by bench/ (`bash bench/run.sh --workload <name>`).
+// size run. -list prints every experiment with its claim. The command
+// takes flags only. Performance, training and serving alike, is measured
+// by bench/ (`bash bench/run.sh --workload <name>`).
 //
 // Examples:
 //
@@ -12,9 +11,6 @@
 //	nadmm-bench -run fig2 -scale 0.5
 //	nadmm-bench -all -quick
 //	nadmm-bench -run fig1 -network 1g
-//	nadmm-bench sim -list
-//	nadmm-bench sim -scenario zone-outage
-//	nadmm-bench sim -all -seed 7
 package main
 
 import (
@@ -31,15 +27,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nadmm-bench: ")
 
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		log.Print("the serve subcommand is gone; serving is measured by `bash bench/run.sh --workload <name>` (see bench/README.md)")
-		os.Exit(2)
-	}
-	if len(os.Args) > 1 && os.Args[1] == "sim" {
-		runSimBench(os.Args[2:])
-		return
-	}
-
 	var (
 		list    = flag.Bool("list", false, "list the available experiments")
 		run     = flag.String("run", "", "experiment id to run (see -list)")
@@ -50,6 +37,10 @@ func main() {
 		network = flag.String("network", "infiniband", "interconnect model: infiniband, 10g, 1g, wan, none")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		log.Printf("unexpected argument %q: nadmm-bench takes flags only; performance is measured by `bash bench/run.sh --workload <name>` (see bench/README.md)", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range harness.Experiments() {

@@ -9,20 +9,21 @@ import (
 	"testing"
 )
 
-// TestUsageErrors builds the command and pins the two command lines that
-// used to be accepted or misreported: each must exit 2 with one line on
-// stderr that names what to do instead.
+// TestUsageErrors builds the command and pins that a positional
+// argument (a former subcommand) exits 2 with one line on stderr that
+// names the argument and what to do instead.
 func TestUsageErrors(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "nadmm-bench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	const pointer = "bash bench/run.sh --workload <name>"
 	cases := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"serve", "-compare"}, "bash bench/run.sh --workload <name>"},
-		{[]string{"sim", "-all", "-seed", "-3"}, "-seed -3"},
+		{[]string{"serve", "-compare"}, `"serve"`},
+		{[]string{"sim", "-all"}, `"sim"`},
 	}
 	for _, c := range cases {
 		var stderr bytes.Buffer
@@ -34,8 +35,8 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("%v: err = %v, want exit status 2", c.args, err)
 		}
 		msg := strings.TrimRight(stderr.String(), "\n")
-		if !strings.Contains(msg, c.want) || strings.Contains(msg, "\n") {
-			t.Errorf("%v: stderr = %q, want one line containing %q", c.args, msg, c.want)
+		if !strings.Contains(msg, c.want) || !strings.Contains(msg, pointer) || strings.Contains(msg, "\n") {
+			t.Errorf("%v: stderr = %q, want one line containing %q and %q", c.args, msg, c.want, pointer)
 		}
 	}
 }

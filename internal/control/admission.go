@@ -143,7 +143,6 @@ type TokenBucket struct {
 	perCost bool // charge cost tokens instead of 1
 
 	mu     sync.Mutex
-	now    func() time.Time // refill clock; nil selects time.Now
 	tokens float64
 	last   time.Time
 }
@@ -180,22 +179,6 @@ func newBucket(name string, reason Reason, perCost bool, rate, burst float64) *T
 // Name implements AdmissionPolicy.
 func (t *TokenBucket) Name() string { return t.name }
 
-// SetNow injects the bucket's refill clock (nil restores time.Now) and
-// restarts the refill window at the injected clock's current reading.
-// This is the simulator seam: admission decisions under a virtual clock
-// depend only on virtual time, so a scenario replays byte-identically.
-// Call before the bucket takes traffic; not safe to swap under load.
-func (t *TokenBucket) SetNow(now func() time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.now = now
-	if now != nil {
-		t.last = now()
-	} else {
-		t.last = time.Now()
-	}
-}
-
 // Admit implements AdmissionPolicy. Rejections carry the time until
 // the bucket refills enough to admit an identical request.
 func (t *TokenBucket) Admit(cost int64, pri Priority) Decision {
@@ -215,9 +198,6 @@ func (t *TokenBucket) Admit(cost int64, pri Priority) Decision {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	now := time.Now()
-	if t.now != nil {
-		now = t.now()
-	}
 	t.tokens += now.Sub(t.last).Seconds() * t.rate
 	if t.tokens > t.burst {
 		t.tokens = t.burst

@@ -113,7 +113,7 @@ type Autoscaler struct {
 	wg       sync.WaitGroup
 
 	// Evaluation state, owned by the loop goroutine (or the test
-	// driving Evaluate directly).
+	// driving evaluate directly).
 	hot, cold        int
 	lastUp, lastDown time.Time
 
@@ -134,8 +134,7 @@ func NewAutoscaler(src SnapshotProvider, act Actuator, cfg AutoscalerConfig) *Au
 func (a *Autoscaler) Config() AutoscalerConfig { return a.cfg }
 
 // Start runs the loop until Stop, evaluating once per cfg.Tick of wall
-// time. (The fleet simulator does not Start it: its event loop calls
-// Evaluate with virtual times.)
+// time.
 func (a *Autoscaler) Start() {
 	a.wg.Add(1)
 	go func() {
@@ -147,7 +146,7 @@ func (a *Autoscaler) Start() {
 			case <-a.stop:
 				return
 			case now := <-tick.C:
-				a.Evaluate(now)
+				a.evaluate(now)
 			}
 		}
 	}()
@@ -159,10 +158,9 @@ func (a *Autoscaler) Stop() {
 	a.wg.Wait()
 }
 
-// Evaluate runs one control tick at the given time. Exported so tests
-// drive the state machine with a synthetic clock; the production loop
-// calls it with the ticker's time.
-func (a *Autoscaler) Evaluate(now time.Time) {
+// evaluate runs one control tick at the given time: the loop calls it
+// with the ticker's time, and tests drive it with a synthetic clock.
+func (a *Autoscaler) evaluate(now time.Time) {
 	s := a.src.Snapshot()
 	n := a.act.Replicas()
 	a.replicas.Store(int64(n))

@@ -36,7 +36,7 @@ func (f *fakeActuator) ScaleDown() error {
 }
 
 func newTestScaler(act *fakeActuator, src *fakeSource, cfg AutoscalerConfig) *Autoscaler {
-	// Never Start(): the tests drive Evaluate with a synthetic clock.
+	// Never Start(): the tests drive evaluate with a synthetic clock.
 	return NewAutoscaler(src, act, cfg)
 }
 
@@ -62,36 +62,36 @@ func TestAutoscalerScaleUpHysteresis(t *testing.T) {
 	now := time.Unix(1000, 0)
 
 	src.set(Snapshot{InFlight: 90, Capacity: 100}) // util 0.9 > 0.75
-	a.Evaluate(now)
+	a.evaluate(now)
 	if act.ups != 0 {
 		t.Fatal("scaled up after a single hot tick")
 	}
 	// An intervening calm tick resets the streak.
 	src.set(Snapshot{InFlight: 50, Capacity: 100})
-	a.Evaluate(now.Add(time.Second))
+	a.evaluate(now.Add(time.Second))
 	src.set(Snapshot{InFlight: 90, Capacity: 100})
-	a.Evaluate(now.Add(2 * time.Second))
+	a.evaluate(now.Add(2 * time.Second))
 	if act.ups != 0 {
 		t.Fatal("hot streak survived a calm tick")
 	}
-	a.Evaluate(now.Add(3 * time.Second))
+	a.evaluate(now.Add(3 * time.Second))
 	if act.ups != 1 || act.n != 2 {
 		t.Fatalf("2 consecutive hot ticks: ups=%d n=%d, want 1/2", act.ups, act.n)
 	}
 	// Still hot, but inside the 3s up-cooldown: no action.
-	a.Evaluate(now.Add(4 * time.Second))
-	a.Evaluate(now.Add(5 * time.Second))
+	a.evaluate(now.Add(4 * time.Second))
+	a.evaluate(now.Add(5 * time.Second))
 	if act.ups != 1 {
 		t.Fatalf("scaled up inside the cooldown: ups=%d", act.ups)
 	}
-	a.Evaluate(now.Add(6 * time.Second))
-	a.Evaluate(now.Add(7 * time.Second))
+	a.evaluate(now.Add(6 * time.Second))
+	a.evaluate(now.Add(7 * time.Second))
 	if act.ups != 2 || act.n != 3 {
 		t.Fatalf("after cooldown: ups=%d n=%d, want 2/3", act.ups, act.n)
 	}
 	// At Max, sustained heat never grows past the bound.
 	for i := 8; i < 20; i++ {
-		a.Evaluate(now.Add(time.Duration(i) * time.Second))
+		a.evaluate(now.Add(time.Duration(i) * time.Second))
 	}
 	if act.n != 3 {
 		t.Fatalf("pool grew past Max: n=%d", act.n)
@@ -109,8 +109,8 @@ func TestAutoscalerLatencySignal(t *testing.T) {
 	a := newTestScaler(act, src, AutoscalerConfig{Min: 1, Max: 2, TargetP99: 10 * time.Millisecond, UpAfter: 2})
 	now := time.Unix(1000, 0)
 	src.set(Snapshot{P99: 50 * time.Millisecond, InFlight: 1, Capacity: 100})
-	a.Evaluate(now)
-	a.Evaluate(now.Add(4 * time.Second))
+	a.evaluate(now)
+	a.evaluate(now.Add(4 * time.Second))
 	if act.ups != 1 {
 		t.Fatalf("latency overload did not scale up: ups=%d", act.ups)
 	}
@@ -128,19 +128,19 @@ func TestAutoscalerScaleDown(t *testing.T) {
 	now := time.Unix(2000, 0)
 	src.set(Snapshot{InFlight: 1, Capacity: 100}) // util 0.01 < 0.25
 	for i := 0; i < 2; i++ {
-		a.Evaluate(now.Add(time.Duration(i) * time.Second))
+		a.evaluate(now.Add(time.Duration(i) * time.Second))
 	}
 	if act.downs != 0 {
 		t.Fatal("scaled down before DownAfter idle ticks")
 	}
-	a.Evaluate(now.Add(2 * time.Second))
+	a.evaluate(now.Add(2 * time.Second))
 	if act.downs != 1 || act.n != 2 {
 		t.Fatalf("3 idle ticks: downs=%d n=%d, want 1/2", act.downs, act.n)
 	}
 	// Refused drains (coverage guard) are failures, not crashes.
 	act.refuseDown = true
 	for i := 3; i < 20; i++ {
-		a.Evaluate(now.Add(time.Duration(i) * time.Second))
+		a.evaluate(now.Add(time.Duration(i) * time.Second))
 	}
 	if act.n != 2 {
 		t.Fatalf("refused drain still shrank the pool: n=%d", act.n)
@@ -151,7 +151,7 @@ func TestAutoscalerScaleDown(t *testing.T) {
 	// Allowed again: drains to Min and stops.
 	act.refuseDown = false
 	for i := 20; i < 60; i++ {
-		a.Evaluate(now.Add(time.Duration(i) * time.Second))
+		a.evaluate(now.Add(time.Duration(i) * time.Second))
 	}
 	if act.n != 1 {
 		t.Fatalf("pool = %d, want Min=1", act.n)
@@ -172,18 +172,18 @@ func TestAutoscalerDownWaitsOutUpCooldown(t *testing.T) {
 	})
 	now := time.Unix(3000, 0)
 	src.set(Snapshot{InFlight: 90, Capacity: 100})
-	a.Evaluate(now)
+	a.evaluate(now)
 	if act.ups != 1 {
 		t.Fatal("no scale-up")
 	}
 	src.set(Snapshot{InFlight: 0, Capacity: 100})
 	for i := 1; i < 10; i++ {
-		a.Evaluate(now.Add(time.Duration(i) * time.Second))
+		a.evaluate(now.Add(time.Duration(i) * time.Second))
 	}
 	if act.downs != 0 {
 		t.Fatalf("scaled down %d times within DownCooldown of the up", act.downs)
 	}
-	a.Evaluate(now.Add(11 * time.Second))
+	a.evaluate(now.Add(11 * time.Second))
 	if act.downs != 1 {
 		t.Fatalf("down after the cooldown: downs=%d, want 1", act.downs)
 	}

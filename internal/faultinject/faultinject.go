@@ -5,7 +5,7 @@
 // Transport wraps the training cluster's cluster.Transport (installed
 // through cluster.Config.WrapTransport) and drives the transport chaos
 // suite; Backend wraps the router's router.Backend and drives the router
-// chaos suite and the fleet simulator's crash/revive timeline.
+// chaos suite.
 //
 // Determinism is the whole design: faults arm from explicit calls and
 // trip on exact call counts, never on randomness, so a failing chaos run
@@ -255,9 +255,6 @@ type Backend struct {
 
 // WrapBackend builds a Backend over inner with no faults armed.
 func WrapBackend(inner router.Backend) *Backend { return &Backend{inner: inner} }
-
-// Inner returns the wrapped backend.
-func (b *Backend) Inner() router.Backend { return b.inner }
 
 func (b *Backend) gate() error {
 	if v := b.enter(-1); v != pass {

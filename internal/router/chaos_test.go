@@ -289,6 +289,116 @@ func TestChaosKillUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
+// TestChaosZoneOutage loses a whole zone at once: both members of
+// zone-1 in a 2×2 grid crash together under concurrent load. Zone
+// spread leaves every group a zone-0 sibling, so no client may see a
+// non-429 error or a non-identical response, coverage reads degraded
+// and never unserviceable, and once both members revive the health
+// monitor alone brings coverage back to ok.
+func TestChaosZoneOutage(t *testing.T) {
+	const classes, features, gridR, gridS, rows = 5, 8, 2, 2, 4
+	rng := rand.New(rand.NewSource(96))
+	w := chaosWeights(rng, classes, features)
+	b, dense := chaosBatch(rng, rows, features)
+	want := refProba(t, w, classes, features, dense)
+	rt, faults := chaosGrid(t, "local", w, classes, features, gridR, gridS,
+		router.Options{HealthEvery: 2 * time.Millisecond, FailAfter: 2})
+	for s := range faults {
+		if z := rt.Pool().Replicas()[s*gridR+1].Meta().Zone; z != "zone-1" {
+			t.Fatalf("faults[%d][1] sits in %q, want zone-1", s, z)
+		}
+	}
+
+	var stop atomic.Bool
+	var served atomic.Int64
+	errCh := make(chan error, 64)
+	report := func(err error) {
+		select {
+		case errCh <- err:
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]float64, rows*classes)
+			for !stop.Load() {
+				if err := rt.Proba(b, out, nil); err != nil {
+					if errors.Is(err, serve.ErrQueueFull) {
+						continue
+					}
+					report(err)
+					return
+				}
+				for i := range want {
+					if out[i] != want[i] {
+						report(fmt.Errorf("proba[%d] = %v, want %v (bitwise)", i, out[i], want[i]))
+						return
+					}
+				}
+				served.Add(1)
+			}
+		}()
+	}
+	// The coverage watcher samples throughout: a zone outage must never
+	// leave a shard without a healthy member.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if status, shards := rt.Pool().Coverage(); status == "unserviceable" {
+				report(fmt.Errorf("coverage unserviceable during the zone outage: %+v", shards))
+				return
+			}
+			time.Sleep(500 * time.Microsecond)
+		}
+	}()
+	waitCoverage := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			status, _ := rt.Pool().Coverage()
+			if status == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("coverage reads %q, never %q", status, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	time.Sleep(10 * time.Millisecond)
+	faults[0][1].Crash() // all of zone-1, together
+	faults[1][1].Crash()
+	waitCoverage("degraded")
+	before := served.Load()
+	time.Sleep(20 * time.Millisecond)
+	if served.Load() == before {
+		t.Error("no traffic served during the zone outage")
+	}
+	faults[0][1].Revive()
+	faults[1][1].Revive()
+	waitCoverage("ok")
+	time.Sleep(10 * time.Millisecond)
+	stop.Store(true)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Errorf("client-visible failure under a zone outage: %v", err)
+	}
+	_, shards := rt.Pool().Coverage()
+	for _, sh := range shards {
+		if sh.Healthy != gridR {
+			t.Errorf("group %d: %d of %d members healthy after revival", sh.Group, sh.Healthy, gridR)
+		}
+	}
+}
+
 // TestChaosTransientFaultsAbsorbed scripts the softer fault shapes —
 // error bursts (flaky dials), slow-start, hang-until-deadline — against
 // single members; group siblings must absorb all of them bitwise.

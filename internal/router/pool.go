@@ -52,7 +52,6 @@ type Replica struct {
 	fails atomic.Int32 // consecutive failed probes
 
 	inflight atomic.Int64 // router calls on the backend right now
-	backlog  atomic.Int64 // simulator-held virtual work (AdjustLoad); 0 in production
 	done     atomic.Int64
 	errs     atomic.Int64
 	rejected atomic.Int64
@@ -70,21 +69,11 @@ func (r *Replica) State() State { return State(r.state.Load()) }
 func (r *Replica) Meta() serve.ModelMeta { return *r.meta.Load() }
 
 // InFlight returns the number of router requests currently executing on
-// this replica, plus any simulator backlog (AdjustLoad).
-func (r *Replica) InFlight() int64 { return r.inflight.Load() + r.backlog.Load() }
+// this replica.
+func (r *Replica) InFlight() int64 { return r.inflight.Load() }
 
 // Backend returns the replica's backend (tests hot-swap through it).
 func (r *Replica) Backend() Backend { return r.backend }
-
-// AdjustLoad shifts the replica's simulator backlog by d, which
-// InFlight (and so the power-of-two-choices pick and Drain) counts.
-// This is the fleet simulator's seam: virtual work that completes at a
-// later virtual time still has to be visible to the pick, so the
-// simulator adds the backlog here when a simulated replica accepts a
-// job and subtracts it at the job's virtual completion event. The
-// router's per-member bound ignores it, since a simulated replica
-// bounds its own virtual queue. Production code never calls it.
-func (r *Replica) AdjustLoad(d int64) { r.backlog.Add(d) }
 
 // available reports whether new traffic may be routed here.
 func (r *Replica) available() bool { return r.State() == StateHealthy }
@@ -447,20 +436,17 @@ func (p *Pool) startHealth(interval time.Duration, failAfter int) {
 			case <-p.stop:
 				return
 			case <-tick.C:
-				p.ProbeHealth(failAfter)
+				p.probeHealth(failAfter)
 			}
 		}
 	}()
 }
 
-// ProbeHealth runs one health-monitor sweep: every replica is probed
+// probeHealth runs one health-monitor sweep: every replica is probed
 // via Meta; failAfter consecutive failures mark a healthy replica
 // Down, one success restores a Down replica and refreshes its
-// metadata. This is one tick of the monitor startHealth runs on a
-// wall ticker — exported so a synthetic clock (the fleet simulator,
-// tests) can step the same probe logic at virtual times with the wall
-// monitor disabled (Options.HealthEvery < 0).
-func (p *Pool) ProbeHealth(failAfter int) {
+// metadata.
+func (p *Pool) probeHealth(failAfter int) {
 	for _, r := range p.Replicas() {
 		m, err := r.backend.Meta()
 		if err != nil {

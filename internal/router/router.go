@@ -31,14 +31,6 @@ type Options struct {
 	// returns a live trace for one request in every SampleEvery. 0
 	// selects serve.DefaultSampleEvery (8); negative disables sampling.
 	SampleEvery int
-	// SerialScatter runs scatter legs sequentially in group
-	// order on the caller's goroutine instead of fanning out to the leg
-	// workers. The legs then consume the pool's pick RNG in a fixed
-	// order, which is what makes a simulated fleet replay byte-identically
-	// — concurrent legs draw from the shared RNG in scheduler order.
-	// Production keeps this off: serial legs turn scatter latency from
-	// max(legs) into sum(legs).
-	SerialScatter bool
 }
 
 func (o Options) withDefaults() Options {
@@ -281,11 +273,10 @@ func (r *Router) score(b *Batch, preds []int, proba []float64) error {
 var errNoMember = errors.New("router: no available member")
 
 // memberQueueBound is the most requests the router keeps in flight on
-// one member (its own calls; a simulator's backlog is not counted).
-// Members run no batcher and a member's predictor runs one launch at a
-// time, so requests past it would queue without limit; the bound turns
-// that overload into serve.ErrQueueFull (HTTP 429) once every sibling
-// of a group is at it. It equals a batcher's default per-class queue
+// one member. Members run no batcher and a member's predictor runs one
+// launch at a time, so requests past it would queue without limit; the
+// bound turns that overload into serve.ErrQueueFull (HTTP 429) once
+// every sibling of a group is at it. It equals a batcher's default per-class queue
 // depth (4 × MaxBatch 64).
 const memberQueueBound = 256
 
@@ -478,11 +469,7 @@ func (r *Router) scatterOnce(b *Batch, scores []float64) error {
 	for gi, g := range groups {
 		j := st.jobs[gi]
 		j.r, j.g, j.b, j.scores, j.wg = r, g, b, scores, &st.wg
-		if r.opts.SerialScatter {
-			j.run()
-		} else {
-			r.dispatch(j)
-		}
+		r.dispatch(j)
 	}
 	st.wg.Wait()
 	var err error

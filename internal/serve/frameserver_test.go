@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"strings"
@@ -249,6 +250,51 @@ func TestFrameServerRefusesPeerOpcodes(t *testing.T) {
 	fc.enc.Begin(wire.OpMeta, 2)
 	if h, _ := fc.roundTrip(t); h.Op != wire.OpMetaResp {
 		t.Fatalf("connection unusable after refused peer frames: %+v", h)
+	}
+}
+
+// TestFrameServerRefusesNonFiniteFeatures: a NaN or ±Inf feature, in a
+// dense or a sparse record, is a request-shaped bad request naming the
+// row (as the JSON plane's out-of-range 400), never a scored answer, and
+// the connection still serves the next good frame.
+func TestFrameServerRefusesNonFiniteFeatures(t *testing.T) {
+	const classes, features = 5, 3
+	addr, _, _, shutdown := frameTestStack(t, classes, features)
+	defer shutdown()
+	fc := dialFrames(t, addr)
+	defer fc.c.Close()
+
+	good := []float64{0.5, -1, 2}
+	corr := uint64(0)
+	for _, op := range []wire.Op{wire.OpPredict, wire.OpProba} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, sparse := range []bool{false, true} {
+				corr++
+				fc.enc.Begin(op, corr)
+				fc.enc.BatchHeader(2, features, 0)
+				fc.enc.DenseRow(good)
+				if sparse {
+					fc.enc.SparseRow([]int{0, 2}, []float64{1, bad})
+				} else {
+					fc.enc.DenseRow([]float64{1, bad, 0})
+				}
+				h, p := fc.roundTrip(t)
+				if h.Op != wire.OpError || h.Corr != corr {
+					t.Fatalf("op %#x value %v sparse=%v answered %+v, want an error frame", op, bad, sparse, h)
+				}
+				if code, msg, err := wire.DecodeError(p); err != nil || code != wire.CodeBadRequest || !strings.Contains(msg, "row 1") {
+					t.Fatalf("op %#x value %v sparse=%v: code %d msg %q err=%v, want a bad request naming row 1", op, bad, sparse, code, msg, err)
+				}
+
+				corr++
+				fc.enc.Begin(op, corr)
+				fc.enc.BatchHeader(1, features, 0)
+				fc.enc.DenseRow(good)
+				if h, _ := fc.roundTrip(t); h.Corr != corr || h.Op == wire.OpError {
+					t.Fatalf("good frame after a refused one answered %+v", h)
+				}
+			}
+		}
 	}
 }
 

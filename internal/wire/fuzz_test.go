@@ -11,7 +11,8 @@ import (
 // decoder — with arbitrary bytes. The
 // decoders must never panic, never allocate proportionally to a lying
 // length prefix, and must either round up a clean parse or return an
-// error; a committed seed corpus under testdata/fuzz pins the
+// error, and a clean batch parse holds only finite feature values; a
+// committed seed corpus under testdata/fuzz pins the
 // interesting shapes (valid frames of each kind, peer hello/abort/vector
 // frames, truncations at field boundaries, bad magic/version/flags,
 // lying row counts, a ragged vector).
@@ -49,6 +50,12 @@ func FuzzFrameDecode(f *testing.F) {
 	lying := append([]byte(nil), batch...)
 	lying[16], lying[17], lying[18], lying[19] = 0xFF, 0xFF, 0xFF, 0x03 // huge length
 	f.Add(lying)
+	// Non-finite feature values, dense and sparse.
+	e.Begin(OpProba, 6)
+	e.BatchHeader(2, 2, 0)
+	e.DenseRow([]float64{1, math.NaN()})
+	e.SparseRow([]int{1}, []float64{math.Inf(-1)})
+	f.Add(append([]byte(nil), e.Bytes()...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := ParseHeader(data)
@@ -78,11 +85,13 @@ func FuzzFrameDecode(f *testing.F) {
 				if len(row) != b.Features {
 					t.Fatalf("dense row width %d, features %d", len(row), b.Features)
 				}
+				assertFinite(t, row)
 			}
 			for i := range b.Idx {
 				if len(b.Idx[i]) != len(b.Val[i]) {
 					t.Fatalf("sparse row %d: %d indices, %d values", i, len(b.Idx[i]), len(b.Val[i]))
 				}
+				assertFinite(t, b.Val[i])
 			}
 		}
 		ints := make([]int, 64)
@@ -109,4 +118,15 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("whole-float64 vector payload rejected: %v", err)
 		}
 	})
+}
+
+// assertFinite fails on a NaN or ±Inf value a clean batch decode let
+// through.
+func assertFinite(t *testing.T, vals []float64) {
+	t.Helper()
+	for _, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("clean batch parse holds non-finite value %v", v)
+		}
+	}
 }

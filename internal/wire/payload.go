@@ -308,7 +308,8 @@ func (b *Batch) Reset() {
 
 // Decode parses a batch request payload (the bytes after the frame
 // header of an OpPredict/OpProba/OpScores request), reusing the batch's
-// backing buffers. On error the batch contents are undefined.
+// backing buffers. A NaN or ±Inf feature value is an error naming its
+// row. On error the batch contents are undefined.
 func (b *Batch) Decode(p []byte) error {
 	b.Reset()
 
@@ -396,6 +397,9 @@ func (b *Batch) Decode(p []byte) error {
 			if err := r.f64s(row); err != nil {
 				return err
 			}
+			if err := finiteRow(i, row); err != nil {
+				return err
+			}
 			dOff += int(features)
 			b.AddDense(row)
 			continue
@@ -414,8 +418,23 @@ func (b *Batch) Decode(p []byte) error {
 		if err := r.f64s(val); err != nil {
 			return err
 		}
+		if err := finiteRow(i, val); err != nil {
+			return err
+		}
 		sOff += nnz
 		b.AddCSR(idx, val)
+	}
+	return nil
+}
+
+// finiteRow refuses a NaN or ±Inf feature value, as the JSON plane
+// refuses an out-of-range number: a model scores one into garbage (NaN
+// probabilities, an arbitrary class), never into an error.
+func finiteRow(row int, vals []float64) error {
+	for k, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: row %d holds non-finite value %v at position %d", ErrBadFrame, row, v, k)
+		}
 	}
 	return nil
 }
