@@ -92,6 +92,30 @@ func TestGIANTCommunicationRoundsPerEpoch(t *testing.T) {
 	}
 }
 
+func TestGIANTMessagesPerEpoch(t *testing.T) {
+	// Three all-reduces and the recorder's evaluation all-reduce per
+	// epoch, plus the epoch-0 evaluation; an all-reduce sends n-1
+	// messages each way, and the clock stamp rides them.
+	ds := testDataset(t)
+	const epochs = 5
+	for _, ranks := range []int{2, 4} {
+		for _, useTCP := range []bool{false, true} {
+			res, err := SolveGIANT(cluster.Config{Ranks: ranks, Network: cluster.ZeroCost, DeviceWorkers: 1, UseTCP: useTCP}, ds,
+				GiantOptions{Epochs: epochs, Lambda: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := 0
+			for _, s := range res.Stats {
+				sent += s.SentVecs
+			}
+			if want := (8*epochs + 2) * (ranks - 1); sent != want {
+				t.Errorf("ranks=%d tcp=%v: %d messages for %d epochs, want %d", ranks, useTCP, sent, epochs, want)
+			}
+		}
+	}
+}
+
 func TestGIANTMonotoneObjective(t *testing.T) {
 	// The second input is Figure 1's quick cell, where no candidate step of
 	// epoch 2 meets Armijo and every one of them raises the objective.

@@ -563,27 +563,129 @@ func TestVirtualClockAdvancesByModel(t *testing.T) {
 	}
 }
 
+// spin burns d of wall time as this rank's compute.
+func spin(d time.Duration) {
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); {
+	}
+}
+
 func TestClocksAgreeAfterCollective(t *testing.T) {
-	stats, err := Run(Config{Ranks: 4, Network: InfiniBand100G, DeviceWorkers: 1}, func(n *Node) error {
-		// Unequal compute: rank r spins ~r*2ms, then one empty allreduce.
-		deadline := time.Now().Add(time.Duration(n.Rank()) * 2 * time.Millisecond)
-		for time.Now().Before(deadline) {
+	// Unequal compute: rank r spins r*2ms before the collective. Each
+	// payload carries its sender's clock, so every rank leaves at the
+	// BSP maximum plus the cost: equal clocks, none below the slowest
+	// rank's spin.
+	const ranks = 4
+	slowest := (ranks - 1) * 2 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		run  func(n *Node)
+	}{
+		{"allreduce-sum", func(n *Node) { n.AllReduceSum([]float64{1}) }},
+		{"allreduce-max", func(n *Node) { n.AllReduceMax([]float64{1}) }},
+		{"gather-bcast", func(n *Node) {
+			n.Gather(0, []float64{1})
+			if n.Rank() == 0 {
+				spin(20 * time.Millisecond) // the root's z-update
+			}
+			n.Bcast(0, []float64{1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats, err := Run(Config{Ranks: ranks, Network: InfiniBand100G, DeviceWorkers: 1}, func(n *Node) error {
+				spin(time.Duration(n.Rank()) * 2 * time.Millisecond)
+				tc.run(n)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range stats[1:] {
+				if s.Clock != stats[0].Clock {
+					t.Fatalf("clocks diverged: rank %d at %v, rank 0 at %v", s.Rank, s.Clock, stats[0].Clock)
+				}
+			}
+			if stats[0].Clock < slowest {
+				t.Fatalf("clock %v does not reflect the slowest rank's %v", stats[0].Clock, slowest)
+			}
+		})
+	}
+	t.Run("bare-bcast", func(t *testing.T) {
+		// The root of a bare broadcast hears from no rank: its clock
+		// advances by the cost alone, while a receiver ends at the later
+		// of its own clock and the root's, plus the cost. The root sends
+		// before any receiver spins, so each receiver's clock is later.
+		sent := make(chan struct{})
+		stats, err := Run(Config{Ranks: ranks, Network: InfiniBand100G, DeviceWorkers: 1}, func(n *Node) error {
+			if n.Rank() == 0 {
+				close(sent)
+			} else {
+				<-sent
+				spin(time.Duration(n.Rank()) * 5 * time.Millisecond)
+			}
+			n.Bcast(0, []float64{1})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		n.AllReduceSum(nil)
-		return nil
+		if root := stats[0]; root.Clock != root.Compute+root.CommTime {
+			t.Fatalf("root clock %v, want its own compute %v plus the cost %v", root.Clock, root.Compute, root.CommTime)
+		}
+		for _, s := range stats[1:] {
+			if s.Clock <= stats[0].Clock {
+				t.Fatalf("rank %d clock %v not past the root's %v", s.Rank, s.Clock, stats[0].Clock)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All clocks synchronized at the collective; final clocks equal.
-	for _, s := range stats[1:] {
-		if s.Clock != stats[0].Clock {
-			t.Fatalf("clocks diverged: %v vs %v", s.Clock, stats[0].Clock)
+}
+
+// forgeTransport rewrites every payload it sends.
+type forgeTransport struct {
+	Transport
+	forge func(data []float64) []float64
+}
+
+func (f forgeTransport) Send(to int, data []float64) error {
+	return f.Transport.Send(to, f.forge(data))
+}
+
+func TestHostileStampFailsCollective(t *testing.T) {
+	// Peer framing admits an empty vector and any float, so a stamp can
+	// be missing, NaN or negative. The receiver must fail the collective
+	// with an error naming the sender, not panic or corrupt its clock.
+	restamp := func(v float64) func([]float64) []float64 {
+		return func(data []float64) []float64 {
+			data = append([]float64(nil), data...)
+			data[len(data)-1] = v
+			return data
 		}
 	}
-	// The collective waits for the slowest rank (~6ms of compute).
-	if stats[0].Clock < 5*time.Millisecond {
-		t.Fatalf("clock %v does not reflect the slowest rank", stats[0].Clock)
+	const want = "rank 1 sent a message without a valid clock stamp"
+	for _, tc := range []struct {
+		name  string
+		forge func([]float64) []float64
+	}{
+		{"empty", func([]float64) []float64 { return nil }},
+		{"nan", restamp(math.NaN())},
+		{"negative", restamp(-1)},
+	} {
+		for _, useTCP := range []bool{false, true} {
+			_, err := Run(Config{
+				Ranks: 2, UseTCP: useTCP, Network: ZeroCost, DeviceWorkers: 1, CollectiveTimeout: 10 * time.Second,
+				WrapTransport: func(rank int, tr Transport) Transport {
+					if rank == 1 {
+						return forgeTransport{tr, tc.forge}
+					}
+					return tr
+				},
+			}, func(n *Node) error {
+				n.AllReduceSum([]float64{1})
+				return nil
+			})
+			if !errorsContains(err, want) || errorsContains(err, "panic") {
+				t.Errorf("%s tcp=%v: err=%v, want an error containing %q", tc.name, useTCP, err, want)
+			}
+		}
 	}
 }
 

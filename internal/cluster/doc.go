@@ -27,6 +27,11 @@
 //     of deadlocking the SPMD step.
 //   - Bitwise-stable collectives: reduction order is fixed by rank, so
 //     a collective's result does not depend on message arrival timing.
+//   - The virtual clock rides the payload: every vector a Node sends ends
+//     with the sender's clock, which the receiver strips and raises its
+//     own clock to. An all-reduce, or a gather then a broadcast, leaves
+//     every rank at max_i(clock_i) + cost; a bare broadcast's root hears
+//     from no one. A missing or invalid stamp fails the collective.
 //
 // Relation to the serving tier: this package is the *training* data
 // plane (rank-addressed collectives between peers). It shares one frame

@@ -179,6 +179,32 @@ func TestSolveCommunicationRoundsPerEpoch(t *testing.T) {
 	}
 }
 
+func TestSolveMessagesPerEpoch(t *testing.T) {
+	// The clock stamp rides each payload, so the wire carries only the
+	// algorithm's messages: per epoch a gather and a broadcast, plus the
+	// recorder's evaluation all-reduce; then the epoch-0 evaluation and
+	// Finish's all-reduce. A gather or a broadcast sends n-1 messages,
+	// an all-reduce 2(n-1).
+	ds := smallDataset(t)
+	const epochs = 5
+	for _, ranks := range []int{2, 4} {
+		for _, useTCP := range []bool{false, true} {
+			res, err := Solve(cluster.Config{Ranks: ranks, Network: cluster.ZeroCost, DeviceWorkers: 1, UseTCP: useTCP}, ds,
+				Options{Epochs: epochs, Lambda: 1e-3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := 0
+			for _, s := range res.Stats {
+				sent += s.SentVecs
+			}
+			if want := (4*epochs + 4) * (ranks - 1); sent != want {
+				t.Errorf("ranks=%d tcp=%v: %d messages for %d epochs, want %d", ranks, useTCP, sent, epochs, want)
+			}
+		}
+	}
+}
+
 func TestSolveOverTCPMatchesInproc(t *testing.T) {
 	// The algorithm is deterministic given the data and rank count, so
 	// the in-process and TCP transports must produce identical iterates.

@@ -25,22 +25,27 @@ const (
 	chaosTimeout = 500 * time.Millisecond
 )
 
+// A phase body runs at iteration i. Bcast and gather rotate their root
+// with i, so every victim sends in every phase: a collective's payload
+// is its only message, and a fixed root would leave a non-root victim of
+// a bcast (or the root of a gather) nothing to send and nothing to break.
 type chaosPhase struct {
 	name string
-	body func(n *cluster.Node)
+	body func(n *cluster.Node, i int)
 }
 
 var chaosPhases = []chaosPhase{
-	{"bcast", func(n *cluster.Node) {
+	{"bcast", func(n *cluster.Node, i int) {
+		root := i % n.Size()
 		v := make([]float64, 4)
-		if n.Rank() == 0 {
+		if n.Rank() == root {
 			v = []float64{1, 2, 3, 4}
 		}
-		n.Bcast(0, v)
+		n.Bcast(root, v)
 	}},
-	{"gather", func(n *cluster.Node) { n.Gather(0, []float64{float64(n.Rank()), 1}) }},
-	{"allreduce-sum", func(n *cluster.Node) { v := []float64{1}; n.AllReduceSum(v) }},
-	{"allreduce-max", func(n *cluster.Node) { v := []float64{float64(n.Rank())}; n.AllReduceMax(v) }},
+	{"gather", func(n *cluster.Node, i int) { n.Gather(i%n.Size(), []float64{float64(n.Rank()), 1}) }},
+	{"allreduce-sum", func(n *cluster.Node, i int) { v := []float64{1}; n.AllReduceSum(v) }},
+	{"allreduce-max", func(n *cluster.Node, i int) { v := []float64{float64(n.Rank())}; n.AllReduceMax(v) }},
 }
 
 func runChaos(t *testing.T, useTCP bool, ph chaosPhase, victim int, fault string) {
@@ -64,9 +69,9 @@ func runChaos(t *testing.T, useTCP bool, ph chaosPhase, victim int, fault string
 			case "hang":
 				// Black-hole one peer: the victim stays connected but a
 				// survivor's Recv starves — only the deadline can save it.
-				// Every collective routes through rank 0's clock sync, so
-				// dropping to rank 0 (or rank 1 when 0 is the victim)
-				// starves a survivor in every phase.
+				// The all-reduces meet at rank 0 and the other phases'
+				// roots rotate, so in every phase the victim sends to rank
+				// 0 (or rank 1 when 0 is the victim) and starves it.
 				to := 0
 				if victim == 0 {
 					to = 1
@@ -80,7 +85,7 @@ func runChaos(t *testing.T, useTCP bool, ph chaosPhase, victim int, fault string
 	go func() {
 		_, err := cluster.Run(cfg, func(n *cluster.Node) error {
 			for i := 0; i < 20; i++ {
-				ph.body(n)
+				ph.body(n, i)
 			}
 			return nil
 		})
