@@ -186,8 +186,10 @@ func BenchmarkSparseMulTN(b *testing.B) {
 
 // BenchmarkSparseFusedGradientShard measures one fused CSR gradient (the
 // Hessian-vector product of CG) at a train-sparse-tcp rank's shard shape:
-// 750 x 27 998 at 2 %, 19 explicit classes, on a one-worker device. Its
-// 4.3 MB weight operand does not fit in L2, unlike benchCSR's.
+// 750 x 27 998 at 2 %, 19 explicit classes, on a one-worker device, by
+// row walk and by column walk (the shard indexed as a training objective
+// indexes it). Its 4.3 MB weight operand does not fit in L2, unlike
+// benchCSR's.
 func BenchmarkSparseFusedGradientShard(b *testing.B) {
 	dev := device.New("bench-shard", 1)
 	b.Cleanup(dev.Close)
@@ -212,10 +214,18 @@ func BenchmarkSparseFusedGradientShard(b *testing.B) {
 	s := make([]float64, n*m)
 	g := make([]float64, m*p)
 	fn := func(lo, hi int) float64 { return 0 }
-	b.SetBytes(int64(8 * (csr.NNZ() + len(w) + len(s) + len(g))))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dev.FusedGradient(csr, w, m, s, fn, g)
+	indexed := csr.RowRange(0, n) // a view, so csr keeps the row walk
+	indexed.IndexColumns()
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+	}{{"rows", csr}, {"columns", indexed}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(8 * (c.a.NNZ() + len(w) + len(s) + len(g))))
+			for i := 0; i < b.N; i++ {
+				dev.FusedGradient(c.a, w, m, s, fn, g)
+			}
+		})
 	}
 }
 

@@ -689,6 +689,45 @@ func TestHostileStampFailsCollective(t *testing.T) {
 	}
 }
 
+func TestShortPayloadFailsCollective(t *testing.T) {
+	// A peer's payload one value short (its stamp intact) must fail every
+	// collective that receives it with a size mismatch naming the sender,
+	// not crash rank 0 (AllReduceMax indexed the peer's vector by its own
+	// length) or be copied in short.
+	shorten := func(data []float64) []float64 { return data[1:] }
+	for _, tc := range []struct {
+		name    string
+		sender  int // the rank whose sends are shortened
+		collect func(n *Node, vec []float64)
+	}{
+		{"bcast", 0, func(n *Node, vec []float64) { n.Bcast(0, vec) }},
+		{"gather", 1, func(n *Node, vec []float64) { n.Gather(0, vec) }},
+		{"allreduce up", 1, (*Node).AllReduceSum},
+		{"allreduce down", 0, (*Node).AllReduceSum},
+		{"allreduce-max up", 1, (*Node).AllReduceMax},
+		{"allreduce-max down", 0, (*Node).AllReduceMax},
+	} {
+		want := fmt.Sprintf("size mismatch: rank %d sent 2 values, want 3", tc.sender)
+		for _, useTCP := range []bool{false, true} {
+			_, err := Run(Config{
+				Ranks: 2, UseTCP: useTCP, Network: ZeroCost, DeviceWorkers: 1, CollectiveTimeout: 10 * time.Second,
+				WrapTransport: func(rank int, tr Transport) Transport {
+					if rank == tc.sender {
+						return forgeTransport{tr, shorten}
+					}
+					return tr
+				},
+			}, func(n *Node) error {
+				tc.collect(n, []float64{1, 2, 3})
+				return nil
+			})
+			if !errorsContains(err, want) || errorsContains(err, "panic") {
+				t.Errorf("%s tcp=%v: err=%v, want an error containing %q", tc.name, useTCP, err, want)
+			}
+		}
+	}
+}
+
 func TestMaxClock(t *testing.T) {
 	stats := []NodeStats{{Clock: 5}, {Clock: 9}, {Clock: 3}}
 	if got := MaxClock(stats); got != 9 {

@@ -128,15 +128,20 @@ func (n *Node) send(to int, data []float64) {
 	n.check(n.tr.Send(to, out))
 }
 
-// recv returns the next payload from rank from without its clock stamp,
-// after raising this rank's clock to the stamp. A message without a
-// stamp, or with one that is not a valid clock, fails the collective.
-func (n *Node) recv(from int) []float64 {
+// recv returns op's next payload from rank from without its clock
+// stamp, after raising this rank's clock to the stamp. A message without
+// a stamp, or with one that is not a valid clock, fails the collective,
+// and so does a payload that is not want values long (a size mismatch
+// naming the sender).
+func (n *Node) recv(op string, from, want int) []float64 {
 	data, err := n.tr.Recv(from)
 	n.check(err)
 	last := len(data) - 1
 	if last < 0 || !(data[last] >= 0 && data[last] < math.MaxInt64) {
 		n.check(fmt.Errorf("cluster: rank %d sent a message without a valid clock stamp", from))
+	}
+	if last != want {
+		n.check(fmt.Errorf("cluster: %s size mismatch: rank %d sent %d values, want %d", op, from, last, want))
 	}
 	n.clock = max(n.clock, time.Duration(data[last]))
 	return data[:last]
@@ -172,17 +177,14 @@ func (n *Node) Bcast(root int, vec []float64) {
 			}
 		}
 	} else {
-		data := n.recv(root)
-		if len(data) != len(vec) {
-			n.check(fmt.Errorf("cluster: bcast size mismatch: got %d want %d", len(data), len(vec)))
-		}
-		copy(vec, data)
+		copy(vec, n.recv("bcast", root, len(vec)))
 	}
 	n.charge(n.model.BcastCost(n.size, 8*len(vec)))
 }
 
 // Gather collects every rank's vec at root. Root receives a slice indexed
-// by rank (its own entry is a copy); other ranks receive nil.
+// by rank (its own entry is a copy); other ranks receive nil. All ranks
+// must pass equal-length buffers.
 func (n *Node) Gather(root int, vec []float64) [][]float64 {
 	n.closeComputeSegment()
 	var out [][]float64
@@ -192,7 +194,7 @@ func (n *Node) Gather(root int, vec []float64) [][]float64 {
 			if r == root {
 				out[r] = append([]float64(nil), vec...)
 			} else {
-				out[r] = n.recv(r)
+				out[r] = n.recv("gather", r, len(vec))
 			}
 		}
 	} else {
@@ -208,28 +210,25 @@ func (n *Node) AllReduceSum(vec []float64) {
 	n.closeComputeSegment()
 	if n.rank == 0 {
 		for r := 1; r < n.size; r++ {
-			data := n.recv(r)
-			if len(data) != len(vec) {
-				n.check(fmt.Errorf("cluster: allreduce size mismatch: got %d want %d", len(data), len(vec)))
-			}
-			linalg.Add(vec, data)
+			linalg.Add(vec, n.recv("allreduce", r, len(vec)))
 		}
 		for r := 1; r < n.size; r++ {
 			n.send(r, vec)
 		}
 	} else {
 		n.send(0, vec)
-		copy(vec, n.recv(0))
+		copy(vec, n.recv("allreduce", 0, len(vec)))
 	}
 	n.charge(n.model.AllReduceCost(n.size, 8*len(vec)))
 }
 
 // AllReduceMax replaces vec on every rank with the element-wise max.
+// All ranks must pass equal-length buffers.
 func (n *Node) AllReduceMax(vec []float64) {
 	n.closeComputeSegment()
 	if n.rank == 0 {
 		for r := 1; r < n.size; r++ {
-			data := n.recv(r)
+			data := n.recv("allreduce-max", r, len(vec))
 			for i := range vec {
 				if data[i] > vec[i] {
 					vec[i] = data[i]
@@ -241,7 +240,7 @@ func (n *Node) AllReduceMax(vec []float64) {
 		}
 	} else {
 		n.send(0, vec)
-		copy(vec, n.recv(0))
+		copy(vec, n.recv("allreduce-max", 0, len(vec)))
 	}
 	n.charge(n.model.AllReduceCost(n.size, 8*len(vec)))
 }

@@ -244,10 +244,12 @@ func TestSolveMoreRanksStillConverges(t *testing.T) {
 
 // TestSparseSolveBitwisePin pins Newton-ADMM's final consensus on a small
 // E18-like problem (CSR features, 20 classes) to the FNV-1a hash of its
-// IEEE bits, with one and with two device chunks per rank. A kernel
-// change that moves any bit of the trajectory fails here. The constants
-// are amd64's and were recorded when the solver's weights became
-// feature-major (whole-vector sums then add in p×m order).
+// IEEE bits, with one, two and three device chunks per rank (three
+// split a 200-row shard unevenly). A kernel change that moves any bit of
+// the trajectory fails here. The constants are amd64's; the one- and
+// two-chunk ones were recorded when the solver's weights became
+// feature-major (whole-vector sums then add in p×m order), the
+// three-chunk one on the row walk before shards were indexed by column.
 func TestSparseSolveBitwisePin(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash constants are recorded on amd64")
@@ -262,7 +264,7 @@ func TestSparseSolveBitwisePin(t *testing.T) {
 	for _, c := range []struct {
 		workers int
 		want    uint64
-	}{{1, 0xb33c0b0611174652}, {2, 0xfc9047582dd17d46}} {
+	}{{1, 0xb33c0b0611174652}, {2, 0xfc9047582dd17d46}, {3, 0x4848135fb02049f}} {
 		res, err := Solve(cluster.Config{Ranks: 2, Network: cluster.ZeroCost, DeviceWorkers: c.workers}, ds, Options{
 			Epochs: 3, Lambda: 1e-3,
 		})

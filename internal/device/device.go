@@ -284,12 +284,27 @@ type Operand interface {
 	MulTNRange(d []float64, m int, g []float64, lo, hi int)
 }
 
+// columnWalker is an Operand that can walk its columns (a sparse.CSR,
+// once indexed). A column walk streams all of W or G per call, so the
+// launch gives the operand whole chunks, not gradPanel-row panels, and
+// accumulates G through SetTNRange, which overwrites its chunk's
+// accumulator, so the launch does not zero it.
+type columnWalker interface {
+	// ColumnIndexed reports whether the operand walks its columns.
+	ColumnIndexed() bool
+	// SetTNRange writes rows [lo,hi)'s contribution to G = Dᵀ·A over
+	// the p×m g, where d is n×m.
+	SetTNRange(d []float64, m int, g []float64, lo, hi int)
+}
+
 // gradPanel is the row-panel width of the fused gradient launch: score,
 // functor, and accumulation sweeps interleave in panels of this many
 // rows so each panel of A is still cache-resident when the transposed
 // accumulation re-reads it (A is the only O(n·p) operand; without
 // panelling it streams from memory twice per gradient). 48 rows of even
 // MNIST-width features is ~300 KiB — L2-resident on anything modern.
+// Over a column walker each chunk is one panel, and fn still runs on
+// gradPanel-row groups, so its partial sums keep their grouping.
 const gradPanel = 48
 
 // The passes of a product launch.
@@ -301,11 +316,13 @@ const (
 // productKernel is the one persistent parameter block of the product
 // launches. Per row panel it runs up to three passes: scores, fn over
 // the fresh rows when fn is set, and accumulation. Only the fused
-// gradient, which has all three, is panelled by gradPanel.
+// gradient, which has all three, is panelled by gradPanel, and not over
+// a column walker.
 type productKernel struct {
 	a        Operand
 	passes   int
-	w        []float64 // weights, p×m
+	walker   columnWalker // a when it walks columns: one panel per chunk
+	w        []float64    // weights, p×m
 	m        int
 	s        []float64
 	fn       func(lo, hi int) float64
@@ -318,11 +335,17 @@ func (k *productKernel) Run(chunk, lo, hi int) {
 	dst := k.g
 	if k.parts != nil {
 		dst = k.parts[chunk]
-		linalg.Zero(dst)
+		if k.walker == nil {
+			linalg.Zero(dst)
+		}
 	}
-	panel := hi - lo
+	group := hi - lo // rows per fn call
 	if k.passes == scorePass|accumPass {
-		panel = gradPanel
+		group = gradPanel
+	}
+	panel := group
+	if k.walker != nil {
+		panel = hi - lo
 	}
 	var sum float64
 	for plo := lo; plo < hi; plo += panel {
@@ -330,10 +353,12 @@ func (k *productKernel) Run(chunk, lo, hi int) {
 		if k.passes&scorePass != 0 {
 			k.a.MulNTRange(k.w, k.m, k.s, plo, phi)
 		}
-		if k.fn != nil {
-			sum += k.fn(plo, phi)
+		for flo := plo; k.fn != nil && flo < phi; flo += group {
+			sum += k.fn(flo, min(flo+group, phi))
 		}
-		if k.passes&accumPass != 0 {
+		if k.passes&accumPass != 0 && k.walker != nil {
+			k.walker.SetTNRange(k.s, k.m, dst, plo, phi)
+		} else if k.passes&accumPass != 0 {
 			k.a.MulTNRange(k.s, k.m, dst, plo, phi)
 		}
 	}
@@ -369,14 +394,17 @@ func (d *Device) product(op string, passes int, a Operand, w []float64, m int, s
 	chunks := d.chunkCount(rows, 0)
 	k := &d.kernel
 	*k = productKernel{a: a, passes: passes, w: w, m: m, s: s, fn: fn, g: g}
+	if cw, ok := a.(columnWalker); ok && cw.ColumnIndexed() {
+		k.walker = cw
+	}
 	if fn != nil {
 		k.partials = d.scratchPartials(chunks)
 	}
 	if passes&accumPass != 0 {
-		if chunks == 1 {
-			linalg.Zero(g)
-		} else {
+		if chunks > 1 {
 			k.parts = d.ScratchParts(chunks, len(g))
+		} else if k.walker == nil {
+			linalg.Zero(g)
 		}
 	}
 	d.Launch(rows, 0, k)
@@ -428,8 +456,9 @@ func (d *Device) MulNTReduce(a Operand, w []float64, m int, s []float64, fn func
 // the softmax loss: one pass over A and one pass over the score tile
 // instead of two and three. G is bitwise identical to the unfused
 // MulNT/fn/MulTN sequence (the panel split never reorders per-element
-// accumulation); the returned scalar regroups fn's partials by panel,
-// which is deterministic for a fixed worker count.
+// accumulation); the returned scalar regroups fn's partials by
+// gradPanel-row groups, on every operand, which is deterministic for a
+// fixed worker count.
 func (d *Device) FusedGradient(a Operand, w []float64, m int, s []float64, fn func(lo, hi int) float64, g []float64) float64 {
 	return d.product("FusedGradient", scorePass|accumPass, a, w, m, s, fn, g)
 }

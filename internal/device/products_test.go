@@ -14,9 +14,10 @@ import (
 // Tests for the one product launch, the scratch arena, and the
 // zero-allocation guarantee of steady-state launches. Every product test
 // runs on each operand kind — dense (on the lanes where the CPU has
-// them), and CSR with fewer stored entries than columns and with at
-// least as many — on a one- and a three-worker device, so one and
-// several chunk parts, from one row up. The launches take W and G
+// them), CSR with fewer stored entries than columns and with at least
+// as many, and CSR indexed by column as a training shard is — on a one-
+// and a three-worker device, so one and several chunk parts, from one
+// row up. The launches take W and G
 // feature-major; the serial references take them class-major.
 
 // operandKinds build an operand from an n×p random matrix, which they
@@ -32,6 +33,11 @@ var operandKinds = []struct {
 	}},
 	{"csr-feature-major", func(rng *rand.Rand, a *linalg.Matrix) device.Operand {
 		return sparsify(rng, a, max(a.Cols, a.Rows*a.Cols/4))
+	}},
+	{"csr-column-indexed", func(rng *rand.Rand, a *linalg.Matrix) device.Operand {
+		csr := sparsify(rng, a, max(a.Cols, a.Rows*a.Cols/4))
+		csr.IndexColumns()
+		return csr
 	}},
 }
 
@@ -229,6 +235,34 @@ func TestFusedGradientMatchesUnfusedPipeline(t *testing.T) {
 			// reorders any element's accumulation.
 			if i := firstDiff(g2, g1); i >= 0 {
 				t.Fatalf("trial %d: fused gradient differs at %d: %v vs %v", trial, i, g2[i], g1[i])
+			}
+		}
+	})
+}
+
+// TestFusedGradientGroupsFnByPanel pins the fused launch's scalar: fn
+// runs on 48-row groups of each chunk, summed in group then chunk order,
+// on every operand, whether the launch panels it or walks a chunk whole.
+func TestFusedGradientGroupsFnByPanel(t *testing.T) {
+	eachOperand(t, 49, func(t *testing.T, dev *device.Device, build buildFunc, rng *rand.Rand) {
+		const group = 48
+		for _, n := range []int{1, 47, 48, 49, 145, 300} {
+			p, m := 2+rng.Intn(30), 1+rng.Intn(9)
+			a, _ := build(n, p)
+			b := randVec(rng, m*p)
+			s1 := make([]float64, n*m)
+			dev.MulNT(a, b, m, s1)
+			var want float64
+			for _, sp := range chunkSpans(dev, n) {
+				var part float64
+				for lo := sp[0]; lo < sp[1]; lo += group {
+					part += rowSum(s1, m, 1)(lo, min(lo+group, sp[1]))
+				}
+				want += part
+			}
+			s2, g := make([]float64, n*m), make([]float64, m*p)
+			if got := dev.FusedGradient(a, b, m, s2, rowSum(s2, m, 1), g); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: FusedGradient returned %v, want %v (fn grouped by %d rows)", n, got, want, group)
 			}
 		}
 	})

@@ -76,6 +76,11 @@ func NewSoftmax(dev *device.Device, x Features, y []int, classes int, l2 float64
 			return nil, fmt.Errorf("loss: label %d at row %d outside [0,%d)", c, i, classes)
 		}
 	}
+	// A sparse training matrix is indexed by column, so the products
+	// that dominate an epoch stream W instead of gathering from it.
+	if sp, ok := x.(Sparse); ok {
+		sp.M.IndexColumns()
+	}
 	return &Softmax{X: x, Y: y, C: classes, L2: l2, Dev: dev}, nil
 }
 

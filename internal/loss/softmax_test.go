@@ -340,3 +340,77 @@ func TestValueAtZeroIsNLogC(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedCSRObjectivesIndexOnce builds the training objective over
+// one CSR from several goroutines at once, each on its own device, as
+// experiments sharing a dataset do: the column index is built without a
+// race, and every objective's value, gradient and Hessian-vector product
+// match, bit for bit, those of the same rows walked by row on a device
+// of the same width.
+func TestSharedCSRObjectivesIndexOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	n, p, classes := 260, 120, 21
+	x := linalg.NewMatrix(n, p)
+	for i := range x.Data {
+		if rng.Float64() < 0.1 {
+			x.Data[i] = rng.NormFloat64()
+		}
+	}
+	y := make([]int, n)
+	for i := range y {
+		y[i] = rng.Intn(classes)
+	}
+	shared := sparse.FromDense(x)
+	rows := shared.RowRange(0, n) // a view no objective here indexes
+	dim := (classes - 1) * p
+	w, v := randW(rng, dim), randW(rng, dim)
+	type result struct {
+		val   float64
+		g, hv []float64
+	}
+	eval := func(s *Softmax) result {
+		r := result{g: make([]float64, dim), hv: make([]float64, dim)}
+		r.val = s.Gradient(w, r.g)
+		s.HessianAt(w).Apply(v, r.hv)
+		return r
+	}
+	workers := []int{1, 2, 3, 1, 2, 3}
+	want := map[int]result{}
+	for _, k := range workers[:3] {
+		dev := device.New("row-walk", k)
+		want[k] = eval(&Softmax{X: Sparse{M: rows}, Y: y, C: classes, L2: 0.01, Dev: dev})
+		dev.Close()
+	}
+	got := make([]result, len(workers))
+	done := make(chan error, len(workers))
+	for i, k := range workers {
+		go func() {
+			dev := device.New("shared-csr", k)
+			defer dev.Close()
+			s, err := NewSoftmax(dev, Sparse{M: shared}, y, classes, 0.01)
+			if err == nil {
+				got[i] = eval(s)
+			}
+			done <- err
+		}()
+	}
+	for range workers {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !shared.ColumnIndexed() || rows.ColumnIndexed() {
+		t.Fatalf("indexed: shared %v, row view %v; want true, false", shared.ColumnIndexed(), rows.ColumnIndexed())
+	}
+	for i, k := range workers {
+		r, ref := got[i], want[k]
+		if math.Float64bits(r.val) != math.Float64bits(ref.val) {
+			t.Errorf("goroutine %d (%d workers): value %v, row walk %v", i, k, r.val, ref.val)
+		}
+		for j := range ref.g {
+			if math.Float64bits(r.g[j]) != math.Float64bits(ref.g[j]) || math.Float64bits(r.hv[j]) != math.Float64bits(ref.hv[j]) {
+				t.Fatalf("goroutine %d (%d workers): gradient or Hv differs from the row walk at %d", i, k, j)
+			}
+		}
+	}
+}

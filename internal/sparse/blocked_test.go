@@ -12,12 +12,18 @@ import (
 
 // Property tests for the CSR kernels, which take W and G feature-major,
 // against the retained class-major naive references (bitwise, layouts
-// converted), plus the device's product launch on CSR operands, on both
-// paths: the AVX2 lanes and the Go passes. internal/device tests that
-// launch over every operand kind.
+// converted), plus the device's product launch on CSR operands, on every
+// path: the AVX2 lanes and the Go passes, each walking rows and walking
+// columns. internal/device tests that launch over every operand kind.
+
+// columns is set on eachPath's column-walk paths, where index builds a
+// matrix's column index.
+var columns bool
 
 // eachPath runs f on the Go passes ("fallback") and, where the CPU has
-// them, on the lanes, with the lanes test hook set accordingly.
+// them, on the lanes, each over matrices that index leaves as they are
+// ("rows") and that it indexes by column ("columns"), with the lanes
+// test hook and columns set accordingly.
 func eachPath(t *testing.T, f func(t *testing.T)) {
 	paths := []bool{false}
 	if linalg.LanesSupported() {
@@ -29,11 +35,38 @@ func eachPath(t *testing.T, f func(t *testing.T)) {
 			name = "lanes"
 		}
 		t.Run(name, func(t *testing.T) {
-			defer func(was bool) { lanes = was }(lanes)
-			lanes = on
-			f(t)
+			for _, walk := range []bool{false, true} {
+				t.Run(map[bool]string{false: "rows", true: "columns"}[walk], func(t *testing.T) {
+					defer func(was bool) { lanes = was }(lanes)
+					defer func(was bool) { columns = was }(columns)
+					lanes, columns = on, walk
+					f(t)
+				})
+			}
 		})
 	}
+}
+
+// index builds a's column index on the column-walk paths and checks it
+// exists exactly when every value is finite and every row's columns
+// increase inside the matrix. a must not be written afterwards.
+func index(t *testing.T, a *CSR) *CSR {
+	t.Helper()
+	if !columns {
+		return a
+	}
+	a.IndexColumns()
+	valid := allFinite(a.Val)
+	for i := range a.NumRows {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j := a.Col[k]
+			valid = valid && j >= 0 && j < a.NumCols && (k == a.RowPtr[i] || j > a.Col[k-1])
+		}
+	}
+	if a.ColumnIndexed() != valid {
+		t.Fatalf("column index built = %v, want %v", a.ColumnIndexed(), valid)
+	}
+	return a
 }
 
 // maxM is the largest class count the property tests draw: two wide
@@ -65,7 +98,7 @@ func TestCSRBlockedMulNTBitwiseMatchesRef(t *testing.T) {
 			if trial < maxM {
 				n, m = 1, trial+1
 			}
-			a := randCSR(rng, n, p, 0.3)
+			a := index(t, randCSR(rng, n, p, 0.3))
 			b := randWeights(rng, m*p, 0.1)
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo) + 1
@@ -89,6 +122,7 @@ func TestCSRBlockedMulTNBitwiseMatchesRef(t *testing.T) {
 			if a.NNZ() > 0 && trial%4 == 0 {
 				a.Val[rng.Intn(a.NNZ())] = math.Inf(1)
 			}
+			index(t, a)
 			lo := rng.Intn(n)
 			hi := lo + rng.Intn(n-lo) + 1
 			checkMulTN(t, a, d, m, lo, hi)
@@ -98,9 +132,10 @@ func TestCSRBlockedMulTNBitwiseMatchesRef(t *testing.T) {
 
 // TestCSRLanesEdgeRows pins the rows the random draws may miss, at the
 // class counts either side of one wide lane pass (m = 19 is E18's C − 1):
-// rows with no nonzeros, one-row ranges, −0 weights, and a zero weight
-// next to an infinite or NaN value, where only axpySkip matches the
-// reference's skip.
+// rows and columns with no nonzeros, one-row ranges, −0 weights, and a
+// zero weight next to an infinite or NaN value, where only axpySkip
+// matches the reference's skip. The matrix with those values gets no
+// column index; its finite twin, on the column paths, does.
 func TestCSRLanesEdgeRows(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(208))
@@ -108,9 +143,13 @@ func TestCSRLanesEdgeRows(t *testing.T) {
 			n, p := 6, 50
 			dense := randSparseDense(rng, n, p, 0.2)
 			clear(dense.Row(1)) // a row with no nonzeros
+			for i := range n {
+				dense.Set(i, 3, 0) // a column with none
+			}
+			finite := index(t, FromDense(dense))
 			dense.Set(2, 7, math.Inf(-1))
 			dense.Set(4, 9, math.NaN())
-			a := FromDense(dense)
+			a := index(t, FromDense(dense))
 			b := randWeights(rng, m*p, 0.2)
 			b[(m/2)*p+7] = math.Copysign(0, -1)
 			d := randWeights(rng, n*m, 0.2)
@@ -119,12 +158,14 @@ func TestCSRLanesEdgeRows(t *testing.T) {
 				d[i*m+rng.Intn(m)] = math.Copysign(0, -1)
 			}
 			d[5*m] = math.Inf(1) // an infinite weight
-			for lo := range n {
-				checkMulNT(t, a, b, m, lo, lo+1)
-				checkMulTN(t, a, d, m, lo, lo+1)
+			for _, a := range []*CSR{a, finite} {
+				for lo := range n {
+					checkMulNT(t, a, b, m, lo, lo+1)
+					checkMulTN(t, a, d, m, lo, lo+1)
+				}
+				checkMulNT(t, a, b, m, 0, n)
+				checkMulTN(t, a, d, m, 0, n)
 			}
-			checkMulNT(t, a, b, m, 0, n)
-			checkMulTN(t, a, d, m, 0, n)
 		}
 	})
 }
@@ -135,7 +176,7 @@ func TestCSRLanesEdgeRows(t *testing.T) {
 func TestCSRColumnOutsideMatrixPanics(t *testing.T) {
 	eachPath(t, func(t *testing.T) {
 		for _, bad := range []int{3, -1} {
-			a := &CSR{NumRows: 1, NumCols: 3, RowPtr: []int{0, 2}, Col: []int{0, bad}, Val: []float64{1, 2}}
+			a := index(t, &CSR{NumRows: 1, NumCols: 3, RowPtr: []int{0, 2}, Col: []int{0, bad}, Val: []float64{1, 2}})
 			for _, m := range []int{2, 19} {
 				for name, f := range map[string]func(){
 					"MulNT": func() { a.MulNTRange(make([]float64, 3*m), m, make([]float64, m), 0, 1) },
@@ -171,14 +212,22 @@ func checkMulNT(t *testing.T, a *CSR, b []float64, m, lo, hi int) {
 }
 
 // checkMulTN compares MulTNRange on rows [lo,hi) with mulTNRangeRef, the
-// feature-major G converted back.
+// feature-major G converted back; on an indexed matrix SetTNRange, which
+// must overwrite every row of a G full of NaN.
 func checkMulTN(t *testing.T, a *CSR, d []float64, m, lo, hi int) {
 	t.Helper()
 	n, p := a.Dims()
 	want := make([]float64, m*p)
 	a.mulTNRangeRef(d, m, want, lo, hi)
 	gt := make([]float64, m*p)
-	a.MulTNRange(d, m, gt, lo, hi)
+	if a.ColumnIndexed() {
+		for i := range gt {
+			gt[i] = math.NaN()
+		}
+		a.SetTNRange(d, m, gt, lo, hi)
+	} else {
+		a.MulTNRange(d, m, gt, lo, hi)
+	}
 	got := transpose(gt, p, m)
 	if i := firstDiff(got, want); i >= 0 {
 		t.Fatalf("n=%d p=%d m=%d rows [%d,%d): CSR MulTN differs at %d: %v vs %v",
@@ -228,21 +277,22 @@ func chunkedMulTNRef(dev *device.Device, a *CSR, d []float64, m int) []float64 {
 }
 
 // TestCSRProductsBitwiseMatchChunkedRef runs the four public products on
-// shapes either side of NNZ == NumCols, on one- and three-worker devices
-// (so one and several chunk parts), against the reference loops: S row
-// by row, G through chunkedMulTNRef, with the layouts converted.
+// shapes either side of NNZ == NumCols, on one-, two- and three-worker
+// devices (so one and several chunk parts, a column walk narrowed to
+// each), against the reference loops: S row by row, G through
+// chunkedMulTNRef, with the layouts converted.
 func TestCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 	eachPath(t, testCSRProductsBitwiseMatchChunkedRef)
 }
 
 func testCSRProductsBitwiseMatchChunkedRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(207))
-	for _, workers := range []int{1, 3} {
+	for _, workers := range []int{1, 2, 3} {
 		dev := device.New("csr-chunked", workers)
 		sides := map[bool]int{}
 		for trial := 0; trial < 60; trial++ {
 			n, p, m := 1+rng.Intn(80), 1+rng.Intn(60), 1+rng.Intn(maxM)
-			a := randCSR(rng, n, p, []float64{0.01, 0.05, 0.3}[trial%3])
+			a := index(t, randCSR(rng, n, p, []float64{0.01, 0.05, 0.3}[trial%3]))
 			sides[a.NNZ() >= p]++
 			b := randWeights(rng, m*p, 0.1)
 			bt := transpose(b, m, p)
@@ -341,12 +391,16 @@ func TestCSRMulNTReduceMatchesSeparatePasses(t *testing.T) {
 }
 
 func TestCSRFusedGradientMatchesUnfusedPipeline(t *testing.T) {
+	eachPath(t, testCSRFusedGradientMatchesUnfusedPipeline)
+}
+
+func testCSRFusedGradientMatchesUnfusedPipeline(t *testing.T) {
 	dev := device.New("csr-fused-grad", 5)
 	defer dev.Close()
 	rng := rand.New(rand.NewSource(206))
 	for trial := 0; trial < 20; trial++ {
 		n, p, m := 1+rng.Intn(120), 1+rng.Intn(40), 1+rng.Intn(9)
-		a := randCSR(rng, n, p, 0.3)
+		a := index(t, randCSR(rng, n, p, 0.3))
 		b := randWeights(rng, m*p, 0)
 		mkFn := func(s []float64) func(lo, hi int) float64 {
 			return func(lo, hi int) float64 {
@@ -404,29 +458,34 @@ func TestCSRMulTNDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestCSRProductsZeroAllocsSteadyState(t *testing.T) {
+	eachPath(t, testCSRProductsZeroAllocsSteadyState)
+}
+
+func testCSRProductsZeroAllocsSteadyState(t *testing.T) {
 	dev := device.New("csr-allocs", 4)
 	defer dev.Close()
 	rng := rand.New(rand.NewSource(205))
-	m := 6
 	for _, a := range []*CSR{
-		randCSR(rng, 400, 30, 0.3),   // more entries than columns
-		randCSR(rng, 40, 3000, 0.01), // fewer
+		index(t, randCSR(rng, 400, 30, 0.3)),   // more entries than columns
+		index(t, randCSR(rng, 40, 3000, 0.01)), // fewer
 	} {
-		n, p := a.NumRows, a.NumCols
-		b := randWeights(rng, m*p, 0)
-		d := randWeights(rng, n*m, 0.1)
-		s := make([]float64, n*m)
-		g := make([]float64, m*p)
-		fn := func(lo, hi int) float64 { return float64(hi - lo) }
-		for name, f := range map[string]func(){
-			"MulNT":         func() { a.MulNT(dev, b, m, s) },
-			"MulTN":         func() { a.MulTN(dev, d, m, g) },
-			"MulNTReduce":   func() { dev.MulNTReduce(a, b, m, s, fn) },
-			"FusedGradient": func() { dev.FusedGradient(a, b, m, s, fn, g) },
-		} {
-			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-				t.Fatalf("CSR %s (%d entries, %d columns) allocates %v per call in steady state, want 0",
-					name, a.NNZ(), p, allocs)
+		for _, m := range []int{6, 21} { // 21: a wide lane pass and a narrow one
+			n, p := a.NumRows, a.NumCols
+			b := randWeights(rng, m*p, 0)
+			d := randWeights(rng, n*m, 0.1)
+			s := make([]float64, n*m)
+			g := make([]float64, m*p)
+			fn := func(lo, hi int) float64 { return float64(hi - lo) }
+			for name, f := range map[string]func(){
+				"MulNT":         func() { a.MulNT(dev, b, m, s) },
+				"MulTN":         func() { a.MulTN(dev, d, m, g) },
+				"MulNTReduce":   func() { dev.MulNTReduce(a, b, m, s, fn) },
+				"FusedGradient": func() { dev.FusedGradient(a, b, m, s, fn, g) },
+			} {
+				if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+					t.Fatalf("CSR %s (%d entries, %d columns, m=%d) allocates %v per call in steady state, want 0",
+						name, a.NNZ(), p, m, allocs)
+				}
 			}
 		}
 	}

@@ -11,12 +11,26 @@
 // nonzero reads or updates its class weights as one contiguous run
 // (PERF.md "Weight layout"). The unexported *Ref methods keep the naive
 // class-major loops as the bitwise reference for property tests.
+//
+// A training shard is also indexed by column (IndexColumns, called when
+// the training objective is built): its products then walk columns, so
+// the score pass streams W row by row and scatters into the small n×m S,
+// and the accumulation pass (SetTNRange) gathers from D and writes each
+// row of G once, instead of every nonzero reaching into W or G at a
+// random spot. Each column keeps its rows in increasing order, so every
+// element of S still sums over increasing columns and every element of G
+// over increasing rows, from +0: the results are bit for bit the row
+// walk's. The index exists only when every value is finite, since the
+// row walk's zero-weight skip has no column twin; other matrices,
+// serving request rows among them, keep the row walk (PERF.md "Column
+// index").
 package sparse
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"newtonadmm/internal/device"
 	"newtonadmm/internal/linalg"
@@ -28,12 +42,90 @@ import (
 //
 // A CSR holds no kernel state: the persistent kernel and its scratch
 // belong to the device, so products on one CSR follow each device's
-// single-stream rule, and the matrix itself is only read.
+// single-stream rule, and the matrix itself is only read. Its one
+// derived structure, the column index, is built once and then only read.
 type CSR struct {
 	NumRows, NumCols int
 	RowPtr           []int
 	Col              []int
 	Val              []float64
+
+	cols atomic.Pointer[colIndex] // set by IndexColumns
+}
+
+// colIndex is a CSR's transpose (CSC): column j's entries are
+// row[ptr[j]:ptr[j+1]] / val[ptr[j]:ptr[j+1]], rows strictly increasing.
+type colIndex struct {
+	ptr []int
+	row []int
+	val []float64
+}
+
+// IndexColumns builds m's column index, after which MulNTRange walks
+// columns and SetTNRange can, with bitwise-identical results (package
+// comment). It builds nothing when the index exists, when a value is
+// infinite or NaN, or when a row's columns are not strictly increasing
+// inside [0, NumCols) (the row kernels then report the bad column). It is
+// safe to call from several goroutines; m must not be written afterwards.
+func (m *CSR) IndexColumns() {
+	if m.cols.Load() != nil || !allFinite(m.Val) {
+		return
+	}
+	if x := m.transpose(); x != nil {
+		m.cols.CompareAndSwap(nil, x)
+	}
+}
+
+// ColumnIndexed reports whether IndexColumns built m's column index. The
+// device then runs each chunk of a launch as one panel, since every
+// range call walks all of W's or G's rows, and accumulates G through
+// SetTNRange.
+func (m *CSR) ColumnIndexed() bool { return m.cols.Load() != nil }
+
+// transpose counting-sorts m's entries by column, taking rows in
+// increasing order so that each column's rows stay increasing; nil when
+// a row's columns are not strictly increasing inside [0, NumCols).
+func (m *CSR) transpose() *colIndex {
+	x := &colIndex{ptr: make([]int, m.NumCols+1)}
+	for i := range m.NumRows {
+		prev := -1
+		for _, j := range m.Col[m.RowPtr[i]:m.RowPtr[i+1]] {
+			if j <= prev || j >= m.NumCols {
+				return nil
+			}
+			prev = j
+			x.ptr[j+1]++
+		}
+	}
+	for j := range m.NumCols {
+		x.ptr[j+1] += x.ptr[j]
+	}
+	x.row, x.val = make([]int, len(m.Col)), make([]float64, len(m.Val))
+	next := slices.Clone(x.ptr[:m.NumCols])
+	for i := range m.NumRows {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			at := next[m.Col[k]]
+			next[m.Col[k]]++
+			x.row[at], x.val[at] = i, m.Val[k]
+		}
+	}
+	return x
+}
+
+// span returns column j's entries in rows [lo, hi) of the n-row matrix:
+// the whole column for the whole matrix, else the column narrowed by
+// binary search.
+func (x *colIndex) span(j, lo, hi, n int) (a, b int) {
+	a, b = x.ptr[j], x.ptr[j+1]
+	if lo > 0 {
+		k, _ := slices.BinarySearch(x.row[a:b], lo)
+		a += k
+	}
+	if hi < n {
+		k, _ := slices.BinarySearch(x.row[a:b], hi)
+		b = a + k
+	}
+	return a, b
 }
 
 // Coord is a single (row, col, value) entry used to build CSR matrices.
@@ -101,44 +193,35 @@ func (m *CSR) NNZ() int { return len(m.Val) }
 func (m *CSR) Dims() (rows, cols int) { return m.NumRows, m.NumCols }
 
 // MulNTRange writes rows [lo,hi) of S = A·Wᵀ into the n×mRows s, with
-// w feature-major (p×mRows): a pass over a row's nonzeros accumulates
-// adjacent classes, up to 20 in AVX2 lanes (lanePasses) or else six
-// (then three, then one) in Go. Each accumulator sums its products in
-// nonzero order from +0, so results are bitwise identical to
-// mulNTRangeRef on the class-major W. Each Go pass is its own function
-// so that its accumulators stay in registers.
+// w feature-major (p×mRows). The row walk takes each row's nonzeros once
+// for adjacent classes (gather); the column walk clears the rows and
+// adds each column's products into them (scatter). Either way each
+// element sums its products in increasing column order from +0, so
+// results are bitwise identical to mulNTRangeRef on the class-major W.
 func (m *CSR) MulNTRange(w []float64, mRows int, s []float64, lo, hi int) {
+	if x := m.cols.Load(); x != nil {
+		linalg.Zero(s[lo*mRows : hi*mRows])
+		for j := range m.NumCols {
+			if a, b := x.span(j, lo, hi, m.NumRows); a < b {
+				scatter(x.row[a:b], x.val[a:b], s, m.NumRows, w[j*mRows:(j+1)*mRows])
+			}
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
-		si := s[i*mRows : (i+1)*mRows]
 		start, end := m.RowPtr[i], m.RowPtr[i+1]
-		cols, vals := m.Col[start:end], m.Val[start:end]
-		if lanes && len(cols) > 0 {
-			lanePasses(csrDot, cols, vals, w, m.NumCols, si)
-			continue
-		}
-		c := 0
-		for ; c+6 <= mRows; c += 6 {
-			si[c], si[c+1], si[c+2], si[c+3], si[c+4], si[c+5] = dot6(cols, vals, w[c:], mRows)
-		}
-		for ; c+3 <= mRows; c += 3 {
-			si[c], si[c+1], si[c+2] = dot3(cols, vals, w[c:], mRows)
-		}
-		for ; c < mRows; c++ {
-			si[c] = dot1(cols, vals, w[c:], mRows)
-		}
+		gather(m.Col[start:end], m.Val[start:end], w, m.NumCols, mRows, s[i*mRows:(i+1)*mRows])
 	}
 }
 
 // MulTNRange adds rows [lo,hi)'s contribution to G = Dᵀ·A into the
-// feature-major g (p×mRows): a pass over a row's nonzeros holds up to 20
-// class weights in AVX2 lanes (lanePasses), or else six (then three,
-// then one) in Go registers, and updates that many adjacent accumulators
-// per nonzero. Every element receives its contributions in (row,
-// nonzero) order, so once g is laid out class-major results are bitwise
-// identical to mulTNRangeRef. That includes its zero-weight skip: a
-// skipped 0·v is ±0, which leaves a sum begun at +0 unchanged unless v
-// is infinite or NaN, so only such a row with a zero weight takes the
-// reference's class-by-class skip, before the lanes or the Go passes.
+// feature-major g (p×mRows), walking rows: each row's products go into
+// the rows of g its nonzeros name (scatter). Every element receives its
+// contributions in (row, nonzero) order, so once g is laid out
+// class-major results are bitwise identical to mulTNRangeRef. That
+// includes its zero-weight skip: a skipped 0·v is ±0, which leaves a sum
+// begun at +0 unchanged unless v is infinite or NaN, so only such a row
+// with a zero weight takes the reference's class-by-class skip.
 func (m *CSR) MulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		di := d[i*mRows : (i+1)*mRows]
@@ -148,20 +231,67 @@ func (m *CSR) MulTNRange(d []float64, mRows int, g []float64, lo, hi int) {
 			axpySkip(cols, vals, g, mRows, di)
 			continue
 		}
-		if lanes && len(cols) > 0 {
-			lanePasses(csrAxpy, cols, vals, g, m.NumCols, di)
-			continue
-		}
-		c := 0
-		for ; c+6 <= mRows; c += 6 {
-			w := di[c : c+6]
-			axpy6(cols, vals, g[c:], mRows, w[0], w[1], w[2], w[3], w[4], w[5])
-		}
-		for ; c+3 <= mRows; c += 3 {
-			axpy3(cols, vals, g[c:], mRows, di[c], di[c+1], di[c+2])
-		}
-		axpySkip(cols, vals, g[c:], mRows, di[c:])
+		scatter(cols, vals, g, m.NumCols, di)
 	}
+}
+
+// SetTNRange writes rows [lo,hi)'s contribution to G = Dᵀ·A over the
+// feature-major g (p×mRows), walking the column index, which must exist:
+// row j of g is column j's products over its rows in the range, summed
+// in increasing row order from +0 (gather), or zero for a column with
+// none there. Results are bitwise identical to mulTNRangeRef into a
+// zeroed g, whose skip is never observable on an indexed matrix.
+func (m *CSR) SetTNRange(d []float64, mRows int, g []float64, lo, hi int) {
+	x := m.cols.Load()
+	for j := range m.NumCols {
+		gj := g[j*mRows : (j+1)*mRows]
+		if a, b := x.span(j, lo, hi, m.NumRows); a < b {
+			gather(x.row[a:b], x.val[a:b], d, m.NumRows, mRows, gj)
+		} else {
+			clear(gj)
+		}
+	}
+}
+
+// gather writes out[q] = Σ_k vals[k]·x[idx[k]·ld + q] for every class q
+// of out, each sum in k order from +0: up to 20 classes per pass in AVX2
+// lanes (lanePasses), or else six (then three, then one) in Go. Each Go
+// pass is its own function so that its accumulators stay in registers.
+// idx indexes the p rows of the strided x.
+func gather(idx []int, vals, x []float64, p, ld int, out []float64) {
+	if lanes && len(idx) > 0 {
+		lanePasses(csrDot, idx, vals, x, p, ld, out)
+		return
+	}
+	c := 0
+	for ; c+6 <= len(out); c += 6 {
+		out[c], out[c+1], out[c+2], out[c+3], out[c+4], out[c+5] = dot6(idx, vals, x[c:], ld)
+	}
+	for ; c+3 <= len(out); c += 3 {
+		out[c], out[c+1], out[c+2] = dot3(idx, vals, x[c:], ld)
+	}
+	for ; c < len(out); c++ {
+		out[c] = dot1(idx, vals, x[c:], ld)
+	}
+}
+
+// scatter adds w[q]·vals[k] to x[idx[k]·len(w) + q] for every class q of
+// w, in k order: up to 20 classes per pass in AVX2 lanes (lanePasses), or
+// else six (then three) in Go registers and the rest through axpySkip.
+// idx indexes the p rows of x.
+func scatter(idx []int, vals, x []float64, p int, w []float64) {
+	if lanes && len(idx) > 0 {
+		lanePasses(csrAxpy, idx, vals, x, p, len(w), w)
+		return
+	}
+	m, c := len(w), 0
+	for ; c+6 <= m; c += 6 {
+		axpy6(idx, vals, x[c:], m, w[c], w[c+1], w[c+2], w[c+3], w[c+4], w[c+5])
+	}
+	for ; c+3 <= m; c += 3 {
+		axpy3(idx, vals, x[c:], m, w[c], w[c+1], w[c+2])
+	}
+	axpySkip(idx, vals, x[c:], m, w[c:])
 }
 
 // MulNT computes S = A·Wᵀ on dev: A is this CSR (n×p), w holds W
@@ -309,19 +439,20 @@ var lanes = linalg.LanesSupported()
 // laneMask[k] enables the first k lanes of a four-lane vector.
 var laneMask = [5][4]int64{{}, {-1}, {-1, -1}, {-1, -1, -1}, {-1, -1, -1, -1}}
 
-// lanePasses runs one row's lane kernel (csrDot or csrAxpy) over the
-// p×len(row) x: 16 classes plus a 0–4-lane mask while 16 or more remain,
-// else 1–4, so a row is read once for 16–20 classes. cols is non-empty.
+// lanePasses runs one lane kernel (csrDot or csrAxpy) for the classes of
+// row over the strided x, whose p rows are ld apart: 16 classes plus a
+// 0–4-lane mask while 16 or more remain, else 1–4, so the entries are
+// read once for 16–20 classes. idx is non-empty.
 func lanePasses(kern func(cols *int, vals *float64, nnz int, x, row *float64, ld, p, full int, mask *[4]int64) bool,
-	cols []int, vals, x []float64, p int, row []float64) {
+	idx []int, vals, x []float64, p, ld int, row []float64) {
 	m := len(row)
-	vals, x = vals[:len(cols)], x[:p*m]
+	vals, x = vals[:len(idx)], x[:(p-1)*ld+m]
 	for c := 0; c < m; {
 		full, k := 0, min(m-c, 4)
 		if m-c >= 16 {
 			full, k = 4, min(m-c-16, 4)
 		}
-		if !kern(&cols[0], &vals[0], len(cols), &x[c], &row[c], m, p, full, &laneMask[k]) {
+		if !kern(&idx[0], &vals[0], len(idx), &x[c], &row[c], ld, p, full, &laneMask[k]) {
 			panic(fmt.Sprintf("sparse: column index outside [0,%d)", p))
 		}
 		c += 4*full + k
