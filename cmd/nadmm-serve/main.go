@@ -90,12 +90,6 @@ func main() {
 		admission = flag.String("admission", "none", "admission policy: none, token-bucket (requests/s), or cost (rows x features units/s)")
 		admRate   = flag.Float64("admission-rate", 0, "admission refill rate (requests/s for token-bucket, cost units/s for cost)")
 		admBurst  = flag.Int("admission-burst", 0, "admission burst capacity (0 = max(rate,1))")
-
-		asMin      = flag.Int("autoscale-min", 0, "autoscaler floor (0 = the initial replica count); router with in-process replicas only")
-		asMax      = flag.Int("autoscale-max", 0, "autoscaler ceiling; > 0 enables the in-process autoscaler (a fleet of one shard group only)")
-		asP99      = flag.Duration("autoscale-target-p99", 0, "latency target driving scale-up (0 tracks utilization only)")
-		asTick     = flag.Duration("autoscale-tick", 0, "autoscaler evaluation period (0 = 1s)")
-		asCooldown = flag.Duration("autoscale-cooldown", 0, "override both scale cooldowns (0 keeps the 3s up / 10s down defaults)")
 	)
 	flag.Parse()
 
@@ -115,12 +109,18 @@ func main() {
 			// a port nothing listens on.
 			log.Fatal("-wire-addr applies to replica servers, not the router (join replicas' frame listeners with tcp:// instead)")
 		}
-		// Router members run no micro-batcher, so the batcher's flags
-		// would bound nothing here; refuse them rather than ignore them.
+		// Single-server flags would do nothing on a router; refuse them
+		// rather than ignore them.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "max-batch", "linger", "queue":
 				log.Printf("-%s applies to a single server only: router members run no micro-batcher", f.Name)
+				os.Exit(2)
+			case "watch":
+				log.Printf("-watch applies to a single server only: a router reloads its fleet on POST /v1/reload")
+				os.Exit(2)
+			case "shard-index", "shard-count":
+				log.Printf("-%s applies to a single server only: a router's shards are -replicas with -shard-mode class, or its joined replicas' ranges", f.Name)
 				os.Exit(2)
 			}
 		})
@@ -135,13 +135,8 @@ func main() {
 			Mode: *shardMode, Join: joins, Workers: *workers,
 			ModelPath: *model, SampleEvery: *sampleEvery, Debug: *debug,
 			Admission: *admission, AdmissionRate: *admRate, AdmissionBurst: *admBurst,
-			AutoscaleMin: *asMin, AutoscaleMax: *asMax, AutoscaleTargetP99: *asP99,
-			AutoscaleTick: *asTick, AutoscaleCooldown: *asCooldown,
 		})
 		return
-	}
-	if *asMax > 0 {
-		log.Fatal("-autoscale-max needs a router with in-process replicas (-replicas > 1)")
 	}
 
 	if *model == "" {
@@ -231,9 +226,6 @@ func runRouter(model string, opts newtonadmm.RouterOptions) {
 	}
 	if opts.Admission != "" && opts.Admission != "none" {
 		log.Printf("admission policy %s (rate %g, burst %d)", opts.Admission, opts.AdmissionRate, opts.AdmissionBurst)
-	}
-	if opts.AutoscaleMax > 0 {
-		log.Printf("autoscaler enabled: %d..%d replicas", opts.AutoscaleMin, opts.AutoscaleMax)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -2,109 +2,15 @@ package newtonadmm
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// TestControlSmoke is the CI control-plane smoke: a 1-replica fleet
-// with the autoscaler enabled rides a load ramp up to more replicas,
-// drains back down when the load stops, and exposes the whole episode
-// on /metricz. This is the test the ci control-smoke job runs.
-func TestControlSmoke(t *testing.T) {
-	m := testModel(4, 6, 31)
-	rs, err := ServeSharded(m, RouterOptions{
-		Addr: "127.0.0.1:0", Replicas: 1, Mode: "replica", Workers: 1, HealthEvery: -1,
-		AutoscaleMin: 1, AutoscaleMax: 3,
-		AutoscaleTick: 2 * time.Millisecond, AutoscaleCooldown: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	scaler := rs.Autoscaler()
-	if scaler == nil {
-		t.Fatal("AutoscaleMax > 0 did not start an autoscaler")
-	}
-
-	// Ramp: concurrent callers against one-launch-at-a-time replicas
-	// keep utilization pinned above the 0.75 high-water mark.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var served atomic.Int64
-	row := []float64{0.5, -1, 2, 0, 1, -0.5}
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, err := scoreRow(rs, row, nil); err == nil {
-					served.Add(1)
-				}
-			}
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for scaler.Ups() == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	wg.Wait()
-	if scaler.Ups() == 0 {
-		t.Fatalf("autoscaler never scaled up under saturation (served %d)", served.Load())
-	}
-	if served.Load() == 0 {
-		t.Fatal("no request served during the ramp")
-	}
-
-	// Quiet: the loop drains back toward Min.
-	deadline = time.Now().Add(10 * time.Second)
-	for scaler.Replicas() > 1 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if scaler.Replicas() != 1 || scaler.Downs() == 0 {
-		t.Fatalf("fleet did not drain to Min after the ramp: replicas=%d downs=%d",
-			scaler.Replicas(), scaler.Downs())
-	}
-
-	// Accepted work survived the whole episode: scale-downs drain, so a
-	// request admitted before a retirement still completed.
-	resp, _ := postInstances(t, "http://"+rs.Addr()+"/v1/predict", []any{row})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("predict after scale-down: status %d", resp.StatusCode)
-	}
-
-	// The episode is on /metricz: autoscale counters moved and the
-	// admission families exist (at zero — no policy installed).
-	mresp, err := http.Get("http://" + rs.Addr() + "/metricz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	text := string(body)
-	for _, want := range []string{
-		"nadmm_autoscale_replicas 1",
-		"nadmm_autoscale_ups_total",
-		"nadmm_autoscale_downs_total",
-		`nadmm_admission_rejected_total{reason="rate_limited"} 0`,
-		`nadmm_admission_rejected_total{reason="queue_full"} 0`,
-		"nadmm_admission_active 0",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metricz missing %q", want)
-		}
-	}
-}
 
 // TestRouterAdmission429 pins the router-plane rejection surface: with
 // a starved token bucket, /v1/predict answers 429 with a
@@ -152,13 +58,36 @@ func TestRouterAdmission429(t *testing.T) {
 	if got := rs.Router().AdmissionStats().Total(); got != uint64(rejected) {
 		t.Fatalf("router rejection counter = %d, callers saw %d", got, rejected)
 	}
+
+	// /metricz carries the admission family: the rejections by reason,
+	// and the installed policy.
+	mresp, err := http.Get(base + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`nadmm_admission_rejected_total{reason="rate_limited"} %d`, rejected),
+		`nadmm_admission_rejected_total{reason="queue_full"} 0`,
+		`nadmm_admission_rejected_total{reason="cost_rejected"} 0`,
+		"nadmm_admission_active 1",
+	} {
+		if !strings.Contains(string(text), want+"\n") {
+			t.Errorf("/metricz missing %q", want)
+		}
+	}
 }
 
-// TestAutoscaleDownRacesSwap drives the lmu seam directly: fleet-wide
-// hot swaps racing autoscaler scale-ups/scale-downs. The membership
-// mutex must keep Swap from iterating into a retired (closed) registry
-// and keep scale-up spawning replicas of the latest deployed model.
-func TestAutoscaleDownRacesSwap(t *testing.T) {
+// TestSwapUnderTraffic races fleet-wide Swap and single-replica
+// SwapReplica rollouts against scoring on a 2-member fleet: every
+// predict must succeed, since each request scores against one
+// registry snapshot and the swap lock keeps a fleet-wide rollout from
+// straddling a scatter.
+func TestSwapUnderTraffic(t *testing.T) {
 	m := testModel(4, 6, 33)
 	rs, err := ServeSharded(m, RouterOptions{
 		Replicas: 2, Mode: "replica", Workers: 1, HealthEvery: -1,
@@ -169,68 +98,59 @@ func TestAutoscaleDownRacesSwap(t *testing.T) {
 	defer rs.Close()
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Swapper: rolls the fleet to fresh models as fast as it can.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		seed := int64(100)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	var traffic sync.WaitGroup
+	var served atomic.Int64
+	for g := 0; g < 2; g++ {
+		traffic.Add(1)
+		go func() {
+			defer traffic.Done()
+			row := []float64{0.5, -1, 2, 0, 1, -0.5}
+			proba := make([]float64, 4)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := scoreRow(rs, row, proba); err != nil {
+					t.Errorf("predict during swaps: %v", err)
+					return
+				}
+				served.Add(1)
 			}
-			seed++
-			if _, err := rs.Swap(testModel(4, 6, seed)); err != nil {
-				t.Errorf("swap during scaling: %v", err)
-				return
-			}
-		}
-	}()
-	// Traffic: every outcome must be a success (no admission policy, big
-	// queue, and drains wait out accepted work).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		row := []float64{0.5, -1, 2, 0, 1, -0.5}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := scoreRow(rs, row, nil); err != nil {
-				t.Errorf("predict during swap/scale churn: %v", err)
-				return
-			}
-		}
-	}()
-
-	// Scaler actuator, driven synchronously for determinism: grow to 4,
-	// shrink back to 2, repeatedly — exactly what the control loop does,
-	// minus the hysteresis timing.
-	act := fleetActuator{rs: rs}
-	for cycle := 0; cycle < 10; cycle++ {
-		for act.Replicas() < 4 {
-			if err := act.ScaleUp(); err != nil {
-				t.Fatalf("cycle %d scale-up: %v", cycle, err)
-			}
-		}
-		for act.Replicas() > 2 {
-			if err := act.ScaleDown(); err != nil {
-				t.Fatalf("cycle %d scale-down: %v", cycle, err)
-			}
-		}
+		}()
 	}
+	// The rollouts start once traffic flows, so they overlap it.
+	for served.Load() == 0 {
+		runtime.Gosched()
+	}
+	before := served.Load()
+
+	const rollouts = 40
+	var swappers sync.WaitGroup
+	swappers.Add(2)
+	go func() {
+		defer swappers.Done()
+		for i := 0; i < rollouts; i++ {
+			if _, err := rs.Swap(testModel(4, 6, int64(100+i))); err != nil {
+				t.Errorf("fleet swap %d under traffic: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer swappers.Done()
+		for i := 0; i < rollouts; i++ {
+			if _, err := rs.SwapReplica(i%2, testModel(4, 6, int64(200+i))); err != nil {
+				t.Errorf("replica swap %d under traffic: %v", i, err)
+				return
+			}
+		}
+	}()
+	swappers.Wait()
 	close(stop)
-	wg.Wait()
-
-	if n := act.Replicas(); n != 2 {
-		t.Fatalf("fleet ended with %d replicas, want 2", n)
-	}
-	// The last deployed model is what a future scale-up would spawn.
-	if _, err := rs.Swap(testModel(4, 6, 999)); err != nil {
-		t.Fatalf("final swap: %v", err)
+	traffic.Wait()
+	if served.Load() == before {
+		t.Fatal("no request scored while the swaps ran")
 	}
 }

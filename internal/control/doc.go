@@ -1,8 +1,8 @@
 // Package control is the serving tier's control plane: the pieces that
 // decide, from the signals the data plane already exports, which
-// requests enter the system and how much capacity serves them.
+// requests enter the system and in what order they are served.
 //
-// Three subsystems, deliberately decoupled from the data plane they
+// Two subsystems, deliberately decoupled from the data plane they
 // steer (DESIGN.md "Control plane"):
 //
 //   - Admission: a pluggable AdmissionPolicy evaluated at submit time
@@ -22,11 +22,6 @@
 //     interactive p99, and reserve thresholds in the token bucket so
 //     background deterministically absorbs the rejections first.
 //
-//   - Autoscaling: a target-tracking control loop (Autoscaler) that
-//     reads windowed p99 latency and in-flight utilization from a
-//     SnapshotProvider and grows or drains in-process replicas through
-//     an Actuator. Hysteresis (consecutive-tick thresholds) plus
-//     separate up/down cooldowns keep it from flapping; the actuator
-//     reuses the pool's CanDrain/Drain primitives, so scale-down can
-//     never drop an accepted request or make a shard unserviceable.
+// Capacity is not decided here: a fleet's membership is fixed when
+// the router is built.
 package control

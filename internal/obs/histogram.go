@@ -71,33 +71,6 @@ func bucketLower(idx int) int64 {
 	return (1 << uint(octave)) | (sub << (uint(octave) - histSubBits))
 }
 
-// quantileWalk is the one rank → bucket → interpolation walk behind
-// Histogram.Quantile and Delta.Advance: for n observations whose bucket
-// i holds count(i), it finds the bucket holding rank q·(n-1) (q clamped
-// to [0,1]) and interpolates linearly inside it, up to the next
-// bucket's lower edge or top for the last bucket. ok is false when the
-// counts run out before the rank (a racing Observe, or a NaN q).
-func quantileWalk(n int64, q float64, top int64, count func(i int) int64) (v float64, ok bool) {
-	rank := min(max(q, 0), 1) * float64(n-1)
-	var seen float64
-	for i := 0; i < histBuckets; i++ {
-		c := float64(count(i))
-		if c <= 0 {
-			continue
-		}
-		if seen+c > rank {
-			lo, hi := bucketLower(i), top
-			if i+1 < histBuckets {
-				hi = bucketLower(i + 1)
-			}
-			frac := (rank - seen + 0.5) / c
-			return float64(lo) + frac*float64(hi-lo), true
-		}
-		seen += c
-	}
-	return 0, false
-}
-
 // Observe records one duration. Negative durations count as zero.
 func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)
@@ -163,17 +136,28 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	v, ok := quantileWalk(n, q, h.max.Load(), func(i int) int64 { return h.buckets[i].Load() })
-	if !ok {
-		return time.Duration(h.max.Load())
+	// Find the bucket holding rank q·(n-1) and interpolate linearly
+	// inside it, up to the next bucket's lower edge (max for the last).
+	mx := h.max.Load()
+	rank := min(max(q, 0), 1) * float64(n-1)
+	var seen float64
+	for i := 0; i < histBuckets; i++ {
+		c := float64(h.buckets[i].Load())
+		if c <= 0 {
+			continue
+		}
+		if seen+c > rank {
+			lo, hi := bucketLower(i), mx
+			if i+1 < histBuckets {
+				hi = bucketLower(i + 1)
+			}
+			v := float64(lo) + (rank-seen+0.5)/c*float64(hi-lo)
+			return time.Duration(max(min(v, float64(mx)), float64(h.min.Load())))
+		}
+		seen += c
 	}
-	if mx := h.max.Load(); v > float64(mx) {
-		v = float64(mx)
-	}
-	if mn := h.min.Load(); v < float64(mn) {
-		v = float64(mn)
-	}
-	return time.Duration(v)
+	// The counts ran out before the rank: a racing Observe, or a NaN q.
+	return time.Duration(mx)
 }
 
 // Snapshot is a point-in-time summary of a histogram.
@@ -197,11 +181,10 @@ func (s Snapshot) String() string {
 		s.Count, s.Mean, s.Min, s.P50, s.P95, s.P99, s.Max)
 }
 
-// WriteSummary renders h as the six summary rows of /metricz —
-// name_count and name_{mean,p50,p95,p99,max}_seconds, each with labels
-// (pre-rendered pairs, may be empty). Registry.Duration rows and the
-// router's per-replica leg latencies both render through it.
-func WriteSummary(w io.Writer, name, labels string, h *Histogram) {
+// writeSummary renders h as the six summary rows of a Registry.Duration
+// row — name_count and name_{mean,p50,p95,p99,max}_seconds, each with
+// labels (pre-rendered pairs, may be empty).
+func writeSummary(w io.Writer, name, labels string, h *Histogram) {
 	s := h.Snapshot()
 	fmt.Fprintf(w, "%s %d\n", withLabels(name+"_count", labels), s.Count)
 	for _, r := range [...]struct {
@@ -210,47 +193,4 @@ func WriteSummary(w io.Writer, name, labels string, h *Histogram) {
 	}{{"mean", s.Mean}, {"p50", s.P50}, {"p95", s.P95}, {"p99", s.P99}, {"max", s.Max}} {
 		fmt.Fprintf(w, "%s %.9f\n", withLabels(name+"_"+r.suffix+"_seconds", labels), r.v.Seconds())
 	}
-}
-
-// Delta windows a cumulative Histogram: each Advance computes quantiles
-// over only the observations recorded since the previous Advance. A
-// control loop needs this — the cumulative p99 never recovers after a
-// load spike, which would wedge any scale-down decision keyed on it —
-// while the histogram itself stays the cheap lock-free cumulative type
-// the hot path records into.
-//
-// Delta is NOT safe for concurrent use; the control loop that owns it
-// calls Advance once per tick.
-type Delta struct {
-	h    *Histogram
-	prev []int64
-	cur  []int64
-}
-
-// NewDelta starts a window over h; the first Advance covers everything
-// observed since this call.
-func NewDelta(h *Histogram) *Delta {
-	d := &Delta{h: h, prev: make([]int64, histBuckets), cur: make([]int64, histBuckets)}
-	for i := range d.prev {
-		d.prev[i] = h.buckets[i].Load()
-	}
-	return d
-}
-
-// Advance closes the current window and returns its observation count
-// and q-quantile (zero when the window is empty). The last bucket's
-// upper edge is twice its lower edge: a window has no max of its own.
-// Concurrent Observe calls may land on either side of the boundary —
-// acceptable for a monitoring signal.
-func (d *Delta) Advance(q float64) (count int64, quantile time.Duration) {
-	for i := range d.cur {
-		d.cur[i] = d.h.buckets[i].Load()
-		count += d.cur[i] - d.prev[i]
-	}
-	if count > 0 {
-		v, _ := quantileWalk(count, q, 2*bucketLower(histBuckets-1), func(i int) int64 { return d.cur[i] - d.prev[i] })
-		quantile = time.Duration(v)
-	}
-	d.prev, d.cur = d.cur, d.prev
-	return count, quantile
 }

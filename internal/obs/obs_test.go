@@ -43,8 +43,8 @@ func TestRegistryExposition(t *testing.T) {
 }
 
 // TestRegistryDurationSummary pins the six summary rows a Duration
-// renders, bare and labelled — the format the router's per-replica leg
-// latencies share through WriteSummary.
+// renders, bare and labelled — the labelled form is the router's
+// per-replica leg latency.
 func TestRegistryDurationSummary(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(time.Millisecond)

@@ -14,10 +14,9 @@ import (
 // through one code path, in one Prometheus-style text exposition, under
 // the canonical nadmm_* names documented in DESIGN.md "Observability".
 //
-// Most rows are registered at construction time; families whose label
-// sets change at runtime (the per-replica rows of an autoscaled pool)
-// register a Collect callback instead. Rendering reads atomics and
-// snapshot closures, so a scrape never blocks a request.
+// Rows are registered at construction time, labelled rows of one
+// family consecutively. Rendering reads atomics and snapshot closures,
+// so a scrape never blocks a request.
 type Registry struct {
 	mu   sync.Mutex
 	rows []row
@@ -29,7 +28,6 @@ const (
 	kindCounter rowKind = iota
 	kindGauge
 	kindDuration
-	kindCollect
 )
 
 type row struct {
@@ -40,7 +38,6 @@ type row struct {
 	cfn    func() uint64  // kindCounter
 	gfn    func() float64 // kindGauge
 	hist   *Histogram
-	colfn  func(io.Writer) // kindCollect
 }
 
 // NewRegistry returns an empty registry.
@@ -100,34 +97,10 @@ func (r *Registry) GaugeFunc(name, labels, help string, fn func() float64) {
 	r.add(row{name: name, labels: labels, help: help, kind: kindGauge, gfn: fn})
 }
 
-// Duration registers a latency histogram rendered by WriteSummary as the
+// Duration registers a latency histogram rendered by writeSummary as the
 // rows name_count and name_{mean,p50,p95,p99,max}_seconds.
 func (r *Registry) Duration(name, labels, help string, h *Histogram) {
 	r.add(row{name: name, labels: labels, help: help, kind: kindDuration, hist: h})
-}
-
-// Collect registers a scrape-time collector: fn writes fully formed
-// exposition lines (including any HELP/TYPE comments it wants) into
-// the scrape at this position. It exists for metric families whose
-// label set changes at runtime — the per-replica rows of an autoscaled
-// pool — where construction-time registration would freeze a stale
-// membership.
-func (r *Registry) Collect(fn func(io.Writer)) {
-	r.add(row{kind: kindCollect, colfn: fn})
-}
-
-// FindDuration returns the first histogram registered under name (any
-// labels); control loops use it to window a tier's latency signal
-// without holding a second reference path to the histogram.
-func (r *Registry) FindDuration(name string) (*Histogram, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.rows {
-		if r.rows[i].kind == kindDuration && r.rows[i].name == name {
-			return r.rows[i].hist, true
-		}
-	}
-	return nil, false
 }
 
 // WriteText renders the exposition: HELP/TYPE comments once per metric
@@ -141,10 +114,6 @@ func (r *Registry) WriteText(w io.Writer) {
 	seen := make(map[string]bool, len(rows))
 	for i := range rows {
 		rw := &rows[i]
-		if rw.kind == kindCollect {
-			rw.colfn(w)
-			continue
-		}
 		if !seen[rw.name] {
 			seen[rw.name] = true
 			if rw.help != "" {
@@ -161,9 +130,9 @@ func (r *Registry) WriteText(w io.Writer) {
 		case kindCounter:
 			fmt.Fprintf(w, "%s %d\n", withLabels(rw.name, rw.labels), rw.cfn())
 		case kindGauge:
-			fmt.Fprintf(w, "%s %s\n", withLabels(rw.name, rw.labels), FormatFloat(rw.gfn()))
+			fmt.Fprintf(w, "%s %s\n", withLabels(rw.name, rw.labels), formatFloat(rw.gfn()))
 		case kindDuration:
-			WriteSummary(w, rw.name, rw.labels, rw.hist)
+			writeSummary(w, rw.name, rw.labels, rw.hist)
 		}
 	}
 }
@@ -175,10 +144,9 @@ func withLabels(name, labels string) string {
 	return name + "{" + labels + "}"
 }
 
-// FormatFloat renders integral gauges without a decimal tail so greps
-// like `nadmm_model_version 1` stay stable; collectors that write their
-// own gauge rows use it too.
-func FormatFloat(v float64) string {
+// formatFloat renders integral gauges without a decimal tail so greps
+// like `nadmm_model_version 1` stay stable.
+func formatFloat(v float64) string {
 	if v == float64(int64(v)) {
 		return strconv.FormatInt(int64(v), 10)
 	}

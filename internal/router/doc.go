@@ -18,8 +18,9 @@
 // scatter and one gather per request batch, the per-class work spread
 // across the fleet) is S > 1.
 //
-// One record of each fact. The Pool is the membership: a replica's
-// stable ID, its Backend and its last probed metadata, which is the
+// One record of each fact. The Pool is the membership, fixed when New
+// builds the router: a replica's ID (its position in the pool), its
+// Backend and its last probed metadata, which is the
 // replica's own serve.ModelMeta (zone included) as Backend.Meta
 // reports it — full replicas are read through ModelMeta.Normalized
 // wherever a class span matters. An in-process member is a
@@ -31,9 +32,9 @@
 // One of each job in the router itself. Backend has one data call,
 // PartialScores, for a member's tile. One member-attempt loop
 // (tryMembers) serves every scatter leg. One fleet check (checkFleet)
-// validates the members' metadata at New, after every Reload or
-// Coordinate, and in AddBackend, and one power-of-two-choices pick
-// orders the members to try.
+// validates the members' metadata at New and after every Reload or
+// Coordinate, and one power-of-two-choices pick orders the members to
+// try.
 //
 // A Batch is one client request: a wire.Batch of rows plus the trace
 // and service class a batch frame carries. Backends score it without

@@ -1,6 +1,10 @@
 package router
 
 import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -160,5 +164,53 @@ func TestReplicaModeSingleGroup(t *testing.T) {
 	status, _ := rt.Pool().Coverage()
 	if status != "degraded" {
 		t.Fatalf("one of two replicas down: coverage %q, want degraded", status)
+	}
+}
+
+// TestReplicasAdminRejectsOutOfRangeID: a replica ID is a pool index,
+// so POST /v1/replicas answers 400 for an id outside [0, members) —
+// in the JSON body and in the query string, for drain, forced drain and
+// undrain — and leaves every member as it was.
+func TestReplicasAdminRejectsOutOfRangeID(t *testing.T) {
+	rt, err := New([]Backend{
+		gridFake(0, 2, 5, ""), gridFake(0, 2, 5, ""),
+		gridFake(2, 4, 5, ""), gridFake(2, 4, 5, ""),
+	}, Options{HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	hs := httptest.NewServer(NewServer(rt).Handler())
+	defer hs.Close()
+
+	n := len(rt.Pool().Replicas())
+	for _, id := range []int{-1, n} {
+		for _, act := range []struct{ action, force string }{{"drain", "false"}, {"drain", "true"}, {"undrain", "false"}} {
+			for _, form := range []struct{ url, body string }{
+				{"/v1/replicas", fmt.Sprintf(`{"id":%d,"action":%q,"force":%s}`, id, act.action, act.force)},
+				{fmt.Sprintf("/v1/replicas?id=%d&action=%s&force=%s", id, act.action, act.force), ""},
+			} {
+				resp, err := http.Post(hs.URL+form.url, "application/json", strings.NewReader(form.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Errorf("%s force=%s id=%d via %q: HTTP %d (%s), want 400", act.action, act.force, id, form.url, resp.StatusCode, body)
+				}
+			}
+		}
+	}
+	if got := len(rt.Pool().Replicas()); got != n {
+		t.Fatalf("pool has %d members after refused requests, want %d", got, n)
+	}
+	for _, r := range rt.Pool().Replicas() {
+		if r.State() != StateHealthy || r.InFlight() != 0 {
+			t.Fatalf("replica %d is %v with %d in flight, want healthy and idle", r.ID, r.State(), r.InFlight())
+		}
+	}
+	if status, _ := rt.Pool().Coverage(); status != "ok" {
+		t.Fatalf("coverage %q after refused requests, want ok", status)
 	}
 }

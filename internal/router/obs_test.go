@@ -2,8 +2,12 @@ package router
 
 import (
 	"bufio"
+	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,5 +212,100 @@ func checkReplicaTrace(t *testing.T, rec *obs.Recorder, id uint64, e2e time.Dura
 	}
 	if v.Dropped != 0 {
 		t.Fatalf("replica trace dropped %d spans", v.Dropped)
+	}
+}
+
+// poolExposition is the /metricz text of the pool's per-shard and
+// per-replica families on an untouched 2×2 class grid: names, labels,
+// HELP/TYPE comments and order. bench/fleet.go parses the
+// nadmm_leg_latency rows by replica label, so a byte of drift here
+// breaks its scrape.
+const poolExposition = `# HELP nadmm_shard_healthy healthy members in this shard group
+# TYPE nadmm_shard_healthy gauge
+nadmm_shard_healthy{shard="0"} 2
+nadmm_shard_healthy{shard="1"} 2
+# TYPE nadmm_shard_members gauge
+nadmm_shard_members{shard="0"} 2
+nadmm_shard_members{shard="1"} 2
+# HELP nadmm_replica_state routing state: 1 healthy, 0 draining, -1 down
+# TYPE nadmm_replica_state gauge
+nadmm_replica_state{replica="0"} 1
+nadmm_replica_state{replica="1"} 1
+nadmm_replica_state{replica="2"} 1
+nadmm_replica_state{replica="3"} 1
+# TYPE nadmm_replica_done_total counter
+nadmm_replica_done_total{replica="0"} 0
+nadmm_replica_done_total{replica="1"} 0
+nadmm_replica_done_total{replica="2"} 0
+nadmm_replica_done_total{replica="3"} 0
+# TYPE nadmm_replica_errors_total counter
+nadmm_replica_errors_total{replica="0"} 0
+nadmm_replica_errors_total{replica="1"} 0
+nadmm_replica_errors_total{replica="2"} 0
+nadmm_replica_errors_total{replica="3"} 0
+# TYPE nadmm_replica_rejected_total counter
+nadmm_replica_rejected_total{replica="0"} 0
+nadmm_replica_rejected_total{replica="1"} 0
+nadmm_replica_rejected_total{replica="2"} 0
+nadmm_replica_rejected_total{replica="3"} 0
+# TYPE nadmm_replica_inflight gauge
+nadmm_replica_inflight{replica="0"} 0
+nadmm_replica_inflight{replica="1"} 0
+nadmm_replica_inflight{replica="2"} 0
+nadmm_replica_inflight{replica="3"} 0
+nadmm_leg_latency_count{replica="0"} 0
+nadmm_leg_latency_mean_seconds{replica="0"} 0.000000000
+nadmm_leg_latency_p50_seconds{replica="0"} 0.000000000
+nadmm_leg_latency_p95_seconds{replica="0"} 0.000000000
+nadmm_leg_latency_p99_seconds{replica="0"} 0.000000000
+nadmm_leg_latency_max_seconds{replica="0"} 0.000000000
+nadmm_leg_latency_count{replica="1"} 0
+nadmm_leg_latency_mean_seconds{replica="1"} 0.000000000
+nadmm_leg_latency_p50_seconds{replica="1"} 0.000000000
+nadmm_leg_latency_p95_seconds{replica="1"} 0.000000000
+nadmm_leg_latency_p99_seconds{replica="1"} 0.000000000
+nadmm_leg_latency_max_seconds{replica="1"} 0.000000000
+nadmm_leg_latency_count{replica="2"} 0
+nadmm_leg_latency_mean_seconds{replica="2"} 0.000000000
+nadmm_leg_latency_p50_seconds{replica="2"} 0.000000000
+nadmm_leg_latency_p95_seconds{replica="2"} 0.000000000
+nadmm_leg_latency_p99_seconds{replica="2"} 0.000000000
+nadmm_leg_latency_max_seconds{replica="2"} 0.000000000
+nadmm_leg_latency_count{replica="3"} 0
+nadmm_leg_latency_mean_seconds{replica="3"} 0.000000000
+nadmm_leg_latency_p50_seconds{replica="3"} 0.000000000
+nadmm_leg_latency_p95_seconds{replica="3"} 0.000000000
+nadmm_leg_latency_p99_seconds{replica="3"} 0.000000000
+nadmm_leg_latency_max_seconds{replica="3"} 0.000000000`
+
+func TestPoolExposition(t *testing.T) {
+	const classes, features = 5, 6
+	w := randWeights(rand.New(rand.NewSource(11)), classes, features)
+	var backends []Backend
+	for s := 0; s < 2; s++ {
+		for r := 0; r < 2; r++ {
+			backends = append(backends, localReplica(t, w, classes, features, s, 2))
+		}
+	}
+	rt, err := New(backends, Options{HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	hs := httptest.NewServer(NewServer(rt).Handler())
+	defer hs.Close()
+	resp, err := http.Get(hs.URL + "/metricz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := poolExposition + "\n"
+	i := strings.Index(string(text), "# HELP nadmm_shard_healthy ")
+	if i < 0 || !strings.HasPrefix(string(text[i:]), want) {
+		t.Fatalf("/metricz pool families drifted; got:\n%s", text)
 	}
 }

@@ -41,6 +41,7 @@ func (s State) String() string {
 // Replica is one pool member: a backend plus the routing-side view of it
 // (health state, in-flight load for least-loaded picking, counters).
 type Replica struct {
+	// ID is the replica's position in its pool (Pool.Replicas()[ID]).
 	ID int
 	// GroupID is the shard group this replica belongs to (index into
 	// Pool.Groups); -1 until groups are assigned.
@@ -135,16 +136,12 @@ func (g *Group) availableCount() int {
 }
 
 // Pool owns the replica set, its shard groups, and the health monitor.
-// Membership is copy-on-write: the replica and group slices are
-// immutable once published, mutators build replacements under memMu,
-// and readers snapshot the current slices — an in-flight scatter keeps
-// scoring against the membership it started with while the autoscaler
-// grows or shrinks the pool.
+// Membership is fixed at construction: a replica's ID is its position
+// in the pool, and the replica and group slices never change after
+// setGroups, so readers need no lock.
 type Pool struct {
-	memMu    sync.RWMutex // guards membership (replicas/groups/nextID)
 	replicas []*Replica
 	groups   []*Group
-	nextID   int // next replica ID; IDs are stable and never reused
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand
@@ -166,7 +163,6 @@ func newPool(backends []Backend, metas []serve.ModelMeta) *Pool {
 		r.meta.Store(&m)
 		p.replicas = append(p.replicas, r)
 	}
-	p.nextID = len(backends)
 	return p
 }
 
@@ -186,108 +182,26 @@ func (p *Pool) setGroups(plans []GroupPlan) {
 	}
 }
 
-// snapshot returns the current membership. The returned slices are
-// immutable — mutators publish replacements, never edit in place.
-func (p *Pool) snapshot() ([]*Replica, []*Group) {
-	p.memMu.RLock()
-	defer p.memMu.RUnlock()
-	return p.replicas, p.groups
-}
-
-// byID resolves a replica by its stable ID (IDs survive removals, so
-// they are not slice indices). Returns nil when the ID has left the
-// pool.
+// byID resolves a replica by its ID, its position in the pool. Returns
+// nil when id is out of range (the admin API passes client input
+// through).
 func (p *Pool) byID(id int) *Replica {
-	reps, _ := p.snapshot()
-	for _, r := range reps {
-		if r.ID == id {
-			return r
-		}
-	}
-	return nil
-}
-
-// addReplica grows the pool: the new member (stable fresh ID) joins the
-// given shard group and starts receiving traffic as soon as the new
-// membership publishes. The caller has already probed and validated the
-// meta.
-func (p *Pool) addReplica(b Backend, m serve.ModelMeta, groupID int) *Replica {
-	p.memMu.Lock()
-	defer p.memMu.Unlock()
-	r := &Replica{ID: p.nextID, GroupID: groupID, backend: b, Latency: obs.NewHistogram()}
-	p.nextID++
-	mc := m
-	r.meta.Store(&mc)
-	reps := make([]*Replica, len(p.replicas), len(p.replicas)+1)
-	copy(reps, p.replicas)
-	reps = append(reps, r)
-	p.replicas = reps
-	if groupID >= 0 && groupID < len(p.groups) {
-		old := p.groups[groupID]
-		ng := &Group{ID: old.ID, Range: old.Range}
-		ng.members = append(append(ng.members, old.members...), r)
-		groups := make([]*Group, len(p.groups))
-		copy(groups, p.groups)
-		groups[groupID] = ng
-		p.groups = groups
-	}
-	return r
-}
-
-// removeReplica shrinks the pool, returning the removed member (the
-// caller owns closing its backend). In-flight requests that picked the
-// replica from an older snapshot finish normally — removal only stops
-// new snapshots from seeing it. Returns nil when the ID is not pooled.
-func (p *Pool) removeReplica(id int) *Replica {
-	p.memMu.Lock()
-	defer p.memMu.Unlock()
-	var victim *Replica
-	reps := make([]*Replica, 0, len(p.replicas))
-	for _, r := range p.replicas {
-		if r.ID == id {
-			victim = r
-			continue
-		}
-		reps = append(reps, r)
-	}
-	if victim == nil {
+	if id < 0 || id >= len(p.replicas) {
 		return nil
 	}
-	p.replicas = reps
-	if gi := victim.GroupID; gi >= 0 && gi < len(p.groups) {
-		old := p.groups[gi]
-		ng := &Group{ID: old.ID, Range: old.Range}
-		for _, r := range old.members {
-			if r.ID != id {
-				ng.members = append(ng.members, r)
-			}
-		}
-		groups := make([]*Group, len(p.groups))
-		copy(groups, p.groups)
-		groups[gi] = ng
-		p.groups = groups
-	}
-	return victim
+	return p.replicas[id]
 }
 
-// Groups returns the current shard groups in range order (empty until
-// setGroups). The slice is an immutable snapshot.
-func (p *Pool) Groups() []*Group {
-	_, groups := p.snapshot()
-	return groups
-}
+// Groups returns the shard groups in range order.
+func (p *Pool) Groups() []*Group { return p.groups }
 
-// Replicas returns the current pool members as an immutable snapshot.
-func (p *Pool) Replicas() []*Replica {
-	reps, _ := p.snapshot()
-	return reps
-}
+// Replicas returns the pool members; a member's ID is its index.
+func (p *Pool) Replicas() []*Replica { return p.replicas }
 
 // Stats snapshots every replica.
 func (p *Pool) Stats() []ReplicaStats {
-	reps, _ := p.snapshot()
-	out := make([]ReplicaStats, len(reps))
-	for i, r := range reps {
+	out := make([]ReplicaStats, len(p.replicas))
+	for i, r := range p.replicas {
 		out[i] = r.Stats()
 	}
 	return out
@@ -341,10 +255,9 @@ type ShardCoverage struct {
 // (that shard's partial logits cannot be assembled and the router's
 // requests fail 503 until a member recovers).
 func (p *Pool) Coverage() (string, []ShardCoverage) {
-	_, groups := p.snapshot()
 	status := "ok"
-	shards := make([]ShardCoverage, len(groups))
-	for i, g := range groups {
+	shards := make([]ShardCoverage, len(p.groups))
+	for i, g := range p.groups {
 		n := g.availableCount()
 		shards[i] = ShardCoverage{
 			Group:   g.ID,
@@ -374,14 +287,10 @@ func (p *Pool) CanDrain(id int) error {
 	if r == nil {
 		return fmt.Errorf("router: no replica %d", id)
 	}
-	if !r.available() || r.GroupID < 0 {
+	if !r.available() {
 		return nil
 	}
-	_, groups := p.snapshot()
-	if r.GroupID >= len(groups) {
-		return nil
-	}
-	g := groups[r.GroupID]
+	g := p.groups[r.GroupID]
 	if g.availableCount() <= 1 {
 		return fmt.Errorf("router: replica %d is the last available member of shard group %d [%d,%d); draining it makes the shard unserviceable (use force to override)",
 			id, g.ID, g.Range.Low, g.Range.High)
@@ -447,7 +356,7 @@ func (p *Pool) startHealth(interval time.Duration, failAfter int) {
 // Down, one success restores a Down replica and refreshes its
 // metadata.
 func (p *Pool) probeHealth(failAfter int) {
-	for _, r := range p.Replicas() {
+	for _, r := range p.replicas {
 		m, err := r.backend.Meta()
 		if err != nil {
 			if n := r.fails.Add(1); int(n) >= failAfter {
@@ -475,7 +384,7 @@ func (p *Pool) noteRequestError(r *Replica, failAfter int) {
 func (p *Pool) Close() {
 	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
-	for _, r := range p.Replicas() {
+	for _, r := range p.replicas {
 		r.backend.Close()
 	}
 }

@@ -3,7 +3,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -582,12 +581,9 @@ func (r *Router) Coordinate(fn func() error) error {
 
 // refreshMetasLocked re-probes every backend and checks the fleet still
 // keeps the router's plan; a fleet that does not holds the new model,
-// and the router must be restarted to serve it. Caller holds swapMu;
-// the metas slice is positional over the membership snapshot taken here
-// (replica IDs are stable across removals and no longer usable as
-// indices).
+// and the router must be restarted to serve it. Caller holds swapMu.
 func (r *Router) refreshMetasLocked() error {
-	reps, groups := r.pool.snapshot()
+	reps, groups := r.pool.Replicas(), r.pool.Groups()
 	metas := make([]serve.ModelMeta, len(reps))
 	planned := make([]ShardRange, len(reps))
 	for i, rep := range reps {
@@ -608,9 +604,9 @@ func (r *Router) refreshMetasLocked() error {
 	return nil
 }
 
-// checkFleet is the one fleet-shape check: New, every refresh and
-// AddBackend run it on the members' metadata, and its errors name a
-// member by its position in metas. It plans the members into shard
+// checkFleet is the one fleet-shape check: New and every refresh run
+// it on the members' metadata, and its errors name a member by its
+// position in metas. It plans the members into shard
 // groups (planGroupsFromMetas: one model shape, ranges that tile the
 // explicit classes, zone spread). With planned set, the fleet must keep
 // the plan the router serves: member i still serves planned[i], and the
@@ -632,64 +628,6 @@ func (r *Router) checkFleet(metas []serve.ModelMeta, planned []ShardRange) ([]Gr
 			m.TotalClasses, m.Features, r.classes, r.features)
 	}
 	return plan, nil
-}
-
-// AddBackend grows the fleet with a freshly built member (the
-// autoscaler's scale-up actuator): it joins, as a sibling, the shard
-// group whose planned range it serves. The backend is probed first; it
-// is refused when its range matches no group or the fleet with it
-// fails checkFleet. On success it starts receiving traffic immediately.
-// Returns the new member's stable ID.
-func (r *Router) AddBackend(b Backend) (int, error) {
-	m, err := b.Meta()
-	if err != nil {
-		return 0, fmt.Errorf("router: probing new replica: %w", err)
-	}
-	// Serialize against Reload/Coordinate so a fleet-wide swap never
-	// interleaves with a membership change.
-	r.swapMu.Lock()
-	defer r.swapMu.Unlock()
-	reps, groups := r.pool.snapshot()
-	n := m.Normalized()
-	rng := ShardRange{Low: n.ShardLow, High: n.ShardHigh}
-	gi := slices.IndexFunc(groups, func(g *Group) bool { return g.Range == rng })
-	if gi < 0 {
-		return 0, fmt.Errorf("router: new replica refused: shard [%d,%d) matches no group of the fleet", rng.Low, rng.High)
-	}
-	var metas []serve.ModelMeta
-	var planned []ShardRange
-	for _, rep := range reps {
-		metas = append(metas, rep.Meta())
-		planned = append(planned, groups[rep.GroupID].Range)
-	}
-	if _, err := r.checkFleet(append(metas, m), append(planned, rng)); err != nil {
-		return 0, fmt.Errorf("router: new replica refused: %w", err)
-	}
-	return r.pool.addReplica(b, m, groups[gi].ID).ID, nil
-}
-
-// RemoveBackend retires a replica without dropping accepted work: the
-// coverage guard (Pool.CanDrain) refuses to remove a shard group's last
-// available member, the drain waits out in-flight requests, and only
-// then is the member unlinked and its backend closed — under the swap
-// lock, so a concurrent Reload can never touch a closed backend. On a
-// drain timeout the replica is undrained and the removal abandoned.
-func (r *Router) RemoveBackend(id int, drainTimeout time.Duration) error {
-	if err := r.pool.CanDrain(id); err != nil {
-		return err
-	}
-	if err := r.pool.Drain(id, drainTimeout); err != nil {
-		r.pool.Undrain(id)
-		return err
-	}
-	r.swapMu.Lock()
-	victim := r.pool.removeReplica(id)
-	r.swapMu.Unlock()
-	if victim == nil {
-		return fmt.Errorf("router: no replica %d", id)
-	}
-	victim.backend.Close()
-	return nil
 }
 
 func (r *Router) getScratch(n int) *[]float64 {

@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"newtonadmm/internal/device"
@@ -365,6 +366,52 @@ func TestClassModeShapeChangeRejected(t *testing.T) {
 	err = rt.Predict(batch, make([]int, rows))
 	if !errors.Is(err, serve.ErrModelShapeChanged) {
 		t.Fatalf("got %v, want ErrModelShapeChanged", err)
+	}
+}
+
+// TestClassModeFeatureWidthReloadRefused: class shards that all reload
+// to a model of another feature width still tile the classes, but the
+// router plans and prices admission at the old width, so the refresh
+// after Reload or Coordinate must refuse the fleet, as it does for
+// whole-model replicas.
+func TestClassModeFeatureWidthReloadRefused(t *testing.T) {
+	const classes, features, wider = 6, 9, 12
+	rng := rand.New(rand.NewSource(106))
+	w := randWeights(rng, classes, features)
+	ww := randWeights(rng, classes, wider)
+	plan, err := PlanShards(classes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := make([]Backend, len(plan))
+	for i, rg := range plan {
+		base := localReplica(t, w, classes, features, i, len(plan))
+		reg := base.Registry()
+		backends[i] = NewLocalBackend(reg, func() (int64, error) {
+			p, err := serve.NewPredictor(ww[rg.Low*wider:rg.High*wider], rg.Width()+1, wider, 1)
+			if err != nil {
+				return 0, err
+			}
+			return reg.Swap(p, serve.ModelMeta{
+				ShardIndex: i, ShardCount: len(plan),
+				ShardLow: rg.Low, ShardHigh: rg.High, TotalClasses: classes,
+			}), nil
+		})
+	}
+	rt, err := New(backends, Options{HealthEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	if _, err := rt.Reload(); err == nil || !strings.Contains(err.Error(), "restart the router") {
+		t.Fatalf("Reload to %d features: err %v, want the restart-the-router refusal", wider, err)
+	}
+	if err := rt.Coordinate(func() error { return nil }); err == nil || !strings.Contains(err.Error(), "restart the router") {
+		t.Fatalf("Coordinate over %d-feature shards: err %v, want the restart-the-router refusal", wider, err)
+	}
+	if got := rt.Features(); got != features {
+		t.Fatalf("Features() = %d after the refused reload, want the planned %d", got, features)
 	}
 }
 

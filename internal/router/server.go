@@ -1,8 +1,6 @@
 package router
 
 import (
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -112,71 +110,45 @@ func (t *routerTier) Metrics(o *obs.Registry) {
 	o.GaugeFunc("nadmm_model_version", "", "model snapshot version the router plans against",
 		func() float64 { return float64(rt.Version()) })
 	rt.gate.Register(o, "client requests")
-	// The pool's membership changes at runtime (autoscaling), so the
-	// per-shard and per-replica families render through a scrape-time
-	// collector over the live snapshot instead of construction-time rows.
-	o.Collect(func(w io.Writer) { collectPoolMetrics(w, rt) })
+	poolMetrics(o, rt.Pool())
 	o.Duration("nadmm_request_latency", "", "sampled end-to-end client-request latency at the router", t.latency)
 	o.Duration("nadmm_stage_scatter", "", "per-leg scatter round-trip (all replicas)", rt.StageScatter)
 	o.Duration("nadmm_stage_merge", "", "partial-tile merge time of gathers", rt.StageMerge)
 }
 
-// collectPoolMetrics renders the per-shard and per-replica metric
-// families over the pool's current membership. Registered as a
-// scrape-time collector because AddBackend/RemoveBackend change the
-// label sets while the server runs; each scrape emits exactly the live
-// rows, and a removed replica's rows disappear with it.
-func collectPoolMetrics(w io.Writer, rt *Router) {
-	groups := rt.Pool().Groups()
-	fmt.Fprint(w, "# HELP nadmm_shard_healthy healthy members in this shard group\n# TYPE nadmm_shard_healthy gauge\n")
-	for gi, g := range groups {
-		n := 0
-		for _, rep := range g.Members() {
-			if rep.available() {
-				n++
-			}
-		}
-		fmt.Fprintf(w, "nadmm_shard_healthy{shard=\"%d\"} %d\n", gi, n)
+// poolMetrics registers the per-shard and per-replica metric families
+// one family at a time, so each family's rows render together under
+// one HELP/TYPE header.
+func poolMetrics(o *obs.Registry, p *Pool) {
+	shard := func(g *Group) string { return obs.Label("shard", strconv.Itoa(g.ID)) }
+	for _, g := range p.Groups() {
+		o.GaugeFunc("nadmm_shard_healthy", shard(g), "healthy members in this shard group",
+			func() float64 { return float64(g.availableCount()) })
 	}
-	fmt.Fprint(w, "# TYPE nadmm_shard_members gauge\n")
-	for gi, g := range groups {
-		fmt.Fprintf(w, "nadmm_shard_members{shard=\"%d\"} %d\n", gi, len(g.Members()))
+	for _, g := range p.Groups() {
+		o.GaugeFunc("nadmm_shard_members", shard(g), "", func() float64 { return float64(len(g.members)) })
 	}
-	reps := rt.Pool().Replicas()
-	fmt.Fprint(w, "# HELP nadmm_replica_state routing state: 1 healthy, 0 draining, -1 down\n# TYPE nadmm_replica_state gauge\n")
-	for _, rep := range reps {
-		fmt.Fprintf(w, "nadmm_replica_state{replica=\"%d\"} %s\n", rep.ID, obs.FormatFloat(stateValue(rep.State())))
+	reps := p.Replicas()
+	replica := func(r *Replica) string { return obs.Label("replica", strconv.Itoa(r.ID)) }
+	for _, r := range reps {
+		o.GaugeFunc("nadmm_replica_state", replica(r), "routing state: 1 healthy, 0 draining, -1 down",
+			func() float64 { return stateValue(r.State()) })
 	}
-	fmt.Fprint(w, "# TYPE nadmm_replica_done_total counter\n")
-	for _, rep := range reps {
-		fmt.Fprintf(w, "nadmm_replica_done_total{replica=\"%d\"} %d\n", rep.ID, rep.done.Load())
+	for _, r := range reps {
+		o.CounterFunc("nadmm_replica_done_total", replica(r), "", func() uint64 { return uint64(r.done.Load()) })
 	}
-	fmt.Fprint(w, "# TYPE nadmm_replica_errors_total counter\n")
-	for _, rep := range reps {
-		fmt.Fprintf(w, "nadmm_replica_errors_total{replica=\"%d\"} %d\n", rep.ID, rep.errs.Load())
+	for _, r := range reps {
+		o.CounterFunc("nadmm_replica_errors_total", replica(r), "", func() uint64 { return uint64(r.errs.Load()) })
 	}
-	fmt.Fprint(w, "# TYPE nadmm_replica_rejected_total counter\n")
-	for _, rep := range reps {
-		fmt.Fprintf(w, "nadmm_replica_rejected_total{replica=\"%d\"} %d\n", rep.ID, rep.rejected.Load())
+	for _, r := range reps {
+		o.CounterFunc("nadmm_replica_rejected_total", replica(r), "", func() uint64 { return uint64(r.rejected.Load()) })
 	}
-	fmt.Fprint(w, "# TYPE nadmm_replica_inflight gauge\n")
-	for _, rep := range reps {
-		fmt.Fprintf(w, "nadmm_replica_inflight{replica=\"%d\"} %d\n", rep.ID, rep.InFlight())
+	for _, r := range reps {
+		o.GaugeFunc("nadmm_replica_inflight", replica(r), "", func() float64 { return float64(r.InFlight()) })
 	}
-	for _, rep := range reps {
-		obs.WriteSummary(w, "nadmm_leg_latency", obs.Label("replica", strconv.Itoa(rep.ID)), rep.Latency)
+	for _, r := range reps {
+		o.Duration("nadmm_leg_latency", replica(r), "", r.Latency)
 	}
-}
-
-// RegisterAutoscaler adds the autoscaler's rows to /metricz. Called by
-// the fleet bootstrap once the control loop exists; a fleet without one
-// simply has no nadmm_autoscale_* family.
-func (s *Server) RegisterAutoscaler(a *control.Autoscaler) {
-	s.Obs().GaugeFunc("nadmm_autoscale_replicas", "", "replica count as of the last autoscaler evaluation",
-		func() float64 { return float64(a.Replicas()) })
-	s.Obs().CounterFunc("nadmm_autoscale_ups_total", "", "successful autoscaler scale-ups", a.Ups)
-	s.Obs().CounterFunc("nadmm_autoscale_downs_total", "", "successful autoscaler scale-downs", a.Downs)
-	s.Obs().CounterFunc("nadmm_autoscale_failures_total", "", "scaling actions refused or failed (drain guard, spawn error)", a.Failures)
 }
 
 // replicaHealth is one replica's row in /healthz.
@@ -258,6 +230,10 @@ func (s *Server) handleReplicas(w http.ResponseWriter, r *http.Request) {
 			req.ID = id
 			req.Force, _ = strconv.ParseBool(q.Get("force"))
 		} else if !serve.DecodeBody(w, r, &req) {
+			return
+		}
+		if s.rt.Pool().byID(req.ID) == nil {
+			serve.WriteError(w, http.StatusBadRequest, "no replica %d (ids run 0..%d)", req.ID, len(s.rt.Pool().Replicas())-1)
 			return
 		}
 		var err error

@@ -139,11 +139,6 @@ func (s *Server) EnableDebug() {
 // Handler returns the root http.Handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Obs returns the metrics registry behind /metricz (the router's
-// autoscaler windows nadmm_request_latency out of it and adds its own
-// rows).
-func (s *Server) Obs() *obs.Registry { return s.obsReg }
-
 type predictResponse struct {
 	Predictions   []int       `json:"predictions"`
 	Probabilities [][]float64 `json:"probabilities,omitempty"`

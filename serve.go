@@ -529,42 +529,18 @@ type RouterOptions struct {
 	Admission      string
 	AdmissionRate  float64
 	AdmissionBurst int
-	// AutoscaleMax > 0 enables the in-process autoscaler (DESIGN.md
-	// "Control plane"): a target-tracking loop that grows the fleet one
-	// whole-model sibling at a time toward AutoscaleMax under sustained
-	// overload and drains it back toward AutoscaleMin when idle. A fleet
-	// of one group with in-process members only — a multi-group grid
-	// and remote fleets are not autoscaled. AutoscaleMin <= 0 selects
-	// the initial replica count.
-	AutoscaleMin, AutoscaleMax int
-	// AutoscaleTargetP99 is the latency target driving scale-up; zero
-	// tracks utilization only.
-	AutoscaleTargetP99 time.Duration
-	// AutoscaleTick is the control loop's evaluation period (<= 0
-	// selects 1s); AutoscaleCooldown, when > 0, overrides both the
-	// scale-up and scale-down cooldowns (defaults 3s/10s).
-	AutoscaleTick     time.Duration
-	AutoscaleCooldown time.Duration
 	// Debug mounts net/http/pprof on the router's surface (opt-in).
 	Debug bool
 }
 
-// RouterServer is a running scatter-gather serving tier.
+// RouterServer is a running scatter-gather serving tier. Its
+// membership is the router's pool, fixed at construction: an in-process
+// member is a replica whose backend is a *router.LocalBackend, and its
+// registry reports the class shard and zone it serves.
 type RouterServer struct {
 	rt   *router.Router
 	srv  *router.Server
 	opts RouterOptions
-
-	// The membership is the router's pool: an in-process member is a
-	// replica whose backend is a *router.LocalBackend, and its registry
-	// reports the class shard and zone it serves. lmu serializes the
-	// autoscaler's scale actions against fleet-wide Swap and guards
-	// model. Lock order: lmu before the router's internal swap lock
-	// (scale actions and Coordinate both take it next).
-	lmu   sync.Mutex
-	model *Model
-
-	scaler *control.Autoscaler
 
 	ln   net.Listener
 	hsrv *http.Server
@@ -600,7 +576,7 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := &RouterServer{opts: opts, model: m}
+	rs := &RouterServer{opts: opts}
 	backends, err := rs.fleet(m)
 	if err != nil {
 		return nil, err
@@ -617,12 +593,6 @@ func ServeSharded(m *Model, opts RouterOptions) (*RouterServer, error) {
 	rs.srv = router.NewServer(rt)
 	if opts.Debug {
 		rs.srv.EnableDebug()
-	}
-	if opts.AutoscaleMax > 0 {
-		if err := rs.startAutoscaler(); err != nil {
-			rs.Close()
-			return nil, err
-		}
 	}
 	if opts.Addr != "" {
 		if rs.ln, rs.hsrv, err = listenHTTP(opts.Addr, rs.srv.Handler()); err != nil {
@@ -670,7 +640,7 @@ func (rs *RouterServer) fleet(m *Model) (backends []router.Backend, err error) {
 			if len(opts.Zones) > 0 {
 				zone = opts.Zones[r%len(opts.Zones)]
 			}
-			lb, err := rs.newMember(m, s, shardCount, zone)
+			lb, err := newReplica(m, opts.ModelPath, s, shardCount, zone, opts.Workers)
 			if err != nil {
 				return backends, err
 			}
@@ -691,13 +661,7 @@ func listenHTTP(addr string, h http.Handler) (net.Listener, *http.Server, error)
 	return ln, hs, nil
 }
 
-// newMember builds one in-process member serving class shard
-// shardIndex of shardCount (0: the whole model) from zone.
-func (rs *RouterServer) newMember(m *Model, shardIndex, shardCount int, zone string) (*router.LocalBackend, error) {
-	return newReplica(m, rs.opts.ModelPath, shardIndex, shardCount, zone, rs.opts.Workers)
-}
-
-// members returns the pool's in-process members, oldest first.
+// members returns the pool's in-process members in ID order.
 func (rs *RouterServer) members() []*router.Replica {
 	var out []*router.Replica
 	for _, rep := range rs.rt.Pool().Replicas() {
@@ -718,103 +682,6 @@ func (rs *RouterServer) swapMember(rep *router.Replica, m *Model) (int64, error)
 	}
 	return swapShardInto(reg, m, "", mm.ShardIndex, mm.ShardCount, rs.opts.Workers, mm.Zone)
 }
-
-// startAutoscaler wires the control loop over the router tier's own
-// signals: windowed p99 from the nadmm_request_latency histogram,
-// utilization from aggregate in-flight over the member count (a
-// member's predictor runs one launch at a time). A fleet of one group
-// with in-process members only — a multi-group grid would need a
-// placement decision per scale step, and remote fleets scale
-// out-of-process.
-func (rs *RouterServer) startAutoscaler() error {
-	if len(rs.rt.Pool().Groups()) != 1 {
-		return fmt.Errorf("newtonadmm: autoscaling requires a fleet of one shard group")
-	}
-	members := rs.members()
-	if len(members) == 0 {
-		return fmt.Errorf("newtonadmm: autoscaling requires in-process replicas")
-	}
-	src, err := control.NewRegistrySource(rs.srv.Obs(), "nadmm_request_latency",
-		func() int64 {
-			var n int64
-			for _, rep := range rs.rt.Pool().Replicas() {
-				n += rep.InFlight()
-			}
-			return n
-		},
-		func() int64 { return int64(len(rs.rt.Pool().Replicas())) },
-		func() int { return len(rs.rt.Pool().Replicas()) },
-	)
-	if err != nil {
-		return fmt.Errorf("newtonadmm: %w", err)
-	}
-	min := rs.opts.AutoscaleMin
-	if min <= 0 {
-		min = len(members)
-	}
-	rs.scaler = control.NewAutoscaler(src, fleetActuator{rs: rs}, control.AutoscalerConfig{
-		Min: min, Max: rs.opts.AutoscaleMax,
-		TargetP99:  rs.opts.AutoscaleTargetP99,
-		Tick:       rs.opts.AutoscaleTick,
-		UpCooldown: rs.opts.AutoscaleCooldown, DownCooldown: rs.opts.AutoscaleCooldown,
-	})
-	rs.srv.RegisterAutoscaler(rs.scaler)
-	rs.scaler.Start()
-	return nil
-}
-
-// fleetActuator adapts the RouterServer's in-process membership to the
-// autoscaler's Actuator interface.
-type fleetActuator struct{ rs *RouterServer }
-
-func (f fleetActuator) Replicas() int    { return len(f.rs.rt.Pool().Replicas()) }
-func (f fleetActuator) ScaleUp() error   { return f.rs.scaleUp() }
-func (f fleetActuator) ScaleDown() error { return f.rs.scaleDown() }
-
-// scaleUp spawns one whole-model in-process replica and joins it to
-// the fleet's one group; it starts receiving traffic as soon as the new
-// membership publishes. The replica is built from the fleet's current
-// model (Swap keeps it current), in the next zone of the configured
-// cycle.
-func (rs *RouterServer) scaleUp() error {
-	rs.lmu.Lock()
-	defer rs.lmu.Unlock()
-	if rs.model == nil {
-		return fmt.Errorf("newtonadmm: no model to build a replica from")
-	}
-	zone := ""
-	if len(rs.opts.Zones) > 0 {
-		zone = rs.opts.Zones[len(rs.members())%len(rs.opts.Zones)]
-	}
-	lb, err := rs.newMember(rs.model, 0, 0, zone)
-	if err != nil {
-		return err
-	}
-	if _, err := rs.rt.AddBackend(lb); err != nil {
-		lb.Close()
-		return err
-	}
-	return nil
-}
-
-// scaleDown drains and retires the newest in-process replica. The
-// removal routes through Router.RemoveBackend, so the coverage guard
-// and the drain protect accepted work; a refused or timed-out drain
-// leaves the membership unchanged (the autoscaler retries after its
-// next idle run).
-func (rs *RouterServer) scaleDown() error {
-	rs.lmu.Lock()
-	defer rs.lmu.Unlock()
-	members := rs.members()
-	if len(members) <= 1 {
-		return fmt.Errorf("newtonadmm: no removable in-process replica")
-	}
-	return rs.rt.RemoveBackend(members[len(members)-1].ID, 30*time.Second)
-}
-
-// Autoscaler returns the running control loop (nil when autoscaling is
-// disabled); tests and the CLI read its Ups/Downs/Replicas counters.
-func (rs *RouterServer) Autoscaler() *control.Autoscaler { return rs.scaler }
 
 // Router returns the underlying router (stats, drain/undrain).
 func (rs *RouterServer) Router() *router.Router { return rs.rt }
@@ -841,11 +708,6 @@ func (rs *RouterServer) Swap(m *Model) (int64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("newtonadmm: nil model")
 	}
-	// lmu freezes the in-process membership for the whole rollout, so an
-	// autoscaler scale-down cannot retire (and close) a replica between
-	// the iteration and the swap into its registry.
-	rs.lmu.Lock()
-	defer rs.lmu.Unlock()
 	members := rs.members()
 	if len(members) == 0 {
 		return 0, fmt.Errorf("newtonadmm: Swap needs in-process replicas (remote fleets reload via /v1/reload)")
@@ -866,7 +728,6 @@ func (rs *RouterServer) Swap(m *Model) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	rs.model = m // future scale-ups spawn replicas of the deployed model
 	return latest, nil
 }
 
@@ -881,10 +742,6 @@ func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("newtonadmm: nil model")
 	}
-	rs.lmu.Lock()
-	defer rs.lmu.Unlock()
-	// id is the pool's stable replica ID, not a position (they diverge
-	// once the autoscaler has removed a member).
 	var target *router.Replica
 	for _, rep := range rs.members() {
 		if rep.ID == id {
@@ -908,11 +765,6 @@ func (rs *RouterServer) SwapReplica(id int, m *Model) (int64, error) {
 // Close stops the listener, the router's health monitor, and every
 // in-process replica (devices release).
 func (rs *RouterServer) Close() {
-	// The control loop goes first so no scale action races teardown.
-	if rs.scaler != nil {
-		rs.scaler.Stop()
-		rs.scaler = nil
-	}
 	if rs.hsrv != nil {
 		rs.hsrv.Close()
 		rs.hsrv = nil
